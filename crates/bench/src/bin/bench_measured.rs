@@ -45,9 +45,9 @@
 //! Skinny shapes (`m ∈ {1, 2, 4, 8}`) ride along with every sweep and
 //! report **effective GB/s** next to GFLOP/s — at decode batch sizes the
 //! product is bandwidth-bound, so bytes of compressed-operand traffic per
-//! second is the honest axis. `m = 1` shapes also time two rivals: the
-//! seed `spmv` loop from `nm-core` and the 4-row GEMM tile forced onto
-//! the one-row input. Every decode shape also times the **storage-format
+//! second is the honest axis. On `m = 1` shapes the scalar `reference`
+//! lane (no staging, no SIMD) doubles as a rival, next to the 4-row GEMM
+//! tile forced onto the one-row input. Every decode shape also times the **storage-format
 //! rivals** head to head — the V3 preparation staged row-major
 //! (`cpu_v3`) versus staged SELL-C-σ sliced (`cpu_v3_sliced`) — and
 //! reports each format's compressed-operand bytes. `--decode` runs the
@@ -171,8 +171,8 @@ fn quick_shapes() -> Vec<Shape> {
 /// The decode sweep: skinny activation shapes (`m ≤` [`DECODE_MAX_ROWS`])
 /// at the acceptance sparsity, where the product is bandwidth-bound and
 /// the interesting metric is GB/s of compressed-operand traffic, not
-/// GFLOP/s. `m = 1` shapes additionally run the seed `spmv` loop and a
-/// forced 4-row GEMM tile as rivals (see [`bench_shape`]). These shapes
+/// GFLOP/s. `m = 1` shapes additionally run a forced 4-row GEMM tile as
+/// a rival (see [`bench_shape`]). These shapes
 /// ride along in full mode and stand alone under `--decode`.
 fn decode_shapes(quick: bool) -> Vec<Shape> {
     if quick {
@@ -286,7 +286,7 @@ struct KernelResult {
     seconds: f64,
     gflops: f64,
     /// The micro-kernel ISA the run dispatched to; `None` for the scalar
-    /// reference (it has no micro-kernel) and for the seed `spmv` loop.
+    /// reference (it has no micro-kernel).
     isa: Option<Isa>,
 }
 
@@ -324,7 +324,7 @@ struct ShapeResult {
     storage_bytes: Vec<(String, usize)>,
     /// `reference`, `cpu_v1`, `cpu_v2`, `cpu_v3` in that order; decode
     /// shapes append the `cpu_v3_sliced` format rival, and `m = 1`
-    /// shapes append `spmv_seed` and `gemm4_forced`.
+    /// shapes append `gemm4_forced`.
     kernels: Vec<(&'static str, KernelResult)>,
     /// The measured-plan lane; `None` when autotuning is off. The
     /// cost-model lane of the A/B is `cpu_v3` above — exactly the plan a
@@ -519,39 +519,13 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
         ));
     }
 
-    // Decode rivals, m = 1 only: the pre-ladder seed loop from nm-core
-    // (cold re-read of the compressed operand every call, no staging, no
-    // SIMD) and the GEMM tile forced onto the SpMV shape — a 4-row
-    // zero-padded operand through the prepared ladder, which is what a
-    // fixed 4×16 register tile does to a one-row input. Both are scored
-    // at the *useful* (1-row) FLOPs and traffic, so the padding waste
-    // shows up as lost throughput rather than being normalized away.
+    // Decode rival, m = 1 only: the GEMM tile forced onto the SpMV shape
+    // — a 4-row zero-padded operand through the prepared ladder, which is
+    // what a fixed 4×16 register tile does to a one-row input. It is
+    // scored at the *useful* (1-row) FLOPs and traffic, so the padding
+    // waste shows up as lost throughput rather than being normalized
+    // away.
     if m == 1 {
-        let x: Vec<f32> = a.row(0).to_vec();
-        let mut y_out = None;
-        let seed_s = time_best(|| {
-            let t0 = Instant::now();
-            let y = nm_core::batched::spmv(&x, &sb).expect("seed spmv accepts k-length input");
-            let dt = t0.elapsed().as_secs_f64();
-            y_out = Some(y);
-            dt
-        });
-        let got = MatrixF32::from_vec(1, n, y_out.expect("seed spmv ran"));
-        if !got.allclose(&expect, 1e-3, 1e-4) {
-            return Err(format!(
-                "{label}: seed spmv disagrees with the reference (max diff {})",
-                got.max_abs_diff(&expect)
-            ));
-        }
-        kernels.push((
-            "spmv_seed",
-            KernelResult {
-                seconds: seed_s,
-                gflops: useful / seed_s / 1e9,
-                isa: None,
-            },
-        ));
-
         let layer = session
             .load_on(sb.clone(), 4, BackendKind::Cpu(NmVersion::V1))
             .map_err(|e| format!("{label}: gemm4_forced preparation failed: {e}"))?;
@@ -986,10 +960,10 @@ fn check_ab(results: &[ShapeResult]) -> Vec<String> {
 ///    claim 1 the evidence-picked storage format never loses to either
 ///    same-run format lane.
 /// 3. **The prepared SpMV path earns its keep** — on `m = 1` shapes the
-///    best prepared lane must beat both rivals outright: the seed `spmv`
-///    loop (no staging, no SIMD) and `gemm4_forced` (the 4-row GEMM tile
-///    padded onto the one-row input). Losing to either means the decode
-///    path is pure complexity.
+///    best prepared lane must beat both rivals outright: the scalar
+///    `reference` (no staging, no SIMD) and `gemm4_forced` (the 4-row GEMM
+///    tile padded onto the one-row input). Losing to either means the
+///    decode path is pure complexity.
 ///
 /// Returns failure lines; empty = pass. A run that compares nothing is
 /// itself a failure so a renamed shape set cannot silently disarm it.
@@ -1035,14 +1009,14 @@ fn check_decode(results: &[ShapeResult]) -> Vec<String> {
             continue;
         }
         let best = r.best_prepared_seconds();
-        for rival in ["spmv_seed", "gemm4_forced"] {
+        for rival in ["reference", "gemm4_forced"] {
             let Some(kr) = r.maybe(rival) else { continue };
             compared += 1;
             if best >= kr.seconds {
                 failures.push(format!(
                     "{}: the prepared SpMV path ({best:.6}s) does not beat {rival} \
-                     ({:.6}s) — the decode path must outrun both the seed loop and \
-                     the forced GEMM tile",
+                     ({:.6}s) — the decode path must outrun both the scalar \
+                     reference and the forced GEMM tile",
                     r.label, kr.seconds,
                 ));
             }
@@ -1071,8 +1045,8 @@ fn usage() -> ! {
          \u{20}                cost-model plan on the 512-cubed shapes; needs --autotune\n\
          --decode        run the decode shape set only (m <= 8; --quick picks the\n\
          \u{20}                small set) and gate it: measured plans must hold and the\n\
-         \u{20}                prepared SpMV path must beat the seed loop and the forced\n\
-         \u{20}                GEMM tile on m=1 (exit 1 on failure)\n\
+         \u{20}                prepared SpMV path must beat the scalar reference and the\n\
+         \u{20}                forced GEMM tile on m=1 (exit 1 on failure)\n\
          \n\
          environment: NM_SPMM_ISA=scalar|avx2|avx512|neon|native and\n\
          NM_SPMM_FORCE_SCALAR=1 override the micro-kernel ISA dispatch;\n\
@@ -1299,9 +1273,9 @@ fn main() {
             "V2 GB/s",
             "V3 GB/s",
             "sliced GB/s",
-            "seed GB/s",
+            "ref GB/s",
             "gemm4 GB/s",
-            "best/seed",
+            "best/ref",
             "best/gemm4",
         ]);
         for r in results.iter().filter(|r| r.is_decode()) {
@@ -1322,9 +1296,9 @@ fn main() {
                 gb("cpu_v2"),
                 gb("cpu_v3"),
                 gb("cpu_v3_sliced"),
-                gb("spmv_seed"),
+                gb("reference"),
                 gb("gemm4_forced"),
-                vs_best("spmv_seed"),
+                vs_best("reference"),
                 vs_best("gemm4_forced"),
             ]);
         }
@@ -1624,9 +1598,13 @@ mod tests {
         assert_eq!(regressions.len(), 1);
     }
 
-    /// An `m = 1` decode shape against a 1-second reference: the fastest
-    /// ladder lane runs in `prepared_seconds`, the rivals as given.
-    fn decode_result(prepared_seconds: f64, seed_seconds: f64, gemm_seconds: f64) -> ShapeResult {
+    /// An `m = 1` decode shape: the fastest ladder lane runs in
+    /// `prepared_seconds`, the rivals as given.
+    fn decode_result(
+        prepared_seconds: f64,
+        reference_seconds: f64,
+        gemm_seconds: f64,
+    ) -> ShapeResult {
         let lane = |seconds: f64, isa: Option<Isa>| KernelResult {
             seconds,
             gflops: 1.0 / seconds,
@@ -1641,11 +1619,10 @@ mod tests {
             traffic_bytes: Some(1e9),
             storage_bytes: Vec::new(),
             kernels: vec![
-                ("reference", lane(1.0, None)),
+                ("reference", lane(reference_seconds, None)),
                 ("cpu_v1", lane(prepared_seconds, Some(Isa::Scalar))),
                 ("cpu_v2", lane(prepared_seconds * 2.0, Some(Isa::Scalar))),
                 ("cpu_v3", lane(prepared_seconds * 2.0, Some(Isa::Scalar))),
-                ("spmv_seed", lane(seed_seconds, None)),
                 ("gemm4_forced", lane(gemm_seconds, Some(Isa::Scalar))),
             ],
             ab: None,
@@ -1660,11 +1637,11 @@ mod tests {
 
     #[test]
     fn decode_gate_fails_when_a_rival_wins_or_ties() {
-        // The seed loop outruns every prepared lane: the decode path is
-        // pure complexity on this shape, which must fail.
+        // The scalar reference outruns every prepared lane: the decode
+        // path is pure complexity on this shape, which must fail.
         let failures = check_decode(&[decode_result(0.5, 0.1, 1.0)]);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("spmv_seed"));
+        assert!(failures[0].contains("reference"));
         // A tie is not a win — the gate demands strictly faster.
         let failures = check_decode(&[decode_result(0.5, 0.5, 1.0)]);
         assert_eq!(failures.len(), 1);

@@ -44,6 +44,27 @@ struct Args {
     autotune: Option<AutotuneMode>,
 }
 
+const USAGE: &str = "usage: sweep [--m N] [--n N] [--k N] [--device a100|a100-locked|3090|4090] \
+                     [--tune] [--llama 7b|13b|30b|65b] [--seq N] [--cache PATH] [--exec] \
+                     [--decode] [--autotune off|quick|full]";
+
+/// Print `msg` and the usage line, then exit 2 — the one way a bad
+/// command line ends.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after the flag at `argv[i]`, converted by `parse`; a
+/// missing or rejected value is a usage error.
+fn flag_value<T>(argv: &[String], i: usize, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    let flag = &argv[i];
+    let Some(value) = argv.get(i + 1) else {
+        usage_error(&format!("{flag} takes a value"))
+    };
+    parse(value).unwrap_or_else(|e| usage_error(&format!("{flag} {value}: {e}")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         m: 4096,
@@ -60,51 +81,53 @@ fn parse_args() -> Args {
         autotune: None,
     };
     let argv: Vec<String> = std::env::args().collect();
+    let number = |v: &str| v.parse::<usize>().map_err(|e| e.to_string());
     let mut i = 1;
     while i < argv.len() {
         match argv[i].as_str() {
             "--m" => {
-                args.m = argv[i + 1].parse().expect("--m takes a number");
+                args.m = flag_value(&argv, i, number);
                 args.shape_given = true;
                 i += 2;
             }
             "--n" => {
-                args.n = argv[i + 1].parse().expect("--n takes a number");
+                args.n = flag_value(&argv, i, number);
                 args.shape_given = true;
                 i += 2;
             }
             "--k" => {
-                args.k = argv[i + 1].parse().expect("--k takes a number");
+                args.k = flag_value(&argv, i, number);
                 args.shape_given = true;
                 i += 2;
             }
             "--seq" => {
-                args.seq = argv[i + 1].parse().expect("--seq takes a number");
+                args.seq = flag_value(&argv, i, number);
                 i += 2;
             }
             "--device" => {
-                args.device = match argv[i + 1].as_str() {
-                    "a100" => a100_80g(),
-                    "a100-locked" => a100_ncu_locked(),
-                    "3090" => rtx3090(),
-                    "4090" => rtx4090(),
-                    other => panic!("unknown device '{other}' (a100|a100-locked|3090|4090)"),
-                };
-                i += 2;
-            }
-            "--llama" => {
-                let name = argv[i + 1].as_str();
-                args.llama = Some(match name {
-                    "7b" => "Llama-7B",
-                    "13b" => "Llama-13B",
-                    "30b" => "Llama-30B",
-                    "65b" => "Llama-65B",
-                    other => panic!("unknown model '{other}' (7b|13b|30b|65b)"),
+                args.device = flag_value(&argv, i, |v| match v {
+                    "a100" => Ok(a100_80g()),
+                    "a100-locked" => Ok(a100_ncu_locked()),
+                    "3090" => Ok(rtx3090()),
+                    "4090" => Ok(rtx4090()),
+                    other => Err(format!(
+                        "unknown device '{other}' (a100|a100-locked|3090|4090)"
+                    )),
                 });
                 i += 2;
             }
+            "--llama" => {
+                args.llama = Some(flag_value(&argv, i, |v| match v {
+                    "7b" => Ok("Llama-7B"),
+                    "13b" => Ok("Llama-13B"),
+                    "30b" => Ok("Llama-30B"),
+                    "65b" => Ok("Llama-65B"),
+                    other => Err(format!("unknown model '{other}' (7b|13b|30b|65b)")),
+                }));
+                i += 2;
+            }
             "--cache" => {
-                args.cache = Some(argv[i + 1].clone());
+                args.cache = Some(flag_value(&argv, i, |v| Ok(v.to_string())));
                 i += 2;
             }
             "--tune" => {
@@ -122,17 +145,12 @@ fn parse_args() -> Args {
             "--autotune" => {
                 // Validated like NM_SPMM_ISA: an unrecognized mode is a
                 // structured usage error, never a silent fall-back to off.
-                let value = argv.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--autotune takes off|quick|full");
-                    std::process::exit(2);
-                });
-                args.autotune = Some(AutotuneMode::from_name(&value).unwrap_or_else(|e| {
-                    eprintln!("--autotune {value}: {e}");
-                    std::process::exit(2);
+                args.autotune = Some(flag_value(&argv, i, |v| {
+                    AutotuneMode::from_name(v).map_err(|e| e.to_string())
                 }));
                 i += 2;
             }
-            other => panic!("unknown flag '{other}'"),
+            other => usage_error(&format!("unknown flag '{other}'")),
         }
     }
     args

@@ -1,8 +1,8 @@
 //! # nm-core — N:M vector-wise sparsity for matrix multiplication
 //!
 //! Core library of the NM-SpMM reproduction (Ma et al., IPDPS 2025,
-//! arXiv:2503.01253). Implements the paper's sparse format and every CPU-side
-//! algorithm it depends on:
+//! arXiv:2503.01253). Implements the paper's sparse format and the offline
+//! algorithms it depends on:
 //!
 //! * dense row-major [`MatrixF32`] with seeded generators,
 //! * the N:M vector-wise configuration [`NmConfig`] (keep N vectors of
@@ -15,12 +15,11 @@
 //!   transformation (paper Fig. 4, Listing 3),
 //! * reference kernels ([`spmm`]) implementing Eq. (1) directly and via
 //!   decompress-then-GEMM, plus an `f64` reference for accuracy checks,
-//! * a fast multi-threaded blocked CPU implementation ([`parallel`]) with
-//!   both the packing and non-packing data paths,
 //! * the confusion-matrix approximation metric of Eq. (2) ([`confusion`]).
 //!
-//! The GPU-side implementation lives in the `nm-kernels` crate on top of the
-//! `gpu-sim` substrate; both consume the types defined here.
+//! The GPU-side implementation and the native CPU V1→V3 ladder live in the
+//! `nm-kernels` crate (on top of the `gpu-sim` substrate); both consume the
+//! types defined here.
 //!
 //! ## Quick start
 //!
@@ -38,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod colinfo;
 pub mod confusion;
 pub mod error;
@@ -47,7 +45,6 @@ pub mod inspect;
 pub mod json;
 pub mod layerwise;
 pub mod matrix;
-pub mod parallel;
 pub mod pattern;
 pub mod permute;
 pub mod prune;
@@ -56,7 +53,6 @@ pub mod sliced;
 pub mod sparse;
 pub mod spmm;
 
-pub use batched::spmv;
 pub use colinfo::{ColInfo, PackedLayout};
 pub use error::NmError;
 pub use index::{IndexLayout, IndexMatrix};

@@ -37,10 +37,10 @@ use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
 
 use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
-use crate::cpu::{CpuPrepared, CpuTiling};
+use crate::cpu::{rowmajor_fast_flags, CpuPrepared, CpuTiling};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
-use crate::simd::{Isa, MicroKernel, NW};
+use crate::simd::{Isa, MicroKernel};
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::timing::{estimate, KernelProfile, PipelineMode};
@@ -117,7 +117,7 @@ impl CodegenPrepared {
 
         // Grid decomposition + fast flags, per storage format.
         let (groups, fast, group_count, staged_kblocks) =
-            if let Some((sm, flags, _ub, kblocks)) = twin.sliced_parts() {
+            if let Some((sm, flags, kblocks)) = twin.sliced_parts() {
                 let mut groups = Vec::with_capacity(sm.slices());
                 for s in 0..sm.slices() {
                     let mut spans = Vec::new();
@@ -139,7 +139,7 @@ impl CodegenPrepared {
                 // position — exactly this span order.
                 (groups, flags.to_vec(), count, kblocks)
             } else {
-                let (nb, ub, jblocks, kblocks) = twin
+                let (nb, jblocks, kblocks) = twin
                     .rowmajor_geometry()
                     .expect("a preparation is either sliced or row-major");
                 let mut groups = Vec::with_capacity(jblocks);
@@ -161,7 +161,7 @@ impl CodegenPrepared {
                         .collect();
                     groups.push(ColumnGroup { spans });
                 }
-                let fast = rowmajor_fast_flags(sb, nb, ub, kblocks, twin.is_packed());
+                let fast = rowmajor_fast_flags(sb, nb, tiling.kb, twin.is_packed());
                 (groups, fast, jblocks, kblocks)
             };
 
@@ -353,51 +353,6 @@ impl CodegenPrepared {
             main_loop_iters: (trace.workgroups * trace.main_iters_per_workgroup) as u64,
         }
     }
-}
-
-/// Replicate the row-major panel classification per `(window, k-block)`:
-/// vectorized micro-tile versus general mul-add-with-zero-skip — the
-/// same predicate `run_panel` evaluates per block, flattened to windows
-/// (`fast[j * kblocks + bk]`).
-fn rowmajor_fast_flags(
-    sb: &NmSparseMatrix,
-    nb: usize,
-    ub: usize,
-    kblocks: usize,
-    packed: bool,
-) -> Vec<bool> {
-    let cfg = sb.cfg();
-    let (w, n, q, k) = (sb.w(), sb.cols(), sb.q(), sb.k());
-    let kb = ub * cfg.m / cfg.n;
-    let jblocks = n.div_ceil(nb);
-    let d = sb.indices();
-    let mut fast = vec![false; q * kblocks];
-    if !cfg.l.is_multiple_of(NW) {
-        return fast;
-    }
-    for jbi in 0..jblocks {
-        let jb = jbi * nb;
-        let jb_hi = (jb + nb).min(n);
-        if !(jb_hi - jb).is_multiple_of(cfg.l) {
-            continue;
-        }
-        let j_lo = jb / cfg.l;
-        let j_hi = jb_hi.div_ceil(cfg.l).min(q);
-        for bk in 0..kblocks {
-            let u_lo = bk * ub;
-            let u_hi = ((bk + 1) * ub).min(w);
-            let in_bounds = packed
-                || (bk + 1) * kb <= k
-                || (j_lo..j_hi)
-                    .all(|j| (u_lo..u_hi).all(|u| u / cfg.n * cfg.m + (d.get(u, j) as usize) < k));
-            if in_bounds {
-                for j in j_lo..j_hi {
-                    fast[j * kblocks + bk] = true;
-                }
-            }
-        }
-    }
-    fast
 }
 
 impl PreparedState for CodegenPrepared {

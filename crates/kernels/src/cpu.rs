@@ -25,8 +25,8 @@
 //! * **V3 — pipelined staging + parallelism** ([`NmVersion::V3`]): V2 with
 //!   double-buffered panel packing (the next k-block's `A` panel is staged
 //!   before the current one is consumed, mirroring the V3 pipeline of
-//!   paper §III-C2) and rayon row-panel parallelism using the same
-//!   row-chunking scheme as [`nm_core::parallel`].
+//!   paper §III-C2) and rayon row-panel parallelism, one `mb`-row panel
+//!   per task.
 //!
 //! Tile sizes are not invented here: [`CpuTiling::derive`] maps a
 //! [`Plan`](crate::plan::Plan)'s auto-tuned [`BlockingParams`] onto the CPU
@@ -402,26 +402,26 @@ impl CpuPrepared {
         self.packed.is_some()
     }
 
-    /// The row-major staging's block geometry `(nb, ub, jblocks,
-    /// kblocks)`, or `None` for a sliced preparation. The codegen
-    /// backend lowers its kernel grid from exactly these numbers so the
-    /// generated shader walks the same blocks the CPU kernel does.
-    pub(crate) fn rowmajor_geometry(&self) -> Option<(usize, usize, usize, usize)> {
+    /// The row-major staging's block geometry `(nb, jblocks, kblocks)`,
+    /// or `None` for a sliced preparation. The codegen backend lowers its
+    /// kernel grid from exactly these numbers so the generated shader
+    /// walks the same blocks the CPU kernel does.
+    pub(crate) fn rowmajor_geometry(&self) -> Option<(usize, usize, usize)> {
         match &self.staged {
-            StagedFormat::RowMajor(s) => Some((s.nb, s.ub, s.jblocks, s.kblocks)),
+            StagedFormat::RowMajor(s) => Some((s.nb, s.jblocks, s.kblocks)),
             StagedFormat::Sliced(_) => None,
         }
     }
 
-    /// The sliced staging's parts `(matrix, fast flags, ub, kblocks)`,
+    /// The sliced staging's parts `(matrix, fast flags, kblocks)`,
     /// or `None` for a row-major preparation. The fast flags are the
     /// op-flavor map, `fast[pos * kblocks + bk]` over permuted window
     /// positions — the codegen backend re-uses them verbatim as its
     /// per-span selector table.
-    pub(crate) fn sliced_parts(&self) -> Option<(&SlicedMatrix, &[bool], usize, usize)> {
+    pub(crate) fn sliced_parts(&self) -> Option<(&SlicedMatrix, &[bool], usize)> {
         match &self.staged {
             StagedFormat::RowMajor(_) => None,
-            StagedFormat::Sliced(ss) => Some((&ss.sm, &ss.fast, ss.ub, ss.kblocks)),
+            StagedFormat::Sliced(ss) => Some((&ss.sm, &ss.fast, ss.kblocks)),
         }
     }
 
@@ -709,43 +709,11 @@ impl StagedSliced {
         layout: SlicedLayout,
     ) -> Result<Self> {
         let cfg = sb.cfg();
-        let (w, n, q, k) = (sb.w(), sb.cols(), sb.q(), sb.k());
+        let (w, q, k) = (sb.w(), sb.q(), sb.k());
         let sm = SlicedMatrix::build(sb, layout)?;
         let ub = kb * cfg.n / cfg.m;
-        let jblocks = n.div_ceil(nb);
         let kblocks = w.div_ceil(ub);
-        let d = sb.indices();
-
-        // Replicate the row-major twin's per-block fast classification
-        // (see `run_panel`): 16-divisible windows, no partial window in
-        // the column block, and in-bounds gathers (always true for the
-        // packed source; per-index for the direct one).
-        let mut fast_old = vec![false; q * kblocks];
-        if cfg.l.is_multiple_of(NW) {
-            for jbi in 0..jblocks {
-                let jb = jbi * nb;
-                let jb_hi = (jb + nb).min(n);
-                if !(jb_hi - jb).is_multiple_of(cfg.l) {
-                    continue;
-                }
-                let j_lo = jb / cfg.l;
-                let j_hi = jb_hi.div_ceil(cfg.l).min(q);
-                for bk in 0..kblocks {
-                    let u_lo = bk * ub;
-                    let u_hi = ((bk + 1) * ub).min(w);
-                    let in_bounds = twin_packed
-                        || (bk + 1) * kb <= k
-                        || (j_lo..j_hi).all(|j| {
-                            (u_lo..u_hi).all(|u| u / cfg.n * cfg.m + (d.get(u, j) as usize) < k)
-                        });
-                    if in_bounds {
-                        for j in j_lo..j_hi {
-                            fast_old[j * kblocks + bk] = true;
-                        }
-                    }
-                }
-            }
-        }
+        let fast_old = rowmajor_fast_flags(sb, nb, kb, twin_packed);
         // Re-index the flags to permuted window positions.
         let fast = (0..q)
             .flat_map(|pos| {
@@ -761,6 +729,56 @@ impl StagedSliced {
             fast,
         })
     }
+}
+
+/// The row-major panel walk's fast/general classification, flattened to
+/// `(window, k-block)` pairs: `fast[j * kblocks + bk]` over the staging
+/// geometry `(nb, kb)`. A block runs the vectorized micro-tiles when the
+/// window length is a multiple of the 16-float tile, the column block
+/// holds no partial window, and every gather stays in bounds — always
+/// true for the `packed` source, checked per index for the direct one.
+/// This is the predicate `run_panel` evaluates per block; the sliced
+/// staging and the codegen backend replay it so all three choose FMA
+/// versus zero-skipping mul-add on the same windows.
+pub(crate) fn rowmajor_fast_flags(
+    sb: &NmSparseMatrix,
+    nb: usize,
+    kb: usize,
+    packed: bool,
+) -> Vec<bool> {
+    let cfg = sb.cfg();
+    let (w, n, q, k) = (sb.w(), sb.cols(), sb.q(), sb.k());
+    let ub = kb * cfg.n / cfg.m;
+    let jblocks = n.div_ceil(nb);
+    let kblocks = w.div_ceil(ub);
+    let d = sb.indices();
+    let mut fast = vec![false; q * kblocks];
+    if !cfg.l.is_multiple_of(NW) {
+        return fast;
+    }
+    for jbi in 0..jblocks {
+        let jb = jbi * nb;
+        let jb_hi = (jb + nb).min(n);
+        if !(jb_hi - jb).is_multiple_of(cfg.l) {
+            continue;
+        }
+        let j_lo = jb / cfg.l;
+        let j_hi = jb_hi.div_ceil(cfg.l).min(q);
+        for bk in 0..kblocks {
+            let u_lo = bk * ub;
+            let u_hi = ((bk + 1) * ub).min(w);
+            let in_bounds = packed
+                || (bk + 1) * kb <= k
+                || (j_lo..j_hi)
+                    .all(|j| (u_lo..u_hi).all(|u| u / cfg.n * cfg.m + (d.get(u, j) as usize) < k));
+            if in_bounds {
+                for j in j_lo..j_hi {
+                    fast[j * kblocks + bk] = true;
+                }
+            }
+        }
+    }
+    fast
 }
 
 /// One output row through the sliced staging: `y += x ⊛ slices`.

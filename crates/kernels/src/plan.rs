@@ -724,21 +724,12 @@ fn host_from_json(v: Option<&JsonValue>) -> Result<Option<PlanHost>> {
     }
 }
 
-/// Parse a storage tag from a cache document. Absent/null fields load as
-/// row-major (pre-v4 documents predate the storage dimension); a present
-/// but unrecognized tag is a malformed document.
-fn storage_from_json(v: Option<&JsonValue>) -> Result<StorageFormat> {
-    match v {
-        None | Some(JsonValue::Null) => Ok(StorageFormat::RowMajor),
-        Some(s) => {
-            let tag = s.as_str().ok_or_else(|| NmError::Persist {
-                reason: "`storage` is not a string".into(),
-            })?;
-            StorageFormat::from_name(tag).map_err(|e| NmError::Persist {
-                reason: format!("malformed storage format: {e}"),
-            })
-        }
-    }
+/// Parse a storage tag from a cache document; an unrecognized tag is a
+/// malformed document.
+fn storage_from_json(v: &JsonValue) -> Result<StorageFormat> {
+    StorageFormat::from_name(v.str_field("storage")?).map_err(|e| NmError::Persist {
+        reason: format!("malformed storage format: {e}"),
+    })
 }
 
 fn measured_to_json(m: &Option<MeasuredChoice>) -> JsonValue {
@@ -771,7 +762,7 @@ fn measured_from_json(v: Option<&JsonValue>) -> Result<Option<MeasuredChoice>> {
                 kb: m.usize_field("kb")?,
                 mt: m.usize_field("mt")?,
             },
-            storage: storage_from_json(m.get("storage"))?,
+            storage: storage_from_json(m)?,
             gflops: m.f64_field("gflops")?,
             samples: m.usize_field("samples")?,
         })),
@@ -867,30 +858,12 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
         n_keep: kv.usize_field("n_keep")?,
         m_win: kv.usize_field("m_win")?,
         l: kv.usize_field("l")?,
-        // Version-1/2 documents predate the shape-class dimension; they
-        // were all planned through the GEMM path, so they load as prefill.
-        shape: match kv.get("shape") {
-            None | Some(JsonValue::Null) => ShapeClass::Prefill,
-            Some(s) => ShapeClass::from_tag(s.as_str().ok_or_else(|| NmError::Persist {
-                reason: "`shape` is not a string".into(),
-            })?)?,
-        },
-        // Version-1/2/3 documents predate the storage dimension; every
-        // plan they hold was staged row-major.
-        storage: storage_from_json(kv.get("storage"))?,
-        // Version-1 documents predate measured provenance and carry no
-        // host scope.
+        shape: ShapeClass::from_tag(kv.str_field("shape")?)?,
+        storage: storage_from_json(kv)?,
         host: host_from_json(kv.get("host"))?,
     };
     let choice = KernelChoice::from_name(v.str_field("choice")?)?;
-    // Version-1 documents carry neither field: they were produced by the
-    // analytic planner, so they load as CostModel-provenance.
-    let provenance = match v.get("provenance") {
-        Some(p) => Provenance::from_name(p.as_str().ok_or_else(|| NmError::Persist {
-            reason: "`provenance` is not a string".into(),
-        })?)?,
-        None => Provenance::CostModel,
-    };
+    let provenance = Provenance::from_name(v.str_field("provenance")?)?;
     let measured = measured_from_json(v.get("measured"))?;
     let pv = v.field("params")?;
     let params = BlockingParams {
@@ -958,18 +931,17 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
 ///
 /// * v1 — analytic plans only.
 /// * v2 — adds `key.host`, `provenance` and `measured` (evidence-based
-///   planning). v1 documents still load: they become CostModel-provenance
-///   entries with no host scope.
-/// * v3 — adds `key.shape` (prefill vs decode). v1/v2 documents still
-///   load: their entries were planned through the GEMM path, so they
-///   become prefill-class keys.
+///   planning).
+/// * v3 — adds `key.shape` (prefill vs decode).
 /// * v4 — adds `key.storage` and `measured.storage` (the SELL-C-σ sliced
-///   lane). v1–v3 documents still load: everything they hold was staged
-///   row-major, so both fields default to it.
+///   lane).
+///
+/// Only v4 documents load: an older file is rejected like any unknown
+/// version, and its caller re-plans.
 const CACHE_FORMAT_VERSION: usize = 4;
 
 /// Oldest cache-file version [`PlanCache::from_json`] still accepts.
-const CACHE_FORMAT_OLDEST: usize = 1;
+const CACHE_FORMAT_OLDEST: usize = 4;
 
 /// In-memory memo of finished [`Plan`]s with hit/miss accounting and JSON
 /// persistence.
@@ -1483,7 +1455,7 @@ mod tests {
         );
         // Empty but well-formed is fine.
         let empty =
-            PlanCache::from_json(r#"{"format":"nm-spmm plan cache","version":1,"entries":[]}"#)
+            PlanCache::from_json(r#"{"format":"nm-spmm plan cache","version":4,"entries":[]}"#)
                 .unwrap();
         assert!(empty.is_empty());
     }
@@ -1642,29 +1614,38 @@ mod tests {
     }
 
     #[test]
-    fn version_1_documents_load_as_cost_model_provenance() {
-        // Produce a v3 document holding only analytic plans, then rewrite
-        // it into the exact v1 schema (no shape, no host, no provenance,
-        // no measured) — the serializer is ours, so the surgery is exact.
+    fn pre_v4_documents_fail_like_unknown_versions() {
+        // Rewrite a v4 document into the exact v3 schema (no storage) and
+        // the exact v1 schema (no shape, host, provenance or measured
+        // either) — the serializer is ours, so the surgery is exact. Both
+        // are rejected the way an unknown version is, never migrated.
         let mut planner = Planner::new(a100_80g());
-        let plan = planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
-        let v3 = planner.cache().to_json().unwrap();
+        planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
+        let v4 = planner.cache().to_json().unwrap();
+        let v3 = v4
+            .replace("\"version\":4", "\"version\":3")
+            .replace("\"storage\":\"rowmajor\",", "");
         let v1 = v3
-            .replace("\"version\":4", "\"version\":1")
+            .replace("\"version\":3", "\"version\":1")
             .replace("\"shape\":\"prefill\",", "")
-            .replace("\"storage\":\"rowmajor\",", "")
             .replace(",\"host\":null", "")
             .replace("\"provenance\":\"cost_model\",\"measured\":null,", "");
+        assert!(!v3.contains("storage"), "surgery must remove v4 fields");
         assert!(!v1.contains("provenance"), "surgery must remove v2 fields");
         assert!(!v1.contains("shape"), "surgery must remove v3 fields");
-        assert!(!v1.contains("storage"), "surgery must remove v4 fields");
-        let cache = PlanCache::from_json(&v1).unwrap();
-        let loaded = cache.peek(&plan.key).expect("v1 entry must load");
-        assert_eq!(loaded.provenance, Provenance::CostModel);
-        assert_eq!(loaded.measured, None);
-        assert_eq!(loaded.key.host, None);
-        assert_eq!(loaded.key.shape, ShapeClass::Prefill);
-        assert_eq!(loaded, &plan, "v1 reload equals the in-process plan");
+        let v99 = v4.replace("\"version\":4", "\"version\":99");
+        for doc in [&v1, &v3, &v99] {
+            assert!(matches!(
+                PlanCache::from_json(doc),
+                Err(NmError::Persist { .. })
+            ));
+        }
+        // A v4 document with a v4 field stripped is malformed too.
+        let stripped = v4.replace("\"storage\":\"rowmajor\",", "");
+        assert!(matches!(
+            PlanCache::from_json(&stripped),
+            Err(NmError::Persist { .. })
+        ));
     }
 
     #[test]
@@ -1791,23 +1772,6 @@ mod tests {
             sliced
         );
         assert_eq!(json, reloaded.to_json().unwrap(), "deterministic order");
-
-        // A v3 document (no storage fields) loads as row-major — surgery
-        // on our own serializer keeps the exercise exact.
-        let mut v3cache = PlanCache::new();
-        v3cache.insert(auto.clone());
-        let v3 = v3cache
-            .to_json()
-            .unwrap()
-            .replace("\"version\":4", "\"version\":3")
-            .replace("\"storage\":\"rowmajor\",", "");
-        assert!(!v3.contains("storage"));
-        let loaded = PlanCache::from_json(&v3).unwrap();
-        assert_eq!(
-            loaded.peek(&auto.key),
-            Some(&auto),
-            "v3 reload equals the in-process plan (row-major lane)"
-        );
 
         // A malformed storage tag is a persistence error, not a fallback.
         let bad = json.replace("\"storage\":\"sliced:8:32\"", "\"storage\":\"sell\"");

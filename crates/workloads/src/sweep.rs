@@ -6,10 +6,9 @@
 //! Llama model, plan every linear layer at a fixed sequence length,
 //! optionally execute each layer functionally — through the *simulated*
 //! kernel the plan chose (a [`PreparedLayer`](nm_kernels::PreparedLayer)
-//! on the Sim backend) **and** through the real multi-threaded CPU path
-//! (`nm_core::parallel`), cross checking the numerics — and emit a
-//! per-layer report: chosen kernel, tuned blocking, estimated seconds and
-//! speedup over the dense baseline.
+//! on the Sim backend) **and** through the native CPU V3 ladder, cross
+//! checking the numerics — and emit a per-layer report: chosen kernel,
+//! tuned blocking, estimated seconds and speedup over the dense baseline.
 //!
 //! Because the planner memoizes by `(device, shape class, N:M)`, sweeping
 //! a model exercises the cache naturally — Llama's `mlp.gate` and `mlp.up`
@@ -25,7 +24,6 @@
 
 use nm_core::error::Result;
 use nm_core::matrix::MatrixF32;
-use nm_core::parallel::{gemm_parallel, spmm_parallel, CpuSpmmOptions, Strategy};
 use nm_core::pattern::NmConfig;
 use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
@@ -34,7 +32,6 @@ use nm_kernels::measure::AutotuneMode;
 use nm_kernels::nm::NmVersion;
 use nm_kernels::plan::Plan;
 use nm_kernels::session::Session;
-use std::time::Instant;
 
 use crate::llama::{layer_shapes, LayerShape, LlamaModel};
 use crate::models::DECODE_BATCH_SIZES;
@@ -99,9 +96,12 @@ pub struct ExecReport {
     pub n: usize,
     /// Executed reduction depth.
     pub k: usize,
-    /// Wall time of the CPU sparse path, milliseconds.
+    /// Online wall time of the CPU V3 ladder on the pruned weights,
+    /// milliseconds.
     pub cpu_ms: f64,
-    /// Wall time of the CPU dense GEMM baseline, milliseconds.
+    /// Online wall time of the same ladder on the dense weights (the
+    /// `N = M` configuration [`NmConfig::dense32`]), milliseconds — the
+    /// dense baseline.
     pub cpu_dense_ms: f64,
     /// Max |sim − cpu| over the output — the cross-check that the chosen
     /// simulated kernel and the CPU path compute the same matrix.
@@ -118,7 +118,7 @@ pub struct ExecReport {
     /// weights; `None` unless [`SweepOptions::decode`] was set.
     pub decode_ms: Option<f64>,
     /// Max |decode − cpu row 0| — the cross-check that the prepared SpMV
-    /// path and the parallel CPU path agree on the first activation row.
+    /// path and the CPU matrix path agree on the first activation row.
     pub decode_vs_cpu_max_diff: Option<f32>,
 }
 
@@ -305,22 +305,23 @@ pub fn sweep_model(
             let bd = MatrixF32::random(ke, ne, opts.seed ^ 1);
             let sb = NmSparseMatrix::prune_magnitude(&bd, cfg)?;
 
-            // CPU sparse path, steered by the plan's packing decision.
-            let cpu_opts = CpuSpmmOptions {
-                strategy: if row.plan.decision.packing {
-                    Strategy::Packing
-                } else {
-                    Strategy::NonPacking
-                },
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let c_cpu = spmm_parallel(&a, &sb, &cpu_opts);
-            let cpu_ms = t0.elapsed().as_secs_f64() * 1e3;
+            // CPU sparse path: the V3 ladder under the full-size plan's
+            // blocking, packing wherever `uses_packing` says so.
+            let cpu = session.load_planned(
+                row.plan.clone(),
+                sb.clone(),
+                BackendKind::Cpu(NmVersion::V3),
+            )?;
+            let cpu_run = cpu.forward(&a)?;
+            let c_cpu = cpu_run.c;
+            let cpu_ms = cpu_run.wall_seconds * 1e3;
 
-            let t0 = Instant::now();
-            let _ = gemm_parallel(&a, &bd);
-            let cpu_dense_ms = t0.elapsed().as_secs_f64() * 1e3;
+            // Dense baseline: the same ladder with N = M keeps every
+            // vector of B, under the same plan's blocking.
+            let dense = NmSparseMatrix::prune_magnitude(&bd, NmConfig::dense32(cfg.l))?;
+            let dense_layer =
+                session.load_planned(row.plan.clone(), dense, BackendKind::Cpu(NmVersion::V3))?;
+            let cpu_dense_ms = dense_layer.forward(&a)?.wall_seconds * 1e3;
 
             // Measured-autotune lane: when the session measures, load the
             // scaled layer through the evidence-based CPU path and record
@@ -340,7 +341,7 @@ pub fn sweep_model(
 
             // One decode step for real: the first activation row through
             // the prepared SpMV path (`forward_vec` on the native CPU
-            // ladder), cross-checked against row 0 of the parallel CPU
+            // ladder), cross-checked against row 0 of the CPU matrix
             // result. The decode plan is a separate `ShapeClass::Decode`
             // cache key, outside the prefill accounting.
             let (decode_ms, decode_vs_cpu_max_diff) = if opts.decode {

@@ -13,12 +13,10 @@
 //! ```
 
 use nm_spmm::core::confusion::total_confusion;
-use nm_spmm::core::parallel::gemm_parallel;
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::prelude::*;
 use nm_spmm::workloads::levels::{benchmark_levels, label};
 use nm_spmm::workloads::llama::layer_shapes;
-use std::time::Instant;
 
 fn main() {
     // Llama-7B mlp.gate: n = 11008, k = 4096 — scaled down 4x per axis so
@@ -52,10 +50,15 @@ fn main() {
         .build()
         .expect("session");
 
-    // Dense baselines.
-    let t0 = Instant::now();
-    let dense_cpu = gemm_parallel(&a, &b);
-    let dense_wall = t0.elapsed();
+    // Dense baselines: the same CPU ladder at N = M (every vector of B
+    // kept), and the simulated dense GEMM.
+    let dense_cfg = NmConfig::dense32(benchmark_levels()[0].l);
+    let dense_b = NmSparseMatrix::prune_magnitude(&b, dense_cfg).expect("dense config");
+    let dense_cpu = session
+        .load(dense_b, m)
+        .expect("load dense layer")
+        .forward(&a)
+        .expect("dense forward");
     let dense_sim = session
         .plan(m, n, k, benchmark_levels()[0])
         .expect("plan")
@@ -63,7 +66,7 @@ fn main() {
         .dense;
     println!(
         "dense: CPU {:.1} ms, simulated A100 {:.3} ms ({:.1}% of peak)\n",
-        dense_wall.as_secs_f64() * 1e3,
+        dense_cpu.wall_seconds * 1e3,
         dense_sim.seconds * 1e3,
         100.0 * dense_sim.efficiency
     );
@@ -87,7 +90,7 @@ fn main() {
             label(&cfg),
             cfg.ideal_speedup(),
             run.wall_seconds * 1e3,
-            dense_wall.as_secs_f64() / run.wall_seconds,
+            dense_cpu.wall_seconds / run.wall_seconds,
             sim.seconds * 1e3,
             plan.speedup_vs_dense()
                 .expect("planned layers carry an estimate"),
@@ -96,7 +99,7 @@ fn main() {
         );
         // The sparse result must agree with dense wherever B survived:
         // cheap structural sanity check on one run.
-        assert_eq!(run.c.shape(), dense_cpu.shape());
+        assert_eq!(run.c.shape(), dense_cpu.c.shape());
     }
     println!("\n(accuracy degrades as sparsity rises — the tradeoff the N:M literature tunes)");
     println!("plan cache after the sweep: {}", session.stats());

@@ -3,13 +3,14 @@
 //! Re-exports the whole NM-SpMM workspace behind one dependency:
 //!
 //! * [`core`] — N:M vector-wise format, pruning, compression,
-//!   offline pre-processing and the parallel CPU kernels,
+//!   offline pre-processing and the scalar reference kernels,
 //! * [`sim`] — the GPGPU simulator substrate,
 //! * [`gpu`] — the WGSL code-generation subsystem: typed shader IR,
 //!   emitter + validator, and the deterministic host interpreter the
 //!   `codegen` backend executes through,
 //! * [`kernels`] — simulated GPU kernels (dense GEMM, NM-SpMM
-//!   V1/V2/V3, nmSPARSE, Sputnik) and the **prepared-session API**
+//!   V1/V2/V3, nmSPARSE, Sputnik), the native CPU V1→V3 ladder and the
+//!   **prepared-session API**
 //!   (`SessionBuilder` → `Session::load_with` → `PreparedLayer::forward`),
 //!   the single public execution surface,
 //! * [`serve`] — the serving front-end: bounded request queue,

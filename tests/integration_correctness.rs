@@ -1,12 +1,13 @@
 //! Cross-crate correctness: every execution engine in the workspace —
-//! reference Eq. (1), parallel CPU (both data paths), simulated GPU kernels
-//! (all versions and baselines) — must agree on the same problems,
+//! reference Eq. (1), the native CPU V1→V3 ladder (direct and packed
+//! gathers), simulated GPU kernels (all versions and baselines) — must
+//! agree on the same problems,
 //! including ragged shapes, every paper sparsity level, and every pruning
 //! policy.
 
-use nm_spmm::core::parallel::{gemm_parallel, spmm_parallel, CpuSpmmOptions, Strategy};
 use nm_spmm::core::prune::PrunePolicy;
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
+use nm_spmm::kernels::cpu::{spmm_cpu, CpuTiling};
 use nm_spmm::kernels::{DenseGemmKernel, NmSparseKernel, NmSpmmKernel, NmVersion, SputnikKernel};
 use nm_spmm::prelude::*;
 
@@ -25,6 +26,13 @@ fn problem(m: usize, n: usize, k: usize, cfg: NmConfig, policy: PrunePolicy, see
     Problem { a, b, sb, oracle }
 }
 
+/// The native CPU ladder at `version`, tiled by the `Para_Init_Table`
+/// preset.
+fn ladder(version: NmVersion, a: &MatrixF32, sb: &NmSparseMatrix) -> MatrixF32 {
+    let tiling = CpuTiling::auto(sb.cfg(), a.rows(), sb.cols(), sb.k()).expect("tiling");
+    spmm_cpu(version, a, sb, tiling).expect("cpu ladder")
+}
+
 fn assert_close(got: &MatrixF32, want: &MatrixF32, who: &str) {
     assert!(
         got.allclose(want, 1e-3, 1e-4),
@@ -38,20 +46,14 @@ fn every_engine_agrees_on_every_paper_level() {
     let dev = a100_80g();
     for cfg in NmConfig::paper_levels(32) {
         let p = problem(96, 128, 256, cfg, PrunePolicy::Magnitude, 42);
-        // CPU engines.
-        for strategy in [Strategy::NonPacking, Strategy::Packing, Strategy::Auto] {
-            let opts = CpuSpmmOptions {
-                strategy,
-                ..Default::default()
-            };
-            assert_close(
-                &spmm_parallel(&p.a, &p.sb, &opts),
-                &p.oracle,
-                &format!("cpu/{strategy:?}@{cfg}"),
-            );
-        }
-        // Simulated GPU engines.
         for v in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
+            // CPU ladder: V1 gathers directly, V2/V3 pack at high sparsity.
+            assert_close(
+                &ladder(v, &p.a, &p.sb),
+                &p.oracle,
+                &format!("cpu/{v:?}@{cfg}"),
+            );
+            // Simulated GPU engine.
             let run = NmSpmmKernel::auto(v, 96, 128)
                 .run(&dev, &p.a, &p.sb)
                 .expect("run");
@@ -80,11 +82,7 @@ fn every_engine_agrees_on_ragged_shapes() {
         (65, 257, 129, 3),
     ] {
         let p = problem(m, n, k, cfg, PrunePolicy::Random { seed }, seed);
-        assert_close(
-            &spmm_parallel(&p.a, &p.sb, &CpuSpmmOptions::default()),
-            &p.oracle,
-            "cpu ragged",
-        );
+        assert_close(&ladder(NmVersion::V3, &p.a, &p.sb), &p.oracle, "cpu ragged");
         let run = NmSpmmKernel::auto(NmVersion::V3, m, n)
             .run(&dev, &p.a, &p.sb)
             .expect("run");
@@ -132,7 +130,11 @@ fn dense_control_equals_dense_gemm_everywhere() {
         .run(&dev, &p.a, &p.b)
         .expect("gemm");
     assert_close(&gemm.c, &dense_oracle, "dense kernel");
-    assert_close(&gemm_parallel(&p.a, &p.b), &dense_oracle, "cpu gemm");
+    assert_close(
+        &ladder(NmVersion::V3, &p.a, &p.sb),
+        &dense_oracle,
+        "cpu ladder at 0% sparsity",
+    );
 }
 
 #[test]

@@ -4,7 +4,6 @@
 //! auto-tuner, and the sparse-tensor-core comparison.
 
 use nm_spmm::analysis::packing::expected_ratio;
-use nm_spmm::core::batched::spmv;
 use nm_spmm::core::inspect::{measured_packing_ratio, pattern_stats};
 use nm_spmm::core::layerwise::{allocate, spec_from_weights};
 use nm_spmm::core::permute;
@@ -60,9 +59,8 @@ fn full_deployment_pipeline() {
     assert!(e.total_j() > 0.0 && e.total_j().is_finite());
 
     // 6. The decode-shape path agrees too.
-    let x: Vec<f32> = ap.row(0).to_vec();
-    let y = spmv(&x, &sb).expect("spmv");
-    for (a, b) in y.iter().zip(oracle.row(0)) {
+    let y = layer.forward_vec(ap.row(0)).expect("forward_vec").c;
+    for (a, b) in y.row(0).iter().zip(oracle.row(0)) {
         assert!((a - b).abs() <= 1e-4 + 1e-3 * b.abs());
     }
 }

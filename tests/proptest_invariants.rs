@@ -4,9 +4,9 @@
 //! hold.
 
 use nm_spmm::core::colinfo::preprocess;
-use nm_spmm::core::parallel::{spmm_parallel, CpuSpmmOptions, Strategy as CpuStrategy};
 use nm_spmm::core::prune::{select, PrunePolicy};
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
+use nm_spmm::kernels::cpu::{spmm_cpu, CpuTiling};
 use nm_spmm::kernels::{NmSpmmKernel, NmVersion};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
@@ -116,7 +116,9 @@ proptest! {
         );
     }
 
-    /// The packing and non-packing CPU paths agree with the oracle.
+    /// Every CPU ladder step agrees with the oracle: V1 gathers
+    /// directly, V2/V3 pack wherever the arbitrary config is highly
+    /// sparse.
     #[test]
     fn cpu_paths_agree(
         cfg in arb_config(),
@@ -131,13 +133,13 @@ proptest! {
         let b = MatrixF32::random(k, n, seed + 1);
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed }).expect("prune");
         let oracle = spmm_reference(&a, &sb);
-        for strategy in [CpuStrategy::Packing, CpuStrategy::NonPacking] {
-            let opts = CpuSpmmOptions { strategy, row_block: 1 + (m % 7), ..Default::default() };
-            let got = spmm_parallel(&a, &sb, &opts);
+        let tiling = CpuTiling::auto(cfg, m, n, k).expect("tiling");
+        for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
+            let got = spmm_cpu(version, &a, &sb, tiling).expect("cpu ladder");
             prop_assert!(
                 got.allclose(&oracle, 1e-3, 1e-4),
                 "{:?}: max diff {}",
-                strategy,
+                version,
                 got.max_abs_diff(&oracle)
             );
         }

@@ -10,8 +10,7 @@
 //!    inverse compose to the identity, and the per-window write-back
 //!    spans tile the output columns exactly once.
 //! 3. **Persistence** — the v4 plan-cache format round-trips the storage
-//!    lane through disk, and a v3-era document (no `storage` field)
-//!    still loads, as row-major.
+//!    lane through disk.
 
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
@@ -113,7 +112,7 @@ fn permutation_and_inverse_round_trip_and_spans_tile_the_columns() {
 }
 
 #[test]
-fn plan_cache_v4_round_trips_the_storage_lane_and_loads_v3_documents() {
+fn plan_cache_v4_round_trips_the_storage_lane() {
     let mut path = std::env::temp_dir();
     path.push(format!(
         "nm-spmm-sliced-parity-cache-{}.json",
@@ -147,26 +146,8 @@ fn plan_cache_v4_round_trips_the_storage_lane_and_loads_v3_documents() {
     );
     assert_eq!(reloaded.peek(&auto.key), Some(&auto));
     assert_eq!(reloaded.peek(&pinned.key), Some(&pinned));
-
-    // A v3-era document knows no storage lanes: strip the field and the
-    // version stamp, and the same plans must come back as row-major.
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains("\"storage\":\"sliced:4:16\""));
-    let old = text
-        .replace("\"storage\":\"rowmajor\",", "")
-        .replace("\"storage\":\"sliced:4:16\",", "")
-        .replace("\"version\":4", "\"version\":3");
-    assert!(!old.contains("storage"));
-    std::fs::write(&path, old).unwrap();
-    let legacy = PlanCache::load(&path).unwrap();
-    // Without the storage field the two lanes share one key, so the v3
-    // reload collapses them onto the row-major lane — exactly how a
-    // pre-sliced build would have cached this shape.
-    assert_eq!(legacy.len(), 1);
-    assert!(
-        legacy.peek(&auto.key).is_some(),
-        "a v3 document must load with every plan on the row-major lane"
-    );
     let _ = std::fs::remove_file(&path);
 }
 
