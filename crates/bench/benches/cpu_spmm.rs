@@ -49,10 +49,13 @@ fn bench_cpu_spmm(c: &mut Criterion) {
         );
     }
 
-    // Packing vs direct gathers at high sparsity — the ablation on real
-    // iron: V1 gathers straight from A, V3 packs the col_info panel.
+    // What V3 still adds on the CPU at high sparsity: both steps gather A
+    // in place, V1 walks the row panels sequentially, V3 in parallel.
     let cfg = NmConfig::new(2, 16, 32).expect("config");
-    for (label, version) in [("packing", NmVersion::V3), ("non-packing", NmVersion::V1)] {
+    for (label, version) in [
+        ("v1-sequential", NmVersion::V1),
+        ("v3-row-panels", NmVersion::V3),
+    ] {
         let layer = load(&mut session, &b, cfg, version);
         group.bench_with_input(
             BenchmarkId::new("nm_spmm_87.5%", label),

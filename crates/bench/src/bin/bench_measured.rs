@@ -413,10 +413,9 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     )];
 
     // Session::load_on does all the offline work once per (shape,
-    // version): planning (cached), blocking derivation, B' staging,
-    // col_info packing. The timing reps below amortize it exactly as the
-    // CpuBackend accounts it — ExecRun::wall_seconds covers the online
-    // kernel only. The session's pinned micro-kernel drives every
+    // version): planning (cached), blocking derivation, B' staging. The
+    // timing reps below amortize it exactly as the CpuBackend accounts
+    // it — ExecRun::wall_seconds covers the online kernel only. The session's pinned micro-kernel drives every
     // preparation, so the document's top-level `isa` and the per-kernel
     // entries agree by construction.
     let mut expect_v3 = None;

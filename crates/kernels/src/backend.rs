@@ -14,8 +14,9 @@
 //! ## The offline/online split
 //!
 //! The trait mirrors the paper's performance accounting: everything that
-//! depends only on the *weights* — layout transformation, `col_info`
-//! packing, micro-kernel dispatch — is **offline** work done once by
+//! depends only on the *weights* — layout transformation, the
+//! simulator's `col_info` packing, micro-kernel dispatch — is **offline**
+//! work done once by
 //! [`ExecBackend::prepare`], which returns an opaque [`PreparedState`];
 //! the **online** kernel is [`ExecBackend::run_prepared`], which may be
 //! called any number of times against the same state without repeating
@@ -152,12 +153,13 @@ pub struct ExecRun {
     /// emulation, not the modeled GPU latency — that lives in `estimate`).
     ///
     /// The clock starts *after* the offline preparation
-    /// ([`ExecBackend::prepare`] — `B′` block staging, `col_info` packing,
-    /// ISA dispatch), so repeated calls against one
+    /// ([`ExecBackend::prepare`] — `B′` block staging, the simulator's
+    /// `col_info` packing, ISA dispatch), so repeated calls against one
     /// [`PreparedLayer`](crate::session::PreparedLayer) measure exactly
     /// the amortized per-call cost the paper's accounting describes. The
-    /// per-`A` panel packing of the V2/V3 packed path *is* included: it
-    /// depends on the activations and is genuinely online work.
+    /// CPU ladder's zero-padded copy of `A` (only when `k` is not a
+    /// multiple of `M`) *is* included: it depends on the activations and
+    /// is genuinely online work.
     pub wall_seconds: f64,
     /// The plan's simulated estimate for the kernel family this backend
     /// ran (`None` when the plan carries no estimate for it).
@@ -217,7 +219,8 @@ pub trait ExecBackend: Send + Sync {
     fn kind(&self) -> BackendKind;
 
     /// Offline step: stage everything derivable from the weights (`B′`
-    /// layout transformation, `col_info` packing, micro-kernel dispatch)
+    /// layout transformation, the simulator's `col_info` packing,
+    /// micro-kernel dispatch)
     /// under `plan` so [`ExecBackend::run_prepared`] can amortize it.
     ///
     /// Implementations must return structured errors (never panic) when
@@ -408,9 +411,9 @@ impl ExecBackend for CpuBackend {
     }
 
     /// The offline step: tile sizes derived from the plan's auto-tuned
-    /// blocking ([`CpuTiling::derive`]), `B′` staged block-contiguously,
-    /// `col_info` packed where the paper's threshold calls for it, and the
-    /// micro-kernel selected once ([`crate::simd::MicroKernel::select`],
+    /// blocking ([`CpuTiling::derive`]), `B′` staged block-contiguously
+    /// (the kernel gathers `A` in place, so nothing else is staged), and
+    /// the micro-kernel selected once ([`crate::simd::MicroKernel::select`],
     /// unless this backend pins one). A blocking that cannot drive the CPU
     /// tiles — e.g. `ns` not a multiple of the operand's vector length
     /// `L` — is a structured [`NmError::InvalidBlocking`].

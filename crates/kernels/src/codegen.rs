@@ -37,7 +37,7 @@ use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
 
 use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
-use crate::cpu::{rowmajor_fast_flags, CpuPrepared, CpuTiling};
+use crate::cpu::{packed_class, rowmajor_fast_flags, CpuPrepared, CpuTiling};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
@@ -115,6 +115,10 @@ impl CodegenPrepared {
             }
         }
 
+        // The shader packs `A` where the paper does: a row-major V2/V3
+        // twin at high sparsity (a sliced twin gathers absolute indices).
+        let packed = twin.sliced_parts().is_none() && packed_class(twin.version(), cfg);
+
         // Grid decomposition + fast flags, per storage format.
         let (groups, fast, group_count, staged_kblocks) =
             if let Some((sm, flags, kblocks)) = twin.sliced_parts() {
@@ -161,7 +165,7 @@ impl CodegenPrepared {
                         .collect();
                     groups.push(ColumnGroup { spans });
                 }
-                let fast = rowmajor_fast_flags(sb, nb, tiling.kb, twin.is_packed());
+                let fast = rowmajor_fast_flags(sb, nb, tiling.kb, packed);
                 (groups, fast, jblocks, kblocks)
             };
 
@@ -176,7 +180,7 @@ impl CodegenPrepared {
             nb: tiling.nb,
             kb: tiling.kb,
             groups: group_count,
-            packed: twin.is_packed(),
+            packed,
             fma: twin.isa() != Isa::Scalar,
         };
         let ir = lower(&spec)?;

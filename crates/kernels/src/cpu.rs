@@ -15,18 +15,21 @@
 //!   preparation time, scalar fallback elsewhere) via a 4→2→1 row ladder,
 //!   so skinny decode panels (1–3 rows, including `m = 1` SpMV) stay
 //!   vectorized; ragged column windows take a general scalar path.
-//! * **V2 — sparsity-aware packing** ([`NmVersion::V2`]): above the 70%
-//!   sparsity threshold, each `(k-block, column-block)` pair additionally
-//!   stages only the window-union columns of `A` into a dense panel through
-//!   [`nm_core::colinfo::preprocess`] (`col_info`), and the inner loop
-//!   indexes the packed panel with the reordered positions — paper §III-C1.
-//!   Below the threshold the direct V1 data path is kept, exactly like the
-//!   GPU kernel skips packing at moderate sparsity.
-//! * **V3 — pipelined staging + parallelism** ([`NmVersion::V3`]): V2 with
-//!   double-buffered panel packing (the next k-block's `A` panel is staged
-//!   before the current one is consumed, mirroring the V3 pipeline of
-//!   paper §III-C2) and rayon row-panel parallelism, one `mb`-row panel
-//!   per task.
+//! * **V2 — sparsity-aware classification** ([`NmVersion::V2`]): the
+//!   paper packs the window-union columns of `A` through `col_info`
+//!   (§III-C1) to save GPU shared-memory and global traffic. On the CPU
+//!   the k-block of `A` a block reads is already cache-resident, so V2
+//!   gathers `A` in place exactly as V1 does; what it keeps of the packed
+//!   path is the block classification. Above the 70% sparsity threshold
+//!   every window-aligned block runs the micro-tiles, reading the padded
+//!   tail of the final window (`k` not a multiple of `M`) as zeros from a
+//!   zero-padded copy of `A` — the 0.0 the packed panel held. The paper's
+//!   packing lives on in the simulator ([`crate::nm`]) and the WGSL
+//!   codegen.
+//! * **V3 — parallelism** ([`NmVersion::V3`]): V2 with rayon row-panel
+//!   parallelism, one `mb`-row panel per task. The paper's V3 pipeline
+//!   (§III-C2) double-buffers shared-memory staging; with nothing staged
+//!   online there is nothing for the CPU to double-buffer.
 //!
 //! Tile sizes are not invented here: [`CpuTiling::derive`] maps a
 //! [`Plan`](crate::plan::Plan)'s auto-tuned [`BlockingParams`] onto the CPU
@@ -36,7 +39,6 @@
 //! fell back to the `Para_Init_Table` preset) is a structured
 //! [`NmError::InvalidBlocking`], never a panic.
 
-use nm_core::colinfo::{preprocess, PackedLayout};
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::{NmConfig, SparsityClass};
@@ -53,13 +55,25 @@ use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
 /// bytes so it survives in cache across the panel's row tiles.
 const B_BLOCK_BYTES: usize = 64 * 1024;
 
-/// Whether the CPU ladder's V2/V3 take the packed data path for `cfg` —
-/// exactly the paper's §III-A rule: sparsity at or above
-/// [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%) packs, below it the
-/// direct gather is cheaper than the staging it would save.
+/// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
+/// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
+/// packs, below it the direct gather is cheaper than the staging it would
+/// save. The CPU ladder gathers in place either way; this decides its
+/// V2/V3 fast/general block classification.
 #[inline]
 pub fn uses_packing(cfg: NmConfig) -> bool {
     cfg.class() == SparsityClass::High
+}
+
+/// Whether a `version` preparation of `cfg` classifies blocks as the
+/// paper's packed path would (V2/V3 at high sparsity): every block of
+/// whole, 16-divisible windows runs the vectorized micro-tiles, even where
+/// its gathers reach the zero-padded tail of `A`. The row-major walk, the
+/// sliced staging and the codegen backend all key on this one predicate,
+/// so they pick FMA versus zero-skipping mul-add on the same blocks.
+#[inline]
+pub(crate) fn packed_class(version: NmVersion, cfg: NmConfig) -> bool {
+    version != NmVersion::V1 && uses_packing(cfg)
 }
 
 /// CPU tile sizes for one problem, derived from a plan's auto-tuned
@@ -84,7 +98,7 @@ impl CpuTiling {
     ///
     /// Fails with [`NmError::InvalidBlocking`] when the blocking cannot
     /// drive the CPU tiles (zero tile sizes, or `ns` not a multiple of the
-    /// vector length `L` — the window-alignment the packed path requires).
+    /// vector length `L` — the window-alignment the column blocks require).
     pub fn derive(params: BlockingParams, cfg: NmConfig, k: usize) -> Result<Self> {
         if params.ms == 0 || params.ns == 0 || params.mt == 0 {
             return Err(NmError::InvalidBlocking {
@@ -134,8 +148,8 @@ thread_local! {
 }
 
 /// Staging-cost probe: how many offline preparations ([`CpuPrepared`]
-/// constructions — `B′` block staging plus any `col_info` packing) the
-/// **current thread** has run since it started.
+/// constructions — `B′` block staging) the **current thread** has run
+/// since it started.
 ///
 /// This exists so callers can *prove* the prepare-once contract rather
 /// than trust it: read the counter, call
@@ -160,17 +174,16 @@ fn lcm(a: usize, b: usize) -> usize {
 }
 
 /// The offline pre-processing product for one `(B′, tiling, version)`
-/// combination: validated tile geometry, the block-contiguous `B′` staging
-/// (`transformLayout`), and — for V2/V3 at high sparsity — the `col_info`
-/// packed layout.
+/// combination: validated tile geometry and the `B′` staging — the
+/// block-contiguous `transformLayout` panels or the SELL-C-σ slices.
 ///
 /// Everything in here depends only on the *weights* (`sb`) and the tiling,
 /// never on the activations `A`, so it is built once and amortized across
 /// executions — exactly the paper's offline step.
 /// [`CpuBackend`](crate::backend::CpuBackend) prepares outside its
 /// wall-clock window so measured times cover the online kernel only; the
-/// per-`A` panel packing stays inside the timed loop because it genuinely
-/// is online work.
+/// zero-padded copy of `A` a ragged depth (`k` not a multiple of `M`)
+/// needs stays inside the timed loop because it genuinely is online work.
 pub struct CpuPrepared {
     version: NmVersion,
     tiling: CpuTiling,
@@ -188,14 +201,13 @@ pub struct CpuPrepared {
     k: usize,
     content_fp: u64,
     staged: StagedFormat,
-    packed: Option<PackedLayout>,
 }
 
 /// Which staging a preparation carries — the kernel-side face of
 /// [`StorageFormat`]. The row-major arm is the existing
 /// `transformLayout` product, untouched; the sliced arm gathers through
-/// pre-resolved absolute indices and needs neither the per-call index
-/// reconstruction nor the packed `A` staging.
+/// pre-resolved absolute indices and needs no per-call index
+/// reconstruction.
 enum StagedFormat {
     /// Block-contiguous `B′` panels (the paper's layout).
     RowMajor(StagedB),
@@ -278,8 +290,7 @@ impl CpuPrepared {
     }
 
     /// The fully explicit constructor: micro-kernel *and* storage format.
-    /// Row-major runs the existing `transformLayout` staging (plus the
-    /// `col_info` packing where the version and sparsity call for it); a
+    /// Row-major runs the existing `transformLayout` staging; a
     /// sliced format builds the SELL-C-σ panels instead and replicates the
     /// row-major block classification per window, so both stagings execute
     /// the same arithmetic in the same order — bit-identical results.
@@ -319,39 +330,23 @@ impl CpuPrepared {
         }
         STAGING_PASSES.with(|c| c.set(c.get() + 1));
         let (k, n) = (sb.k(), sb.cols());
-        // Effective block geometry, clamped to the (padded) problem so
-        // neither the staging nor `preprocess` builds blocks larger than
-        // the matrix.
+        // Effective block geometry, clamped to the (padded) problem so the
+        // staging never builds blocks larger than the matrix.
         let kb = tiling.kb.min(k.max(1).div_ceil(cfg.m) * cfg.m);
         let nb = tiling.nb.min(n.max(1).div_ceil(cfg.l) * cfg.l);
         let tiling = CpuTiling { kb, nb, ..tiling };
 
-        // Stage B′ once, in the requested format. The sliced staging
-        // gathers through absolute indices, so it needs no packed layout —
-        // it replicates the packed path's zero-padded loads directly.
-        let (staged, packed) = match format {
-            StorageFormat::RowMajor => {
-                // transformLayout: stage B′ into block-contiguous panels.
-                let staged = StagedB::build(sb, nb, kb);
-                // Offline col_info pre-processing for the packed (V2/V3,
-                // high-sparsity) data path.
-                let packed = match version {
-                    NmVersion::V1 => None,
-                    NmVersion::V2 | NmVersion::V3 => {
-                        if uses_packing(cfg) {
-                            Some(preprocess(sb, kb, nb)?)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                (StagedFormat::RowMajor(staged), packed)
-            }
-            StorageFormat::Sliced(layout) => {
-                let twin_packed = version != NmVersion::V1 && uses_packing(cfg);
-                let staged = StagedSliced::build(sb, nb, kb, twin_packed, layout)?;
-                (StagedFormat::Sliced(staged), None)
-            }
+        // Stage B′ once, in the requested format.
+        let staged = match format {
+            // transformLayout: stage B′ into block-contiguous panels.
+            StorageFormat::RowMajor => StagedFormat::RowMajor(StagedB::build(sb, nb, kb)),
+            StorageFormat::Sliced(layout) => StagedFormat::Sliced(StagedSliced::build(
+                sb,
+                nb,
+                kb,
+                packed_class(version, cfg),
+                layout,
+            )?),
         };
         Ok(Self {
             version,
@@ -363,7 +358,6 @@ impl CpuPrepared {
             k,
             content_fp: content_fingerprint(sb),
             staged,
-            packed,
         })
     }
 
@@ -394,12 +388,6 @@ impl CpuPrepared {
             StagedFormat::RowMajor(_) => StorageFormat::RowMajor,
             StagedFormat::Sliced(ss) => StorageFormat::Sliced(ss.sm.layout()),
         }
-    }
-
-    /// Whether this preparation carries the `col_info` packed layout
-    /// (V2/V3 at high sparsity, row-major staging only).
-    pub(crate) fn is_packed(&self) -> bool {
-        self.packed.is_some()
     }
 
     /// The row-major staging's block geometry `(nb, jblocks, kblocks)`,
@@ -505,68 +493,45 @@ pub fn spmm_cpu_prepared(
         return Ok(c);
     }
     let tiling = prep.tiling;
-    let double_buffer = prep.version == NmVersion::V3;
     let mk = prep.kernel;
+    // Gather indices of the final window may legitimately reach the padded
+    // tail `[k, k_pad)`; both stagings gather those from a zero-padded copy
+    // of A, so every gather — fast or general — is a plain in-bounds load.
+    let k_pad = k.div_ceil(prep.cfg.m) * prep.cfg.m;
+    let padded = zero_padded(a, k_pad);
+    let (xa, xk) = match &padded {
+        Some(p) => (p.as_slice(), k_pad),
+        None => (a.as_slice(), k),
+    };
 
     match &prep.staged {
-        StagedFormat::RowMajor(staged) => match prep.version {
-            // V3: rayon row panels (each owns its scratch and staging
-            // buffers).
-            NmVersion::V3 => {
-                c.as_mut_slice()
+        StagedFormat::RowMajor(staged) => {
+            let packed = packed_class(prep.version, prep.cfg);
+            let panel = |i0: usize, c_panel: &mut [f32]| {
+                let source = RowSource {
+                    a: xa,
+                    stride: xk,
+                    i0,
+                };
+                run_panel(&source, k, sb, &tiling, staged, mk, packed, c_panel);
+            };
+            match prep.version {
+                // V3: rayon row panels (each owns its scratch).
+                NmVersion::V3 => c
+                    .as_mut_slice()
                     .par_chunks_mut(tiling.mb * n)
                     .enumerate()
-                    .for_each(|(panel, c_panel)| {
-                        run_panel(
-                            a,
-                            sb,
-                            &tiling,
-                            staged,
-                            prep.packed.as_ref(),
-                            mk,
-                            double_buffer,
-                            panel * tiling.mb,
-                            c_panel,
-                        );
-                    });
-            }
-            // V1/V2: sequential panels (the ladder adds parallelism only
-            // at V3).
-            _ => {
-                for (panel, c_panel) in c.as_mut_slice().chunks_mut(tiling.mb * n).enumerate() {
-                    run_panel(
-                        a,
-                        sb,
-                        &tiling,
-                        staged,
-                        prep.packed.as_ref(),
-                        mk,
-                        false,
-                        panel * tiling.mb,
-                        c_panel,
-                    );
+                    .for_each(|(p, c_panel)| panel(p * tiling.mb, c_panel)),
+                // V1/V2: sequential panels (the ladder adds parallelism
+                // only at V3).
+                _ => {
+                    for (p, c_panel) in c.as_mut_slice().chunks_mut(tiling.mb * n).enumerate() {
+                        panel(p * tiling.mb, c_panel);
+                    }
                 }
             }
-        },
+        }
         StagedFormat::Sliced(ss) => {
-            let a_data = a.as_slice();
-            // When gather indices can legitimately reach the padded tail
-            // of the final window (k not a multiple of M), gather from a
-            // zero-padded copy of A — the same 0.0 the packed path loads
-            // from its zero-filled panels, so results stay bit-identical.
-            let padded: Option<Vec<f32>> = if ss.k_pad > k {
-                let mut p = vec![0f32; m * ss.k_pad];
-                for (dst, src) in p.chunks_mut(ss.k_pad).zip(a_data.chunks(k)) {
-                    dst[..k].copy_from_slice(src);
-                }
-                Some(p)
-            } else {
-                None
-            };
-            let (xa, xk) = match &padded {
-                Some(p) => (p.as_slice(), ss.k_pad),
-                None => (a_data, k),
-            };
             let l = prep.cfg.l;
             match prep.version {
                 // V3: output rows are bit-independent, so the sliced path
@@ -591,6 +556,22 @@ pub fn spmm_cpu_prepared(
         }
     }
     Ok(c)
+}
+
+/// `A`'s rows zero-padded from `k` to `k_pad` columns, or `None` when
+/// `k_pad == k` (`k` already a multiple of `M`). A gather index into the
+/// padded tail of the final window then loads the 0.0 the paper's packed
+/// panel held there, so the micro-tiles serve such blocks unchanged.
+fn zero_padded(a: &MatrixF32, k_pad: usize) -> Option<Vec<f32>> {
+    let (m, k) = a.shape();
+    if k_pad == k {
+        return None;
+    }
+    let mut p = vec![0f32; m * k_pad];
+    for (dst, src) in p.chunks_mut(k_pad).zip(a.as_slice().chunks(k)) {
+        dst[..k].copy_from_slice(src);
+    }
+    Some(p)
 }
 
 /// Prepared sparse matrix–vector product: `y = x ⊛ B′` through the same
@@ -687,9 +668,6 @@ struct StagedSliced {
     /// Compressed rows per k-block (same formula as the row-major twin).
     ub: usize,
     kblocks: usize,
-    /// `k` rounded up to the window depth `M`; gather indices may
-    /// legitimately reach `[k, k_pad)` in the padded final window.
-    k_pad: usize,
     /// Fast flag per `(permuted window position, k-block)`,
     /// `fast[pos * kblocks + bk]`.
     fast: Vec<bool>,
@@ -697,10 +675,8 @@ struct StagedSliced {
 
 impl StagedSliced {
     /// Build the sliced staging for the clamped block geometry
-    /// `(nb, kb)`. `twin_packed` says whether the row-major twin of this
-    /// preparation would take the packed data path (V2/V3 at high
-    /// sparsity) — packed blocks are unconditionally in bounds, which
-    /// widens the twin's fast classification.
+    /// `(nb, kb)`. `twin_packed` is the row-major twin's
+    /// [`packed_class`], which widens its fast classification.
     fn build(
         sb: &NmSparseMatrix,
         nb: usize,
@@ -709,7 +685,7 @@ impl StagedSliced {
         layout: SlicedLayout,
     ) -> Result<Self> {
         let cfg = sb.cfg();
-        let (w, q, k) = (sb.w(), sb.q(), sb.k());
+        let (w, q) = (sb.w(), sb.q());
         let sm = SlicedMatrix::build(sb, layout)?;
         let ub = kb * cfg.n / cfg.m;
         let kblocks = w.div_ceil(ub);
@@ -725,7 +701,6 @@ impl StagedSliced {
             sm,
             ub,
             kblocks,
-            k_pad: k.div_ceil(cfg.m) * cfg.m,
             fast,
         })
     }
@@ -735,11 +710,11 @@ impl StagedSliced {
 /// `(window, k-block)` pairs: `fast[j * kblocks + bk]` over the staging
 /// geometry `(nb, kb)`. A block runs the vectorized micro-tiles when the
 /// window length is a multiple of the 16-float tile, the column block
-/// holds no partial window, and every gather stays in bounds — always
-/// true for the `packed` source, checked per index for the direct one.
-/// This is the predicate `run_panel` evaluates per block; the sliced
-/// staging and the codegen backend replay it so all three choose FMA
-/// versus zero-skipping mul-add on the same windows.
+/// holds no partial window, and every gather stays inside the dense depth
+/// `k` — a bound the [`packed_class`] (`packed`) waives, since it gathers
+/// the padded tail as zeros. This is the predicate `run_panel` evaluates
+/// per block; the sliced staging and the codegen backend replay it so all
+/// three choose FMA versus zero-skipping mul-add on the same windows.
 pub(crate) fn rowmajor_fast_flags(
     sb: &NmSparseMatrix,
     nb: usize,
@@ -786,10 +761,10 @@ pub(crate) fn rowmajor_fast_flags(
 /// `x` must already be zero-padded to `k_pad` when the padded final
 /// window is reachable (the caller handles this once per call). Fast
 /// windows run the same register micro-tiles as the row-major path over
-/// the pre-resolved absolute indices — no per-call index reconstruction,
-/// no `A` panel packing; general windows replicate the row-major general
-/// path's zeroed accumulator and zero-operand skip. Write-back lands at
-/// each window's original column span, so the permutation never escapes.
+/// the pre-resolved absolute indices — no per-call index reconstruction;
+/// general windows replicate the row-major general path's zeroed
+/// accumulator and zero-operand skip. Write-back lands at each window's
+/// original column span, so the permutation never escapes.
 fn run_sliced_row(
     x: &[f32],
     ss: &StagedSliced,
@@ -854,76 +829,53 @@ fn run_sliced_row(
     }
 }
 
-/// Where the micro-kernel gathers its `A` operands from.
-enum RowSource<'a> {
-    /// V1 / moderate sparsity: straight out of the dense `A` rows.
-    Direct {
-        a: &'a [f32],
-        k: usize,
-        i0: usize,
-        /// `k` rounded up to the window depth `M`: the exclusive bound a
-        /// gather index may legitimately reach in the padded final window.
-        k_pad: usize,
-    },
-    /// V2/V3 high sparsity: out of the packed per-block `A` panel.
-    Packed { buf: &'a [f32], stride: usize },
+/// Where the micro-kernel gathers its `A` operands from: the dense `A`
+/// rows in place — the caller's matrix, or its zero-padded copy when `k`
+/// is not a multiple of `M`.
+struct RowSource<'a> {
+    a: &'a [f32],
+    /// Row stride of `a`: `k` rounded up to the window depth `M`, the
+    /// exclusive bound a gather index may legitimately reach.
+    stride: usize,
+    /// First `A` row of this panel.
+    i0: usize,
 }
 
 impl RowSource<'_> {
     /// The gather slice for panel row `r`.
     #[inline(always)]
     fn row(&self, r: usize) -> &[f32] {
-        match self {
-            RowSource::Direct { a, k, i0, .. } => &a[(i0 + r) * k..(i0 + r + 1) * k],
-            RowSource::Packed { buf, stride } => &buf[r * stride..(r + 1) * stride],
-        }
+        &self.a[(self.i0 + r) * self.stride..(self.i0 + r + 1) * self.stride]
     }
 
     /// One gathered `A` operand for panel row `r`, index `s` — the general
-    /// path's bounds-aware load.
+    /// path's load.
     ///
-    /// Zero-fill is reserved for the one *legitimate* out-of-bounds case:
-    /// a direct-source index into the padded tail of the final window
-    /// (`k ≤ s < k_pad`, which exists only when `k` is not a multiple of
-    /// `M`). Any other out-of-range index is a corrupted index
-    /// construction; silently zero-filling it would turn an indexing bug
-    /// into a numerically-plausible wrong answer, so debug builds assert
-    /// instead (release builds still zero-fill rather than fault).
+    /// The padded tail of the final window is part of the row, so every
+    /// legitimate index is in bounds. An index past the stride is a
+    /// corrupted index construction; silently zero-filling it would turn
+    /// an indexing bug into a numerically-plausible wrong answer, so debug
+    /// builds assert instead (release builds still zero-fill rather than
+    /// fault).
     #[inline(always)]
     fn gather(&self, r: usize, s: usize) -> f32 {
-        match self {
-            RowSource::Direct { a, k, i0, k_pad } => {
-                if s < *k {
-                    a[(i0 + r) * k + s]
-                } else {
-                    debug_assert!(
-                        s < *k_pad,
-                        "corrupted gather index {s}: dense depth k={k}, \
-                         padded window bound {k_pad}"
-                    );
-                    0.0
-                }
-            }
-            RowSource::Packed { buf, stride } => {
-                if s < *stride {
-                    buf[r * stride + s]
-                } else {
-                    debug_assert!(
-                        false,
-                        "corrupted packed gather index {s}: panel stride {stride} \
-                         (packed indices are in-bounds by construction)"
-                    );
-                    0.0
-                }
-            }
+        if s < self.stride {
+            self.a[(self.i0 + r) * self.stride + s]
+        } else {
+            debug_assert!(
+                false,
+                "corrupted gather index {s}: padded window bound {}",
+                self.stride
+            );
+            0.0
         }
     }
 }
 
-/// Whether every gather index of a direct-source block stays inside the
-/// dense depth `k` — the fast path's actual requirement. The coarse
-/// `(bk + 1) · kb ≤ k` test this replaces disqualified the *entire* final
-/// partial k-block even when all of its indices are in bounds.
+/// Whether every gather index of a block stays inside the dense depth
+/// `k` — the fast path's actual requirement outside the packed class. The
+/// coarse `(bk + 1) · kb ≤ k` test this replaces disqualified the *entire*
+/// final partial k-block even when all of its indices are in bounds.
 #[inline]
 fn direct_gathers_in_bounds(idx: &[u32], k: usize) -> bool {
     idx.iter().all(|&s| (s as usize) < k)
@@ -932,7 +884,7 @@ fn direct_gathers_in_bounds(idx: &[u32], k: usize) -> bool {
 /// Test-only counters proving which data path a run took. Thread-local so
 /// concurrently running tests cannot disturb each other's counts; V1/V2
 /// execute on the calling thread, so their blocks are all visible here
-/// (V3's rayon panels are not — use V1 when asserting on the counter).
+/// (V3's rayon panels are only when there is a single panel).
 #[cfg(test)]
 pub(crate) mod instrument {
     use std::cell::Cell;
@@ -961,25 +913,23 @@ struct Scratch {
     av: Vec<f32>,
 }
 
-/// Compute one row panel (`rows = c_panel.len() / n` rows starting at `i0`).
+/// Compute one row panel (`rows = c_panel.len() / n` rows of `source`)
+/// of a `k`-deep problem. `packed` is the preparation's [`packed_class`].
 #[allow(clippy::too_many_arguments)]
 fn run_panel(
-    a: &MatrixF32,
+    source: &RowSource<'_>,
+    k: usize,
     sb: &NmSparseMatrix,
     t: &CpuTiling,
     staged: &StagedB,
-    packed: Option<&PackedLayout>,
     mk: MicroKernel,
-    double_buffer: bool,
-    i0: usize,
+    packed: bool,
     c_panel: &mut [f32],
 ) {
-    let (_, k) = a.shape();
     let cfg = sb.cfg();
     let n = sb.cols();
     let (w, q) = (sb.w(), sb.q());
     let d = sb.indices();
-    let a_data = a.as_slice();
     let rows = c_panel.len() / n;
     let (nb, ub) = (staged.nb, staged.ub);
     let kb = ub * cfg.m / cfg.n;
@@ -990,100 +940,41 @@ fn run_panel(
         acc: vec![0f32; t.mt.max(MW) * nb],
         av: vec![0f32; t.mt.max(MW)],
     };
-    // A-staging buffers for the packed path: `rows × kb`, alternating under
-    // double buffering (the V3 pipeline), single otherwise.
-    let mut bufs = match packed {
-        Some(_) => [vec![0f32; rows * kb], vec![0f32; rows * kb]],
-        None => [Vec::new(), Vec::new()],
-    };
-
-    let pack = |buf: &mut [f32], layout: &PackedLayout, bk: usize, bj: usize| {
-        let ci = &layout.col_info;
-        let cols = ci.block(bk, bj);
-        let kbase = bk * ci.ks;
-        for (r, chunk) in buf.chunks_mut(ci.ks).take(rows).enumerate() {
-            let a_row = &a_data[(i0 + r) * k..(i0 + r + 1) * k];
-            for (slot, &col) in chunk[..cols.len()].iter_mut().zip(cols) {
-                let src = kbase + col as usize;
-                *slot = if src < k { a_row[src] } else { 0.0 };
-            }
-        }
-    };
-
     for jbi in 0..staged.jblocks {
         let jb = jbi * nb;
         let jb_hi = (jb + nb).min(n);
         let j_lo = jb / cfg.l;
         let j_hi = jb_hi.div_ceil(cfg.l).min(q);
 
-        if let Some(layout) = packed {
-            pack(&mut bufs[0], layout, 0, jbi);
-        }
         for bk in 0..staged.kblocks {
             let u_lo = bk * ub;
             let u_hi = ((bk + 1) * ub).min(w);
             let ub_act = u_hi - u_lo;
             let bs = staged.block(jbi, bk);
 
-            let source = match packed {
-                Some(layout) => {
-                    if double_buffer {
-                        if bk + 1 < staged.kblocks {
-                            // Stage the next k-block's panel before
-                            // consuming the current one — V3's
-                            // load/compute overlap.
-                            pack(&mut bufs[(bk + 1) % 2], layout, bk + 1, jbi);
-                        }
-                    } else if bk > 0 {
-                        // V2: single staging buffer, refilled per k-block.
-                        pack(&mut bufs[0], layout, bk, jbi);
-                    }
-                    // Reordered indices: positions into the packed panel.
-                    for j in j_lo..j_hi {
-                        for (ui, u) in (u_lo..u_hi).enumerate() {
-                            scratch.idx[(j - j_lo) * ub_act + ui] =
-                                layout.packed_index(u, j) as u32;
-                        }
-                    }
-                    RowSource::Packed {
-                        buf: &bufs[if double_buffer { bk % 2 } else { 0 }],
-                        stride: kb,
-                    }
+            // Direct gather: global dense source columns.
+            for j in j_lo..j_hi {
+                for (ui, u) in (u_lo..u_hi).enumerate() {
+                    let base = u / cfg.n * cfg.m;
+                    scratch.idx[(j - j_lo) * ub_act + ui] = (base + d.get(u, j) as usize) as u32;
                 }
-                None => {
-                    // Direct gather: global dense source columns.
-                    for j in j_lo..j_hi {
-                        for (ui, u) in (u_lo..u_hi).enumerate() {
-                            let base = u / cfg.n * cfg.m;
-                            scratch.idx[(j - j_lo) * ub_act + ui] =
-                                (base + d.get(u, j) as usize) as u32;
-                        }
-                    }
-                    RowSource::Direct {
-                        a: a_data,
-                        k,
-                        i0,
-                        k_pad: k.div_ceil(cfg.m) * cfg.m,
-                    }
-                }
-            };
+            }
 
             // The vectorized micro-tile needs: 16-divisible windows, no
-            // partial window in this column block, and (for the direct
-            // source) all gathers in bounds. The packed source is always
-            // in bounds; for the direct source, a k-block fully inside the
-            // dense depth trivially qualifies, and the final partial block
-            // qualifies whenever its actual per-block indices do — only a
-            // genuinely padded tail (k not a multiple of M) falls back.
+            // partial window in this column block, and all gathers inside
+            // the dense depth — a bound the packed class waives, since the
+            // padded tail reads as zeros. Otherwise a k-block fully inside
+            // the dense depth trivially qualifies, and the final partial
+            // block qualifies whenever its actual per-block indices do —
+            // only a genuinely padded tail (k not a multiple of M) falls
+            // back.
             let windows_full = (jb_hi - jb).is_multiple_of(cfg.l);
             let used_idx = &scratch.idx[..(j_hi - j_lo) * ub_act];
-            let in_bounds = matches!(source, RowSource::Packed { .. })
-                || (bk + 1) * kb <= k
-                || direct_gathers_in_bounds(used_idx, k);
+            let in_bounds = packed || (bk + 1) * kb <= k || direct_gathers_in_bounds(used_idx, k);
             let fast = cfg.l.is_multiple_of(NW) && windows_full && in_bounds;
 
             compute_block(
-                &source,
+                source,
                 mk,
                 &scratch.idx,
                 ub_act,
@@ -1542,18 +1433,23 @@ mod tests {
 
     #[test]
     fn gather_zero_fills_only_the_padded_tail() {
-        let a: Vec<f32> = (0..12).map(|v| v as f32).collect();
+        let a = MatrixF32::from_vec(2, 6, (1..13).map(|v| v as f32).collect());
+        assert!(
+            zero_padded(&a, 6).is_none(),
+            "an M-aligned depth is not copied"
+        );
         // k = 6, M-padded depth 8: indices 6 and 7 are the legitimate
         // padded tail of the final window; index 5 is a real load.
-        let src = RowSource::Direct {
-            a: &a,
-            k: 6,
+        let padded = zero_padded(&a, 8).unwrap();
+        let src = RowSource {
+            a: &padded,
+            stride: 8,
             i0: 0,
-            k_pad: 8,
         };
-        assert_eq!(src.gather(1, 5), a[11]);
+        assert_eq!(src.gather(1, 5), a.as_slice()[11]);
         assert_eq!(src.gather(0, 6), 0.0);
         assert_eq!(src.gather(1, 7), 0.0);
+        assert_eq!(&src.row(1)[..6], a.row(1));
     }
 
     #[test]
@@ -1561,25 +1457,15 @@ mod tests {
     fn corrupted_gather_index_is_caught_in_debug_builds() {
         use std::panic::catch_unwind;
         let a = vec![1.0f32; 16];
-        let src = RowSource::Direct {
+        let src = RowSource {
             a: &a,
-            k: 8,
+            stride: 8,
             i0: 0,
-            k_pad: 8,
         };
         // 9 is beyond even the padded depth: corruption, not padding.
         assert!(
             catch_unwind(|| src.gather(0, 9)).is_err(),
             "an index past the padded window bound must assert in debug"
-        );
-        let buf = vec![2.0f32; 8];
-        let packed = RowSource::Packed {
-            buf: &buf,
-            stride: 4,
-        };
-        assert!(
-            catch_unwind(|| packed.gather(0, 4)).is_err(),
-            "packed indices are in-bounds by construction; any overflow must assert"
         );
     }
 
@@ -1725,20 +1611,38 @@ mod tests {
             81,
         );
         // L=16 with a padded tail (k=36): mixes fast and general flavors.
+        // m = 5 drives the pad-reaching tail block through the 4-row tile
+        // and the 1-row rung.
         let c16 = cfg(2, 8, 16);
-        check_sliced_bitwise(
-            1,
-            36,
-            32,
-            c16,
-            CpuTiling {
-                mb: 8,
-                nb: 32,
-                kb: 32,
-                mt: 4,
-            },
-            83,
+        let t16 = CpuTiling {
+            mb: 8,
+            nb: 32,
+            kb: 32,
+            mt: 4,
+        };
+        check_sliced_bitwise(1, 36, 32, c16, t16, 83);
+        check_sliced_bitwise(5, 36, 32, c16, t16, 83);
+        // The packed class keeps that tail block on the fast path: a V3
+        // preparation (one row panel, so it runs on this thread) sends
+        // both k-blocks through the micro-tiles, reading the pad as zeros.
+        let a = MatrixF32::random(5, 36, 83);
+        let b = MatrixF32::random(36, 32, 84);
+        let sb = NmSparseMatrix::prune(&b, c16, PrunePolicy::Random { seed: 85 }).unwrap();
+        let d = sb.indices();
+        assert!(
+            (8..sb.w())
+                .any(|u| (0..sb.q()).any(|j| u / c16.n * c16.m + d.get(u, j) as usize >= 36)),
+            "setup: the tail block must gather from the pad"
         );
+        let v3 = CpuPrepared::with_kernel(NmVersion::V3, &sb, t16, MicroKernel::scalar()).unwrap();
+        let before = instrument::FAST_BLOCKS.with(|c| c.get());
+        let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
+        let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
+        assert_eq!(
+            fast_blocks, 2,
+            "V3 2:8 must keep the pad-reaching tail block fast"
+        );
+        assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
     }
 
     #[test]

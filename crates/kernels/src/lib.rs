@@ -50,8 +50,10 @@
 //! * [`backend::SimBackend`] — the functional face of the simulated
 //!   kernels above (numerics + event counts + timing model), and
 //! * [`backend::CpuBackend`] — [`cpu`], a **native** host implementation
-//!   of the same V1→V3 ladder (cache blocking → `col_info` packing →
-//!   double-buffered staging + rayon row panels) whose tile sizes are
+//!   of the same V1→V3 ladder (cache blocking → packed-class block
+//!   classification → rayon row panels, every step gathering `A` in
+//!   place; the paper's `col_info` packing stays in the simulator and
+//!   the codegen) whose tile sizes are
 //!   derived from the plan's auto-tuned blocking. This is the measured-
 //!   performance path the `bench_measured` harness sweeps.
 //! * [`codegen::CodegenBackend`] — the plan lowered to a **generated

@@ -3,9 +3,10 @@
 //!
 //! The analytic planner ([`crate::plan::Planner`]) picks kernels from the
 //! *GPU* cost model; on the native CPU backend that model is frequently
-//! wrong about the V1→V3 ladder (the staged, double-buffered V3 pays for
-//! bandwidth the host caches don't charge — `BENCH_pr.json` shows V1
-//! beating V3 by ~2× on 512³ shapes). This module supplies the missing
+//! wrong about the V1→V3 ladder (its V3 pays for shared-memory bandwidth
+//! the host caches don't charge, so its tilings are no host optimum —
+//! `BENCH_pr.json` shows V1 at a measured tiling beating V3 by ~2× on
+//! 512³ shapes). This module supplies the missing
 //! evidence: it benchmarks candidate [`CpuTiling`]s × ladder versions
 //! **in-place** on the executing host and returns the measured-best as a
 //! [`MeasuredChoice`] the plan cache can persist.
@@ -13,11 +14,11 @@
 //! ## What is (and is not) inside the timed window
 //!
 //! Per the paper's accounting, everything derived from the weights alone
-//! is offline: each candidate's [`CpuPrepared`] (B′ staging, `col_info`
-//! packing, ISA dispatch) is built **before** its clock starts, and one
-//! prepared state serves warmup and every timed iteration. The per-`A`
-//! activation-panel packing of the packed path stays inside the window —
-//! it recurs per call in production too. Timing follows criterion's
+//! is offline: each candidate's [`CpuPrepared`] (B′ staging, ISA
+//! dispatch) is built **before** its clock starts, and one prepared state
+//! serves warmup and every timed iteration. The zero-padded copy of `A`
+//! a ragged depth needs stays inside the window — it recurs per call in
+//! production too. Timing follows criterion's
 //! shape: a warmup run, then a **fixed** number of timed iterations
 //! (fixed so two runs of the harness do identical work — the enumeration,
 //! activation contents and sample counts are fully deterministic; only
@@ -118,8 +119,7 @@ impl std::fmt::Display for AutotuneMode {
 /// The fixed-work timing recipe one measurement run follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasureSpec {
-    /// Un-timed iterations run first to warm caches and the packed-path
-    /// panel buffers.
+    /// Un-timed iterations run first to warm caches.
     pub warmup_iters: usize,
     /// Timed iterations per candidate; **fixed**, so two runs of the same
     /// spec do identical work (the determinism the cache contract needs).
@@ -341,7 +341,7 @@ pub fn measure(
     for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
         for &tiling in &candidates {
             for &format in &formats {
-                // Offline: staging + packing + dispatch, excluded from
+                // Offline: staging + dispatch, excluded from
                 // the clock exactly as in production (`Session::load`).
                 let Ok(prep) = CpuPrepared::with_format(version, sb, tiling, kernel, format) else {
                     continue;

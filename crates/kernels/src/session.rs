@@ -4,8 +4,9 @@
 //! ## Why a session
 //!
 //! The paper's performance accounting hinges on the **offline/online
-//! split**: layout transformation (`transformLayout`) and `col_info`
-//! packing are one-time offline work, amortized over every inference call
+//! split**: layout transformation (`transformLayout`) and, on the
+//! simulated GPU, `col_info` packing are one-time offline work, amortized
+//! over every inference call
 //! that follows. This module is the object that *owns* that amortization:
 //!
 //! * [`SessionBuilder`] configures the execution context once — device
@@ -15,8 +16,8 @@
 //!   offline work in one place: it plans (strategy decision + exhaustive
 //!   autotune, memoized in the engine's [`PlanCache`](crate::plan::PlanCache)),
 //!   instantiates the backend, and runs the backend's preparation
-//!   ([`ExecBackend::prepare`] — `B′` block staging, `col_info` packing,
-//!   micro-kernel dispatch). The result is a [`PreparedLayer`] handle.
+//!   ([`ExecBackend::prepare`] — `B′` block staging, the simulator's
+//!   `col_info` packing, micro-kernel dispatch). The result is a [`PreparedLayer`] handle.
 //! * [`PreparedLayer::forward`] / [`PreparedLayer::forward_batch`] are the
 //!   **online** path: they touch none of the offline work again — every
 //!   call reuses the owned plan, backend and prepared state. The
@@ -31,8 +32,9 @@
 //! [`ExecRun::wall_seconds`] measures the **online kernel only**: the
 //! clock starts after `load` finished staging. Two costs are deliberately
 //! *inside* the timed window because they genuinely recur per call: the
-//! per-`A` activation-panel packing of the V2/V3 packed path, and — for
-//! the simulator — the functional emulation itself. Everything derived
+//! CPU ladder's zero-padded copy of `A` when `k` is not a multiple of `M`
+//! (it otherwise gathers `A` in place), and — for the simulator — the
+//! functional emulation itself. Everything derived
 //! from the weights alone (blocking derivation, `B′` staging, `col_info`,
 //! ISA dispatch) is paid once in `load` and never again, mirroring how
 //! the paper excludes its pre-processing from kernel time.
@@ -452,7 +454,7 @@ impl Session {
     /// Do **all** the offline work for one layer, once, as described by a
     /// typed [`LoadSpec`]: plan (or adopt the spec's pre-resolved plan),
     /// instantiate the backend, and run its preparation (staging +
-    /// packing + dispatch). The returned handle amortizes every one of
+    /// dispatch). The returned handle amortizes every one of
     /// those costs across its `forward` calls.
     ///
     /// This is the **single load entry point**; [`Session::load`],

@@ -306,7 +306,7 @@ pub fn sweep_model(
             let sb = NmSparseMatrix::prune_magnitude(&bd, cfg)?;
 
             // CPU sparse path: the V3 ladder under the full-size plan's
-            // blocking, packing wherever `uses_packing` says so.
+            // blocking.
             let cpu = session.load_planned(
                 row.plan.clone(),
                 sb.clone(),
