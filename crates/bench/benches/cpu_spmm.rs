@@ -5,7 +5,8 @@
 //! falls as sparsity rises, approaching the `M/N` bound.
 //!
 //! Shape: a quarter-scale Llama-7B attention projection (m=256, n=1024,
-//! k=1024) so a full criterion run finishes in minutes.
+//! k=1024) so a full criterion run finishes in minutes. A second group
+//! times decode (m=1) on Llama-width weights streamed from DRAM.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::device::a100_80g;
@@ -13,10 +14,22 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::{BackendKind, NmVersion, PreparedLayer, Session, SessionBuilder};
+use std::sync::Arc;
 
 const M: usize = 256;
 const N: usize = 1024;
 const K: usize = 1024;
+
+/// The decode arm's projection, a Llama-7B-width FFN gate at half depth:
+/// 2048×5504 at 2:8 stages 11 MiB of `B′`, far above V3's per-worker
+/// column-split floor.
+const DECODE_K: usize = 2048;
+const DECODE_N: usize = 5504;
+/// Prepared copies of that layer the arm cycles through: 352 MiB of
+/// staged `B′`, more than the last-level cache of common server parts, so
+/// each call streams its weights from DRAM as a decode step through a
+/// model stack does.
+const DECODE_COPIES: usize = 32;
 
 fn load(session: &mut Session, b: &MatrixF32, cfg: NmConfig, version: NmVersion) -> PreparedLayer {
     let sb = NmSparseMatrix::prune_magnitude(b, cfg).expect("prune");
@@ -66,5 +79,47 @@ fn bench_cpu_spmm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cpu_spmm);
+/// Decode (m = 1): V1 runs each call on one thread; V3 splits it across
+/// column blocks, one range per worker. Each sample is one call on the
+/// next copy of the round robin.
+fn bench_decode(c: &mut Criterion) {
+    let cfg = NmConfig::new(2, 8, 32).expect("config");
+    let b = MatrixF32::random(DECODE_K, DECODE_N, 4);
+    let weights = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
+    let x = MatrixF32::random(1, DECODE_K, 3);
+    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+
+    let mut group = c.benchmark_group("cpu_spmm_decode");
+    group.sample_size(2 * DECODE_COPIES);
+    let staged_bytes = weights.w() * DECODE_N * std::mem::size_of::<f32>();
+    group.throughput(Throughput::Bytes(staged_bytes as u64));
+    for (label, version) in [
+        ("v1-one-thread", NmVersion::V1),
+        ("v3-column-split", NmVersion::V3),
+    ] {
+        // Every load stages its own copy of `B′`; one version's copies at
+        // a time bounds the footprint.
+        let layers: Vec<PreparedLayer> = (0..DECODE_COPIES)
+            .map(|_| {
+                session
+                    .load_on(weights.clone(), 1, BackendKind::Cpu(version))
+                    .expect("load layer")
+            })
+            .collect();
+        let mut next = 0;
+        group.bench_with_input(
+            BenchmarkId::new("m1_2048x5504_75.0%", label),
+            &layers,
+            |bench, layers| {
+                bench.iter(|| {
+                    next = (next + 1) % layers.len();
+                    layers[next].forward(&x).expect("forward")
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cpu_spmm, bench_decode);
 criterion_main!(benches);

@@ -26,10 +26,18 @@
 //!   zero-padded copy of `A` — the 0.0 the packed panel held. The paper's
 //!   packing lives on in the simulator ([`crate::nm`]) and the WGSL
 //!   codegen.
-//! * **V3 — parallelism** ([`NmVersion::V3`]): V2 with rayon row-panel
-//!   parallelism, one `mb`-row panel per task. The paper's V3 pipeline
-//!   (§III-C2) double-buffers shared-memory staging; with nothing staged
-//!   online there is nothing for the CPU to double-buffer.
+//! * **V3 — parallelism** ([`NmVersion::V3`]): V2 with rayon parallelism
+//!   over rows or columns, as the paper's kernels launch a 2-D grid of
+//!   row and column tiles. A call with at least one `mb`-row panel per
+//!   worker runs one panel per task. A call with fewer panels than
+//!   workers (a decode call, `m ≤ 8`) instead splits the staged `B′` into
+//!   contiguous column ranges — row-major column blocks or SELL-C-σ
+//!   slices — when it holds at least `COLUMN_SPLIT_BYTES` (1 MiB) per
+//!   worker. Each worker fills a private buffer for its columns and the
+//!   caller copies the owned columns into `C`, so every element sees the
+//!   same `+=` sequence and V3 stays bit-identical to V1/V2. The paper's
+//!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
+//!   nothing staged online there is nothing for the CPU to double-buffer.
 //!
 //! Tile sizes are not invented here: [`CpuTiling::derive`] maps a
 //! [`Plan`](crate::plan::Plan)'s auto-tuned [`BlockingParams`] onto the CPU
@@ -45,6 +53,7 @@ use nm_core::pattern::{NmConfig, SparsityClass};
 use nm_core::sliced::{SlicedLayout, SlicedMatrix, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use rayon::prelude::*;
+use std::ops::Range;
 
 use crate::nm::NmVersion;
 use crate::params::BlockingParams;
@@ -54,6 +63,14 @@ use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
 /// k-depth [`CpuTiling::derive`] picks keeps the block within this many
 /// bytes so it survives in cache across the panel's row tiles.
 const B_BLOCK_BYTES: usize = 64 * 1024;
+
+/// Staged `B′` bytes each worker must stream before V3 splits a call with
+/// fewer row panels than workers across column ranges. Spawning two
+/// scoped threads costs 30–65 µs on a 2-vCPU AVX-512 host, about the time
+/// one core takes to stream 256–512 KB of `B′`; 1 MiB per worker keeps
+/// the 512² decode layers (256 KB at 2:8) on one thread and splits the
+/// Llama-sized ones (MBs, streamed from DRAM).
+const COLUMN_SPLIT_BYTES: usize = 1 << 20;
 
 /// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
@@ -413,6 +430,30 @@ impl CpuPrepared {
         }
     }
 
+    /// How many contiguous column ranges a call with `m` rows splits
+    /// into: 1 (the row panels) unless this is V3, the call has fewer
+    /// `mb`-row panels than rayon workers, and the staged `B′` holds at
+    /// least [`COLUMN_SPLIT_BYTES`] for each extra range. Never more
+    /// ranges than the staging has units (column blocks or slices).
+    fn column_parts(&self, m: usize) -> usize {
+        if self.version != NmVersion::V3 {
+            return 1;
+        }
+        let workers = rayon::current_num_threads();
+        if m.div_ceil(self.tiling.mb) >= workers {
+            return 1;
+        }
+        let units = match &self.staged {
+            StagedFormat::RowMajor(s) => s.jblocks,
+            StagedFormat::Sliced(ss) => ss.sm.slices(),
+        };
+        let staged_bytes = self.w * self.n * std::mem::size_of::<f32>();
+        workers
+            .min(staged_bytes / COLUMN_SPLIT_BYTES)
+            .min(units)
+            .max(1)
+    }
+
     /// Reject an operand this preparation was not staged from: shape or
     /// config disagreement, or a *different* matrix with identical shape
     /// and config (bounded content-fingerprint sample). Shared by every
@@ -504,58 +545,125 @@ pub fn spmm_cpu_prepared(
         None => (a.as_slice(), k),
     };
 
+    let parts = prep.column_parts(m);
     match &prep.staged {
         StagedFormat::RowMajor(staged) => {
             let packed = packed_class(prep.version, prep.cfg);
-            let panel = |i0: usize, c_panel: &mut [f32]| {
+            let panel = |i0: usize, jbis: Range<usize>, c_panel: &mut [f32]| {
                 let source = RowSource {
                     a: xa,
                     stride: xk,
                     i0,
                 };
-                run_panel(&source, k, sb, &tiling, staged, mk, packed, c_panel);
+                run_panel(&source, k, sb, &tiling, staged, mk, packed, jbis, c_panel);
             };
-            match prep.version {
+            let all = 0..staged.jblocks;
+            if parts > 1 {
+                // V3 with fewer row panels than workers: each worker takes
+                // a run of column blocks through every row panel.
+                let ranges = even_ranges(staged.jblocks, parts);
+                let owned: Vec<_> = ranges
+                    .iter()
+                    .map(|r| vec![(r.start * staged.nb, (r.end * staged.nb).min(n))])
+                    .collect();
+                split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
+                    for (pi, c_panel) in buf.chunks_mut(tiling.mb * n).enumerate() {
+                        panel(pi * tiling.mb, ranges[p].clone(), c_panel);
+                    }
+                });
+            } else if prep.version == NmVersion::V3 {
                 // V3: rayon row panels (each owns its scratch).
-                NmVersion::V3 => c
-                    .as_mut_slice()
+                c.as_mut_slice()
                     .par_chunks_mut(tiling.mb * n)
                     .enumerate()
-                    .for_each(|(p, c_panel)| panel(p * tiling.mb, c_panel)),
+                    .for_each(|(p, c_panel)| panel(p * tiling.mb, all.clone(), c_panel));
+            } else {
                 // V1/V2: sequential panels (the ladder adds parallelism
                 // only at V3).
-                _ => {
-                    for (p, c_panel) in c.as_mut_slice().chunks_mut(tiling.mb * n).enumerate() {
-                        panel(p * tiling.mb, c_panel);
-                    }
+                for (p, c_panel) in c.as_mut_slice().chunks_mut(tiling.mb * n).enumerate() {
+                    panel(p * tiling.mb, all.clone(), c_panel);
                 }
             }
         }
         StagedFormat::Sliced(ss) => {
             let l = prep.cfg.l;
-            match prep.version {
+            let sm = &ss.sm;
+            // Rows `i0..` of the call into `c`, over the slices `slices`.
+            let rows = |i0: usize, slices: Range<usize>, c: &mut [f32]| {
+                let mut acc = vec![0f32; l];
+                for (i, y) in c.chunks_mut(n).enumerate() {
+                    let x = &xa[(i0 + i) * xk..(i0 + i + 1) * xk];
+                    run_sliced_row(x, ss, mk, l, slices.clone(), &mut acc, y);
+                }
+            };
+            if parts > 1 {
+                // V3 with fewer row panels than workers: each worker takes
+                // a run of slices; it owns their windows' column spans.
+                let ranges = even_ranges(sm.slices(), parts);
+                let owned: Vec<_> = ranges
+                    .iter()
+                    .map(|r| {
+                        r.clone()
+                            .flat_map(|s| sm.slice_windows(s))
+                            .map(|pos| {
+                                let (col, lw) = sm.span(pos);
+                                (col, col + lw)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
+                    rows(0, ranges[p].clone(), buf)
+                });
+            } else if prep.version == NmVersion::V3 {
                 // V3: output rows are bit-independent, so the sliced path
-                // parallelizes per row (the decode band rarely has more
-                // than a handful).
-                NmVersion::V3 => {
-                    c.as_mut_slice()
-                        .par_chunks_mut(n)
-                        .enumerate()
-                        .for_each(|(i, y)| {
-                            let mut acc = vec![0f32; l];
-                            run_sliced_row(&xa[i * xk..(i + 1) * xk], ss, mk, l, &mut acc, y);
-                        });
-                }
-                _ => {
-                    let mut acc = vec![0f32; l];
-                    for (i, y) in c.as_mut_slice().chunks_mut(n).enumerate() {
-                        run_sliced_row(&xa[i * xk..(i + 1) * xk], ss, mk, l, &mut acc, y);
-                    }
-                }
+                // parallelizes per row.
+                c.as_mut_slice()
+                    .par_chunks_mut(n)
+                    .enumerate()
+                    .for_each(|(i, y)| rows(i, 0..sm.slices(), y));
+            } else {
+                rows(0, 0..sm.slices(), c.as_mut_slice());
             }
         }
     }
     Ok(c)
+}
+
+/// `0..units` cut into `parts` contiguous, near-equal ranges.
+fn even_ranges(units: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts)
+        .map(|p| p * units / parts..(p + 1) * units / parts)
+        .collect()
+}
+
+/// V3's column split: part `p` runs `fill(p, buf)` on its own worker into
+/// a zeroed private `m × n` buffer, then the caller copies the part's
+/// owned column spans `owned[p]` (half-open, every row) into `c`. The
+/// spans partition `0..n` and each part writes only its own, so every
+/// element of `c` holds exactly the `+=` sequence an unsplit run gives it.
+fn split_columns<F>(c: &mut [f32], n: usize, owned: &[Vec<(usize, usize)>], fill: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    #[cfg(test)]
+    instrument::COLUMN_SPLITS.with(|s| s.set(s.get() + 1));
+    let len = c.len();
+    let bufs: Vec<Vec<f32>> = (0..owned.len())
+        .into_par_iter()
+        .map(|p| {
+            let mut buf = vec![0f32; len];
+            fill(p, &mut buf);
+            buf
+        })
+        .collect();
+    for (spans, buf) in owned.iter().zip(&bufs) {
+        for (dst, src) in c.chunks_mut(n).zip(buf.chunks(n)) {
+            for &(lo, hi) in spans {
+                dst[lo..hi].copy_from_slice(&src[lo..hi]);
+            }
+        }
+    }
 }
 
 /// `A`'s rows zero-padded from `k` to `k_pad` columns, or `None` when
@@ -756,7 +864,8 @@ pub(crate) fn rowmajor_fast_flags(
     fast
 }
 
-/// One output row through the sliced staging: `y += x ⊛ slices`.
+/// One output row through the sliced staging: `y += x ⊛ slices`, over
+/// the slices `slices` (every slice unless V3 split the call).
 ///
 /// `x` must already be zero-padded to `k_pad` when the padded final
 /// window is reachable (the caller handles this once per call). Fast
@@ -770,6 +879,7 @@ fn run_sliced_row(
     ss: &StagedSliced,
     mk: MicroKernel,
     l: usize,
+    slices: Range<usize>,
     acc_scratch: &mut [f32],
     y: &mut [f32],
 ) {
@@ -777,7 +887,7 @@ fn run_sliced_row(
     let w = sm.w();
     let wide = l.is_multiple_of(NW2);
     let ar = [x];
-    for s in 0..sm.slices() {
+    for s in slices {
         let width = sm.width(s);
         let vals = sm.value_panel(s);
         for bk in 0..ss.kblocks {
@@ -884,7 +994,7 @@ fn direct_gathers_in_bounds(idx: &[u32], k: usize) -> bool {
 /// Test-only counters proving which data path a run took. Thread-local so
 /// concurrently running tests cannot disturb each other's counts; V1/V2
 /// execute on the calling thread, so their blocks are all visible here
-/// (V3's rayon panels are only when there is a single panel).
+/// (V3's are only when it neither splits its rows nor its columns).
 #[cfg(test)]
 pub(crate) mod instrument {
     use std::cell::Cell;
@@ -900,6 +1010,9 @@ pub(crate) mod instrument {
         /// vectorized micro-tiles — proof the sliced fast flavor was
         /// actually exercised, not silently demoted to the general path.
         pub static SLICED_FAST: Cell<usize> = const { Cell::new(0) };
+        /// V3 calls split across column ranges (counted on the calling
+        /// thread, before the workers start).
+        pub static COLUMN_SPLITS: Cell<usize> = const { Cell::new(0) };
     }
 }
 
@@ -914,7 +1027,8 @@ struct Scratch {
 }
 
 /// Compute one row panel (`rows = c_panel.len() / n` rows of `source`)
-/// of a `k`-deep problem. `packed` is the preparation's [`packed_class`].
+/// of a `k`-deep problem over the column blocks `jbis`. `packed` is the
+/// preparation's [`packed_class`].
 #[allow(clippy::too_many_arguments)]
 fn run_panel(
     source: &RowSource<'_>,
@@ -924,6 +1038,7 @@ fn run_panel(
     staged: &StagedB,
     mk: MicroKernel,
     packed: bool,
+    jbis: Range<usize>,
     c_panel: &mut [f32],
 ) {
     let cfg = sb.cfg();
@@ -940,7 +1055,7 @@ fn run_panel(
         acc: vec![0f32; t.mt.max(MW) * nb],
         av: vec![0f32; t.mt.max(MW)],
     };
-    for jbi in 0..staged.jblocks {
+    for jbi in jbis {
         let jb = jbi * nb;
         let jb_hi = (jb + nb).min(n);
         let j_lo = jb / cfg.l;
@@ -1702,5 +1817,56 @@ mod tests {
                 Err(NmError::DimensionMismatch { .. })
             ));
         }
+    }
+
+    #[test]
+    fn v3_splits_columns_only_when_row_panels_cannot_fill_the_workers() {
+        // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′: one
+        // COLUMN_SPLIT_BYTES floor for each of two workers.
+        let c = cfg(2, 8, 32);
+        let t = CpuTiling {
+            mb: 8,
+            nb: 64,
+            kb: 512,
+            mt: 4,
+        };
+        let split_expected = rayon::current_num_threads() >= 2;
+        let splits = || instrument::COLUMN_SPLITS.with(|s| s.get());
+        let (k, n) = (2048, 1024);
+        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 101), c).unwrap();
+        for format in [
+            StorageFormat::RowMajor,
+            StorageFormat::Sliced(SlicedLayout::DEFAULT),
+        ] {
+            let prep =
+                |v| CpuPrepared::with_format(v, &sb, t, MicroKernel::scalar(), format).unwrap();
+            let (v1, v3) = (prep(NmVersion::V1), prep(NmVersion::V3));
+            for m in [1, 3, 8] {
+                let a = MatrixF32::random(m, k, 102);
+                let before = splits();
+                let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
+                assert_eq!(
+                    splits() - before,
+                    usize::from(split_expected),
+                    "{format} m = {m}: one row panel must split across columns"
+                );
+                let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
+                assert_eq!(got.as_slice(), want.as_slice(), "{format} m = {m}");
+            }
+            // Enough row panels for every worker: the row panels stay.
+            let before = splits();
+            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &sb, &v3).unwrap();
+            assert_eq!(splits() - before, 0, "{format}: m = 256 keeps its rows");
+            // V1/V2 never split.
+            assert_eq!(v1.column_parts(1), 1);
+        }
+
+        // A 512² decode layer stages 256 KB at 2:8: below the floor, so
+        // m = 1 runs its single panel on the calling thread.
+        let small = NmSparseMatrix::prune_magnitude(&MatrixF32::random(512, 512, 103), c).unwrap();
+        let v3 = CpuPrepared::with_kernel(NmVersion::V3, &small, t, MicroKernel::scalar()).unwrap();
+        let before = splits();
+        spmm_cpu_prepared(&MatrixF32::random(1, 512, 104), &small, &v3).unwrap();
+        assert_eq!(splits() - before, 0, "a 512² layer must stay unsplit");
     }
 }

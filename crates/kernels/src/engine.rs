@@ -59,8 +59,9 @@ impl Engine {
     }
 
     /// Engine backed by a JSON cache file: hydrated from `path` when the
-    /// file exists (a malformed file is an error, not silently ignored),
-    /// and written back by [`Engine::save`].
+    /// file exists (a malformed file or a newer format version is an
+    /// error, not silently ignored; an older format version loads empty,
+    /// so its problems re-plan), and written back by [`Engine::save`].
     pub fn with_cache_file(dev: DeviceConfig, path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let cache = if path.exists() {
@@ -155,6 +156,7 @@ impl Engine {
 mod tests {
     use super::*;
     use gpu_sim::device::a100_80g;
+    use nm_core::json::JsonValue;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -215,6 +217,36 @@ mod tests {
     fn unbacked_engine_save_is_a_noop() {
         let eng = Engine::new(a100_80g());
         assert!(!eng.save().unwrap());
+    }
+
+    #[test]
+    fn stale_backing_file_replans_and_saves_the_current_version() {
+        let path = tmp_path("stale.json");
+        let _ = std::fs::remove_file(&path);
+        let cfg = NmConfig::new(2, 16, 32).unwrap();
+        let mut eng = Engine::with_cache_file(a100_80g(), &path).unwrap();
+        eng.plan(512, 512, 512, cfg).unwrap();
+        let current = eng.planner.cache().to_json().unwrap();
+        let version = |text: &str| {
+            JsonValue::parse(text)
+                .unwrap()
+                .usize_field("version")
+                .unwrap()
+        };
+        let stale = current.replace(
+            &format!("\"version\":{}", version(&current)),
+            "\"version\":4",
+        );
+        std::fs::write(&path, stale).unwrap();
+
+        let mut reload = Engine::with_cache_file(a100_80g(), &path).unwrap();
+        reload.plan(512, 512, 512, cfg).unwrap();
+        let s = reload.stats();
+        assert_eq!((s.hits, s.misses), (0, 1), "a stale file must re-plan");
+        assert!(reload.save().unwrap());
+        let saved = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(version(&saved), version(&current));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -51,10 +51,10 @@
 //!   kernels above (numerics + event counts + timing model), and
 //! * [`backend::CpuBackend`] — [`cpu`], a **native** host implementation
 //!   of the same V1→V3 ladder (cache blocking → packed-class block
-//!   classification → rayon row panels, every step gathering `A` in
-//!   place; the paper's `col_info` packing stays in the simulator and
-//!   the codegen) whose tile sizes are
-//!   derived from the plan's auto-tuned blocking. This is the measured-
+//!   classification → rayon row panels or column ranges, every step
+//!   gathering `A` in place; the paper's `col_info` packing stays in the
+//!   simulator and the codegen) whose tile sizes are derived from the
+//!   plan's auto-tuned blocking. This is the measured-
 //!   performance path the `bench_measured` harness sweeps.
 //! * [`codegen::CodegenBackend`] — the plan lowered to a **generated
 //!   WGSL compute shader** through the `nm-gpu` crate (typed shader IR →

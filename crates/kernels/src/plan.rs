@@ -935,13 +935,16 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
 /// * v3 — adds `key.shape` (prefill vs decode).
 /// * v4 — adds `key.storage` and `measured.storage` (the SELL-C-σ sliced
 ///   lane).
+/// * v5 — same schema; CPU V3 splits decode calls across column ranges,
+///   so measured decode winners recorded before it (V1/V2) are stale.
 ///
-/// Only v4 documents load: an older file is rejected like any unknown
-/// version, and its caller re-plans.
-const CACHE_FORMAT_VERSION: usize = 4;
+/// A document older than [`CACHE_FORMAT_OLDEST`] loads as an empty cache:
+/// every key misses and re-plans, and the next save writes this version.
+/// A newer version is rejected.
+const CACHE_FORMAT_VERSION: usize = 5;
 
-/// Oldest cache-file version [`PlanCache::from_json`] still accepts.
-const CACHE_FORMAT_OLDEST: usize = 4;
+/// Oldest cache-file version whose plans [`PlanCache::from_json`] loads.
+const CACHE_FORMAT_OLDEST: usize = 5;
 
 /// In-memory memo of finished [`Plan`]s with hit/miss accounting and JSON
 /// persistence.
@@ -1034,7 +1037,9 @@ impl PlanCache {
     }
 
     /// Parse a cache from the JSON produced by [`PlanCache::to_json`].
-    /// Hit/miss counters start at zero.
+    /// Hit/miss counters start at zero. A document of an older format
+    /// version loads empty, so its keys miss and re-plan; a newer version
+    /// or a malformed document is an [`NmError::Persist`].
     pub fn from_json(text: &str) -> Result<Self> {
         let doc = JsonValue::parse(text)?;
         if doc.str_field("format")? != "nm-spmm plan cache" {
@@ -1043,15 +1048,18 @@ impl PlanCache {
             });
         }
         let version = doc.usize_field("version")?;
-        if !(CACHE_FORMAT_OLDEST..=CACHE_FORMAT_VERSION).contains(&version) {
+        if version > CACHE_FORMAT_VERSION {
             return Err(NmError::Persist {
                 reason: format!(
-                    "plan-cache version {version} unsupported \
-                     (expected {CACHE_FORMAT_OLDEST}..={CACHE_FORMAT_VERSION})"
+                    "plan-cache version {version} is newer than this build \
+                     (expected at most {CACHE_FORMAT_VERSION})"
                 ),
             });
         }
         let mut cache = Self::new();
+        if version < CACHE_FORMAT_OLDEST {
+            return Ok(cache);
+        }
         let entries = doc
             .field("entries")?
             .as_array()
@@ -1614,14 +1622,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_documents_fail_like_unknown_versions() {
-        // Rewrite a v4 document into the exact v3 schema (no storage) and
-        // the exact v1 schema (no shape, host, provenance or measured
-        // either) — the serializer is ours, so the surgery is exact. Both
-        // are rejected the way an unknown version is, never migrated.
+    fn stale_documents_load_empty_and_newer_versions_fail() {
+        // Rewrite a v5 document into v4 (same schema), the exact v3 schema
+        // (no storage) and the exact v1 schema (no shape, host, provenance
+        // or measured either) — the serializer is ours, so the surgery is
+        // exact. Each loads as an empty cache, never migrated.
         let mut planner = Planner::new(a100_80g());
-        planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
-        let v4 = planner.cache().to_json().unwrap();
+        let plan = planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
+        let v5 = planner.cache().to_json().unwrap();
+        assert_eq!(PlanCache::from_json(&v5).unwrap().len(), 1);
+        let v4 = v5.replace("\"version\":5", "\"version\":4");
         let v3 = v4
             .replace("\"version\":4", "\"version\":3")
             .replace("\"storage\":\"rowmajor\",", "");
@@ -1633,19 +1643,27 @@ mod tests {
         assert!(!v3.contains("storage"), "surgery must remove v4 fields");
         assert!(!v1.contains("provenance"), "surgery must remove v2 fields");
         assert!(!v1.contains("shape"), "surgery must remove v3 fields");
-        let v99 = v4.replace("\"version\":4", "\"version\":99");
-        for doc in [&v1, &v3, &v99] {
+        for doc in [&v1, &v3, &v4] {
+            let mut stale = PlanCache::from_json(doc).unwrap();
+            assert!(stale.is_empty(), "a stale document loads no plans");
+            assert!(stale.lookup(&plan.key).is_none());
+            assert_eq!(stale.misses(), 1, "its keys miss and re-plan");
+            stale.insert(plan.clone());
+            assert!(
+                stale.to_json().unwrap().contains("\"version\":5"),
+                "the next save writes the current version"
+            );
+        }
+        // A newer version, and a v5 document with a v5 field stripped,
+        // still fail.
+        let v99 = v5.replace("\"version\":5", "\"version\":99");
+        let stripped = v5.replace("\"storage\":\"rowmajor\",", "");
+        for doc in [&v99, &stripped] {
             assert!(matches!(
                 PlanCache::from_json(doc),
                 Err(NmError::Persist { .. })
             ));
         }
-        // A v4 document with a v4 field stripped is malformed too.
-        let stripped = v4.replace("\"storage\":\"rowmajor\",", "");
-        assert!(matches!(
-            PlanCache::from_json(&stripped),
-            Err(NmError::Persist { .. })
-        ));
     }
 
     #[test]

@@ -59,8 +59,8 @@
 //! any work is spent) and keeps parallelism at exactly one level: batch
 //! members fan across the rayon pool for the per-call-serial backends
 //! (CPU V1/V2), while backends that parallelize inside each call (CPU
-//! V3's row panels, the simulated kernels' block fan-out) map their batch
-//! serially instead of nesting thread fan-outs.
+//! V3, by row panels or by column ranges; the simulated kernels' block
+//! fan-out) map their batch serially instead of nesting thread fan-outs.
 
 use crate::backend::{BackendKind, CpuBackend, ExecBackend, ExecRun, PreparedState};
 use crate::engine::{CacheStats, Engine};
@@ -150,7 +150,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Cap the rayon worker fan-out (V3 row panels, batched forwards).
+    /// Cap the rayon worker fan-out (V3's row panels or column ranges,
+    /// batched forwards).
     ///
     /// Best-effort: the cap installs through rayon's first-wins global
     /// pool initialization, so if the pool is already configured the
@@ -789,8 +790,10 @@ impl PreparedLayer {
     /// worker pool ([`BatchRouting::ParallelAcross`]) — that is what
     /// fills the machine for the many-small-batches decode shape this
     /// entry point serves. Backends that already parallelize *inside*
-    /// each call — CPU V3's row panels, and the simulated kernels'
-    /// per-block fan-out — map their batch serially instead
+    /// each call — CPU V3, by row panels or (when a call has fewer row
+    /// panels than workers, as every decode call does) by column ranges,
+    /// and the simulated kernels' per-block fan-out — map their batch
+    /// serially instead
     /// ([`BatchRouting::SerialWithin`]): nesting both levels would
     /// multiply OS threads (the pool has no shared work-stealing
     /// scheduler) and thrash rather than speed up.
@@ -839,7 +842,7 @@ pub enum BatchRouting {
     /// serially inside its worker (CPU V1/V2).
     ParallelAcross,
     /// Members mapped serially, one after another; each member
-    /// parallelized internally (CPU V3's row panels, the simulated
+    /// parallelized internally (CPU V3 by rows or by columns, the simulated
     /// kernels' block fan-out).
     SerialWithin,
 }

@@ -9,11 +9,13 @@
 //! * `range.into_par_iter().map(f).collect()` / `.for_each(f)` — the index
 //!   space is split into one contiguous span per worker.
 //!
-//! Work is split eagerly into `available_parallelism()` spans, which is the
-//! right shape for the regular, equal-cost blocks these kernels produce.
+//! Work is split eagerly into one span per worker (`available_parallelism()`,
+//! read once per process), which is the right shape for the regular,
+//! equal-cost blocks these kernels produce.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Global worker cap installed by [`ThreadPoolBuilder::build_global`];
 /// `0` means uncapped (use the hardware parallelism).
@@ -23,12 +25,22 @@ static GLOBAL_THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
 /// first-wins, like real rayon's global pool initialization).
 static GLOBAL_POOL_BUILT: AtomicUsize = AtomicUsize::new(0);
 
+/// The hardware parallelism, read once per process: real rayon sizes its
+/// pool once, and `available_parallelism` is not free (on Linux it reads
+/// the cgroup CPU quota on every call).
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
 /// The number of worker threads the shim will fan out to at most —
 /// mirrors `rayon::current_num_threads`.
 pub fn current_num_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    let hw = hardware_threads();
     match GLOBAL_THREAD_CAP.load(Ordering::Relaxed) {
         0 => hw,
         cap => cap.min(hw),

@@ -94,6 +94,44 @@ fn spmv_prepared_matches_the_oracle_through_every_isa() {
 }
 
 #[test]
+fn v3_column_split_is_bit_identical_to_v1_above_the_floor() {
+    // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′, a 1 MiB split floor
+    // per worker for two: with two or more workers, V3 splits these
+    // one-panel calls across column blocks (row-major) or slices (sliced)
+    // instead of running them on one thread.
+    let cfg = NmConfig::new(2, 8, 32).unwrap();
+    let (k, n) = (2048, 1024);
+    let b = MatrixF32::random(k, n, 4900);
+    let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+    let dense = sb.decompress();
+    let tiling = CpuTiling::auto(cfg, 8, n, k).unwrap();
+    assert!(tiling.mb >= 3, "setup: every m below is one row panel");
+    for format in [
+        StorageFormat::RowMajor,
+        StorageFormat::Sliced(SlicedLayout::DEFAULT),
+    ] {
+        let prep = |v| CpuPrepared::new_with_format(v, &sb, tiling, format).unwrap();
+        let (v1, v3) = (prep(NmVersion::V1), prep(NmVersion::V3));
+        for m in SKINNY_ROWS {
+            let a = MatrixF32::random(m, k, 4901 + m as u64);
+            let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
+            let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "{format} m={m}: V3's column split must be bit-identical to V1"
+            );
+            let oracle = gemm_reference_f64(&a, &dense);
+            assert!(
+                got.allclose(&oracle, 1e-3, 1e-4),
+                "{format} m={m}: vs f64 oracle diff {}",
+                got.max_abs_diff(&oracle)
+            );
+        }
+    }
+}
+
+#[test]
 fn decode_steps_reuse_prefill_staging_with_zero_extra_passes() {
     // The load-bearing invariant of the decode refactor: a layer prepared
     // once (at prefill batch size) serves decode steps from the same

@@ -9,7 +9,7 @@
 //! 2. **Permutation bookkeeping** — the window permutation and its
 //!    inverse compose to the identity, and the per-window write-back
 //!    spans tile the output columns exactly once.
-//! 3. **Persistence** — the v4 plan-cache format round-trips the storage
+//! 3. **Persistence** — the plan-cache format round-trips the storage
 //!    lane through disk.
 
 use nm_spmm::core::spmm::gemm_reference_f64;
@@ -112,7 +112,7 @@ fn permutation_and_inverse_round_trip_and_spans_tile_the_columns() {
 }
 
 #[test]
-fn plan_cache_v4_round_trips_the_storage_lane() {
+fn plan_cache_round_trips_the_storage_lane() {
     let mut path = std::env::temp_dir();
     path.push(format!(
         "nm-spmm-sliced-parity-cache-{}.json",
@@ -148,6 +148,10 @@ fn plan_cache_v4_round_trips_the_storage_lane() {
     assert_eq!(reloaded.peek(&pinned.key), Some(&pinned));
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains("\"storage\":\"sliced:4:16\""));
+    assert!(
+        text.contains("\"version\":5"),
+        "saved at the current format"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
