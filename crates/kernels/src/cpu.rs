@@ -28,14 +28,16 @@
 //!   codegen.
 //! * **V3 — parallelism** ([`NmVersion::V3`]): V2 with rayon parallelism
 //!   over rows or columns, as the paper's kernels launch a 2-D grid of
-//!   row and column tiles. A call with at least one `mb`-row panel per
-//!   worker runs one panel per task. A call with fewer panels than
-//!   workers (a decode call, `m ≤ 8`) instead splits the staged `B′` into
-//!   contiguous column ranges — row-major column blocks or SELL-C-σ
-//!   slices — when it holds at least `COLUMN_SPLIT_BYTES` (1 MiB) per
-//!   worker. Each worker fills a private buffer for its columns and the
-//!   caller copies the owned columns into `C`, so every element sees the
-//!   same `+=` sequence and V3 stays bit-identical to V1/V2. The paper's
+//!   row and column tiles. The parts run on the rayon pool's persistent
+//!   workers, so a call pays a hand-off to running threads, not a thread
+//!   spawn. A call with at least one `mb`-row panel per worker runs one
+//!   panel per task. A call with fewer panels than workers (a decode
+//!   call, `m ≤ 8`) instead splits the staged `B′` into contiguous column
+//!   ranges — row-major column blocks or SELL-C-σ slices — when it holds
+//!   at least `COLUMN_SPLIT_BYTES` (64 KiB) per worker. Each worker
+//!   fills a private buffer for its columns and the caller copies the
+//!   owned columns into `C`, so every element sees the same `+=`
+//!   sequence and V3 stays bit-identical to V1/V2. The paper's
 //!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
 //!   nothing staged online there is nothing for the CPU to double-buffer.
 //!
@@ -65,12 +67,14 @@ use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
 const B_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Staged `B′` bytes each worker must stream before V3 splits a call with
-/// fewer row panels than workers across column ranges. Spawning two
-/// scoped threads costs 30–65 µs on a 2-vCPU AVX-512 host, about the time
-/// one core takes to stream 256–512 KB of `B′`; 1 MiB per worker keeps
-/// the 512² decode layers (256 KB at 2:8) on one thread and splits the
-/// Llama-sized ones (MBs, streamed from DRAM).
-const COLUMN_SPLIT_BYTES: usize = 1 << 20;
+/// fewer row panels than workers across column ranges. On a 2-vCPU
+/// AVX-512 host a call handed to the rayon pool's spinning worker costs
+/// ~1.3 µs end to end (~2.5 µs on the caller when the worker is parked
+/// and the caller ends up running every part), about the time one core
+/// takes to stream 40 KB of cache-resident `B′`. 64 KiB per worker splits
+/// the 512² decode layers (256 KB at 2:8) and keeps layers too small to
+/// repay the hand-off, its private buffers and the copy-back on one thread.
+const COLUMN_SPLIT_BYTES: usize = 64 * 1024;
 
 /// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
@@ -1821,8 +1825,8 @@ mod tests {
 
     #[test]
     fn v3_splits_columns_only_when_row_panels_cannot_fill_the_workers() {
-        // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′: one
-        // COLUMN_SPLIT_BYTES floor for each of two workers.
+        // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′: at least one
+        // COLUMN_SPLIT_BYTES floor for each of up to 32 workers.
         let c = cfg(2, 8, 32);
         let t = CpuTiling {
             mb: 8,
@@ -1861,12 +1865,13 @@ mod tests {
             assert_eq!(v1.column_parts(1), 1);
         }
 
-        // A 512² decode layer stages 256 KB at 2:8: below the floor, so
-        // m = 1 runs its single panel on the calling thread.
-        let small = NmSparseMatrix::prune_magnitude(&MatrixF32::random(512, 512, 103), c).unwrap();
+        // A 256² layer stages 64 KB at 2:8: one COLUMN_SPLIT_BYTES floor,
+        // too little for a second worker, so m = 1 runs its single panel
+        // on the calling thread.
+        let small = NmSparseMatrix::prune_magnitude(&MatrixF32::random(256, 256, 103), c).unwrap();
         let v3 = CpuPrepared::with_kernel(NmVersion::V3, &small, t, MicroKernel::scalar()).unwrap();
         let before = splits();
-        spmm_cpu_prepared(&MatrixF32::random(1, 512, 104), &small, &v3).unwrap();
-        assert_eq!(splits() - before, 0, "a 512² layer must stay unsplit");
+        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &small, &v3).unwrap();
+        assert_eq!(splits() - before, 0, "a 256² layer must stay unsplit");
     }
 }

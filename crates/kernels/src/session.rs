@@ -794,9 +794,11 @@ impl PreparedLayer {
     /// panels than workers, as every decode call does) by column ranges,
     /// and the simulated kernels' per-block fan-out — map their batch
     /// serially instead
-    /// ([`BatchRouting::SerialWithin`]): nesting both levels would
-    /// multiply OS threads (the pool has no shared work-stealing
-    /// scheduler) and thrash rather than speed up.
+    /// ([`BatchRouting::SerialWithin`]): the rayon pool runs a parallel
+    /// call nested inside another one inline (it has no work-stealing
+    /// scheduler), so fanning out at both levels would only move the
+    /// parallelism up to the batch, where a batch with fewer members
+    /// than workers leaves threads idle.
     pub fn forward_batch(&self, batch: &[MatrixF32]) -> Result<BatchRun> {
         for (i, a) in batch.iter().enumerate() {
             if a.cols() != self.weights.k() {
@@ -813,7 +815,7 @@ impl PreparedLayer {
             | BackendKind::Cpu(NmVersion::V2)
             | BackendKind::Codegen => BatchRouting::ParallelAcross,
             // CPU V3 and the simulated kernels parallelize inside each
-            // call; batch-level fan-out on top would nest thread pools.
+            // call; under batch-level fan-out those calls would run inline.
             _ => BatchRouting::SerialWithin,
         };
         let t0 = std::time::Instant::now();

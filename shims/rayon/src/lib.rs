@@ -2,20 +2,35 @@
 //! environment; see `shims/README.md`).
 //!
 //! Covers the surface this workspace uses and keeps it genuinely parallel
-//! with `std::thread::scope` instead of a work-stealing pool:
+//! on a persistent worker pool instead of a work-stealing one:
 //!
-//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — each worker thread
-//!   owns a contiguous run of chunks,
+//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — each part owns a
+//!   contiguous run of chunks,
 //! * `range.into_par_iter().map(f).collect()` / `.for_each(f)` — the index
-//!   space is split into one contiguous span per worker.
+//!   space is split into one contiguous span per part.
 //!
-//! Work is split eagerly into one span per worker (`available_parallelism()`,
+//! Work is split eagerly into one part per worker (`available_parallelism()`,
 //! read once per process), which is the right shape for the regular,
-//! equal-cost blocks these kernels produce.
+//! equal-cost blocks these kernels produce. The first parallel call starts
+//! `current_num_threads() − 1` workers that live for the process, as real
+//! rayon's global registry does. Each call publishes one job; the workers
+//! and the caller claim its parts from a shared counter, and the caller
+//! returns once every part is done. Idle workers spin for `SPIN_WINDOW`
+//! and then park on a condvar.
+//!
+//! A call runs inline on the caller, part by part in order, when only one
+//! thread is available or another job is in flight — which includes a
+//! parallel call nested inside a part, so nesting never deadlocks. A panic
+//! in any part is re-raised on the caller once every part is done, and the
+//! pool stays usable.
 
+use std::any::Any;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Global worker cap installed by [`ThreadPoolBuilder::build_global`];
 /// `0` means uncapped (use the hardware parallelism).
@@ -24,6 +39,16 @@ static GLOBAL_THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
 /// Whether [`ThreadPoolBuilder::build_global`] already ran (it is
 /// first-wins, like real rayon's global pool initialization).
 static GLOBAL_POOL_BUILT: AtomicUsize = AtomicUsize::new(0);
+
+/// How long an idle worker, or a caller waiting on the workers' last
+/// parts, spins before it parks. On a 2-vCPU AVX-512 host a two-part call
+/// taken up by a spinning worker costs ~1.3 µs end to end, while a parked
+/// worker joins 8–27 µs after the publish. 50 µs covers the glue between
+/// consecutive kernel calls of a decode step (99.8% of those gaps in a
+/// traced half-Llama decode run, p99 35 µs), so the worker is still
+/// spinning when the next call comes; a worker that finds no job in that
+/// window parks and stops competing with other threads for the cores.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// The hardware parallelism, read once per process: real rayon sizes its
 /// pool once, and `available_parallelism` is not free (on Linux it reads
@@ -37,8 +62,8 @@ fn hardware_threads() -> usize {
     })
 }
 
-/// The number of worker threads the shim will fan out to at most —
-/// mirrors `rayon::current_num_threads`.
+/// The number of threads (the caller included) a parallel call fans out
+/// to at most — mirrors `rayon::current_num_threads`.
 pub fn current_num_threads() -> usize {
     let hw = hardware_threads();
     match GLOBAL_THREAD_CAP.load(Ordering::Relaxed) {
@@ -61,9 +86,9 @@ impl std::fmt::Display for ThreadPoolBuildError {
 impl std::error::Error for ThreadPoolBuildError {}
 
 /// Mirror of `rayon::ThreadPoolBuilder`, reduced to the one knob the shim
-/// can honor: a cap on how many worker threads a parallel call fans out
-/// to. The shim spawns scoped threads per call rather than keeping a
-/// pool, so the cap is the entire configuration.
+/// can honor: a cap on how many threads a parallel call fans out to. The
+/// cap bounds how many parts a call is split into, so it holds even when
+/// the pool was started before the cap was installed.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -93,14 +118,198 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// Number of worker threads to fan out to for `n` independent items.
-fn workers_for(n: usize) -> usize {
-    current_num_threads().min(n).max(1)
+/// One parallel call: `parts` indices handed out from `next`, each run
+/// through the caller's closure exactly once.
+struct Job {
+    /// The caller's closure, its lifetime erased. Dereferenced only by
+    /// [`Job::work`], after claiming a part (see the `SAFETY` note there).
+    f: *const (dyn Fn(usize) + Sync),
+    parts: usize,
+    /// The next unclaimed part; claims past `parts` find nothing to do.
+    next: AtomicUsize,
+    /// Parts finished. The caller returns only once it reaches `parts`.
+    done: AtomicUsize,
+    /// The first panic payload of any part, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Unparked by whichever thread finishes the last part.
+    caller: Thread,
 }
 
-/// Split `0..n` into at most `parts` contiguous, near-equal spans.
-fn spans(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.min(n).max(1);
+// SAFETY: `f` points at a `Sync` closure, so sharing it across threads is
+// sound while it lives, and `Job::work` dereferences it only while the
+// caller is still inside `run` (see there). Every other field is `Send +
+// Sync` on its own.
+unsafe impl Send for Job {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for Job {}
+
+impl Job {
+    /// Claim and run parts until none are left.
+    fn work(&self) {
+        loop {
+            let p = self.next.fetch_add(1, Ordering::Relaxed);
+            if p >= self.parts {
+                return;
+            }
+            // SAFETY: `p < parts`, and part `p` is counted in `done` only
+            // after this call returns, so `done < parts` until then. The
+            // caller does not leave `run` — and the closure `f` borrows
+            // from its frame stays alive — before `done` reaches `parts`.
+            let f = unsafe { &*self.f };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(p))) {
+                self.panic
+                    .lock()
+                    .expect("panic slot lock is never held across a part")
+                    .get_or_insert(payload);
+            }
+            // Release pairs with the caller's Acquire load of `done`: the
+            // part's writes are visible once the caller sees it counted.
+            if self.done.fetch_add(1, Ordering::Release) + 1 == self.parts {
+                self.caller.unpark();
+            }
+        }
+    }
+}
+
+/// The process-wide worker pool.
+struct Pool {
+    /// Held by the caller whose job is in flight; any other call (a
+    /// nested one, or another thread's) runs inline.
+    busy: AtomicBool,
+    /// Bumped (under `slot`'s lock) on every publish; idle workers watch it.
+    epoch: AtomicU64,
+    slot: Mutex<Slot>,
+    wake: Condvar,
+}
+
+/// The in-flight job, and how many workers wait on [`Pool::wake`].
+struct Slot {
+    job: Option<Arc<Job>>,
+    sleepers: usize,
+}
+
+/// The pool, started on first use with one worker per thread beyond the
+/// caller's.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        for i in 1..current_num_threads() {
+            // Workers run every part under `catch_unwind` and hold no
+            // lock across one, so they never exit; like real rayon's
+            // registry they live for the process and are never joined.
+            std::thread::Builder::new()
+                .name(format!("rayon-shim-{i}"))
+                .spawn(|| worker(POOL.wait()))
+                .expect("spawn rayon shim worker");
+        }
+        Pool {
+            busy: AtomicBool::new(false),
+            epoch: AtomicU64::new(0),
+            slot: Mutex::new(Slot {
+                job: None,
+                sleepers: 0,
+            }),
+            wake: Condvar::new(),
+        }
+    })
+}
+
+/// A worker's life: wait for a new epoch (spinning for [`SPIN_WINDOW`],
+/// then parked), then help with that epoch's job.
+fn worker(pool: &'static Pool) {
+    let mut seen = 0;
+    loop {
+        let start = Instant::now();
+        while pool.epoch.load(Ordering::Acquire) == seen && start.elapsed() < SPIN_WINDOW {
+            std::hint::spin_loop();
+        }
+        let job = {
+            let mut slot = pool
+                .slot
+                .lock()
+                .expect("pool lock is never held across a part");
+            while pool.epoch.load(Ordering::Acquire) == seen {
+                slot.sleepers += 1;
+                slot = pool
+                    .wake
+                    .wait(slot)
+                    .expect("pool lock is never held across a part");
+                slot.sleepers -= 1;
+            }
+            seen = pool.epoch.load(Ordering::Acquire);
+            slot.job.clone()
+        };
+        if let Some(job) = job {
+            job.work();
+        }
+    }
+}
+
+/// Run `f(p)` once for every part `p` in `0..parts`, on the pool when it
+/// can take the call, else inline in order. Returns once every part is
+/// done; a panic in any part is re-raised here after that.
+fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
+    if parts <= 1 || current_num_threads() <= 1 {
+        return (0..parts).for_each(f);
+    }
+    let pool = pool();
+    if pool
+        .busy
+        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+        .is_err()
+    {
+        return (0..parts).for_each(f);
+    }
+    // SAFETY: only the lifetime is erased (same fat-pointer layout); see
+    // `Job::work` for why the closure outlives every dereference.
+    let f: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(f) };
+    let job = Arc::new(Job {
+        f,
+        parts,
+        next: AtomicUsize::new(0),
+        done: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        caller: std::thread::current(),
+    });
+    {
+        let mut slot = pool
+            .slot
+            .lock()
+            .expect("pool lock is never held across a part");
+        slot.job = Some(job.clone());
+        pool.epoch.fetch_add(1, Ordering::Release);
+        for _ in 0..slot.sleepers.min(parts - 1) {
+            pool.wake.notify_one();
+        }
+    }
+    job.work();
+    let start = Instant::now();
+    while job.done.load(Ordering::Acquire) < parts {
+        if start.elapsed() < SPIN_WINDOW {
+            std::hint::spin_loop();
+        } else {
+            std::thread::park();
+        }
+    }
+    pool.slot
+        .lock()
+        .expect("pool lock is never held across a part")
+        .job = None;
+    pool.busy.store(false, Ordering::Release);
+    let payload = job
+        .panic
+        .lock()
+        .expect("panic slot lock is never held across a part")
+        .take();
+    if let Some(payload) = payload {
+        resume_unwind(payload);
+    }
+}
+
+/// Split `0..n` into one contiguous, near-equal span per thread (at
+/// least one span, at most `n`).
+fn spans(n: usize) -> Vec<(usize, usize)> {
+    let parts = current_num_threads().min(n).max(1);
     let base = n / parts;
     let extra = n % parts;
     let mut out = Vec::with_capacity(parts);
@@ -144,7 +353,7 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
         EnumerateChunksMut { inner: self }
     }
 
-    /// Run `f` on every chunk across worker threads.
+    /// Run `f` on every chunk across the pool.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(&mut [T]) + Sync,
@@ -159,41 +368,30 @@ pub struct EnumerateChunksMut<'a, T> {
 }
 
 impl<T: Send> EnumerateChunksMut<'_, T> {
-    /// Run `f(chunk_index, chunk)` on every chunk across worker threads.
+    /// Run `f(chunk_index, chunk)` on every chunk across the pool.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn((usize, &mut [T])) + Sync,
     {
-        let chunk_size = self.inner.chunk_size;
-        let chunks: Vec<(usize, &mut [T])> = self
-            .inner
-            .slice
-            .chunks_mut(chunk_size)
-            .enumerate()
+        let ParChunksMut { slice, chunk_size } = self.inner;
+        let chunks = slice.len().div_ceil(chunk_size);
+        // Each part owns the elements of its run of chunks; a part runs
+        // once, so its lock is never contended.
+        let mut rest = slice;
+        let parts: Vec<(usize, Mutex<&mut [T]>)> = spans(chunks)
+            .into_iter()
+            .map(|(lo, hi)| {
+                let len = ((hi - lo) * chunk_size).min(rest.len());
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                (lo, Mutex::new(head))
+            })
             .collect();
-        let n = chunks.len();
-        if n <= 1 {
-            for item in chunks {
-                f(item);
-            }
-            return;
-        }
-        let mut buckets: Vec<Vec<(usize, &mut [T])>> = spans(n, workers_for(n))
-            .iter()
-            .map(|_| Vec::new())
-            .collect();
-        let parts = buckets.len();
-        for (i, item) in chunks.into_iter().enumerate() {
-            buckets[i * parts / n.max(1)].push(item);
-        }
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                let f = &f;
-                scope.spawn(move || {
-                    for item in bucket {
-                        f(item);
-                    }
-                });
+        run(parts.len(), &|p| {
+            let (lo, span) = &parts[p];
+            let mut span = span.lock().expect("a part runs once");
+            for (j, chunk) in span.chunks_mut(chunk_size).enumerate() {
+                f((lo + j, chunk));
             }
         });
     }
@@ -233,12 +431,12 @@ impl ParRange {
         }
     }
 
-    /// Run `f` for every index across worker threads.
+    /// Run `f` for every index across the pool.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        self.map(f).run();
+        self.map(f).run_vec();
     }
 }
 
@@ -256,29 +454,19 @@ impl<F> ParMap<F> {
     {
         let lo = self.range.start;
         let n = self.range.end.saturating_sub(lo);
-        if n <= 1 {
-            return self.range.map(self.f).collect();
-        }
         let f = &self.f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = spans(n, workers_for(n))
-                .into_iter()
-                .map(|(a, b)| scope.spawn(move || (lo + a..lo + b).map(f).collect::<Vec<T>>()))
-                .collect();
-            let mut out = Vec::with_capacity(n);
-            for h in handles {
-                out.extend(h.join().expect("rayon shim worker panicked"));
-            }
-            out
-        })
-    }
-
-    fn run<T>(self)
-    where
-        F: Fn(usize) -> T + Sync,
-        T: Send,
-    {
-        let _ = self.run_vec();
+        let spans = spans(n);
+        let outs: Vec<Mutex<Vec<T>>> = spans.iter().map(|_| Mutex::new(Vec::new())).collect();
+        run(spans.len(), &|p| {
+            let (a, b) = spans[p];
+            let got: Vec<T> = (lo + a..lo + b).map(f).collect();
+            *outs[p].lock().expect("a part runs once") = got;
+        });
+        let mut out = Vec::with_capacity(n);
+        for part in outs {
+            out.extend(part.into_inner().expect("a part runs once"));
+        }
+        out
     }
 
     /// Gather results in index order.
@@ -300,6 +488,10 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn par_chunks_mut_visits_every_chunk_once() {
@@ -356,5 +548,211 @@ mod tests {
             }
         });
         assert_eq!(one, [9, 9, 9]);
+        let mut none: [u8; 0] = [];
+        none.par_chunks_mut(4)
+            .for_each(|_| unreachable!("no chunks"));
+    }
+
+    #[test]
+    fn every_part_runs_exactly_once() {
+        for n in [1, 2, 3, 64, 1000] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            (0..n).into_par_iter().for_each(|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "n = {n}"
+            );
+
+            let mut data = vec![0u32; n];
+            data.par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(i, c)| c[0] += i as u32 + 1);
+            let want: Vec<u32> = (1..=n as u32).collect();
+            assert_eq!(data, want, "n = {n}");
+        }
+        // More parts than threads: the caller and workers keep claiming.
+        for parts in [1, 2, 7, 100] {
+            let hits: Vec<AtomicUsize> = (0..parts).map(|_| AtomicUsize::new(0)).collect();
+            super::run(parts, &|p| {
+                hits[p].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "parts = {parts}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_calls_run_inline_with_correct_output() {
+        let got: Vec<Vec<usize>> = (0..8)
+            .into_par_iter()
+            .map(|i| (0..50).into_par_iter().map(|j| i * 100 + j).collect())
+            .collect();
+        for (i, row) in got.iter().enumerate() {
+            let want: Vec<usize> = (0..50).map(|j| i * 100 + j).collect();
+            assert_eq!(row, &want, "row {i}");
+        }
+
+        let mut data = vec![0u32; 64];
+        data.par_chunks_mut(16).enumerate().for_each(|(i, chunk)| {
+            chunk
+                .par_chunks_mut(4)
+                .enumerate()
+                .for_each(|(j, c)| c.fill((i * 4 + j) as u32));
+        });
+        for (e, v) in data.iter().enumerate() {
+            assert_eq!(*v, (e / 4) as u32, "element {e}");
+        }
+
+        // Inline means on the nesting thread, even while another thread
+        // of the pool sits idle: one part is trivial, the other nests.
+        for _ in 0..20 {
+            (0..2).into_par_iter().for_each(|i| {
+                if i == 1 {
+                    let me = std::thread::current().id();
+                    for _ in 0..50 {
+                        let ran_on: Vec<_> = (0..8)
+                            .into_par_iter()
+                            .map(|_| std::thread::current().id())
+                            .collect();
+                        assert!(
+                            ran_on.iter().all(|&t| t == me),
+                            "a nested call left its thread"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    /// A two-part call whose parts wait (up to 100 ms) for each other to
+    /// start, so on the pool one of them runs on a worker. `f` gets
+    /// whether its part runs off the caller's thread; returns whether
+    /// either did — `false` means the call ran inline.
+    fn two_overlapping_parts(f: &(dyn Fn(bool) + Sync)) -> bool {
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let on_worker = AtomicBool::new(false);
+        super::run(2, &|_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_millis(100) {
+                std::hint::spin_loop();
+            }
+            let off_caller = std::thread::current().id() != caller;
+            on_worker.fetch_or(off_caller, Ordering::SeqCst);
+            f(off_caller);
+        });
+        on_worker.load(Ordering::SeqCst)
+    }
+
+    /// Retry `two_overlapping_parts(f)` until a call reaches a worker
+    /// (another test may hold the pool for a while); `false` if none did.
+    fn reaches_a_worker(f: &(dyn Fn(bool) + Sync)) -> bool {
+        (0..50).any(|_| two_overlapping_parts(f))
+    }
+
+    #[test]
+    fn a_panicking_part_re_raises_on_the_caller_and_the_pool_recovers() {
+        // Through the public API: a panic in the last index's part and in
+        // the first's.
+        for bad in [63, 0] {
+            let caught = std::panic::catch_unwind(|| {
+                (0..64).into_par_iter().for_each(|i| {
+                    if i == bad {
+                        panic!("index {i} failed");
+                    }
+                })
+            });
+            let payload = caught.expect_err("the part's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some(format!("index {bad} failed").as_str()));
+        }
+        let got: Vec<usize> = (0..1000).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(got, (1..=1000).collect::<Vec<_>>());
+
+        if crate::current_num_threads() < 2 {
+            return;
+        }
+        // A worker's part panics, then the caller's: each payload reaches
+        // the caller, and the pool still hands the next call to a worker.
+        for worker_side in [true, false] {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                (0..50).find(|_| {
+                    two_overlapping_parts(&|off_caller| {
+                        if off_caller == worker_side {
+                            panic!("share failed");
+                        }
+                    })
+                })
+            }));
+            let payload = caught.expect_err("a pooled call's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"share failed"));
+            assert!(
+                reaches_a_worker(&|_| {}),
+                "after a panic on the {} side the pool must take calls again",
+                if worker_side { "worker" } else { "caller" }
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_both_get_ordered_results() {
+        // Caller A's first index holds its call open until caller B's
+        // whole call has run, so B's call always overlaps A's job.
+        let (started, finished) = (Barrier::new(2), Barrier::new(2));
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| -> Vec<usize> {
+                (0..64)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == 0 {
+                            started.wait();
+                            finished.wait();
+                        }
+                        i * 10
+                    })
+                    .collect()
+            });
+            let b = s.spawn(|| -> Vec<usize> {
+                started.wait();
+                let got = (0..97).into_par_iter().map(|i| i * 10 + 1).collect();
+                finished.wait();
+                got
+            });
+            (a.join().expect("caller A"), b.join().expect("caller B"))
+        });
+        assert_eq!(a, (0..64).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(b, (0..97).map(|i| i * 10 + 1).collect::<Vec<_>>());
+
+        // Unforced: both callers race for the pool on every call.
+        let results: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    s.spawn(move || {
+                        (0..200)
+                            .flat_map(|_| {
+                                let got: Vec<usize> =
+                                    (0..97).into_par_iter().map(|i| i * 10 + t).collect();
+                                got
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller thread"))
+                .collect()
+        });
+        for (t, got) in results.iter().enumerate() {
+            let want: Vec<usize> = (0..200)
+                .flat_map(|_| (0..97).map(move |i| i * 10 + t))
+                .collect();
+            assert_eq!(got, &want, "caller {t}");
+        }
     }
 }
