@@ -21,8 +21,8 @@ const N: usize = 1024;
 const K: usize = 1024;
 
 /// The decode arm's projection, a Llama-7B-width FFN gate at half depth:
-/// 2048×5504 at 2:8 stages 11 MiB of `B′`, far above V3's per-worker
-/// column-split floor.
+/// 2048×5504 at 2:8 stages 11 MiB of `B′`, which V3 splits across
+/// column ranges, one per worker.
 const DECODE_K: usize = 2048;
 const DECODE_N: usize = 5504;
 /// Prepared copies of that layer the arm cycles through: 352 MiB of

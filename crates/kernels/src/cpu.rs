@@ -33,11 +33,11 @@
 //!   spawn. A call with at least one `mb`-row panel per worker runs one
 //!   panel per task. A call with fewer panels than workers (a decode
 //!   call, `m ≤ 8`) instead splits the staged `B′` into contiguous column
-//!   ranges — row-major column blocks or SELL-C-σ slices — when it holds
-//!   at least `COLUMN_SPLIT_BYTES` (64 KiB) per worker. Each worker
-//!   fills a private buffer for its columns and the caller copies the
-//!   owned columns into `C`, so every element sees the same `+=`
-//!   sequence and V3 stays bit-identical to V1/V2. The paper's
+//!   ranges — row-major column blocks or SELL-C-σ slices — one per
+//!   worker, or one per unit when the staging has fewer units than
+//!   workers. Each worker fills a private buffer for its columns and the
+//!   caller copies the owned columns into `C`, so every element sees the
+//!   same `+=` sequence and V3 stays bit-identical to V1/V2. The paper's
 //!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
 //!   nothing staged online there is nothing for the CPU to double-buffer.
 //!
@@ -65,16 +65,6 @@ use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
 /// k-depth [`CpuTiling::derive`] picks keeps the block within this many
 /// bytes so it survives in cache across the panel's row tiles.
 const B_BLOCK_BYTES: usize = 64 * 1024;
-
-/// Staged `B′` bytes each worker must stream before V3 splits a call with
-/// fewer row panels than workers across column ranges. On a 2-vCPU
-/// AVX-512 host a call handed to the rayon pool's spinning worker costs
-/// ~1.3 µs end to end (~2.5 µs on the caller when the worker is parked
-/// and the caller ends up running every part), about the time one core
-/// takes to stream 40 KB of cache-resident `B′`. 64 KiB per worker splits
-/// the 512² decode layers (256 KB at 2:8) and keeps layers too small to
-/// repay the hand-off, its private buffers and the copy-back on one thread.
-const COLUMN_SPLIT_BYTES: usize = 64 * 1024;
 
 /// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
@@ -435,10 +425,10 @@ impl CpuPrepared {
     }
 
     /// How many contiguous column ranges a call with `m` rows splits
-    /// into: 1 (the row panels) unless this is V3, the call has fewer
-    /// `mb`-row panels than rayon workers, and the staged `B′` holds at
-    /// least [`COLUMN_SPLIT_BYTES`] for each extra range. Never more
-    /// ranges than the staging has units (column blocks or slices).
+    /// into: 1 (the row panels) unless this is V3 and the call has fewer
+    /// `mb`-row panels than rayon workers; then one range per worker, but
+    /// never more ranges than the staging has units (column blocks or
+    /// slices).
     fn column_parts(&self, m: usize) -> usize {
         if self.version != NmVersion::V3 {
             return 1;
@@ -451,11 +441,7 @@ impl CpuPrepared {
             StagedFormat::RowMajor(s) => s.jblocks,
             StagedFormat::Sliced(ss) => ss.sm.slices(),
         };
-        let staged_bytes = self.w * self.n * std::mem::size_of::<f32>();
-        workers
-            .min(staged_bytes / COLUMN_SPLIT_BYTES)
-            .min(units)
-            .max(1)
+        workers.min(units).max(1)
     }
 
     /// Reject an operand this preparation was not staged from: shape or
@@ -1825,8 +1811,8 @@ mod tests {
 
     #[test]
     fn v3_splits_columns_only_when_row_panels_cannot_fill_the_workers() {
-        // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′: at least one
-        // COLUMN_SPLIT_BYTES floor for each of up to 32 workers.
+        // n = 1024 stages 16 column blocks of nb = 64, so a one-panel call
+        // splits on any host with two or more workers.
         let c = cfg(2, 8, 32);
         let t = CpuTiling {
             mb: 8,
@@ -1865,13 +1851,14 @@ mod tests {
             assert_eq!(v1.column_parts(1), 1);
         }
 
-        // A 256² layer stages 64 KB at 2:8: one COLUMN_SPLIT_BYTES floor,
-        // too little for a second worker, so m = 1 runs its single panel
-        // on the calling thread.
-        let small = NmSparseMatrix::prune_magnitude(&MatrixF32::random(256, 256, 103), c).unwrap();
-        let v3 = CpuPrepared::with_kernel(NmVersion::V3, &small, t, MicroKernel::scalar()).unwrap();
+        // A layer with one column block (n = nb) has no second range to
+        // hand out, so m = 1 runs its single panel on the calling thread.
+        let narrow = NmSparseMatrix::prune_magnitude(&MatrixF32::random(256, 64, 103), c).unwrap();
+        let v3 =
+            CpuPrepared::with_kernel(NmVersion::V3, &narrow, t, MicroKernel::scalar()).unwrap();
+        assert_eq!(v3.column_parts(1), 1);
         let before = splits();
-        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &small, &v3).unwrap();
-        assert_eq!(splits() - before, 0, "a 256² layer must stay unsplit");
+        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &narrow, &v3).unwrap();
+        assert_eq!(splits() - before, 0, "a one-block layer must stay unsplit");
     }
 }

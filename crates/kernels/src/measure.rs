@@ -4,10 +4,8 @@
 //! The analytic planner ([`crate::plan::Planner`]) picks kernels from the
 //! *GPU* cost model; on the native CPU backend that model is frequently
 //! wrong about the V1→V3 ladder (its V3 pays for shared-memory bandwidth
-//! the host caches don't charge, so its tilings are no host optimum —
-//! `BENCH_pr.json` shows V1 at a measured tiling beating V3 by ~2× on
-//! 512³ shapes). This module supplies the missing
-//! evidence: it benchmarks candidate [`CpuTiling`]s × ladder versions
+//! the host caches don't charge, so its tilings are no host optimum).
+//! This module supplies the missing evidence: it benchmarks candidate [`CpuTiling`]s × ladder versions
 //! **in-place** on the executing host and returns the measured-best as a
 //! [`MeasuredChoice`] the plan cache can persist.
 //!

@@ -13,10 +13,10 @@
 //! read once per process), which is the right shape for the regular,
 //! equal-cost blocks these kernels produce. The first parallel call starts
 //! `current_num_threads() − 1` workers that live for the process, as real
-//! rayon's global registry does. Each call publishes one job; the workers
-//! and the caller claim its parts from a shared counter, and the caller
-//! returns once every part is done. Idle workers spin for `SPIN_WINDOW`
-//! and then park on a condvar.
+//! rayon's global registry does. Each call publishes one job; the caller
+//! and at most `parts − 1` workers claim its parts from a shared counter,
+//! and the caller returns once every part is done. Idle workers spin for
+//! `SPIN_WINDOW` after their last part and then park on a condvar.
 //!
 //! A call runs inline on the caller, part by part in order, when only one
 //! thread is available or another job is in flight — which includes a
@@ -125,6 +125,9 @@ struct Job {
     /// [`Job::work`], after claiming a part (see the `SAFETY` note there).
     f: *const (dyn Fn(usize) + Sync),
     parts: usize,
+    /// Workers still allowed to join: `parts − 1` at the start, since the
+    /// caller works too. Workers that find none left sit the job out.
+    seats: AtomicUsize,
     /// The next unclaimed part; claims past `parts` find nothing to do.
     next: AtomicUsize,
     /// Parts finished. The caller returns only once it reaches `parts`.
@@ -144,6 +147,29 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
+    /// A job running `f` over `parts` parts for the current thread.
+    fn new(parts: usize, f: &(dyn Fn(usize) + Sync)) -> Self {
+        // SAFETY: only the lifetime is erased (same fat-pointer layout);
+        // see `Job::work` for why the closure outlives every dereference.
+        let f: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(f) };
+        Job {
+            f,
+            parts,
+            seats: AtomicUsize::new(parts.saturating_sub(1)),
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            caller: std::thread::current(),
+        }
+    }
+
+    /// Take one of the job's worker seats; `false` once they are gone.
+    fn take_seat(&self) -> bool {
+        self.seats
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1))
+            .is_ok()
+    }
+
     /// Claim and run parts until none are left.
     fn work(&self) {
         loop {
@@ -214,13 +240,16 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// A worker's life: wait for a new epoch (spinning for [`SPIN_WINDOW`],
-/// then parked), then help with that epoch's job.
+/// A worker's life: wait for a new epoch (spinning until [`SPIN_WINDOW`]
+/// after its last part, then parked), then help with that epoch's job if
+/// it gets a seat.
 fn worker(pool: &'static Pool) {
     let mut seen = 0;
+    // A job the worker sits out does not restart its spin window, so
+    // workers beyond a call's parts go on to park.
+    let mut idle_since = Instant::now();
     loop {
-        let start = Instant::now();
-        while pool.epoch.load(Ordering::Acquire) == seen && start.elapsed() < SPIN_WINDOW {
+        while pool.epoch.load(Ordering::Acquire) == seen && idle_since.elapsed() < SPIN_WINDOW {
             std::hint::spin_loop();
         }
         let job = {
@@ -239,8 +268,9 @@ fn worker(pool: &'static Pool) {
             seen = pool.epoch.load(Ordering::Acquire);
             slot.job.clone()
         };
-        if let Some(job) = job {
+        if let Some(job) = job.filter(|job| job.take_seat()) {
             job.work();
+            idle_since = Instant::now();
         }
     }
 }
@@ -260,17 +290,7 @@ fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
     {
         return (0..parts).for_each(f);
     }
-    // SAFETY: only the lifetime is erased (same fat-pointer layout); see
-    // `Job::work` for why the closure outlives every dereference.
-    let f: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(f) };
-    let job = Arc::new(Job {
-        f,
-        parts,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        caller: std::thread::current(),
-    });
+    let job = Arc::new(Job::new(parts, f));
     {
         let mut slot = pool
             .slot
@@ -491,6 +511,7 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
+    use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -609,9 +630,13 @@ mod tests {
 
         // Inline means on the nesting thread, even while another thread
         // of the pool sits idle: one part is trivial, the other nests.
+        // Only a call nested in a pooled part must stay inline; when the
+        // outer call itself ran inline (another test held the pool), the
+        // nested one may take the pool.
+        let caller = std::thread::current().id();
         for _ in 0..20 {
             (0..2).into_par_iter().for_each(|i| {
-                if i == 1 {
+                if i == 1 && pooled_for(caller) {
                     let me = std::thread::current().id();
                     for _ in 0..50 {
                         let ran_on: Vec<_> = (0..8)
@@ -628,18 +653,35 @@ mod tests {
         }
     }
 
+    /// Whether the pool's in-flight job is `caller`'s, i.e. whether a
+    /// call `caller` is making went to the pool rather than inline.
+    fn pooled_for(caller: ThreadId) -> bool {
+        super::pool()
+            .slot
+            .lock()
+            .expect("pool lock")
+            .job
+            .as_ref()
+            .is_some_and(|job| job.caller.id() == caller)
+    }
+
     /// A two-part call whose parts wait (up to 100 ms) for each other to
-    /// start, so on the pool one of them runs on a worker. `f` gets
-    /// whether its part runs off the caller's thread; returns whether
-    /// either did — `false` means the call ran inline.
+    /// start when the call went to the pool, so one of them runs on a
+    /// worker; an inline call does not wait. `f` gets whether its part
+    /// runs off the caller's thread; returns whether either did — `false`
+    /// means the call ran inline.
     fn two_overlapping_parts(f: &(dyn Fn(bool) + Sync)) -> bool {
         let caller = std::thread::current().id();
         let started = AtomicUsize::new(0);
         let on_worker = AtomicBool::new(false);
         super::run(2, &|_| {
             started.fetch_add(1, Ordering::SeqCst);
+            let pooled = pooled_for(caller);
             let t0 = Instant::now();
-            while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_millis(100) {
+            while pooled
+                && started.load(Ordering::SeqCst) < 2
+                && t0.elapsed() < Duration::from_millis(100)
+            {
                 std::hint::spin_loop();
             }
             let off_caller = std::thread::current().id() != caller;
@@ -650,9 +692,17 @@ mod tests {
     }
 
     /// Retry `two_overlapping_parts(f)` until a call reaches a worker
-    /// (another test may hold the pool for a while); `false` if none did.
+    /// (another test may hold the pool for a while); `false` if none did
+    /// within 10 s.
     fn reaches_a_worker(f: &(dyn Fn(bool) + Sync)) -> bool {
-        (0..50).any(|_| two_overlapping_parts(f))
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_secs(10) {
+            if two_overlapping_parts(f) {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
     }
 
     #[test]
@@ -681,12 +731,10 @@ mod tests {
         // the caller, and the pool still hands the next call to a worker.
         for worker_side in [true, false] {
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                (0..50).find(|_| {
-                    two_overlapping_parts(&|off_caller| {
-                        if off_caller == worker_side {
-                            panic!("share failed");
-                        }
-                    })
+                reaches_a_worker(&|off_caller| {
+                    if off_caller == worker_side {
+                        panic!("share failed");
+                    }
                 })
             }));
             let payload = caught.expect_err("a pooled call's panic reaches the caller");
@@ -696,6 +744,22 @@ mod tests {
                 "after a panic on the {} side the pool must take calls again",
                 if worker_side { "worker" } else { "caller" }
             );
+        }
+    }
+
+    #[test]
+    fn a_job_seats_at_most_parts_minus_one_workers() {
+        for parts in [1, 2, 3, 8] {
+            let job = super::Job::new(parts, &|_| {});
+            let seated = std::thread::scope(|s| {
+                let takers: Vec<_> = (0..10).map(|_| s.spawn(|| job.take_seat())).collect();
+                takers
+                    .into_iter()
+                    .map(|t| t.join().expect("seat taker"))
+                    .filter(|&seated| seated)
+                    .count()
+            });
+            assert_eq!(seated, parts - 1, "parts = {parts}");
         }
     }
 

@@ -95,10 +95,10 @@ fn spmv_prepared_matches_the_oracle_through_every_isa() {
 
 #[test]
 fn v3_column_split_is_bit_identical_to_v1_above_the_floor() {
-    // k = 2048, n = 1024 at 2:8 stages 2 MiB of B′, far above the 64 KiB
-    // split floor per worker: with two or more workers, V3 splits these
-    // one-panel calls across column blocks (row-major) or slices (sliced)
-    // instead of running them on one thread.
+    // k = 2048, n = 1024 at 2:8 stages many column blocks and slices:
+    // with two or more workers, V3 splits these one-panel calls across
+    // column blocks (row-major) or slices (sliced) instead of running
+    // them on one thread.
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let (k, n) = (2048, 1024);
     let b = MatrixF32::random(k, n, 4900);
