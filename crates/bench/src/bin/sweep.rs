@@ -22,7 +22,6 @@
 use gpu_sim::device::{a100_80g, a100_ncu_locked, rtx3090, rtx4090, DeviceConfig};
 use gpu_sim::energy;
 use nm_bench::{pct, spd, TextTable};
-use nm_kernels::plan::version_name;
 use nm_kernels::{AutotuneMode, BackendKind, NmSpmmKernel, NmVersion, Session, SessionBuilder};
 use nm_workloads::gen::{ProblemInstance, ProblemSpec};
 use nm_workloads::levels::{benchmark_levels, label};
@@ -279,7 +278,6 @@ fn llama_sweep(args: &Args, session: &mut Session, model_name: &str) {
                 "CPU ms",
                 "CPU dense ms",
                 "measured ms",
-                "picked",
                 "|sim-cpu|",
             ]);
             for l in &report.layers {
@@ -291,9 +289,6 @@ fn llama_sweep(args: &Args, session: &mut Session, model_name: &str) {
                         format!("{:.1}", e.cpu_dense_ms),
                         e.measured_ms
                             .map(|ms| format!("{ms:.1}"))
-                            .unwrap_or_else(|| "-".into()),
-                        e.measured_version
-                            .map(|v| version_name(v).to_string())
                             .unwrap_or_else(|| "-".into()),
                         format!("{:.2e}", e.sim_vs_cpu_max_diff),
                     ]);

@@ -36,7 +36,7 @@ use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
 
-use crate::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
+use crate::cpu::{spmm_cpu_prepared, CpuPrepared};
 use crate::nm::{NmSpmmKernel, NmVersion};
 use crate::nmsparse::NmSparseKernel;
 use crate::plan::{EstimateSummary, KernelChoice, Plan};
@@ -411,46 +411,26 @@ impl ExecBackend for CpuBackend {
     }
 
     /// The offline step: tile sizes derived from the plan's auto-tuned
-    /// blocking ([`CpuTiling::derive`]), `B′` staged block-contiguously
-    /// (the kernel gathers `A` in place, so nothing else is staged), and
-    /// the micro-kernel selected once ([`crate::simd::MicroKernel::select`],
-    /// unless this backend pins one). A blocking that cannot drive the CPU
-    /// tiles — e.g. `ns` not a multiple of the operand's vector length
-    /// `L` — is a structured [`NmError::InvalidBlocking`].
+    /// blocking ([`CpuTiling::derive`](crate::cpu::CpuTiling::derive)),
+    /// `B′` staged block-contiguously (the kernel gathers `A` in place, so
+    /// nothing else is staged), and the micro-kernel selected once
+    /// ([`crate::simd::MicroKernel::select`], unless this backend pins
+    /// one). A blocking that cannot drive the CPU tiles — e.g. `ns` not a
+    /// multiple of the operand's vector length `L` — is a structured
+    /// [`NmError::InvalidBlocking`].
     ///
-    /// A plan carrying **measured** evidence for this ladder step
-    /// overrides the cost-model derivation: the preparation stages with
-    /// the tile geometry that actually measured fastest on this host
-    /// (provided it is window-aligned for these weights — `load_planned`
-    /// allows executing a plan against a differently configured operand,
-    /// in which case the derivation fallback applies).
+    /// On the V3 backend, a plan carrying **measured** evidence overrides
+    /// the cost-model derivation: the preparation stages with the tile
+    /// geometry and storage format that actually measured fastest on this
+    /// host (see `CpuPrepared::for_plan`). The V1/V2 ablation steps keep
+    /// the cost-model derivation.
     fn prepare(
         &self,
         _dev: &DeviceConfig,
         plan: &Plan,
         sb: &NmSparseMatrix,
     ) -> Result<Box<dyn PreparedState>> {
-        let cfg = sb.cfg();
-        let measured = plan
-            .measured
-            .as_ref()
-            .filter(|m| m.ladder_version == self.version);
-        let measured_tiling = measured
-            .map(|m| m.cpu_tiling)
-            .filter(|t| t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m));
-        let tiling = match measured_tiling {
-            Some(t) => t,
-            None => CpuTiling::derive(plan.params, cfg, sb.k())?,
-        };
-        // The storage format follows the same evidence rule as the tile
-        // geometry: measured evidence for *this* ladder step wins,
-        // otherwise the plan key's lane (row-major on the auto lane, the
-        // pinned layout on a pinned one).
-        let format = measured.map(|m| m.storage).unwrap_or(plan.key.storage);
-        let prep = match self.kernel {
-            Some(k) => CpuPrepared::with_format(self.version, sb, tiling, k, format)?,
-            None => CpuPrepared::new_with_format(self.version, sb, tiling, format)?,
-        };
+        let prep = CpuPrepared::for_plan(self.version, plan, sb, self.kernel)?;
         Ok(Box::new(prep))
     }
 
@@ -644,7 +624,7 @@ mod tests {
             .unwrap();
         assert!(run.c.allclose(&expect, 1e-3, 1e-4));
 
-        // Measured evidence for this ladder step carries the format too.
+        // Measured evidence carries the format too.
         let auto = Planner::new(dev.clone())
             .plan_as(ShapeClass::Decode(1), 1, 128, 128, cfg)
             .unwrap();
@@ -659,9 +639,7 @@ mod tests {
             isa: MicroKernel::select().unwrap().isa().name().to_string(),
             threads: rayon::current_num_threads(),
         };
-        let mut choice = outcome.best;
-        choice.ladder_version = NmVersion::V3;
-        let measured = auto.with_measured(host, choice).unwrap();
+        let measured = auto.with_measured(host, outcome.best).unwrap();
         let state = backend.prepare(&dev, &measured, &sb).unwrap();
         let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
         assert_eq!(prep.format(), pin, "measured storage wins on the auto lane");

@@ -37,7 +37,7 @@ use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
 
 use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
-use crate::cpu::{packed_class, rowmajor_fast_flags, CpuPrepared, CpuTiling};
+use crate::cpu::{packed_class, rowmajor_fast_flags, CpuPrepared};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
@@ -401,33 +401,17 @@ impl ExecBackend for CodegenBackend {
         BackendKind::Codegen
     }
 
-    /// The offline step: resolve tiles and storage exactly as the V3 CPU
-    /// backend would (measured evidence for V3 wins, cost-model
-    /// derivation otherwise), stage the twin preparation, then lower,
-    /// emit and validate the WGSL kernel.
+    /// The offline step: stage the twin preparation exactly as the V3 CPU
+    /// backend would (`CpuPrepared::for_plan`: measured evidence wins,
+    /// cost-model derivation otherwise), then lower, emit and validate the
+    /// WGSL kernel.
     fn prepare(
         &self,
         _dev: &DeviceConfig,
         plan: &Plan,
         sb: &NmSparseMatrix,
     ) -> Result<Box<dyn PreparedState>> {
-        let cfg = sb.cfg();
-        let measured = plan
-            .measured
-            .as_ref()
-            .filter(|m| m.ladder_version == NmVersion::V3);
-        let measured_tiling = measured
-            .map(|m| m.cpu_tiling)
-            .filter(|t| t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m));
-        let tiling = match measured_tiling {
-            Some(t) => t,
-            None => CpuTiling::derive(plan.params, cfg, sb.k())?,
-        };
-        let format = measured.map(|m| m.storage).unwrap_or(plan.key.storage);
-        let twin = match self.kernel {
-            Some(k) => CpuPrepared::with_format(NmVersion::V3, sb, tiling, k, format)?,
-            None => CpuPrepared::new_with_format(NmVersion::V3, sb, tiling, format)?,
-        };
+        let twin = CpuPrepared::for_plan(NmVersion::V3, plan, sb, self.kernel)?;
         Ok(Box::new(CodegenPrepared::build(plan, sb, twin)?))
     }
 

@@ -42,7 +42,7 @@
 //!   nothing staged online there is nothing for the CPU to double-buffer.
 //!
 //! Tile sizes are not invented here: [`CpuTiling::derive`] maps a
-//! [`Plan`](crate::plan::Plan)'s auto-tuned [`BlockingParams`] onto the CPU
+//! [`Plan`]'s auto-tuned [`BlockingParams`] onto the CPU
 //! (`mb = ms`, `nb = ns`, `mt = mt`), so the planner's blocking decision
 //! drives both backends. A blocking that cannot drive the CPU tiles (e.g.
 //! `ns` not a multiple of the vector length `L`, possible when the autotuner
@@ -59,6 +59,7 @@ use std::ops::Range;
 
 use crate::nm::NmVersion;
 use crate::params::BlockingParams;
+use crate::plan::Plan;
 use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
 
 /// Cache-capacity target for one staged `B′` block (`ub × nb` floats): the
@@ -372,6 +373,29 @@ impl CpuPrepared {
         })
     }
 
+    /// The CPU and codegen backends' offline step: prepare `sb` for a
+    /// `version` run of `plan`. Measurement times V3 only, so only a V3
+    /// preparation takes the plan's measured tiling (when window-aligned
+    /// for these weights) and storage format; otherwise the tiling is
+    /// [`CpuTiling::derive`]d and the format is the key's lane. `kernel`
+    /// pins the micro-kernel; `None` runs [`MicroKernel::select`].
+    pub(crate) fn for_plan(
+        version: NmVersion,
+        plan: &Plan,
+        sb: &NmSparseMatrix,
+        kernel: Option<MicroKernel>,
+    ) -> Result<Self> {
+        let cfg = sb.cfg();
+        let measured = plan.measured.filter(|_| version == NmVersion::V3);
+        let tiling = match measured.map(|m| m.cpu_tiling) {
+            Some(t) if t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m) => t,
+            _ => CpuTiling::derive(plan.params, cfg, sb.k())?,
+        };
+        let format = measured.map_or(plan.key.storage, |m| m.storage);
+        let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
+        Self::with_format(version, sb, tiling, kernel, format)
+    }
+
     /// The ladder step this preparation serves.
     pub fn version(&self) -> NmVersion {
         self.version
@@ -523,7 +547,12 @@ pub fn spmm_cpu_prepared(
     if m == 0 || n == 0 || k == 0 {
         return Ok(c);
     }
-    let tiling = prep.tiling;
+    // A panel never holds more than `m` rows, so this clamp changes no
+    // arithmetic; it bounds `mb × n` even for a doctored cached tiling.
+    let tiling = CpuTiling {
+        mb: prep.tiling.mb.min(m),
+        ..prep.tiling
+    };
     let mk = prep.kernel;
     // Gather indices of the final window may legitimately reach the padded
     // tail `[k, k_pad)`; both stagings gather those from a zero-padded copy
@@ -1039,11 +1068,13 @@ fn run_panel(
     let (nb, ub) = (staged.nb, staged.ub);
     let kb = ub * cfg.m / cfg.n;
     let qs = nb / cfg.l;
+    // A general tile never spans more rows than the panel holds.
+    let mt = t.mt.min(rows);
 
     let mut scratch = Scratch {
         idx: vec![0u32; ub * qs],
-        acc: vec![0f32; t.mt.max(MW) * nb],
-        av: vec![0f32; t.mt.max(MW)],
+        acc: vec![0f32; mt.max(MW) * nb],
+        av: vec![0f32; mt.max(MW)],
     };
     for jbi in jbis {
         let jb = jbi * nb;
@@ -1091,7 +1122,7 @@ fn run_panel(
                 j_lo,
                 j_hi,
                 rows,
-                t.mt,
+                mt,
                 fast,
                 c_panel,
                 &mut scratch.acc,

@@ -1,13 +1,14 @@
 //! Measured autotuning: a criterion-style short-run harness for the
-//! native CPU ladder.
+//! native CPU kernel.
 //!
-//! The analytic planner ([`crate::plan::Planner`]) picks kernels from the
+//! The analytic planner ([`crate::plan::Planner`]) picks tilings from the
 //! *GPU* cost model; on the native CPU backend that model is frequently
-//! wrong about the V1→V3 ladder (its V3 pays for shared-memory bandwidth
-//! the host caches don't charge, so its tilings are no host optimum).
-//! This module supplies the missing evidence: it benchmarks candidate [`CpuTiling`]s × ladder versions
-//! **in-place** on the executing host and returns the measured-best as a
-//! [`MeasuredChoice`] the plan cache can persist.
+//! wrong (its V3 pays for shared-memory bandwidth the host caches don't
+//! charge, so its tilings are no host optimum). This module supplies the
+//! missing evidence: it benchmarks candidate [`CpuTiling`]s × `B′` storage
+//! formats of the V3 kernel — the ladder's last step, the one a session
+//! executes — **in-place** on the executing host and returns the
+//! measured-best as a [`MeasuredChoice`] the plan cache can persist.
 //!
 //! ## What is (and is not) inside the timed window
 //!
@@ -24,12 +25,13 @@
 //!
 //! ## Modes
 //!
-//! [`AutotuneMode`] scales the search: `Quick` times the three ladder
-//! versions at the plan-derived tiling; `Full` adds tile-geometry
-//! variants around it. `Off` disables measurement entirely (the
-//! cost-model default). The `NM_SPMM_AUTOTUNE` environment variable
-//! selects a mode process-wide and is validated strictly — an
-//! unrecognized value is a structured error, never a silent `Off`.
+//! [`AutotuneMode`] scales the search: `Quick` times the plan-derived
+//! tiling (plus the skinny geometries of a decode key) in every candidate
+//! storage format; `Full` adds tile-geometry variants around it. `Off`
+//! disables measurement entirely (the cost-model default). The
+//! `NM_SPMM_AUTOTUNE` environment variable selects a mode process-wide
+//! and is validated strictly — an unrecognized value is a structured
+//! error, never a silent `Off`.
 
 use crate::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use crate::nm::NmVersion;
@@ -54,8 +56,9 @@ pub enum AutotuneMode {
     /// No measurement: plans come from the analytic cost model only.
     #[default]
     Off,
-    /// Time the V1–V3 ladder at the plan-derived tiling (a handful of
-    /// short runs; the mode CI uses).
+    /// Time V3 at the plan-derived tiling — plus, on decode keys, the
+    /// skinny geometries — in every candidate storage format (a handful
+    /// of short runs; the mode CI uses).
     Quick,
     /// `Quick` plus tile-geometry variants around the plan-derived
     /// tiling.
@@ -149,8 +152,6 @@ impl MeasureSpec {
 /// One candidate's timing evidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredSample {
-    /// The ladder step timed.
-    pub version: NmVersion,
     /// The (effective, clamped) tile geometry it ran with.
     pub tiling: CpuTiling,
     /// The `B′` storage format it staged.
@@ -162,7 +163,7 @@ pub struct MeasuredSample {
 }
 
 /// The harness result: the winner plus every sample behind it, in
-/// deterministic enumeration order (ladder order, then tiling order).
+/// deterministic enumeration order (tiling order, then format order).
 #[derive(Debug, Clone)]
 pub struct MeasureOutcome {
     /// The measured-best choice, ready for
@@ -259,7 +260,7 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
 /// A plan pinned to a specific format (its
 /// [`PlanKey::storage`](crate::plan::PlanKey) is not the row-major auto
 /// lane) measures that format only — the pin is the user's call, the
-/// harness merely finds the best tiling × version for it. On the auto lane,
+/// harness merely finds the best tiling for it. On the auto lane,
 /// decode-class keys compare row-major against the SELL-C-σ sliced grid
 /// (`C ∈ {4, 8, 32}`, `σ ∈ {1, C, 4·C}`); prefill-class keys stay
 /// row-major by default (the prefill staging path is already column-panel
@@ -302,9 +303,10 @@ pub(crate) fn format_candidates_with(
     out
 }
 
-/// Run the short-run harness: benchmark candidate tilings × storage
-/// formats × ladder versions V1–V3 against `sb` for activations of
-/// `rows` rows, and return the measured-best together with every sample.
+/// Run the short-run harness: benchmark the V3 kernel over candidate
+/// tilings × storage formats against `sb` for activations of `rows` rows,
+/// and return the measured-best together with every sample. Every
+/// candidate is timed, even when the grid holds only one.
 ///
 /// Each candidate's offline staging ([`CpuPrepared`]) happens **outside**
 /// its timed window and is reused across all its iterations; candidates
@@ -324,10 +326,7 @@ pub fn measure(
     spec: MeasureSpec,
 ) -> Result<MeasureOutcome> {
     MEASUREMENT_PASSES.with(|c| c.set(c.get() + 1));
-    let kernel = match kernel {
-        Some(k) => k,
-        None => MicroKernel::select()?,
-    };
+    let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
     let rows = rows.max(1);
     let a = MatrixF32::random(rows, sb.k(), MEASURE_SEED);
     let useful_flops = 2.0 * rows as f64 * sb.cols() as f64 * sb.w() as f64;
@@ -336,45 +335,43 @@ pub fn measure(
     let formats = format_candidates(plan);
     let mut samples = Vec::new();
     let mut best: Option<MeasuredSample> = None;
-    for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-        for &tiling in &candidates {
-            for &format in &formats {
-                // Offline: staging + dispatch, excluded from
-                // the clock exactly as in production (`Session::load`).
-                let Ok(prep) = CpuPrepared::with_format(version, sb, tiling, kernel, format) else {
-                    continue;
-                };
-                for _ in 0..spec.warmup_iters {
-                    spmm_cpu_prepared(&a, sb, &prep)?;
-                }
-                let mut seconds = f64::INFINITY;
-                for _ in 0..spec.timed_iters.max(1) {
-                    let t0 = Instant::now();
-                    spmm_cpu_prepared(&a, sb, &prep)?;
-                    seconds = seconds.min(t0.elapsed().as_secs_f64());
-                }
-                let sample = MeasuredSample {
-                    version,
-                    // The *effective* (clamped) geometry, so replaying
-                    // the choice prepares exactly what was measured.
-                    tiling: prep.tiling(),
-                    storage: format,
-                    seconds,
-                    gflops: useful_flops / seconds / 1e9,
-                };
-                samples.push(sample);
-                // Strict `<`: ties keep the earlier (simpler) candidate
-                // — earlier ladder step, row-major before sliced.
-                if best.is_none_or(|b| sample.seconds < b.seconds) {
-                    best = Some(sample);
-                }
+    for &tiling in &candidates {
+        for &format in &formats {
+            // Offline: staging + dispatch, excluded from
+            // the clock exactly as in production (`Session::load`).
+            let Ok(prep) = CpuPrepared::with_format(NmVersion::V3, sb, tiling, kernel, format)
+            else {
+                continue;
+            };
+            for _ in 0..spec.warmup_iters {
+                spmm_cpu_prepared(&a, sb, &prep)?;
+            }
+            let mut seconds = f64::INFINITY;
+            for _ in 0..spec.timed_iters.max(1) {
+                let t0 = Instant::now();
+                spmm_cpu_prepared(&a, sb, &prep)?;
+                seconds = seconds.min(t0.elapsed().as_secs_f64());
+            }
+            let sample = MeasuredSample {
+                // The *effective* (clamped) geometry, so replaying
+                // the choice prepares exactly what was measured.
+                tiling: prep.tiling(),
+                storage: format,
+                seconds,
+                gflops: useful_flops / seconds / 1e9,
+            };
+            samples.push(sample);
+            // Strict `<`: ties keep the earlier (simpler) candidate
+            // — the derived tiling, row-major before sliced.
+            if best.is_none_or(|b| sample.seconds < b.seconds) {
+                best = Some(sample);
             }
         }
     }
     let Some(winner) = best else {
         return Err(NmError::InvalidBlocking {
             reason: format!(
-                "no CPU candidate could prepare for {} (tried {} tilings x {} formats x 3 versions)",
+                "no CPU candidate could prepare for {} (tried {} tilings x {} formats)",
                 plan.key,
                 candidates.len(),
                 formats.len()
@@ -383,7 +380,6 @@ pub fn measure(
     };
     Ok(MeasureOutcome {
         best: MeasuredChoice {
-            ladder_version: winner.version,
             cpu_tiling: winner.tiling,
             storage: winner.storage,
             gflops: winner.gflops,
@@ -469,10 +465,7 @@ mod tests {
         // readings may differ between the two runs.
         assert_eq!(a.samples.len(), b.samples.len());
         for (x, y) in a.samples.iter().zip(&b.samples) {
-            assert_eq!(
-                (x.version, x.tiling, x.storage),
-                (y.version, y.tiling, y.storage)
-            );
+            assert_eq!((x.tiling, x.storage), (y.tiling, y.storage));
             assert!(x.seconds > 0.0 && x.gflops > 0.0);
         }
         assert_eq!(a.best.samples, spec.timed_iters);
@@ -481,7 +474,7 @@ mod tests {
         assert!(a
             .samples
             .iter()
-            .any(|s| s.version == a.best.ladder_version && s.tiling == a.best.cpu_tiling));
+            .any(|s| s.tiling == a.best.cpu_tiling && s.storage == a.best.storage));
     }
 
     #[test]
@@ -512,8 +505,8 @@ mod tests {
         let outcome = measure(&plan, &sb, 1, None, spec).unwrap();
         assert_eq!(
             outcome.samples.len(),
-            quick.len() * formats.len() * 3,
-            "3 ladder steps x formats"
+            quick.len() * formats.len(),
+            "tilings x formats"
         );
     }
 
@@ -593,9 +586,6 @@ mod tests {
         };
         let measured = plan.with_measured(host, outcome.best).unwrap();
         measured.validate().unwrap();
-        assert_eq!(
-            measured.measured.unwrap().ladder_version,
-            outcome.best.ladder_version
-        );
+        assert_eq!(measured.measured, Some(outcome.best));
     }
 }

@@ -468,8 +468,8 @@ impl Provenance {
     }
 }
 
-/// Stable identifier for a ladder version, as written into the JSON
-/// cache and the measured-bench A/B report (`"v1"`/`"v2"`/`"v3"`).
+/// Stable identifier for a ladder version, as written into bench reports
+/// (`"v1"`/`"v2"`/`"v3"`).
 pub fn version_name(v: NmVersion) -> &'static str {
     match v {
         NmVersion::V1 => "v1",
@@ -478,24 +478,11 @@ pub fn version_name(v: NmVersion) -> &'static str {
     }
 }
 
-fn version_from_name(name: &str) -> Result<NmVersion> {
-    match name {
-        "v1" => Ok(NmVersion::V1),
-        "v2" => Ok(NmVersion::V2),
-        "v3" => Ok(NmVersion::V3),
-        other => Err(NmError::Persist {
-            reason: format!("unknown ladder version `{other}`"),
-        }),
-    }
-}
-
 /// The measured-best CPU execution choice carried by a `Measured` plan:
-/// which ladder step to run and with which tile geometry, plus the
-/// evidence (throughput, sample count) that picked it.
+/// the tile geometry and storage format the V3 kernel runs with, plus the
+/// evidence (throughput, sample count) that picked them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredChoice {
-    /// The V1→V3 ladder step that measured fastest.
-    pub ladder_version: NmVersion,
     /// The (effective, clamped) CPU tile geometry it measured fastest
     /// with.
     pub cpu_tiling: CpuTiling,
@@ -646,11 +633,7 @@ impl Plan {
             Err(_) => "no estimate".to_string(),
         };
         let evidence = match &self.measured {
-            Some(m) => format!(
-                " [measured: {} {:.1} GFLOP/s]",
-                version_name(m.ladder_version),
-                m.gflops
-            ),
+            Some(m) => format!(" [measured: {} {:.1} GFLOP/s]", m.storage.tag(), m.gflops),
             None => String::new(),
         };
         format!(
@@ -735,10 +718,6 @@ fn storage_from_json(v: &JsonValue) -> Result<StorageFormat> {
 fn measured_to_json(m: &Option<MeasuredChoice>) -> JsonValue {
     match m {
         Some(m) => JsonValue::object(vec![
-            (
-                "ladder_version",
-                JsonValue::from_str_value(version_name(m.ladder_version)),
-            ),
             ("mb", JsonValue::from_usize(m.cpu_tiling.mb)),
             ("nb", JsonValue::from_usize(m.cpu_tiling.nb)),
             ("kb", JsonValue::from_usize(m.cpu_tiling.kb)),
@@ -755,7 +734,6 @@ fn measured_from_json(v: Option<&JsonValue>) -> Result<Option<MeasuredChoice>> {
     match v {
         None | Some(JsonValue::Null) => Ok(None),
         Some(m) => Ok(Some(MeasuredChoice {
-            ladder_version: version_from_name(m.str_field("ladder_version")?)?,
             cpu_tiling: CpuTiling {
                 mb: m.usize_field("mb")?,
                 nb: m.usize_field("nb")?,
@@ -937,14 +915,16 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
 ///   lane).
 /// * v5 — same schema; CPU V3 splits decode calls across column ranges,
 ///   so measured decode winners recorded before it (V1/V2) are stale.
+/// * v6 — drops `measured.ladder_version`: measurement races tilings and
+///   storage formats of V3 only.
 ///
 /// A document older than [`CACHE_FORMAT_OLDEST`] loads as an empty cache:
 /// every key misses and re-plans, and the next save writes this version.
 /// A newer version is rejected.
-const CACHE_FORMAT_VERSION: usize = 5;
+const CACHE_FORMAT_VERSION: usize = 6;
 
 /// Oldest cache-file version whose plans [`PlanCache::from_json`] loads.
-const CACHE_FORMAT_OLDEST: usize = 5;
+const CACHE_FORMAT_OLDEST: usize = 6;
 
 /// In-memory memo of finished [`Plan`]s with hit/miss accounting and JSON
 /// persistence.
@@ -1534,7 +1514,6 @@ mod tests {
 
     fn demo_measured() -> MeasuredChoice {
         MeasuredChoice {
-            ladder_version: NmVersion::V1,
             cpu_tiling: CpuTiling {
                 mb: 64,
                 nb: 128,
@@ -1623,15 +1602,24 @@ mod tests {
 
     #[test]
     fn stale_documents_load_empty_and_newer_versions_fail() {
-        // Rewrite a v5 document into v4 (same schema), the exact v3 schema
-        // (no storage) and the exact v1 schema (no shape, host, provenance
-        // or measured either) — the serializer is ours, so the surgery is
-        // exact. Each loads as an empty cache, never migrated.
+        // Rewrite a v6 document into v5 (which also recorded a measured
+        // entry's ladder step), v4 (same schema as v6 without evidence),
+        // the exact v3 schema (no storage) and the exact v1 schema (no
+        // shape, host, provenance or measured either) — the serializer is
+        // ours, so the surgery is exact. Each loads empty, never migrated.
         let mut planner = Planner::new(a100_80g());
         let plan = planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
-        let v5 = planner.cache().to_json().unwrap();
-        assert_eq!(PlanCache::from_json(&v5).unwrap().len(), 1);
-        let v4 = v5.replace("\"version\":5", "\"version\":4");
+        let measured = plan.with_measured(demo_host(), demo_measured()).unwrap();
+        let mut with_evidence = planner.cache().clone();
+        with_evidence.insert(measured.clone());
+        let v5 = with_evidence
+            .to_json()
+            .unwrap()
+            .replace("\"version\":6", "\"version\":5")
+            .replace("\"measured\":{", "\"measured\":{\"ladder_version\":\"v1\",");
+        let v6 = planner.cache().to_json().unwrap();
+        assert_eq!(PlanCache::from_json(&v6).unwrap().len(), 1);
+        let v4 = v6.replace("\"version\":6", "\"version\":4");
         let v3 = v4
             .replace("\"version\":4", "\"version\":3")
             .replace("\"storage\":\"rowmajor\",", "");
@@ -1643,21 +1631,23 @@ mod tests {
         assert!(!v3.contains("storage"), "surgery must remove v4 fields");
         assert!(!v1.contains("provenance"), "surgery must remove v2 fields");
         assert!(!v1.contains("shape"), "surgery must remove v3 fields");
-        for doc in [&v1, &v3, &v4] {
+        assert!(v5.contains("ladder_version"), "surgery must add v5 fields");
+        for doc in [&v1, &v3, &v4, &v5] {
             let mut stale = PlanCache::from_json(doc).unwrap();
             assert!(stale.is_empty(), "a stale document loads no plans");
             assert!(stale.lookup(&plan.key).is_none());
-            assert_eq!(stale.misses(), 1, "its keys miss and re-plan");
-            stale.insert(plan.clone());
+            assert!(stale.lookup(&measured.key).is_none());
+            assert_eq!(stale.misses(), 2, "its keys miss and re-plan");
+            stale.insert(measured.clone());
             assert!(
-                stale.to_json().unwrap().contains("\"version\":5"),
+                stale.to_json().unwrap().contains("\"version\":6"),
                 "the next save writes the current version"
             );
         }
-        // A newer version, and a v5 document with a v5 field stripped,
+        // A newer version, and a v6 document with a v6 field stripped,
         // still fail.
-        let v99 = v5.replace("\"version\":5", "\"version\":99");
-        let stripped = v5.replace("\"storage\":\"rowmajor\",", "");
+        let v99 = v6.replace("\"version\":6", "\"version\":99");
+        let stripped = v6.replace("\"storage\":\"rowmajor\",", "");
         for doc in [&v99, &stripped] {
             assert!(matches!(
                 PlanCache::from_json(doc),

@@ -174,8 +174,10 @@ impl SessionBuilder {
     /// the default backend is the native CPU ladder: `Off` executes the
     /// cost-model plan as-is, `Quick`/`Full` run the
     /// [`measure`](mod@crate::measure) harness on a cache miss and persist
-    /// the measured-best ladder version and tiling through the plan
-    /// cache, keyed by `(host ISA, thread count, shape class, N:M)`.
+    /// the measured-best V3 tiling and storage format through the plan
+    /// cache, keyed by `(host ISA, thread count, shape class, N:M)`. A
+    /// measured load always executes V3, whichever ladder step the
+    /// session's default CPU backend names.
     ///
     /// An explicit mode overrides the `NM_SPMM_AUTOTUNE` environment
     /// variable; without either, measurement is off.
@@ -474,8 +476,8 @@ impl Session {
     ///    measured entry scoped to this host (ISA + thread count); on a
     ///    miss, run the [`measure`](mod@crate::measure) harness, persist
     ///    the winner through the cache's backing file (when one is
-    ///    configured), and prepare on the measured-best ladder version
-    ///    and tiling. An explicit [`LoadSpec::backend`] never measures —
+    ///    configured), and prepare V3 on the measured-best tiling and
+    ///    storage format. An explicit [`LoadSpec::backend`] never measures —
     ///    the same contract `load` vs `load_on` always had.
     ///
     /// # Errors
@@ -571,10 +573,7 @@ impl Session {
         // measured cache key, so a cache file moved to a different
         // machine (or a different worker-count run) misses instead of
         // replaying foreign evidence.
-        let kernel = match self.kernel {
-            Some(k) => k,
-            None => MicroKernel::select()?,
-        };
+        let kernel = self.kernel.map_or_else(MicroKernel::select, Ok)?;
         let host = PlanHost {
             isa: kernel.isa().name().to_string(),
             threads: rayon::current_num_threads(),
@@ -602,12 +601,7 @@ impl Session {
         if let (Some(f), Some(m)) = (pin, plan.measured.as_mut()) {
             m.storage = f;
         }
-        let version = plan
-            .measured
-            .as_ref()
-            .map(|m| m.ladder_version)
-            .unwrap_or(NmVersion::V3);
-        self.prepare_layer(plan, weights, BackendKind::Cpu(version))
+        self.prepare_layer(plan, weights, BackendKind::Cpu(NmVersion::V3))
     }
 
     /// Convenience for per-layer backend selection:

@@ -110,9 +110,6 @@ pub struct ExecReport {
     /// — the evidence-based lane. `None` when the session's
     /// [`AutotuneMode`] is `Off`.
     pub measured_ms: Option<f64>,
-    /// The ladder step the measured plan picked for this host (`None`
-    /// when autotuning is off).
-    pub measured_version: Option<NmVersion>,
     /// Wall milliseconds of one prepared decode step (`m = 1`,
     /// `forward_vec` on the native CPU ladder) against the scaled
     /// weights; `None` unless [`SweepOptions::decode`] was set.
@@ -324,19 +321,15 @@ pub fn sweep_model(
             let cpu_dense_ms = dense_layer.forward(&a)?.wall_seconds * 1e3;
 
             // Measured-autotune lane: when the session measures, load the
-            // scaled layer through the evidence-based CPU path and record
-            // what the measurement picked. Plans (and the measured cache
+            // scaled layer through the evidence-based CPU path and time
+            // it. Plans (and the measured cache
             // entries) for the scaled shapes are separate keys, so the
             // full-size planning accounting above stays untouched.
-            let (measured_ms, measured_version) = if session.autotune() != AutotuneMode::Off {
+            let measured_ms = if session.autotune() != AutotuneMode::Off {
                 let measured = session.load(sb.clone(), me)?;
-                let run = measured.forward(&a)?;
-                (
-                    Some(run.wall_seconds * 1e3),
-                    measured.plan().measured.map(|m| m.ladder_version),
-                )
+                Some(measured.forward(&a)?.wall_seconds * 1e3)
             } else {
-                (None, None)
+                None
             };
 
             // One decode step for real: the first activation row through
@@ -373,7 +366,6 @@ pub fn sweep_model(
                 cpu_dense_ms,
                 sim_vs_cpu_max_diff: run.c.max_abs_diff(&c_cpu),
                 measured_ms,
-                measured_version,
                 decode_ms,
                 decode_vs_cpu_max_diff,
             });

@@ -6,11 +6,14 @@
 //!   is a counted plan-cache hit), both within one session and across
 //!   file-backed sessions sharing a cache path,
 //! * **evidence-carrying plans** — the prepared layer's plan records
-//!   `Measured` provenance and the winning ladder version/tiling,
+//!   `Measured` provenance and the winning tiling/storage format,
 //! * **numerics** — as a property over arbitrary shapes, configurations
 //!   and seeds, a measured plan's forward pass agrees with the scalar
-//!   reference exactly as tightly as the cost-model plan's does.
+//!   reference exactly as tightly as the cost-model plan's does,
+//! * **robustness** — a plan cache whose measured tiling was doctored
+//!   ends in correct output or a structured error, never an abort.
 
+use nm_spmm::core::sliced::StorageFormat;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::measure::measurement_passes;
 use nm_spmm::kernels::plan::Provenance;
@@ -106,7 +109,7 @@ fn measured_evidence_persists_across_file_backed_sessions() {
         let before = measurement_passes();
         let layer = s.load(sb.clone(), 32).unwrap();
         assert_eq!(measurement_passes(), before + 1);
-        layer.plan().measured.expect("evidence").ladder_version
+        layer.plan().measured.expect("evidence")
     };
 
     // Same host, same cache file: the evidence replays, nothing re-runs.
@@ -124,8 +127,8 @@ fn measured_evidence_persists_across_file_backed_sessions() {
     );
     assert_eq!(layer.plan().provenance, Provenance::Measured);
     assert_eq!(
-        layer.plan().measured.expect("evidence").ladder_version,
-        chosen,
+        layer.plan().measured,
+        Some(chosen),
         "the replayed winner is the persisted one"
     );
 
@@ -144,6 +147,50 @@ fn measured_evidence_persists_across_file_backed_sessions() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A hand-edited cache can carry tile sizes far beyond any call's rows:
+/// a general tile of 2^40 rows (its scratch would be a 128 TiB
+/// allocation) and a panel of 2^52 rows (`mb × n` wraps to 0 at
+/// n = 4096). Loading such a cache must end in correct output or a
+/// structured error — never an abort or a panic.
+#[test]
+fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
+    let cfg = NmConfig::new(2, 8, 32).unwrap();
+    let sb = prune(64, 4096, cfg, 31);
+    let a = MatrixF32::random(16, 64, 32);
+    let expect = spmm_reference(&a, &sb);
+    let session = |path: &PathBuf| {
+        SessionBuilder::new(a100_80g())
+            .autotune(AutotuneMode::Quick)
+            .storage(StorageFormat::RowMajor)
+            .plan_cache(path)
+            .build()
+    };
+    for (mb, mt) in [(None, Some(1usize << 40)), (Some(1 << 52), None)] {
+        let path = tmp_path(&format!("doctored-{mb:?}-{mt:?}.json"));
+        let _ = std::fs::remove_file(&path);
+        let layer = session(&path).unwrap().load(sb.clone(), 16).unwrap();
+        let t = layer.plan().measured.expect("evidence").cpu_tiling;
+        let (mb, mt) = (mb.unwrap_or(t.mb), mt.unwrap_or(t.mt));
+        let entry = |mb, mt| format!("{{\"mb\":{mb},\"nb\":{},\"kb\":{},\"mt\":{mt},", t.nb, t.kb);
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let doctored = doc.replace(&entry(t.mb, t.mt), &entry(mb, mt));
+        assert_ne!(doc, doctored, "the surgery must hit the measured entry");
+        std::fs::write(&path, doctored).unwrap();
+
+        let before = measurement_passes();
+        let loaded = session(&path).and_then(|mut s| s.load(sb.clone(), 16));
+        let _ = std::fs::remove_file(&path);
+        // Rejecting the entry with a structured error is an accepted end.
+        let Ok(layer) = loaded else { continue };
+        assert_eq!(measurement_passes(), before, "the doctored entry replays");
+        let t = layer.plan().measured.expect("evidence").cpu_tiling;
+        assert_eq!((t.mb, t.mt), (mb, mt));
+        if let Ok(run) = layer.forward(&a) {
+            assert!(run.c.allclose(&expect, 1e-3, 1e-4), "mb {mb}, mt {mt}");
+        }
+    }
+}
+
 /// Small valid (N, M, L=32) configurations the CPU ladder's packed and
 /// unpacked paths both see.
 fn arb_cfg() -> impl Strategy<Value = NmConfig> {
@@ -158,7 +205,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For arbitrary shapes and seeds, the plan the measurement picks —
-    /// whatever ladder version and tiling wins on this host — computes
+    /// whatever tiling and storage format wins on this host — computes
     /// the same matrix as the scalar reference.
     #[test]
     fn measured_plans_match_the_reference(

@@ -149,7 +149,7 @@ fn plan_cache_round_trips_the_storage_lane() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains("\"storage\":\"sliced:4:16\""));
     assert!(
-        text.contains("\"version\":5"),
+        text.contains("\"version\":6"),
         "saved at the current format"
     );
     let _ = std::fs::remove_file(&path);
