@@ -11,8 +11,9 @@
 //! a window the natural SELL "row":
 //!
 //! * **slice** — `slice_height` (= `C`) consecutive windows after sorting,
-//!   stored as one dense `w × width` panel whose columns are contiguous
-//!   per compressed row (the slice is what the kernel streams);
+//!   the unit the kernel walks and splits work by. Each window's values
+//!   are stored as one dense `w × L` panel, row-major, so any k-block of
+//!   a window is one contiguous run the kernel streams at unit stride;
 //! * **sort window** — windows are reordered inside disjoint groups of
 //!   `sort_window` (= `σ`) windows. Classic SELL sorts by row length; an
 //!   N:M window always holds exactly `w` entries, so the sort key is the
@@ -27,11 +28,15 @@
 //!   results can be *bit-identical* to the row-major path.
 //!
 //! The built product additionally materializes **absolute** gather indices
-//! (`u32`, one per compressed row per window) so the online kernel skips
-//! the per-call `base + D[u][j]` reconstruction the row-major staging
-//! performs; that is the format's speed, paid for with `4×` the index
-//! bytes of the `u8` row-major `D` ([`SlicedMatrix::storage_bytes`]
+//! (`u32`, one per compressed row per window) so the online kernel never
+//! reconstructs `base + D[u][j]` per call; that is paid for with `4×` the
+//! index bytes of the operand's `u8` `D` ([`SlicedMatrix::storage_bytes`]
 //! reports the honest total).
+//!
+//! The CPU kernel stages *every* layout this way. The paper's row-major
+//! `transformLayout` staging is the degenerate point `σ = 1` (identity
+//! permutation), `C = nb/L` (one slice per `nb`-wide column block, each
+//! of its windows one contiguous panel), plus the gather table.
 
 use crate::error::{NmError, Result};
 use crate::permute::ChannelPermutation;
@@ -110,7 +115,11 @@ impl std::fmt::Display for SlicedLayout {
 /// the measured autotuner picks the winner per host and shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StorageFormat {
-    /// The paper's layout: `B′` row-major, `D` as `u8` window offsets.
+    /// The paper's layout: `B′` in block-contiguous `transformLayout`
+    /// panels, one per `nb`-wide column block and k-block. The CPU kernel
+    /// stages it as the `C = nb/L, σ = 1` [`SlicedLayout`] (unsorted
+    /// slices one column block wide, with absolute `u32` gather indices);
+    /// the generated shaders pack `A` on it where the paper does.
     #[default]
     RowMajor,
     /// SELL-C-σ sliced panels with absolute gather indices.
@@ -185,7 +194,7 @@ impl std::fmt::Display for StorageFormat {
     }
 }
 
-/// The built sliced form: per-slice contiguous value panels, absolute
+/// The built sliced form: per-window contiguous value panels, absolute
 /// gather indices, and the window permutation that produced them.
 ///
 /// Everything here depends only on the weights, never on activations — it
@@ -206,23 +215,21 @@ pub struct SlicedMatrix {
     /// Per permuted window: first dense output column and width (the
     /// write-back map; the final window of a ragged `n` is narrower).
     spans: Vec<(u32, u32)>,
-    /// Per-slice value panels, concatenated. Slice `s` holds `w` rows of
-    /// `width(s)` floats; a slice's columns are contiguous per row.
+    /// Per-window value panels in permuted order, concatenated. The
+    /// window at position `pos` holds `w` rows of its span's width.
     values: Vec<f32>,
-    /// Per-slice absolute gather indices, concatenated. Slice `s` holds
-    /// one `w`-long `u32` column per window, window-major — the index
-    /// stream the kernel reads instead of recomputing `base + D[u][j]`.
+    /// Per-window absolute gather indices in permuted order, one `w`-long
+    /// `u32` run each — the index stream the kernel reads instead of
+    /// recomputing `base + D[u][j]`.
     gather: Vec<u32>,
-    /// Value-panel offset of each slice (`slices + 1` entries).
-    offs_v: Vec<usize>,
-    /// Gather-panel offset of each slice (`slices + 1` entries).
-    offs_i: Vec<usize>,
+    /// Value-panel offset of each permuted window (`q + 1` entries).
+    offs: Vec<usize>,
 }
 
 impl SlicedMatrix {
     /// Build the sliced form of `sb`: sort windows by offset mass inside
     /// each `σ` group (stable, so `σ = 1` and uniform patterns keep the
-    /// identity), then materialize per-slice panels and absolute indices.
+    /// identity), then materialize per-window panels and absolute indices.
     pub fn build(sb: &NmSparseMatrix, layout: SlicedLayout) -> Result<Self> {
         // Constructed through the validated path even when callers built
         // the struct literally.
@@ -258,35 +265,23 @@ impl SlicedMatrix {
             })
             .collect();
 
-        let slices = q.div_ceil(layout.slice_height);
         let values_src = sb.values();
         let mut values = Vec::with_capacity(w * n);
         let mut gather = Vec::with_capacity(w * q);
-        let mut offs_v = Vec::with_capacity(slices + 1);
-        let mut offs_i = Vec::with_capacity(slices + 1);
-        for s in 0..slices {
-            offs_v.push(values.len());
-            offs_i.push(gather.len());
-            let lo = s * layout.slice_height;
-            let hi = (lo + layout.slice_height).min(q);
-            // Values: slice columns contiguous per compressed row.
+        let mut offs = Vec::with_capacity(q + 1);
+        for (&jw, &(col, width)) in perm.perm.iter().zip(&spans) {
+            offs.push(values.len());
+            // Values: the window's columns, contiguous per compressed row.
             for u in 0..w {
-                let row = values_src.row(u);
-                for &(col, width) in &spans[lo..hi] {
-                    values.extend_from_slice(&row[col as usize..(col + width) as usize]);
-                }
+                values.extend_from_slice(&values_src.row(u)[col as usize..(col + width) as usize]);
             }
-            // Indices: absolute positions, one w-long column per window.
-            for pos in lo..hi {
-                let jw = perm.perm[pos];
-                for u in 0..w {
-                    let base = u / cfg.n * cfg.m;
-                    gather.push((base + d.get(u, jw) as usize) as u32);
-                }
+            // Indices: absolute positions, one per compressed row.
+            for u in 0..w {
+                let base = u / cfg.n * cfg.m;
+                gather.push((base + d.get(u, jw) as usize) as u32);
             }
         }
-        offs_v.push(values.len());
-        offs_i.push(gather.len());
+        offs.push(values.len());
 
         Ok(Self {
             layout,
@@ -298,8 +293,7 @@ impl SlicedMatrix {
             spans,
             values,
             gather,
-            offs_v,
-            offs_i,
+            offs,
         })
     }
 
@@ -330,7 +324,7 @@ impl SlicedMatrix {
     /// Number of slices (`⌈q / C⌉`).
     #[inline]
     pub fn slices(&self) -> usize {
-        self.offs_v.len() - 1
+        self.q.div_ceil(self.layout.slice_height)
     }
 
     /// The window permutation (`perm[new] = old`, over window indices).
@@ -355,13 +349,6 @@ impl SlicedMatrix {
         lo..(lo + self.layout.slice_height).min(self.q)
     }
 
-    /// Total column width of slice `s`.
-    #[inline]
-    pub fn width(&self, s: usize) -> usize {
-        let rows = self.w.max(1);
-        (self.offs_v[s + 1] - self.offs_v[s]) / rows
-    }
-
     /// First dense output column and width of the window at permuted
     /// position `pos` — the contiguous write-back target.
     #[inline]
@@ -370,24 +357,26 @@ impl SlicedMatrix {
         (col as usize, width as usize)
     }
 
-    /// The value panel of slice `s`: `w` rows of [`SlicedMatrix::width`]
-    /// floats, row-major, slice columns contiguous per row.
+    /// Values of the window at permuted position `pos` over compressed
+    /// rows `u_lo..u_hi`: one contiguous row-major run of
+    /// `(u_hi - u_lo) × width` floats, `width` the window's span width.
     #[inline]
-    pub fn value_panel(&self, s: usize) -> &[f32] {
-        &self.values[self.offs_v[s]..self.offs_v[s + 1]]
+    pub fn window_values(&self, pos: usize, u_lo: usize, u_hi: usize) -> &[f32] {
+        let (at, width) = (self.offs[pos], self.spans[pos].1 as usize);
+        &self.values[at + u_lo * width..at + u_hi * width]
     }
 
-    /// Absolute gather indices of the `wi`-th window of slice `s`,
+    /// Absolute gather indices of the window at permuted position `pos`,
     /// restricted to compressed rows `u_lo..u_hi`.
     #[inline]
-    pub fn gather_span(&self, s: usize, wi: usize, u_lo: usize, u_hi: usize) -> &[u32] {
-        let at = self.offs_i[s] + wi * self.w;
+    pub fn gather_span(&self, pos: usize, u_lo: usize, u_hi: usize) -> &[u32] {
+        let at = pos * self.w;
         &self.gather[at + u_lo..at + u_hi]
     }
 
     /// Bytes this built form occupies: value panels, absolute `u32`
     /// indices, and the `u32`-sized permutation table. `4×` the index
-    /// bytes of the row-major `u8` layout — the price of skipping the
+    /// bytes of the operand's `u8` offsets — the price of skipping the
     /// per-call index reconstruction.
     pub fn storage_bytes(&self) -> usize {
         self.layout.storage_bytes_for(self.w, self.n, self.q)
@@ -481,20 +470,15 @@ mod tests {
         for (old, &new) in inv.iter().enumerate() {
             assert_eq!(sm.perm().perm[new], old);
         }
-        // Reassembling rows from the slice panels through the spans
+        // Reassembling rows from the window panels through the spans
         // restores the original values exactly.
         let values = sb.values();
         for u in 0..sm.w() {
             let mut restored = vec![0f32; sm.cols()];
             for s in 0..sm.slices() {
-                let width = sm.width(s);
-                let panel = sm.value_panel(s);
-                let mut off = 0usize;
                 for pos in sm.slice_windows(s) {
                     let (col, lw) = sm.span(pos);
-                    restored[col..col + lw]
-                        .copy_from_slice(&panel[u * width + off..u * width + off + lw]);
-                    off += lw;
+                    restored[col..col + lw].copy_from_slice(sm.window_values(pos, u, u + 1));
                 }
             }
             assert_eq!(restored, values.row(u), "row {u} must restore bit-for-bit");
@@ -508,15 +492,15 @@ mod tests {
         let sm = SlicedMatrix::build(&sb, SlicedLayout::new(1, 2).unwrap()).unwrap();
         let d = sb.indices();
         for s in 0..sm.slices() {
-            for (wi, pos) in sm.slice_windows(s).enumerate() {
+            for pos in sm.slice_windows(s) {
                 let jw = sm.perm().perm[pos];
-                let idx = sm.gather_span(s, wi, 0, sm.w());
+                let idx = sm.gather_span(pos, 0, sm.w());
                 for (u, &got) in idx.iter().enumerate() {
                     let want = u / cfg.n * cfg.m + d.get(u, jw) as usize;
                     assert_eq!(got as usize, want);
                 }
                 // Partial ranges view the same stream.
-                assert_eq!(sm.gather_span(s, wi, 2, 5), &idx[2..5]);
+                assert_eq!(sm.gather_span(pos, 2, 5), &idx[2..5]);
             }
         }
     }
@@ -529,7 +513,7 @@ mod tests {
         assert_eq!(sm.slices(), 2);
         assert_eq!(sm.slice_windows(0).len(), 4);
         assert_eq!(sm.slice_windows(1).len(), 3);
-        assert_eq!(sm.width(0) + sm.width(1), 28);
+        assert_eq!((0..7).map(|pos| sm.span(pos).1).sum::<usize>(), 28);
     }
 
     #[test]

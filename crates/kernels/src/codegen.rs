@@ -19,12 +19,13 @@
 //!   (`u/N·M + D[u][jw]`) — the sliced staging's trick, applied
 //!   uniformly;
 //! * column groups mirror the staging's grid-x decomposition: one group
-//!   per column block (row-major) or per SELL-C-σ slice (sliced, spans
-//!   in permuted order with original-column write-back);
-//! * the per-`(span, k-block)` fast flags replicate the CPU panel
-//!   classification bit for bit (the sliced twin's op-flavor map is
-//!   reused verbatim), so the interpreter chooses FMA vs
-//!   zero-skipping mul-add exactly where the CPU kernel does.
+//!   per SELL-C-σ slice (a row-major column block is a `σ = 1` slice),
+//!   spans in permuted order with original-column write-back;
+//! * the per-`(span, k-block)` fast flags are the twin's op-flavor map,
+//!   reused verbatim, so the interpreter chooses FMA vs zero-skipping
+//!   mul-add exactly where the CPU kernel does;
+//! * `B′` is bound from the operand itself at execution, so a prepared
+//!   layer holds it once, in the twin's staging, besides the operand.
 //!
 //! That is what makes the parity guarantee *trace-level*: the
 //! interpreter's output is bit-identical to `cpu_v3`, and its phase
@@ -34,10 +35,11 @@
 
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
+use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 
 use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
-use crate::cpu::{packed_class, rowmajor_fast_flags, CpuPrepared};
+use crate::cpu::{packed_class, CpuPrepared};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
@@ -83,16 +85,13 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
 
 /// The offline product of the codegen backend: the V3 twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
-/// binding tables — everything derived from the weights alone.
+/// index tables — everything derived from the weights alone.
 pub struct CodegenPrepared {
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
-    b: Vec<f32>,
     gather: Vec<u32>,
     groups: Vec<ColumnGroup>,
-    fast: Vec<bool>,
-    q: usize,
 }
 
 impl CodegenPrepared {
@@ -104,8 +103,7 @@ impl CodegenPrepared {
         let tiling = twin.tiling();
         let family = family_for_plan(plan);
 
-        // Binding tables shared by every family and storage format.
-        let b = sb.values().as_slice().to_vec();
+        // The gather table: absolute dense-k indices, `w × q` row-major.
         let d = sb.indices();
         let mut gather = Vec::with_capacity(w * q);
         for u in 0..w {
@@ -117,57 +115,28 @@ impl CodegenPrepared {
 
         // The shader packs `A` where the paper does: a row-major V2/V3
         // twin at high sparsity (a sliced twin gathers absolute indices).
-        let packed = twin.sliced_parts().is_none() && packed_class(twin.version(), cfg);
+        let packed = twin.format() == StorageFormat::RowMajor && packed_class(twin.version(), cfg);
 
-        // Grid decomposition + fast flags, per storage format.
-        let (groups, fast, group_count, staged_kblocks) =
-            if let Some((sm, flags, kblocks)) = twin.sliced_parts() {
-                let mut groups = Vec::with_capacity(sm.slices());
-                for s in 0..sm.slices() {
-                    let mut spans = Vec::new();
-                    let mut col_off = 0u32;
-                    for pos in sm.slice_windows(s) {
-                        let (col, lw) = sm.span(pos);
-                        spans.push(WindowSpan {
-                            window: sm.perm().perm[pos] as u32,
-                            col: col as u32,
-                            width: lw as u32,
-                            strip_off: col_off,
-                        });
-                        col_off += lw as u32;
-                    }
-                    groups.push(ColumnGroup { spans });
-                }
-                let count = groups.len();
-                // The twin's op-flavor map is already keyed by permuted
-                // position — exactly this span order.
-                (groups, flags.to_vec(), count, kblocks)
-            } else {
-                let (nb, jblocks, kblocks) = twin
-                    .rowmajor_geometry()
-                    .expect("a preparation is either sliced or row-major");
-                let mut groups = Vec::with_capacity(jblocks);
-                for jbi in 0..jblocks {
-                    let jb = jbi * nb;
-                    let jb_hi = (jb + nb).min(n);
-                    let j_lo = jb / cfg.l;
-                    let j_hi = jb_hi.div_ceil(cfg.l).min(q);
-                    let spans = (j_lo..j_hi)
-                        .map(|j| {
-                            let col = j * cfg.l;
-                            WindowSpan {
-                                window: j as u32,
-                                col: col as u32,
-                                width: ((col + cfg.l).min(n) - col) as u32,
-                                strip_off: (col - jb) as u32,
-                            }
-                        })
-                        .collect();
-                    groups.push(ColumnGroup { spans });
-                }
-                let fast = rowmajor_fast_flags(sb, nb, tiling.kb, packed);
-                (groups, fast, jblocks, kblocks)
-            };
+        // One column group per staged slice: spans in permuted order with
+        // original-column write-back. The twin's op-flavor map is already
+        // keyed by permuted position — exactly this span order.
+        let (sm, _, staged_kblocks) = twin.staged();
+        let mut groups = Vec::with_capacity(sm.slices());
+        for s in 0..sm.slices() {
+            let mut spans = Vec::new();
+            let mut col_off = 0u32;
+            for pos in sm.slice_windows(s) {
+                let (col, lw) = sm.span(pos);
+                spans.push(WindowSpan {
+                    window: sm.perm().perm[pos] as u32,
+                    col: col as u32,
+                    width: lw as u32,
+                    strip_off: col_off,
+                });
+                col_off += lw as u32;
+            }
+            groups.push(ColumnGroup { spans });
+        }
 
         let spec = KernelSpec {
             family,
@@ -179,7 +148,7 @@ impl CodegenPrepared {
             mb: tiling.mb,
             nb: tiling.nb,
             kb: tiling.kb,
-            groups: group_count,
+            groups: groups.len(),
             packed,
             fma: twin.isa() != Isa::Scalar,
         };
@@ -199,11 +168,8 @@ impl CodegenPrepared {
             twin,
             ir,
             wgsl,
-            b,
             gather,
             groups,
-            fast,
-            q,
         })
     }
 
@@ -222,14 +188,16 @@ impl CodegenPrepared {
         &self.ir.spec
     }
 
-    /// The interpreter's view of the binding tables.
-    pub fn bindings(&self) -> KernelBindings<'_> {
+    /// The interpreter's view of the binding tables, with `B′` bound to
+    /// the operand's own values (`sb`, as [`CodegenPrepared::execute`]
+    /// validates it) rather than to a copy.
+    pub fn bindings<'a>(&'a self, sb: &'a NmSparseMatrix) -> KernelBindings<'a> {
         KernelBindings {
-            b: &self.b,
+            b: sb.values().as_slice(),
             gather: &self.gather,
             groups: &self.groups,
-            fast: &self.fast,
-            q: self.q,
+            fast: self.twin.staged().1,
+            q: sb.q(),
         }
     }
 
@@ -253,7 +221,7 @@ impl CodegenPrepared {
             });
         }
         self.twin.validate_operand(sb)?;
-        let (c, trace) = interpret(&self.ir, &self.bindings(), a.as_slice(), m)?;
+        let (c, trace) = interpret(&self.ir, &self.bindings(sb), a.as_slice(), m)?;
         Ok((MatrixF32::from_vec(m, self.ir.spec.n, c), trace))
     }
 
@@ -273,10 +241,14 @@ impl CodegenPrepared {
         let row_tiles = m.div_ceil(spec.mb).max(1);
         let threads = self.ir.threads().max(1) as f64;
         let ub = spec.ub();
+        // A workgroup never holds more than `m` rows, so sizing its
+        // per-block products from the clamped rows bounds them even for a
+        // doctored measured `mb`.
+        let mb = spec.mb.min(m.max(1));
         // One FMA per thread-cycle; shared traffic at the micro-tile's
         // reuse ratio. Coarse, but derived from the same geometry the
         // interpreter walks, so grid/iteration structure is exact.
-        let macs_per_iter = (spec.mb * spec.nb * ub) as f64;
+        let macs_per_iter = (mb * spec.nb * ub) as f64;
         KernelProfile {
             name: spec.name(),
             grid: (self.groups.len(), row_tiles),
@@ -285,7 +257,7 @@ impl CodegenPrepared {
             comp_cycles_per_iter: macs_per_iter / threads,
             lds_cycles_per_iter: macs_per_iter / threads / 4.0,
             g2s_per_iter: gpu_sim::l2::BlockTraffic {
-                a_bytes: (spec.mb * spec.kb * 4) as f64,
+                a_bytes: (mb * spec.kb * 4) as f64,
                 bcol_bytes: (ub * spec.nb * 4) as f64,
                 private_bytes: 0.0,
             },
@@ -296,7 +268,7 @@ impl CodegenPrepared {
                 PipelineMode::Serial
             },
             inner_double_buffer: self.ir.buffers == 2,
-            stg_bytes_per_block: (spec.mb * spec.nb * 4) as f64,
+            stg_bytes_per_block: (mb * spec.nb * 4) as f64,
             useful_flops: 2.0 * m as f64 * spec.n as f64 * spec.w as f64,
         }
     }
@@ -368,7 +340,7 @@ impl PreparedState for CodegenPrepared {
         Some(self.twin.isa())
     }
 
-    fn storage(&self) -> Option<nm_core::sliced::StorageFormat> {
+    fn storage(&self) -> Option<StorageFormat> {
         Some(self.twin.format())
     }
 }

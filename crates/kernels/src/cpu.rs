@@ -5,16 +5,21 @@
 //! offset-compressed [`NmSparseMatrix`] representation:
 //!
 //! * **V1 — hierarchical blocking** ([`NmVersion::V1`]): `mb×nb×kb` cache
-//!   blocking around a register micro-kernel. `B′` is staged once into a
-//!   block-contiguous layout (the CPU analogue of the paper's
-//!   `transformLayout` + shared-memory `Bs` tile): each `(k-block,
-//!   column-block)` pair becomes one dense `ub×nb` panel the inner loop
-//!   streams sequentially. Full 16- (or 32-) float window chunks run
-//!   through an explicitly vectorized register micro-tile
+//!   blocking around a register micro-kernel. `B′` is staged once as
+//!   SELL-C-σ slices ([`SlicedMatrix`]): runs of `C` pruning windows, each
+//!   window's values one dense `w×L` panel (so a k-block of it is one
+//!   contiguous `ub×L` run) with its absolute gather indices resolved
+//!   offline. The paper's layout ([`StorageFormat::RowMajor`], the CPU
+//!   analogue of its `transformLayout` + shared-memory `Bs` tile) is the
+//!   `C = nb/L, σ = 1` slicing: one unsorted slice per `nb`-wide column
+//!   block. One panel walk serves every layout: per `mb`-row panel ×
+//!   slice × k-block, full 16- (or 32-) float window chunks run through an
+//!   explicitly vectorized register micro-tile
 //!   ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON selected once at
 //!   preparation time, scalar fallback elsewhere) via a 4→2→1 row ladder,
-//!   so skinny decode panels (1–3 rows, including `m = 1` SpMV) stay
-//!   vectorized; ragged column windows take a general scalar path.
+//!   so one panel load feeds up to four rows and skinny decode panels
+//!   (1–3 rows, including `m = 1` SpMV) stay vectorized; ragged column
+//!   windows take a general scalar path.
 //! * **V2 — sparsity-aware classification** ([`NmVersion::V2`]): the
 //!   paper packs the window-union columns of `A` through `col_info`
 //!   (§III-C1) to save GPU shared-memory and global traffic. On the CPU
@@ -32,11 +37,10 @@
 //!   workers, so a call pays a hand-off to running threads, not a thread
 //!   spawn. A call with at least one `mb`-row panel per worker runs one
 //!   panel per task. A call with fewer panels than workers (a decode
-//!   call, `m ≤ 8`) instead splits the staged `B′` into contiguous column
-//!   ranges — row-major column blocks or SELL-C-σ slices — one per
-//!   worker, or one per unit when the staging has fewer units than
-//!   workers. Each worker fills a private buffer for its columns and the
-//!   caller copies the owned columns into `C`, so every element sees the
+//!   call, `m ≤ 8`) instead splits the staged `B′` into runs of slices,
+//!   one per worker, or one per slice when the staging has fewer slices
+//!   than workers. Each worker fills a private buffer for its columns and
+//!   the caller copies the owned columns into `C`, so every element sees the
 //!   same `+=` sequence and V3 stays bit-identical to V1/V2. The paper's
 //!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
 //!   nothing staged online there is nothing for the CPU to double-buffer.
@@ -80,9 +84,9 @@ pub fn uses_packing(cfg: NmConfig) -> bool {
 /// Whether a `version` preparation of `cfg` classifies blocks as the
 /// paper's packed path would (V2/V3 at high sparsity): every block of
 /// whole, 16-divisible windows runs the vectorized micro-tiles, even where
-/// its gathers reach the zero-padded tail of `A`. The row-major walk, the
-/// sliced staging and the codegen backend all key on this one predicate,
-/// so they pick FMA versus zero-skipping mul-add on the same blocks.
+/// its gathers reach the zero-padded tail of `A`. The staging and the
+/// codegen backend both key on this one predicate, so they pick FMA
+/// versus zero-skipping mul-add on the same blocks.
 #[inline]
 pub(crate) fn packed_class(version: NmVersion, cfg: NmConfig) -> bool {
     version != NmVersion::V1 && uses_packing(cfg)
@@ -186,8 +190,9 @@ fn lcm(a: usize, b: usize) -> usize {
 }
 
 /// The offline pre-processing product for one `(B′, tiling, version)`
-/// combination: validated tile geometry and the `B′` staging — the
-/// block-contiguous `transformLayout` panels or the SELL-C-σ slices.
+/// combination: validated tile geometry and the `B′` staging — SELL-C-σ
+/// slices, of which the paper's block-contiguous `transformLayout`
+/// panels are the `σ = 1`, `C = nb/L` case.
 ///
 /// Everything in here depends only on the *weights* (`sb`) and the tiling,
 /// never on the activations `A`, so it is built once and amortized across
@@ -212,19 +217,10 @@ pub struct CpuPrepared {
     n: usize,
     k: usize,
     content_fp: u64,
-    staged: StagedFormat,
-}
-
-/// Which staging a preparation carries — the kernel-side face of
-/// [`StorageFormat`]. The row-major arm is the existing
-/// `transformLayout` product, untouched; the sliced arm gathers through
-/// pre-resolved absolute indices and needs no per-call index
-/// reconstruction.
-enum StagedFormat {
-    /// Block-contiguous `B′` panels (the paper's layout).
-    RowMajor(StagedB),
-    /// SELL-C-σ slice panels with absolute gather indices.
-    Sliced(StagedSliced),
+    /// The format the caller asked for; row-major stages as the
+    /// `C = nb/L, σ = 1` slices.
+    format: StorageFormat,
+    staged: StagedSliced,
 }
 
 /// FNV-1a over a bounded strided sample of `B′` values and `D` indices —
@@ -302,9 +298,9 @@ impl CpuPrepared {
     }
 
     /// The fully explicit constructor: micro-kernel *and* storage format.
-    /// Row-major runs the existing `transformLayout` staging; a
-    /// sliced format builds the SELL-C-σ panels instead and replicates the
-    /// row-major block classification per window, so both stagings execute
+    /// Row-major stages the `C = nb/L, σ = 1` slices (the `transformLayout`
+    /// panels); a sliced format stages its own `C` and `σ`. Every layout
+    /// carries the same per-window block classification, so all execute
     /// the same arithmetic in the same order — bit-identical results.
     ///
     /// # Errors
@@ -348,18 +344,13 @@ impl CpuPrepared {
         let nb = tiling.nb.min(n.max(1).div_ceil(cfg.l) * cfg.l);
         let tiling = CpuTiling { kb, nb, ..tiling };
 
-        // Stage B′ once, in the requested format.
-        let staged = match format {
-            // transformLayout: stage B′ into block-contiguous panels.
-            StorageFormat::RowMajor => StagedFormat::RowMajor(StagedB::build(sb, nb, kb)),
-            StorageFormat::Sliced(layout) => StagedFormat::Sliced(StagedSliced::build(
-                sb,
-                nb,
-                kb,
-                packed_class(version, cfg),
-                layout,
-            )?),
+        // Stage B′ once. Row-major is the slicing whose slices are the
+        // `nb`-wide column blocks, unsorted: the `transformLayout` panels.
+        let layout = match format {
+            StorageFormat::RowMajor => SlicedLayout::new(nb / cfg.l, 1)?,
+            StorageFormat::Sliced(layout) => layout,
         };
+        let staged = StagedSliced::build(sb, nb, kb, packed_class(version, cfg), layout)?;
         Ok(Self {
             version,
             tiling,
@@ -369,6 +360,7 @@ impl CpuPrepared {
             n,
             k,
             content_fp: content_fingerprint(sb),
+            format,
             staged,
         })
     }
@@ -419,40 +411,24 @@ impl CpuPrepared {
 
     /// The storage format this preparation staged `B′` in.
     pub fn format(&self) -> StorageFormat {
-        match &self.staged {
-            StagedFormat::RowMajor(_) => StorageFormat::RowMajor,
-            StagedFormat::Sliced(ss) => StorageFormat::Sliced(ss.sm.layout()),
-        }
+        self.format
     }
 
-    /// The row-major staging's block geometry `(nb, jblocks, kblocks)`,
-    /// or `None` for a sliced preparation. The codegen backend lowers its
-    /// kernel grid from exactly these numbers so the generated shader
-    /// walks the same blocks the CPU kernel does.
-    pub(crate) fn rowmajor_geometry(&self) -> Option<(usize, usize, usize)> {
-        match &self.staged {
-            StagedFormat::RowMajor(s) => Some((s.nb, s.jblocks, s.kblocks)),
-            StagedFormat::Sliced(_) => None,
-        }
-    }
-
-    /// The sliced staging's parts `(matrix, fast flags, kblocks)`,
-    /// or `None` for a row-major preparation. The fast flags are the
-    /// op-flavor map, `fast[pos * kblocks + bk]` over permuted window
-    /// positions — the codegen backend re-uses them verbatim as its
-    /// per-span selector table.
-    pub(crate) fn sliced_parts(&self) -> Option<(&SlicedMatrix, &[bool], usize)> {
-        match &self.staged {
-            StagedFormat::RowMajor(_) => None,
-            StagedFormat::Sliced(ss) => Some((&ss.sm, &ss.fast, ss.kblocks)),
-        }
+    /// The staging's parts `(slices, fast flags, kblocks)`. The fast
+    /// flags are the op-flavor map, `fast[pos * kblocks + bk]` over
+    /// permuted window positions — the codegen backend lowers its column
+    /// groups from the slices and re-uses the flags verbatim as its
+    /// per-span selector table, so the generated shader walks the same
+    /// blocks the CPU kernel does.
+    pub(crate) fn staged(&self) -> (&SlicedMatrix, &[bool], usize) {
+        let ss = &self.staged;
+        (&ss.sm, &ss.fast, ss.kblocks)
     }
 
     /// How many contiguous column ranges a call with `m` rows splits
     /// into: 1 (the row panels) unless this is V3 and the call has fewer
     /// `mb`-row panels than rayon workers; then one range per worker, but
-    /// never more ranges than the staging has units (column blocks or
-    /// slices).
+    /// never more ranges than the staging has slices.
     fn column_parts(&self, m: usize) -> usize {
         if self.version != NmVersion::V3 {
             return 1;
@@ -461,11 +437,7 @@ impl CpuPrepared {
         if m.div_ceil(self.tiling.mb) >= workers {
             return 1;
         }
-        let units = match &self.staged {
-            StagedFormat::RowMajor(s) => s.jblocks,
-            StagedFormat::Sliced(ss) => ss.sm.slices(),
-        };
-        workers.min(units).max(1)
+        workers.min(self.staged.sm.slices()).max(1)
     }
 
     /// Reject an operand this preparation was not staged from: shape or
@@ -549,14 +521,10 @@ pub fn spmm_cpu_prepared(
     }
     // A panel never holds more than `m` rows, so this clamp changes no
     // arithmetic; it bounds `mb × n` even for a doctored cached tiling.
-    let tiling = CpuTiling {
-        mb: prep.tiling.mb.min(m),
-        ..prep.tiling
-    };
-    let mk = prep.kernel;
+    let mb = prep.tiling.mb.min(m);
     // Gather indices of the final window may legitimately reach the padded
-    // tail `[k, k_pad)`; both stagings gather those from a zero-padded copy
-    // of A, so every gather — fast or general — is a plain in-bounds load.
+    // tail `[k, k_pad)`; the walk gathers those from a zero-padded copy of
+    // A, so every gather — fast or general — is a plain in-bounds load.
     let k_pad = k.div_ceil(prep.cfg.m) * prep.cfg.m;
     let padded = zero_padded(a, k_pad);
     let (xa, xk) = match &padded {
@@ -564,86 +532,42 @@ pub fn spmm_cpu_prepared(
         None => (a.as_slice(), k),
     };
 
+    let slices = prep.staged.sm.slices();
+    // Rows `i0..` of the call into `c_panel`, over the slices `ss`.
+    let panel = |i0: usize, ss: Range<usize>, c_panel: &mut [f32]| {
+        let source = RowSource {
+            a: xa,
+            stride: xk,
+            i0,
+        };
+        walk_panel(prep, &source, ss, c_panel);
+    };
     let parts = prep.column_parts(m);
-    match &prep.staged {
-        StagedFormat::RowMajor(staged) => {
-            let packed = packed_class(prep.version, prep.cfg);
-            let panel = |i0: usize, jbis: Range<usize>, c_panel: &mut [f32]| {
-                let source = RowSource {
-                    a: xa,
-                    stride: xk,
-                    i0,
-                };
-                run_panel(&source, k, sb, &tiling, staged, mk, packed, jbis, c_panel);
-            };
-            let all = 0..staged.jblocks;
-            if parts > 1 {
-                // V3 with fewer row panels than workers: each worker takes
-                // a run of column blocks through every row panel.
-                let ranges = even_ranges(staged.jblocks, parts);
-                let owned: Vec<_> = ranges
-                    .iter()
-                    .map(|r| vec![(r.start * staged.nb, (r.end * staged.nb).min(n))])
-                    .collect();
-                split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
-                    for (pi, c_panel) in buf.chunks_mut(tiling.mb * n).enumerate() {
-                        panel(pi * tiling.mb, ranges[p].clone(), c_panel);
-                    }
-                });
-            } else if prep.version == NmVersion::V3 {
-                // V3: rayon row panels (each owns its scratch).
-                c.as_mut_slice()
-                    .par_chunks_mut(tiling.mb * n)
-                    .enumerate()
-                    .for_each(|(p, c_panel)| panel(p * tiling.mb, all.clone(), c_panel));
-            } else {
-                // V1/V2: sequential panels (the ladder adds parallelism
-                // only at V3).
-                for (p, c_panel) in c.as_mut_slice().chunks_mut(tiling.mb * n).enumerate() {
-                    panel(p * tiling.mb, all.clone(), c_panel);
-                }
+    if parts > 1 {
+        // V3 with fewer row panels than workers: each worker takes a run
+        // of slices through every row panel; it owns their windows'
+        // column spans.
+        let ranges = even_ranges(slices, parts);
+        let owned: Vec<_> = ranges
+            .iter()
+            .map(|r| prep.staged.spans(r.clone()))
+            .collect();
+        split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
+            for (pi, c_panel) in buf.chunks_mut(mb * n).enumerate() {
+                panel(pi * mb, ranges[p].clone(), c_panel);
             }
-        }
-        StagedFormat::Sliced(ss) => {
-            let l = prep.cfg.l;
-            let sm = &ss.sm;
-            // Rows `i0..` of the call into `c`, over the slices `slices`.
-            let rows = |i0: usize, slices: Range<usize>, c: &mut [f32]| {
-                let mut acc = vec![0f32; l];
-                for (i, y) in c.chunks_mut(n).enumerate() {
-                    let x = &xa[(i0 + i) * xk..(i0 + i + 1) * xk];
-                    run_sliced_row(x, ss, mk, l, slices.clone(), &mut acc, y);
-                }
-            };
-            if parts > 1 {
-                // V3 with fewer row panels than workers: each worker takes
-                // a run of slices; it owns their windows' column spans.
-                let ranges = even_ranges(sm.slices(), parts);
-                let owned: Vec<_> = ranges
-                    .iter()
-                    .map(|r| {
-                        r.clone()
-                            .flat_map(|s| sm.slice_windows(s))
-                            .map(|pos| {
-                                let (col, lw) = sm.span(pos);
-                                (col, col + lw)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
-                    rows(0, ranges[p].clone(), buf)
-                });
-            } else if prep.version == NmVersion::V3 {
-                // V3: output rows are bit-independent, so the sliced path
-                // parallelizes per row.
-                c.as_mut_slice()
-                    .par_chunks_mut(n)
-                    .enumerate()
-                    .for_each(|(i, y)| rows(i, 0..sm.slices(), y));
-            } else {
-                rows(0, 0..sm.slices(), c.as_mut_slice());
-            }
+        });
+    } else if prep.version == NmVersion::V3 {
+        // V3: rayon row panels (each owns its scratch).
+        c.as_mut_slice()
+            .par_chunks_mut(mb * n)
+            .enumerate()
+            .for_each(|(p, c_panel)| panel(p * mb, 0..slices, c_panel));
+    } else {
+        // V1/V2: sequential panels (the ladder adds parallelism only at
+        // V3).
+        for (p, c_panel) in c.as_mut_slice().chunks_mut(mb * n).enumerate() {
+            panel(p * mb, 0..slices, c_panel);
         }
     }
     Ok(c)
@@ -723,76 +647,20 @@ pub fn spmv_cpu_prepared(x: &[f32], sb: &NmSparseMatrix, prep: &CpuPrepared) -> 
     spmm_cpu_prepared(&a, sb, prep).map(MatrixF32::into_vec)
 }
 
-/// `B′` re-laid out block-contiguously: one dense `ub_act × nbw` row-major
-/// panel per `(column-block, k-block)` pair — the paper's `transformLayout`
-/// plus the shared-memory `Bs` tile, materialized once per call and shared
-/// read-only by every row panel.
-struct StagedB {
-    data: Vec<f32>,
-    offs: Vec<usize>,
-    /// Column-block width (multiple of `L`).
-    nb: usize,
-    /// Compressed rows per k-block.
-    ub: usize,
-    jblocks: usize,
-    kblocks: usize,
-}
-
-impl StagedB {
-    fn build(sb: &NmSparseMatrix, nb: usize, kb: usize) -> Self {
-        let cfg = sb.cfg();
-        let (w, n) = (sb.w(), sb.cols());
-        let ub = kb * cfg.n / cfg.m;
-        let jblocks = n.div_ceil(nb);
-        let kblocks = w.div_ceil(ub);
-        let values = sb.values();
-        let mut data = Vec::with_capacity(w * n);
-        let mut offs = Vec::with_capacity(jblocks * kblocks + 1);
-        for jbi in 0..jblocks {
-            let jb = jbi * nb;
-            let jb_hi = (jb + nb).min(n);
-            for bk in 0..kblocks {
-                offs.push(data.len());
-                let u_lo = bk * ub;
-                let u_hi = ((bk + 1) * ub).min(w);
-                for u in u_lo..u_hi {
-                    data.extend_from_slice(&values.row(u)[jb..jb_hi]);
-                }
-            }
-        }
-        offs.push(data.len());
-        Self {
-            data,
-            offs,
-            nb,
-            ub,
-            jblocks,
-            kblocks,
-        }
-    }
-
-    /// The contiguous panel for `(column-block jbi, bk)`.
-    #[inline]
-    fn block(&self, jbi: usize, bk: usize) -> &[f32] {
-        let i = jbi * self.kblocks + bk;
-        &self.data[self.offs[i]..self.offs[i + 1]]
-    }
-}
-
-/// The SELL-C-σ staging: the built [`SlicedMatrix`] plus the *op-flavor
-/// map* that makes the sliced path bit-identical to the row-major one.
+/// The staged `B′`: the built [`SlicedMatrix`] plus the *op-flavor map*
+/// that picks, per `(window, k-block)` pair, between the vectorized
+/// micro-tiles and the general mul-add-with-zero-skip.
 ///
-/// Every `(window, k-block)` pair is classified exactly as the row-major
-/// twin staging would classify the block containing it — vectorized
-/// micro-tile versus general mul-add-with-zero-skip — because the two
-/// flavors round differently (FMA versus separate multiply/add) and the
-/// general path skips zero operands. Replicating the classification at
-/// staging time, from the same clamped tile geometry, means the sliced
-/// kernel performs the same floating-point operations on the same values
-/// in the same per-element order.
+/// The two flavors round differently (FMA versus separate multiply/add)
+/// and the general path skips zero operands, so every layout of one
+/// operand must pick the same flavor per window to stay bit-identical.
+/// The map is therefore classified on the layout-independent `nb`-wide
+/// column blocks ([`fast_flags`]) and re-indexed to the layout's permuted
+/// window positions; at the row-major `C = nb/L, σ = 1` point a slice *is*
+/// a column block and the re-index is the identity.
 struct StagedSliced {
     sm: SlicedMatrix,
-    /// Compressed rows per k-block (same formula as the row-major twin).
+    /// Compressed rows per k-block.
     ub: usize,
     kblocks: usize,
     /// Fast flag per `(permuted window position, k-block)`,
@@ -801,14 +669,14 @@ struct StagedSliced {
 }
 
 impl StagedSliced {
-    /// Build the sliced staging for the clamped block geometry
-    /// `(nb, kb)`. `twin_packed` is the row-major twin's
-    /// [`packed_class`], which widens its fast classification.
+    /// Build the staging for the clamped block geometry `(nb, kb)`.
+    /// `packed` is the preparation's [`packed_class`], which widens the
+    /// fast classification.
     fn build(
         sb: &NmSparseMatrix,
         nb: usize,
         kb: usize,
-        twin_packed: bool,
+        packed: bool,
         layout: SlicedLayout,
     ) -> Result<Self> {
         let cfg = sb.cfg();
@@ -816,12 +684,12 @@ impl StagedSliced {
         let sm = SlicedMatrix::build(sb, layout)?;
         let ub = kb * cfg.n / cfg.m;
         let kblocks = w.div_ceil(ub);
-        let fast_old = rowmajor_fast_flags(sb, nb, kb, twin_packed);
+        let by_window = fast_flags(sb, nb, kb, packed);
         // Re-index the flags to permuted window positions.
         let fast = (0..q)
             .flat_map(|pos| {
                 let old = sm.perm().perm[pos];
-                fast_old[old * kblocks..(old + 1) * kblocks].to_vec()
+                by_window[old * kblocks..(old + 1) * kblocks].to_vec()
             })
             .collect();
         Ok(Self {
@@ -831,23 +699,31 @@ impl StagedSliced {
             fast,
         })
     }
+
+    /// The output column spans (half-open, adjacent ones merged) the
+    /// windows of `slices` write back to.
+    fn spans(&self, slices: Range<usize>) -> Vec<(usize, usize)> {
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for pos in slices.flat_map(|s| self.sm.slice_windows(s)) {
+            let (col, lw) = self.sm.span(pos);
+            match spans.last_mut() {
+                Some(last) if last.1 == col => last.1 = col + lw,
+                _ => spans.push((col, col + lw)),
+            }
+        }
+        spans
+    }
 }
 
-/// The row-major panel walk's fast/general classification, flattened to
-/// `(window, k-block)` pairs: `fast[j * kblocks + bk]` over the staging
-/// geometry `(nb, kb)`. A block runs the vectorized micro-tiles when the
-/// window length is a multiple of the 16-float tile, the column block
-/// holds no partial window, and every gather stays inside the dense depth
-/// `k` — a bound the [`packed_class`] (`packed`) waives, since it gathers
-/// the padded tail as zeros. This is the predicate `run_panel` evaluates
-/// per block; the sliced staging and the codegen backend replay it so all
-/// three choose FMA versus zero-skipping mul-add on the same windows.
-pub(crate) fn rowmajor_fast_flags(
-    sb: &NmSparseMatrix,
-    nb: usize,
-    kb: usize,
-    packed: bool,
-) -> Vec<bool> {
+/// The fast/general classification, flattened to `(window, k-block)`
+/// pairs: `fast[j * kblocks + bk]` over the block geometry `(nb, kb)`. A
+/// block runs the vectorized micro-tiles when the window length is a
+/// multiple of the 16-float tile, the column block holds no partial
+/// window, and every gather stays inside the dense depth `k` — a bound
+/// the [`packed_class`] (`packed`) waives, since it gathers the padded
+/// tail as zeros. The bound is checked per index, so a final partial
+/// k-block whose gathers all land below `k` stays fast.
+fn fast_flags(sb: &NmSparseMatrix, nb: usize, kb: usize, packed: bool) -> Vec<bool> {
     let cfg = sb.cfg();
     let (w, n, q, k) = (sb.w(), sb.cols(), sb.q(), sb.k());
     let ub = kb * cfg.n / cfg.m;
@@ -881,81 +757,6 @@ pub(crate) fn rowmajor_fast_flags(
         }
     }
     fast
-}
-
-/// One output row through the sliced staging: `y += x ⊛ slices`, over
-/// the slices `slices` (every slice unless V3 split the call).
-///
-/// `x` must already be zero-padded to `k_pad` when the padded final
-/// window is reachable (the caller handles this once per call). Fast
-/// windows run the same register micro-tiles as the row-major path over
-/// the pre-resolved absolute indices — no per-call index reconstruction;
-/// general windows replicate the row-major general path's zeroed
-/// accumulator and zero-operand skip. Write-back lands at each window's
-/// original column span, so the permutation never escapes.
-fn run_sliced_row(
-    x: &[f32],
-    ss: &StagedSliced,
-    mk: MicroKernel,
-    l: usize,
-    slices: Range<usize>,
-    acc_scratch: &mut [f32],
-    y: &mut [f32],
-) {
-    let sm = &ss.sm;
-    let w = sm.w();
-    let wide = l.is_multiple_of(NW2);
-    let ar = [x];
-    for s in slices {
-        let width = sm.width(s);
-        let vals = sm.value_panel(s);
-        for bk in 0..ss.kblocks {
-            let u_lo = bk * ss.ub;
-            let u_hi = ((bk + 1) * ss.ub).min(w);
-            let panel = &vals[u_lo * width..u_hi * width];
-            let mut col_off = 0usize;
-            for (wi, pos) in sm.slice_windows(s).enumerate() {
-                let (col, lw) = sm.span(pos);
-                let idx = sm.gather_span(s, wi, u_lo, u_hi);
-                if ss.fast[pos * ss.kblocks + bk] {
-                    #[cfg(test)]
-                    instrument::SLICED_FAST.with(|c| c.set(c.get() + 1));
-                    if wide {
-                        for off in (0..l).step_by(NW2) {
-                            let acc = mk.tile32(&ar, idx, panel, width, col_off + off);
-                            for (out, add) in y[col + off..col + off + NW2].iter_mut().zip(&acc[0])
-                            {
-                                *out += add;
-                            }
-                        }
-                    } else {
-                        for off in (0..l).step_by(NW) {
-                            let acc = mk.tile16(&ar, idx, panel, width, col_off + off);
-                            for (out, add) in y[col + off..col + off + NW].iter_mut().zip(&acc[0]) {
-                                *out += add;
-                            }
-                        }
-                    }
-                } else {
-                    let acc = &mut acc_scratch[..lw];
-                    acc.fill(0.0);
-                    for (ui, &si) in idx.iter().enumerate() {
-                        let alpha = x[si as usize];
-                        if alpha != 0.0 {
-                            let at = ui * width + col_off;
-                            for (out, bv) in acc.iter_mut().zip(&panel[at..at + lw]) {
-                                *out += alpha * bv;
-                            }
-                        }
-                    }
-                    for (out, add) in y[col..col + lw].iter_mut().zip(&acc[..]) {
-                        *out += add;
-                    }
-                }
-                col_off += lw;
-            }
-        }
-    }
 }
 
 /// Where the micro-kernel gathers its `A` operands from: the dense `A`
@@ -1001,15 +802,6 @@ impl RowSource<'_> {
     }
 }
 
-/// Whether every gather index of a block stays inside the dense depth
-/// `k` — the fast path's actual requirement outside the packed class. The
-/// coarse `(bk + 1) · kb ≤ k` test this replaces disqualified the *entire*
-/// final partial k-block even when all of its indices are in bounds.
-#[inline]
-fn direct_gathers_in_bounds(idx: &[u32], k: usize) -> bool {
-    idx.iter().all(|&s| (s as usize) < k)
-}
-
 /// Test-only counters proving which data path a run took. Thread-local so
 /// concurrently running tests cannot disturb each other's counts; V1/V2
 /// execute on the calling thread, so their blocks are all visible here
@@ -1019,233 +811,110 @@ pub(crate) mod instrument {
     use std::cell::Cell;
 
     thread_local! {
-        /// Blocks computed through the vectorized fast path.
+        /// `(window, k-block)` pairs a row panel ran through the
+        /// vectorized micro-tiles.
         pub static FAST_BLOCKS: Cell<usize> = const { Cell::new(0) };
         /// Skinny (1- or 2-row) rungs of the fast-path row ladder — the
-        /// decode tiles. Zero before the ladder existed: rows < 4 fell
-        /// through to the general scalar path.
+        /// decode tiles — one per `(slice, k-block)` pair that has fast
+        /// windows.
         pub static SKINNY_RUNGS: Cell<usize> = const { Cell::new(0) };
-        /// `(window, k-block)` pairs the sliced path ran through the
-        /// vectorized micro-tiles — proof the sliced fast flavor was
-        /// actually exercised, not silently demoted to the general path.
-        pub static SLICED_FAST: Cell<usize> = const { Cell::new(0) };
         /// V3 calls split across column ranges (counted on the calling
         /// thread, before the workers start).
         pub static COLUMN_SPLITS: Cell<usize> = const { Cell::new(0) };
     }
 }
 
-/// Per-panel scratch reused across blocks.
-struct Scratch {
-    /// Gather indices, `(j - j_lo) * ub_act + ui` layout.
-    idx: Vec<u32>,
-    /// General-path accumulator tile (`mt × nb`).
-    acc: Vec<f32>,
-    /// General-path per-row `A` values.
-    av: Vec<f32>,
+/// One window of a `(slice, k-block)` pair: its absolute gather indices
+/// and its `ub_act × lw` value panel over the k-block, and its output
+/// column span `col..col + lw`.
+struct Window<'a> {
+    idx: &'a [u32],
+    bs: &'a [f32],
+    col: usize,
+    lw: usize,
 }
 
-/// Compute one row panel (`rows = c_panel.len() / n` rows of `source`)
-/// of a `k`-deep problem over the column blocks `jbis`. `packed` is the
-/// preparation's [`packed_class`].
-#[allow(clippy::too_many_arguments)]
-fn run_panel(
+/// Compute one row panel (`c_panel.len() / n` rows of `source`) over the
+/// slices `slices`. Per slice and k-block, the fast windows run every row
+/// through the vectorized register micro-tiles via a 4→2→1 row ladder —
+/// full 4-row tiles, then a 2-row and a 1-row skinny tile for the
+/// remainder — so one load of a window's panel feeds up to four rows,
+/// and decode panels (`rows < 4`) and prefill tail rows stay vectorized.
+/// The dual-accumulator 32-wide tiles are used when `L` allows it. The
+/// other windows (ragged, odd `L`, gathers into the pad outside the
+/// packed class) take the general `mt`-row scalar path. Write-back lands
+/// at each window's original column span, so a permutation never escapes.
+fn walk_panel(
+    prep: &CpuPrepared,
     source: &RowSource<'_>,
-    k: usize,
-    sb: &NmSparseMatrix,
-    t: &CpuTiling,
-    staged: &StagedB,
-    mk: MicroKernel,
-    packed: bool,
-    jbis: Range<usize>,
+    slices: Range<usize>,
     c_panel: &mut [f32],
 ) {
-    let cfg = sb.cfg();
-    let n = sb.cols();
-    let (w, q) = (sb.w(), sb.q());
-    let d = sb.indices();
+    let ss = &prep.staged;
+    let sm = &ss.sm;
+    let (w, n, l) = (sm.w(), sm.cols(), prep.cfg.l);
+    let mk = prep.kernel;
     let rows = c_panel.len() / n;
-    let (nb, ub) = (staged.nb, staged.ub);
-    let kb = ub * cfg.m / cfg.n;
-    let qs = nb / cfg.l;
     // A general tile never spans more rows than the panel holds.
-    let mt = t.mt.min(rows);
-
-    let mut scratch = Scratch {
-        idx: vec![0u32; ub * qs],
-        acc: vec![0f32; mt.max(MW) * nb],
-        av: vec![0f32; mt.max(MW)],
-    };
-    for jbi in jbis {
-        let jb = jbi * nb;
-        let jb_hi = (jb + nb).min(n);
-        let j_lo = jb / cfg.l;
-        let j_hi = jb_hi.div_ceil(cfg.l).min(q);
-
-        for bk in 0..staged.kblocks {
-            let u_lo = bk * ub;
-            let u_hi = ((bk + 1) * ub).min(w);
-            let ub_act = u_hi - u_lo;
-            let bs = staged.block(jbi, bk);
-
-            // Direct gather: global dense source columns.
-            for j in j_lo..j_hi {
-                for (ui, u) in (u_lo..u_hi).enumerate() {
-                    let base = u / cfg.n * cfg.m;
-                    scratch.idx[(j - j_lo) * ub_act + ui] = (base + d.get(u, j) as usize) as u32;
-                }
-            }
-
-            // The vectorized micro-tile needs: 16-divisible windows, no
-            // partial window in this column block, and all gathers inside
-            // the dense depth — a bound the packed class waives, since the
-            // padded tail reads as zeros. Otherwise a k-block fully inside
-            // the dense depth trivially qualifies, and the final partial
-            // block qualifies whenever its actual per-block indices do —
-            // only a genuinely padded tail (k not a multiple of M) falls
-            // back.
-            let windows_full = (jb_hi - jb).is_multiple_of(cfg.l);
-            let used_idx = &scratch.idx[..(j_hi - j_lo) * ub_act];
-            let in_bounds = packed || (bk + 1) * kb <= k || direct_gathers_in_bounds(used_idx, k);
-            let fast = cfg.l.is_multiple_of(NW) && windows_full && in_bounds;
-
-            compute_block(
-                source,
-                mk,
-                &scratch.idx,
-                ub_act,
-                bs,
-                cfg.l,
-                n,
-                jb,
-                jb_hi,
-                j_lo,
-                j_hi,
-                rows,
-                mt,
-                fast,
-                c_panel,
-                &mut scratch.acc,
-                &mut scratch.av,
-            );
-        }
-    }
-}
-
-/// One `(column-block, k-block)` contribution to the panel's `C` rows.
-/// When `fast`, every row goes through the vectorized register
-/// micro-kernel via a 4→2→1 row ladder — full 4-row tiles, then a 2-row
-/// and a 1-row skinny tile for the remainder, so decode panels (`rows <
-/// 4`) and prefill tail rows are vectorized too, never demoted to the
-/// scalar path. The dual-accumulator 32-wide tiles are used when `L`
-/// allows it. Non-fast blocks (ragged windows, odd `L`, out-of-bounds
-/// gathers) take the general scalar path.
-#[allow(clippy::too_many_arguments)]
-fn compute_block(
-    source: &RowSource<'_>,
-    mk: MicroKernel,
-    idx: &[u32],
-    ub_act: usize,
-    bs: &[f32],
-    l: usize,
-    n: usize,
-    jb: usize,
-    jb_hi: usize,
-    j_lo: usize,
-    j_hi: usize,
-    rows: usize,
-    mt: usize,
-    fast: bool,
-    c_panel: &mut [f32],
-    acc_scratch: &mut [f32],
-    av_scratch: &mut [f32],
-) {
-    let nbw = jb_hi - jb;
-    #[cfg(test)]
-    if fast {
-        instrument::FAST_BLOCKS.with(|c| c.set(c.get() + 1));
-    }
+    let mt = prep.tiling.mt.min(rows);
+    let mut acc = vec![0f32; mt * l];
     // The widest tile the window admits: `L % 32 == 0` doubles the
     // per-broadcast FMA work through the dual-accumulator kernel.
     let wide = l.is_multiple_of(NW2);
-
-    let mut r0 = 0;
-    if fast {
-        while r0 + MW <= rows {
-            run_fast_rows::<MW>(
-                source, mk, idx, ub_act, bs, l, n, jb, nbw, j_lo, j_hi, wide, r0, c_panel,
-            );
-            r0 += MW;
-        }
-        if rows - r0 >= 2 {
-            run_fast_rows::<2>(
-                source, mk, idx, ub_act, bs, l, n, jb, nbw, j_lo, j_hi, wide, r0, c_panel,
-            );
-            r0 += 2;
-        }
-        if r0 < rows {
-            run_fast_rows::<1>(
-                source, mk, idx, ub_act, bs, l, n, jb, nbw, j_lo, j_hi, wide, r0, c_panel,
-            );
-            r0 += 1;
-        }
-    }
-
-    // General path: whole non-fast blocks (ragged windows, odd L,
-    // out-of-bounds gathers). Fast blocks never reach here — the row
-    // ladder above covered every row.
-    while r0 < rows {
-        let rt = mt.min(rows - r0);
-        let acc = &mut acc_scratch[..rt * nbw];
-        acc.fill(0.0);
-        for (ui, b_row) in bs.chunks(nbw).take(ub_act).enumerate() {
-            for j in j_lo..j_hi {
-                let s = idx[(j - j_lo) * ub_act + ui] as usize;
-                for (r, slot) in av_scratch[..rt].iter_mut().enumerate() {
-                    *slot = source.gather(r0 + r, s);
-                }
-                let lo = j * l;
-                let hi = ((j + 1) * l).min(jb_hi);
-                let b_seg = &b_row[lo - jb..hi - jb];
-                for (r, &alpha) in av_scratch[..rt].iter().enumerate() {
-                    if alpha != 0.0 {
-                        let at = r * nbw + (lo - jb);
-                        for (out, bv) in acc[at..at + b_seg.len()].iter_mut().zip(b_seg) {
-                            *out += alpha * bv;
-                        }
-                    }
+    let (mut fast, mut general) = (Vec::new(), Vec::new());
+    for s in slices {
+        for bk in 0..ss.kblocks {
+            let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(w));
+            fast.clear();
+            general.clear();
+            for pos in sm.slice_windows(s) {
+                let (col, lw) = sm.span(pos);
+                let win = Window {
+                    idx: sm.gather_span(pos, u_lo, u_hi),
+                    bs: sm.window_values(pos, u_lo, u_hi),
+                    col,
+                    lw,
+                };
+                if ss.fast[pos * ss.kblocks + bk] {
+                    fast.push(win);
+                } else {
+                    general.push(win);
                 }
             }
-        }
-        for r in 0..rt {
-            let at = (r0 + r) * n + jb;
-            for (out, add) in c_panel[at..at + nbw].iter_mut().zip(&acc[r * nbw..]) {
-                *out += add;
+            #[cfg(test)]
+            instrument::FAST_BLOCKS.with(|c| c.set(c.get() + fast.len()));
+            if !fast.is_empty() {
+                let mut r0 = 0;
+                while r0 + MW <= rows {
+                    run_fast_rows::<MW>(source, mk, &fast, wide, r0, n, c_panel);
+                    r0 += MW;
+                }
+                if rows - r0 >= 2 {
+                    run_fast_rows::<2>(source, mk, &fast, wide, r0, n, c_panel);
+                    r0 += 2;
+                }
+                if r0 < rows {
+                    run_fast_rows::<1>(source, mk, &fast, wide, r0, n, c_panel);
+                }
+            }
+            for win in &general {
+                run_general(source, win, mt, n, &mut acc, c_panel);
             }
         }
-        r0 += rt;
     }
 }
 
 /// One rung of the fast-path row ladder: `R` consecutive panel rows
-/// through the vectorized `R×16` / `R×32` register tile across every
-/// window of this `(column-block, k-block)` pair.
-#[allow(clippy::too_many_arguments)]
+/// through the vectorized `R×16` / `R×32` register tile across the fast
+/// windows of one `(slice, k-block)` pair.
 #[inline]
 fn run_fast_rows<const R: usize>(
     source: &RowSource<'_>,
     mk: MicroKernel,
-    idx: &[u32],
-    ub_act: usize,
-    bs: &[f32],
-    l: usize,
-    n: usize,
-    jb: usize,
-    nbw: usize,
-    j_lo: usize,
-    j_hi: usize,
+    windows: &[Window<'_>],
     wide: bool,
     r0: usize,
+    n: usize,
     c_panel: &mut [f32],
 ) {
     #[cfg(test)]
@@ -1253,20 +922,56 @@ fn run_fast_rows<const R: usize>(
         instrument::SKINNY_RUNGS.with(|c| c.set(c.get() + 1));
     }
     let ar: [&[f32]; R] = std::array::from_fn(|i| source.row(r0 + i));
-    for j in j_lo..j_hi {
-        let lo = j * l;
-        let idxj = &idx[(j - j_lo) * ub_act..(j - j_lo + 1) * ub_act];
+    for win in windows {
         if wide {
-            for off in (0..l).step_by(NW2) {
-                let acc = mk.tile32(&ar, idxj, bs, nbw, lo - jb + off);
-                add_tile(c_panel, &acc, r0, n, lo + off);
+            for off in (0..win.lw).step_by(NW2) {
+                let acc = mk.tile32(&ar, win.idx, win.bs, win.lw, off);
+                add_tile(c_panel, &acc, r0, n, win.col + off);
             }
         } else {
-            for off in (0..l).step_by(NW) {
-                let acc = mk.tile16(&ar, idxj, bs, nbw, lo - jb + off);
-                add_tile(c_panel, &acc, r0, n, lo + off);
+            for off in (0..win.lw).step_by(NW) {
+                let acc = mk.tile16(&ar, win.idx, win.bs, win.lw, off);
+                add_tile(c_panel, &acc, r0, n, win.col + off);
             }
         }
+    }
+}
+
+/// The general scalar path for one window of a `(slice, k-block)` pair,
+/// `mt` rows at a time: each row's contribution accumulates from zero over
+/// the k-block's compressed rows, skipping zero `A` operands, then lands
+/// in `C` with one add per element.
+fn run_general(
+    source: &RowSource<'_>,
+    win: &Window<'_>,
+    mt: usize,
+    n: usize,
+    acc_scratch: &mut [f32],
+    c_panel: &mut [f32],
+) {
+    let (rows, lw) = (c_panel.len() / n, win.lw);
+    let mut r0 = 0;
+    while r0 < rows {
+        let rt = mt.min(rows - r0);
+        let acc = &mut acc_scratch[..rt * lw];
+        acc.fill(0.0);
+        for (b_seg, &si) in win.bs.chunks(lw).zip(win.idx) {
+            for (r, acc_row) in acc.chunks_mut(lw).enumerate() {
+                let alpha = source.gather(r0 + r, si as usize);
+                if alpha != 0.0 {
+                    for (out, bv) in acc_row.iter_mut().zip(b_seg) {
+                        *out += alpha * bv;
+                    }
+                }
+            }
+        }
+        for (r, acc_row) in acc.chunks(lw).enumerate() {
+            let at = (r0 + r) * n + win.col;
+            for (out, add) in c_panel[at..at + lw].iter_mut().zip(acc_row) {
+                *out += add;
+            }
+        }
+        r0 += rt;
     }
 }
 
@@ -1511,10 +1216,10 @@ mod tests {
             "tail-block result must stay correct (max diff {})",
             got.max_abs_diff(&spmm_reference(&a, &sb))
         );
-        // Two k-blocks (0..32 and the 32..40 tail), one column block: both
-        // must have gone through the micro-kernel.
+        // Two k-blocks (0..32 and the 32..40 tail) × two windows, one
+        // column block: every pair must have gone through the micro-kernel.
         assert_eq!(
-            fast_blocks, 2,
+            fast_blocks, 4,
             "the final partial k-block must keep the fast path"
         );
     }
@@ -1547,7 +1252,8 @@ mod tests {
         let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
         let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-        let expected = if tail_hits_pad { 1 } else { 2 };
+        // Two windows per k-block; the tail block's both fall back together.
+        let expected = if tail_hits_pad { 2 } else { 4 };
         assert_eq!(
             fast_blocks, expected,
             "a tail block gathering from the pad must take the general path \
@@ -1562,9 +1268,20 @@ mod tests {
 
     #[test]
     fn direct_gather_bound_is_per_index() {
-        assert!(direct_gathers_in_bounds(&[0, 5, 39], 40));
-        assert!(!direct_gathers_in_bounds(&[0, 5, 40], 40));
-        assert!(direct_gathers_in_bounds(&[], 40), "vacuously true");
+        // The staged classification checks the final partial k-block's
+        // gathers index by index: in bounds (k = 40, a multiple of M) it
+        // stays fast; one gather into the pad (k = 36) demotes the block,
+        // unless the packed class reads the pad as zeros.
+        let c = cfg(2, 8, 16);
+        let flags = |k: usize, seed: u64, packed: bool| {
+            let b = MatrixF32::random(k, 32, seed);
+            let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed }).unwrap();
+            fast_flags(&sb, 32, 32, packed)
+        };
+        // (window, k-block) pairs `j * 2 + bk`: two windows, two k-blocks.
+        assert_eq!(flags(40, 23, false), [true; 4]);
+        assert_eq!(flags(36, 33, false), [true, false, true, false]);
+        assert_eq!(flags(36, 33, true), [true; 4]);
     }
 
     #[test]
@@ -1676,8 +1393,8 @@ mod tests {
             let fast = instrument::FAST_BLOCKS.with(|c| c.get()) - before_fast;
             let skinny = instrument::SKINNY_RUNGS.with(|c| c.get()) - before_skinny;
             assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-            // One column block × two k-blocks, all fast.
-            assert_eq!(fast, 2, "m = {m}: both blocks must classify fast");
+            // One column block of two windows × two k-blocks, all fast.
+            assert_eq!(fast, 4, "m = {m}: every pair must classify fast");
             // m=1 → one 1-row rung per block; m=2 → one 2-row rung; m=3 →
             // a 2-row and a 1-row rung; m=6 → one 4-row tile + a 2-row rung.
             assert_eq!(skinny, want_skinny, "m = {m}: skinny-rung count");
@@ -1685,14 +1402,22 @@ mod tests {
     }
 
     /// Sliced and row-major preparations of the same operand must produce
-    /// bit-identical outputs — not merely allclose — because the sliced
-    /// staging replicates the row-major op-flavor per window.
+    /// bit-identical outputs — not merely allclose — because every layout
+    /// carries the same op-flavor per window; and both must match the
+    /// reference.
     fn check_sliced_bitwise(m: usize, k: usize, n: usize, c: NmConfig, t: CpuTiling, seed: u64) {
         let a = MatrixF32::random(m, k, seed);
         let b = MatrixF32::random(k, n, seed + 1);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: seed + 2 }).unwrap();
+        let expect = spmm_reference(&a, &sb);
         for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
             let rm = CpuPrepared::with_kernel(version, &sb, t, MicroKernel::scalar()).unwrap();
+            assert!(
+                spmm_cpu_prepared(&a, &sb, &rm)
+                    .unwrap()
+                    .allclose(&expect, 1e-3, 1e-4),
+                "{c} {version:?} m = {m}: row-major must match the reference"
+            );
             for layout in [
                 SlicedLayout::new(1, 1).unwrap(),
                 SlicedLayout::new(4, 4).unwrap(),
@@ -1724,6 +1449,9 @@ mod tests {
             let t = CpuTiling::auto(c, 4, 64, 128).unwrap();
             check_sliced_bitwise(1, 128, 64, c, t, 71);
             check_sliced_bitwise(3, 128, 64, c, t, 73);
+            // Multi-panel rows: 4-row panels 4 + 4 + 3, so every rung of
+            // the ladder runs on each layout.
+            check_sliced_bitwise(11, 128, 64, c, CpuTiling { mb: 4, ..t }, 75);
         }
     }
 
@@ -1758,6 +1486,21 @@ mod tests {
         };
         check_sliced_bitwise(1, 36, 32, c16, t16, 83);
         check_sliced_bitwise(5, 36, 32, c16, t16, 83);
+        // Three 8-row panels (8 + 8 + 3) on the ragged shapes.
+        check_sliced_bitwise(19, 36, 32, c16, t16, 87);
+        check_sliced_bitwise(
+            37,
+            67,
+            45,
+            c4,
+            CpuTiling {
+                mb: 16,
+                nb: 8,
+                kb: 32,
+                mt: 4,
+            },
+            89,
+        );
         // The packed class keeps that tail block on the fast path: a V3
         // preparation (one row panel, so it runs on this thread) sends
         // both k-blocks through the micro-tiles, reading the pad as zeros.
@@ -1775,7 +1518,7 @@ mod tests {
         let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
         let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
         assert_eq!(
-            fast_blocks, 2,
+            fast_blocks, 4,
             "V3 2:8 must keep the pad-reaching tail block fast"
         );
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
@@ -1802,9 +1545,9 @@ mod tests {
         )
         .unwrap();
         let x = MatrixF32::random(1, k, 92);
-        let before = instrument::SLICED_FAST.with(|c| c.get());
+        let before = instrument::FAST_BLOCKS.with(|c| c.get());
         let y = spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
-        let fast = instrument::SLICED_FAST.with(|c| c.get()) - before;
+        let fast = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
         // 2 windows × 2 k-blocks, all block-aligned: every pair is fast.
         assert_eq!(fast, 4, "all sliced (window, k-block) pairs must be fast");
         let rm = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, MicroKernel::scalar()).unwrap();

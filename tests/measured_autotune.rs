@@ -17,7 +17,7 @@ use nm_spmm::core::sliced::StorageFormat;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::measure::measurement_passes;
 use nm_spmm::kernels::plan::Provenance;
-use nm_spmm::kernels::{AutotuneMode, Session, SessionBuilder};
+use nm_spmm::kernels::{AutotuneMode, BackendKind, LoadSpec, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -150,8 +150,10 @@ fn measured_evidence_persists_across_file_backed_sessions() {
 /// A hand-edited cache can carry tile sizes far beyond any call's rows:
 /// a general tile of 2^40 rows (its scratch would be a 128 TiB
 /// allocation) and a panel of 2^52 rows (`mb × n` wraps to 0 at
-/// n = 4096). Loading such a cache must end in correct output or a
-/// structured error — never an abort or a panic.
+/// n = 4096); a measured plan handed to the codegen backend can carry a
+/// panel of 2^60 rows (its profile's `mb`-sized products overflow).
+/// Each must end in correct output or a structured error — never an
+/// abort or a panic.
 #[test]
 fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     let cfg = NmConfig::new(2, 8, 32).unwrap();
@@ -187,6 +189,23 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
         assert_eq!((t.mb, t.mt), (mb, mt));
         if let Ok(run) = layer.forward(&a) {
             assert!(run.c.allclose(&expect, 1e-3, 1e-4), "mb {mb}, mt {mt}");
+        }
+    }
+
+    // The cache's JSON holds integers only up to 2^53, so a 2^60-row panel
+    // reaches the codegen backend as a doctored plan handed to the loader.
+    let path = tmp_path("doctored-codegen.json");
+    let _ = std::fs::remove_file(&path);
+    let mut s = session(&path).unwrap();
+    let mut plan = s.load(sb.clone(), 16).unwrap().plan().clone();
+    let _ = std::fs::remove_file(&path);
+    plan.measured.as_mut().expect("evidence").cpu_tiling.mb = 1 << 60;
+    let spec = LoadSpec::rows(16)
+        .planned(plan)
+        .backend(BackendKind::Codegen);
+    if let Ok(layer) = s.load_with(sb.clone(), spec) {
+        if let Ok(run) = layer.forward(&a) {
+            assert!(run.c.allclose(&expect, 1e-3, 1e-4), "codegen, mb 2^60");
         }
     }
 }

@@ -2,10 +2,12 @@
 //! *invisible* rearrangement. Three claims are enforced end to end:
 //!
 //! 1. **Numerics** — a sliced-staged layer produces bit-for-bit the same
-//!    output as its row-major twin (same version, same tiling, same
-//!    micro-kernel), and both sit within oracle tolerance of the f64
-//!    reference, across every ISA this host can execute, every ladder
-//!    version, every paper sparsity level and ragged shapes.
+//!    output as a row-major one (same version, same tiling, same
+//!    micro-kernel) — both are layouts of one panel walk, row-major the
+//!    `C = nb/L, σ = 1` one — and both sit within oracle tolerance of the
+//!    f64 reference, across every ISA this host can execute, every ladder
+//!    version, every paper sparsity level, ragged shapes, and skinny and
+//!    multi-panel row counts.
 //! 2. **Permutation bookkeeping** — the window permutation and its
 //!    inverse compose to the identity, and the per-window write-back
 //!    spans tile the output columns exactly once.
@@ -27,6 +29,9 @@ const VERSIONS: [NmVersion; 3] = [NmVersion::V1, NmVersion::V2, NmVersion::V3];
 /// width, plus an exact multiple as the control.
 const RAGGED: [(usize, usize); 3] = [(90, 49), (70, 64), (128, 96)];
 
+/// Rows of the multi-panel input: more than the 4-row panels it runs on.
+const MULTI_PANEL_ROWS: usize = 11;
+
 /// The sliced grid the autotuner enumerates, plus a degenerate C = 1.
 fn layouts() -> Vec<SlicedLayout> {
     [(1, 1), (4, 4), (8, 32), (32, 128)]
@@ -40,42 +45,60 @@ fn sliced_matches_row_major_bitwise_and_the_oracle_across_isas_versions_and_leve
     for mk in MicroKernel::available() {
         for (li, cfg) in NmConfig::paper_levels(16).into_iter().enumerate() {
             for (si, (k, n)) in RAGGED.into_iter().enumerate() {
-                let m = 1 + si; // skinny rows: the band sliced staging serves
                 let seed = 7000 + (li * 16 + si) as u64;
-                let a = MatrixF32::random(m, k, seed);
                 let b = MatrixF32::random(k, n, seed ^ 0x5e11);
                 let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-                let oracle = gemm_reference_f64(&a, &sb.decompress());
-                let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-                for version in VERSIONS {
-                    let rm = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-                    let want = spmm_cpu_prepared(&a, &sb, &rm).unwrap();
-                    assert!(
-                        want.allclose(&oracle, 1e-3, 1e-4),
-                        "{mk} {cfg} {version:?} k={k} n={n}: row-major vs f64 oracle diff {}",
-                        want.max_abs_diff(&oracle)
-                    );
-                    for layout in layouts() {
-                        let sl = CpuPrepared::with_format(
-                            version,
-                            &sb,
-                            tiling,
-                            mk,
-                            StorageFormat::Sliced(layout),
-                        )
-                        .unwrap();
-                        let got = spmm_cpu_prepared(&a, &sb, &sl).unwrap();
-                        assert_eq!(
-                            got.as_slice(),
-                            want.as_slice(),
-                            "{mk} {cfg} {version:?} k={k} n={n} C={} σ={}: sliced must be \
-                             bit-identical to row-major",
-                            layout.slice_height,
-                            layout.sort_window,
-                        );
-                    }
-                }
+                // Skinny rows (one decode panel), then 4-row panels
+                // 4 + 4 + 3, so every rung of the ladder runs per layout.
+                let skinny = 1 + si;
+                check_layouts(
+                    mk,
+                    &sb,
+                    skinny,
+                    CpuTiling::auto(cfg, skinny, n, k).unwrap(),
+                    seed,
+                );
+                let multi = CpuTiling::auto(cfg, MULTI_PANEL_ROWS, n, k).unwrap();
+                check_layouts(
+                    mk,
+                    &sb,
+                    MULTI_PANEL_ROWS,
+                    CpuTiling { mb: 4, ..multi },
+                    seed,
+                );
             }
+        }
+    }
+}
+
+/// One `(kernel, operand, rows, tiling)` cell: every version's row-major
+/// output sits within tolerance of the f64 oracle, and every sliced
+/// layout reproduces it bit for bit.
+fn check_layouts(mk: MicroKernel, sb: &NmSparseMatrix, m: usize, tiling: CpuTiling, seed: u64) {
+    let (cfg, k, n) = (sb.cfg(), sb.k(), sb.cols());
+    let a = MatrixF32::random(m, k, seed);
+    let oracle = gemm_reference_f64(&a, &sb.decompress());
+    for version in VERSIONS {
+        let tag = format!("{mk} {cfg} {version:?} m={m} k={k} n={n}");
+        let rm = CpuPrepared::with_kernel(version, sb, tiling, mk).unwrap();
+        let want = spmm_cpu_prepared(&a, sb, &rm).unwrap();
+        assert!(
+            want.allclose(&oracle, 1e-3, 1e-4),
+            "{tag}: row-major vs f64 oracle diff {}",
+            want.max_abs_diff(&oracle)
+        );
+        for layout in layouts() {
+            let sl =
+                CpuPrepared::with_format(version, sb, tiling, mk, StorageFormat::Sliced(layout))
+                    .unwrap();
+            let got = spmm_cpu_prepared(&a, sb, &sl).unwrap();
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "{tag} C={} σ={}: sliced must be bit-identical to row-major",
+                layout.slice_height,
+                layout.sort_window,
+            );
         }
     }
 }
