@@ -6,6 +6,7 @@
 //!
 //! Shape: a quarter-scale Llama-7B attention projection (m=256, n=1024,
 //! k=1024) so a full criterion run finishes in minutes. A second group
+//! times one prompt pass through a Llama-7B-width FFN gate, and a third
 //! times decode (m=1) on Llama-width weights streamed from DRAM.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -19,6 +20,9 @@ use std::sync::Arc;
 const M: usize = 256;
 const N: usize = 1024;
 const K: usize = 1024;
+
+/// The prefill arm's prompt rows: a 256-token prompt pass.
+const PREFILL_M: usize = 256;
 
 /// The decode arm's projection, a Llama-7B-width FFN gate at half depth:
 /// 2048×5504 at 2:8 stages 11 MiB of `B′`, which V3 splits across
@@ -79,6 +83,31 @@ fn bench_cpu_spmm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 256-row prompt pass through the 2048×5504 2:8 gate projection at
+/// its cost-model tiling (the register tile from the ISA, the row panel
+/// from the host's L2) — the kernel the end-to-end prefill pass spends
+/// most of its time in.
+fn bench_prefill(c: &mut Criterion) {
+    let cfg = NmConfig::new(2, 8, 32).expect("config");
+    let b = MatrixF32::random(DECODE_K, DECODE_N, 5);
+    let sb = NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune");
+    let a = MatrixF32::random(PREFILL_M, DECODE_K, 6);
+    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+    let layer = session
+        .load_on(sb, PREFILL_M, BackendKind::Cpu(NmVersion::V3))
+        .expect("load layer");
+
+    let mut group = c.benchmark_group("cpu_spmm_prefill");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(
+        (PREFILL_M * DECODE_N * DECODE_K) as u64,
+    ));
+    group.bench_function("prefill_v3/256x2048x5504_75.0%", |bench| {
+        bench.iter(|| layer.forward(&a).expect("forward"))
+    });
+    group.finish();
+}
+
 /// Decode (m = 1): V1 runs each call on one thread; V3 splits it across
 /// column blocks, one range per worker. Each sample is one call on the
 /// next copy of the round robin.
@@ -121,5 +150,5 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cpu_spmm, bench_decode);
+criterion_group!(benches, bench_cpu_spmm, bench_prefill, bench_decode);
 criterion_main!(benches);

@@ -366,6 +366,12 @@ impl SlicedMatrix {
         &self.values[at + u_lo * width..at + u_hi * width]
     }
 
+    /// The whole gather table, position-major: the window at permuted
+    /// position `pos` gathers through `gather()[pos * w..(pos + 1) * w]`.
+    pub fn gather(&self) -> &[u32] {
+        &self.gather
+    }
+
     /// Absolute gather indices of the window at permuted position `pos`,
     /// restricted to compressed rows `u_lo..u_hi`.
     #[inline]

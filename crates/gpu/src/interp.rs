@@ -5,8 +5,8 @@
 //! shader *means* what the CPU oracle computes. The interpreter walks
 //! exactly the loop structure the emitted WGSL encodes (grid → k-blocks
 //! → window spans → rows → lanes) over exactly the tables the shader
-//! binds (the gather-index matrix, the span records, the per-`(span,
-//! k-block)` fast flags), and reproduces the oracle's floating-point
+//! binds (the position-major gather table, the span records, the
+//! per-`(span, k-block)` fast flags), and reproduces the oracle's floating-point
 //! chains bit for bit:
 //!
 //! * **fast spans** run the micro-kernel chain — fused multiply-add
@@ -25,11 +25,10 @@ use crate::ir::{AluMode, KernelIr};
 use crate::trace::InterpTrace;
 
 /// One window span of a column group: `width` output columns starting
-/// at `col`, gathered through pruning window `window`.
+/// at `col`. Spans flattened in group order are the staged window
+/// positions, which index the gather table and the fast flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSpan {
-    /// The original pruning-window index (row into the gather table).
-    pub window: u32,
     /// First output column the span writes.
     pub col: u32,
     /// Columns in the span (`≤ L`).
@@ -52,14 +51,16 @@ pub struct ColumnGroup {
 pub struct KernelBindings<'a> {
     /// Compressed `B′` values, `w × n` row-major.
     pub b: &'a [f32],
-    /// Absolute dense-k gather indices, `w × q` row-major.
+    /// Absolute dense-k gather indices, position-major: the flat span
+    /// `pos` (spans flattened in group order) gathers compressed row `u`
+    /// through `gather[pos * w + u]`.
     pub gather: &'a [u32],
     /// Column groups in grid-x order.
     pub groups: &'a [ColumnGroup],
     /// Fast/general selector per `(flat span, k-block)`:
     /// `fast[span * kblocks + bk]`, spans flattened in group order.
     pub fast: &'a [bool],
-    /// Pruning windows (`q`): the gather table's row width.
+    /// Pruning windows (`q`): the number of `w`-long gather runs.
     pub q: usize,
 }
 
@@ -95,7 +96,7 @@ pub fn interpret(
     }
     if bind.gather.len() != w * q {
         return Err(mismatch(
-            format!("a {w} x {q} gather table"),
+            format!("a {q} x {w} gather table"),
             format!("{} entries", bind.gather.len()),
         ));
     }
@@ -151,15 +152,16 @@ pub fn interpret(
                 let u_lo = bk * ub;
                 let u_hi = ((bk + 1) * ub).min(w);
                 for (si, span) in group.spans.iter().enumerate() {
-                    let fast = bind.fast[(group_span_base + si) * kblocks + bk];
-                    let jw = span.window as usize;
+                    let pos = group_span_base + si;
+                    let fast = bind.fast[pos * kblocks + bk];
+                    let gather = &bind.gather[pos * w + u_lo..pos * w + u_hi];
                     for r in r_lo..r_hi {
                         let a_row = &a[r * k..(r + 1) * k];
                         for ci in 0..span.width as usize {
                             let j = span.col as usize + ci;
                             let mut acc = 0f32;
-                            for u in u_lo..u_hi {
-                                let s = bind.gather[u * q + jw] as usize;
+                            for (u, &s) in (u_lo..u_hi).zip(gather) {
+                                let s = s as usize;
                                 trace.gather_loads += 1;
                                 // The padded tail of the final window
                                 // reads 0.0 — the value every staged
@@ -217,7 +219,6 @@ mod tests {
         .unwrap();
         let groups = vec![ColumnGroup {
             spans: vec![WindowSpan {
-                window: 0,
                 col: 0,
                 width: 4,
                 strip_off: 0,

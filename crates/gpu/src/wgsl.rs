@@ -15,14 +15,17 @@
 //! | 0       | `params`     | uniform problem/tile geometry                  |
 //! | 1       | `a_mat`      | dense activations, `m × k` row-major           |
 //! | 2       | `b_vals`     | compressed `B′` values, `w × n` row-major      |
-//! | 3       | `gather_idx` | absolute dense-k gather indices, `w × q`       |
-//! | 4       | `span_meta`  | group offsets + per-span (window, col, width, strip offset) |
+//! | 3       | `gather_idx` | absolute dense-k gather indices, one `w`-long run per span |
+//! | 4       | `span_meta`  | group offsets + per-span (col, width, strip offset) |
 //! | 5       | `fast_flags` | per `(span, k-block)` fast/general selector    |
 //! | 6       | `c_mat`      | output, `m × n` row-major, accumulated into    |
 //!
-//! `span_meta` starts with `groups + 1` prefix offsets, then one 4-`u32`
-//! record per span — the same tables the host interpreter executes, so
-//! shader and interpreter walk identical data.
+//! `span_meta` starts with `groups + 1` prefix offsets, then one 3-`u32`
+//! record per span. Spans flattened in group order are the staged window
+//! positions: span `sp` gathers row `u` through `gather_idx[sp * w + u]`
+//! and reads its selector at `fast_flags[sp * kblocks + bk]` — the same
+//! tables the host interpreter executes, so shader and interpreter walk
+//! identical data.
 
 use crate::ir::{AluMode, KernelIr, Node};
 
@@ -175,11 +178,10 @@ pub fn emit_wgsl(ir: &KernelIr) -> String {
     out.l("    var sp : u32 = span_lo;");
     out.l("    loop {");
     out.l("      if (sp >= span_hi) { break; }");
-    out.l("      let meta = meta_base + sp * 4u;");
-    out.l("      let win = span_meta[meta];");
-    out.l("      let col0 = span_meta[meta + 1u];");
-    out.l("      let width = span_meta[meta + 2u];");
-    out.l("      let soff = span_meta[meta + 3u];");
+    out.l("      let meta = meta_base + sp * 3u;");
+    out.l("      let col0 = span_meta[meta];");
+    out.l("      let width = span_meta[meta + 1u];");
+    out.l("      let soff = span_meta[meta + 2u];");
     out.l(&format!("      let staged = soff + width <= {strip}u;"));
     out.l("      let fast = fast_flags[sp * params.kblocks + bk];");
     out.l("      var r : u32 = row0 + lid.y;");
@@ -192,7 +194,7 @@ pub fn emit_wgsl(ir: &KernelIr) -> String {
     out.l("          var u : u32 = u_base;");
     out.l("          loop {");
     out.l("            if (u >= u_hi) { break; }");
-    out.l("            let s = gather_idx[u * params.q + win];");
+    out.l("            let s = gather_idx[sp * params.w + u];");
     out.l("            let av = gather_a(r, s);");
     out.l("            var bv : f32;");
     out.l("            if (staged) {");
@@ -271,14 +273,12 @@ fn stage(out: &mut W, ir: &KernelIr, prefix: &str, bk_expr: &str, buf: Buf, inde
     l("loop {");
     l(&format!("  if ({prefix}sp >= span_hi) {{ break; }}"));
     l(&format!(
-        "  let {prefix}meta = meta_base + {prefix}sp * 4u;"
+        "  let {prefix}meta = meta_base + {prefix}sp * 3u;"
     ));
+    l(&format!("  let {prefix}col = span_meta[{prefix}meta];"));
+    l(&format!("  let {prefix}w = span_meta[{prefix}meta + 1u];"));
     l(&format!(
-        "  let {prefix}col = span_meta[{prefix}meta + 1u];"
-    ));
-    l(&format!("  let {prefix}w = span_meta[{prefix}meta + 2u];"));
-    l(&format!(
-        "  let {prefix}off = span_meta[{prefix}meta + 3u];"
+        "  let {prefix}off = span_meta[{prefix}meta + 2u];"
     ));
     l(&format!("  if ({prefix}off + {prefix}w <= {strip}u) {{"));
     l(&format!("    var {prefix}fl : u32 = tid;"));

@@ -15,9 +15,9 @@
 //! derives every shader binding from the *same clamped geometry and the
 //! same fast/general classification* the CPU kernel uses:
 //!
-//! * the gather table holds the pre-resolved absolute dense-k indices
-//!   (`u/N·M + D[u][jw]`) — the sliced staging's trick, applied
-//!   uniformly;
+//! * the gather table is the twin's staged one: pre-resolved absolute
+//!   dense-k indices (`u/N·M + D[u][jw]`), one `w`-long run per permuted
+//!   window position, bound as is;
 //! * column groups mirror the staging's grid-x decomposition: one group
 //!   per SELL-C-σ slice (a row-major column block is a `σ = 1` slice),
 //!   spans in permuted order with original-column write-back;
@@ -25,7 +25,8 @@
 //!   reused verbatim, so the interpreter chooses FMA vs zero-skipping
 //!   mul-add exactly where the CPU kernel does;
 //! * `B′` is bound from the operand itself at execution, so a prepared
-//!   layer holds it once, in the twin's staging, besides the operand.
+//!   layer holds `B′` and its gather indices once, in the twin's staging,
+//!   besides the operand.
 //!
 //! That is what makes the parity guarantee *trace-level*: the
 //! interpreter's output is bit-identical to `cpu_v3`, and its phase
@@ -85,12 +86,11 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
 
 /// The offline product of the codegen backend: the V3 twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
-/// index tables — everything derived from the weights alone.
+/// column groups — everything derived from the weights alone.
 pub struct CodegenPrepared {
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
-    gather: Vec<u32>,
     groups: Vec<ColumnGroup>,
 }
 
@@ -99,27 +99,18 @@ impl CodegenPrepared {
     /// already-staged V3 twin preparation.
     fn build(plan: &Plan, sb: &NmSparseMatrix, twin: CpuPrepared) -> Result<Self> {
         let cfg = sb.cfg();
-        let (w, n, k, q) = (sb.w(), sb.cols(), sb.k(), sb.q());
+        let (w, n, k) = (sb.w(), sb.cols(), sb.k());
         let tiling = twin.tiling();
         let family = family_for_plan(plan);
-
-        // The gather table: absolute dense-k indices, `w × q` row-major.
-        let d = sb.indices();
-        let mut gather = Vec::with_capacity(w * q);
-        for u in 0..w {
-            let base = u / cfg.n * cfg.m;
-            for jw in 0..q {
-                gather.push((base + d.get(u, jw) as usize) as u32);
-            }
-        }
 
         // The shader packs `A` where the paper does: a row-major V2/V3
         // twin at high sparsity (a sliced twin gathers absolute indices).
         let packed = twin.format() == StorageFormat::RowMajor && packed_class(twin.version(), cfg);
 
         // One column group per staged slice: spans in permuted order with
-        // original-column write-back. The twin's op-flavor map is already
-        // keyed by permuted position — exactly this span order.
+        // original-column write-back. The twin's gather table and op-flavor
+        // map are already keyed by permuted position — exactly this span
+        // order.
         let (sm, _, staged_kblocks) = twin.staged();
         let mut groups = Vec::with_capacity(sm.slices());
         for s in 0..sm.slices() {
@@ -128,7 +119,6 @@ impl CodegenPrepared {
             for pos in sm.slice_windows(s) {
                 let (col, lw) = sm.span(pos);
                 spans.push(WindowSpan {
-                    window: sm.perm().perm[pos] as u32,
                     col: col as u32,
                     width: lw as u32,
                     strip_off: col_off,
@@ -145,7 +135,8 @@ impl CodegenPrepared {
             n,
             k,
             w,
-            mb: tiling.mb,
+            // The plan's panel, not the twin's host-L2-sized one.
+            mb: twin.min_panel(),
             nb: tiling.nb,
             kb: tiling.kb,
             groups: groups.len(),
@@ -168,7 +159,6 @@ impl CodegenPrepared {
             twin,
             ir,
             wgsl,
-            gather,
             groups,
         })
     }
@@ -190,13 +180,15 @@ impl CodegenPrepared {
 
     /// The interpreter's view of the binding tables, with `B′` bound to
     /// the operand's own values (`sb`, as [`CodegenPrepared::execute`]
-    /// validates it) rather than to a copy.
+    /// validates it) and the gather indices and fast flags to the twin's
+    /// staging, rather than to copies.
     pub fn bindings<'a>(&'a self, sb: &'a NmSparseMatrix) -> KernelBindings<'a> {
+        let (sm, fast, _) = self.twin.staged();
         KernelBindings {
             b: sb.values().as_slice(),
-            gather: &self.gather,
+            gather: sm.gather(),
             groups: &self.groups,
-            fast: self.twin.staged().1,
+            fast,
             q: sb.q(),
         }
     }
@@ -315,7 +307,7 @@ impl CodegenPrepared {
             ffma: trace.flops as u64 / 2,
             ldg_bytes_a: trace.gather_loads as u64 * 4,
             ldg_bytes_b: trace.gather_loads as u64 * 4,
-            ldg_bytes_d: self.gather.len() as u64 * 4,
+            ldg_bytes_d: self.twin.staged().0.gather().len() as u64 * 4,
             ldg_bytes_colinfo: 0,
             stg_bytes: trace.writebacks as u64 * 4,
             ldg_sectors: (trace.gather_loads as u64 * 4).div_ceil(32),

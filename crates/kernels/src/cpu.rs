@@ -16,10 +16,12 @@
 //!   slice × k-block, full 16- (or 32-) float window chunks run through an
 //!   explicitly vectorized register micro-tile
 //!   ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON selected once at
-//!   preparation time, scalar fallback elsewhere) via a 4→2→1 row ladder,
-//!   so one panel load feeds up to four rows and skinny decode panels
-//!   (1–3 rows, including `m = 1` SpMV) stay vectorized; ragged column
-//!   windows take a general scalar path.
+//!   preparation time, scalar fallback elsewhere) via a row ladder whose
+//!   top rung is the kernel's [`MicroKernel::tile_rows`] (8→4→2→1 on
+//!   AVX-512, 4→2→1 on AVX2 and NEON), so one panel load feeds up to
+//!   eight rows and skinny decode panels (1–3 rows, including `m = 1`
+//!   SpMV) stay vectorized; ragged column windows take a general scalar
+//!   path.
 //! * **V2 — sparsity-aware classification** ([`NmVersion::V2`]): the
 //!   paper packs the window-union columns of `A` through `col_info`
 //!   (§III-C1) to save GPU shared-memory and global traffic. On the CPU
@@ -35,8 +37,10 @@
 //!   over rows or columns, as the paper's kernels launch a 2-D grid of
 //!   row and column tiles. The parts run on the rayon pool's persistent
 //!   workers, so a call pays a hand-off to running threads, not a thread
-//!   spawn. A call with at least one `mb`-row panel per worker runs one
-//!   panel per task. A call with fewer panels than workers (a decode
+//!   spawn. A call that holds a panel of the plan's `ms` rows per worker
+//!   runs row panels, one per task: `mb` rows cut to `ceil(m / workers)`
+//!   (rounded up to the tall tile, never below `ms`), so a host-sized
+//!   `mb` still hands every worker a panel. A shorter call (every decode
 //!   call, `m ≤ 8`) instead splits the staged `B′` into runs of slices,
 //!   one per worker, or one per slice when the staging has fewer slices
 //!   than workers. Each worker fills a private buffer for its columns and
@@ -45,13 +49,18 @@
 //!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
 //!   nothing staged online there is nothing for the CPU to double-buffer.
 //!
-//! Tile sizes are not invented here: [`CpuTiling::derive`] maps a
-//! [`Plan`]'s auto-tuned [`BlockingParams`] onto the CPU
-//! (`mb = ms`, `nb = ns`, `mt = mt`), so the planner's blocking decision
-//! drives both backends. A blocking that cannot drive the CPU tiles (e.g.
-//! `ns` not a multiple of the vector length `L`, possible when the autotuner
-//! fell back to the `Para_Init_Table` preset) is a structured
-//! [`NmError::InvalidBlocking`], never a panic.
+//! Two tile levels come from the host. The register tile's height is the
+//! selected ISA's ([`MicroKernel::tile_rows`]). [`CpuTiling::derive`]
+//! sizes the row panel `mb` from the host's per-core L2: the largest power
+//! of two whose `A` rows fill at most half of it, never below the plan's
+//! `ms`, so one panel's `A` stays in L2 while `B′` streams once per panel
+//! (the plan's `ms` when the host reports no L2). The rest maps a
+//! [`Plan`]'s auto-tuned [`BlockingParams`] as before (`nb = ns`,
+//! `mt = mt`), with `kb` sized from a 64 KiB `B′` block budget; sweeps of
+//! `nb` and `kb` on an AVX-512 host were flat. A blocking that cannot
+//! drive the CPU tiles (e.g. `ns` not a multiple of the vector length
+//! `L`, possible when the autotuner fell back to the `Para_Init_Table`
+//! preset) is a structured [`NmError::InvalidBlocking`], never a panic.
 
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
@@ -64,12 +73,90 @@ use std::ops::Range;
 use crate::nm::NmVersion;
 use crate::params::BlockingParams;
 use crate::plan::Plan;
-use crate::simd::{Isa, MicroKernel, MW, NW, NW2};
+use crate::simd::{Isa, MicroKernel, MW, MW_TALL, NW, NW2};
 
 /// Cache-capacity target for one staged `B′` block (`ub × nb` floats): the
 /// k-depth [`CpuTiling::derive`] picks keeps the block within this many
 /// bytes so it survives in cache across the panel's row tiles.
 const B_BLOCK_BYTES: usize = 64 * 1024;
+
+/// The per-core level-2 cache size this host reports, read once from
+/// Linux sysfs (`/sys/devices/system/cpu/cpu0/cache/index*/`: the data or
+/// unified cache whose `level` is 2); `None` elsewhere or when the files
+/// are missing or malformed.
+fn host_l2_bytes() -> Option<usize> {
+    static L2: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *L2.get_or_init(|| {
+        let dir = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").ok()?;
+        dir.flatten().find_map(|entry| {
+            let read = |f: &str| std::fs::read_to_string(entry.path().join(f)).ok();
+            let is_l2 = read("level")?.trim() == "2" && read("type")?.trim() != "Instruction";
+            is_l2.then(|| parse_cache_size(&read("size")?)).flatten()
+        })
+    })
+}
+
+/// A sysfs cache `size` (`2048K`, `1M`, or plain bytes) in bytes.
+fn parse_cache_size(text: &str) -> Option<usize> {
+    let text = text.trim();
+    let (digits, unit) = match text.as_bytes().last()? {
+        b'K' => (&text[..text.len() - 1], 1 << 10),
+        b'M' => (&text[..text.len() - 1], 1 << 20),
+        b'G' => (&text[..text.len() - 1], 1 << 30),
+        _ => (text, 1),
+    };
+    digits
+        .parse::<usize>()
+        .ok()?
+        .checked_mul(unit)
+        .filter(|&b| b > 0)
+}
+
+/// Rows per panel for a `k_pad`-deep problem on a host with `l2` bytes of
+/// per-core L2: the largest power of two whose `A` rows (`mb · k_pad`
+/// floats) fill at most half of `l2`, leaving the rest to the streamed
+/// `B′` blocks and the output rows; never below the plan's `ms`, and `ms`
+/// itself when the host reports no L2.
+fn panel_rows_for_l2(ms: usize, k_pad: usize, l2: Option<usize>) -> usize {
+    let fit = l2.map_or(0, |l2| l2 / 2 / (k_pad.max(1) * 4));
+    if fit == 0 {
+        return ms;
+    }
+    (1usize << fit.ilog2()).max(ms)
+}
+
+/// V3's cut of an `m`-row call over `workers` threads into
+/// `(rows per panel, column ranges)`, for a preparation with `mb`-row
+/// panels that may be cut down to `floor` rows (`floor ≤ mb`: the plan's
+/// `ms` under an L2-sized `mb`, else `mb` itself).
+///
+/// The row-or-column decision is made on `floor`: row panels when the
+/// call holds a `floor`-row panel per worker. Those panels are then `mb`
+/// rows, cut to `ceil(m / workers)` rounded up to the tall tile so every
+/// worker gets one, and never below `floor`. An L2-sized `mb` taken whole
+/// would leave workers idle: a 256-row call with `mb = 256` runs one panel
+/// on one thread, or, decided on `mb`, the column split, which ran 3× the
+/// time of two 128-row panels (256×1024×1024 at 4:16 on a 2-vCPU AVX-512
+/// host). A call too short for the
+/// decision splits into one column range per worker (never more than the
+/// staging's `slices`) over `floor`-row panels.
+fn v3_split(mb: usize, floor: usize, m: usize, workers: usize, slices: usize) -> (usize, usize) {
+    let workers = workers.max(1);
+    let floor = floor.min(m);
+    if m.div_ceil(floor) < workers {
+        return (floor, workers.min(slices).max(1));
+    }
+    let per_worker = m.div_ceil(workers).next_multiple_of(MW_TALL);
+    (mb.min(per_worker).max(floor).min(m), 1)
+}
+
+/// The rows per panel a cost-model V3 preparation with `mb`-row panels
+/// (the plan's `ms` as floor) runs an `m`-row call in on this host's rayon
+/// workers — the panel a measured candidate carries to run the same cut
+/// as given.
+pub(crate) fn v3_cost_model_panel(mb: usize, ms: usize, m: usize) -> usize {
+    v3_split(mb, ms.min(mb), m, rayon::current_num_threads(), 1).0
+}
 
 /// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
@@ -96,7 +183,8 @@ pub(crate) fn packed_class(version: NmVersion, cfg: NmConfig) -> bool {
 /// blocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuTiling {
-    /// Rows of `C` per panel (the unit of V3 parallelism); from `ms`.
+    /// Rows of `C` per panel (the unit of V3 parallelism); sized from the
+    /// host's L2, never below `ms`.
     pub mb: usize,
     /// Columns of `C` per block, a multiple of `L`; from `ns`.
     pub nb: usize,
@@ -104,18 +192,31 @@ pub struct CpuTiling {
     /// staged `B′` block within the cache-capacity budget
     /// (`B_BLOCK_BYTES`).
     pub kb: usize,
-    /// Rows per general-path register tile (the fast path uses the 4→2→1
-    /// row ladder of vectorized micro-tiles); from `mt`.
+    /// Rows per general-path register tile (the fast path uses the row
+    /// ladder of vectorized micro-tiles, topped by the kernel's
+    /// [`MicroKernel::tile_rows`]); from `mt`.
     pub mt: usize,
 }
 
 impl CpuTiling {
-    /// Map auto-tuned GPU blocking onto CPU tiles for a `k`-deep problem.
+    /// Map auto-tuned GPU blocking onto CPU tiles for a `k`-deep problem,
+    /// with the row panel sized from this host's L2 (see the module docs).
     ///
     /// Fails with [`NmError::InvalidBlocking`] when the blocking cannot
     /// drive the CPU tiles (zero tile sizes, or `ns` not a multiple of the
     /// vector length `L` — the window-alignment the column blocks require).
     pub fn derive(params: BlockingParams, cfg: NmConfig, k: usize) -> Result<Self> {
+        Self::derive_for_l2(params, cfg, k, host_l2_bytes())
+    }
+
+    /// [`CpuTiling::derive`] on a host with `l2` bytes of per-core L2
+    /// (`None`: unknown, the panel stays the plan's `ms`).
+    fn derive_for_l2(
+        params: BlockingParams,
+        cfg: NmConfig,
+        k: usize,
+        l2: Option<usize>,
+    ) -> Result<Self> {
         if params.ms == 0 || params.ns == 0 || params.mt == 0 {
             return Err(NmError::InvalidBlocking {
                 reason: format!(
@@ -139,7 +240,7 @@ impl CpuTiling {
         let windows = (ub / cfg.n).max(1);
         let kb = (windows * cfg.m).min(k_pad);
         Ok(Self {
-            mb: params.ms,
+            mb: panel_rows_for_l2(params.ms, k_pad, l2),
             nb: params.ns,
             kb,
             mt: params.mt,
@@ -221,6 +322,10 @@ pub struct CpuPrepared {
     /// `C = nb/L, σ = 1` slices.
     format: StorageFormat,
     staged: StagedSliced,
+    /// The fewest rows V3 cuts a call's panel down to ([`v3_split`]): the
+    /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
+    /// runs as given) for a measured or explicit tiling.
+    min_panel: usize,
 }
 
 /// FNV-1a over a bounded strided sample of `B′` values and `D` indices —
@@ -362,6 +467,7 @@ impl CpuPrepared {
             content_fp: content_fingerprint(sb),
             format,
             staged,
+            min_panel: tiling.mb,
         })
     }
 
@@ -379,13 +485,17 @@ impl CpuPrepared {
     ) -> Result<Self> {
         let cfg = sb.cfg();
         let measured = plan.measured.filter(|_| version == NmVersion::V3);
-        let tiling = match measured.map(|m| m.cpu_tiling) {
-            Some(t) if t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m) => t,
-            _ => CpuTiling::derive(plan.params, cfg, sb.k())?,
+        let (tiling, min_panel) = match measured.map(|m| m.cpu_tiling) {
+            Some(t) if t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m) => (t, t.mb),
+            _ => {
+                let t = CpuTiling::derive(plan.params, cfg, sb.k())?;
+                (t, plan.params.ms.min(t.mb))
+            }
         };
         let format = measured.map_or(plan.key.storage, |m| m.storage);
         let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
-        Self::with_format(version, sb, tiling, kernel, format)
+        let prep = Self::with_format(version, sb, tiling, kernel, format)?;
+        Ok(Self { min_panel, ..prep })
     }
 
     /// The ladder step this preparation serves.
@@ -396,6 +506,13 @@ impl CpuPrepared {
     /// The effective (clamped) tile geometry.
     pub fn tiling(&self) -> CpuTiling {
         self.tiling
+    }
+
+    /// The fewest rows V3 cuts a call's panel down to: the plan's `ms`
+    /// under a derived tiling, else the tiling's own `mb` — the plan's
+    /// panel, whichever host it runs on.
+    pub(crate) fn min_panel(&self) -> usize {
+        self.min_panel
     }
 
     /// The instruction set the selected micro-kernel executes — what
@@ -425,19 +542,17 @@ impl CpuPrepared {
         (&ss.sm, &ss.fast, ss.kblocks)
     }
 
-    /// How many contiguous column ranges a call with `m` rows splits
-    /// into: 1 (the row panels) unless this is V3 and the call has fewer
-    /// `mb`-row panels than rayon workers; then one range per worker, but
-    /// never more ranges than the staging has slices.
-    fn column_parts(&self, m: usize) -> usize {
+    /// How an `m`-row call is cut: `(rows per panel, column ranges)`.
+    /// A panel never holds more than `m` rows, so that clamp changes no
+    /// arithmetic and bounds `mb × n` even for a doctored cached tiling.
+    /// V1/V2 walk their panels in order on the calling thread; V3 cuts by
+    /// [`v3_split`] over the rayon workers.
+    fn split(&self, m: usize) -> (usize, usize) {
         if self.version != NmVersion::V3 {
-            return 1;
+            return (self.tiling.mb.min(m), 1);
         }
-        let workers = rayon::current_num_threads();
-        if m.div_ceil(self.tiling.mb) >= workers {
-            return 1;
-        }
-        workers.min(self.staged.sm.slices()).max(1)
+        let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
+        v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
     }
 
     /// Reject an operand this preparation was not staged from: shape or
@@ -519,9 +634,7 @@ pub fn spmm_cpu_prepared(
     if m == 0 || n == 0 || k == 0 {
         return Ok(c);
     }
-    // A panel never holds more than `m` rows, so this clamp changes no
-    // arithmetic; it bounds `mb × n` even for a doctored cached tiling.
-    let mb = prep.tiling.mb.min(m);
+    let (mb, parts) = prep.split(m);
     // Gather indices of the final window may legitimately reach the padded
     // tail `[k, k_pad)`; the walk gathers those from a zero-padded copy of
     // A, so every gather — fast or general — is a plain in-bounds load.
@@ -542,7 +655,6 @@ pub fn spmm_cpu_prepared(
         };
         walk_panel(prep, &source, ss, c_panel);
     };
-    let parts = prep.column_parts(m);
     if parts > 1 {
         // V3 with fewer row panels than workers: each worker takes a run
         // of slices through every row panel; it owns their windows'
@@ -818,6 +930,9 @@ pub(crate) mod instrument {
         /// decode tiles — one per `(slice, k-block)` pair that has fast
         /// windows.
         pub static SKINNY_RUNGS: Cell<usize> = const { Cell::new(0) };
+        /// Tall (8-row) rungs of the fast-path row ladder, counted as
+        /// [`SKINNY_RUNGS`] is.
+        pub static TALL_RUNGS: Cell<usize> = const { Cell::new(0) };
         /// V3 calls split across column ranges (counted on the calling
         /// thread, before the workers start).
         pub static COLUMN_SPLITS: Cell<usize> = const { Cell::new(0) };
@@ -834,12 +949,28 @@ struct Window<'a> {
     lw: usize,
 }
 
+impl<'a> Window<'a> {
+    /// The window at permuted position `pos` of `sm`, over the compressed
+    /// rows `u_lo..u_hi` of one k-block.
+    fn at(sm: &'a SlicedMatrix, pos: usize, u_lo: usize, u_hi: usize) -> Self {
+        let (col, lw) = sm.span(pos);
+        Window {
+            idx: sm.gather_span(pos, u_lo, u_hi),
+            bs: sm.window_values(pos, u_lo, u_hi),
+            col,
+            lw,
+        }
+    }
+}
+
 /// Compute one row panel (`c_panel.len() / n` rows of `source`) over the
 /// slices `slices`. Per slice and k-block, the fast windows run every row
-/// through the vectorized register micro-tiles via a 4→2→1 row ladder —
-/// full 4-row tiles, then a 2-row and a 1-row skinny tile for the
-/// remainder — so one load of a window's panel feeds up to four rows,
-/// and decode panels (`rows < 4`) and prefill tail rows stay vectorized.
+/// through the vectorized register micro-tiles via a row ladder topped by
+/// the kernel's [`MicroKernel::tile_rows`] — full 8-row tiles where the
+/// ISA holds them (AVX-512), then 4-row tiles, then a 2-row and a
+/// 1-row skinny tile for the remainder — so one load of a window's panel
+/// feeds up to eight rows, and decode panels (`rows < 4`) and prefill
+/// tail rows stay vectorized.
 /// The dual-accumulator 32-wide tiles are used when `L` allows it. The
 /// other windows (ragged, odd `L`, gathers into the pad outside the
 /// packed class) take the general `mt`-row scalar path. Write-back lands
@@ -868,13 +999,7 @@ fn walk_panel(
             fast.clear();
             general.clear();
             for pos in sm.slice_windows(s) {
-                let (col, lw) = sm.span(pos);
-                let win = Window {
-                    idx: sm.gather_span(pos, u_lo, u_hi),
-                    bs: sm.window_values(pos, u_lo, u_hi),
-                    col,
-                    lw,
-                };
+                let win = Window::at(sm, pos, u_lo, u_hi);
                 if ss.fast[pos * ss.kblocks + bk] {
                     fast.push(win);
                 } else {
@@ -885,6 +1010,12 @@ fn walk_panel(
             instrument::FAST_BLOCKS.with(|c| c.set(c.get() + fast.len()));
             if !fast.is_empty() {
                 let mut r0 = 0;
+                if mk.tile_rows() >= MW_TALL {
+                    while r0 + MW_TALL <= rows {
+                        run_fast_rows::<MW_TALL>(source, mk, &fast, wide, r0, n, c_panel);
+                        r0 += MW_TALL;
+                    }
+                }
                 while r0 + MW <= rows {
                     run_fast_rows::<MW>(source, mk, &fast, wide, r0, n, c_panel);
                     r0 += MW;
@@ -920,6 +1051,8 @@ fn run_fast_rows<const R: usize>(
     #[cfg(test)]
     if R < MW {
         instrument::SKINNY_RUNGS.with(|c| c.set(c.get() + 1));
+    } else if R == MW_TALL {
+        instrument::TALL_RUNGS.with(|c| c.set(c.get() + 1));
     }
     let ar: [&[f32]; R] = std::array::from_fn(|i| source.row(r0 + i));
     for win in windows {
@@ -1091,7 +1224,8 @@ mod tests {
     fn derive_maps_plan_blocking_and_respects_budget() {
         let c = cfg(2, 8, 32);
         let p = BlockingParams::large();
-        let t = CpuTiling::derive(p, c, 4096).unwrap();
+        // A host that reports no L2 maps the plan's blocking as is.
+        let t = CpuTiling::derive_for_l2(p, c, 4096, None).unwrap();
         assert_eq!((t.mb, t.nb, t.mt), (p.ms, p.ns, p.mt));
         assert_eq!(t.kb % c.m, 0);
         let ub = t.kb * c.n / c.m;
@@ -1102,6 +1236,151 @@ mod tests {
         // Shallow problems clamp kb to the padded depth.
         let shallow = CpuTiling::derive(p, c, 40).unwrap();
         assert_eq!(shallow.kb, 40);
+    }
+
+    #[test]
+    fn row_panel_is_sized_from_the_l2() {
+        const L2: usize = 2 << 20;
+        let c = cfg(2, 8, 32);
+        let p = BlockingParams::small();
+        let mb = |k, l2| CpuTiling::derive_for_l2(p, c, k, l2).unwrap().mb;
+        // Half of a 2 MiB L2 holds 128 rows at k = 2048 (q/k/v/o,
+        // gate/up) but only 47 at k = 5504 (down): the power of two below.
+        assert_eq!(mb(2048, Some(L2)), 128);
+        assert_eq!(mb(5504, Some(L2)), 32);
+        // Never below the plan's ms, and the plan's ms without an L2.
+        assert_eq!(mb(1 << 16, Some(L2)), p.ms);
+        assert_eq!(mb(2048, None), p.ms);
+        assert_eq!(mb(2048, Some(0)), p.ms);
+        // The rule touches only the panel: nb, kb and mt stay the plan's.
+        let (sized, plain) = (
+            CpuTiling::derive_for_l2(p, c, 2048, Some(L2)).unwrap(),
+            CpuTiling::derive_for_l2(p, c, 2048, None).unwrap(),
+        );
+        assert_eq!(
+            CpuTiling {
+                mb: plain.mb,
+                ..sized
+            },
+            plain
+        );
+        // What this host reports, if anything, parses to a positive size.
+        assert!(host_l2_bytes().is_none_or(|b| b > 0));
+    }
+
+    #[test]
+    fn sysfs_cache_sizes_parse_strictly() {
+        assert_eq!(parse_cache_size("2048K\n"), Some(2 << 20));
+        assert_eq!(parse_cache_size("1M"), Some(1 << 20));
+        assert_eq!(parse_cache_size("512"), Some(512));
+        for bad in ["", "K", "0K", "12Q", "-1K", "99999999999999999999G"] {
+            assert_eq!(parse_cache_size(bad), None, "`{bad}`");
+        }
+    }
+
+    #[test]
+    fn v3_split_keeps_the_plans_decision_and_hands_every_worker_a_panel() {
+        // A derived panel sized from a 2 MiB L2 (128 rows at k = 2048, 256
+        // at k = 1024) over the plan's ms = 32: a 256-row prompt keeps row
+        // panels on 2–8 workers, at least one per worker.
+        for workers in 2..=8 {
+            for mb in [128, 256] {
+                let (panel, parts) = v3_split(mb, 32, 256, workers, 172);
+                assert_eq!(parts, 1, "{workers} workers, mb {mb}: rows stay");
+                assert!(256usize.div_ceil(panel) >= workers, "{workers}, {mb}");
+                assert!((32..=mb).contains(&panel), "{workers}, {mb}: {panel}");
+                assert_eq!(panel % MW_TALL, 0, "{workers}, {mb}: whole tall tiles");
+            }
+        }
+        // Two workers: the 128-row panels the q/k/v/o/gate/up prompts run,
+        // and the cut of a 256-row panel (k = 1024) taken whole as one.
+        assert_eq!(v3_split(128, 32, 256, 2, 172), (128, 1));
+        assert_eq!(v3_split(256, 32, 256, 2, 172), (128, 1));
+        // The row-or-column decision is the plan's own, made on ms, and a
+        // column split keeps the ms-row panels: at every m the L2 panel
+        // changes nothing but the size of a row panel.
+        for workers in 1..=8 {
+            for m in 1..=300 {
+                let plain = v3_split(32, 32, m, workers, 172);
+                let sized = v3_split(256, 32, m, workers, 172);
+                assert_eq!(sized.1, plain.1, "{workers} workers, m = {m}");
+                if sized.1 > 1 {
+                    assert_eq!(sized.0, plain.0, "{workers} workers, m = {m}");
+                }
+                assert!(sized.0 >= plain.0, "{workers} workers, m = {m}");
+            }
+        }
+        // A measured or explicit tiling (floor = mb) runs its panel as
+        // given: only the clamp to the call applies.
+        for (mb, m, workers) in [
+            (64usize, 256usize, 2),
+            (512, 256, 2),
+            (16, 20, 4),
+            (8, 3, 2),
+        ] {
+            let panel = mb.min(m);
+            let parts = if m.div_ceil(panel) >= workers {
+                1
+            } else {
+                workers
+            };
+            assert_eq!(v3_split(mb, mb, m, workers, 172), (panel, parts));
+        }
+        // Decode keeps its one panel and its column ranges, at most one per
+        // slice; one worker runs the whole panel.
+        assert_eq!(v3_split(128, 32, 1, 4, 172), (1, 4));
+        assert_eq!(v3_split(8, 8, 8, 2, 1), (8, 1));
+        assert_eq!(v3_split(128, 32, 256, 1, 172), (128, 1));
+    }
+
+    #[test]
+    fn cost_model_and_harness_base_run_the_same_prompt_cut() {
+        // A cost-model V3 preparation takes the plan's ms as its floor; the
+        // measurement harness prepares its candidates as given, so its
+        // base carries the cut the cost-model path runs at the plan's m.
+        let c = cfg(2, 8, 32);
+        let mk = MicroKernel::scalar();
+        for (m, k, n) in [(256, 2048, 64), (512, 512, 64), (24, 512, 64)] {
+            let plan = crate::plan::Planner::new(gpu_sim::device::a100_80g())
+                .plan(m, n, k, c)
+                .unwrap();
+            let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 131), c).unwrap();
+            let cost = CpuPrepared::for_plan(NmVersion::V3, &plan, &sb, Some(mk)).unwrap();
+            assert_eq!(cost.min_panel(), plan.params.ms, "m = {m}");
+            let base = crate::measure::tiling_candidates(&plan, &sb, false)[0];
+            let given = CpuPrepared::with_kernel(NmVersion::V3, &sb, base, mk).unwrap();
+            assert_eq!(given.min_panel(), base.mb, "m = {m}");
+            assert_eq!(given.split(m), cost.split(m), "m = {m}");
+            // The plan's m is padded to 32 rows; the call clamps to its own.
+            assert_eq!(
+                base.mb.min(m),
+                cost.split(m).0,
+                "m = {m}: the base names its panel"
+            );
+        }
+    }
+
+    #[test]
+    fn doctored_panel_rows_still_clamp_to_the_call() {
+        // A cached tiling with an absurd `mb` (the plan-cache parser admits
+        // integers up to 2^53) still cuts each call to at most `m` rows.
+        let c = cfg(2, 8, 32);
+        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(64, 128, 111), c).unwrap();
+        let t = CpuTiling {
+            mb: 1 << 53,
+            nb: 64,
+            kb: 64,
+            mt: 4,
+        };
+        let a = MatrixF32::random(40, 64, 112);
+        let expect = spmm_reference(&a, &sb);
+        for version in [NmVersion::V1, NmVersion::V3] {
+            let prep = CpuPrepared::with_kernel(version, &sb, t, MicroKernel::scalar()).unwrap();
+            let (mb, _) = prep.split(40);
+            assert!(mb <= 40, "{version:?}: {mb}");
+            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            assert!(got.allclose(&expect, 1e-3, 1e-4), "{version:?}");
+        }
     }
 
     #[test]
@@ -1370,6 +1649,113 @@ mod tests {
     }
 
     #[test]
+    fn tall_rung_runs_where_the_kernel_holds_it() {
+        // The 8→4→2→1 ladder on every available ISA: outputs bit-identical
+        // to V1 at each m, within tolerance of the reference, and the tall
+        // rung counted only on kernels that report 8-row tiles (AVX-512).
+        let c = cfg(2, 8, 32);
+        let t = CpuTiling {
+            mb: 64,
+            nb: 64,
+            kb: 64,
+            mt: 4,
+        };
+        let (k, n) = (128, 128);
+        let sb = NmSparseMatrix::prune(
+            &MatrixF32::random(k, n, 121),
+            c,
+            PrunePolicy::Random { seed: 122 },
+        )
+        .unwrap();
+        let tall = || instrument::TALL_RUNGS.with(|c| c.get());
+        for mk in MicroKernel::available() {
+            let v1 = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, mk).unwrap();
+            let v3 = CpuPrepared::with_kernel(NmVersion::V3, &sb, t, mk).unwrap();
+            for m in [8, 9, 15, 16, 23, 130] {
+                let a = MatrixF32::random(m, k, 123 + m as u64);
+                let before = tall();
+                let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
+                // One panel-row walk per 64-row panel: two column blocks ×
+                // two k-blocks, each running every whole 8-row group.
+                let groups: usize = (0..m.div_ceil(64))
+                    .map(|p| (m - p * 64).min(64) / MW_TALL)
+                    .sum();
+                let want_tall = if mk.tile_rows() == MW_TALL {
+                    4 * groups
+                } else {
+                    0
+                };
+                assert_eq!(tall() - before, want_tall, "{mk} m = {m}: tall rungs");
+                assert!(
+                    want.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
+                    "{mk} m = {m}"
+                );
+                let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
+                assert_eq!(got.as_slice(), want.as_slice(), "{mk} m = {m}: V3 vs V1");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Ok(avx2) = MicroKernel::for_isa(Isa::Avx2) {
+            assert_eq!(avx2.tile_rows(), MW, "AVX2 must not take the tall rung");
+        }
+        assert_eq!(MicroKernel::scalar().tile_rows(), MW);
+    }
+
+    #[test]
+    fn tall_rung_gives_every_row_what_two_four_row_rungs_give() {
+        // The 8-row rung run directly on every available kernel — the
+        // scalar one included, so a host without AVX-512 still executes
+        // it — over every fast window of a staged layer: bit-identical to
+        // two 4-row rungs, at both tile widths.
+        let t = CpuTiling {
+            mb: 64,
+            nb: 64,
+            kb: 64,
+            mt: 4,
+        };
+        let (k, n) = (128, 128);
+        for c in [cfg(2, 8, 32), cfg(2, 8, 16)] {
+            let sb = NmSparseMatrix::prune(
+                &MatrixF32::random(k, n, 141),
+                c,
+                PrunePolicy::Random { seed: 142 },
+            )
+            .unwrap();
+            let a = MatrixF32::random(MW_TALL, k, 143);
+            let source = RowSource {
+                a: a.as_slice(),
+                stride: k,
+                i0: 0,
+            };
+            let wide = c.l.is_multiple_of(NW2);
+            for mk in MicroKernel::available() {
+                let prep = CpuPrepared::with_kernel(NmVersion::V3, &sb, t, mk).unwrap();
+                let ss = &prep.staged;
+                let (mut tall, mut four) = (vec![0f32; MW_TALL * n], vec![0f32; MW_TALL * n]);
+                let mut windows = 0;
+                for s in 0..ss.sm.slices() {
+                    for bk in 0..ss.kblocks {
+                        let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(ss.sm.w()));
+                        let fast: Vec<_> = ss
+                            .sm
+                            .slice_windows(s)
+                            .filter(|&pos| ss.fast[pos * ss.kblocks + bk])
+                            .map(|pos| Window::at(&ss.sm, pos, u_lo, u_hi))
+                            .collect();
+                        windows += fast.len();
+                        run_fast_rows::<MW_TALL>(&source, mk, &fast, wide, 0, n, &mut tall);
+                        run_fast_rows::<MW>(&source, mk, &fast, wide, 0, n, &mut four);
+                        run_fast_rows::<MW>(&source, mk, &fast, wide, MW, n, &mut four);
+                    }
+                }
+                assert!(windows > 0, "{mk} L = {}: no fast windows", c.l);
+                assert!(tall.iter().any(|&x| x != 0.0), "{mk} L = {}", c.l);
+                assert_eq!(tall, four, "{mk} L = {}", c.l);
+            }
+        }
+    }
+
+    #[test]
     fn skinny_panels_stay_on_the_vectorized_fast_path() {
         // A single-row (decode) operand on a block-aligned shape: every
         // block must classify as fast AND run its row through the 1-row
@@ -1622,7 +2008,7 @@ mod tests {
             spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &sb, &v3).unwrap();
             assert_eq!(splits() - before, 0, "{format}: m = 256 keeps its rows");
             // V1/V2 never split.
-            assert_eq!(v1.column_parts(1), 1);
+            assert_eq!(v1.split(1).1, 1);
         }
 
         // A layer with one column block (n = nb) has no second range to
@@ -1630,7 +2016,7 @@ mod tests {
         let narrow = NmSparseMatrix::prune_magnitude(&MatrixF32::random(256, 64, 103), c).unwrap();
         let v3 =
             CpuPrepared::with_kernel(NmVersion::V3, &narrow, t, MicroKernel::scalar()).unwrap();
-        assert_eq!(v3.column_parts(1), 1);
+        assert_eq!(v3.split(1).1, 1);
         let before = splits();
         spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &narrow, &v3).unwrap();
         assert_eq!(splits() - before, 0, "a one-block layer must stay unsplit");

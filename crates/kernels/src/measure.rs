@@ -194,7 +194,10 @@ pub fn measurement_passes() -> u64 {
 /// Deterministic candidate tile geometries for one plan: the plan-derived
 /// tiling first, then (when `variants` is set) power-of-two `mb`/`nb`
 /// neighbors around it. Duplicate-free; every candidate keeps `nb` a
-/// multiple of `L`, so none is structurally rejectable.
+/// multiple of `L`, so none is structurally rejectable. Candidates run as
+/// given, so a prefill plan's derived `mb` is first cut as the cost-model
+/// V3 path cuts it at the plan's `m` on this host's workers: the base
+/// times what the cost-model default runs and names the panel that ran.
 ///
 /// Decode-class plans ([`ShapeClass::Decode`](crate::plan::ShapeClass))
 /// additionally enumerate **skinny** geometries in every mode: a row
@@ -207,9 +210,12 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
     let cfg = sb.cfg();
     let base = CpuTiling::derive(plan.params, cfg, sb.k())
         .or_else(|_| CpuTiling::auto(cfg, plan.key.m, sb.cols(), sb.k()));
-    let Ok(base) = base else {
+    let Ok(mut base) = base else {
         return Vec::new();
     };
+    if plan.key.shape.decode_rows().is_none() {
+        base.mb = crate::cpu::v3_cost_model_panel(base.mb, plan.params.ms, plan.key.m);
+    }
     let mut out = vec![base];
     let push = |out: &mut Vec<CpuTiling>, t: CpuTiling| {
         if t.mb >= t.mt && t.nb >= cfg.l && !out.contains(&t) {

@@ -49,8 +49,8 @@ fn pad_dim(d: usize) -> usize {
 }
 
 /// Largest activation-row count classified as decode. Autoregressive
-/// serving batches a handful of tokens per step; past 8 rows the 4-row
-/// register tiles amortize well and the GEMM regime applies.
+/// serving batches a handful of tokens per step; past 8 rows the 4- and
+/// 8-row register tiles amortize well and the GEMM regime applies.
 pub const DECODE_MAX_ROWS: usize = 8;
 
 /// The execution regime of a shape — a first-class planner dimension.

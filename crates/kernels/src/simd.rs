@@ -1,12 +1,12 @@
 //! Explicit SIMD micro-kernels with runtime ISA dispatch.
 //!
 //! The CPU ladder's hot loop is a register-resident `C` tile accumulated
-//! across a whole k-block: `MW = 4` rows by 16 (or 32) columns, with `B`
-//! streamed from the staged block and `A` gathered through per-window
-//! indices. Until this module existed that tile was a scalar loop that
-//! leaned on LLVM auto-vectorization — which, at the default `x86-64`
-//! target baseline, means SSE2 without FMA. Here the same tile is written
-//! explicitly with `std::arch` intrinsics:
+//! across a whole k-block: up to [`MicroKernel::tile_rows`] rows by 16 (or
+//! 32) columns, with `B` streamed from the staged block and `A` gathered
+//! through per-window indices. Until this module existed that tile was a
+//! scalar loop that leaned on LLVM auto-vectorization — which, at the
+//! default `x86-64` target baseline, means SSE2 without FMA. Here the same
+//! tile is written explicitly with `std::arch` intrinsics:
 //!
 //! * **AVX2 + FMA** (x86_64) — two/four 256-bit accumulators per row,
 //! * **AVX-512F** (x86_64) — one/two 512-bit accumulators per row,
@@ -20,6 +20,18 @@
 //! then feeds twice the FMA work, and the extra independent accumulator
 //! chains hide FMA latency.
 //!
+//! ## Tile height from the register file
+//!
+//! How many rows one streamed `B′` load can feed is bounded by the
+//! accumulators the vector register file holds. AVX-512's 32 zmm
+//! registers hold an `8×32` tile (16 accumulators, two `B′` vectors and a
+//! broadcast), so [`MicroKernel::tile_rows`] is [`MW_TALL`] = 8 there: the
+//! tall tile doubles the independent FMA chains and halves the `B′` loads
+//! per FMA. AVX2 (16 ymm) and NEON (whose 32-wide tile already runs as two
+//! 16-wide passes) stay at [`MW`] = 4, and so does the scalar fallback,
+//! whose speed at 8 rows was never measured. Rows accumulate independently
+//! in every tile, so the rung a row lands on never changes its result.
+//!
 //! ## Skinny tiles — the decode path
 //!
 //! Autoregressive decode multiplies one (or a handful of) activation rows
@@ -29,9 +41,9 @@
 //! ([`MicroKernel::run1x16`] / [`MicroKernel::run2x16`] /
 //! [`MicroKernel::run1x32`] / [`MicroKernel::run2x32`]): the same
 //! streamed-`B′` inner loop, const-generic over the row count, so a row
-//! panel runs a 4→2→1 ladder and no row ever pays for a sibling it does
-//! not have. At one row the tile *is* a vectorized SpMV over the staged
-//! block — the kernel the prepared decode path is built on.
+//! panel runs an (8→)4→2→1 ladder and no row ever pays for a sibling it
+//! does not have. At one row the tile *is* a vectorized SpMV over the
+//! staged block — the kernel the prepared decode path is built on.
 //!
 //! ## Dispatch discipline
 //!
@@ -56,8 +68,12 @@
 
 use nm_core::error::{NmError, Result};
 
-/// Rows of the register micro-tile.
+/// Rows of the classic register micro-tile — the ladder's top rung on
+/// AVX2 and NEON.
 pub const MW: usize = 4;
+/// Rows of the tall register micro-tile — the ladder's top rung where the
+/// register file holds it (AVX-512).
+pub const MW_TALL: usize = 8;
 /// Columns of the narrow micro-tile (the fast path's minimum granularity).
 pub const NW: usize = 16;
 /// Columns of the wide dual-accumulator micro-tile.
@@ -250,6 +266,17 @@ impl MicroKernel {
         self.isa
     }
 
+    /// Rows of the tallest register tile this kernel runs — the top rung
+    /// of the CPU ladder's row walk: [`MW_TALL`] where the accumulators
+    /// of an `8×32` tile fit the vector register file (AVX-512's 32 zmm),
+    /// [`MW`] on AVX2, NEON and the scalar tile.
+    pub fn tile_rows(&self) -> usize {
+        match self.isa {
+            Isa::Avx512 => MW_TALL,
+            Isa::Avx2 | Isa::Neon | Isa::Scalar => MW,
+        }
+    }
+
     /// The 4×16 tile: accumulate `MW` rows by [`NW`] columns of `C` across
     /// the whole k-block. `ar` are the four gather rows, `idx` the packed
     /// gather index per compressed row, `bs` the staged `B′` block
@@ -288,7 +315,7 @@ impl MicroKernel {
     }
 
     /// The 2×16 skinny tile: two rows of the same streamed-`B′` inner loop
-    /// — the middle rung of the fast path's 4→2→1 row ladder.
+    /// — a skinny rung of the fast path's row ladder.
     #[inline]
     pub fn run2x16(
         &self,
@@ -343,7 +370,7 @@ impl MicroKernel {
 
     /// Row-generic 16-wide dispatch behind the public entry points. One
     /// match on the construct-time ISA; the per-ISA bodies are const-generic
-    /// over the row count, so 1-, 2- and 4-row tiles share one
+    /// over the row count, so 1-, 2-, 4- and 8-row tiles share one
     /// implementation per ISA instead of drifting apart. Crate-visible so
     /// the CPU ladder's row ladder can stay generic over the rung size.
     #[inline]
@@ -573,7 +600,8 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx512f` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x16`].
+    /// [`super::MicroKernel::run4x16`]. `R ≤ 8` keeps the accumulators in
+    /// the register file.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512_rx16<const R: usize>(
         ar: &[&[f32]; R],
@@ -601,7 +629,8 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx512f` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x32`].
+    /// [`super::MicroKernel::run4x32`]. `R ≤ 8` keeps the accumulators in
+    /// the register file.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512_rx32<const R: usize>(
         ar: &[&[f32]; R],
@@ -610,7 +639,8 @@ mod x86 {
         stride: usize,
         boff: usize,
     ) -> [[f32; NW2]; R] {
-        // Dual zmm accumulators per row — 2R of the 32 zmm registers.
+        // Dual zmm accumulators per row — 2R of the 32 zmm registers: at
+        // R = 8, 16 accumulators plus two B vectors and a broadcast.
         let mut acc = [[_mm512_setzero_ps(); 2]; R];
         for (ui, &s) in idx.iter().enumerate() {
             let b = bs.as_ptr().add(ui * stride + boff);
@@ -892,6 +922,27 @@ mod tests {
             );
             assert_eq!(got1x16[0], want16[3], "{mk} 1x16");
             assert_eq!(got1x32[0], want32[0], "{mk} 1x32");
+        }
+    }
+
+    #[test]
+    fn tall_tile_matches_the_four_row_tile_row_for_row() {
+        // The 8-row rung stacks two 4-row tiles' worth of independent
+        // rows: each row must come out bit-identical to the 4-row tile's,
+        // on every ISA, at both widths.
+        let rows: Vec<Vec<f32>> = (0..MW_TALL).map(|r| fill(64, 7 + r as u32)).collect();
+        let (_, idx, bs) = tile_inputs(24, 40, 64);
+        let ar8: [&[f32]; MW_TALL] = std::array::from_fn(|r| rows[r].as_slice());
+        for mk in MicroKernel::available() {
+            let got16 = mk.tile16(&ar8, &idx, &bs, 40, 3);
+            let got32 = mk.tile32(&ar8, &idx, &bs, 40, 3);
+            for half in 0..2 {
+                let ar4: [&[f32]; MW] = std::array::from_fn(|r| rows[half * MW + r].as_slice());
+                let want16 = mk.run4x16(&ar4, &idx, &bs, 40, 3);
+                let want32 = mk.run4x32(&ar4, &idx, &bs, 40, 3);
+                assert_eq!(got16[half * MW..(half + 1) * MW], want16, "{mk} 8x16");
+                assert_eq!(got32[half * MW..(half + 1) * MW], want32, "{mk} 8x32");
+            }
         }
     }
 

@@ -20,6 +20,14 @@
 //! [`NmError::DeadlineExceeded`]. The admission counter decrements at the
 //! same point, so "queued" means exactly "admitted but not yet
 //! dispatched or shed".
+//!
+//! ## Kernel faults
+//!
+//! A panic inside a batch's kernel call (the rayon pool re-raises a
+//! worker's panic on the calling thread) is caught on the batcher
+//! thread: every ticket of that batch resolves with
+//! [`NmError::Canceled`] naming the panic, and the batcher goes on to the
+//! next batch with the admission count it already gave back.
 
 use crate::config::{Priority, ServerConfig};
 use crate::request::{BatchKind, Completion, DispatchInfo, Request, RequestTiming, Workload};
@@ -48,6 +56,9 @@ pub(crate) struct Shared {
     pub(crate) paused: AtomicBool,
     /// Counters + rolling latency window.
     pub(crate) stats: Recorder,
+    /// Test hook: when set, the next batch's kernel call panics.
+    #[cfg(test)]
+    pub(crate) inject_panic: AtomicBool,
 }
 
 impl Shared {
@@ -56,6 +67,8 @@ impl Shared {
             depth: AtomicUsize::new(0),
             paused: AtomicBool::new(false),
             stats: Recorder::new(),
+            #[cfg(test)]
+            inject_panic: AtomicBool::new(false),
         }
     }
 }
@@ -286,7 +299,7 @@ impl Batcher {
                 // `forward_vec` result.
                 let k = self.layer.weights().k();
                 let stacked = MatrixF32::from_vec(size, k, decode_rows);
-                match self.layer.forward(&stacked) {
+                match self.contained(|| self.layer.forward(&stacked)) {
                     Ok(run) => {
                         let compute = Duration::from_secs_f64(run.wall_seconds);
                         let n = run.c.cols();
@@ -306,24 +319,51 @@ impl Batcher {
                     Err(e) => fail_batch(members, &e),
                 }
             }
-            BatchKind::Prefill => match self.layer.forward_batch(&prefill_mats) {
-                Ok(batch_run) => {
-                    for (m, run) in members.into_iter().zip(batch_run.runs) {
-                        let timing = RequestTiming {
-                            queue_wait: m.queue_wait,
-                            compute: Duration::from_secs_f64(run.wall_seconds),
-                        };
-                        self.shared.stats.completed(timing);
-                        let _ = m.reply.send(Ok(Completion {
-                            c: run.c,
-                            timing,
-                            dispatch: info(kind),
-                        }));
+            BatchKind::Prefill => {
+                match self.contained(|| self.layer.forward_batch(&prefill_mats)) {
+                    Ok(batch_run) => {
+                        for (m, run) in members.into_iter().zip(batch_run.runs) {
+                            let timing = RequestTiming {
+                                queue_wait: m.queue_wait,
+                                compute: Duration::from_secs_f64(run.wall_seconds),
+                            };
+                            self.shared.stats.completed(timing);
+                            let _ = m.reply.send(Ok(Completion {
+                                c: run.c,
+                                timing,
+                                dispatch: info(kind),
+                            }));
+                        }
                     }
+                    Err(e) => fail_batch(members, &e),
                 }
-                Err(e) => fail_batch(members, &e),
-            },
+            }
         }
+    }
+}
+
+impl Batcher {
+    /// Run one batch's kernel call with a panic turned into a structured
+    /// error, so the batcher thread survives a kernel fault and every
+    /// ticket of the batch still resolves.
+    fn contained<T>(&self, call: impl FnOnce() -> Result<T>) -> Result<T> {
+        let guarded = std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if self.shared.inject_panic.swap(false, Ordering::AcqRel) {
+                panic!("injected kernel fault");
+            }
+            call()
+        });
+        std::panic::catch_unwind(guarded).unwrap_or_else(|payload| {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a non-string payload".into());
+            Err(NmError::Canceled {
+                reason: format!("the batch's kernel call panicked: {what}"),
+            })
+        })
     }
 }
 

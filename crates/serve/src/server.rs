@@ -327,6 +327,48 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_panic_fails_its_batch_and_the_server_recovers() {
+        let (layer, sb) = layer(64, 32, 4);
+        let server = Server::start(layer, ServerConfig::default()).unwrap();
+        // A decode batch of three and a prefill batch, each hit by a
+        // kernel panic: every ticket resolves with a structured error.
+        for prefill in [false, true] {
+            server.pause();
+            let tickets: Vec<Ticket> = (0..3)
+                .map(|i| {
+                    let opts = SubmitOptions::default();
+                    if prefill {
+                        server.submit(MatrixF32::random(4, 64, i), opts)
+                    } else {
+                        server.submit_decode(vec![1.0; 64], opts)
+                    }
+                    .unwrap()
+                })
+                .collect();
+            server.shared.inject_panic.store(true, Ordering::Release);
+            server.resume();
+            for t in tickets {
+                match t.wait().unwrap_err() {
+                    NmError::Canceled { reason } => {
+                        assert!(reason.contains("injected kernel fault"), "{reason}")
+                    }
+                    other => panic!("expected Canceled, got {other}"),
+                }
+            }
+            assert_eq!(server.queue_depth(), 0, "admission depth restored");
+        }
+        // The batcher survived: the next submission is served correctly.
+        let x = MatrixF32::random(1, 64, 7);
+        let done = server
+            .submit_decode(x.row(0).to_vec(), SubmitOptions::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(done.c.allclose(&spmm_reference(&x, &sb), 1e-3, 1e-4));
+        assert_eq!(server.queue_depth(), 0);
+    }
+
+    #[test]
     fn drop_drains_pending_requests() {
         let (layer, sb) = layer(64, 32, 4);
         let server = Server::start(layer, ServerConfig::default()).unwrap();
