@@ -1,13 +1,14 @@
 //! Criterion benches of the format operations: pruning/compression,
-//! decompression, the offline packing pre-processing (Fig. 4) and index
-//! bit-packing — the deployment-time costs the paper's §III-C1 calls
-//! "offline" and therefore amortized.
+//! decompression, the offline packing pre-processing (Fig. 4), index
+//! bit-packing and loading a serialized layer — the deployment-time costs
+//! the paper's §III-C1 calls "offline" and therefore amortized.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nm_core::colinfo::preprocess;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::prune::PrunePolicy;
+use nm_core::serialize::{from_bytes, to_bytes};
 use nm_core::sparse::NmSparseMatrix;
 
 const K: usize = 2048;
@@ -40,6 +41,19 @@ fn bench_format(c: &mut Criterion) {
     });
     group.bench_function("index_bit_pack", |bench| {
         bench.iter(|| sb.indices().bit_pack(cfg))
+    });
+
+    // One half-Llama-7B gate layer (2048 × 5504 at 2:8, L = 32), loaded from
+    // its serialized blob; throughput counts the blob's bytes.
+    let gate = NmSparseMatrix::prune_magnitude(
+        &MatrixF32::random(2048, 5504, 4),
+        NmConfig::new(2, 8, 32).expect("config"),
+    )
+    .expect("prune");
+    let blob = to_bytes(&gate);
+    group.throughput(Throughput::Bytes(blob.len() as u64));
+    group.bench_function("deserialize", |bench| {
+        bench.iter(|| from_bytes(&blob).expect("deserialize"))
     });
     group.finish();
 }

@@ -87,11 +87,10 @@ impl NmConfig {
         }
     }
 
-    /// Compressed row count `w = ⌈k·N/M⌉` for a `k`-row dense matrix
+    /// Compressed row count `w = ⌈k/M⌉·N` for a `k`-row dense matrix
     /// (exact `k·N/M` when `M | k`, matching the paper's padding rule).
     pub fn compressed_rows(&self, k: usize) -> usize {
-        let k_padded = k.div_ceil(self.m) * self.m;
-        k_padded / self.m * self.n
+        self.window_rows(k) * self.n
     }
 
     /// Number of pruning windows along the column dimension:

@@ -1,15 +1,33 @@
 //! Binary serialization of the compressed N:M format.
 //!
 //! A deployment-oriented container: magic + version header, the `N:M (L)`
-//! configuration, logical shape, bit-packed index matrix and raw `f32`
-//! values, each section length-prefixed and validated on load. The decoder
-//! rejects truncated buffers, bad magic, unsupported versions, inconsistent
-//! shapes and non-canonical index matrices — loading untrusted bytes can
-//! fail loudly but never produce a structurally invalid matrix.
+//! configuration, logical shape `k × n`, the bit-packed index matrix `D`
+//! and the raw little-endian `f32` values `B′`, each section
+//! length-prefixed. Loading touches only those compressed bytes: the values
+//! section is decoded in one pass straight into the `w × n` values matrix
+//! and `D` is unpacked beside it. No dense `k × n` matrix is rebuilt.
+//!
+//! [`from_bytes`] checks, before it allocates anything:
+//! - magic, version and the configuration (`1 ≤ N ≤ M`, `L ≥ 1`);
+//! - the shape: `k` and `n` non-zero, and every size derived from them
+//!   (`w`, the dense `k·n`, the index bit count `w·q·⌈log₂ M⌉`, the value
+//!   count `w·n` and its byte length) in checked arithmetic, so an overflow
+//!   is an error naming the field;
+//! - each section's length field against the size the shape implies and
+//!   against the bytes that remain.
+//!
+//! It then checks that `D` is canonical (every offset `< M`, strictly
+//! increasing within each window), as [`NmSparseMatrix::compress`] does.
+//!
+//! Padded-tail rule: when `M ∤ k`, an offset in the last pruning window can
+//! point past row `k − 1` (`base + D[u][j] ≥ k`). Such a vector is padding,
+//! so its value span loads as `0.0`, as compressing the dense matrix leaves
+//! it. Every other value loads bit for bit, `-0.0` and NaN payloads
+//! included. Untrusted bytes can fail to load, but never panic the loader
+//! or yield a structurally invalid matrix.
 
 use crate::error::{NmError, Result};
 use crate::index::IndexMatrix;
-use crate::matrix::MatrixF32;
 use crate::pattern::NmConfig;
 use crate::sparse::NmSparseMatrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -22,7 +40,6 @@ pub const VERSION: u16 = 1;
 /// Serialize a compressed matrix into a standalone binary blob.
 pub fn to_bytes(sb: &NmSparseMatrix) -> Bytes {
     let cfg = sb.cfg();
-    let (w, q) = (sb.w(), sb.q());
     let packed_idx = sb.indices().bit_pack(cfg);
     let values = sb.values().as_slice();
 
@@ -41,7 +58,6 @@ pub fn to_bytes(sb: &NmSparseMatrix) -> Bytes {
     for v in values {
         buf.put_f32_le(*v);
     }
-    let _ = (w, q); // shapes are derivable; kept for readability
     buf.freeze()
 }
 
@@ -57,6 +73,7 @@ pub fn from_bytes(mut data: &[u8]) -> Result<NmSparseMatrix> {
             Ok(())
         }
     };
+    let overflow = |field: &str| fail(&format!("{field} overflows usize"));
 
     need(data, 8, "header")?;
     let mut magic = [0u8; 4];
@@ -75,79 +92,63 @@ pub fn from_bytes(mut data: &[u8]) -> Result<NmSparseMatrix> {
     let m_win = data.get_u32_le() as usize;
     let l = data.get_u32_le() as usize;
     let cfg = NmConfig::new(n_keep, m_win, l)?;
-    let k = data.get_u64_le() as usize;
-    let n = data.get_u64_le() as usize;
-
-    let w = cfg.compressed_rows(k);
+    let k = usize::try_from(data.get_u64_le()).map_err(|_| overflow("k"))?;
+    let n = usize::try_from(data.get_u64_le()).map_err(|_| overflow("n"))?;
+    // With an empty axis the payload would no longer bound the other one.
+    if k == 0 || n == 0 {
+        return Err(fail(&format!("empty shape {k}x{n}")));
+    }
+    // `decompress` allocates the dense `k × n`.
+    k.checked_mul(n).ok_or_else(|| overflow("dense size k·n"))?;
+    let w = cfg
+        .window_rows(k)
+        .checked_mul(cfg.n)
+        .ok_or_else(|| overflow("compressed rows w"))?;
     let q = cfg.window_cols(n);
+    let expect_idx = w
+        .checked_mul(q)
+        .and_then(|e| e.checked_mul(cfg.index_bits() as usize))
+        .ok_or_else(|| overflow("index bit count w·q·bits"))?
+        .div_ceil(8);
+    let expect_vals = w
+        .checked_mul(n)
+        .ok_or_else(|| overflow("value count w·n"))?;
+    let val_bytes = expect_vals
+        .checked_mul(4)
+        .ok_or_else(|| overflow("values byte length"))?;
 
     need(data, 8, "index length")?;
-    let idx_len = data.get_u64_le() as usize;
-    let expect_idx = (w * q * cfg.index_bits() as usize).div_ceil(8);
-    if idx_len != expect_idx {
+    let idx_len = data.get_u64_le();
+    if idx_len != expect_idx as u64 {
         return Err(fail(&format!(
             "index section is {idx_len} bytes, expected {expect_idx}"
         )));
     }
-    need(data, idx_len, "index payload")?;
-    let mut packed = vec![0u8; idx_len];
-    data.copy_to_slice(&mut packed);
-    let indices = IndexMatrix::bit_unpack(&packed, w, q, cfg)?;
-    indices.validate(cfg)?;
+    need(data, expect_idx, "index payload")?;
+    let (packed, rest) = data.split_at(expect_idx);
+    data = rest;
 
     need(data, 8, "values length")?;
-    let val_len = data.get_u64_le() as usize;
-    if val_len != w * n {
+    let val_len = data.get_u64_le();
+    if val_len != expect_vals as u64 {
         return Err(fail(&format!(
-            "values section holds {val_len} floats, expected {}",
-            w * n
+            "values section holds {val_len} floats, expected {expect_vals}"
         )));
     }
-    need(data, val_len * 4, "values payload")?;
-    let mut values = Vec::with_capacity(val_len);
-    for _ in 0..val_len {
-        values.push(data.get_f32_le());
-    }
+    need(data, val_bytes, "values payload")?;
 
-    // Rebuild through the validating constructor: decompress is not needed,
-    // compress() re-checks the canonical form.
-    let rebuilt = NmSparseMatrix::compress(
-        &reassemble_dense(&values, &indices, cfg, k, n),
-        cfg,
-        indices,
-    )?;
-    Ok(rebuilt)
-}
-
-/// Expand values+indices to the dense matrix so the validating `compress`
-/// constructor can rebuild the sparse form losslessly.
-fn reassemble_dense(
-    values: &[f32],
-    indices: &IndexMatrix,
-    cfg: NmConfig,
-    k: usize,
-    n: usize,
-) -> MatrixF32 {
-    let mut out = MatrixF32::zeros(k, n);
-    let (w, q) = (indices.w(), indices.q());
-    for u in 0..w {
-        let base = u / cfg.n * cfg.m;
-        for j in 0..q {
-            let dst_row = base + indices.get(u, j) as usize;
-            if dst_row >= k {
-                continue;
-            }
-            let lo = j * cfg.l;
-            let hi = ((j + 1) * cfg.l).min(n);
-            out.row_mut(dst_row)[lo..hi].copy_from_slice(&values[u * n + lo..u * n + hi]);
-        }
-    }
-    out
+    let values = data[..val_bytes]
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("chunks_exact yields 4 bytes")))
+        .collect();
+    let indices = IndexMatrix::bit_unpack(packed, w, q, cfg)?;
+    NmSparseMatrix::from_parts(cfg, k, n, values, indices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixF32;
     use crate::prune::PrunePolicy;
 
     fn sample(seed: u64) -> NmSparseMatrix {
@@ -199,19 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncation_at_every_boundary() {
-        let sb = sample(4);
-        let blob = to_bytes(&sb);
-        // Cut the blob at a spread of lengths — all must fail, never panic.
-        for cut in [0usize, 3, 7, 11, 19, 27, 35, 43, blob.len() - 1] {
-            assert!(
-                from_bytes(&blob[..cut]).is_err(),
-                "cut at {cut} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_corrupt_index_payload() {
         let sb = sample(5);
         let blob = to_bytes(&sb).to_vec();
@@ -251,6 +239,166 @@ mod tests {
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let back = from_bytes(&to_bytes(&sb)).unwrap();
         assert_eq!(back.decompress(), b);
+    }
+
+    /// Byte offset of the index section's length field: magic, version and
+    /// flags (8), `N`/`M`/`L` (12), `k`/`n` (16).
+    const IDX_LEN_AT: usize = 36;
+
+    /// Byte offset of the values section's length field in `blob`.
+    fn val_len_at(blob: &[u8]) -> usize {
+        let idx_len = u64::from_le_bytes(blob[IDX_LEN_AT..IDX_LEN_AT + 8].try_into().unwrap());
+        IDX_LEN_AT + 8 + idx_len as usize
+    }
+
+    /// A canonical `D` whose even window columns keep the top `N` offsets
+    /// of every window and odd ones the bottom `N`, so the last window of a
+    /// ragged `k` always has spans in the padded tail.
+    fn top_and_bottom(cfg: NmConfig, k: usize, n: usize) -> IndexMatrix {
+        let (w, q) = (cfg.compressed_rows(k), cfg.window_cols(n));
+        let mut d = IndexMatrix::zeros(w, q);
+        for u in 0..w {
+            for j in 0..q {
+                let i = u % cfg.n;
+                let off = if j % 2 == 0 { cfg.m - cfg.n + i } else { i };
+                d.set(u, j, off as u8);
+            }
+        }
+        d
+    }
+
+    fn bits(sb: &NmSparseMatrix) -> Vec<u32> {
+        sb.values().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Loading a blob must end in `Ok` with a valid matrix or in `Err`.
+    fn loads_or_fails_cleanly(case: &str, blob: &[u8]) -> bool {
+        match std::panic::catch_unwind(|| from_bytes(blob)) {
+            Ok(Ok(sb)) => {
+                sb.validate()
+                    .unwrap_or_else(|e| panic!("{case}: loaded an invalid matrix: {e}"));
+                assert_eq!(sb.values().shape(), (sb.w(), sb.cols()), "{case}");
+                assert_eq!(sb.indices().q(), sb.cfg().window_cols(sb.cols()), "{case}");
+                true
+            }
+            Ok(Err(_)) => false,
+            Err(_) => panic!("{case}: from_bytes panicked"),
+        }
+    }
+
+    #[test]
+    fn mutated_blobs_load_or_fail_without_panicking() {
+        // k % M != 0 and n % L != 0, with 3-bit offsets.
+        let cfg = NmConfig::new(3, 8, 4).unwrap();
+        let (k, n) = (19, 13);
+        let sb =
+            NmSparseMatrix::compress(&MatrixF32::random(k, n, 9), cfg, top_and_bottom(cfg, k, n))
+                .unwrap();
+        let blob = to_bytes(&sb).to_vec();
+        assert!(loads_or_fails_cleanly("intact", &blob));
+
+        for cut in 0..blob.len() {
+            let loaded = loads_or_fails_cleanly(&format!("cut at {cut}"), &blob[..cut]);
+            assert!(!loaded, "a blob cut at {cut} must be rejected");
+        }
+        for at in 0..blob.len() {
+            let mut bad = blob.clone();
+            bad[at] ^= 0xFF;
+            loads_or_fails_cleanly(&format!("byte {at} flipped"), &bad);
+        }
+        let fields = [
+            ("k", 20),
+            ("n", 28),
+            ("index length", IDX_LEN_AT),
+            ("values length", val_len_at(&blob)),
+        ];
+        let doctored = [0, 1, 1 << 32, 1 << 35, 1 << 62, u64::MAX - 1, u64::MAX];
+        for (field, at) in fields {
+            for v in doctored {
+                let mut bad = blob.clone();
+                bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                let loaded = loads_or_fails_cleanly(&format!("{field} = {v}"), &bad);
+                assert!(!loaded, "{field} = {v} must be rejected");
+            }
+        }
+    }
+
+    #[test]
+    fn header_overflow_is_an_error_naming_the_field() {
+        let (k_at, n_at) = (20, 28);
+        let with = |sb: &NmSparseMatrix, k: u64, n: u64| {
+            let mut bad = to_bytes(sb).to_vec();
+            bad[k_at..k_at + 8].copy_from_slice(&k.to_le_bytes());
+            bad[n_at..n_at + 8].copy_from_slice(&n.to_le_bytes());
+            from_bytes(&bad).unwrap_err().to_string()
+        };
+        let dense = |l| {
+            let cfg = NmConfig::new(4, 4, l).unwrap();
+            NmSparseMatrix::prune_magnitude(&MatrixF32::random(8, 8, 11), cfg).unwrap()
+        };
+        let (l1, l4) = (dense(1), dense(4));
+        let cases = [
+            (&sample(10), u64::MAX - 1, 48, "dense size k·n"),
+            (&l4, u64::MAX - 1, 1, "compressed rows w"),
+            (&l1, (1 << 62) - 1, 2, "index bit count"),
+            (&l4, (1 << 62) - 1, 4, "value count w·n"),
+            (&l4, (1 << 61) - 1, 4, "values byte length"),
+            (&l4, 8, 0, "empty shape"),
+        ];
+        for (sb, k, n, named) in cases {
+            let err = with(sb, k, n);
+            assert!(err.contains(named), "k = {k}, n = {n}: {err}");
+        }
+    }
+
+    #[test]
+    fn loads_exactly_what_the_dense_round_trip_loaded() {
+        let cases = [
+            ((2, 4, 4), (17, 13)),
+            ((3, 8, 3), (17, 10)),
+            ((1, 5, 2), (11, 7)),
+            ((4, 4, 2), (9, 5)),
+            ((2, 8, 32), (42, 70)),
+            ((2, 16, 8), (60, 44)),
+        ];
+        for ((nk, m, l), (k, n)) in cases {
+            let cfg = NmConfig::new(nk, m, l).unwrap();
+            let d = top_and_bottom(cfg, k, n);
+            let mut dense = MatrixF32::random(k, n, (k * n) as u64);
+            // A kept -0.0 and a kept NaN payload in columns `l` and `l + 1`:
+            // window column 1 keeps the bottom offsets 0..N, all real rows.
+            let nan = f32::from_bits(0x7fc0_1234);
+            dense.set(0, l, -0.0);
+            dense.set(nk - 1, l + 1, nan);
+            let sb = NmSparseMatrix::compress(&dense, cfg, d.clone()).unwrap();
+            let mut blob = to_bytes(&sb).to_vec();
+
+            // Garbage in every value span whose offset is padding.
+            let vals_at = val_len_at(&blob) + 8;
+            let (w, q) = (sb.w(), sb.q());
+            let mut tail_spans = 0;
+            for u in 0..w {
+                for j in 0..q {
+                    if u / nk * m + d.get(u, j) as usize >= k {
+                        tail_spans += 1;
+                        for col in j * l..((j + 1) * l).min(n) {
+                            let at = vals_at + (u * n + col) * 4;
+                            blob[at..at + 4].copy_from_slice(&(1.5 + col as f32).to_le_bytes());
+                        }
+                    }
+                }
+            }
+            let case = format!("{cfg} {k}x{n}");
+            assert!(tail_spans > 0, "{case}: no padded-tail span planted");
+
+            let loaded = from_bytes(&blob).unwrap();
+            let dense_trip = NmSparseMatrix::compress(&sb.decompress(), cfg, d).unwrap();
+            assert_eq!(bits(&loaded), bits(&dense_trip), "{case}");
+            assert_eq!(loaded.indices(), dense_trip.indices(), "{case}");
+            assert_eq!((loaded.k(), loaded.cols()), (k, n), "{case}");
+            assert_eq!(loaded.values().get(0, l).to_bits(), (-0.0f32).to_bits());
+            assert_eq!(loaded.values().get(nk - 1, l + 1).to_bits(), nan.to_bits());
+        }
     }
 
     #[test]

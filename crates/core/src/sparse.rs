@@ -45,15 +45,7 @@ impl NmSparseMatrix {
     /// [`IndexMatrix::validate`].
     pub fn compress(b: &MatrixF32, cfg: NmConfig, d: IndexMatrix) -> Result<Self> {
         let (k, n) = b.shape();
-        let w = cfg.compressed_rows(k);
-        let q = cfg.window_cols(n);
-        if d.w() != w || d.q() != q {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("index matrix {w}x{q}"),
-                found: format!("{}x{}", d.w(), d.q()),
-            });
-        }
-        d.validate(cfg)?;
+        let (w, q) = check_indices(cfg, k, n, &d)?;
 
         let mut values = MatrixF32::zeros(w, n);
         for u in 0..w {
@@ -68,6 +60,42 @@ impl NmSparseMatrix {
                 let hi = ((j + 1) * cfg.l).min(n);
                 let dst = &mut values.row_mut(u)[lo..hi];
                 dst.copy_from_slice(&b.row(src_row)[lo..hi]);
+            }
+        }
+        Ok(Self {
+            cfg,
+            k,
+            n_cols: n,
+            values,
+            indices: d,
+        })
+    }
+
+    /// Assemble already-compressed parts, the `w × n` values `B′` (row
+    /// major) and `D`, without a dense `k × n` detour, with the checks
+    /// [`Self::compress`] makes: `D` must be `w × q` and canonical. A value
+    /// span whose offset lands in the padded tail of the last pruning window
+    /// (`base + D[u][j] ≥ k`) is zeroed, exactly as `compress` leaves it.
+    ///
+    /// # Panics
+    /// Panics if `values.len() != w · n`.
+    pub(crate) fn from_parts(
+        cfg: NmConfig,
+        k: usize,
+        n: usize,
+        values: Vec<f32>,
+        d: IndexMatrix,
+    ) -> Result<Self> {
+        let (w, q) = check_indices(cfg, k, n, &d)?;
+        let mut values = MatrixF32::from_vec(w, n, values);
+        for u in 0..w {
+            let base = u / cfg.n * cfg.m;
+            for j in 0..q {
+                if base + d.get(u, j) as usize >= k {
+                    let lo = j * cfg.l;
+                    let hi = ((j + 1) * cfg.l).min(n);
+                    values.row_mut(u)[lo..hi].fill(0.0);
+                }
             }
         }
         Ok(Self {
@@ -201,6 +229,21 @@ impl NmSparseMatrix {
     }
 }
 
+/// Check that `d` is the `w × q` canonical index matrix of a `k × n` matrix
+/// under `cfg`, and return `(w, q)`.
+fn check_indices(cfg: NmConfig, k: usize, n: usize, d: &IndexMatrix) -> Result<(usize, usize)> {
+    let w = cfg.compressed_rows(k);
+    let q = cfg.window_cols(n);
+    if d.w() != w || d.q() != q {
+        return Err(NmError::DimensionMismatch {
+            expected: format!("index matrix {w}x{q}"),
+            found: format!("{}x{}", d.w(), d.q()),
+        });
+    }
+    d.validate(cfg)?;
+    Ok((w, q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,6 +336,24 @@ mod tests {
         assert!(matches!(
             NmSparseMatrix::compress(&b, c, d),
             Err(NmError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn from_parts_checks_what_compress_checks() {
+        let c = cfg(2, 4, 4);
+        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(16, 8, 2), c).unwrap();
+        let parts = |k| {
+            let values = sb.values().as_slice().to_vec();
+            NmSparseMatrix::from_parts(c, k, 8, values, sb.indices().clone())
+        };
+        assert_eq!(parts(16).unwrap(), sb);
+        // An index matrix for another k, and a non-canonical one.
+        assert!(matches!(parts(20), Err(NmError::DimensionMismatch { .. })));
+        let d = IndexMatrix::from_vec(2, 1, vec![3, 1]);
+        assert!(matches!(
+            NmSparseMatrix::from_parts(c, 4, 4, vec![0.0; 8], d),
+            Err(NmError::CorruptIndex { .. })
         ));
     }
 
