@@ -1,12 +1,9 @@
 //! Criterion benches of the simulator itself: how fast are analytic
-//! estimates (they drive the 100-point × 3-device × 4-level Fig. 9 sweep)
-//! and functional block execution (which drives the correctness suites).
+//! estimates (they drive the 100-point × 3-device × 4-level Fig. 9 sweep).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::device::a100_80g;
-use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
-use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::{DenseGemmKernel, NmSpmmKernel, NmVersion};
 
 fn bench_sim(c: &mut Criterion) {
@@ -31,16 +28,6 @@ fn bench_sim(c: &mut Criterion) {
         })
     });
 
-    let a = MatrixF32::random(128, 256, 1);
-    let b = MatrixF32::random(256, 128, 2);
-    let sb = NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune");
-    group.bench_function("functional_run_128x128x256", |bench| {
-        bench.iter(|| {
-            NmSpmmKernel::auto(NmVersion::V3, 128, 128)
-                .run(&dev, &a, &sb)
-                .expect("run")
-        })
-    });
     group.finish();
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Every kernel choice comes from [`Session::plan`] — strategy decision
 //! plus exhaustive autotune, memoized per `(device, shape class, N:M)`
-//! key — and every functional execution goes through a prepared layer
+//! key — and every execution goes through a prepared layer
 //! handle ([`Session::load_planned`]). With `--cache PATH` the memo is
 //! loaded at startup and saved on exit, so the second run of an identical
 //! sweep performs zero tuning searches (the cache accounting printed at
@@ -382,9 +382,9 @@ fn shape_sweep(args: &Args, session: &mut Session) {
     for cfg in benchmark_levels() {
         let plan = session.plan(m, n, k, cfg).expect("plan");
         let best = plan.best().expect("planner-built plans carry an estimate");
-        // Energy needs event counts: run the chosen kernel functionally on
-        // small problems through a prepared Sim-backend handle; large
-        // shapes skip it (the estimate covers time).
+        // Energy needs event counts: small problems take the chosen
+        // kernel's predicted counts from a prepared Sim-backend handle;
+        // large shapes skip it (the estimate covers time).
         let spec = ProblemSpec { m, n, k, cfg };
         let e = if m * n <= 512 * 512 {
             let inst = ProblemInstance::generate(spec, 1);

@@ -4,20 +4,16 @@
 //! At high sparsity the working set of `As` (the `A` tile in shared memory)
 //! is mostly dead weight: within a `ks`-deep k-block only the columns named
 //! by some pruning window are ever read. The paper's offline step computes,
-//! per (k-block, column-block) pair:
-//!
-//! 1. **`col_info`** — the sorted union of `A` columns referenced by any of
-//!    the block's `qs` pruning windows (`queryColInfo`),
-//! 2. **reordered indices** — `D` entries remapped from window offsets to
-//!    positions inside the packed `col_info` list (`reorderingIdx`), so the
-//!    inner kernel indexes the packed `As` directly,
-//! 3. **layout transform** — `D` rearranged into per-block contiguous panels
-//!    to coalesce global loads (`transformLayout`, modeled by
-//!    [`crate::index::IndexLayout::Blocked`]).
+//! per (k-block, column-block) pair, **`col_info`** — the sorted union of
+//! `A` columns referenced by any of the block's `qs` pruning windows
+//! (`queryColInfo`). A `D` entry's packed position (`reorderingIdx`) is its
+//! rank in that sorted list; the block layout transform (`transformLayout`)
+//! is modeled by [`crate::index::IndexLayout::Blocked`].
 //!
 //! During online computation the kernel loads only the `col_info` columns of
 //! `A` ("packing"), shrinking the `As` footprint from `ms×ks` to
-//! `ms×len(col_info)` and raising arithmetic intensity (Eq. 3).
+//! `ms×len(col_info)` and raising arithmetic intensity (Eq. 3). The
+//! simulator prices that saving through [`ColInfo::mean_packing_ratio`].
 
 use crate::error::{NmError, Result};
 use crate::pattern::NmConfig;
@@ -81,39 +77,12 @@ impl ColInfo {
     }
 }
 
-/// The full offline pre-processing product: `col_info` plus the reordered
-/// (packed-position) index matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PackedLayout {
-    /// The packed-column table.
-    pub col_info: ColInfo,
-    /// `packed_idx[u * q + j]` — position of `D[u][j]`'s column inside the
-    /// `col_info` list of the block containing `(u, j)`. Replaces `D` in the
-    /// packing kernel's inner loop.
-    packed_idx: Vec<u16>,
-    q: usize,
-}
-
-impl PackedLayout {
-    /// Reordered index for compressed row `u`, window column `j`.
-    #[inline]
-    pub fn packed_index(&self, u: usize, j: usize) -> u16 {
-        self.packed_idx[u * self.q + j]
-    }
-
-    /// Window-column count of the underlying index matrix.
-    #[inline]
-    pub fn q(&self) -> usize {
-        self.q
-    }
-}
-
 /// Run the offline pre-processing of paper Listing 3 / Fig. 4.
 ///
 /// `ks` must be a positive multiple of `M` and `ns` a positive multiple of
 /// `L`; these are the shared-memory blocking parameters the online kernel
 /// will use.
-pub fn preprocess(sb: &NmSparseMatrix, ks: usize, ns: usize) -> Result<PackedLayout> {
+pub fn preprocess(sb: &NmSparseMatrix, ks: usize, ns: usize) -> Result<ColInfo> {
     let cfg = sb.cfg();
     validate_blocking(cfg, ks, ns)?;
 
@@ -125,9 +94,6 @@ pub fn preprocess(sb: &NmSparseMatrix, ks: usize, ns: usize) -> Result<PackedLay
     let d = sb.indices();
 
     let mut cols: Vec<Vec<u16>> = Vec::with_capacity(kblocks * cblocks);
-    let mut packed_idx = vec![0u16; w * q];
-    // Scratch: position of each dense k-offset within the block's packed list.
-    let mut pos_of = vec![u16::MAX; ks];
 
     for bk in 0..kblocks {
         let u_lo = bk * ws;
@@ -146,38 +112,18 @@ pub fn preprocess(sb: &NmSparseMatrix, ks: usize, ns: usize) -> Result<PackedLay
                     used[off] = true;
                 }
             }
-            let list: Vec<u16> = (0..ks as u16).filter(|&c| used[c as usize]).collect();
-
-            // reorderingIdx: map dense offsets to packed positions.
-            for p in pos_of.iter_mut() {
-                *p = u16::MAX;
-            }
-            for (pos, &c) in list.iter().enumerate() {
-                pos_of[c as usize] = pos as u16;
-            }
-            for u in u_lo..u_hi {
-                let base = u / cfg.n * cfg.m;
-                for j in j_lo..j_hi {
-                    let off = base + d.get(u, j) as usize - kbase;
-                    packed_idx[u * q + j] = pos_of[off];
-                }
-            }
-            cols.push(list);
+            cols.push((0..ks as u16).filter(|&c| used[c as usize]).collect());
         }
     }
 
-    Ok(PackedLayout {
-        col_info: ColInfo {
-            ks,
-            ns,
-            ws,
-            qs,
-            kblocks,
-            cblocks,
-            cols,
-        },
-        packed_idx,
-        q,
+    Ok(ColInfo {
+        ks,
+        ns,
+        ws,
+        qs,
+        kblocks,
+        cblocks,
+        cols,
     })
 }
 
@@ -224,7 +170,7 @@ mod tests {
         let cfg = NmConfig::new(2, 16, 4).unwrap();
         let sb = sparse(64, 32, cfg, PrunePolicy::Strided);
         let p = preprocess(&sb, 32, 16).unwrap();
-        assert!((p.col_info.mean_packing_ratio() - 2.0 / 16.0).abs() < 1e-12);
+        assert!((p.mean_packing_ratio() - 2.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -237,7 +183,7 @@ mod tests {
         let qs = ns / cfg.l;
         let lower = cfg.n as f64 / cfg.m as f64;
         let upper = ((qs * cfg.n).min(cfg.m) as f64) / cfg.m as f64;
-        let ratio = p.col_info.mean_packing_ratio();
+        let ratio = p.mean_packing_ratio();
         assert!(
             ratio >= lower - 1e-12 && ratio <= upper + 1e-12,
             "ratio {ratio} outside [{lower}, {upper}]"
@@ -249,25 +195,21 @@ mod tests {
 
     #[test]
     fn packed_positions_point_back_to_the_same_column() {
+        // A D entry's packed position is its rank in the block's sorted
+        // list; every entry must find its dense column there.
         let cfg = NmConfig::new(4, 16, 8).unwrap();
         let sb = sparse(64, 64, cfg, PrunePolicy::Random { seed: 17 });
         let ks = 32;
-        let ns = 32;
-        let p = preprocess(&sb, ks, ns).unwrap();
+        let ci = preprocess(&sb, ks, 32).unwrap();
         let d = sb.indices();
-        let ci = &p.col_info;
         for u in 0..sb.w() {
             let bk = u / ci.ws;
             let base = u / cfg.n * cfg.m;
             for j in 0..sb.q() {
-                let bj = j / ci.qs;
-                let dense_off = base + d.get(u, j) as usize - bk * ks;
-                let pos = p.packed_index(u, j) as usize;
-                assert_eq!(
-                    ci.block(bk, bj)[pos] as usize,
-                    dense_off,
-                    "round-trip failed at u={u}, j={j}"
-                );
+                let list = ci.block(bk, j / ci.qs);
+                let dense_off = (base + d.get(u, j) as usize - bk * ks) as u16;
+                let pos = list.binary_search(&dense_off);
+                assert!(pos.is_ok(), "u={u}, j={j}: column {dense_off} not packed");
             }
         }
     }
@@ -277,11 +219,11 @@ mod tests {
         let cfg = NmConfig::new(2, 16, 4).unwrap();
         let sb = sparse(64, 48, cfg, PrunePolicy::Random { seed: 23 });
         let p = preprocess(&sb, 32, 16).unwrap();
-        for bk in 0..p.col_info.kblocks {
-            for bj in 0..p.col_info.cblocks {
-                let list = p.col_info.block(bk, bj);
+        for bk in 0..p.kblocks {
+            for bj in 0..p.cblocks {
+                let list = p.block(bk, bj);
                 assert!(list.windows(2).all(|w| w[0] < w[1]), "not sorted/unique");
-                assert!(list.iter().all(|&c| (c as usize) < p.col_info.ks));
+                assert!(list.iter().all(|&c| (c as usize) < p.ks));
             }
         }
     }
@@ -292,7 +234,7 @@ mod tests {
         let sb = sparse(512, 512, cfg, PrunePolicy::Magnitude);
         let p = preprocess(&sb, 64, 64).unwrap();
         let values_bytes = sb.values().as_slice().len() * 4;
-        let overhead = p.col_info.storage_bytes() as f64 / values_bytes as f64;
+        let overhead = p.storage_bytes() as f64 / values_bytes as f64;
         assert!(
             overhead < 0.15,
             "col_info overhead {overhead} should stay in the paper's 1-10% band"
@@ -305,12 +247,12 @@ mod tests {
         let cfg = NmConfig::new(4, 16, 8).unwrap();
         let sb = sparse(32, 32, cfg, PrunePolicy::Random { seed: 31 });
         let p = preprocess(&sb, 16, 8).unwrap(); // ks=M, one window per block col
-        for bk in 0..p.col_info.kblocks {
-            for bj in 0..p.col_info.cblocks {
-                assert_eq!(p.col_info.packed_len(bk, bj), cfg.n);
+        for bk in 0..p.kblocks {
+            for bj in 0..p.cblocks {
+                assert_eq!(p.packed_len(bk, bj), cfg.n);
             }
         }
-        assert!((p.col_info.mean_packing_ratio() - 0.25).abs() < 1e-12);
+        assert!((p.mean_packing_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -319,14 +261,19 @@ mod tests {
         let cfg = NmConfig::new(2, 4, 4).unwrap();
         let sb = sparse(32, 24, cfg, PrunePolicy::Magnitude);
         let p = preprocess(&sb, 8, 16).unwrap();
-        assert_eq!(p.col_info.cblocks, 2);
-        // Must not panic and every packed index must be valid.
-        for u in 0..sb.w() {
-            for j in 0..sb.q() {
-                let bk = u / p.col_info.ws;
-                let bj = j / p.col_info.qs;
-                assert!((p.packed_index(u, j) as usize) < p.col_info.packed_len(bk, bj));
-            }
+        assert_eq!(p.cblocks, 2);
+        // The ragged block's list is the union of its two windows alone.
+        let d = sb.indices();
+        for bk in 0..p.kblocks {
+            let mut want: Vec<u16> = (bk * p.ws..(bk + 1) * p.ws)
+                .flat_map(|u| {
+                    let base = u / cfg.n * cfg.m - bk * p.ks;
+                    (4..6).map(move |j| (base + d.get(u, j) as usize) as u16)
+                })
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(p.block(bk, 1), want.as_slice());
         }
     }
 }

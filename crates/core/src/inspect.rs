@@ -103,9 +103,7 @@ pub fn pattern_stats(sb: &NmSparseMatrix) -> PatternStats {
 /// Measured packing ratio this matrix achieves under a concrete blocking —
 /// the ground truth the expected-union model approximates.
 pub fn measured_packing_ratio(sb: &NmSparseMatrix, ks: usize, ns: usize) -> Option<f64> {
-    preprocess(sb, ks, ns)
-        .ok()
-        .map(|l| l.col_info.mean_packing_ratio())
+    preprocess(sb, ks, ns).ok().map(|c| c.mean_packing_ratio())
 }
 
 #[cfg(test)]

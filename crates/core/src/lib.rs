@@ -53,7 +53,7 @@ pub mod sliced;
 pub mod sparse;
 pub mod spmm;
 
-pub use colinfo::{ColInfo, PackedLayout};
+pub use colinfo::ColInfo;
 pub use error::NmError;
 pub use index::{IndexLayout, IndexMatrix};
 pub use json::JsonValue;
@@ -64,7 +64,7 @@ pub use sparse::NmSparseMatrix;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::colinfo::{ColInfo, PackedLayout};
+    pub use crate::colinfo::ColInfo;
     pub use crate::error::NmError;
     pub use crate::index::{IndexLayout, IndexMatrix};
     pub use crate::matrix::MatrixF32;

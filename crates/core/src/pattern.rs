@@ -27,6 +27,9 @@ pub enum SparsityClass {
 /// The paper's moderate/high threshold (70%).
 pub const SPARSITY_THRESHOLD: f64 = 0.70;
 
+/// Largest window depth `M`: the index matrix stores each offset in a `u8`.
+pub const MAX_M: usize = 256;
+
 /// An `N:M` vector-wise sparsity configuration with vector length `L`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NmConfig {
@@ -39,7 +42,7 @@ pub struct NmConfig {
 }
 
 impl NmConfig {
-    /// Validated constructor. Requires `1 ≤ N ≤ M`, `M ≥ 1`, `L ≥ 1`.
+    /// Validated constructor. Requires `1 ≤ N ≤ M ≤` [`MAX_M`] and `L ≥ 1`.
     pub fn new(n: usize, m: usize, l: usize) -> Result<Self> {
         if n == 0 || m == 0 || l == 0 {
             return Err(NmError::InvalidConfig {
@@ -49,6 +52,13 @@ impl NmConfig {
         if n > m {
             return Err(NmError::InvalidConfig {
                 reason: format!("N must not exceed M (got N={n}, M={m})"),
+            });
+        }
+        if m > MAX_M {
+            return Err(NmError::InvalidConfig {
+                reason: format!(
+                    "M must not exceed {MAX_M}, the offsets a u8 index holds (got M={m})"
+                ),
             });
         }
         Ok(Self { n, m, l })
@@ -149,6 +159,9 @@ mod tests {
         assert!(NmConfig::new(2, 0, 4).is_err());
         assert!(NmConfig::new(2, 4, 0).is_err());
         assert!(NmConfig::new(5, 4, 4).is_err(), "N>M must be rejected");
+        assert!(NmConfig::new(1, 256, 1).is_ok());
+        let err = NmConfig::new(1, 300, 1).unwrap_err();
+        assert!(err.to_string().contains("M=300"), "{err}");
     }
 
     #[test]

@@ -170,6 +170,19 @@ mod tests {
     }
 
     #[test]
+    fn widest_window_keeps_its_last_offset() {
+        // M = 256 is the widest window a u8 offset holds; a nonzero at
+        // offset 255 must survive the blob.
+        let cfg = NmConfig::new(1, 256, 1).unwrap();
+        let mut b = MatrixF32::zeros(256, 1);
+        b.set(255, 0, 3.5);
+        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        assert_eq!(sb.indices().get(0, 0), 255);
+        let back = from_bytes(&to_bytes(&sb)).unwrap();
+        assert_eq!(back.decompress(), b);
+    }
+
+    #[test]
     fn round_trip_with_padding_shapes() {
         let cfg = NmConfig::new(2, 4, 4).unwrap();
         let b = MatrixF32::random(17, 13, 5); // both axes ragged

@@ -16,11 +16,11 @@
 //!   main loops, DRAM latency exposure, and multi-block interleaving,
 //! * the machine roofline ([`roofline`]).
 //!
-//! Kernels (in the `nm-kernels` crate) execute *functionally* against plain
-//! buffers to produce real FP32 results, while reporting their per-block
-//! event counts ([`stats::KernelStats`]) and resource shape
-//! ([`timing::KernelProfile`]) to this crate's timing model, which turns
-//! them into cycles, seconds, TFLOPS and efficiency.
+//! Kernels (in the `nm-kernels` crate) do not compute results here: they
+//! derive their event counts ([`stats::KernelStats`]) and resource shape
+//! ([`timing::KernelProfile`]) from the problem's geometry, and this
+//! crate's timing model turns them into cycles, seconds, TFLOPS and
+//! efficiency.
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,9 @@
 //! Per-kernel event accounting — the simulator's Nsight-Compute stand-in.
 //!
-//! Kernels accumulate a [`KernelStats`] while (functionally or analytically)
-//! executing. The timing model consumes these counts; tests assert that the
-//! analytic path predicts exactly the counts the functional path measures.
+//! Simulated kernels predict a [`KernelStats`] from the same per-iteration
+//! quantities as their timing profile, and the codegen interpreter counts
+//! one while it executes. The timing and energy models consume these
+//! counts.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};

@@ -1,21 +1,23 @@
-//! Execution backends: one trait, two ways to run a plan.
+//! Execution backends: one trait, several ways to run a plan.
 //!
 //! A [`Plan`] records *what* to run — kernel family and
 //! auto-tuned blocking. [`ExecBackend`] decides *where*:
 //!
-//! * [`SimBackend`] — the original path: the functional face of the
-//!   simulated GPU kernels (tile fills into emulated shared memory,
-//!   index-directed gathers), producing event counts and a timing-model
-//!   report alongside the numerics.
+//! * [`SimBackend`] — the simulated GPU: the reference oracle
+//!   ([`spmm_reference`]) computes `C`, and the simulated kernel of the
+//!   plan's family attaches its predicted event counts and timing-model
+//!   report. The simulator predicts; it does not multiply.
 //! * [`CpuBackend`] — the native path: the paper's V1→V3 ladder executed
 //!   for real on the host ([`crate::cpu`]), with the plan's blocking
 //!   parameters driving the CPU tile sizes.
+//! * [`CodegenBackend`](crate::codegen::CodegenBackend) — the plan
+//!   lowered to a WGSL shader and run by the deterministic interpreter.
 //!
 //! ## The offline/online split
 //!
 //! The trait mirrors the paper's performance accounting: everything that
 //! depends only on the *weights* — layout transformation, the
-//! simulator's `col_info` packing, micro-kernel dispatch — is **offline**
+//! simulator's `col_info` packing ratio, micro-kernel dispatch — is **offline**
 //! work done once by
 //! [`ExecBackend::prepare`], which returns an opaque [`PreparedState`];
 //! the **online** kernel is [`ExecBackend::run_prepared`], which may be
@@ -35,6 +37,7 @@
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
+use nm_core::spmm::spmm_reference;
 
 use crate::cpu::{spmm_cpu_prepared, CpuPrepared};
 use crate::nm::{NmSpmmKernel, NmVersion};
@@ -42,7 +45,6 @@ use crate::nmsparse::NmSparseKernel;
 use crate::plan::{EstimateSummary, KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
 use crate::sputnik::SputnikKernel;
-use crate::SimRun;
 use gpu_sim::device::DeviceConfig;
 use std::any::Any;
 use std::time::Instant;
@@ -57,7 +59,8 @@ pub const BACKEND_ENV: &str = "NM_SPMM_BACKEND";
 /// Which execution backend to run a plan through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The simulated GPU kernels (functional face + timing model).
+    /// The simulated GPU: the reference oracle's result with the
+    /// simulator's predicted event counts and timing attached.
     Sim,
     /// The native CPU ladder at the given optimization step.
     Cpu(NmVersion),
@@ -149,12 +152,13 @@ pub struct ExecRun {
     /// The backend that produced it.
     pub backend: BackendKind,
     /// Measured wall-clock seconds of the **online** execution only (host
-    /// time; for the simulator this is the cost of the functional
-    /// emulation, not the modeled GPU latency — that lives in `estimate`).
+    /// time; for the simulator this is the cost of the reference oracle
+    /// plus the prediction, not the modeled GPU latency — that lives in
+    /// `estimate` and `report`).
     ///
     /// The clock starts *after* the offline preparation
     /// ([`ExecBackend::prepare`] — `B′` block staging, the simulator's
-    /// `col_info` packing, ISA dispatch), so repeated calls against one
+    /// `col_info` packing ratio, ISA dispatch), so repeated calls against one
     /// [`PreparedLayer`](crate::session::PreparedLayer) measure exactly
     /// the amortized per-call cost the paper's accounting describes. The
     /// CPU ladder's zero-padded copy of `A` (only when `k` is not a
@@ -169,10 +173,11 @@ pub struct ExecRun {
     /// [`crate::simd::MicroKernel`]) — the simulator has no host ISA to
     /// report.
     pub isa: Option<Isa>,
-    /// Simulated event counts; only the [`SimBackend`] produces them.
+    /// Simulated event counts: the [`SimBackend`]'s prediction, or the
+    /// codegen interpreter's counts; `None` on the native CPU ladder.
     pub stats: Option<gpu_sim::KernelStats>,
-    /// The simulated timing-model report; only the [`SimBackend`]
-    /// produces one.
+    /// The simulated timing-model report, from the [`SimBackend`] or the
+    /// codegen backend; `None` on the native CPU ladder.
     pub report: Option<gpu_sim::LaunchReport>,
 }
 
@@ -219,7 +224,7 @@ pub trait ExecBackend: Send + Sync {
     fn kind(&self) -> BackendKind;
 
     /// Offline step: stage everything derivable from the weights (`B′`
-    /// layout transformation, the simulator's `col_info` packing,
+    /// layout transformation, the simulator's `col_info` packing ratio,
     /// micro-kernel dispatch)
     /// under `plan` so [`ExecBackend::run_prepared`] can amortize it.
     ///
@@ -273,15 +278,18 @@ fn foreign_state_error(backend: BackendKind) -> NmError {
     }
 }
 
-/// The simulated-GPU backend.
+/// The simulated-GPU backend: the reference oracle's `C` with the
+/// simulator's predicted event counts and timing for the plan's kernel
+/// family attached.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimBackend;
 
-/// The simulator's prepared state. The functional emulation re-fills its
-/// emulated shared-memory tiles on every launch — exactly like the real
-/// GPU kernel — so there is nothing weight-derived to cache; the state
-/// only proves the prepare/run pairing was respected.
-struct SimPrepared;
+/// The simulator's prepared state: the weight-derived `col_info` packing
+/// ratio of the predicted NM-SpMM launch (`None` when that launch does not
+/// pack or the family is a baseline).
+struct SimPrepared {
+    packing_ratio: Option<f64>,
+}
 
 impl PreparedState for SimPrepared {
     fn as_any(&self) -> &dyn Any {
@@ -290,19 +298,14 @@ impl PreparedState for SimPrepared {
 }
 
 impl SimBackend {
-    /// The family actually executed — kernels without a functional face
-    /// fall back to NM-SpMM V3 with the plan's tuned blocking: `Dense`
-    /// (needs a dense `B` operand) and `SparseTc` (analytic model only) —
-    /// the numerics are identical, only the event counts differ from the
-    /// analytic winner.
-    fn executed_family(plan: &Plan) -> KernelChoice {
-        let has_functional_face =
-            matches!(plan.choice, KernelChoice::NmSparse | KernelChoice::Sputnik)
-                || plan.choice.nm_version().is_some();
-        if has_functional_face {
-            plan.choice
-        } else {
-            KernelChoice::NmV3
+    /// The family whose prediction is attached: the plan's choice, except
+    /// that `Dense` and `SparseTc` fall back to NM-SpMM V3 with the plan's
+    /// tuned blocking, so the counts always describe an N:M kernel over
+    /// the layer's sparse weights (`sweep`'s energy column reads them).
+    fn predicted_family(plan: &Plan) -> KernelChoice {
+        match plan.choice {
+            KernelChoice::Dense | KernelChoice::SparseTc => KernelChoice::NmV3,
+            choice => choice,
         }
     }
 }
@@ -312,18 +315,23 @@ impl ExecBackend for SimBackend {
         BackendKind::Sim
     }
 
+    /// The offline step: the `col_info` packing ratio of `sb` at the
+    /// predicted NM-SpMM launch's blocking, measured once per weight.
     fn prepare(
         &self,
-        _dev: &DeviceConfig,
-        _plan: &Plan,
-        _sb: &NmSparseMatrix,
+        dev: &DeviceConfig,
+        plan: &Plan,
+        sb: &NmSparseMatrix,
     ) -> Result<Box<dyn PreparedState>> {
-        Ok(Box::new(SimPrepared))
+        let packing_ratio = match Self::predicted_family(plan).nm_version() {
+            Some(v) => NmSpmmKernel::new(v, plan.params).measured_packing_ratio(dev, sb)?,
+            None => None,
+        };
+        Ok(Box::new(SimPrepared { packing_ratio }))
     }
 
-    /// `estimate` must describe the same family the wall clock measured,
-    /// so everything dispatches on the executed family (see
-    /// `executed_family` above).
+    /// `estimate`, `stats` and `report` all describe the predicted family
+    /// (see `predicted_family` above).
     fn run_prepared(
         &self,
         dev: &DeviceConfig,
@@ -332,25 +340,41 @@ impl ExecBackend for SimBackend {
         a: &MatrixF32,
         sb: &NmSparseMatrix,
     ) -> Result<ExecRun> {
-        if state.as_any().downcast_ref::<SimPrepared>().is_none() {
+        let Some(prep) = state.as_any().downcast_ref::<SimPrepared>() else {
             return Err(foreign_state_error(self.kind()));
+        };
+        let (m, k) = a.shape();
+        if k != sb.k() {
+            return Err(NmError::DimensionMismatch {
+                expected: format!("A with k = {}", sb.k()),
+                found: format!("A with k = {k}"),
+            });
         }
-        let executed = Self::executed_family(plan);
+        let (n, cfg) = (sb.cols(), sb.cfg());
+        let family = Self::predicted_family(plan);
         let t0 = Instant::now();
-        let SimRun { c, stats, report } = match executed {
-            KernelChoice::NmSparse => NmSparseKernel.run(dev, a, sb),
-            KernelChoice::Sputnik => SputnikKernel.run(dev, a, sb),
+        let (stats, report) = match family {
+            KernelChoice::NmSparse => NmSparseKernel.predict(dev, m, n, k, cfg)?,
+            KernelChoice::Sputnik => SputnikKernel.predict(dev, m, sb),
             choice => {
                 let version = choice.nm_version().unwrap_or(NmVersion::V3);
-                NmSpmmKernel::new(version, plan.params).run(dev, a, sb)
+                NmSpmmKernel::new(version, plan.params).predict(
+                    dev,
+                    m,
+                    n,
+                    k,
+                    cfg,
+                    prep.packing_ratio,
+                )?
             }
-        }?;
+        };
+        let c = spmm_reference(a, sb);
         let wall_seconds = t0.elapsed().as_secs_f64();
         Ok(ExecRun {
             c,
             backend: BackendKind::Sim,
             wall_seconds,
-            estimate: plan.estimates.get(executed),
+            estimate: plan.estimates.get(family),
             isa: None,
             stats: Some(stats),
             report: Some(report),
@@ -478,7 +502,6 @@ mod tests {
     use gpu_sim::device::a100_80g;
     use nm_core::pattern::NmConfig;
     use nm_core::prune::PrunePolicy;
-    use nm_core::spmm::spmm_reference;
 
     #[test]
     fn backend_names_round_trip() {
@@ -581,6 +604,71 @@ mod tests {
             .run_prepared(&dev, &plan, &*cpu_state, &a, &sb)
             .unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
+
+        // An `A` whose k does not match the weights is a structured
+        // error, never the oracle's assertion.
+        let short = MatrixF32::random(64, 96, 3);
+        for kind in BackendKind::all() {
+            let err = kind
+                .instantiate()
+                .run(&dev, &plan, &short, &sb)
+                .unwrap_err();
+            assert!(
+                matches!(err, NmError::DimensionMismatch { .. }),
+                "{kind}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn sim_backend_attaches_the_data_free_prediction() {
+        use crate::params::BlockingParams;
+        use nm_core::inspect::measured_packing_ratio;
+        let dev = a100_80g();
+        let cfg = NmConfig::new(2, 16, 32).unwrap();
+        let (m, n, k) = (128, 256, 512);
+        let mut plan = Planner::new(dev.clone()).plan(m, n, k, cfg).unwrap();
+        plan.params = BlockingParams::large();
+        let a = MatrixF32::random(m, k, 9);
+        let b = MatrixF32::random(k, n, 10);
+        // Strided windows pack to the N/M floor, far from the
+        // expected-union model's ratio for random patterns.
+        let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Strided).unwrap();
+        for choice in [
+            KernelChoice::NmV1,
+            KernelChoice::NmV2,
+            KernelChoice::NmV3,
+            KernelChoice::NmSparse,
+            KernelChoice::Sputnik,
+            KernelChoice::Dense,
+        ] {
+            plan.choice = choice;
+            let run = SimBackend.run(&dev, &plan, &a, &sb).unwrap();
+            assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-6, 0.0));
+            let (stats, report) = match choice {
+                KernelChoice::NmSparse => NmSparseKernel.predict(&dev, m, n, k, cfg).unwrap(),
+                KernelChoice::Sputnik => SputnikKernel.predict(&dev, m, &sb),
+                _ => {
+                    // Dense falls back to V3 with the plan's blocking.
+                    let v = choice.nm_version().unwrap_or(NmVersion::V3);
+                    let kern = NmSpmmKernel::new(v, plan.params);
+                    let nm = kern.plan(&dev, m, n, k, cfg).unwrap();
+                    let (ks, ns) = (nm.blocking.ks, nm.blocking.params.ns);
+                    let ratio = nm
+                        .packing
+                        .then(|| measured_packing_ratio(&sb, ks, ns).unwrap());
+                    assert_eq!(ratio.is_some(), v != NmVersion::V1, "{choice}");
+                    // The measured ratio, not the expected-union model's,
+                    // drives the packing launches.
+                    let modeled = kern.predict(&dev, m, n, k, cfg, None).unwrap();
+                    let measured = kern.predict(&dev, m, n, k, cfg, ratio).unwrap();
+                    assert_eq!(measured == modeled, v == NmVersion::V1, "{choice}");
+                    measured
+                }
+            };
+            assert_eq!(run.stats, Some(stats), "{choice}");
+            assert_eq!(run.report, Some(report), "{choice}");
+        }
     }
 
     #[test]

@@ -19,26 +19,6 @@ pub fn sectors_runs(count: usize, run_bytes: usize) -> u64 {
     count as u64 * sectors_contig(run_bytes)
 }
 
-/// Scatter a block's `rows_eff × cols_eff` tile (stored row-major with
-/// stride `tile_stride`) into the output buffer.
-#[allow(clippy::too_many_arguments)] // mirrors the CUDA epilogue signature
-pub fn scatter_tile(
-    c: &mut [f32],
-    n: usize,
-    tile: &[f32],
-    tile_stride: usize,
-    row0: usize,
-    col0: usize,
-    rows_eff: usize,
-    cols_eff: usize,
-) {
-    for r in 0..rows_eff {
-        let src = &tile[r * tile_stride..r * tile_stride + cols_eff];
-        let dst = &mut c[(row0 + r) * n + col0..(row0 + r) * n + col0 + cols_eff];
-        dst.copy_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,17 +36,5 @@ mod tests {
         assert_eq!(sectors_contig(32), 1);
         assert_eq!(sectors_contig(33), 2);
         assert_eq!(sectors_runs(4, 256), 32);
-    }
-
-    #[test]
-    fn scatter_places_tile() {
-        let mut c = vec![0.0f32; 4 * 4];
-        let tile = vec![1.0, 2.0, 9.0, 3.0, 4.0, 9.0]; // stride 3, 2x2 used
-        scatter_tile(&mut c, 4, &tile, 3, 1, 2, 2, 2);
-        assert_eq!(c[4 + 2], 1.0);
-        assert_eq!(c[4 + 3], 2.0);
-        assert_eq!(c[2 * 4 + 2], 3.0);
-        assert_eq!(c[2 * 4 + 3], 4.0);
-        assert_eq!(c[0], 0.0);
     }
 }

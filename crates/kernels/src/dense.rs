@@ -6,17 +6,14 @@
 //! reaches the ~90-95% of peak a tuned SGEMM reaches on the real parts,
 //! which is exactly the role cuBLAS plays as the "1.0×" line of Fig. 9.
 
-use crate::common::{grid_dims, scatter_tile, sectors_runs};
+use crate::common::{grid_dims, sectors_runs};
 use crate::params::BlockingParams;
-use crate::SimRun;
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::l2::BlockTraffic;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::stats::KernelStats;
 use gpu_sim::timing::{estimate as sim_estimate, KernelProfile, LaunchReport, PipelineMode};
 use nm_core::error::{NmError, Result};
-use nm_core::matrix::MatrixF32;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Dense-GEMM plan: blocking depth and grid.
@@ -105,56 +102,23 @@ impl DenseGemmKernel {
         n: usize,
         k: usize,
     ) -> Result<LaunchReport> {
-        let plan = self.plan(dev, m, n, k)?;
-        let (profile, _) = self.build_profile(dev, &plan, m, n, k);
-        sim_estimate(dev, &profile).map_err(|e| NmError::InvalidBlocking {
-            reason: e.to_string(),
-        })
+        self.predict(dev, m, n, k).map(|(_, report)| report)
     }
 
-    /// Functional run.
-    pub fn run(&self, dev: &DeviceConfig, a: &MatrixF32, b: &MatrixF32) -> Result<SimRun> {
-        let (m, k) = a.shape();
-        let (kb, n) = b.shape();
-        if k != kb {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("B with k = {k}"),
-                found: format!("B with k = {kb}"),
-            });
-        }
+    /// Predicted event counts and timing-model report, without data.
+    pub fn predict(
+        &self,
+        dev: &DeviceConfig,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> Result<(KernelStats, LaunchReport)> {
         let plan = self.plan(dev, m, n, k)?;
         let (profile, stats) = self.build_profile(dev, &plan, m, n, k);
         let report = sim_estimate(dev, &profile).map_err(|e| NmError::InvalidBlocking {
             reason: e.to_string(),
         })?;
-
-        let (gy, gx) = plan.grid;
-        let (ms, ns) = (plan.params.ms, plan.params.ns);
-        let tiles: Vec<(usize, usize, Vec<f32>)> = (0..gy * gx)
-            .into_par_iter()
-            .map(|idx| {
-                let (bi, bj) = (idx / gx, idx % gx);
-                (bi, bj, compute_block(a, b, &plan, bi, bj))
-            })
-            .collect();
-
-        let mut c = MatrixF32::zeros(m, n);
-        let cbuf = c.as_mut_slice();
-        for (bi, bj, tile) in tiles {
-            let row0 = bi * ms;
-            let col0 = bj * ns;
-            scatter_tile(
-                cbuf,
-                n,
-                &tile,
-                ns,
-                row0,
-                col0,
-                ms.min(m - row0),
-                ns.min(n - col0),
-            );
-        }
-        Ok(SimRun { c, stats, report })
+        Ok((stats, report))
     }
 
     fn build_profile(
@@ -224,57 +188,11 @@ impl DenseGemmKernel {
     }
 }
 
-fn compute_block(a: &MatrixF32, b: &MatrixF32, plan: &DensePlan, bi: usize, bj: usize) -> Vec<f32> {
-    let (ms, ns) = (plan.params.ms, plan.params.ns);
-    let ks = plan.ks;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let row0 = bi * ms;
-    let col0 = bj * ns;
-    let rows_eff = ms.min(m - row0);
-    let cols_eff = ns.min(n - col0);
-
-    let mut cs = vec![0f32; ms * ns];
-    for it in 0..plan.iters {
-        let kbase = it * ks;
-        let kend = (kbase + ks).min(k);
-        for p in kbase..kend {
-            let b_row = &b.row(p)[col0..col0 + cols_eff];
-            for i in 0..rows_eff {
-                let av = a.get(row0 + i, p);
-                if av == 0.0 {
-                    continue;
-                }
-                let c_seg = &mut cs[i * ns..i * ns + cols_eff];
-                for (cv, bv) in c_seg.iter_mut().zip(b_row) {
-                    *cv += av * bv;
-                }
-            }
-        }
-    }
-    cs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::device::{a100_80g, rtx3090, rtx4090};
     use gpu_sim::timing::Bound;
-    use nm_core::spmm::gemm_reference;
-
-    #[test]
-    fn functional_matches_reference() {
-        let dev = a100_80g();
-        let a = MatrixF32::random(100, 130, 1);
-        let b = MatrixF32::random(130, 90, 2);
-        let run = DenseGemmKernel::auto(100, 90).run(&dev, &a, &b).unwrap();
-        let expect = gemm_reference(&a, &b);
-        assert!(
-            run.c.allclose(&expect, 1e-3, 1e-4),
-            "max diff {}",
-            run.c.max_abs_diff(&expect)
-        );
-    }
 
     #[test]
     fn big_square_gemm_is_efficient_on_all_devices() {
@@ -339,35 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn estimate_equals_run_report() {
-        let dev = rtx3090();
-        let a = MatrixF32::random(256, 256, 3);
-        let b = MatrixF32::random(256, 256, 4);
-        let kern = DenseGemmKernel::new(BlockingParams::medium());
-        let run = kern.run(&dev, &a, &b).unwrap();
-        let est = kern.estimate(&dev, 256, 256, 256).unwrap();
-        assert_eq!(run.report.cycles, est.cycles);
-    }
-
-    #[test]
-    fn rejects_mismatched_shapes() {
-        let dev = a100_80g();
-        let a = MatrixF32::random(32, 64, 1);
-        let b = MatrixF32::random(32, 64, 2);
-        assert!(DenseGemmKernel::auto(32, 64).run(&dev, &a, &b).is_err());
-    }
-
-    #[test]
     fn stats_account_all_traffic() {
         let dev = a100_80g();
-        let a = MatrixF32::random(64, 128, 5);
-        let b = MatrixF32::random(128, 128, 6);
-        let run = DenseGemmKernel::new(BlockingParams::small())
-            .run(&dev, &a, &b)
+        let (stats, _) = DenseGemmKernel::new(BlockingParams::small())
+            .predict(&dev, 64, 128, 128)
             .unwrap();
-        assert!(run.stats.ffma >= (64 * 128 * 128) as u64);
-        assert!(run.stats.ldg_bytes_a > 0 && run.stats.ldg_bytes_b > 0);
-        assert_eq!(run.stats.ldg_bytes_d, 0, "dense GEMM reads no indices");
-        assert_eq!(run.stats.stg_bytes, run.stats.blocks * 32 * 32 * 4);
+        assert!(stats.ffma >= (64 * 128 * 128) as u64);
+        assert!(stats.ldg_bytes_a > 0 && stats.ldg_bytes_b > 0);
+        assert_eq!(stats.ldg_bytes_d, 0, "dense GEMM reads no indices");
+        assert_eq!(stats.stg_bytes, stats.blocks * 32 * 32 * 4);
     }
 }

@@ -1,16 +1,13 @@
 //! # nm-kernels — simulated GPU kernels
 //!
 //! The paper's kernels (Listings 1–4) and its comparison baselines, written
-//! against the `gpu-sim` substrate. Every kernel has two faces:
-//!
-//! * a **functional** face (`run`) that computes the real FP32 result
-//!   through the same data path the CUDA kernel takes — tile fills into
-//!   emulated shared memory, index-directed gathers, packed loads through
-//!   `col_info` — so numerics and index plumbing are tested end to end, and
-//! * an **analytic** face (`estimate`) that derives the identical event
-//!   counts from geometry alone (no data), fast enough to sweep the
-//!   100-point Llama dataset across devices; both faces share the same
-//!   profile code so they cannot drift apart.
+//! against the `gpu-sim` substrate. The simulated kernels **predict**; they
+//! do not multiply. Each derives its event counts and timing-model report
+//! from geometry alone (`predict`; `estimate` is its report), fast enough
+//! to sweep the 100-point Llama dataset across devices. Counts and report
+//! come from one profile, so they cannot drift apart. The only weight
+//! data a prediction reads is NM-SpMM's measured `col_info` packing ratio
+//! and Sputnik's nonzero count.
 //!
 //! Kernels:
 //!
@@ -47,13 +44,13 @@
 //! A resolved plan can run through more than one substrate
 //! ([`backend::ExecBackend`]):
 //!
-//! * [`backend::SimBackend`] — the functional face of the simulated
-//!   kernels above (numerics + event counts + timing model), and
+//! * [`backend::SimBackend`] — the reference oracle's result with the
+//!   simulated kernels' predicted event counts and timing attached,
 //! * [`backend::CpuBackend`] — [`cpu`], a **native** host implementation
 //!   of the same V1→V3 ladder (cache blocking → packed-class block
 //!   classification → rayon row panels or column ranges, every step
 //!   gathering `A` in place; the paper's `col_info` packing stays in the
-//!   simulator and the codegen) whose tile sizes are derived from the
+//!   simulator's cost model and the codegen) whose tile sizes are derived from the
 //!   plan's auto-tuned blocking. This is the measured-
 //!   performance path the `bench_measured` harness sweeps.
 //! * [`codegen::CodegenBackend`] — the plan lowered to a **generated
@@ -74,9 +71,8 @@
 //! As in the reference CUDA implementation, the activation matrix `A` is
 //! assumed **k-major (column-major)** in global memory, so both the dense
 //! tile load and the packed per-column gather are fully coalesced; the
-//! functional face uses the row-major [`nm_core::MatrixF32`] for
-//! convenience (results are identical), while the traffic model accounts
-//! sectors for the k-major layout.
+//! traffic model accounts sectors for that k-major layout, whatever layout
+//! the host backends use.
 
 #![warn(missing_docs)]
 
@@ -119,15 +115,3 @@ pub use session::{
 pub use simd::{Isa, MicroKernel};
 pub use sparse_tc::SparseTensorCoreKernel;
 pub use sputnik::SputnikKernel;
-
-/// Result of a simulated kernel launch: the computed matrix, the event
-/// counts, and the timing-model report.
-#[derive(Debug, Clone)]
-pub struct SimRun {
-    /// The functional result `C[m][n]`.
-    pub c: nm_core::MatrixF32,
-    /// Aggregated event counts.
-    pub stats: gpu_sim::KernelStats,
-    /// Timing-model output.
-    pub report: gpu_sim::LaunchReport,
-}

@@ -13,12 +13,13 @@
 //!   compute, and `At`/`Bt` fragments are double buffered in registers
 //!   (plus the `idx[ws]` index prefetch) to break the LDS→FMA WAR hazard.
 //!
-//! All three versions compute identical results; they differ only in data
+//! The three versions describe one computation; they differ only in data
 //! movement and pipeline structure — exactly the paper's Fig. 7 experiment.
+//! The kernel predicts cost ([`NmSpmmKernel::predict`]); it computes no
+//! `C`.
 
-use crate::common::{grid_dims, scatter_tile, sectors_contig, sectors_runs};
+use crate::common::{grid_dims, sectors_contig, sectors_runs};
 use crate::params::{derive_blocking, Blocking, BlockingParams};
-use crate::SimRun;
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::l2::BlockTraffic;
 use gpu_sim::occupancy::BlockResources;
@@ -29,12 +30,10 @@ use gpu_sim::timing::{
 use nm_analysis::ai::BlockAi;
 use nm_analysis::packing::expected_ratio;
 use nm_analysis::strategy::{Strategy, StrategyDecision};
-use nm_core::colinfo::{preprocess, PackedLayout};
+use nm_core::colinfo::preprocess;
 use nm_core::error::{NmError, Result};
-use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The step-wise optimization ladder of §IV-B.
@@ -187,88 +186,44 @@ impl NmSpmmKernel {
         cfg: NmConfig,
         packing_ratio: Option<f64>,
     ) -> Result<LaunchReport> {
-        let plan = self.plan(dev, m, n, k, cfg)?;
-        let ratio = self.effective_ratio(&plan, cfg, packing_ratio);
-        let (profile, _) = self.build_profile(dev, &plan, m, n, cfg, ratio);
-        sim_estimate(dev, &profile).map_err(sim_to_nm)
+        self.predict(dev, m, n, k, cfg, packing_ratio)
+            .map(|(_, report)| report)
     }
 
-    /// Functional run: compute `C = A ⊛ (B′, D)` through the simulated data
-    /// path and return the result with stats and the timing report.
-    pub fn run(&self, dev: &DeviceConfig, a: &MatrixF32, sb: &NmSparseMatrix) -> Result<SimRun> {
-        let (m, k) = a.shape();
-        if k != sb.k() {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("A with k = {}", sb.k()),
-                found: format!("A with k = {k}"),
-            });
-        }
-        let n = sb.cols();
-        let cfg = sb.cfg();
+    /// Predicted event counts and timing-model report for one launch,
+    /// built from geometry alone. `packing_ratio` as in
+    /// [`NmSpmmKernel::estimate`].
+    pub fn predict(
+        &self,
+        dev: &DeviceConfig,
+        m: usize,
+        n: usize,
+        k: usize,
+        cfg: NmConfig,
+        packing_ratio: Option<f64>,
+    ) -> Result<(KernelStats, LaunchReport)> {
         let plan = self.plan(dev, m, n, k, cfg)?;
-
-        let layout = if plan.packing {
-            Some(preprocess(sb, plan.blocking.ks, plan.blocking.params.ns)?)
-        } else {
-            None
-        };
-        let ratio = layout
-            .as_ref()
-            .map(|l| l.col_info.mean_packing_ratio())
-            .unwrap_or(1.0);
-
+        let ratio = self.effective_ratio(&plan, cfg, packing_ratio);
         let (profile, stats) = self.build_profile(dev, &plan, m, n, cfg, ratio);
         let report = sim_estimate(dev, &profile).map_err(sim_to_nm)?;
+        Ok((stats, report))
+    }
 
-        // Functional execution, block-parallel (each block owns one
-        // (tile, k-slice) partial; the epilogue reduction sums slices).
-        let (gy, gx) = plan.grid;
-        let split = plan.split_k.max(1);
-        let iters_per_slice = plan.iters.div_ceil(split);
-        let tiles: Vec<(usize, usize, Vec<f32>)> = (0..gy * gx * split)
-            .into_par_iter()
-            .map(|idx| {
-                let (bi, rest) = (idx / (gx * split), idx % (gx * split));
-                let (bj, si) = (rest / split, rest % split);
-                let it_lo = si * iters_per_slice;
-                let it_hi = ((si + 1) * iters_per_slice).min(plan.iters);
-                let tile = compute_block(a, sb, &plan, layout.as_ref(), bi, bj, it_lo, it_hi);
-                (bi, bj, tile)
-            })
-            .collect();
-
-        let (ms, ns) = (plan.blocking.params.ms, plan.blocking.params.ns);
-        let mut acc: std::collections::HashMap<(usize, usize), Vec<f32>> =
-            std::collections::HashMap::new();
-        for (bi, bj, tile) in tiles {
-            match acc.entry((bi, bj)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(tile);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (d, s) in e.get_mut().iter_mut().zip(&tile) {
-                        *d += s;
-                    }
-                }
-            }
+    /// The weight-derived `col_info` packing ratio of `sb` at this
+    /// kernel's blocking: the measured mean ratio when its launches pack
+    /// `As`, `None` when they do not.
+    pub fn measured_packing_ratio(
+        &self,
+        dev: &DeviceConfig,
+        sb: &NmSparseMatrix,
+    ) -> Result<Option<f64>> {
+        // Blocking and the packing decision do not depend on `m`.
+        let plan = self.plan(dev, 1, sb.cols(), sb.k(), sb.cfg())?;
+        if !plan.packing {
+            return Ok(None);
         }
-        let mut c = MatrixF32::zeros(m, n);
-        let cbuf = c.as_mut_slice();
-        for ((bi, bj), tile) in acc {
-            let row0 = bi * ms;
-            let col0 = bj * ns;
-            scatter_tile(
-                cbuf,
-                n,
-                &tile,
-                ns,
-                row0,
-                col0,
-                ms.min(m - row0),
-                ns.min(n - col0),
-            );
-        }
-        Ok(SimRun { c, stats, report })
+        let col_info = preprocess(sb, plan.blocking.ks, plan.blocking.params.ns)?;
+        Ok(Some(col_info.mean_packing_ratio()))
     }
 
     fn effective_ratio(&self, plan: &NmPlan, cfg: NmConfig, packing_ratio: Option<f64>) -> f64 {
@@ -402,113 +357,6 @@ impl NmSpmmKernel {
     }
 }
 
-/// Functionally execute one thread block: stage tiles the way the CUDA
-/// kernel does (packed or direct), gather through the index matrix, and
-/// accumulate the `ms × ns` output tile.
-#[allow(clippy::too_many_arguments)]
-fn compute_block(
-    a: &MatrixF32,
-    sb: &NmSparseMatrix,
-    plan: &NmPlan,
-    layout: Option<&PackedLayout>,
-    bi: usize,
-    bj: usize,
-    it_lo: usize,
-    it_hi: usize,
-) -> Vec<f32> {
-    let cfg = sb.cfg();
-    let b = &plan.blocking;
-    let (ms, ns, ks, ws, qs) = (b.params.ms, b.params.ns, b.ks, b.ws, b.qs);
-    let (m, k) = a.shape();
-    let n = sb.cols();
-    let (w, q) = (sb.w(), sb.q());
-
-    let row0 = bi * ms;
-    let col0 = bj * ns;
-    let rows_eff = ms.min(m - row0);
-    let cols_eff = ns.min(n - col0);
-    let values = sb.values();
-    let d = sb.indices();
-
-    let mut cs = vec![0f32; ms * ns];
-    // Emulated shared memory for the As tile, k-major: column c at
-    // as_t[c*ms ..][..ms]. Sized for the larger of packed/unpacked paths.
-    let mut as_t = vec![0f32; ks * ms];
-
-    for it in it_lo..it_hi {
-        let u_lo = it * ws;
-        let kbase = it * ks;
-
-        // --- LoadTile / LoadTileByColInfo ---
-        if let Some(layout) = layout {
-            let cols_list = layout.col_info.block(it, bj);
-            for (pos, &cloc) in cols_list.iter().enumerate() {
-                let kk = kbase + cloc as usize;
-                let dst = &mut as_t[pos * ms..pos * ms + ms];
-                if kk < k {
-                    for (i, v) in dst[..rows_eff].iter_mut().enumerate() {
-                        *v = a.get(row0 + i, kk);
-                    }
-                    dst[rows_eff..].fill(0.0);
-                } else {
-                    dst.fill(0.0);
-                }
-            }
-        } else {
-            for c in 0..ks {
-                let kk = kbase + c;
-                let dst = &mut as_t[c * ms..c * ms + ms];
-                if kk < k {
-                    for (i, v) in dst[..rows_eff].iter_mut().enumerate() {
-                        *v = a.get(row0 + i, kk);
-                    }
-                    dst[rows_eff..].fill(0.0);
-                } else {
-                    dst.fill(0.0);
-                }
-            }
-        }
-
-        // --- SMBlock: gather + outer products ---
-        for pp in 0..ws {
-            let u = u_lo + pp;
-            if u >= w {
-                break;
-            }
-            let b_row = values.row(u);
-            for jw in 0..qs {
-                let jq = bj * qs + jw;
-                if jq >= q {
-                    break;
-                }
-                let col_pos = if let Some(layout) = layout {
-                    layout.packed_index(u, jq) as usize
-                } else {
-                    (pp / cfg.n) * cfg.m + d.get(u, jq) as usize
-                };
-                let a_col = &as_t[col_pos * ms..col_pos * ms + ms];
-                let j_lo = jw * cfg.l;
-                if j_lo >= cols_eff {
-                    break;
-                }
-                let j_hi = ((jw + 1) * cfg.l).min(cols_eff);
-                let b_seg = &b_row[col0 + j_lo..col0 + j_hi];
-                for i in 0..rows_eff {
-                    let av = a_col[i];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let c_seg = &mut cs[i * ns + j_lo..i * ns + j_hi];
-                    for (cv, bv) in c_seg.iter_mut().zip(b_seg) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-        }
-    }
-    cs
-}
-
 fn sim_to_nm(e: SimError) -> NmError {
     NmError::InvalidBlocking {
         reason: e.to_string(),
@@ -519,88 +367,45 @@ fn sim_to_nm(e: SimError) -> NmError {
 mod tests {
     use super::*;
     use gpu_sim::device::a100_80g;
+    use nm_core::matrix::MatrixF32;
     use nm_core::prune::PrunePolicy;
-    use nm_core::spmm::spmm_reference;
 
-    fn problem(
-        m: usize,
-        n: usize,
-        k: usize,
-        cfg: NmConfig,
-        policy: PrunePolicy,
-    ) -> (MatrixF32, NmSparseMatrix) {
-        let a = MatrixF32::random(m, k, 11);
+    fn pruned(k: usize, n: usize, cfg: NmConfig, seed: u64) -> NmSparseMatrix {
         let bd = MatrixF32::random(k, n, 22);
-        (a, NmSparseMatrix::prune(&bd, cfg, policy).unwrap())
-    }
-
-    fn check_version(version: NmVersion, cfg: NmConfig, m: usize, n: usize, k: usize) {
-        let dev = a100_80g();
-        let (a, sb) = problem(m, n, k, cfg, PrunePolicy::Random { seed: 5 });
-        let kern = NmSpmmKernel::auto(version, m, n);
-        let run = kern.run(&dev, &a, &sb).unwrap();
-        let expect = spmm_reference(&a, &sb);
-        assert!(
-            run.c.allclose(&expect, 1e-3, 1e-4),
-            "{:?} {cfg}: max diff {}",
-            version,
-            run.c.max_abs_diff(&expect)
-        );
-    }
-
-    #[test]
-    fn v1_matches_reference_moderate() {
-        check_version(
-            NmVersion::V1,
-            NmConfig::new(8, 16, 32).unwrap(),
-            128,
-            128,
-            256,
-        );
-    }
-
-    #[test]
-    fn v2_matches_reference_high_sparsity_packed() {
-        // 87.5%: V2 takes the packing path.
-        check_version(
-            NmVersion::V2,
-            NmConfig::new(2, 16, 32).unwrap(),
-            128,
-            128,
-            512,
-        );
-    }
-
-    #[test]
-    fn v3_matches_reference_all_levels() {
-        for cfg in [
-            NmConfig::new(8, 16, 32).unwrap(),
-            NmConfig::new(6, 16, 32).unwrap(),
-            NmConfig::new(4, 16, 32).unwrap(),
-            NmConfig::new(2, 16, 32).unwrap(),
-            NmConfig::new(32, 32, 32).unwrap(), // 0% control
-        ] {
-            check_version(NmVersion::V3, cfg, 96, 160, 256);
-        }
+        NmSparseMatrix::prune(&bd, cfg, PrunePolicy::Random { seed }).unwrap()
     }
 
     #[test]
     fn ragged_problem_dimensions() {
-        // m, n, k none of which are multiples of the tile sizes.
-        check_version(
-            NmVersion::V3,
-            NmConfig::new(4, 16, 32).unwrap(),
-            100,
-            200,
-            300,
-        );
-        check_version(
-            NmVersion::V1,
-            NmConfig::new(8, 16, 32).unwrap(),
-            70,
-            90,
-            130,
-        );
+        // m, n, k none of which are multiples of the tile sizes: the grid
+        // rounds up and the predicted FMAs cover every useful one.
+        let dev = a100_80g();
+        for (version, cfg, m, n, k) in [
+            (
+                NmVersion::V3,
+                NmConfig::new(4, 16, 32).unwrap(),
+                100,
+                200,
+                300,
+            ),
+            (
+                NmVersion::V1,
+                NmConfig::new(8, 16, 32).unwrap(),
+                70,
+                90,
+                130,
+            ),
+        ] {
+            let kern = NmSpmmKernel::auto(version, m, n);
+            let plan = kern.plan(&dev, m, n, k, cfg).unwrap();
+            let p = plan.blocking.params;
+            assert_eq!(plan.grid, (m.div_ceil(p.ms), n.div_ceil(p.ns)));
+            let (stats, report) = kern.predict(&dev, m, n, k, cfg, None).unwrap();
+            let (gy, gx) = plan.grid;
+            assert_eq!(stats.blocks, (gy * gx * plan.split_k) as u64);
+            assert!(stats.ffma >= (m * n * cfg.compressed_rows(k)) as u64);
+            assert!(report.seconds > 0.0 && report.seconds.is_finite());
+        }
     }
 
     #[test]
@@ -626,29 +431,27 @@ mod tests {
 
     #[test]
     fn estimate_matches_run_report() {
+        // A Sim-backend run of a V3 plan reports this kernel's estimate at
+        // the measured col_info ratio.
+        use crate::backend::{ExecBackend, SimBackend};
+        use crate::plan::{KernelChoice, Planner};
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 16, 32).unwrap();
-        let (a, sb) = problem(128, 256, 512, cfg, PrunePolicy::Random { seed: 9 });
-        let kern = NmSpmmKernel::new(NmVersion::V3, BlockingParams::small());
-        let run = kern.run(&dev, &a, &sb).unwrap();
-        // Estimate with the measured packing ratio must equal the run report.
-        let layout = preprocess(
-            &sb,
-            kern.plan(&dev, 128, 256, 512, cfg).unwrap().blocking.ks,
-            32,
-        )
-        .unwrap();
+        let sb = pruned(512, 256, cfg, 9);
+        let a = MatrixF32::random(128, 512, 8);
+        let mut plan = Planner::new(dev.clone()).plan(128, 256, 512, cfg).unwrap();
+        plan.choice = KernelChoice::NmV3;
+        plan.params = BlockingParams::large();
+        let run = SimBackend.run(&dev, &plan, &a, &sb).unwrap();
+        let kern = NmSpmmKernel::new(NmVersion::V3, plan.params);
+        let nm = kern.plan(&dev, 128, 256, 512, cfg).unwrap();
+        assert!(nm.packing, "2:16 packs on V3");
+        let (ks, ns) = (nm.blocking.ks, nm.blocking.params.ns);
+        let ratio = preprocess(&sb, ks, ns).unwrap().mean_packing_ratio();
         let est = kern
-            .estimate(
-                &dev,
-                128,
-                256,
-                512,
-                cfg,
-                Some(layout.col_info.mean_packing_ratio()),
-            )
+            .estimate(&dev, 128, 256, 512, cfg, Some(ratio))
             .unwrap();
-        assert!((est.seconds - run.report.seconds).abs() / run.report.seconds < 1e-9);
+        assert_eq!(run.report, Some(est));
     }
 
     #[test]
@@ -685,23 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn split_k_is_numerically_exact() {
-        let dev = a100_80g();
-        let cfg = NmConfig::new(2, 16, 32).unwrap();
-        let (a, sb) = problem(64, 96, 2048, cfg, PrunePolicy::Random { seed: 77 });
-        let kern = NmSpmmKernel::new(NmVersion::V3, BlockingParams::small());
-        let plan = kern.plan(&dev, 64, 96, 2048, cfg).unwrap();
-        assert!(plan.split_k > 1, "test requires an engaged split-K");
-        let run = kern.run(&dev, &a, &sb).unwrap();
-        let expect = spmm_reference(&a, &sb);
-        assert!(
-            run.c.allclose(&expect, 1e-3, 1e-4),
-            "split-K result differs: max diff {}",
-            run.c.max_abs_diff(&expect)
-        );
-    }
-
-    #[test]
     fn split_k_improves_skinny_problem_throughput() {
         let dev = a100_80g();
         let cfg = NmConfig::new(4, 16, 32).unwrap();
@@ -720,24 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_rejected() {
-        let dev = a100_80g();
-        let a = MatrixF32::random(32, 64, 1);
-        let bd = MatrixF32::random(128, 32, 2);
-        let sb = NmSparseMatrix::prune_magnitude(&bd, NmConfig::new(2, 4, 4).unwrap()).unwrap();
-        let kern = NmSpmmKernel::auto(NmVersion::V3, 32, 32);
-        assert!(kern.run(&dev, &a, &sb).is_err());
-    }
-
-    #[test]
     fn stats_scale_with_grid() {
         let dev = a100_80g();
         let cfg = NmConfig::new(8, 16, 32).unwrap();
         let kern = NmSpmmKernel::new(NmVersion::V1, BlockingParams::small());
-        let (a1, sb1) = problem(32, 32, 128, cfg, PrunePolicy::Magnitude);
-        let (a2, sb2) = problem(64, 64, 128, cfg, PrunePolicy::Magnitude);
-        let s1 = kern.run(&dev, &a1, &sb1).unwrap().stats;
-        let s2 = kern.run(&dev, &a2, &sb2).unwrap().stats;
+        let (s1, _) = kern.predict(&dev, 32, 32, 128, cfg, None).unwrap();
+        let (s2, _) = kern.predict(&dev, 64, 64, 128, cfg, None).unwrap();
         assert_eq!(s2.blocks, 4 * s1.blocks);
         assert_eq!(s2.ffma, 4 * s1.ffma);
         assert_eq!(s2.ldg_bytes_a, 4 * s1.ldg_bytes_a);
@@ -747,20 +521,22 @@ mod tests {
     fn packed_traffic_is_smaller_than_unpacked() {
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 16, 32).unwrap();
-        let (a, sb) = problem(128, 128, 512, cfg, PrunePolicy::Random { seed: 13 });
-        let v1 = NmSpmmKernel::new(NmVersion::V1, BlockingParams::small())
-            .run(&dev, &a, &sb)
-            .unwrap();
-        let v2 = NmSpmmKernel::new(NmVersion::V2, BlockingParams::small())
-            .run(&dev, &a, &sb)
-            .unwrap();
+        let sb = pruned(512, 128, cfg, 13);
+        let v1 = NmSpmmKernel::new(NmVersion::V1, BlockingParams::small());
+        let v2 = NmSpmmKernel::new(NmVersion::V2, BlockingParams::small());
+        assert_eq!(v1.measured_packing_ratio(&dev, &sb).unwrap(), None);
+        let ratio = v2.measured_packing_ratio(&dev, &sb).unwrap();
+        let r = ratio.expect("2:16 packs on V2");
+        assert!(r > 2.0 / 16.0 - 1e-12 && r < 1.0, "ratio {r}");
+        let (v1, _) = v1.predict(&dev, 128, 128, 512, cfg, None).unwrap();
+        let (v2, _) = v2.predict(&dev, 128, 128, 512, cfg, ratio).unwrap();
         assert!(
-            v2.stats.ldg_bytes_a < v1.stats.ldg_bytes_a,
+            v2.ldg_bytes_a < v1.ldg_bytes_a,
             "packing must cut A traffic: {} !< {}",
-            v2.stats.ldg_bytes_a,
-            v1.stats.ldg_bytes_a
+            v2.ldg_bytes_a,
+            v1.ldg_bytes_a
         );
-        assert!(v2.stats.ldg_bytes_colinfo > 0);
-        assert_eq!(v1.stats.ldg_bytes_colinfo, 0);
+        assert!(v2.ldg_bytes_colinfo > 0);
+        assert_eq!(v1.ldg_bytes_colinfo, 0);
     }
 }

@@ -34,7 +34,7 @@
 //! *inside* the timed window because they genuinely recur per call: the
 //! CPU ladder's zero-padded copy of `A` when `k` is not a multiple of `M`
 //! (it otherwise gathers `A` in place), and — for the simulator — the
-//! functional emulation itself. Everything derived
+//! reference oracle plus the prediction. Everything derived
 //! from the weights alone (blocking derivation, `B′` staging, `col_info`,
 //! ISA dispatch) is paid once in `load` and never again, mirroring how
 //! the paper excludes its pre-processing from kernel time.

@@ -10,9 +10,9 @@
 //!
 //! Model: a TF32/FP32-in-TF32-out tensor-core GEMM at the device's TC
 //! throughput, doubled by the sparsity feature, bound by the same DRAM/L2
-//! model as everything else. Analytic only — there is nothing functional to
-//! validate beyond what the dense kernel already covers (the math is the
-//! same masked GEMM, executed by fixed-function hardware).
+//! model as everything else. Like every simulated kernel it is analytic
+//! only (the math is the same masked GEMM, executed by fixed-function
+//! hardware).
 
 use crate::common::grid_dims;
 use gpu_sim::device::DeviceConfig;

@@ -13,16 +13,12 @@
 //! `KernelProfile` iteration structure.
 
 use crate::common::grid_dims;
-use crate::SimRun;
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::l2::TrafficSplit;
 use gpu_sim::stats::KernelStats;
 use gpu_sim::timing::{Bound, LaunchReport, RoundBreakdown};
-use nm_core::error::{NmError, Result};
-use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Output rows handled per thread block (4 warps, one CSR row each).
@@ -102,57 +98,26 @@ impl SputnikKernel {
         }
     }
 
-    /// Functional run: CSR row-split evaluation.
-    pub fn run(&self, dev: &DeviceConfig, a: &MatrixF32, sb: &NmSparseMatrix) -> Result<SimRun> {
-        let (m, k) = a.shape();
-        if k != sb.k() {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("A with k = {}", sb.k()),
-                found: format!("A with k = {k}"),
-            });
-        }
-        let n = sb.cols();
-        let cfg = sb.cfg();
-        let report = self.estimate(dev, m, n, k, cfg);
-
-        // Build the CSR view of Bᵀ: row j holds (k_row, value) pairs.
-        let (w, _q) = (sb.w(), sb.q());
-        let values = sb.values();
+    /// Predicted event counts and timing-model report for `A[m][k] ⊛ sb`,
+    /// without touching `A`. The CSR `nnz` is counted from the index
+    /// structure: the `(u, j)` whose dense row lies inside `k` (a ragged
+    /// last window's padding holds none).
+    pub fn predict(
+        &self,
+        dev: &DeviceConfig,
+        m: usize,
+        sb: &NmSparseMatrix,
+    ) -> (KernelStats, LaunchReport) {
+        let (k, n, cfg) = (sb.k(), sb.cols(), sb.cfg());
         let d = sb.indices();
-        let csr: Vec<Vec<(u32, f32)>> = (0..n)
-            .map(|j| {
-                let jq = j / cfg.l;
-                (0..w)
-                    .filter_map(|u| {
-                        let row = u / cfg.n * cfg.m + d.get(u, jq) as usize;
-                        let v = values.get(u, j);
-                        (row < k).then_some((row as u32, v))
-                    })
-                    .collect()
+        let nnz: u64 = (0..sb.w())
+            .map(|u| {
+                let base = u / cfg.n * cfg.m;
+                (0..n)
+                    .filter(|&j| base + (d.get(u, j / cfg.l) as usize) < k)
+                    .count() as u64
             })
-            .collect();
-
-        // Row-split execution: one "warp" per output column.
-        let mut ct = vec![0f32; n * m]; // Cᵀ, row j = output column j
-        ct.par_chunks_mut(m).enumerate().for_each(|(j, out)| {
-            for &(row, v) in &csr[j] {
-                if v == 0.0 {
-                    continue;
-                }
-                let a_col_base = row as usize;
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o += v * a.get(i, a_col_base);
-                }
-            }
-        });
-        let mut c = MatrixF32::zeros(m, n);
-        for j in 0..n {
-            for i in 0..m {
-                c.set(i, j, ct[j * m + i]);
-            }
-        }
-
-        let nnz: u64 = csr.iter().map(|r| r.len() as u64).sum();
+            .sum();
         let stats = KernelStats {
             ffma: nnz * m as u64,
             ldg_bytes_a: nnz * m as u64 * 4,
@@ -163,7 +128,7 @@ impl SputnikKernel {
             main_loop_iters: nnz.div_ceil(32),
             ..Default::default()
         };
-        Ok(SimRun { c, stats, report })
+        (stats, self.estimate(dev, m, n, k, cfg))
     }
 }
 
@@ -173,24 +138,7 @@ mod tests {
     use crate::dense::DenseGemmKernel;
     use crate::params::BlockingParams;
     use gpu_sim::device::a100_80g;
-    use nm_core::prune::PrunePolicy;
-    use nm_core::spmm::spmm_reference;
-
-    #[test]
-    fn functional_matches_reference() {
-        let dev = a100_80g();
-        let cfg = NmConfig::new(2, 16, 8).unwrap();
-        let a = MatrixF32::random(60, 128, 1);
-        let bd = MatrixF32::random(128, 96, 2);
-        let sb = NmSparseMatrix::prune(&bd, cfg, PrunePolicy::Random { seed: 3 }).unwrap();
-        let run = SputnikKernel.run(&dev, &a, &sb).unwrap();
-        let expect = spmm_reference(&a, &sb);
-        assert!(
-            run.c.allclose(&expect, 1e-3, 1e-4),
-            "max diff {}",
-            run.c.max_abs_diff(&expect)
-        );
-    }
+    use nm_core::matrix::MatrixF32;
 
     #[test]
     fn memory_bound_and_slow_at_moderate_sparsity() {
@@ -230,20 +178,16 @@ mod tests {
     fn nnz_matches_structure() {
         let dev = a100_80g();
         let cfg = NmConfig::new(4, 16, 4).unwrap();
-        let a = MatrixF32::random(16, 64, 5);
         let bd = MatrixF32::random(64, 32, 6);
         let sb = NmSparseMatrix::prune_magnitude(&bd, cfg).unwrap();
-        let run = SputnikKernel.run(&dev, &a, &sb).unwrap();
+        let (stats, _) = SputnikKernel.predict(&dev, 16, &sb);
         // nnz = w * n = 16 * 32; FMA = nnz * m.
-        assert_eq!(run.stats.ffma, 16 * 32 * 16);
-    }
-
-    #[test]
-    fn rejects_mismatched_shapes() {
-        let dev = a100_80g();
-        let a = MatrixF32::random(8, 8, 1);
-        let bd = MatrixF32::random(16, 16, 2);
-        let sb = NmSparseMatrix::prune_magnitude(&bd, NmConfig::new(2, 4, 4).unwrap()).unwrap();
-        assert!(SputnikKernel.run(&dev, &a, &sb).is_err());
+        assert_eq!(stats.ffma, 16 * 32 * 16);
+        // k = 50 leaves two real rows in the last 16-row window, so two
+        // of its four selections fall on padding and are not nonzeros.
+        let bd = MatrixF32::random(50, 32, 7);
+        let sb = NmSparseMatrix::prune_magnitude(&bd, cfg).unwrap();
+        let (stats, _) = SputnikKernel.predict(&dev, 1, &sb);
+        assert_eq!(stats.ffma, (3 * 4 + 2) * 32);
     }
 }

@@ -4,11 +4,12 @@
 //! This is the serving-shaped loop the ROADMAP asks for: given a
 //! [`Session`] (device + plan cache + backend configuration) and one
 //! Llama model, plan every linear layer at a fixed sequence length,
-//! optionally execute each layer functionally — through the *simulated*
-//! kernel the plan chose (a [`PreparedLayer`](nm_kernels::PreparedLayer)
-//! on the Sim backend) **and** through the native CPU V3 ladder, cross
-//! checking the numerics — and emit a per-layer report: chosen kernel,
-//! tuned blocking, estimated seconds and speedup over the dense baseline.
+//! optionally execute each layer — through the native CPU V3 ladder
+//! **and** a [`PreparedLayer`](nm_kernels::PreparedLayer) on the Sim
+//! backend (the reference oracle with the chosen kernel's prediction
+//! attached), cross checking the numerics — and emit a per-layer report:
+//! chosen kernel, tuned blocking, estimated seconds and speedup over the
+//! dense baseline.
 //!
 //! Because the planner memoizes by `(device, shape class, N:M)`, sweeping
 //! a model exercises the cache naturally — Llama's `mlp.gate` and `mlp.up`
@@ -36,7 +37,7 @@ use nm_kernels::session::Session;
 use crate::llama::{layer_shapes, LayerShape, LlamaModel};
 use crate::models::DECODE_BATCH_SIZES;
 
-/// Whether (and at what size) the sweep runs layers functionally.
+/// Whether (and at what size) the sweep executes layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutePolicy {
     /// Analytic estimates only — plans every layer, executes nothing.
@@ -64,7 +65,7 @@ impl ExecutePolicy {
 pub struct SweepOptions {
     /// Input sequence length `m` shared by every layer (the prefill lane).
     pub seq_len: usize,
-    /// Functional-execution policy.
+    /// Execution policy.
     pub execute: ExecutePolicy,
     /// Seed for the generated operands (execution only).
     pub seed: u64,
@@ -87,7 +88,7 @@ impl Default for SweepOptions {
     }
 }
 
-/// Functional-execution measurements for one layer.
+/// Execution measurements for one layer.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecReport {
     /// Executed dimensions (scaled per [`ExecutePolicy`]).
@@ -103,8 +104,9 @@ pub struct ExecReport {
     /// `N = M` configuration [`NmConfig::dense32`]), milliseconds — the
     /// dense baseline.
     pub cpu_dense_ms: f64,
-    /// Max |sim − cpu| over the output — the cross-check that the chosen
-    /// simulated kernel and the CPU path compute the same matrix.
+    /// Max |sim − cpu| over the output — the cross-check that the Sim
+    /// backend's reference oracle and the CPU path compute the same
+    /// matrix.
     pub sim_vs_cpu_max_diff: f32,
     /// Wall time of the measured-autotuned native CPU ladder, milliseconds
     /// — the evidence-based lane. `None` when the session's
@@ -159,7 +161,7 @@ pub struct LayerReport {
     /// The decode lanes ([`DECODE_BATCH_SIZES`] batches); empty unless
     /// [`SweepOptions::decode`] was set.
     pub decode: Vec<DecodeLane>,
-    /// Functional measurements, when execution was requested.
+    /// Execution measurements, when execution was requested.
     pub exec: Option<ExecReport>,
 }
 
@@ -354,8 +356,8 @@ pub fn sweep_model(
                 (None, None)
             };
 
-            // Simulated kernel, functional face, through a prepared
-            // handle carrying the full-size plan.
+            // The Sim backend (reference oracle plus prediction), through
+            // a prepared handle carrying the full-size plan.
             let layer = session.load_planned(row.plan.clone(), sb, BackendKind::Sim)?;
             let run = layer.forward(&a)?;
             row.exec = Some(ExecReport {

@@ -147,8 +147,8 @@ fn packed_ai_prediction_is_consistent_with_measured_ratio() {
         nm_spmm::core::prune::PrunePolicy::Random { seed: 17 },
     )
     .expect("prune");
-    let layout = nm_spmm::core::colinfo::preprocess(&sb, 256, 128).expect("preprocess");
-    let measured = layout.col_info.mean_packing_ratio();
+    let col_info = nm_spmm::core::colinfo::preprocess(&sb, 256, 128).expect("preprocess");
+    let measured = col_info.mean_packing_ratio();
     let predicted = expected_ratio(cfg, 128 / 32);
     assert!(
         (measured - predicted).abs() < 0.05,

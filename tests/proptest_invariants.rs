@@ -7,7 +7,7 @@ use nm_spmm::core::colinfo::preprocess;
 use nm_spmm::core::prune::{select, PrunePolicy};
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
 use nm_spmm::kernels::cpu::{spmm_cpu, CpuTiling};
-use nm_spmm::kernels::{NmSpmmKernel, NmVersion};
+use nm_spmm::kernels::{BackendKind, KernelChoice, NmSpmmKernel, NmVersion, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 
@@ -145,8 +145,8 @@ proptest! {
         }
     }
 
-    /// Offline pre-processing invariants: packed positions round-trip and
-    /// the mean ratio is within the analytic bounds.
+    /// Offline pre-processing invariants: every block's list is sorted and
+    /// unique, and the mean ratio is within the analytic bounds.
     #[test]
     fn packing_preprocess_invariants(
         nw in 1usize..5,
@@ -157,8 +157,7 @@ proptest! {
         let n = nw * 16;
         let b = MatrixF32::random(k, n, seed);
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed }).expect("prune");
-        let layout = preprocess(&sb, 32, 16).expect("preprocess");
-        let ci = &layout.col_info;
+        let ci = preprocess(&sb, 32, 16).expect("preprocess");
         let lower = cfg.n as f64 / cfg.m as f64;
         let upper = 1.0;
         let ratio = ci.mean_packing_ratio();
@@ -191,10 +190,12 @@ proptest! {
 }
 
 proptest! {
-    // The simulated kernel is expensive; fewer cases.
+    // Each case plans a fresh session; fewer cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The simulated V3 kernel agrees with the oracle on arbitrary problems.
+    /// A Sim-backend forward of a V3 plan returns the oracle's result on
+    /// arbitrary problems, with a prediction whose grid spans every output
+    /// element and whose FMAs cover every useful one.
     #[test]
     fn simulated_kernel_matches_oracle(
         m in 1usize..80,
@@ -208,12 +209,28 @@ proptest! {
         let b = MatrixF32::random(k, n, seed + 1);
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed }).expect("prune");
         let oracle = spmm_reference(&a, &sb);
-        let dev = a100_80g();
-        let run = NmSpmmKernel::auto(NmVersion::V3, m, n).run(&dev, &a, &sb).expect("run");
+        let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+        let mut plan = session.plan(m, n, k, cfg).expect("plan");
+        plan.choice = KernelChoice::NmV3;
+        let nm = NmSpmmKernel::new(NmVersion::V3, plan.params)
+            .plan(session.device(), m, n, k, cfg)
+            .expect("kernel plan");
+        let run = session
+            .load_planned(plan, sb, BackendKind::Sim)
+            .expect("load")
+            .forward(&a)
+            .expect("forward");
         prop_assert!(
             run.c.allclose(&oracle, 1e-3, 1e-4),
             "max diff {}",
             run.c.max_abs_diff(&oracle)
         );
+        let stats = run.stats.expect("sim backend predicts events");
+        let (gy, gx) = nm.grid;
+        let p = nm.blocking.params;
+        prop_assert!(gy * p.ms >= m && gx * p.ns >= n);
+        prop_assert_eq!(stats.blocks, (gy * gx * nm.split_k) as u64);
+        prop_assert!(stats.ffma >= (m * n * cfg.compressed_rows(k)) as u64);
+        prop_assert!(run.report.is_some_and(|r| r.seconds > 0.0 && r.seconds.is_finite()));
     }
 }
