@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` an `--assert-parity` gate failure,
-//! `2` usage / I/O failure.
+//! `2` usage / I/O failure — including an `NM_SPMM_ISA` override this
+//! host cannot execute.
 
 use gpu_sim::device::a100_80g;
 use nm_bench::TextTable;
@@ -27,7 +28,7 @@ use nm_gpu::ShaderStats;
 use nm_kernels::backend::ExecBackend;
 use nm_kernels::codegen::{CodegenBackend, CodegenPrepared};
 use nm_kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_kernels::{CpuBackend, NmVersion};
+use nm_kernels::{CpuBackend, MicroKernel, NmVersion};
 use std::time::Instant;
 
 /// One matrix cell's outcome.
@@ -167,6 +168,13 @@ fn main() {
             _ => usage(),
         }
         i += 1;
+    }
+
+    // Resolve the micro-kernel before any work, so a malformed
+    // NM_SPMM_ISA is a usage error (exit 2) rather than a panic mid-sweep.
+    if let Err(e) = MicroKernel::select() {
+        eprintln!("micro-kernel selection failed: {e}");
+        std::process::exit(2);
     }
 
     let cfg = NmConfig::new(2, 8, 16).expect("2:8:16");

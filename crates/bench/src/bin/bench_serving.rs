@@ -34,7 +34,8 @@
 //!   structured error; the artifact proves none vanished).
 //!
 //! Exit codes: `0` success, `1` a `--assert-batching` gate failure,
-//! `2` usage / I/O failure.
+//! `2` usage / I/O failure — including an `NM_SPMM_ISA` override this
+//! host cannot execute and an unrecognized `NM_SPMM_AUTOTUNE` mode.
 
 use gpu_sim::device::a100_80g;
 use nm_bench::{mean, percentile, TextTable};
@@ -44,7 +45,7 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::session::{LoadSpec, PreparedLayer};
-use nm_kernels::{BackendKind, NmVersion, SessionBuilder, DECODE_MAX_ROWS};
+use nm_kernels::{BackendKind, MicroKernel, NmVersion, SessionBuilder, DECODE_MAX_ROWS};
 use nm_serve::{Server, ServerConfig, SubmitOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -307,6 +308,20 @@ fn main() {
         i += 1;
     }
 
+    // Resolve the micro-kernel and build the session before any work, so
+    // a malformed NM_SPMM_ISA / NM_SPMM_AUTOTUNE is a usage error (exit 2).
+    let mut session = MicroKernel::select()
+        .and_then(|kernel| {
+            SessionBuilder::new(a100_80g())
+                .backend(BackendKind::Cpu(NmVersion::V3))
+                .micro_kernel(kernel)
+                .build()
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("cannot build session: {e}");
+            std::process::exit(2);
+        });
+
     // One decode-band layer shared by every lane. k = n = 2048 keeps the
     // per-request kernel large enough that the serving layer's own costs
     // (linger window, wakeups) are second-order on any host.
@@ -314,10 +329,6 @@ fn main() {
     let nm = NmConfig::new(2, 8, 32).expect("config");
     let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, seed ^ 0xbeef), nm)
         .expect("prune");
-    let mut session = SessionBuilder::new(a100_80g())
-        .backend(BackendKind::Cpu(NmVersion::V3))
-        .build()
-        .expect("session");
     let layer = Arc::new(
         session
             .load_with(sb, LoadSpec::rows(DECODE_MAX_ROWS))

@@ -717,7 +717,6 @@ mod tests {
             .plan_as(ShapeClass::Decode(1), 1, 128, 128, cfg)
             .unwrap();
         let spec = crate::measure::MeasureSpec {
-            warmup_iters: 0,
             timed_iters: 1,
             tiling_variants: false,
         };

@@ -100,7 +100,8 @@ pub use cpu::{spmm_cpu, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTi
 pub use dense::DenseGemmKernel;
 pub use engine::{CacheStats, Engine};
 pub use measure::{
-    measure, measurement_passes, AutotuneMode, MeasureOutcome, MeasureSpec, MeasuredSample,
+    measure, measurement_passes, race, AutotuneMode, MeasureOutcome, MeasureSpec, MeasuredSample,
+    Spread,
 };
 pub use nm::{NmSpmmKernel, NmVersion};
 pub use nmsparse::NmSparseKernel;

@@ -17,11 +17,15 @@
 //! dispatch) is built **before** its clock starts, and one prepared state
 //! serves warmup and every timed iteration. The zero-padded copy of `A`
 //! a ragged depth needs stays inside the window — it recurs per call in
-//! production too. Timing follows criterion's
-//! shape: a warmup run, then a **fixed** number of timed iterations
-//! (fixed so two runs of the harness do identical work — the enumeration,
-//! activation contents and sample counts are fully deterministic; only
-//! the clock readings vary), scored by the minimum per-iteration time.
+//! production too.
+//!
+//! ## One timing primitive
+//!
+//! Every rep loop goes through [`race`]; candidates are scored by the
+//! **median** of a **fixed** number of rounds, so two runs do identical
+//! work (only the clock readings vary). [`measure`] keeps the plan-derived
+//! default unless a rival beats it head to head — measured evidence never
+//! loses to the default it replaces.
 //!
 //! ## Modes
 //!
@@ -120,10 +124,9 @@ impl std::fmt::Display for AutotuneMode {
 /// The fixed-work timing recipe one measurement run follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasureSpec {
-    /// Un-timed iterations run first to warm caches.
-    pub warmup_iters: usize,
-    /// Timed iterations per candidate; **fixed**, so two runs of the same
-    /// spec do identical work (the determinism the cache contract needs).
+    /// Timed [`race`] rounds per candidate and per head-to-head;
+    /// **fixed**, so two runs of the same spec do identical work (the
+    /// determinism the cache contract needs).
     pub timed_iters: usize,
     /// Whether to search tile-geometry variants beyond the plan-derived
     /// tiling.
@@ -136,12 +139,10 @@ impl MeasureSpec {
         match mode {
             AutotuneMode::Off => None,
             AutotuneMode::Quick => Some(Self {
-                warmup_iters: 1,
                 timed_iters: 3,
                 tiling_variants: false,
             }),
             AutotuneMode::Full => Some(Self {
-                warmup_iters: 2,
                 timed_iters: 5,
                 tiling_variants: true,
             }),
@@ -156,7 +157,7 @@ pub struct MeasuredSample {
     pub tiling: CpuTiling,
     /// The `B′` storage format it staged.
     pub storage: StorageFormat,
-    /// Best (minimum) per-iteration wall time, seconds.
+    /// Median per-iteration wall time over its [`race`] rounds, seconds.
     pub seconds: f64,
     /// Useful throughput at `seconds`, GFLOP/s.
     pub gflops: f64,
@@ -169,8 +170,77 @@ pub struct MeasureOutcome {
     /// The measured-best choice, ready for
     /// [`Plan::with_measured`](crate::plan::Plan::with_measured).
     pub best: MeasuredChoice,
-    /// Every candidate timed, enumeration order.
+    /// Every candidate's screen, enumeration order.
     pub samples: Vec<MeasuredSample>,
+}
+
+/// Median and interquartile range of one rival's timed rounds, seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median round.
+    pub median: f64,
+    /// Third quartile minus first quartile.
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// Summarise `rounds` (any order; at least one). Quartiles
+    /// interpolate linearly between order statistics, so four rounds
+    /// `1, 2, 3, 4` give median 2.5 and IQR 3.25 − 1.75 = 1.5.
+    pub fn of(rounds: &[f64]) -> Spread {
+        let mut sorted = rounds.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let quantile = |p: f64| {
+            let at = p * (sorted.len() - 1) as f64;
+            let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+        };
+        Spread {
+            median: quantile(0.5),
+            iqr: quantile(0.75) - quantile(0.25),
+        }
+    }
+}
+
+/// Race `rivals` against one clock in `reps` timed rounds (at least
+/// one). Round `r` runs every rival once, starting at rival `r mod k` and
+/// going round in input order, so every rival leads equally often and
+/// slow drift of the host lands on all of them alike. Every timed call
+/// directly follows a call of the same rival — an untimed one whenever
+/// another rival ran last — so each rival's first call is an untimed
+/// warm-up, and no rival's time carries what another left behind (cold
+/// caches, a parked worker pool).
+///
+/// Returns, per rival in input order, the wall time of each of its timed
+/// rounds in round order — round `r` of every rival ran side by side, so
+/// two rivals' rounds pair up — and the output of its last call. The
+/// clock covers the call alone: outputs are dropped after it stops.
+///
+/// # Errors
+/// The first error any rival returns; the race ends there.
+pub fn race<T, E, F: FnMut() -> std::result::Result<T, E>>(
+    rivals: &mut [F],
+    reps: usize,
+) -> std::result::Result<Vec<(Vec<f64>, T)>, E> {
+    let k = rivals.len();
+    let reps = reps.max(1);
+    let mut rounds = vec![Vec::with_capacity(reps); k];
+    let mut last: Vec<Option<T>> = (0..k).map(|_| None).collect();
+    let mut prev = None;
+    for r in 0..reps {
+        for i in (0..k).map(|j| (r + j) % k) {
+            if prev != Some(i) {
+                rivals[i]()?;
+            }
+            let t0 = Instant::now();
+            let out = rivals[i]()?;
+            rounds[i].push(t0.elapsed().as_secs_f64());
+            last[i] = Some(out);
+            prev = Some(i);
+        }
+    }
+    let last = last.into_iter().map(|l| l.expect("every rival ran"));
+    Ok(rounds.into_iter().zip(last).collect())
 }
 
 thread_local! {
@@ -315,10 +385,13 @@ pub(crate) fn format_candidates_with(
 /// candidate is timed, even when the grid holds only one.
 ///
 /// Each candidate's offline staging ([`CpuPrepared`]) happens **outside**
-/// its timed window and is reused across all its iterations; candidates
-/// whose geometry cannot prepare are skipped. `kernel` pins the
-/// micro-kernel for every candidate (a session's ISA override); `None`
-/// uses the standard runtime dispatch.
+/// its timed window and is reused across all its rounds; candidates
+/// whose geometry cannot prepare are skipped. The grid is screened one
+/// staged candidate at a time, each as a [`race`] of one; a screen winner
+/// other than the default (the first candidate that prepared) is then
+/// raced head to head against it. `kernel` pins the micro-kernel for
+/// every candidate (a session's ISA override); `None` uses the standard
+/// runtime dispatch.
 ///
 /// # Errors
 /// [`NmError::InvalidBlocking`] when no candidate can prepare at all, and
@@ -336,45 +409,46 @@ pub fn measure(
     let rows = rows.max(1);
     let a = MatrixF32::random(rows, sb.k(), MEASURE_SEED);
     let useful_flops = 2.0 * rows as f64 * sb.cols() as f64 * sb.w() as f64;
+    // Offline: staging + dispatch, excluded from the clock exactly as in
+    // production (`Session::load`).
+    let stage =
+        |tiling, format| CpuPrepared::with_format(NmVersion::V3, sb, tiling, kernel, format);
+    let race_staged = |preps: &[&CpuPrepared]| {
+        let mut rivals: Vec<_> = preps
+            .iter()
+            .map(|prep| || spmm_cpu_prepared(&a, sb, prep))
+            .collect();
+        race(&mut rivals, spec.timed_iters)
+    };
+    let sample = |tiling, storage, (rounds, _): &(Vec<f64>, MatrixF32)| {
+        let seconds = Spread::of(rounds).median;
+        MeasuredSample {
+            tiling,
+            storage,
+            seconds,
+            gflops: useful_flops / seconds / 1e9,
+        }
+    };
 
     let candidates = tiling_candidates(plan, sb, spec.tiling_variants);
     let formats = format_candidates(plan);
     let mut samples = Vec::new();
-    let mut best: Option<MeasuredSample> = None;
+    // The default — the first candidate that prepares — stays staged
+    // through the screen, so a head to head needs one more staging only.
+    let mut default_prep = None;
     for &tiling in &candidates {
         for &format in &formats {
-            // Offline: staging + dispatch, excluded from
-            // the clock exactly as in production (`Session::load`).
-            let Ok(prep) = CpuPrepared::with_format(NmVersion::V3, sb, tiling, kernel, format)
-            else {
+            let Ok(prep) = stage(tiling, format) else {
                 continue;
             };
-            for _ in 0..spec.warmup_iters {
-                spmm_cpu_prepared(&a, sb, &prep)?;
-            }
-            let mut seconds = f64::INFINITY;
-            for _ in 0..spec.timed_iters.max(1) {
-                let t0 = Instant::now();
-                spmm_cpu_prepared(&a, sb, &prep)?;
-                seconds = seconds.min(t0.elapsed().as_secs_f64());
-            }
-            let sample = MeasuredSample {
-                // The *effective* (clamped) geometry, so replaying
-                // the choice prepares exactly what was measured.
-                tiling: prep.tiling(),
-                storage: format,
-                seconds,
-                gflops: useful_flops / seconds / 1e9,
-            };
-            samples.push(sample);
-            // Strict `<`: ties keep the earlier (simpler) candidate
-            // — the derived tiling, row-major before sliced.
-            if best.is_none_or(|b| sample.seconds < b.seconds) {
-                best = Some(sample);
-            }
+            let raced = race_staged(&[&prep])?;
+            // The *effective* (clamped) geometry, so replaying the choice
+            // prepares exactly what was measured.
+            samples.push(sample(prep.tiling(), format, &raced[0]));
+            default_prep.get_or_insert(prep);
         }
     }
-    let Some(winner) = best else {
+    let (Some(default_prep), Some(&default)) = (default_prep, samples.first()) else {
         return Err(NmError::InvalidBlocking {
             reason: format!(
                 "no CPU candidate could prepare for {} (tried {} tilings x {} formats)",
@@ -383,6 +457,22 @@ pub fn measure(
                 formats.len()
             ),
         });
+    };
+    // `min_by` keeps the first of equal minima, and the head to head
+    // keeps the default on a tie: ties go to the earlier (simpler)
+    // candidate — the derived tiling, row-major before sliced.
+    let by_seconds = |x: &&MeasuredSample, y: &&MeasuredSample| x.seconds.total_cmp(&y.seconds);
+    let screened = *samples.iter().min_by(by_seconds).expect("non-empty");
+    let winner = if screened == default {
+        default
+    } else {
+        let challenger = stage(screened.tiling, screened.storage)?;
+        let raced = race_staged(&[&default_prep, &challenger])?;
+        let timed = [
+            sample(default.tiling, default.storage, &raced[0]),
+            sample(screened.tiling, screened.storage, &raced[1]),
+        ];
+        *timed.iter().min_by(by_seconds).expect("two rivals")
     };
     Ok(MeasureOutcome {
         best: MeasuredChoice {
@@ -458,10 +548,11 @@ mod tests {
     #[test]
     fn measure_does_fixed_deterministic_work() {
         let (plan, sb) = demo();
+        // Tiling variants give the screen rivals to the default, so the
+        // head-to-head step runs whenever one of them wins the screen.
         let spec = MeasureSpec {
-            warmup_iters: 1,
             timed_iters: 2,
-            tiling_variants: false,
+            tiling_variants: true,
         };
         let before = measurement_passes();
         let a = measure(&plan, &sb, 32, None, spec).unwrap();
@@ -469,18 +560,107 @@ mod tests {
         assert_eq!(measurement_passes() - before, 2, "one pass per run");
         // Same candidate enumeration, same sample counts — only the clock
         // readings may differ between the two runs.
+        assert!(a.samples.len() > 1, "the screen has rivals");
         assert_eq!(a.samples.len(), b.samples.len());
         for (x, y) in a.samples.iter().zip(&b.samples) {
             assert_eq!((x.tiling, x.storage), (y.tiling, y.storage));
             assert!(x.seconds > 0.0 && x.gflops > 0.0);
         }
-        assert_eq!(a.best.samples, spec.timed_iters);
-        assert_eq!(b.best.samples, spec.timed_iters);
-        // The winner is one of the enumerated candidates.
-        assert!(a
-            .samples
-            .iter()
-            .any(|s| s.tiling == a.best.cpu_tiling && s.storage == a.best.storage));
+        for run in [&a, &b] {
+            assert_eq!(run.best.samples, spec.timed_iters);
+            // The winner is the default (the first candidate) or the
+            // screen's winner, which had to beat the default head to head.
+            let key = |s: &MeasuredSample| (s.tiling, s.storage);
+            let mut by_time = run.samples.clone();
+            by_time.sort_by(|x, y| x.seconds.total_cmp(&y.seconds));
+            let pick = (run.best.cpu_tiling, run.best.storage);
+            let why = format!("{:?} vs {:?}", run.best, run.samples);
+            assert!(
+                pick == key(&run.samples[0]) || pick == key(&by_time[0]),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
+    fn race_warms_up_untimed_then_rotates_the_lead() {
+        // Each rival logs its index; every odd-numbered call of its own
+        // sleeps far longer than any other call can take.
+        let log = std::cell::RefCell::new(Vec::new());
+        let sleep = std::time::Duration::from_millis(10);
+        let (k, reps) = (3usize, 6usize);
+        let mut rivals: Vec<_> = (0..k)
+            .map(|i| {
+                let log = &log;
+                move || -> Result<usize> {
+                    let calls = log.borrow().iter().filter(|&&j| j == i).count();
+                    if calls % 2 == 0 {
+                        std::thread::sleep(sleep);
+                    }
+                    log.borrow_mut().push(i);
+                    Ok(calls + 1)
+                }
+            })
+            .collect();
+        let raced = race(&mut rivals, reps).unwrap();
+        // Every timed call follows an untimed (sleeping) call of the same
+        // rival, and round r runs r, r+1, … mod k: each leads reps/k.
+        let want: Vec<usize> = (0..reps)
+            .flat_map(|r| (0..k).map(move |j| (r + j) % k))
+            .collect();
+        let paired: Vec<usize> = want.iter().flat_map(|&i| [i, i]).collect();
+        assert_eq!(log.into_inner(), paired);
+        for (rounds, last) in &raced {
+            assert_eq!(rounds.len(), reps, "one time per timed round");
+            assert!(Spread::of(rounds).median < sleep.as_secs_f64(), "untimed");
+            assert_eq!(*last, 2 * reps, "the last call's output is returned");
+        }
+        // A race of one warms up once, then repeats itself timed.
+        let calls = std::cell::Cell::new(0);
+        let mut one = [|| -> Result<()> {
+            calls.set(calls.get() + 1);
+            Ok(())
+        }];
+        assert_eq!(race(&mut one, 4).unwrap()[0].0.len(), 4);
+        assert_eq!(calls.get(), 1 + 4);
+    }
+
+    #[test]
+    fn spread_is_the_median_and_interquartile_range() {
+        let s = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((s.median, s.iqr), (2.5, 1.5));
+        let s = Spread::of(&[1.0, 2.0, 3.0]);
+        assert_eq!((s.median, s.iqr), (2.0, 1.0));
+        let s = Spread::of(&[7.0]);
+        assert_eq!((s.median, s.iqr), (7.0, 0.0));
+        // One wild round moves neither statistic.
+        let s = Spread::of(&[1.0, 1.0, 1.0, 1.0, 100.0]);
+        assert_eq!((s.median, s.iqr), (1.0, 0.0));
+    }
+
+    #[test]
+    fn a_failing_rival_ends_the_race_with_its_error() {
+        // Rival 1 fails on its second call (its first timed round), the
+        // fourth call of the race.
+        let calls = std::cell::Cell::new(0);
+        let broke = || NmError::Unsupported {
+            reason: "rival 1 broke".into(),
+        };
+        let mut rivals: Vec<_> = (0..2)
+            .map(|i| {
+                let calls = &calls;
+                move || -> Result<()> {
+                    calls.set(calls.get() + 1);
+                    (i != 1 || calls.get() != 4).then_some(()).ok_or_else(broke)
+                }
+            })
+            .collect();
+        let err = race(&mut rivals, 5).unwrap_err();
+        assert!(
+            matches!(&err, NmError::Unsupported { reason } if reason == "rival 1 broke"),
+            "{err}"
+        );
+        assert_eq!(calls.get(), 4, "no call after the failure");
     }
 
     #[test]
@@ -572,7 +752,6 @@ mod tests {
         let b = MatrixF32::random(128, 128, 9);
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 10 }).unwrap();
         let spec = MeasureSpec {
-            warmup_iters: 0,
             timed_iters: 1,
             tiling_variants: false,
         };

@@ -715,18 +715,19 @@ fn storage_from_json(v: &JsonValue) -> Result<StorageFormat> {
     })
 }
 
-fn measured_to_json(m: &Option<MeasuredChoice>) -> JsonValue {
-    match m {
-        Some(m) => JsonValue::object(vec![
-            ("mb", JsonValue::from_usize(m.cpu_tiling.mb)),
-            ("nb", JsonValue::from_usize(m.cpu_tiling.nb)),
-            ("kb", JsonValue::from_usize(m.cpu_tiling.kb)),
-            ("mt", JsonValue::from_usize(m.cpu_tiling.mt)),
-            ("storage", JsonValue::from_str_value(&m.storage.tag())),
-            ("gflops", JsonValue::Number(m.gflops)),
-            ("samples", JsonValue::from_usize(m.samples)),
-        ]),
-        None => JsonValue::Null,
+impl MeasuredChoice {
+    /// The evidence as the plan cache stores it: the tile geometry
+    /// (`mb`, `nb`, `kb`, `mt`), `storage`, `gflops` and `samples`.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("mb", JsonValue::from_usize(self.cpu_tiling.mb)),
+            ("nb", JsonValue::from_usize(self.cpu_tiling.nb)),
+            ("kb", JsonValue::from_usize(self.cpu_tiling.kb)),
+            ("mt", JsonValue::from_usize(self.cpu_tiling.mt)),
+            ("storage", JsonValue::from_str_value(&self.storage.tag())),
+            ("gflops", JsonValue::Number(self.gflops)),
+            ("samples", JsonValue::from_usize(self.samples)),
+        ])
     }
 }
 
@@ -774,7 +775,10 @@ fn plan_to_json(plan: &Plan) -> JsonValue {
             "provenance",
             JsonValue::from_str_value(plan.provenance.name()),
         ),
-        ("measured", measured_to_json(&plan.measured)),
+        (
+            "measured",
+            (plan.measured.as_ref()).map_or(JsonValue::Null, MeasuredChoice::to_json),
+        ),
         (
             "params",
             JsonValue::object(vec![
