@@ -16,6 +16,7 @@ use nm_core::pattern::NmConfig;
 use nm_kernels::Engine;
 
 fn main() {
+    nm_bench::switches("usage: ablations", []);
     let mut engine = Engine::new(a100_80g());
     let (m, n, k) = (4096, 4096, 4096);
 

@@ -28,7 +28,7 @@ use nm_gpu::ShaderStats;
 use nm_kernels::backend::ExecBackend;
 use nm_kernels::codegen::{CodegenBackend, CodegenPrepared};
 use nm_kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_kernels::{CpuBackend, MicroKernel, NmVersion};
+use nm_kernels::{BackendKind, CpuBackend, MicroKernel};
 use std::time::Instant;
 
 /// One matrix cell's outcome.
@@ -108,9 +108,7 @@ fn run_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let cpu = CpuBackend::new(NmVersion::V3)
-        .run(&dev, plan, &a, sb)
-        .expect("cpu_v3");
+    let cpu = CpuBackend::new().run(&dev, plan, &a, sb).expect("cpu_v3");
     let cpu_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let bit_identical = c.as_slice() == cpu.c.as_slice();
@@ -172,8 +170,14 @@ fn main() {
 
     // Resolve the micro-kernel before any work, so a malformed
     // NM_SPMM_ISA is a usage error (exit 2) rather than a panic mid-sweep.
+    // Every backend here is explicit, so NM_SPMM_BACKEND is only
+    // validated: an unknown name (`cpu_v1` included) fails the same way.
     if let Err(e) = MicroKernel::select() {
         eprintln!("micro-kernel selection failed: {e}");
+        std::process::exit(2);
+    }
+    if let Err(e) = BackendKind::from_env() {
+        eprintln!("{e}");
         std::process::exit(2);
     }
 

@@ -1,5 +1,5 @@
-//! Measured-performance harness: the native CPU V1→V3 ladder against the
-//! scalar reference, on real wall clocks.
+//! Measured-performance harness: the native CPU kernel, on all workers and
+//! pinned to one, against the scalar reference, on real wall clocks.
 //!
 //! Unlike the other bins (which regenerate the paper's figures from the
 //! *timing model*), this one executes every kernel for real through the
@@ -24,7 +24,7 @@
 //! `(0, 1)`, an `NM_SPMM_ISA` override this host cannot execute, and an
 //! unrecognized `--autotune` / `NM_SPMM_AUTOTUNE` mode.
 //!
-//! The run records which micro-kernel ISA the CPU ladder dispatched to
+//! The run records which micro-kernel ISA the CPU kernel dispatched to
 //! (top-level `isa` field plus one per CPU kernel entry in the JSON);
 //! `NM_SPMM_FORCE_SCALAR=1` forces the scalar tile so CI can A/B the SIMD
 //! and scalar paths on the same host.
@@ -32,12 +32,17 @@
 //! ## How a shape is timed
 //!
 //! A shape is a table of lanes — each a prepared layer (or
-//! `spmm_reference`), its input and its numeric check — loaded first, then
-//! raced in one [`race`] and checked on their last outputs. The JSON
-//! records each lane's median round (`seconds`) and IQR (`iqr_seconds`);
-//! every ratio between two lanes is the median of their per-round ratios
+//! `spmm_reference`), its input, whether it runs pinned to one worker, and
+//! its numeric check — loaded first, then raced in one [`race`] and
+//! checked on their last outputs. The JSON records each lane's median
+//! round (`seconds`) and IQR (`iqr_seconds`); every ratio between two
+//! lanes is the median of their per-round ratios
 //! ([`ShapeResult::ratio`]), and every gate prints each pair's ratio, the
-//! IQRs and the threshold, on pass as well as on fail.
+//! IQRs and the threshold, on pass as well as on fail. `cpu_v3` is the
+//! kernel a plain `Session::load` prepares; `cpu_v3_1w`, the same layer
+//! raced inside a one-thread `rayon::ThreadPool::install`, must match it
+//! bit for bit. `stepwise` reports `serial_over_ref` and
+//! `parallel_over_serial`, what the workers add over one.
 //!
 //! ## The plan A/B lane
 //!
@@ -58,7 +63,8 @@
 //! product is bandwidth-bound, so bytes of compressed-operand traffic per
 //! second is the honest axis. On `m = 1` shapes the scalar `reference`
 //! lane (no staging, no SIMD) doubles as a rival, next to the 4-row GEMM
-//! tile forced onto the one-row input. Every decode shape also times the **storage-format
+//! tile forced onto the one-row input (pinned to one worker, so it stays a
+//! sequential 4-row tile). Every decode shape also times the **storage-format
 //! rivals** head to head — the V3 preparation staged row-major
 //! (`cpu_v3`) versus staged SELL-C-σ sliced (`cpu_v3_sliced`) — and
 //! reports each format's compressed-operand bytes. `--decode` runs the
@@ -80,6 +86,9 @@ use nm_kernels::{
     race, AutotuneMode, BackendKind, Isa, LoadSpec, MeasuredChoice, MicroKernel, NmVersion,
     PreparedLayer, Session, SessionBuilder, ShapeClass, Spread, DECODE_MAX_ROWS,
 };
+
+/// The native CPU kernel, the backend of every prepared lane.
+const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
 
 /// One benchmarked problem.
 struct Shape {
@@ -195,11 +204,11 @@ struct ShapeResult {
     /// Compressed-operand bytes per storage format (tag → bytes), decode
     /// shapes only — the per-format accounting behind the decode table.
     storage_bytes: Vec<(String, usize)>,
-    /// `reference`, `cpu_v1`, `cpu_v2`, `cpu_v3` in that order; decode
-    /// shapes append the `cpu_v3_sliced` format rival, `m = 1` shapes
-    /// append `gemm4_forced`, and autotuned runs append the `measured`
-    /// plan. The cost-model lane of the A/B is `cpu_v3` — exactly the
-    /// plan a default `Session::load` prepares.
+    /// `reference`, `cpu_v3`, `cpu_v3_1w` in that order; decode shapes
+    /// append the `cpu_v3_sliced` format rival, `m = 1` shapes append
+    /// `gemm4_forced`, and autotuned runs append the `measured` plan. The
+    /// cost-model lane of the A/B is `cpu_v3` — exactly the plan a default
+    /// `Session::load` prepares.
     kernels: Vec<(&'static str, KernelResult)>,
     /// The evidence the `measured` lane's plan was picked on (what
     /// `Session::load` chose when it was allowed to benchmark instead of
@@ -243,15 +252,21 @@ impl ShapeResult {
         self.traffic_bytes.map(|t| t / seconds / 1e9)
     }
 
-    /// The fastest prepared-path lane (ladder versions, the sliced
-    /// format rival, plus the measured A/B lane when it ran) — what a
-    /// decode server would actually hit.
+    /// What the workers add over one: the paired speedup of `cpu_v3`
+    /// over `cpu_v3_1w`.
+    fn parallel_over_serial(&self) -> f64 {
+        self.ratio("cpu_v3_1w", "cpu_v3").median
+    }
+
+    /// The fastest prepared-path lane (the kernel on all workers and on
+    /// one, the sliced format rival, plus the measured A/B lane when it
+    /// ran) — what a decode server would actually hit.
     fn best_prepared(&self) -> (&'static str, &KernelResult) {
-        ["cpu_v1", "cpu_v2", "cpu_v3", "cpu_v3_sliced", "measured"]
+        ["cpu_v3_1w", "cpu_v3", "cpu_v3_sliced", "measured"]
             .into_iter()
             .filter_map(|name| self.maybe(name).map(|kr| (name, kr)))
             .min_by(|x, y| x.1.seconds.total_cmp(&y.1.seconds))
-            .expect("the ladder lanes ran")
+            .expect("the kernel lanes ran")
     }
 }
 
@@ -275,6 +290,8 @@ struct Lane<'a> {
     /// The prepared layer it runs; `None` runs `spmm_reference`.
     layer: Option<PreparedLayer>,
     input: &'a MatrixF32,
+    /// Whether each call runs inside a one-thread pool's `install`.
+    one_worker: bool,
     check: Check,
 }
 
@@ -300,7 +317,7 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     // staging) before the race, which times the online forward alone. The
     // session's pinned micro-kernel drives every preparation, so the
     // top-level `isa` and the per-kernel entries agree by construction.
-    let mut load = |name: &'static str, spec: LoadSpec, input, check| {
+    let mut load = |name: &'static str, spec: LoadSpec, input, one_worker, check| {
         let layer = session
             .load_with(sb.clone(), spec)
             .map_err(|e| format!("{label}: {name} preparation failed: {e}"))?;
@@ -308,6 +325,7 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
             name,
             layer: Some(layer),
             input,
+            one_worker,
             check,
         })
     };
@@ -316,39 +334,34 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
         name: "reference",
         layer: None,
         input: &a,
+        one_worker: false,
         check: Check::Oracle,
     }];
-    for (name, version) in [
-        ("cpu_v1", NmVersion::V1),
-        ("cpu_v2", NmVersion::V2),
-        ("cpu_v3", NmVersion::V3),
-    ] {
-        let spec = LoadSpec::rows(m).backend(BackendKind::Cpu(version));
-        lanes.push(load(name, spec, &a, Check::Close)?);
-    }
-    // The storage-format rival, decode shapes only: the same V3
-    // preparation pinned to the SELL-C-σ sliced layout, head to head with
-    // the row-major `cpu_v3` lane. An explicit backend keeps this lane
-    // measurement-free (like the ladder lanes), so it times the *derived*
+    // `cpu_v3_1w` is the same kind of layer pinned to one worker: the row
+    // and column splits leave every `+=` sequence unchanged, so it must
+    // reproduce `cpu_v3` bit for bit.
+    let (cpu, bits) = (LoadSpec::rows(m).backend(CPU), Check::BitsOf("cpu_v3"));
+    lanes.push(load("cpu_v3", cpu.clone(), &a, false, Check::Close)?);
+    lanes.push(load("cpu_v3_1w", cpu.clone(), &a, true, bits)?);
+    // The storage-format rival, decode shapes only: the same preparation
+    // pinned to the SELL-C-σ sliced layout, head to head with the
+    // row-major `cpu_v3` lane. An explicit backend keeps this lane
+    // measurement-free (like the kernel lanes), so it times the *derived*
     // sliced geometry — the measured lane is where evidence picks a
     // format. The sliced staging is bit-identical to the row-major one,
     // so its oracle is exact equality with `cpu_v3` — a tolerance would
     // hide a broken permutation.
     if decode {
-        let spec = LoadSpec::rows(m)
-            .backend(BackendKind::Cpu(NmVersion::V3))
-            .storage(StorageFormat::Sliced(SlicedLayout::DEFAULT));
-        lanes.push(load("cpu_v3_sliced", spec, &a, Check::BitsOf("cpu_v3"))?);
+        let spec = cpu.storage(StorageFormat::Sliced(SlicedLayout::DEFAULT));
+        lanes.push(load("cpu_v3_sliced", spec, &a, false, bits)?);
     }
     // Decode rival, m = 1 only: the GEMM tile forced onto the SpMV shape
-    // — a 4-row zero-padded operand through the prepared ladder, which is
-    // what a fixed 4×16 register tile does to a one-row input. It is
-    // scored at the *useful* (1-row) FLOPs and traffic, so the padding
-    // waste shows up as lost throughput rather than being normalized
-    // away.
+    // — a 4-row zero-padded operand, pinned to one worker so it stays a
+    // sequential 4-row tile. It is scored at the *useful* (1-row) FLOPs
+    // and traffic, so the padding waste shows up as lost throughput.
     if let Some(a4) = &a4 {
-        let spec = LoadSpec::rows(4).backend(BackendKind::Cpu(NmVersion::V1));
-        lanes.push(load("gemm4_forced", spec, a4, Check::Row0Close)?);
+        let spec = LoadSpec::rows(4).backend(CPU);
+        lanes.push(load("gemm4_forced", spec, a4, true, Check::Row0Close)?);
     }
     // The A/B lane: `Session::load` with measured autotuning routes
     // through the short-run harness (cache-consulted, so repeat shapes
@@ -356,20 +369,27 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     // and storage format.
     let mut evidence = None;
     if autotuned {
-        let lane = load("measured", LoadSpec::rows(m), &a, Check::Close)?;
+        let lane = load("measured", LoadSpec::rows(m), &a, false, Check::Close)?;
         let measured = lane.layer.as_ref().and_then(|l| l.plan().measured);
         let why = || format!("{label}: measured load returned a plan without evidence");
         evidence = Some(measured.ok_or_else(why)?);
         lanes.push(lane);
     }
 
+    let pin = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    let pin = pin.map_err(|e| format!("{label}: one-worker pool: {e}"))?;
     let mut rivals: Vec<_> = lanes
         .iter()
         .map(|lane| {
-            || match &lane.layer {
+            let call = || match &lane.layer {
                 None => Ok(spmm_reference(lane.input, &sb)),
                 Some(layer) => (layer.forward(lane.input).map(|run| run.c))
                     .map_err(|e| format!("{} failed: {e}", lane.name)),
+            };
+            let pin = &pin;
+            move || match lane.one_worker {
+                true => pin.install(call),
+                false => call(),
             }
         })
         .collect();
@@ -501,16 +521,14 @@ fn results_to_json(
                 (
                     "stepwise",
                     JsonValue::object(vec![
-                        ("v1_over_ref", JsonValue::Number(r.speedup_vs_ref("cpu_v1"))),
                         (
-                            "v2_over_v1",
-                            JsonValue::Number(r.ratio("cpu_v1", "cpu_v2").median),
+                            "serial_over_ref",
+                            JsonValue::Number(r.speedup_vs_ref("cpu_v3_1w")),
                         ),
                         (
-                            "v3_over_v2",
-                            JsonValue::Number(r.ratio("cpu_v2", "cpu_v3").median),
+                            "parallel_over_serial",
+                            JsonValue::Number(r.parallel_over_serial()),
                         ),
-                        ("v3_over_ref", JsonValue::Number(r.speedup_vs_ref("cpu_v3"))),
                     ]),
                 ),
             ];
@@ -548,7 +566,7 @@ fn results_to_json(
             "format",
             JsonValue::from_str_value("nm-spmm measured bench"),
         ),
-        ("version", JsonValue::from_usize(2)),
+        ("version", JsonValue::from_usize(3)),
         ("mode", JsonValue::from_str_value(mode)),
         ("autotune_mode", JsonValue::from_str_value(autotune.name())),
         ("plan_device", JsonValue::from_str_value(device)),
@@ -979,7 +997,7 @@ fn main() {
         });
 
     println!(
-        "== measured CPU ladder ({mode} mode, {} shapes, {} micro-kernel, autotune {autotune}) ==\n",
+        "== measured CPU kernel ({mode} mode, {} shapes, {} micro-kernel, autotune {autotune}) ==\n",
         shapes.len(),
         kernel.isa()
     );
@@ -1013,20 +1031,17 @@ fn main() {
     }
 
     let mut t = TextTable::new(&[
-        "shape", "N:M", "ref GF/s", "V1 GF/s", "V2 GF/s", "V3 GF/s", "V1/ref", "V2/V1", "V3/V2",
-        "V3/ref",
+        "shape", "N:M", "ref GF/s", "1w GF/s", "V3 GF/s", "1w/ref", "V3/1w", "V3/ref",
     ]);
     for r in &results {
         t.row(&[
             r.label.to_string(),
             r.cfg.label(),
             format!("{:.2}", r.get("reference").gflops),
-            format!("{:.2}", r.get("cpu_v1").gflops),
-            format!("{:.2}", r.get("cpu_v2").gflops),
+            format!("{:.2}", r.get("cpu_v3_1w").gflops),
             format!("{:.2}", r.get("cpu_v3").gflops),
-            spd(r.speedup_vs_ref("cpu_v1")),
-            spd(r.ratio("cpu_v1", "cpu_v2").median),
-            spd(r.ratio("cpu_v2", "cpu_v3").median),
+            spd(r.speedup_vs_ref("cpu_v3_1w")),
+            spd(r.parallel_over_serial()),
             spd(r.speedup_vs_ref("cpu_v3")),
         ]);
     }
@@ -1066,9 +1081,9 @@ fn main() {
         let mut t = TextTable::new(&[
             "shape",
             "m",
-            "V1 GB/s",
-            "V2 GB/s",
+            "1w GB/s",
             "V3 GB/s",
+            "V3/1w",
             "sliced GB/s",
             "ref GB/s",
             "gemm4 GB/s",
@@ -1089,9 +1104,9 @@ fn main() {
             t.row(&[
                 r.label.to_string(),
                 r.m.to_string(),
-                gb("cpu_v1"),
-                gb("cpu_v2"),
+                gb("cpu_v3_1w"),
                 gb("cpu_v3"),
+                spd(r.parallel_over_serial()),
                 gb("cpu_v3_sliced"),
                 gb("reference"),
                 gb("gemm4_forced"),
@@ -1230,6 +1245,24 @@ mod tests {
         r.kernels[1].1.rounds = vec![1.0, 3.0, 3.0];
         assert_eq!(r.speedup_vs_ref("cpu_v3"), 2.0);
         assert_eq!(r.ratio("reference", "cpu_v3").iqr, 1.0);
+    }
+
+    #[test]
+    fn stepwise_pairs_the_one_worker_lane() {
+        // Round by round the one-worker lane is 2x, 4x, 8x faster than the
+        // reference and the all-worker lane 1x, 2x, 0.5x faster than it.
+        let mut r = result_with_v3_seconds(1.0);
+        r.kernels.push(("cpu_v3_1w", lane(1.0, Some(Isa::Scalar))));
+        let rounds = [[8.0; 3], [4.0, 1.0, 2.0], [4.0, 2.0, 1.0]];
+        for (kr, rounds) in r.kernels.iter_mut().zip(rounds) {
+            kr.1.rounds = rounds.to_vec();
+        }
+        let doc = results_to_json(&[r], "quick", "dev", Isa::Scalar, AutotuneMode::Off);
+        assert_eq!(doc.get("version").and_then(|v| v.as_f64()), Some(3.0));
+        let shape = &doc.get("shapes").and_then(|s| s.as_array()).unwrap()[0];
+        let field = |name| shape.get("stepwise")?.get(name)?.as_f64();
+        assert_eq!(field("serial_over_ref"), Some(4.0));
+        assert_eq!(field("parallel_over_serial"), Some(1.0));
     }
 
     #[test]
@@ -1393,7 +1426,7 @@ mod tests {
         assert_eq!(regressions.len(), 1);
     }
 
-    /// An `m = 1` decode shape: the fastest ladder lane runs in
+    /// An `m = 1` decode shape: the fastest kernel lane runs in
     /// `prepared_seconds`, the rivals as given.
     fn decode_result(
         prepared_seconds: f64,
@@ -1410,9 +1443,8 @@ mod tests {
             storage_bytes: Vec::new(),
             kernels: vec![
                 ("reference", lane(reference_seconds, None)),
-                ("cpu_v1", lane(prepared_seconds, Some(Isa::Scalar))),
-                ("cpu_v2", lane(prepared_seconds * 2.0, Some(Isa::Scalar))),
                 ("cpu_v3", lane(prepared_seconds * 2.0, Some(Isa::Scalar))),
+                ("cpu_v3_1w", lane(prepared_seconds, Some(Isa::Scalar))),
                 ("gemm4_forced", lane(gemm_seconds, Some(Isa::Scalar))),
             ],
             evidence: None,
@@ -1426,8 +1458,8 @@ mod tests {
         assert!(verdict.failures.is_empty());
         // A margin line per rival, measured against the fastest lane.
         assert_eq!(verdict.margins.len(), 2);
-        assert!(verdict.margins[0].contains("reference/cpu_v1: 5.000x"));
-        assert!(verdict.margins[1].contains("gemm4_forced/cpu_v1: 4.000x"));
+        assert!(verdict.margins[0].contains("reference/cpu_v3_1w: 5.000x"));
+        assert!(verdict.margins[1].contains("gemm4_forced/cpu_v3_1w: 4.000x"));
     }
 
     #[test]

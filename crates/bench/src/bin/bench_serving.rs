@@ -310,8 +310,11 @@ fn main() {
 
     // Resolve the micro-kernel and build the session before any work, so
     // a malformed NM_SPMM_ISA / NM_SPMM_AUTOTUNE is a usage error (exit 2).
+    // The session pins its backend, so NM_SPMM_BACKEND is only validated:
+    // an unknown name (`cpu_v1` included) fails here too.
     let mut session = MicroKernel::select()
         .and_then(|kernel| {
+            BackendKind::from_env()?;
             SessionBuilder::new(a100_80g())
                 .backend(BackendKind::Cpu(NmVersion::V3))
                 .micro_kernel(kernel)

@@ -15,6 +15,7 @@ use nm_kernels::{NmSparseKernel, NmSpmmKernel, NmVersion};
 use nm_workloads::levels::{benchmark_levels, label};
 
 fn main() {
+    nm_bench::switches("usage: fig10_roofline", []);
     let dev = a100_ncu_locked();
     let roof = Roofline::from_device(&dev);
     let (m, n, k) = (4096, 4096, 4096);

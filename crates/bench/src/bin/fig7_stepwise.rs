@@ -13,6 +13,7 @@ use nm_kernels::{DenseGemmKernel, NmSpmmKernel, NmVersion};
 use nm_workloads::levels::{label, with_dense_control};
 
 fn main() {
+    nm_bench::switches("usage: fig7_stepwise", []);
     let (m, n, k) = (4096, 4096, 4096);
     println!("== Fig. 7: step-wise optimization (m = n = k = {m}) ==\n");
 

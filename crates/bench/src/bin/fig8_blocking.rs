@@ -15,6 +15,7 @@ use nm_workloads::levels::{label, with_dense_control};
 use nm_workloads::shapes::table_ii;
 
 fn main() {
+    nm_bench::switches("usage: fig8_blocking", []);
     let dev = a100_80g();
     println!(
         "== Fig. 8: blocking-parameter kernels on Table II shapes ({}) ==\n",

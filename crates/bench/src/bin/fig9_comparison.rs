@@ -19,7 +19,7 @@ use nm_workloads::levels::{benchmark_levels, label};
 use nm_workloads::llama::dataset;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let [full] = nm_bench::switches("usage: fig9_comparison [--full]", ["--full"]);
     let points = dataset();
     println!("== Fig. 9: speedup vs cuBLAS, 100 Llama data points ==\n");
 

@@ -11,6 +11,7 @@ use nm_workloads::levels::benchmark_levels;
 use nm_workloads::shapes::table_ii;
 
 fn main() {
+    nm_bench::switches("usage: table1_params", []);
     println!("== Table I: recommended blocking parameters ==\n");
     let mut t = TextTable::new(&[
         "class",

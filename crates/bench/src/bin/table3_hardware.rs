@@ -6,6 +6,7 @@ use gpu_sim::device::{a100_ncu_locked, paper_devices};
 use nm_bench::TextTable;
 
 fn main() {
+    nm_bench::switches("usage: table3_hardware", []);
     println!("== Table III: hardware metrics ==\n");
     let devs = paper_devices();
     let mut t = TextTable::new(&["metric", "A100 80G", "RTX 3090", "RTX 4090"]);

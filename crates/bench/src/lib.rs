@@ -112,6 +112,20 @@ pub fn spd(x: f64) -> String {
     format!("{x:.2}x")
 }
 
+/// Whether each of the switches `known` was given; any other argument
+/// prints `usage` and exits 2 before any work (`--ful` never runs).
+pub fn switches<const K: usize>(usage: &str, known: [&str; K]) -> [bool; K] {
+    let mut given = [false; K];
+    for arg in std::env::args().skip(1) {
+        let Some(i) = known.iter().position(|&k| k == arg) else {
+            eprintln!("unknown argument `{arg}`\n{usage}");
+            std::process::exit(2);
+        };
+        given[i] = true;
+    }
+    given
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

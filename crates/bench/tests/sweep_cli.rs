@@ -1,12 +1,12 @@
-//! The command lines of the `sweep` and bench binaries: every malformed
-//! invocation — a bad flag or a bad environment override — ends in a
-//! usage or error line and exit code 2 before any work starts, never a
-//! panic.
+//! The command lines of the `sweep`, bench, figure and table binaries:
+//! every malformed invocation — a bad flag or a bad environment override,
+//! the removed `cpu_v1`/`cpu_v2` backend names included — ends in a usage
+//! or error line and exit code 2 before any work starts, never a panic.
 
 use std::process::Command;
 
-/// (binary, argv, variable set to `bogus`, what stderr must name: `None`
-/// for the binary's usage line, else the rejected value)
+/// (binary, argv, `VAR=value` set in its environment, what stderr must
+/// name: `None` for the binary's usage line, else the rejected value)
 type Case<'a> = (&'a str, &'a [&'a str], Option<&'a str>, Option<&'a str>);
 
 #[test]
@@ -16,7 +16,12 @@ fn bad_arguments_exit_2_without_a_backtrace() {
     let serving = env!("CARGO_BIN_EXE_bench_serving");
     let codegen = env!("CARGO_BIN_EXE_bench_codegen");
     let bogus = Some("`bogus`");
-    let cases: [Case; 19] = [
+    let (isa, autotune) = (Some("NM_SPMM_ISA=bogus"), Some("NM_SPMM_AUTOTUNE=bogus"));
+    let (v1, v2) = (
+        Some("NM_SPMM_BACKEND=cpu_v1"),
+        Some("NM_SPMM_BACKEND=cpu_v2"),
+    );
+    let cases: &[Case] = &[
         (sweep, &["--m"], None, None),
         (sweep, &["--m", "abc"], None, None),
         (sweep, &["--seq", "-1"], None, None),
@@ -28,21 +33,59 @@ fn bad_arguments_exit_2_without_a_backtrace() {
         (measured, &["--seed", "x"], None, None),
         (measured, &["--out"], None, None),
         (measured, &["--assert-ab"], None, None),
-        (measured, &["--quick"], Some("NM_SPMM_AUTOTUNE"), bogus),
+        (measured, &["--quick"], autotune, bogus),
+        (measured, &["--quick"], v1, Some("`cpu_v1`")),
+        (measured, &["--quick"], v2, Some("`cpu_v2`")),
         (serving, &["--bogus"], None, None),
         (serving, &["--seed", "x"], None, None),
-        (serving, &["--quick"], Some("NM_SPMM_ISA"), bogus),
-        (serving, &["--quick"], Some("NM_SPMM_AUTOTUNE"), bogus),
+        (serving, &["--quick"], isa, bogus),
+        (serving, &["--quick"], autotune, bogus),
+        (serving, &["--quick"], v1, Some("`cpu_v1`")),
+        (serving, &["--quick"], v2, Some("`cpu_v2`")),
         (codegen, &["--bogus"], None, None),
         (codegen, &["--seed", "x"], None, None),
-        (codegen, &["--quick"], Some("NM_SPMM_ISA"), bogus),
+        (codegen, &["--quick"], isa, bogus),
+        (codegen, &["--quick"], v1, Some("`cpu_v1`")),
+        (codegen, &["--quick"], v2, Some("`cpu_v2`")),
+        (
+            env!("CARGO_BIN_EXE_fig7_stepwise"),
+            &["--bogus"],
+            None,
+            None,
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig8_blocking"),
+            &["--bogus"],
+            None,
+            None,
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig9_comparison"),
+            &["--ful"],
+            None,
+            None,
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10_roofline"),
+            &["--full"],
+            None,
+            None,
+        ),
+        (env!("CARGO_BIN_EXE_ablations"), &["--bogus"], None, None),
+        (env!("CARGO_BIN_EXE_table1_params"), &["x"], None, None),
+        (
+            env!("CARGO_BIN_EXE_table3_hardware"),
+            &["--bogus"],
+            None,
+            None,
+        ),
     ];
-    for (bin, argv, env, line) in cases {
+    for &(bin, argv, env, line) in cases {
         let mut cmd = Command::new(bin);
         // Only the case's own override reaches the binary.
         cmd.env_clear().args(argv).env("RUST_BACKTRACE", "1");
-        if let Some(var) = env {
-            cmd.env(var, "bogus");
+        if let Some((var, value)) = env.and_then(|e| e.split_once('=')) {
+            cmd.env(var, value);
         }
         let out = cmd.output().expect("spawn");
         let case = format!("{bin} {argv:?} {env:?}");

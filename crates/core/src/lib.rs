@@ -17,7 +17,7 @@
 //!   decompress-then-GEMM, plus an `f64` reference for accuracy checks,
 //! * the confusion-matrix approximation metric of Eq. (2) ([`confusion`]).
 //!
-//! The GPU-side implementation and the native CPU V1→V3 ladder live in the
+//! The GPU-side implementation and the native CPU kernel live in the
 //! `nm-kernels` crate (on top of the `gpu-sim` substrate); both consume the
 //! types defined here.
 //!

@@ -8,8 +8,8 @@
 //!    [`TileLoop`](ir::Node::TileLoop), [`SharedStage`](ir::Node::SharedStage),
 //!    [`GatherLoad`](ir::Node::GatherLoad), [`Epilogue`](ir::Node::Epilogue)
 //!    nodes — lowered from the planner's blocking parameters, the N:M
-//!    pattern config, and the storage format. Every kernel family the
-//!    CPU ladder knows (V1 → V3 blocking, the skinny decode row path)
+//!    pattern config, and the storage format. Every kernel family of the
+//!    paper's ladder (V1 → V3 blocking, the skinny decode row path)
 //!    and both gather layouts (row-major column blocks, SELL-C-σ
 //!    slices) lower through the same path.
 //! 2. **WGSL emission + validation** ([`wgsl`], [`validate`]): the IR

@@ -7,9 +7,9 @@
 //!   ([`spmm_reference`]) computes `C`, and the simulated kernel of the
 //!   plan's family attaches its predicted event counts and timing-model
 //!   report. The simulator predicts; it does not multiply.
-//! * [`CpuBackend`] — the native path: the paper's V1→V3 ladder executed
-//!   for real on the host ([`crate::cpu`]), with the plan's blocking
-//!   parameters driving the CPU tile sizes.
+//! * [`CpuBackend`] — the native path: one CPU kernel executed for real
+//!   on the host ([`crate::cpu`]), with the plan's blocking parameters
+//!   driving the CPU tile sizes.
 //! * [`CodegenBackend`](crate::codegen::CodegenBackend) — the plan
 //!   lowered to a WGSL shader and run by the deterministic interpreter.
 //!
@@ -51,8 +51,8 @@ use std::time::Instant;
 
 /// Environment variable naming the default execution backend
 /// ([`BackendKind::from_env`]): one of the [`BackendKind::name`]
-/// identifiers (`sim`, `cpu_v1`, `cpu_v2`, `cpu_v3`, `codegen`). An
-/// explicit [`SessionBuilder::backend`](crate::session::SessionBuilder::backend)
+/// identifiers (`sim`, `cpu_v3`, `codegen`). An explicit
+/// [`SessionBuilder::backend`](crate::session::SessionBuilder::backend)
 /// call always wins over this variable.
 pub const BACKEND_ENV: &str = "NM_SPMM_BACKEND";
 
@@ -62,7 +62,9 @@ pub enum BackendKind {
     /// The simulated GPU: the reference oracle's result with the
     /// simulator's predicted event counts and timing attached.
     Sim,
-    /// The native CPU ladder at the given optimization step.
+    /// The native CPU kernel. Only [`NmVersion::V3`] names it: the paper's
+    /// V1/V2 steps exist in the simulator and the WGSL families, not on
+    /// the CPU, and [`BackendKind::instantiate`] rejects them.
     Cpu(NmVersion),
     /// The WGSL code-generation backend: the plan lowered to a validated
     /// compute shader, executed by the deterministic interpreter
@@ -71,20 +73,17 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every backend: simulator first, the CPU ladder in step order,
-    /// then the codegen path.
-    pub fn all() -> [BackendKind; 5] {
+    /// Every backend: simulator, native CPU, codegen.
+    pub fn all() -> [BackendKind; 3] {
         [
             BackendKind::Sim,
-            BackendKind::Cpu(NmVersion::V1),
-            BackendKind::Cpu(NmVersion::V2),
             BackendKind::Cpu(NmVersion::V3),
             BackendKind::Codegen,
         ]
     }
 
-    /// Stable identifier (`sim`, `cpu_v1`, `cpu_v2`, `cpu_v3`,
-    /// `codegen`).
+    /// Stable identifier (`sim`, `cpu_v3`, `codegen`); a rejected CPU
+    /// payload keeps its step's name (`cpu_v1`, `cpu_v2`) for the error.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Sim => "sim",
@@ -95,7 +94,8 @@ impl BackendKind {
         }
     }
 
-    /// Inverse of [`BackendKind::name`].
+    /// Inverse of [`BackendKind::name`] over [`BackendKind::all`]: any
+    /// other name, `cpu_v1` and `cpu_v2` included, is unknown.
     pub fn from_name(name: &str) -> Result<Self> {
         Self::all()
             .into_iter()
@@ -122,13 +122,26 @@ impl BackendKind {
     }
 
     /// Box the backend this selector names, with default micro-kernel
-    /// dispatch (the CPU ladder selects its ISA per preparation).
-    pub fn instantiate(&self) -> Box<dyn ExecBackend> {
-        match self {
+    /// dispatch (the CPU kernel selects its ISA per preparation).
+    ///
+    /// # Errors
+    /// [`NmError::Unsupported`] for `Cpu(V1)` and `Cpu(V2)`: the CPU runs
+    /// one kernel, and a ladder step it does not have is never aliased.
+    pub fn instantiate(&self) -> Result<Box<dyn ExecBackend>> {
+        Ok(match self {
             BackendKind::Sim => Box::new(SimBackend),
-            BackendKind::Cpu(v) => Box::new(CpuBackend::new(*v)),
+            BackendKind::Cpu(NmVersion::V3) => Box::new(CpuBackend::new()),
+            BackendKind::Cpu(_) => {
+                return Err(NmError::Unsupported {
+                    reason: format!(
+                        "backend `{}`: the native CPU runs one kernel, `cpu_v3`; the \
+                         paper's V1/V2 steps live in the simulator and the WGSL families",
+                        self.name()
+                    ),
+                })
+            }
             BackendKind::Codegen => Box::new(crate::codegen::CodegenBackend::new()),
-        }
+        })
     }
 }
 
@@ -136,9 +149,9 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             BackendKind::Sim => "simulated GPU",
-            BackendKind::Cpu(NmVersion::V1) => "native CPU V1",
-            BackendKind::Cpu(NmVersion::V2) => "native CPU V2",
-            BackendKind::Cpu(NmVersion::V3) => "native CPU V3",
+            BackendKind::Cpu(NmVersion::V1) => "native CPU V1 (unsupported)",
+            BackendKind::Cpu(NmVersion::V2) => "native CPU V2 (unsupported)",
+            BackendKind::Cpu(NmVersion::V3) => "native CPU",
             BackendKind::Codegen => "WGSL codegen",
         })
     }
@@ -161,7 +174,7 @@ pub struct ExecRun {
     /// `col_info` packing ratio, ISA dispatch), so repeated calls against one
     /// [`PreparedLayer`](crate::session::PreparedLayer) measure exactly
     /// the amortized per-call cost the paper's accounting describes. The
-    /// CPU ladder's zero-padded copy of `A` (only when `k` is not a
+    /// CPU kernel's zero-padded copy of `A` (only when `k` is not a
     /// multiple of `M`) *is* included: it depends on the activations and
     /// is genuinely online work.
     pub wall_seconds: f64,
@@ -174,10 +187,10 @@ pub struct ExecRun {
     /// report.
     pub isa: Option<Isa>,
     /// Simulated event counts: the [`SimBackend`]'s prediction, or the
-    /// codegen interpreter's counts; `None` on the native CPU ladder.
+    /// codegen interpreter's counts; `None` on the native CPU kernel.
     pub stats: Option<gpu_sim::KernelStats>,
     /// The simulated timing-model report, from the [`SimBackend`] or the
-    /// codegen backend; `None` on the native CPU ladder.
+    /// codegen backend; `None` on the native CPU kernel.
     pub report: Option<gpu_sim::LaunchReport>,
 }
 
@@ -202,13 +215,13 @@ pub trait PreparedState: Send + Sync {
     fn as_any(&self) -> &dyn Any;
 
     /// The micro-kernel ISA this preparation dispatched to, when the
-    /// backend runs on the host (CPU ladder); `None` for the simulator.
+    /// backend runs on the host (CPU kernel); `None` for the simulator.
     fn isa(&self) -> Option<Isa> {
         None
     }
 
     /// The `B′` storage format this preparation staged, when the backend
-    /// stages one (CPU ladder); `None` for the simulator.
+    /// stages one (CPU kernel); `None` for the simulator.
     fn storage(&self) -> Option<nm_core::sliced::StorageFormat> {
         None
     }
@@ -396,10 +409,9 @@ impl PreparedState for CpuPrepared {
     }
 }
 
-/// The native CPU backend at one step of the V1→V3 ladder.
-#[derive(Debug, Clone, Copy)]
+/// The native CPU backend: one kernel ([`crate::cpu`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CpuBackend {
-    version: NmVersion,
     /// Explicit micro-kernel, overriding the per-preparation runtime
     /// dispatch — how a [`Session`](crate::session::Session) pins one ISA
     /// across every layer it loads.
@@ -407,31 +419,22 @@ pub struct CpuBackend {
 }
 
 impl CpuBackend {
-    /// Backend for one ladder step with runtime ISA dispatch.
-    pub fn new(version: NmVersion) -> Self {
-        Self {
-            version,
-            kernel: None,
-        }
+    /// Backend with runtime ISA dispatch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Backend for one ladder step pinned to an explicit micro-kernel.
-    pub fn with_kernel(version: NmVersion, kernel: MicroKernel) -> Self {
+    /// Backend pinned to an explicit micro-kernel.
+    pub fn with_kernel(kernel: MicroKernel) -> Self {
         Self {
-            version,
             kernel: Some(kernel),
         }
-    }
-
-    /// The ladder step this backend executes.
-    pub fn version(&self) -> NmVersion {
-        self.version
     }
 }
 
 impl ExecBackend for CpuBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Cpu(self.version)
+        BackendKind::Cpu(NmVersion::V3)
     }
 
     /// The offline step: tile sizes derived from the plan's auto-tuned
@@ -443,18 +446,17 @@ impl ExecBackend for CpuBackend {
     /// multiple of the operand's vector length `L` — is a structured
     /// [`NmError::InvalidBlocking`].
     ///
-    /// On the V3 backend, a plan carrying **measured** evidence overrides
-    /// the cost-model derivation: the preparation stages with the tile
-    /// geometry and storage format that actually measured fastest on this
-    /// host (see `CpuPrepared::for_plan`). The V1/V2 ablation steps keep
-    /// the cost-model derivation.
+    /// A plan carrying **measured** evidence overrides the cost-model
+    /// derivation: the preparation stages with the tile geometry and
+    /// storage format that actually measured fastest on this host (see
+    /// `CpuPrepared::for_plan`).
     fn prepare(
         &self,
         _dev: &DeviceConfig,
         plan: &Plan,
         sb: &NmSparseMatrix,
     ) -> Result<Box<dyn PreparedState>> {
-        let prep = CpuPrepared::for_plan(self.version, plan, sb, self.kernel)?;
+        let prep = CpuPrepared::for_plan(plan, sb, self.kernel)?;
         Ok(Box::new(prep))
     }
 
@@ -472,20 +474,13 @@ impl ExecBackend for CpuBackend {
         let Some(prep) = state.as_any().downcast_ref::<CpuPrepared>() else {
             return Err(foreign_state_error(self.kind()));
         };
-        if prep.version() != self.version {
-            return Err(foreign_state_error(self.kind()));
-        }
-        let estimate = plan.estimates.get(match self.version {
-            NmVersion::V1 => KernelChoice::NmV1,
-            NmVersion::V2 => KernelChoice::NmV2,
-            NmVersion::V3 => KernelChoice::NmV3,
-        });
+        let estimate = plan.estimates.get(KernelChoice::NmV3);
         let t0 = Instant::now();
         let c = spmm_cpu_prepared(a, sb, prep)?;
         let wall_seconds = t0.elapsed().as_secs_f64();
         Ok(ExecRun {
             c,
-            backend: BackendKind::Cpu(self.version),
+            backend: self.kind(),
             wall_seconds,
             estimate,
             isa: Some(prep.isa()),
@@ -507,7 +502,7 @@ mod tests {
     fn backend_names_round_trip() {
         for kind in BackendKind::all() {
             assert_eq!(BackendKind::from_name(kind.name()).unwrap(), kind);
-            assert_eq!(kind.instantiate().kind(), kind);
+            assert_eq!(kind.instantiate().unwrap().kind(), kind);
             assert!(!kind.to_string().is_empty());
         }
         assert!(BackendKind::from_name("tpu").is_err());
@@ -523,7 +518,11 @@ mod tests {
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 13 }).unwrap();
         let expect = spmm_reference(&a, &sb);
         for kind in BackendKind::all() {
-            let run = kind.instantiate().run(&dev, &plan, &a, &sb).unwrap();
+            let run = kind
+                .instantiate()
+                .unwrap()
+                .run(&dev, &plan, &a, &sb)
+                .unwrap();
             assert!(
                 run.c.allclose(&expect, 1e-3, 1e-4),
                 "{kind}: max diff {}",
@@ -533,7 +532,7 @@ mod tests {
             assert_eq!(run.backend, kind);
             // The simulator and the codegen interpreter both account
             // events and produce a timing-model report; the native CPU
-            // ladder does neither.
+            // kernel does neither.
             let accounted = kind == BackendKind::Sim || kind == BackendKind::Codegen;
             assert_eq!(run.stats.is_some(), accounted);
             assert_eq!(run.report.is_some(), accounted);
@@ -558,7 +557,7 @@ mod tests {
         let b = MatrixF32::random(128, 128, 21);
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         for kind in BackendKind::all() {
-            let backend = kind.instantiate();
+            let backend = kind.instantiate().unwrap();
             let state = backend.prepare(&dev, &plan, &sb).unwrap();
             for seed in 0..3u64 {
                 let a = MatrixF32::random(64, 128, 30 + seed);
@@ -585,7 +584,7 @@ mod tests {
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
 
         let sim = SimBackend;
-        let cpu = CpuBackend::new(NmVersion::V3);
+        let cpu = CpuBackend::new();
         let sim_state = sim.prepare(&dev, &plan, &sb).unwrap();
         let cpu_state = cpu.prepare(&dev, &plan, &sb).unwrap();
 
@@ -599,18 +598,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
 
-        // So must handing a V3 preparation to a V1 backend.
-        let err = CpuBackend::new(NmVersion::V1)
-            .run_prepared(&dev, &plan, &*cpu_state, &a, &sb)
-            .unwrap_err();
-        assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
-
         // An `A` whose k does not match the weights is a structured
         // error, never the oracle's assertion.
         let short = MatrixF32::random(64, 96, 3);
         for kind in BackendKind::all() {
             let err = kind
                 .instantiate()
+                .unwrap()
                 .run(&dev, &plan, &short, &sb)
                 .unwrap_err();
             assert!(
@@ -678,7 +672,7 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(32, 64, 64, cfg).unwrap();
         let b = MatrixF32::random(64, 64, 3);
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-        let backend = CpuBackend::with_kernel(NmVersion::V2, MicroKernel::scalar());
+        let backend = CpuBackend::with_kernel(MicroKernel::scalar());
         let state = backend.prepare(&dev, &plan, &sb).unwrap();
         assert_eq!(state.isa(), Some(Isa::Scalar));
         let a = MatrixF32::random(32, 64, 4);
@@ -697,7 +691,7 @@ mod tests {
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let a = MatrixF32::random(1, 128, 6);
         let expect = spmm_reference(&a, &sb);
-        let backend = CpuBackend::new(NmVersion::V3);
+        let backend = CpuBackend::new();
 
         // A sliced-pinned plan stages SELL-C-σ.
         let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
@@ -730,12 +724,6 @@ mod tests {
         let state = backend.prepare(&dev, &measured, &sb).unwrap();
         let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
         assert_eq!(prep.format(), pin, "measured storage wins on the auto lane");
-        // A different ladder step ignores the foreign evidence and stays
-        // on the key's lane.
-        let v1 = CpuBackend::new(NmVersion::V1);
-        let state = v1.prepare(&dev, &measured, &sb).unwrap();
-        let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
-        assert_eq!(prep.format(), StorageFormat::RowMajor);
     }
 
     #[test]
@@ -750,9 +738,7 @@ mod tests {
         let a = MatrixF32::random(64, 96, 1);
         let b = MatrixF32::random(96, 96, 2);
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-        let err = CpuBackend::new(NmVersion::V3)
-            .run(&dev, &plan, &a, &sb)
-            .unwrap_err();
+        let err = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap_err();
         assert!(matches!(err, NmError::InvalidBlocking { .. }), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! ## The twin-preparation contract
 //!
-//! A [`CodegenPrepared`] wraps an ordinary V3 [`CpuPrepared`] twin and
+//! A [`CodegenPrepared`] wraps an ordinary [`CpuPrepared`] twin and
 //! derives every shader binding from the *same clamped geometry and the
 //! same fast/general classification* the CPU kernel uses:
 //!
@@ -40,7 +40,7 @@ use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 
 use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
-use crate::cpu::{packed_class, CpuPrepared};
+use crate::cpu::{uses_packing, CpuPrepared};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
@@ -84,7 +84,7 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
     }
 }
 
-/// The offline product of the codegen backend: the V3 twin preparation,
+/// The offline product of the codegen backend: the CPU twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
 /// column groups — everything derived from the weights alone.
 pub struct CodegenPrepared {
@@ -96,16 +96,16 @@ pub struct CodegenPrepared {
 
 impl CodegenPrepared {
     /// Lower, emit and validate the kernel for `(plan, sb)` on top of an
-    /// already-staged V3 twin preparation.
+    /// already-staged CPU twin preparation.
     fn build(plan: &Plan, sb: &NmSparseMatrix, twin: CpuPrepared) -> Result<Self> {
         let cfg = sb.cfg();
         let (w, n, k) = (sb.w(), sb.cols(), sb.k());
         let tiling = twin.tiling();
         let family = family_for_plan(plan);
 
-        // The shader packs `A` where the paper does: a row-major V2/V3
-        // twin at high sparsity (a sliced twin gathers absolute indices).
-        let packed = twin.format() == StorageFormat::RowMajor && packed_class(twin.version(), cfg);
+        // The shader packs `A` where the paper does: a row-major twin at
+        // high sparsity (a sliced twin gathers absolute indices).
+        let packed = twin.format() == StorageFormat::RowMajor && uses_packing(cfg);
 
         // One column group per staged slice: spans in permuted order with
         // original-column write-back. The twin's gather table and op-flavor
@@ -375,7 +375,7 @@ impl ExecBackend for CodegenBackend {
         plan: &Plan,
         sb: &NmSparseMatrix,
     ) -> Result<Box<dyn PreparedState>> {
-        let twin = CpuPrepared::for_plan(NmVersion::V3, plan, sb, self.kernel)?;
+        let twin = CpuPrepared::for_plan(plan, sb, self.kernel)?;
         Ok(Box::new(CodegenPrepared::build(plan, sb, twin)?))
     }
 
@@ -438,9 +438,7 @@ mod tests {
         let sb = operand(cfg, 200, 144, 7);
         let a = MatrixF32::random(33, 200, 8);
 
-        let cpu = CpuBackend::new(NmVersion::V3)
-            .run(&dev, &plan, &a, &sb)
-            .unwrap();
+        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
         let gen = CodegenBackend::new().run(&dev, &plan, &a, &sb).unwrap();
         assert_eq!(
             cpu.c.as_slice(),
@@ -469,9 +467,7 @@ mod tests {
         assert_eq!(prep.spec().storage, pin);
         assert!(prep.wgsl().contains("sliced"));
         let run = backend.run_prepared(&dev, &plan, &*state, &a, &sb).unwrap();
-        let cpu = CpuBackend::new(NmVersion::V3)
-            .run(&dev, &plan, &a, &sb)
-            .unwrap();
+        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
         assert_eq!(cpu.c.as_slice(), run.c.as_slice());
     }
 
@@ -486,9 +482,7 @@ mod tests {
         let sb = operand(cfg, 128, 128, 11);
         let a = MatrixF32::random(1, 128, 12);
         let run = CodegenBackend::new().run(&dev, &plan, &a, &sb).unwrap();
-        let cpu = CpuBackend::new(NmVersion::V3)
-            .run(&dev, &plan, &a, &sb)
-            .unwrap();
+        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
         assert_eq!(cpu.c.as_slice(), run.c.as_slice());
     }
 

@@ -1,53 +1,48 @@
-//! Native CPU execution of the paper's V1→V3 optimization ladder.
+//! Native CPU execution of N:M-sparse SpMM: one kernel.
 //!
-//! The simulated kernels in [`crate::nm`] model the CUDA ladder; this module
-//! *runs* the same three optimization steps on the host, over the identical
-//! offset-compressed [`NmSparseMatrix`] representation:
+//! The paper's V1→V3 ladder (hierarchical blocking, then sparsity-aware
+//! packing, then the pipeline) is a set of GPU steps; the simulated kernels
+//! in [`crate::nm`] model it and the WGSL families in the codegen backend
+//! emit it. On the host those steps do not separate, so this module runs
+//! one kernel over the identical offset-compressed [`NmSparseMatrix`]:
 //!
-//! * **V1 — hierarchical blocking** ([`NmVersion::V1`]): `mb×nb×kb` cache
-//!   blocking around a register micro-kernel. `B′` is staged once as
-//!   SELL-C-σ slices ([`SlicedMatrix`]): runs of `C` pruning windows, each
-//!   window's values one dense `w×L` panel (so a k-block of it is one
-//!   contiguous `ub×L` run) with its absolute gather indices resolved
-//!   offline. The paper's layout ([`StorageFormat::RowMajor`], the CPU
-//!   analogue of its `transformLayout` + shared-memory `Bs` tile) is the
-//!   `C = nb/L, σ = 1` slicing: one unsorted slice per `nb`-wide column
-//!   block. One panel walk serves every layout: per `mb`-row panel ×
-//!   slice × k-block, full 16- (or 32-) float window chunks run through an
-//!   explicitly vectorized register micro-tile
-//!   ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON selected once at
-//!   preparation time, scalar fallback elsewhere) via a row ladder whose
-//!   top rung is the kernel's [`MicroKernel::tile_rows`] (8→4→2→1 on
-//!   AVX-512, 4→2→1 on AVX2 and NEON), so one panel load feeds up to
-//!   eight rows and skinny decode panels (1–3 rows, including `m = 1`
-//!   SpMV) stay vectorized; ragged column windows take a general scalar
-//!   path.
-//! * **V2 — sparsity-aware classification** ([`NmVersion::V2`]): the
-//!   paper packs the window-union columns of `A` through `col_info`
-//!   (§III-C1) to save GPU shared-memory and global traffic. On the CPU
-//!   the k-block of `A` a block reads is already cache-resident, so V2
-//!   gathers `A` in place exactly as V1 does; what it keeps of the packed
-//!   path is the block classification. Above the 70% sparsity threshold
-//!   every window-aligned block runs the micro-tiles, reading the padded
-//!   tail of the final window (`k` not a multiple of `M`) as zeros from a
-//!   zero-padded copy of `A` — the 0.0 the packed panel held. The paper's
-//!   packing lives on in the simulator ([`crate::nm`]) and the WGSL
-//!   codegen.
-//! * **V3 — parallelism** ([`NmVersion::V3`]): V2 with rayon parallelism
-//!   over rows or columns, as the paper's kernels launch a 2-D grid of
-//!   row and column tiles. The parts run on the rayon pool's persistent
-//!   workers, so a call pays a hand-off to running threads, not a thread
-//!   spawn. A call that holds a panel of the plan's `ms` rows per worker
-//!   runs row panels, one per task: `mb` rows cut to `ceil(m / workers)`
-//!   (rounded up to the tall tile, never below `ms`), so a host-sized
-//!   `mb` still hands every worker a panel. A shorter call (every decode
-//!   call, `m ≤ 8`) instead splits the staged `B′` into runs of slices,
-//!   one per worker, or one per slice when the staging has fewer slices
-//!   than workers. Each worker fills a private buffer for its columns and
-//!   the caller copies the owned columns into `C`, so every element sees the
-//!   same `+=` sequence and V3 stays bit-identical to V1/V2. The paper's
-//!   V3 pipeline (§III-C2) double-buffers shared-memory staging; with
-//!   nothing staged online there is nothing for the CPU to double-buffer.
+//! * **Blocking.** `mb×nb×kb` cache blocking around a register
+//!   micro-kernel. `B′` is staged once as SELL-C-σ slices
+//!   ([`SlicedMatrix`]): runs of `C` pruning windows, each window's values
+//!   one dense `w×L` panel (so a k-block of it is one contiguous `ub×L`
+//!   run) with its absolute gather indices resolved offline. The paper's
+//!   layout ([`StorageFormat::RowMajor`], the CPU analogue of its
+//!   `transformLayout` + shared-memory `Bs` tile) is the `C = nb/L, σ = 1`
+//!   slicing: one unsorted slice per `nb`-wide column block. One panel
+//!   walk serves every layout: per `mb`-row panel × slice × k-block, full
+//!   16- (or 32-) float window chunks run through an explicitly vectorized
+//!   register micro-tile ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON
+//!   selected once at preparation time, scalar fallback elsewhere) via a
+//!   row ladder whose top rung is the kernel's [`MicroKernel::tile_rows`]
+//!   (8→4→2→1 on AVX-512, 4→2→1 on AVX2 and NEON), so one panel load
+//!   feeds up to eight rows and skinny decode panels (1–3 rows, including
+//!   `m = 1` SpMV) stay vectorized; ragged column windows take a general
+//!   scalar path.
+//! * **Block classification.** The paper packs the window-union columns of
+//!   `A` through `col_info` (§III-C1) to save GPU shared-memory and global
+//!   traffic. On the CPU the k-block of `A` a block reads is already
+//!   cache-resident, so the kernel gathers `A` in place; what it keeps of
+//!   the packed path is the classification ([`uses_packing`]). Above the
+//!   70% sparsity threshold every window-aligned block runs the
+//!   micro-tiles, reading the padded tail of the final window (`k` not a
+//!   multiple of `M`) as zeros from a zero-padded copy of `A` — the 0.0
+//!   the packed panel held.
+//! * **Parallelism.** Rows or columns are split over the rayon pool's
+//!   persistent workers, as the paper's kernels launch a 2-D grid of row
+//!   and column tiles. A call that holds a panel of the plan's `ms` rows
+//!   per worker runs row panels, one per task: `mb` rows cut to
+//!   `ceil(m / workers)` (rounded up to the tall tile, never below `ms`).
+//!   A shorter call (every decode call, `m ≤ 8`) splits the staged `B′`
+//!   into runs of slices, one per worker; each worker fills a private
+//!   buffer and the caller copies the owned columns into `C`. Every
+//!   element sees the same `+=` sequence whatever the split, so the kernel
+//!   pinned to one worker (a one-thread `rayon::ThreadPool::install`) is
+//!   bit-identical to it on every worker count.
 //!
 //! Two tile levels come from the host. The register tile's height is the
 //! selected ISA's ([`MicroKernel::tile_rows`]). [`CpuTiling::derive`]
@@ -70,7 +65,6 @@ use nm_core::sparse::NmSparseMatrix;
 use rayon::prelude::*;
 use std::ops::Range;
 
-use crate::nm::NmVersion;
 use crate::params::BlockingParams;
 use crate::plan::Plan;
 use crate::simd::{Isa, MicroKernel, MW, MW_TALL, NW, NW2};
@@ -125,7 +119,7 @@ fn panel_rows_for_l2(ms: usize, k_pad: usize, l2: Option<usize>) -> usize {
     (1usize << fit.ilog2()).max(ms)
 }
 
-/// V3's cut of an `m`-row call over `workers` threads into
+/// The cut of an `m`-row call over `workers` threads into
 /// `(rows per panel, column ranges)`, for a preparation with `mb`-row
 /// panels that may be cut down to `floor` rows (`floor ≤ mb`: the plan's
 /// `ms` under an L2-sized `mb`, else `mb` itself).
@@ -150,7 +144,7 @@ fn v3_split(mb: usize, floor: usize, m: usize, workers: usize, slices: usize) ->
     (mb.min(per_worker).max(floor).min(m), 1)
 }
 
-/// The rows per panel a cost-model V3 preparation with `mb`-row panels
+/// The rows per panel a cost-model preparation with `mb`-row panels
 /// (the plan's `ms` as floor) runs an `m`-row call in on this host's rayon
 /// workers — the panel a measured candidate carries to run the same cut
 /// as given.
@@ -161,29 +155,22 @@ pub(crate) fn v3_cost_model_panel(mb: usize, ms: usize, m: usize) -> usize {
 /// Whether the paper packs `A` for `cfg` — exactly its §III-A rule:
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
 /// packs, below it the direct gather is cheaper than the staging it would
-/// save. The CPU ladder gathers in place either way; this decides its
-/// V2/V3 fast/general block classification.
+/// save. The CPU kernel gathers in place either way; a packed `cfg`
+/// classifies blocks as the packed path would: every block of whole,
+/// 16-divisible windows runs the vectorized micro-tiles, even where its
+/// gathers reach the zero-padded tail of `A`. The staging and the codegen
+/// backend both key on this one predicate, so they pick FMA versus
+/// zero-skipping mul-add on the same blocks.
 #[inline]
 pub fn uses_packing(cfg: NmConfig) -> bool {
     cfg.class() == SparsityClass::High
-}
-
-/// Whether a `version` preparation of `cfg` classifies blocks as the
-/// paper's packed path would (V2/V3 at high sparsity): every block of
-/// whole, 16-divisible windows runs the vectorized micro-tiles, even where
-/// its gathers reach the zero-padded tail of `A`. The staging and the
-/// codegen backend both key on this one predicate, so they pick FMA
-/// versus zero-skipping mul-add on the same blocks.
-#[inline]
-pub(crate) fn packed_class(version: NmVersion, cfg: NmConfig) -> bool {
-    version != NmVersion::V1 && uses_packing(cfg)
 }
 
 /// CPU tile sizes for one problem, derived from a plan's auto-tuned
 /// blocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuTiling {
-    /// Rows of `C` per panel (the unit of V3 parallelism); sized from the
+    /// Rows of `C` per panel (the unit of row parallelism); sized from the
     /// host's L2, never below `ms`.
     pub mb: usize,
     /// Columns of `C` per block, a multiple of `L`; from `ns`.
@@ -290,8 +277,7 @@ fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// The offline pre-processing product for one `(B′, tiling, version)`
-/// combination: validated tile geometry and the `B′` staging — SELL-C-σ
+/// The offline pre-processing product for one `(B′, tiling)` combination: validated tile geometry and the `B′` staging — SELL-C-σ
 /// slices, of which the paper's block-contiguous `transformLayout`
 /// panels are the `σ = 1`, `C = nb/L` case.
 ///
@@ -303,7 +289,6 @@ fn lcm(a: usize, b: usize) -> usize {
 /// zero-padded copy of `A` a ragged depth (`k` not a multiple of `M`)
 /// needs stays inside the timed loop because it genuinely is online work.
 pub struct CpuPrepared {
-    version: NmVersion,
     tiling: CpuTiling,
     /// The micro-kernel selected for this preparation — runtime ISA
     /// detection happens exactly once, here, never inside the hot loop.
@@ -322,7 +307,7 @@ pub struct CpuPrepared {
     /// `C = nb/L, σ = 1` slices.
     format: StorageFormat,
     staged: StagedSliced,
-    /// The fewest rows V3 cuts a call's panel down to ([`v3_split`]): the
+    /// The fewest rows a call's panel is cut down to ([`v3_split`]): the
     /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
     /// runs as given) for a measured or explicit tiling.
     min_panel: usize,
@@ -367,24 +352,8 @@ impl CpuPrepared {
     /// [`NmError::InvalidBlocking`] when the tiling is not window-aligned
     /// for `sb`'s configuration, and [`NmError::Unsupported`] when an
     /// environment override requests an ISA this host cannot execute.
-    pub fn new(version: NmVersion, sb: &NmSparseMatrix, tiling: CpuTiling) -> Result<Self> {
-        Self::with_kernel(version, sb, tiling, MicroKernel::select()?)
-    }
-
-    /// As [`CpuPrepared::new`] but staging `sb` in an explicit
-    /// [`StorageFormat`] — the planner/autotuner entry point for the
-    /// sliced layout.
-    ///
-    /// # Errors
-    /// As [`CpuPrepared::new`], plus [`NmError::InvalidConfig`] for an
-    /// invalid sliced parameterization.
-    pub fn new_with_format(
-        version: NmVersion,
-        sb: &NmSparseMatrix,
-        tiling: CpuTiling,
-        format: StorageFormat,
-    ) -> Result<Self> {
-        Self::with_format(version, sb, tiling, MicroKernel::select()?, format)
+    pub fn new(sb: &NmSparseMatrix, tiling: CpuTiling) -> Result<Self> {
+        Self::with_kernel(sb, tiling, MicroKernel::select()?)
     }
 
     /// As [`CpuPrepared::new`] but with an explicit micro-kernel — the
@@ -394,12 +363,11 @@ impl CpuPrepared {
     /// [`NmError::InvalidBlocking`] when the tiling is not window-aligned
     /// for `sb`'s configuration.
     pub fn with_kernel(
-        version: NmVersion,
         sb: &NmSparseMatrix,
         tiling: CpuTiling,
         kernel: MicroKernel,
     ) -> Result<Self> {
-        Self::with_format(version, sb, tiling, kernel, StorageFormat::RowMajor)
+        Self::with_format(sb, tiling, kernel, StorageFormat::RowMajor)
     }
 
     /// The fully explicit constructor: micro-kernel *and* storage format.
@@ -413,7 +381,6 @@ impl CpuPrepared {
     /// for `sb`'s configuration; [`NmError::InvalidConfig`] for an invalid
     /// sliced parameterization.
     pub fn with_format(
-        version: NmVersion,
         sb: &NmSparseMatrix,
         tiling: CpuTiling,
         kernel: MicroKernel,
@@ -455,9 +422,8 @@ impl CpuPrepared {
             StorageFormat::RowMajor => SlicedLayout::new(nb / cfg.l, 1)?,
             StorageFormat::Sliced(layout) => layout,
         };
-        let staged = StagedSliced::build(sb, nb, kb, packed_class(version, cfg), layout)?;
+        let staged = StagedSliced::build(sb, nb, kb, uses_packing(cfg), layout)?;
         Ok(Self {
-            version,
             tiling,
             kernel,
             cfg,
@@ -471,20 +437,19 @@ impl CpuPrepared {
         })
     }
 
-    /// The CPU and codegen backends' offline step: prepare `sb` for a
-    /// `version` run of `plan`. Measurement times V3 only, so only a V3
-    /// preparation takes the plan's measured tiling (when window-aligned
-    /// for these weights) and storage format; otherwise the tiling is
-    /// [`CpuTiling::derive`]d and the format is the key's lane. `kernel`
-    /// pins the micro-kernel; `None` runs [`MicroKernel::select`].
+    /// The CPU and codegen backends' offline step: prepare `sb` for a run
+    /// of `plan`. A plan carrying measured evidence stages its measured
+    /// tiling (when window-aligned for these weights) and storage format;
+    /// otherwise the tiling is [`CpuTiling::derive`]d and the format is
+    /// the key's lane. `kernel` pins the micro-kernel; `None` runs
+    /// [`MicroKernel::select`].
     pub(crate) fn for_plan(
-        version: NmVersion,
         plan: &Plan,
         sb: &NmSparseMatrix,
         kernel: Option<MicroKernel>,
     ) -> Result<Self> {
         let cfg = sb.cfg();
-        let measured = plan.measured.filter(|_| version == NmVersion::V3);
+        let measured = plan.measured;
         let (tiling, min_panel) = match measured.map(|m| m.cpu_tiling) {
             Some(t) if t.nb.is_multiple_of(cfg.l) && t.kb.is_multiple_of(cfg.m) => (t, t.mb),
             _ => {
@@ -494,13 +459,8 @@ impl CpuPrepared {
         };
         let format = measured.map_or(plan.key.storage, |m| m.storage);
         let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
-        let prep = Self::with_format(version, sb, tiling, kernel, format)?;
+        let prep = Self::with_format(sb, tiling, kernel, format)?;
         Ok(Self { min_panel, ..prep })
-    }
-
-    /// The ladder step this preparation serves.
-    pub fn version(&self) -> NmVersion {
-        self.version
     }
 
     /// The effective (clamped) tile geometry.
@@ -508,7 +468,7 @@ impl CpuPrepared {
         self.tiling
     }
 
-    /// The fewest rows V3 cuts a call's panel down to: the plan's `ms`
+    /// The fewest rows a call's panel is cut down to: the plan's `ms`
     /// under a derived tiling, else the tiling's own `mb` — the plan's
     /// panel, whichever host it runs on.
     pub(crate) fn min_panel(&self) -> usize {
@@ -519,11 +479,6 @@ impl CpuPrepared {
     /// [`ExecRun`](crate::backend::ExecRun) and `BENCH_pr.json` record.
     pub fn isa(&self) -> Isa {
         self.kernel.isa()
-    }
-
-    /// The selected micro-kernel.
-    pub fn kernel(&self) -> MicroKernel {
-        self.kernel
     }
 
     /// The storage format this preparation staged `B′` in.
@@ -545,12 +500,8 @@ impl CpuPrepared {
     /// How an `m`-row call is cut: `(rows per panel, column ranges)`.
     /// A panel never holds more than `m` rows, so that clamp changes no
     /// arithmetic and bounds `mb × n` even for a doctored cached tiling.
-    /// V1/V2 walk their panels in order on the calling thread; V3 cuts by
-    /// [`v3_split`] over the rayon workers.
+    /// The cut is [`v3_split`]'s over the rayon workers.
     fn split(&self, m: usize) -> (usize, usize) {
-        if self.version != NmVersion::V3 {
-            return (self.tiling.mb.min(m), 1);
-        }
         let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
         v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
     }
@@ -581,33 +532,11 @@ impl CpuPrepared {
     }
 }
 
-/// Execute `C = A ⊛ (B′, D)` natively on the CPU at the given ladder step.
-///
-/// All three versions produce the same matrix (they differ only in data
-/// movement); each matches [`nm_core::spmm::spmm_reference`] up to
-/// reduction order. This convenience wrapper runs the offline step
-/// ([`CpuPrepared::new`]) and the online kernel back to back; callers that
-/// execute the same `B′` repeatedly (or that time the kernel) should
-/// prepare once and call [`spmm_cpu_prepared`].
-///
-/// # Errors
-/// [`NmError::DimensionMismatch`] when `a.cols() != sb.k()`,
-/// [`NmError::InvalidBlocking`] when `tiling` is not window-aligned for
-/// `sb`'s configuration, and [`NmError::Unsupported`] when an environment
-/// override requests an ISA this host cannot execute.
-pub fn spmm_cpu(
-    version: NmVersion,
-    a: &MatrixF32,
-    sb: &NmSparseMatrix,
-    tiling: CpuTiling,
-) -> Result<MatrixF32> {
-    let prep = CpuPrepared::new(version, sb, tiling)?;
-    spmm_cpu_prepared(a, sb, &prep)
-}
-
-/// The online kernel: execute against a pre-built [`CpuPrepared`]
-/// (amortizing the offline staging across calls, as inference serving
-/// would).
+/// The online kernel: execute `C = A ⊛ (B′, D)` natively on the CPU
+/// against a pre-built [`CpuPrepared`] (amortizing the offline staging
+/// across calls, as inference serving would). The result matches
+/// [`nm_core::spmm::spmm_reference`] up to reduction order, and is
+/// bit-identical on every worker count.
 ///
 /// # Errors
 /// [`NmError::DimensionMismatch`] when `a.cols() != sb.k()`, when `sb`'s
@@ -656,9 +585,8 @@ pub fn spmm_cpu_prepared(
         walk_panel(prep, &source, ss, c_panel);
     };
     if parts > 1 {
-        // V3 with fewer row panels than workers: each worker takes a run
-        // of slices through every row panel; it owns their windows'
-        // column spans.
+        // Fewer row panels than workers: each worker takes a run of slices
+        // through every row panel; it owns their windows' column spans.
         let ranges = even_ranges(slices, parts);
         let owned: Vec<_> = ranges
             .iter()
@@ -669,18 +597,12 @@ pub fn spmm_cpu_prepared(
                 panel(pi * mb, ranges[p].clone(), c_panel);
             }
         });
-    } else if prep.version == NmVersion::V3 {
-        // V3: rayon row panels (each owns its scratch).
+    } else {
+        // Rayon row panels (each owns its scratch).
         c.as_mut_slice()
             .par_chunks_mut(mb * n)
             .enumerate()
             .for_each(|(p, c_panel)| panel(p * mb, 0..slices, c_panel));
-    } else {
-        // V1/V2: sequential panels (the ladder adds parallelism only at
-        // V3).
-        for (p, c_panel) in c.as_mut_slice().chunks_mut(mb * n).enumerate() {
-            panel(p * mb, 0..slices, c_panel);
-        }
     }
     Ok(c)
 }
@@ -692,7 +614,7 @@ fn even_ranges(units: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// V3's column split: part `p` runs `fill(p, buf)` on its own worker into
+/// The column split: part `p` runs `fill(p, buf)` on its own worker into
 /// a zeroed private `m × n` buffer, then the caller copies the part's
 /// owned column spans `owned[p]` (half-open, every row) into `c`. The
 /// spans partition `0..n` and each part writes only its own, so every
@@ -739,7 +661,7 @@ fn zero_padded(a: &MatrixF32, k_pad: usize) -> Option<Vec<f32>> {
 
 /// Prepared sparse matrix–vector product: `y = x ⊛ B′` through the same
 /// [`CpuPrepared`] staging the matrix path uses — the decode (`m = 1`)
-/// entry point of the ladder. The vector is viewed as a `1 × k` operand
+/// entry point of the kernel. The vector is viewed as a `1 × k` operand
 /// and runs the 1-row rung of the fast-path ladder; no extra staging or
 /// copies beyond the `1 × k` view are made, so a preparation built for
 /// prefill serves decode for free.
@@ -782,8 +704,8 @@ struct StagedSliced {
 
 impl StagedSliced {
     /// Build the staging for the clamped block geometry `(nb, kb)`.
-    /// `packed` is the preparation's [`packed_class`], which widens the
-    /// fast classification.
+    /// `packed` is the operand's [`uses_packing`], which widens the fast
+    /// classification.
     fn build(
         sb: &NmSparseMatrix,
         nb: usize,
@@ -915,9 +837,8 @@ impl RowSource<'_> {
 }
 
 /// Test-only counters proving which data path a run took. Thread-local so
-/// concurrently running tests cannot disturb each other's counts; V1/V2
-/// execute on the calling thread, so their blocks are all visible here
-/// (V3's are only when it neither splits its rows nor its columns).
+/// concurrently running tests cannot disturb each other's counts; a call
+/// pinned to one worker runs every block on one thread, which reads them.
 #[cfg(test)]
 pub(crate) mod instrument {
     use std::cell::Cell;
@@ -933,7 +854,7 @@ pub(crate) mod instrument {
         /// Tall (8-row) rungs of the fast-path row ladder, counted as
         /// [`SKINNY_RUNGS`] is.
         pub static TALL_RUNGS: Cell<usize> = const { Cell::new(0) };
-        /// V3 calls split across column ranges (counted on the calling
+        /// Calls split across column ranges (counted on the calling
         /// thread, before the workers start).
         pub static COLUMN_SPLITS: Cell<usize> = const { Cell::new(0) };
     }
@@ -1136,19 +1057,41 @@ mod tests {
         NmConfig::new(n, m, l).unwrap()
     }
 
+    /// `f` with the rayon pool pinned to one worker: the sequential run
+    /// every parity check holds the all-worker kernel to, bit for bit.
+    fn one_worker<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+        pool.expect("a one-thread pool").install(f)
+    }
+
+    /// `f` pinned to one worker, and how far it moved each `instrument`
+    /// counter, read on the thread that ran it.
+    fn counted<R: Send, const K: usize>(
+        counters: [&'static std::thread::LocalKey<std::cell::Cell<usize>>; K],
+        f: impl FnOnce() -> R + Send,
+    ) -> (R, [usize; K]) {
+        one_worker(|| {
+            let read = || counters.map(|c| c.with(|c| c.get()));
+            let (before, out) = (read(), f());
+            let after = read();
+            (out, std::array::from_fn(|i| after[i] - before[i]))
+        })
+    }
+
     fn check(m: usize, k: usize, n: usize, c: NmConfig, tiling: CpuTiling) {
         let a = MatrixF32::random(m, k, 1);
         let b = MatrixF32::random(k, n, 2);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 3 }).unwrap();
         let expect = spmm_reference(&a, &sb);
-        for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-            let got = spmm_cpu(version, &a, &sb, tiling).unwrap();
-            assert!(
-                got.allclose(&expect, 1e-3, 1e-4),
-                "{c} {version:?}: max diff {}",
-                got.max_abs_diff(&expect)
-            );
-        }
+        let prep = CpuPrepared::new(&sb, tiling).unwrap();
+        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        assert!(
+            got.allclose(&expect, 1e-3, 1e-4),
+            "{c}: max diff {}",
+            got.max_abs_diff(&expect)
+        );
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+        assert_eq!(got.as_slice(), serial.as_slice(), "{c}: one worker");
     }
 
     #[test]
@@ -1206,7 +1149,7 @@ mod tests {
 
     #[test]
     fn moderate_sparsity_skips_packing_but_still_matches() {
-        // 8:16 (50%) is below the 70% threshold: V2/V3 use the direct path.
+        // 8:16 (50%) is below the 70% threshold: the direct-gather bound.
         let c = cfg(8, 16, 8);
         assert!(!uses_packing(c));
         let t = CpuTiling::auto(c, 48, 64, 96).unwrap();
@@ -1335,7 +1278,7 @@ mod tests {
 
     #[test]
     fn cost_model_and_harness_base_run_the_same_prompt_cut() {
-        // A cost-model V3 preparation takes the plan's ms as its floor; the
+        // A cost-model preparation takes the plan's ms as its floor; the
         // measurement harness prepares its candidates as given, so its
         // base carries the cut the cost-model path runs at the plan's m.
         let c = cfg(2, 8, 32);
@@ -1345,10 +1288,10 @@ mod tests {
                 .plan(m, n, k, c)
                 .unwrap();
             let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 131), c).unwrap();
-            let cost = CpuPrepared::for_plan(NmVersion::V3, &plan, &sb, Some(mk)).unwrap();
+            let cost = CpuPrepared::for_plan(&plan, &sb, Some(mk)).unwrap();
             assert_eq!(cost.min_panel(), plan.params.ms, "m = {m}");
             let base = crate::measure::tiling_candidates(&plan, &sb, false)[0];
-            let given = CpuPrepared::with_kernel(NmVersion::V3, &sb, base, mk).unwrap();
+            let given = CpuPrepared::with_kernel(&sb, base, mk).unwrap();
             assert_eq!(given.min_panel(), base.mb, "m = {m}");
             assert_eq!(given.split(m), cost.split(m), "m = {m}");
             // The plan's m is padded to 32 rows; the call clamps to its own.
@@ -1374,13 +1317,12 @@ mod tests {
         };
         let a = MatrixF32::random(40, 64, 112);
         let expect = spmm_reference(&a, &sb);
-        for version in [NmVersion::V1, NmVersion::V3] {
-            let prep = CpuPrepared::with_kernel(version, &sb, t, MicroKernel::scalar()).unwrap();
-            let (mb, _) = prep.split(40);
-            assert!(mb <= 40, "{version:?}: {mb}");
-            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-            assert!(got.allclose(&expect, 1e-3, 1e-4), "{version:?}");
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        for (mb, _) in [prep.split(40), one_worker(|| prep.split(40))] {
+            assert!(mb <= 40, "{mb}");
         }
+        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        assert!(got.allclose(&expect, 1e-3, 1e-4));
     }
 
     #[test]
@@ -1396,7 +1338,6 @@ mod tests {
     #[test]
     fn spmm_cpu_rejects_bad_operands_and_tiles() {
         let c = cfg(2, 4, 4);
-        let a = MatrixF32::random(8, 16, 5);
         let b = MatrixF32::random(16, 12, 6);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
         let good = CpuTiling {
@@ -1405,9 +1346,10 @@ mod tests {
             kb: 8,
             mt: 4,
         };
+        let prep = CpuPrepared::new(&sb, good).unwrap();
         let short_a = MatrixF32::random(8, 12, 7);
         assert!(matches!(
-            spmm_cpu(NmVersion::V1, &short_a, &sb, good),
+            spmm_cpu_prepared(&short_a, &sb, &prep),
             Err(NmError::DimensionMismatch { .. })
         ));
         for bad in [
@@ -1418,7 +1360,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    spmm_cpu(NmVersion::V2, &a, &sb, bad),
+                    CpuPrepared::new(&sb, bad),
                     Err(NmError::InvalidBlocking { .. })
                 ),
                 "{bad:?} must be rejected"
@@ -1432,8 +1374,7 @@ mod tests {
         let b = MatrixF32::random(64, 32, 11);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
         let t = CpuTiling::auto(c, 16, 32, 64).unwrap();
-        let prep = CpuPrepared::new(NmVersion::V3, &sb, t).unwrap();
-        assert_eq!(prep.version(), NmVersion::V3);
+        let prep = CpuPrepared::new(&sb, t).unwrap();
         for seed in 0..3u64 {
             let a = MatrixF32::random(16, 64, 20 + seed);
             let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
@@ -1473,8 +1414,10 @@ mod tests {
         // k = 40 is a multiple of M = 8 but not of kb = 32: the coarse
         // `(bk + 1) * kb <= k` test used to kick the entire final k-block
         // (dense rows 32..40) off the fast path even though every gather
-        // index is < k. The per-block bound keeps it vectorized.
-        let c = cfg(2, 8, 16);
+        // index is < k. The per-block bound keeps it vectorized. 4:8 (50%)
+        // is outside the packed class, so the bound applies.
+        let c = cfg(4, 8, 16);
+        assert!(!uses_packing(c));
         let t = CpuTiling {
             mb: 8,
             nb: 32,
@@ -1485,11 +1428,10 @@ mod tests {
         let a = MatrixF32::random(m, k, 21);
         let b = MatrixF32::random(k, n, 22);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 23 }).unwrap();
-        // V1 takes the direct source; count fast blocks across the run.
-        let prep = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, MicroKernel::scalar()).unwrap();
-        let before = instrument::FAST_BLOCKS.with(|c| c.get());
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-        let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
+        // Pinned to one worker, every block is counted on one thread.
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert!(
             got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
             "tail-block result must stay correct (max diff {})",
@@ -1506,12 +1448,13 @@ mod tests {
     #[test]
     fn padded_tail_window_still_leaves_the_fast_path() {
         // k = 36 is NOT a multiple of M = 8: the final window's indices can
-        // point into the padded range [36, 40) — a legitimate zero-fill the
-        // fast path cannot handle, so a tail block whose gathers reach the
-        // pad must fall back to the general path. Random pruning (unlike
+        // point into the padded range [36, 40) — outside the packed class
+        // (4:8 is 50% sparse) a tail block whose gathers reach the pad must
+        // fall back to the general path. Random pruning (unlike
         // magnitude, which never picks a zero padded lane) makes that
         // happen; the assertion adapts in case a reseed changes the draw.
-        let c = cfg(2, 8, 16);
+        let c = cfg(4, 8, 16);
+        assert!(!uses_packing(c));
         let t = CpuTiling {
             mb: 8,
             nb: 32,
@@ -1524,12 +1467,11 @@ mod tests {
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 33 }).unwrap();
         // Does any final-window gather point past k into the pad?
         let d = sb.indices();
-        let tail_hits_pad =
-            (8..sb.w()).any(|u| (0..sb.q()).any(|j| u / c.n * c.m + d.get(u, j) as usize >= k));
-        let prep = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, MicroKernel::scalar()).unwrap();
-        let before = instrument::FAST_BLOCKS.with(|c| c.get());
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-        let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
+        let tail_hits_pad = (sb.w() - c.n..sb.w())
+            .any(|u| (0..sb.q()).any(|j| u / c.n * c.m + d.get(u, j) as usize >= k));
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
         // Two windows per k-block; the tail block's both fall back together.
         let expected = if tail_hits_pad { 2 } else { 4 };
@@ -1607,11 +1549,10 @@ mod tests {
         let b = MatrixF32::random(32, 16, 41);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
         let t = CpuTiling::auto(c, 16, 16, 32).unwrap();
-        let prep = CpuPrepared::with_kernel(NmVersion::V2, &sb, t, MicroKernel::scalar()).unwrap();
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
         assert_eq!(prep.isa(), Isa::Scalar);
-        assert_eq!(prep.kernel(), MicroKernel::scalar());
         // The default constructor picks a host-supported kernel too.
-        let auto = CpuPrepared::new(NmVersion::V2, &sb, t).unwrap();
+        let auto = CpuPrepared::new(&sb, t).unwrap();
         assert!(auto.isa().supported());
     }
 
@@ -1637,7 +1578,7 @@ mod tests {
 
     #[test]
     fn skinny_decode_rows_match_reference_across_levels() {
-        // The decode regime: 1–5 activation rows through every ladder rung
+        // The decode regime: 1–5 activation rows through every row rung
         // (4-row tiles, the 2- and 1-row skinny tiles, and general-path
         // remainders) at all four paper sparsity levels.
         for c in NmConfig::paper_levels(16) {
@@ -1651,8 +1592,9 @@ mod tests {
     #[test]
     fn tall_rung_runs_where_the_kernel_holds_it() {
         // The 8→4→2→1 ladder on every available ISA: outputs bit-identical
-        // to V1 at each m, within tolerance of the reference, and the tall
-        // rung counted only on kernels that report 8-row tiles (AVX-512).
+        // to the same preparation pinned to one worker at each m, within
+        // tolerance of the reference, and the tall rung counted only on
+        // kernels that report 8-row tiles (AVX-512).
         let c = cfg(2, 8, 32);
         let t = CpuTiling {
             mb: 64,
@@ -1667,14 +1609,12 @@ mod tests {
             PrunePolicy::Random { seed: 122 },
         )
         .unwrap();
-        let tall = || instrument::TALL_RUNGS.with(|c| c.get());
         for mk in MicroKernel::available() {
-            let v1 = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, mk).unwrap();
-            let v3 = CpuPrepared::with_kernel(NmVersion::V3, &sb, t, mk).unwrap();
+            let prep = CpuPrepared::with_kernel(&sb, t, mk).unwrap();
             for m in [8, 9, 15, 16, 23, 130] {
                 let a = MatrixF32::random(m, k, 123 + m as u64);
-                let before = tall();
-                let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
+                let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+                let (want, [tall]) = counted([&instrument::TALL_RUNGS], run);
                 // One panel-row walk per 64-row panel: two column blocks ×
                 // two k-blocks, each running every whole 8-row group.
                 let groups: usize = (0..m.div_ceil(64))
@@ -1685,13 +1625,13 @@ mod tests {
                 } else {
                     0
                 };
-                assert_eq!(tall() - before, want_tall, "{mk} m = {m}: tall rungs");
+                assert_eq!(tall, want_tall, "{mk} m = {m}: tall rungs");
                 assert!(
                     want.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
                     "{mk} m = {m}"
                 );
-                let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
-                assert_eq!(got.as_slice(), want.as_slice(), "{mk} m = {m}: V3 vs V1");
+                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+                assert_eq!(got.as_slice(), want.as_slice(), "{mk} m = {m}: one worker");
             }
         }
         #[cfg(target_arch = "x86_64")]
@@ -1729,7 +1669,7 @@ mod tests {
             };
             let wide = c.l.is_multiple_of(NW2);
             for mk in MicroKernel::available() {
-                let prep = CpuPrepared::with_kernel(NmVersion::V3, &sb, t, mk).unwrap();
+                let prep = CpuPrepared::with_kernel(&sb, t, mk).unwrap();
                 let ss = &prep.staged;
                 let (mut tall, mut four) = (vec![0f32; MW_TALL * n], vec![0f32; MW_TALL * n]);
                 let mut windows = 0;
@@ -1770,14 +1710,12 @@ mod tests {
         let (k, n) = (64, 32);
         let b = MatrixF32::random(k, n, 52);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
-        let prep = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, MicroKernel::scalar()).unwrap();
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
         for (m, want_skinny) in [(1, 2), (2, 2), (3, 4), (6, 2)] {
             let a = MatrixF32::random(m, k, 51);
-            let before_fast = instrument::FAST_BLOCKS.with(|c| c.get());
-            let before_skinny = instrument::SKINNY_RUNGS.with(|c| c.get());
-            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-            let fast = instrument::FAST_BLOCKS.with(|c| c.get()) - before_fast;
-            let skinny = instrument::SKINNY_RUNGS.with(|c| c.get()) - before_skinny;
+            let counters = [&instrument::FAST_BLOCKS, &instrument::SKINNY_RUNGS];
+            let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            let (got, [fast, skinny]) = counted(counters, run);
             assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
             // One column block of two windows × two k-blocks, all fast.
             assert_eq!(fast, 4, "m = {m}: every pair must classify fast");
@@ -1789,48 +1727,39 @@ mod tests {
 
     /// Sliced and row-major preparations of the same operand must produce
     /// bit-identical outputs — not merely allclose — because every layout
-    /// carries the same op-flavor per window; and both must match the
-    /// reference.
+    /// carries the same op-flavor per window, on every worker count; and
+    /// both must match the reference. Each layout runs on all workers
+    /// against row-major pinned to one.
     fn check_sliced_bitwise(m: usize, k: usize, n: usize, c: NmConfig, t: CpuTiling, seed: u64) {
         let a = MatrixF32::random(m, k, seed);
         let b = MatrixF32::random(k, n, seed + 1);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: seed + 2 }).unwrap();
         let expect = spmm_reference(&a, &sb);
-        for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-            let rm = CpuPrepared::with_kernel(version, &sb, t, MicroKernel::scalar()).unwrap();
-            assert!(
-                spmm_cpu_prepared(&a, &sb, &rm)
-                    .unwrap()
-                    .allclose(&expect, 1e-3, 1e-4),
-                "{c} {version:?} m = {m}: row-major must match the reference"
+        let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        let want = one_worker(|| spmm_cpu_prepared(&a, &sb, &rm)).unwrap();
+        assert!(
+            want.allclose(&expect, 1e-3, 1e-4),
+            "{c} m = {m}: row-major must match the reference"
+        );
+        for format in [
+            StorageFormat::RowMajor,
+            StorageFormat::Sliced(SlicedLayout::new(1, 1).unwrap()),
+            StorageFormat::Sliced(SlicedLayout::new(4, 4).unwrap()),
+            StorageFormat::Sliced(SlicedLayout::DEFAULT),
+        ] {
+            let prep = CpuPrepared::with_format(&sb, t, MicroKernel::scalar(), format).unwrap();
+            assert_eq!(prep.format(), format);
+            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            assert_eq!(
+                got.as_slice(),
+                want.as_slice(),
+                "{c} {format}: bit-identical to row-major on one worker"
             );
-            for layout in [
-                SlicedLayout::new(1, 1).unwrap(),
-                SlicedLayout::new(4, 4).unwrap(),
-                SlicedLayout::DEFAULT,
-            ] {
-                let sl = CpuPrepared::with_format(
-                    version,
-                    &sb,
-                    t,
-                    MicroKernel::scalar(),
-                    StorageFormat::Sliced(layout),
-                )
-                .unwrap();
-                assert_eq!(sl.format(), StorageFormat::Sliced(layout));
-                let want = spmm_cpu_prepared(&a, &sb, &rm).unwrap();
-                let got = spmm_cpu_prepared(&a, &sb, &sl).unwrap();
-                assert_eq!(
-                    got.as_slice(),
-                    want.as_slice(),
-                    "{c} {version:?} {layout}: sliced must be bit-identical to row-major"
-                );
-            }
         }
     }
 
     #[test]
-    fn sliced_is_bit_identical_across_levels_and_versions() {
+    fn sliced_is_bit_identical_across_levels_and_worker_counts() {
         for c in NmConfig::paper_levels(16) {
             let t = CpuTiling::auto(c, 4, 64, 128).unwrap();
             check_sliced_bitwise(1, 128, 64, c, t, 71);
@@ -1887,9 +1816,8 @@ mod tests {
             },
             89,
         );
-        // The packed class keeps that tail block on the fast path: a V3
-        // preparation (one row panel, so it runs on this thread) sends
-        // both k-blocks through the micro-tiles, reading the pad as zeros.
+        // The packed class keeps that tail block on the fast path: both
+        // k-blocks run the micro-tiles, reading the pad as zeros.
         let a = MatrixF32::random(5, 36, 83);
         let b = MatrixF32::random(36, 32, 84);
         let sb = NmSparseMatrix::prune(&b, c16, PrunePolicy::Random { seed: 85 }).unwrap();
@@ -1899,13 +1827,12 @@ mod tests {
                 .any(|u| (0..sb.q()).any(|j| u / c16.n * c16.m + d.get(u, j) as usize >= 36)),
             "setup: the tail block must gather from the pad"
         );
-        let v3 = CpuPrepared::with_kernel(NmVersion::V3, &sb, t16, MicroKernel::scalar()).unwrap();
-        let before = instrument::FAST_BLOCKS.with(|c| c.get());
-        let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
-        let fast_blocks = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
+        let prep = CpuPrepared::with_kernel(&sb, t16, MicroKernel::scalar()).unwrap();
+        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert_eq!(
             fast_blocks, 4,
-            "V3 2:8 must keep the pad-reaching tail block fast"
+            "2:8 must keep the pad-reaching tail block fast"
         );
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
     }
@@ -1923,7 +1850,6 @@ mod tests {
         let b = MatrixF32::random(k, n, 91);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
         let prep = CpuPrepared::with_format(
-            NmVersion::V1,
             &sb,
             t,
             MicroKernel::scalar(),
@@ -1931,12 +1857,11 @@ mod tests {
         )
         .unwrap();
         let x = MatrixF32::random(1, k, 92);
-        let before = instrument::FAST_BLOCKS.with(|c| c.get());
-        let y = spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
-        let fast = instrument::FAST_BLOCKS.with(|c| c.get()) - before;
+        let run = || spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
+        let (y, [fast]) = counted([&instrument::FAST_BLOCKS], run);
         // 2 windows × 2 k-blocks, all block-aligned: every pair is fast.
         assert_eq!(fast, 4, "all sliced (window, k-block) pairs must be fast");
-        let rm = CpuPrepared::with_kernel(NmVersion::V1, &sb, t, MicroKernel::scalar()).unwrap();
+        let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
         let want = spmv_cpu_prepared(x.row(0), &sb, &rm).unwrap();
         assert_eq!(y, want, "bit-identical to the row-major decode path");
         let expect = spmm_reference(&x, &sb);
@@ -1953,20 +1878,22 @@ mod tests {
         let t = CpuTiling::auto(c, 1, n, k).unwrap();
         let x = MatrixF32::random(1, k, 62);
         let expect = spmm_reference(&x, &sb);
-        for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-            let prep = CpuPrepared::new(version, &sb, t).unwrap();
-            let y = spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
-            let got = MatrixF32::from_vec(1, n, y);
-            assert!(
-                got.allclose(&expect, 1e-3, 1e-4),
-                "{version:?}: max diff {}",
-                got.max_abs_diff(&expect)
-            );
-            assert!(matches!(
-                spmv_cpu_prepared(&x.row(0)[..k - 1], &sb, &prep),
-                Err(NmError::DimensionMismatch { .. })
-            ));
-        }
+        let prep = CpuPrepared::new(&sb, t).unwrap();
+        let y = spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
+        assert_eq!(
+            y,
+            one_worker(|| spmv_cpu_prepared(x.row(0), &sb, &prep)).unwrap()
+        );
+        let got = MatrixF32::from_vec(1, n, y);
+        assert!(
+            got.allclose(&expect, 1e-3, 1e-4),
+            "max diff {}",
+            got.max_abs_diff(&expect)
+        );
+        assert!(matches!(
+            spmv_cpu_prepared(&x.row(0)[..k - 1], &sb, &prep),
+            Err(NmError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1988,37 +1915,34 @@ mod tests {
             StorageFormat::RowMajor,
             StorageFormat::Sliced(SlicedLayout::DEFAULT),
         ] {
-            let prep =
-                |v| CpuPrepared::with_format(v, &sb, t, MicroKernel::scalar(), format).unwrap();
-            let (v1, v3) = (prep(NmVersion::V1), prep(NmVersion::V3));
+            let prep = CpuPrepared::with_format(&sb, t, MicroKernel::scalar(), format).unwrap();
             for m in [1, 3, 8] {
                 let a = MatrixF32::random(m, k, 102);
                 let before = splits();
-                let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
+                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
                 assert_eq!(
                     splits() - before,
                     usize::from(split_expected),
                     "{format} m = {m}: one row panel must split across columns"
                 );
-                let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
+                let want = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
                 assert_eq!(got.as_slice(), want.as_slice(), "{format} m = {m}");
             }
             // Enough row panels for every worker: the row panels stay.
             let before = splits();
-            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &sb, &v3).unwrap();
+            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &sb, &prep).unwrap();
             assert_eq!(splits() - before, 0, "{format}: m = 256 keeps its rows");
-            // V1/V2 never split.
-            assert_eq!(v1.split(1).1, 1);
+            // One worker never splits.
+            assert_eq!(one_worker(|| prep.split(1)).1, 1);
         }
 
         // A layer with one column block (n = nb) has no second range to
         // hand out, so m = 1 runs its single panel on the calling thread.
         let narrow = NmSparseMatrix::prune_magnitude(&MatrixF32::random(256, 64, 103), c).unwrap();
-        let v3 =
-            CpuPrepared::with_kernel(NmVersion::V3, &narrow, t, MicroKernel::scalar()).unwrap();
-        assert_eq!(v3.split(1).1, 1);
+        let prep = CpuPrepared::with_kernel(&narrow, t, MicroKernel::scalar()).unwrap();
+        assert_eq!(prep.split(1).1, 1);
         let before = splits();
-        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &narrow, &v3).unwrap();
+        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &narrow, &prep).unwrap();
         assert_eq!(splits() - before, 0, "a one-block layer must stay unsplit");
     }
 }

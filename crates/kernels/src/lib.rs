@@ -46,22 +46,19 @@
 //!
 //! * [`backend::SimBackend`] — the reference oracle's result with the
 //!   simulated kernels' predicted event counts and timing attached,
-//! * [`backend::CpuBackend`] — [`cpu`], a **native** host implementation
-//!   of the same V1→V3 ladder (cache blocking → packed-class block
-//!   classification → rayon row panels or column ranges, every step
-//!   gathering `A` in place; the paper's `col_info` packing stays in the
-//!   simulator's cost model and the codegen) whose tile sizes are derived from the
-//!   plan's auto-tuned blocking. This is the measured-
-//!   performance path the `bench_measured` harness sweeps.
+//! * [`backend::CpuBackend`] — [`cpu`], one **native** host kernel (the
+//!   paper's V1→V3 ladder stays in the simulator and the codegen) whose
+//!   tile sizes are derived from the plan's auto-tuned blocking: the
+//!   measured-performance path the `bench_measured` harness sweeps.
 //! * [`codegen::CodegenBackend`] — the plan lowered to a **generated
 //!   WGSL compute shader** through the `nm-gpu` crate (typed shader IR →
 //!   validated WGSL → deterministic host interpretation), bit-identical
-//!   to the V3 CPU ladder and phase-matched against the simulator's
+//!   to the CPU kernel and phase-matched against the simulator's
 //!   launch timeline.
 //!
 //! Plans record their [`plan::Provenance`]: the analytic cost model, or
 //! **measurement** — [`measure`](mod@measure) is a short-run harness that times the
-//! CPU ladder in place, and a session built with
+//! CPU kernel in place, and a session built with
 //! [`session::SessionBuilder::autotune`] consults/persists the
 //! measured-best choice through the same plan cache (keyed by host ISA
 //! and thread count, so evidence never travels between machines).
@@ -96,7 +93,7 @@ pub mod sputnik;
 pub use autotune::{tune, TuneResult};
 pub use backend::{BackendKind, CpuBackend, ExecBackend, ExecRun, SimBackend, BACKEND_ENV};
 pub use codegen::{CodegenBackend, CodegenPrepared};
-pub use cpu::{spmm_cpu, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling};
+pub use cpu::{spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling};
 pub use dense::DenseGemmKernel;
 pub use engine::{CacheStats, Engine};
 pub use measure::{

@@ -6,8 +6,8 @@
 //! wrong (its V3 pays for shared-memory bandwidth the host caches don't
 //! charge, so its tilings are no host optimum). This module supplies the
 //! missing evidence: it benchmarks candidate [`CpuTiling`]s × `B′` storage
-//! formats of the V3 kernel — the ladder's last step, the one a session
-//! executes — **in-place** on the executing host and returns the
+//! formats of the CPU kernel — the one a session executes — **in-place**
+//! on the executing host and returns the
 //! measured-best as a [`MeasuredChoice`] the plan cache can persist.
 //!
 //! ## What is (and is not) inside the timed window
@@ -38,7 +38,6 @@
 //! error, never a silent `Off`.
 
 use crate::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
-use crate::nm::NmVersion;
 use crate::plan::{MeasuredChoice, Plan};
 use crate::simd::MicroKernel;
 use nm_core::error::{NmError, Result};
@@ -60,7 +59,7 @@ pub enum AutotuneMode {
     /// No measurement: plans come from the analytic cost model only.
     #[default]
     Off,
-    /// Time V3 at the plan-derived tiling — plus, on decode keys, the
+    /// Time the kernel at the plan-derived tiling — plus, on decode keys, the
     /// skinny geometries — in every candidate storage format (a handful
     /// of short runs; the mode CI uses).
     Quick,
@@ -266,7 +265,7 @@ pub fn measurement_passes() -> u64 {
 /// neighbors around it. Duplicate-free; every candidate keeps `nb` a
 /// multiple of `L`, so none is structurally rejectable. Candidates run as
 /// given, so a prefill plan's derived `mb` is first cut as the cost-model
-/// V3 path cuts it at the plan's `m` on this host's workers: the base
+/// path cuts it at the plan's `m` on this host's workers: the base
 /// times what the cost-model default runs and names the panel that ran.
 ///
 /// Decode-class plans ([`ShapeClass::Decode`](crate::plan::ShapeClass))
@@ -379,7 +378,7 @@ pub(crate) fn format_candidates_with(
     out
 }
 
-/// Run the short-run harness: benchmark the V3 kernel over candidate
+/// Run the short-run harness: benchmark the CPU kernel over candidate
 /// tilings × storage formats against `sb` for activations of `rows` rows,
 /// and return the measured-best together with every sample. Every
 /// candidate is timed, even when the grid holds only one.
@@ -411,8 +410,7 @@ pub fn measure(
     let useful_flops = 2.0 * rows as f64 * sb.cols() as f64 * sb.w() as f64;
     // Offline: staging + dispatch, excluded from the clock exactly as in
     // production (`Session::load`).
-    let stage =
-        |tiling, format| CpuPrepared::with_format(NmVersion::V3, sb, tiling, kernel, format);
+    let stage = |tiling, format| CpuPrepared::with_format(sb, tiling, kernel, format);
     let race_staged = |preps: &[&CpuPrepared]| {
         let mut rivals: Vec<_> = preps
             .iter()

@@ -32,7 +32,7 @@
 //! [`ExecRun::wall_seconds`] measures the **online kernel only**: the
 //! clock starts after `load` finished staging. Two costs are deliberately
 //! *inside* the timed window because they genuinely recur per call: the
-//! CPU ladder's zero-padded copy of `A` when `k` is not a multiple of `M`
+//! CPU kernel's zero-padded copy of `A` when `k` is not a multiple of `M`
 //! (it otherwise gathers `A` in place), and — for the simulator — the
 //! reference oracle plus the prediction. Everything derived
 //! from the weights alone (blocking derivation, `B′` staging, `col_info`,
@@ -57,10 +57,11 @@
 //! serving front-end needs. [`PreparedLayer::forward_batch`] validates
 //! every member's shape up front (a mid-batch mismatch is reported before
 //! any work is spent) and keeps parallelism at exactly one level: batch
-//! members fan across the rayon pool for the per-call-serial backends
-//! (CPU V1/V2), while backends that parallelize inside each call (CPU
-//! V3, by row panels or by column ranges; the simulated kernels' block
-//! fan-out) map their batch serially instead of nesting thread fan-outs.
+//! members fan across the rayon pool for the per-call-serial backend (the
+//! codegen interpreter), while backends that parallelize inside each call
+//! (the CPU kernel, by row panels or by column ranges) or that run the
+//! reference oracle (the simulator) map their batch serially instead of
+//! nesting thread fan-outs.
 
 use crate::backend::{BackendKind, CpuBackend, ExecBackend, ExecRun, PreparedState};
 use crate::engine::{CacheStats, Engine};
@@ -171,13 +172,12 @@ impl SessionBuilder {
     }
 
     /// How much **measured** autotuning [`Session::load`] performs when
-    /// the default backend is the native CPU ladder: `Off` executes the
+    /// the default backend is the native CPU kernel: `Off` executes the
     /// cost-model plan as-is, `Quick`/`Full` run the
     /// [`measure`](mod@crate::measure) harness on a cache miss and persist
-    /// the measured-best V3 tiling and storage format through the plan
-    /// cache, keyed by `(host ISA, thread count, shape class, N:M)`. A
-    /// measured load always executes V3, whichever ladder step the
-    /// session's default CPU backend names.
+    /// the measured-best tiling and storage format through the plan
+    /// cache, keyed by `(host ISA, thread count, shape class, N:M)`, and
+    /// prepare the CPU kernel on them.
     ///
     /// An explicit mode overrides the `NM_SPMM_AUTOTUNE` environment
     /// variable; without either, measurement is off.
@@ -208,7 +208,10 @@ impl SessionBuilder {
     /// storage format (both strictly validated, like `NM_SPMM_ISA` —
     /// never a silent fallback), and
     /// [`NmError::Persist`] when `NM_SPMM_BACKEND` names an unknown
-    /// backend or the plan-cache file exists but cannot be parsed.
+    /// backend (`cpu_v1` and `cpu_v2` included) or the plan-cache file
+    /// exists but cannot be parsed, and [`NmError::Unsupported`] when
+    /// [`SessionBuilder::backend`] names a backend
+    /// [`BackendKind::instantiate`] rejects (`Cpu(V1)`, `Cpu(V2)`).
     ///
     /// Environment overrides (`NM_SPMM_BACKEND`, `NM_SPMM_STORAGE`,
     /// `NM_SPMM_AUTOTUNE`) are consulted **only** for settings the
@@ -219,6 +222,7 @@ impl SessionBuilder {
             Some(b) => b,
             None => BackendKind::from_env()?.unwrap_or(BackendKind::Cpu(NmVersion::V3)),
         };
+        backend.instantiate()?;
         let kernel = match (self.kernel, self.isa) {
             (Some(k), _) => Some(k),
             (None, Some(isa)) => Some(MicroKernel::for_isa(isa)?),
@@ -476,8 +480,8 @@ impl Session {
     ///    measured entry scoped to this host (ISA + thread count); on a
     ///    miss, run the [`measure`](mod@crate::measure) harness, persist
     ///    the winner through the cache's backing file (when one is
-    ///    configured), and prepare V3 on the measured-best tiling and
-    ///    storage format. An explicit [`LoadSpec::backend`] never measures —
+    ///    configured), and prepare the CPU kernel on the measured-best
+    ///    tiling and storage format. An explicit [`LoadSpec::backend`] never measures —
     ///    the same contract `load` vs `load_on` always had.
     ///
     /// # Errors
@@ -486,7 +490,8 @@ impl Session {
     /// out-of-band decode class; planning failures;
     /// [`NmError::InvalidBlocking`] when the tuned blocking cannot drive
     /// the backend; [`NmError::Unsupported`] when an environment ISA
-    /// override names an ISA this host cannot execute.
+    /// override names an ISA this host cannot execute, or the spec's
+    /// backend is one [`BackendKind::instantiate`] rejects.
     pub fn load_with(
         &mut self,
         weights: impl Into<Arc<NmSparseMatrix>>,
@@ -666,10 +671,10 @@ impl Session {
         weights: Arc<NmSparseMatrix>,
         kind: BackendKind,
     ) -> Result<PreparedLayer> {
-        let backend: Box<dyn ExecBackend> = match (kind, self.kernel) {
-            (BackendKind::Cpu(v), Some(kernel)) => Box::new(CpuBackend::with_kernel(v, kernel)),
-            _ => kind.instantiate(),
-        };
+        let mut backend = kind.instantiate()?;
+        if let (BackendKind::Cpu(_), Some(kernel)) = (kind, self.kernel) {
+            backend = Box::new(CpuBackend::with_kernel(kernel));
+        }
         let state = backend.prepare(self.engine.device(), &plan, &weights)?;
         Ok(PreparedLayer {
             device: self.engine.device().clone(),
@@ -751,7 +756,7 @@ impl PreparedLayer {
     /// `y[n] = x[k] ⊛ (B′, D)` — the prepared SpMV path.
     ///
     /// The exact staged state `forward` uses serves this call (on the CPU
-    /// ladder the one-row rung of the vectorized register-tile ladder
+    /// kernel the one-row rung of the vectorized register-tile ladder
     /// streams the same staged `B′`), so a layer prepared once — e.g. for
     /// a prefill shape — serves autoregressive decode with **zero**
     /// additional offline work; only the `1 × k` operand view is built
@@ -779,15 +784,13 @@ impl PreparedLayer {
     /// mismatched member cannot discard the compute already spent on its
     /// predecessors.
     ///
-    /// Parallelism lives at exactly one level: backends that run each
-    /// call serially (CPU V1/V2) fan the batch members across the rayon
-    /// worker pool ([`BatchRouting::ParallelAcross`]) — that is what
-    /// fills the machine for the many-small-batches decode shape this
-    /// entry point serves. Backends that already parallelize *inside*
-    /// each call — CPU V3, by row panels or (when a call has fewer row
-    /// panels than workers, as every decode call does) by column ranges,
-    /// and the simulated kernels' per-block fan-out — map their batch
-    /// serially instead
+    /// Parallelism lives at exactly one level: the backend that runs each
+    /// call serially (the codegen interpreter) fans the batch members
+    /// across the rayon worker pool ([`BatchRouting::ParallelAcross`]).
+    /// Backends that already parallelize *inside* each call — the CPU
+    /// kernel, by row panels or (when a call has fewer row panels than
+    /// workers, as every decode call does) by column ranges — and the
+    /// simulator map their batch serially instead
     /// ([`BatchRouting::SerialWithin`]): the rayon pool runs a parallel
     /// call nested inside another one inline (it has no work-stealing
     /// scheduler), so fanning out at both levels would only move the
@@ -804,12 +807,10 @@ impl PreparedLayer {
         }
         let routing = match self.backend.kind() {
             // The codegen interpreter walks its workgroups on the calling
-            // thread, so like CPU V1/V2 it benefits from batch fan-out.
-            BackendKind::Cpu(NmVersion::V1)
-            | BackendKind::Cpu(NmVersion::V2)
-            | BackendKind::Codegen => BatchRouting::ParallelAcross,
-            // CPU V3 and the simulated kernels parallelize inside each
-            // call; under batch-level fan-out those calls would run inline.
+            // thread, so it benefits from batch fan-out.
+            BackendKind::Codegen => BatchRouting::ParallelAcross,
+            // The CPU kernel parallelizes inside each call; under
+            // batch-level fan-out those calls would run inline.
             _ => BatchRouting::SerialWithin,
         };
         let t0 = std::time::Instant::now();
@@ -835,11 +836,11 @@ impl PreparedLayer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchRouting {
     /// Members fanned across the rayon worker pool; each member ran
-    /// serially inside its worker (CPU V1/V2).
+    /// serially inside its worker (the codegen interpreter).
     ParallelAcross,
     /// Members mapped serially, one after another; each member
-    /// parallelized internally (CPU V3 by rows or by columns, the simulated
-    /// kernels' block fan-out).
+    /// parallelized internally (the CPU kernel by rows or by columns) or
+    /// ran the simulator's reference oracle.
     SerialWithin,
 }
 
@@ -1000,14 +1001,14 @@ mod tests {
             assert_eq!(
                 run.isa.is_some(),
                 backend != BackendKind::Sim,
-                "{backend}: only the native CPU ladder reports a host ISA"
+                "{backend}: only the simulator reports no host ISA"
             );
             assert_eq!(run.isa, layer.isa());
         }
         // One shape class: a single planning miss, then a cache hit for
         // every further backend.
         let st = s.stats();
-        assert_eq!((st.entries, st.hits, st.misses), (1, 4, 1));
+        assert_eq!((st.entries, st.hits, st.misses), (1, 2, 1));
     }
 
     #[test]
@@ -1083,20 +1084,19 @@ mod tests {
 
     #[test]
     fn forward_batch_agrees_on_both_routing_paths() {
-        // V3 maps the batch serially (per-call parallelism), V1 fans it
-        // across the pool — both must produce the same per-member matrix.
+        // The CPU kernel maps the batch serially (per-call parallelism),
+        // the codegen interpreter fans it across the pool — both must
+        // produce the same per-member matrix.
         let mut s = session();
         let cfg = NmConfig::new(2, 8, 16).unwrap();
         let sb = weights(96, 64, cfg, 41);
         let batch: Vec<MatrixF32> = (0..3).map(|i| MatrixF32::random(8, 96, 50 + i)).collect();
-        let v3 = s
+        let cpu = s
             .load_on(sb.clone(), 8, BackendKind::Cpu(NmVersion::V3))
             .unwrap();
-        let v1 = s
-            .load_on(sb.clone(), 8, BackendKind::Cpu(NmVersion::V1))
-            .unwrap();
-        let serial = v3.forward_batch(&batch).unwrap();
-        let pooled = v1.forward_batch(&batch).unwrap();
+        let codegen = s.load_on(sb.clone(), 8, BackendKind::Codegen).unwrap();
+        let serial = cpu.forward_batch(&batch).unwrap();
+        let pooled = codegen.forward_batch(&batch).unwrap();
         assert_eq!(serial.routing, BatchRouting::SerialWithin);
         assert_eq!(pooled.routing, BatchRouting::ParallelAcross);
         for ((a, sr), pr) in batch.iter().zip(&serial.runs).zip(&pooled.runs) {
@@ -1256,7 +1256,7 @@ mod tests {
         // Scaled-down weights executed under the full-size plan.
         let sb = weights(64, 64, cfg, 21);
         let layer = s
-            .load_planned(plan, sb, BackendKind::Cpu(NmVersion::V1))
+            .load_planned(plan, sb, BackendKind::Cpu(NmVersion::V3))
             .unwrap();
         let after = s.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
@@ -1281,17 +1281,12 @@ mod tests {
         assert_eq!(via_load.plan().key, via_spec.plan().key);
         assert_eq!(via_load.backend(), via_spec.backend());
 
-        let on = s
-            .load_on(sb.clone(), 16, BackendKind::Cpu(NmVersion::V1))
-            .unwrap();
+        let on = s.load_on(sb.clone(), 16, BackendKind::Codegen).unwrap();
         let spec_on = s
-            .load_with(
-                sb.clone(),
-                LoadSpec::rows(16).backend(BackendKind::Cpu(NmVersion::V1)),
-            )
+            .load_with(sb.clone(), LoadSpec::rows(16).backend(BackendKind::Codegen))
             .unwrap();
         assert_eq!(on.plan().key, spec_on.plan().key);
-        assert_eq!(spec_on.backend(), BackendKind::Cpu(NmVersion::V1));
+        assert_eq!(spec_on.backend(), BackendKind::Codegen);
         let (r1, r2) = (on.forward(&a).unwrap(), spec_on.forward(&a).unwrap());
         assert_eq!(r1.c.as_slice(), r2.c.as_slice());
     }

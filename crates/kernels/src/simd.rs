@@ -1,6 +1,6 @@
 //! Explicit SIMD micro-kernels with runtime ISA dispatch.
 //!
-//! The CPU ladder's hot loop is a register-resident `C` tile accumulated
+//! The CPU kernel's hot loop is a register-resident `C` tile accumulated
 //! across a whole k-block: up to [`MicroKernel::tile_rows`] rows by 16 (or
 //! 32) columns, with `B` streamed from the staged block and `A` gathered
 //! through per-window indices. Until this module existed that tile was a
@@ -267,7 +267,7 @@ impl MicroKernel {
     }
 
     /// Rows of the tallest register tile this kernel runs — the top rung
-    /// of the CPU ladder's row walk: [`MW_TALL`] where the accumulators
+    /// of the CPU kernel's row walk: [`MW_TALL`] where the accumulators
     /// of an `8×32` tile fit the vector register file (AVX-512's 32 zmm),
     /// [`MW`] on AVX2, NEON and the scalar tile.
     pub fn tile_rows(&self) -> usize {
@@ -372,7 +372,7 @@ impl MicroKernel {
     /// match on the construct-time ISA; the per-ISA bodies are const-generic
     /// over the row count, so 1-, 2-, 4- and 8-row tiles share one
     /// implementation per ISA instead of drifting apart. Crate-visible so
-    /// the CPU ladder's row ladder can stay generic over the rung size.
+    /// the CPU kernel's row ladder can stay generic over the rung size.
     #[inline]
     pub(crate) fn tile16<const R: usize>(
         &self,

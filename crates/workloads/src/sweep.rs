@@ -73,7 +73,7 @@ pub struct SweepOptions {
     /// skinny lane a generating server runs between prefills. Decode
     /// plans skip the GEMM autotuner, so this lane is cheap; when
     /// execution is requested, the `m = 1` step additionally runs
-    /// `forward_vec` through the native CPU ladder for real.
+    /// `forward_vec` through the native CPU kernel for real.
     pub decode: bool,
 }
 
@@ -108,12 +108,12 @@ pub struct ExecReport {
     /// backend's reference oracle and the CPU path compute the same
     /// matrix.
     pub sim_vs_cpu_max_diff: f32,
-    /// Wall time of the measured-autotuned native CPU ladder, milliseconds
+    /// Wall time of the measured-autotuned native CPU kernel, milliseconds
     /// — the evidence-based lane. `None` when the session's
     /// [`AutotuneMode`] is `Off`.
     pub measured_ms: Option<f64>,
     /// Wall milliseconds of one prepared decode step (`m = 1`,
-    /// `forward_vec` on the native CPU ladder) against the scaled
+    /// `forward_vec` on the native CPU kernel) against the scaled
     /// weights; `None` unless [`SweepOptions::decode`] was set.
     pub decode_ms: Option<f64>,
     /// Max |decode − cpu row 0| — the cross-check that the prepared SpMV

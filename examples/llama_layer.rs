@@ -50,7 +50,7 @@ fn main() {
         .build()
         .expect("session");
 
-    // Dense baselines: the same CPU ladder at N = M (every vector of B
+    // Dense baselines: the same CPU kernel at N = M (every vector of B
     // kept), and the simulated dense GEMM.
     let dense_cfg = NmConfig::dense32(benchmark_levels()[0].l);
     let dense_b = NmSparseMatrix::prune_magnitude(&b, dense_cfg).expect("dense config");

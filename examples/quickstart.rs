@@ -109,7 +109,7 @@ fn main() {
     );
 
     // 8. The same handle API runs every backend — the simulated GPU
-    //    kernels (timing model + event counts) and the native CPU ladder —
+    //    kernels (timing model + event counts) and the native CPU kernel —
     //    and repeated loads plan from the cache.
     for backend in BackendKind::all() {
         let layer = session.load_on(sb.clone(), m, backend).expect("load");

@@ -23,8 +23,18 @@
 //! parallel call nested inside a part, so nesting never deadlocks. A panic
 //! in any part is re-raised on the caller once every part is done, and the
 //! pool stays usable.
+//!
+//! `ThreadPoolBuilder::new().num_threads(t).build()?.install(f)` runs `f`
+//! on the calling thread with `current_num_threads()` capped at `t` for
+//! that thread alone (a thread-local cap, restored when `f` returns or
+//! unwinds), so `install` of a one-thread pool runs every parallel call
+//! inside `f` inline, in order, while other threads keep every worker.
+//! Real rayon runs `f` on the pool's own threads instead; the observable
+//! contract the workspace relies on — the thread count inside `f` — is the
+//! same.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,13 +72,30 @@ fn hardware_threads() -> usize {
     })
 }
 
-/// The number of threads (the caller included) a parallel call fans out
-/// to at most — mirrors `rayon::current_num_threads`.
-pub fn current_num_threads() -> usize {
+thread_local! {
+    /// The cap of the innermost [`ThreadPool::install`] running on this
+    /// thread; `0` outside any `install`.
+    static INSTALLED_CAP: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The process-wide thread count: the hardware parallelism under the
+/// [`ThreadPoolBuilder::build_global`] cap. The pool is sized from this,
+/// never from a caller's [`ThreadPool::install`] cap.
+fn global_threads() -> usize {
     let hw = hardware_threads();
     match GLOBAL_THREAD_CAP.load(Ordering::Relaxed) {
         0 => hw,
         cap => cap.min(hw),
+    }
+}
+
+/// The number of threads (the caller included) a parallel call fans out
+/// to at most — mirrors `rayon::current_num_threads`. Inside
+/// [`ThreadPool::install`] that pool's size bounds it too.
+pub fn current_num_threads() -> usize {
+    match INSTALLED_CAP.with(Cell::get) {
+        0 => global_threads(),
+        cap => cap.min(global_threads()),
     }
 }
 
@@ -88,7 +115,9 @@ impl std::error::Error for ThreadPoolBuildError {}
 /// Mirror of `rayon::ThreadPoolBuilder`, reduced to the one knob the shim
 /// can honor: a cap on how many threads a parallel call fans out to. The
 /// cap bounds how many parts a call is split into, so it holds even when
-/// the pool was started before the cap was installed.
+/// the pool was started before the cap was installed — process-wide
+/// through [`ThreadPoolBuilder::build_global`], or inside one
+/// [`ThreadPool::install`] through [`ThreadPoolBuilder::build`].
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -115,6 +144,46 @@ impl ThreadPoolBuilder {
         }
         GLOBAL_THREAD_CAP.store(self.num_threads, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// A pool whose [`ThreadPool::install`] caps the calling thread's
+    /// parallel calls at this builder's thread count. Never fails; the
+    /// `Result` mirrors real rayon.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            num_threads: self.num_threads,
+        })
+    }
+}
+
+/// Mirror of `rayon::ThreadPool`: a thread count that
+/// [`ThreadPool::install`] applies to the calling thread. Every pool shares
+/// the one process-wide set of workers.
+#[derive(Debug)]
+pub struct ThreadPool {
+    /// `0`: no cap beyond the process-wide one.
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with [`current_num_threads`] capped
+    /// at this pool's size for this thread alone — a one-thread pool runs
+    /// every parallel call inside `op` inline, part by part in order. The
+    /// previous cap is restored when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        /// Puts the outer cap back, on return and on unwind alike.
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED_CAP.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED_CAP.with(|c| c.replace(self.num_threads)));
+        op()
     }
 }
 
@@ -219,7 +288,7 @@ struct Slot {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        for i in 1..current_num_threads() {
+        for i in 1..global_threads() {
             // Workers run every part under `catch_unwind` and hold no
             // lock across one, so they never exit; like real rayon's
             // registry they live for the process and are never joined.
@@ -761,6 +830,63 @@ mod tests {
             });
             assert_eq!(seated, parts - 1, "parts = {parts}");
         }
+    }
+
+    /// A one-thread pool, the pin the kernel parity suites run under.
+    fn one_thread() -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a pool always builds")
+    }
+
+    #[test]
+    fn install_one_runs_every_part_on_the_caller() {
+        let me = std::thread::current().id();
+        let (threads, chunks, mapped) = one_thread().install(|| {
+            let mut ran_on = vec![None; 64];
+            ran_on
+                .par_chunks_mut(4)
+                .for_each(|c| c.fill(Some(std::thread::current().id())));
+            let mapped: Vec<_> = (0..64)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            (crate::current_num_threads(), ran_on, mapped)
+        });
+        assert_eq!(threads, 1);
+        assert!(chunks.iter().all(|&t| t == Some(me)), "{chunks:?}");
+        assert_eq!(mapped, vec![me; 64]);
+    }
+
+    #[test]
+    fn install_restores_the_cap_on_return_and_on_panic() {
+        let before = crate::current_num_threads();
+        let pool = one_thread();
+        pool.install(|| {
+            // A nested install sets its own cap and gives the outer back.
+            let wider = crate::ThreadPoolBuilder::new().build().expect("pool");
+            assert_eq!(wider.install(crate::current_num_threads), before);
+            assert_eq!(crate::current_num_threads(), 1);
+        });
+        assert_eq!(crate::current_num_threads(), before);
+        let caught = std::panic::catch_unwind(|| pool.install(|| panic!("inside the pin")));
+        assert!(caught.is_err());
+        assert_eq!(crate::current_num_threads(), before, "restored on unwind");
+    }
+
+    #[test]
+    fn another_thread_keeps_every_worker_while_a_pin_is_held() {
+        one_thread().install(|| {
+            assert_eq!(crate::current_num_threads(), 1);
+            let (seen, all) = std::thread::scope(|s| {
+                s.spawn(|| (crate::current_num_threads(), super::global_threads()))
+                    .join()
+                    .expect("other thread")
+            });
+            assert_eq!(seen, all, "the pin is the installing thread's alone");
+            assert_eq!(crate::current_num_threads(), 1);
+        });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   emitter + validator, and the deterministic host interpreter the
 //!   `codegen` backend executes through,
 //! * [`kernels`] — simulated GPU kernels (dense GEMM, NM-SpMM
-//!   V1/V2/V3, nmSPARSE, Sputnik), the native CPU V1→V3 ladder and the
+//!   V1/V2/V3, nmSPARSE, Sputnik), the native CPU kernel and the
 //!   **prepared-session API**
 //!   (`SessionBuilder` → `Session::load_with` → `PreparedLayer::forward`),
 //!   the single public execution surface,

@@ -1,19 +1,22 @@
-//! Backend parity: the native CPU V1→V3 ladder, the scalar reference and
-//! the f64 oracle must agree on the same compressed operands — across
-//! ragged shapes, all four paper sparsity levels, and on both sides of
-//! (and exactly at) the 70% packing threshold.
+//! Backend parity: the native CPU kernel (on all workers, and bit for bit
+//! pinned to one), the scalar reference and the f64 oracle must agree on
+//! the same compressed operands — across ragged shapes, all four paper
+//! sparsity levels, and on both sides of (and exactly at) the 70% packing
+//! threshold.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::spmm::{gemm_reference_f64, spmm_reference};
-use nm_spmm::kernels::cpu::{spmm_cpu, uses_packing, CpuTiling};
+use nm_spmm::kernels::cpu::{spmm_cpu_prepared, uses_packing, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::plan::Planner;
 use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend, NmVersion};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
 
-const VERSIONS: [NmVersion; 3] = [NmVersion::V1, NmVersion::V2, NmVersion::V3];
-
-/// Assert V1 == V2 == V3 == reference against the f64 oracle.
+/// Assert the kernel on all workers == pinned to one == reference against
+/// the f64 oracle.
 fn assert_parity(m: usize, k: usize, n: usize, cfg: NmConfig, seed: u64) {
     let a = MatrixF32::random(m, k, seed);
     let b = MatrixF32::random(k, n, seed ^ 0xabcd);
@@ -26,19 +29,24 @@ fn assert_parity(m: usize, k: usize, n: usize, cfg: NmConfig, seed: u64) {
         reference.max_abs_diff(&oracle)
     );
     let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-    for version in VERSIONS {
-        let got = spmm_cpu(version, &a, &sb, tiling).unwrap();
-        assert!(
-            got.allclose(&oracle, 1e-3, 1e-4),
-            "{cfg} {version:?} ({m}x{n}x{k}): vs f64 oracle diff {}",
-            got.max_abs_diff(&oracle)
-        );
-        assert!(
-            got.allclose(&reference, 1e-3, 1e-4),
-            "{cfg} {version:?} ({m}x{n}x{k}): vs reference diff {}",
-            got.max_abs_diff(&reference)
-        );
-    }
+    let prep = CpuPrepared::new(&sb, tiling).unwrap();
+    let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+    assert_eq!(
+        got.as_slice(),
+        serial.as_slice(),
+        "{cfg} ({m}x{n}x{k}): one worker"
+    );
+    assert!(
+        got.allclose(&oracle, 1e-3, 1e-4),
+        "{cfg} ({m}x{n}x{k}): vs f64 oracle diff {}",
+        got.max_abs_diff(&oracle)
+    );
+    assert!(
+        got.allclose(&reference, 1e-3, 1e-4),
+        "{cfg} ({m}x{n}x{k}): vs reference diff {}",
+        got.max_abs_diff(&reference)
+    );
 }
 
 #[test]
@@ -86,11 +94,9 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let b = MatrixF32::random(96, 128, 8);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
     let expect = spmm_reference(&a, &sb);
-    for version in VERSIONS {
-        let run = CpuBackend::new(version).run(&dev, &plan, &a, &sb).unwrap();
-        assert!(run.c.allclose(&expect, 1e-3, 1e-4), "{version:?}");
-        assert_eq!(run.backend, BackendKind::Cpu(version));
-    }
+    let run = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
+    assert!(run.c.allclose(&expect, 1e-3, 1e-4));
+    assert_eq!(run.backend, BackendKind::Cpu(NmVersion::V3));
 
     // L = 48 divides no autotune candidate: the plan falls back to the
     // preset, whose ns cannot drive the CPU tiles — structured error, not
@@ -99,9 +105,7 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let plan48 = Planner::new(dev.clone()).plan(64, 96, 96, cfg48).unwrap();
     let b48 = MatrixF32::random(96, 96, 9);
     let sb48 = NmSparseMatrix::prune_magnitude(&b48, cfg48).unwrap();
-    let err = CpuBackend::new(NmVersion::V3)
-        .run(&dev, &plan48, &a, &sb48)
-        .unwrap_err();
+    let err = CpuBackend::new().run(&dev, &plan48, &a, &sb48).unwrap_err();
     assert!(
         matches!(err, NmError::InvalidBlocking { .. }),
         "expected InvalidBlocking, got: {err}"
@@ -111,8 +115,8 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: the whole ladder agrees with the f64 oracle on arbitrary
-    /// shapes at every paper level.
+    /// Property: the kernel agrees with the f64 oracle on arbitrary shapes
+    /// at every paper level, and with itself pinned to one worker.
     #[test]
     fn ladder_parity_holds_for_arbitrary_shapes(
         m in 1usize..80,
@@ -127,13 +131,14 @@ proptest! {
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let oracle = gemm_reference_f64(&a, &sb.decompress());
         let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-        for version in VERSIONS {
-            let got = spmm_cpu(version, &a, &sb, tiling).unwrap();
-            prop_assert!(
-                got.allclose(&oracle, 1e-3, 1e-4),
-                "{} {:?} ({}x{}x{}): max diff {}",
-                cfg, version, m, n, k, got.max_abs_diff(&oracle)
-            );
-        }
+        let prep = CpuPrepared::new(&sb, tiling).unwrap();
+        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+        prop_assert_eq!(got.as_slice(), serial.as_slice());
+        prop_assert!(
+            got.allclose(&oracle, 1e-3, 1e-4),
+            "{} ({}x{}x{}): max diff {}",
+            cfg, m, n, k, got.max_abs_diff(&oracle)
+        );
     }
 }

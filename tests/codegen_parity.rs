@@ -12,7 +12,7 @@
 use nm_spmm::gpu::{validate_wgsl, KernelFamily, ValidateOptions};
 use nm_spmm::kernels::codegen::{family_for_plan, CodegenBackend, CodegenPrepared};
 use nm_spmm::kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend, NmVersion};
+use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 
@@ -55,9 +55,7 @@ fn check_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, family: KernelFamily, 
         .unwrap_or_else(|e| panic!("{tag}: generated WGSL failed validation: {e}"));
 
     // 2. The interpreter reproduces the V3 CPU oracle bit for bit.
-    let cpu = CpuBackend::new(NmVersion::V3)
-        .run(&dev, plan, &a, sb)
-        .expect("cpu_v3");
+    let cpu = CpuBackend::new().run(&dev, plan, &a, sb).expect("cpu_v3");
     let (c, trace) = prep.execute(&a, sb).expect("interpret");
     assert_eq!(
         c.as_slice(),

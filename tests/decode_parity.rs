@@ -1,11 +1,15 @@
 //! Decode-path parity: the skinny row rungs (1–3 activation rows,
 //! including the `m = 1` SpMV shape) must produce oracle-grade numerics
-//! through every micro-kernel ISA this host can execute, every ladder
-//! version, and every paper sparsity level — and the decode entry points
+//! through every micro-kernel ISA this host can execute and every paper
+//! sparsity level, on all workers and bit-identically pinned to one — and
+//! the decode entry points
 //! must be *free*: a prefill-prepared layer serves `forward_vec` with
 //! zero additional offline staging, returning bit-for-bit the same
 //! numbers as the matrix path on a one-row operand.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{
     offline_staging_passes, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling,
@@ -16,7 +20,21 @@ use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
 
-const VERSIONS: [NmVersion; 3] = [NmVersion::V1, NmVersion::V2, NmVersion::V3];
+const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
+
+/// One cell: the kernel on all workers matches the f64 oracle and the
+/// same preparation pinned to one worker, bit for bit.
+fn check_cell(a: &MatrixF32, sb: &NmSparseMatrix, prep: &CpuPrepared, tag: &str) {
+    let oracle = gemm_reference_f64(a, &sb.decompress());
+    let got = spmm_cpu_prepared(a, sb, prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(a, sb, prep)).unwrap();
+    assert_eq!(got.as_slice(), serial.as_slice(), "{tag}: one worker");
+    assert!(
+        got.allclose(&oracle, 1e-3, 1e-4),
+        "{tag}: vs f64 oracle diff {}",
+        got.max_abs_diff(&oracle)
+    );
+}
 
 /// Decode-band row counts: the SpMV shape plus the 2-row and 1-row rungs
 /// of the 4→2→1 ladder (3 rows takes the 2-rung *and* the 1-rung).
@@ -34,17 +52,9 @@ fn skinny_rows_match_the_f64_oracle_across_isas_versions_and_levels() {
                 let a = MatrixF32::random(m, k, seed);
                 let b = MatrixF32::random(k, n, seed ^ 0x77);
                 let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-                let oracle = gemm_reference_f64(&a, &sb.decompress());
                 let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-                for version in VERSIONS {
-                    let prep = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-                    let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-                    assert!(
-                        got.allclose(&oracle, 1e-3, 1e-4),
-                        "{mk} {cfg} {version:?} m={m}: vs f64 oracle diff {}",
-                        got.max_abs_diff(&oracle)
-                    );
-                }
+                let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+                check_cell(&a, &sb, &prep, &format!("{mk} {cfg} m={m}"));
             }
         }
         // L = 32 drives the dual-accumulator (×32) skinny tiles.
@@ -54,17 +64,9 @@ fn skinny_rows_match_the_f64_oracle_across_isas_versions_and_levels() {
             let a = MatrixF32::random(m, k, seed);
             let b = MatrixF32::random(k, n, seed ^ 0x77);
             let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-            let oracle = gemm_reference_f64(&a, &sb.decompress());
             let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-            for version in VERSIONS {
-                let prep = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-                assert!(
-                    got.allclose(&oracle, 1e-3, 1e-4),
-                    "{mk} {cfg} {version:?} wide m=1: vs f64 oracle diff {}",
-                    got.max_abs_diff(&oracle)
-                );
-            }
+            let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+            check_cell(&a, &sb, &prep, &format!("{mk} {cfg} wide m=1"));
         }
     }
 }
@@ -80,53 +82,40 @@ fn spmv_prepared_matches_the_oracle_through_every_isa() {
     let oracle = gemm_reference_f64(&a, &sb.decompress());
     let tiling = CpuTiling::auto(cfg, 1, n, k).unwrap();
     for mk in MicroKernel::available() {
-        for version in VERSIONS {
-            let prep = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-            let y = spmv_cpu_prepared(&x, &sb, &prep).unwrap();
-            let got = MatrixF32::from_vec(1, n, y);
-            assert!(
-                got.allclose(&oracle, 1e-3, 1e-4),
-                "{mk} {version:?}: prepared SpMV vs f64 oracle diff {}",
-                got.max_abs_diff(&oracle)
-            );
-        }
+        let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+        let y = spmv_cpu_prepared(&x, &sb, &prep).unwrap();
+        let serial = one_worker(|| spmv_cpu_prepared(&x, &sb, &prep)).unwrap();
+        assert_eq!(y, serial, "{mk}: one worker");
+        let got = MatrixF32::from_vec(1, n, y);
+        assert!(
+            got.allclose(&oracle, 1e-3, 1e-4),
+            "{mk}: prepared SpMV vs f64 oracle diff {}",
+            got.max_abs_diff(&oracle)
+        );
     }
 }
 
 #[test]
-fn v3_column_split_is_bit_identical_to_v1_above_the_floor() {
+fn column_split_is_bit_identical_to_one_worker_above_the_floor() {
     // k = 2048, n = 1024 at 2:8 stages many column blocks and slices:
-    // with two or more workers, V3 splits these one-panel calls across
-    // column blocks (row-major) or slices (sliced) instead of running
-    // them on one thread.
+    // with two or more workers, the kernel splits these one-panel calls
+    // across column blocks (row-major) or slices (sliced) instead of
+    // running them on one thread; pinned to one worker it does not.
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let (k, n) = (2048, 1024);
     let b = MatrixF32::random(k, n, 4900);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
-    let dense = sb.decompress();
     let tiling = CpuTiling::auto(cfg, 8, n, k).unwrap();
     assert!(tiling.mb >= 3, "setup: every m below is one row panel");
     for format in [
         StorageFormat::RowMajor,
         StorageFormat::Sliced(SlicedLayout::DEFAULT),
     ] {
-        let prep = |v| CpuPrepared::new_with_format(v, &sb, tiling, format).unwrap();
-        let (v1, v3) = (prep(NmVersion::V1), prep(NmVersion::V3));
+        let prep = CpuPrepared::with_format(&sb, tiling, MicroKernel::select().unwrap(), format);
+        let prep = prep.unwrap();
         for m in SKINNY_ROWS {
             let a = MatrixF32::random(m, k, 4901 + m as u64);
-            let want = spmm_cpu_prepared(&a, &sb, &v1).unwrap();
-            let got = spmm_cpu_prepared(&a, &sb, &v3).unwrap();
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{format} m={m}: V3's column split must be bit-identical to V1"
-            );
-            let oracle = gemm_reference_f64(&a, &dense);
-            assert!(
-                got.allclose(&oracle, 1e-3, 1e-4),
-                "{format} m={m}: vs f64 oracle diff {}",
-                got.max_abs_diff(&oracle)
-            );
+            check_cell(&a, &sb, &prep, &format!("{format} m={m}"));
         }
     }
 }
@@ -135,42 +124,41 @@ fn v3_column_split_is_bit_identical_to_v1_above_the_floor() {
 fn decode_steps_reuse_prefill_staging_with_zero_extra_passes() {
     // The load-bearing invariant of the decode refactor: a layer prepared
     // once (at prefill batch size) serves decode steps from the same
-    // staged state. The staging counter proves it — across every ladder
-    // version, many decode calls, not one additional offline pass.
+    // staged state. The staging counter proves it — across many decode
+    // calls, on all workers and pinned to one, not one additional
+    // offline pass.
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let (k, n) = (128, 96);
     let b = MatrixF32::random(k, n, 61);
     let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
     let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-    for version in VERSIONS {
-        let layer = session
-            .load_on(sb.clone(), 128, BackendKind::Cpu(version))
-            .unwrap();
-        let before = offline_staging_passes();
-        let x: Vec<f32> = MatrixF32::random(1, k, 62).into_vec();
-        let first = layer.forward_vec(&x).unwrap();
-        for _ in 0..4 {
-            let again = layer.forward_vec(&x).unwrap();
-            assert_eq!(
-                again.c.as_slice(),
-                first.c.as_slice(),
-                "{version:?}: decode steps must be deterministic"
-            );
-        }
-        // The matrix path at m = 1 shares the same staged state too.
-        let a = MatrixF32::from_vec(1, k, x.clone());
-        let mat = layer.forward(&a).unwrap();
+    let layer = session.load_on(sb.clone(), 128, CPU).unwrap();
+    let before = offline_staging_passes();
+    let x: Vec<f32> = MatrixF32::random(1, k, 62).into_vec();
+    let first = layer.forward_vec(&x).unwrap();
+    for _ in 0..4 {
+        let again = layer.forward_vec(&x).unwrap();
         assert_eq!(
-            mat.c.as_slice(),
+            again.c.as_slice(),
             first.c.as_slice(),
-            "{version:?}: forward_vec and the 1-row matrix path must agree bit-for-bit"
+            "decode steps must be deterministic"
         );
-        assert_eq!(
-            offline_staging_passes() - before,
-            0,
-            "{version:?}: decode required additional offline staging"
-        );
+        let serial = one_worker(|| layer.forward_vec(&x)).unwrap();
+        assert_eq!(serial.c.as_slice(), first.c.as_slice(), "one worker");
     }
+    // The matrix path at m = 1 shares the same staged state too.
+    let a = MatrixF32::from_vec(1, k, x.clone());
+    let mat = layer.forward(&a).unwrap();
+    assert_eq!(
+        mat.c.as_slice(),
+        first.c.as_slice(),
+        "forward_vec and the 1-row matrix path must agree bit-for-bit"
+    );
+    assert_eq!(
+        offline_staging_passes() - before,
+        0,
+        "decode required additional offline staging"
+    );
 }
 
 #[test]
@@ -191,8 +179,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property: `forward_vec(x)` is exactly `forward` of the 1×k dense
-    /// operand — same staged state, same rung, bit-for-bit — for every
-    /// ladder version, arbitrary (k, n), and every paper level.
+    /// operand — same staged state, same rung, bit-for-bit — on all
+    /// workers and pinned to one, for arbitrary (k, n) and every paper
+    /// level.
     #[test]
     fn forward_vec_equals_the_one_row_matrix_path(
         k in 1usize..160,
@@ -208,12 +197,10 @@ proptest! {
         let x: Vec<f32> = MatrixF32::random(1, k, seed).into_vec();
         let a = MatrixF32::from_vec(1, k, x.clone());
         let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-        for version in VERSIONS {
-            let layer = session.load_on(sb.clone(), 64, BackendKind::Cpu(version)).unwrap();
-            let vec_run = layer.forward_vec(&x).unwrap();
-            let mat_run = layer.forward(&a).unwrap();
-            prop_assert_eq!(vec_run.c.shape(), (1, n));
-            prop_assert_eq!(vec_run.c.as_slice(), mat_run.c.as_slice());
-        }
+        let layer = session.load_on(sb.clone(), 64, CPU).unwrap();
+        let vec_run = layer.forward_vec(&x).unwrap();
+        let mat_run = one_worker(|| layer.forward(&a)).unwrap();
+        prop_assert_eq!(vec_run.c.shape(), (1, n));
+        prop_assert_eq!(vec_run.c.as_slice(), mat_run.c.as_slice());
     }
 }

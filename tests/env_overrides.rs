@@ -61,10 +61,20 @@ fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
         assert_eq!(build().backend(), BackendKind::Codegen);
         // ...but an explicit builder call beats the environment.
         let explicit = SessionBuilder::new(a100_80g())
-            .backend(BackendKind::Cpu(NmVersion::V1))
+            .backend(BackendKind::Sim)
             .build()
             .expect("explicit backend builds with the env var set");
-        assert_eq!(explicit.backend(), BackendKind::Cpu(NmVersion::V1));
+        assert_eq!(explicit.backend(), BackendKind::Sim);
+    }
+    // The CPU runs one kernel: the removed ladder-step names are unknown
+    // backends, a structured error naming the value, never a run.
+    for removed in ["cpu_v1", "cpu_v2"] {
+        let _g = EnvGuard::set(BACKEND_ENV, removed);
+        let err = SessionBuilder::new(a100_80g()).build().unwrap_err();
+        assert!(
+            matches!(err, NmError::Persist { .. }) && err.to_string().contains(removed),
+            "{removed}: got {err}"
+        );
     }
     {
         let _g = EnvGuard::set(BACKEND_ENV, "warp_speed");

@@ -1,12 +1,15 @@
 //! Cross-crate correctness: the reference Eq. (1) and the native CPU
-//! V1→V3 ladder (direct and packed gathers) must agree on the same
-//! problems, including ragged shapes, every paper sparsity level, and
+//! kernel (direct and packed classes, on all workers and pinned to one)
+//! must agree on the same problems, including ragged shapes, every paper sparsity level, and
 //! every pruning policy; the simulated kernels' predictions must cover
 //! those problems on every paper device.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::prune::PrunePolicy;
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
-use nm_spmm::kernels::cpu::{spmm_cpu, CpuTiling};
+use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::{BackendKind, KernelChoice, NmSpmmKernel, NmVersion, SessionBuilder};
 use nm_spmm::prelude::*;
 
@@ -25,11 +28,20 @@ fn problem(m: usize, n: usize, k: usize, cfg: NmConfig, policy: PrunePolicy, see
     Problem { a, b, sb, oracle }
 }
 
-/// The native CPU ladder at `version`, tiled by the `Para_Init_Table`
-/// preset.
-fn ladder(version: NmVersion, a: &MatrixF32, sb: &NmSparseMatrix) -> MatrixF32 {
+/// The native CPU kernel, tiled by the `Para_Init_Table` preset, checked
+/// bit for bit against the same preparation pinned to one worker.
+fn cpu(a: &MatrixF32, sb: &NmSparseMatrix) -> MatrixF32 {
     let tiling = CpuTiling::auto(sb.cfg(), a.rows(), sb.cols(), sb.k()).expect("tiling");
-    spmm_cpu(version, a, sb, tiling).expect("cpu ladder")
+    let prep = CpuPrepared::new(sb, tiling).expect("staging");
+    let got = spmm_cpu_prepared(a, sb, &prep).expect("cpu kernel");
+    let serial = one_worker(|| spmm_cpu_prepared(a, sb, &prep)).expect("cpu kernel");
+    assert_eq!(
+        got.as_slice(),
+        serial.as_slice(),
+        "{}: one worker",
+        sb.cfg()
+    );
+    got
 }
 
 fn assert_close(got: &MatrixF32, want: &MatrixF32, who: &str) {
@@ -44,14 +56,8 @@ fn assert_close(got: &MatrixF32, want: &MatrixF32, who: &str) {
 fn every_engine_agrees_on_every_paper_level() {
     for cfg in NmConfig::paper_levels(32) {
         let p = problem(96, 128, 256, cfg, PrunePolicy::Magnitude, 42);
-        for v in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-            // CPU ladder: V1 gathers directly, V2/V3 pack at high sparsity.
-            assert_close(
-                &ladder(v, &p.a, &p.sb),
-                &p.oracle,
-                &format!("cpu/{v:?}@{cfg}"),
-            );
-        }
+        // The packed class engages at high sparsity only.
+        assert_close(&cpu(&p.a, &p.sb), &p.oracle, &format!("cpu@{cfg}"));
     }
 }
 
@@ -64,13 +70,7 @@ fn every_engine_agrees_on_ragged_shapes() {
         (65, 257, 129, 3),
     ] {
         let p = problem(m, n, k, cfg, PrunePolicy::Random { seed }, seed);
-        for v in [NmVersion::V1, NmVersion::V3] {
-            assert_close(
-                &ladder(v, &p.a, &p.sb),
-                &p.oracle,
-                &format!("cpu/{v:?} ragged"),
-            );
-        }
+        assert_close(&cpu(&p.a, &p.sb), &p.oracle, "cpu ragged");
     }
 }
 
@@ -86,11 +86,7 @@ fn all_pruning_policies_flow_through_the_stack() {
         let p = problem(64, 96, 192, cfg, policy, 7);
         // Strided/FirstN produce identical window patterns — the packing
         // path's best case — and must still be numerically exact.
-        assert_close(
-            &ladder(NmVersion::V3, &p.a, &p.sb),
-            &p.oracle,
-            &format!("{policy:?}"),
-        );
+        assert_close(&cpu(&p.a, &p.sb), &p.oracle, &format!("{policy:?}"));
     }
 }
 
@@ -101,9 +97,9 @@ fn dense_control_equals_dense_gemm_everywhere() {
     let dense_oracle = gemm_reference(&p.a, &p.b);
     assert_close(&p.oracle, &dense_oracle, "eq1 at 0% sparsity");
     assert_close(
-        &ladder(NmVersion::V3, &p.a, &p.sb),
+        &cpu(&p.a, &p.sb),
         &dense_oracle,
-        "cpu ladder at 0% sparsity",
+        "cpu kernel at 0% sparsity",
     );
 }
 

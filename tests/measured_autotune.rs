@@ -210,7 +210,7 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     }
 }
 
-/// Small valid (N, M, L=32) configurations the CPU ladder's packed and
+/// Small valid (N, M, L=32) configurations the CPU kernel's packed and
 /// unpacked paths both see.
 fn arb_cfg() -> impl Strategy<Value = NmConfig> {
     prop_oneof![

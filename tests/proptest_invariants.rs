@@ -3,10 +3,13 @@
 //! format's invariants and the equivalence of all execution paths must
 //! hold.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::colinfo::preprocess;
 use nm_spmm::core::prune::{select, PrunePolicy};
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
-use nm_spmm::kernels::cpu::{spmm_cpu, CpuTiling};
+use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::{BackendKind, KernelChoice, NmSpmmKernel, NmVersion, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
@@ -116,9 +119,9 @@ proptest! {
         );
     }
 
-    /// Every CPU ladder step agrees with the oracle: V1 gathers
-    /// directly, V2/V3 pack wherever the arbitrary config is highly
-    /// sparse.
+    /// The CPU kernel agrees with the oracle (taking the packed class
+    /// wherever the arbitrary config is highly sparse), and with itself
+    /// pinned to one worker, bit for bit.
     #[test]
     fn cpu_paths_agree(
         cfg in arb_config(),
@@ -134,15 +137,15 @@ proptest! {
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed }).expect("prune");
         let oracle = spmm_reference(&a, &sb);
         let tiling = CpuTiling::auto(cfg, m, n, k).expect("tiling");
-        for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-            let got = spmm_cpu(version, &a, &sb, tiling).expect("cpu ladder");
-            prop_assert!(
-                got.allclose(&oracle, 1e-3, 1e-4),
-                "{:?}: max diff {}",
-                version,
-                got.max_abs_diff(&oracle)
-            );
-        }
+        let prep = CpuPrepared::new(&sb, tiling).expect("staging");
+        let got = spmm_cpu_prepared(&a, &sb, &prep).expect("cpu kernel");
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).expect("cpu kernel");
+        prop_assert_eq!(got.as_slice(), serial.as_slice());
+        prop_assert!(
+            got.allclose(&oracle, 1e-3, 1e-4),
+            "max diff {}",
+            got.max_abs_diff(&oracle)
+        );
     }
 
     /// Offline pre-processing invariants: every block's list is sorted and

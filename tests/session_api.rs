@@ -7,9 +7,12 @@
 //! * **concurrency** — `PreparedLayer: Send + Sync`, so one prepared
 //!   handle serves concurrent callers producing identical results.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::cpu::offline_staging_passes;
-use nm_spmm::kernels::{BackendKind, NmVersion, PreparedLayer, Session, SessionBuilder};
+use nm_spmm::kernels::{BackendKind, LoadSpec, NmVersion, PreparedLayer, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 
 fn session() -> Session {
@@ -21,9 +24,9 @@ fn prune(k: usize, n: usize, cfg: NmConfig, seed: u64) -> NmSparseMatrix {
 }
 
 /// The acceptance-criterion proof: after `load`, the staging counter on
-/// this thread never moves again, however many forwards run — for every
-/// ladder step, including the packed (V2/V3, high-sparsity) path whose
-/// `col_info` pre-processing is the paper's headline offline cost.
+/// this thread never moves again, however many forwards run — on the
+/// packed (high-sparsity) class whose `col_info` pre-processing is the
+/// paper's headline offline cost, on all workers and pinned to one.
 #[test]
 fn repeated_forward_performs_zero_re_preparation() {
     let mut s = session();
@@ -32,39 +35,58 @@ fn repeated_forward_performs_zero_re_preparation() {
     let a0 = MatrixF32::random(64, 256, 2);
     let expect = spmm_reference(&a0, &sb);
 
-    for version in [NmVersion::V1, NmVersion::V2, NmVersion::V3] {
-        let before_load = offline_staging_passes();
-        let layer = s
-            .load_on(sb.clone(), 64, BackendKind::Cpu(version))
-            .unwrap();
-        assert_eq!(
-            offline_staging_passes(),
-            before_load + 1,
-            "{version:?}: load must stage exactly once"
-        );
+    let before_load = offline_staging_passes();
+    let layer = s
+        .load_on(sb.clone(), 64, BackendKind::Cpu(NmVersion::V3))
+        .unwrap();
+    assert_eq!(
+        offline_staging_passes(),
+        before_load + 1,
+        "load must stage exactly once"
+    );
 
-        let staged = offline_staging_passes();
-        for round in 0..4 {
-            // Varying operands, same handle: the online path only.
-            let a = if round == 0 {
-                a0.clone()
-            } else {
-                MatrixF32::random(64, 256, 10 + round)
-            };
-            let run = layer.forward(&a).unwrap();
-            if round == 0 {
-                assert!(
-                    run.c.allclose(&expect, 1e-3, 1e-4),
-                    "{version:?}: max diff {}",
-                    run.c.max_abs_diff(&expect)
-                );
-            }
+    let staged = offline_staging_passes();
+    for round in 0..4 {
+        // Varying operands, same handle: the online path only.
+        let a = if round == 0 {
+            a0.clone()
+        } else {
+            MatrixF32::random(64, 256, 10 + round)
+        };
+        let run = layer.forward(&a).unwrap();
+        let serial = one_worker(|| layer.forward(&a)).unwrap();
+        assert_eq!(run.c.as_slice(), serial.c.as_slice(), "round {round}");
+        if round == 0 {
+            assert!(
+                run.c.allclose(&expect, 1e-3, 1e-4),
+                "max diff {}",
+                run.c.max_abs_diff(&expect)
+            );
         }
-        assert_eq!(
-            offline_staging_passes(),
-            staged,
-            "{version:?}: four forwards must not re-stage anything"
-        );
+    }
+    assert_eq!(
+        offline_staging_passes(),
+        staged,
+        "eight forwards must not re-stage anything"
+    );
+}
+
+/// The CPU runs one kernel: asking a session for the paper's V1/V2 steps
+/// on the CPU is a structured error at build and at load, never a run.
+#[test]
+fn cpu_ladder_steps_are_structured_errors_not_runs() {
+    let mut s = session();
+    let sb = prune(64, 64, NmConfig::new(2, 8, 32).unwrap(), 3);
+    for v in [NmVersion::V1, NmVersion::V2] {
+        let staged = offline_staging_passes();
+        let spec = LoadSpec::rows(8).backend(BackendKind::Cpu(v));
+        let loaded = s.load_with(sb.clone(), spec).map(|_| ());
+        let built = SessionBuilder::new(a100_80g()).backend(BackendKind::Cpu(v));
+        for result in [loaded, built.build().map(|_| ())] {
+            let unsupported = matches!(result, Err(NmError::Unsupported { .. }));
+            assert!(unsupported, "{v:?}: {result:?}");
+        }
+        assert_eq!(offline_staging_passes(), staged, "{v:?}: nothing staged");
     }
 }
 

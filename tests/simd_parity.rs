@@ -1,40 +1,42 @@
 //! Micro-kernel ISA parity: every micro-kernel this host can execute
 //! (scalar, plus AVX2 / AVX-512 on x86_64 or NEON on aarch64) must produce
-//! the same ladder results as the f64 oracle — across ragged shapes, all
-//! four paper sparsity levels, and both tile widths (`L = 16` exercises
-//! the 4×16 tile, `L = 32` the 4×32 dual-accumulator tile).
+//! the same kernel results as the f64 oracle, on all workers and bit for
+//! bit pinned to one — across ragged shapes, all four paper sparsity
+//! levels, and both tile widths (`L = 16` exercises the 4×16 tile,
+//! `L = 32` the 4×32 dual-accumulator tile).
 //!
 //! Runtime dispatch must also be *provably safe*: kernels for ISAs the
 //! host does not support are unconstructible, so no test (and no caller)
 //! can ever reach an illegal instruction.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::simd::{Isa, MicroKernel};
-use nm_spmm::kernels::NmVersion;
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 
-const VERSIONS: [NmVersion; 3] = [NmVersion::V1, NmVersion::V2, NmVersion::V3];
-
-/// Run the whole ladder under one explicit micro-kernel and compare to the
-/// f64 oracle.
+/// Run the kernel under one explicit micro-kernel and compare to the f64
+/// oracle and to itself pinned to one worker.
 fn assert_kernel_parity(mk: MicroKernel, m: usize, k: usize, n: usize, cfg: NmConfig, seed: u64) {
     let a = MatrixF32::random(m, k, seed);
     let b = MatrixF32::random(k, n, seed ^ 0x51d);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
     let oracle = gemm_reference_f64(&a, &sb.decompress());
     let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
-    for version in VERSIONS {
-        let prep = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-        assert_eq!(prep.isa(), mk.isa());
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-        assert!(
-            got.allclose(&oracle, 1e-3, 1e-4),
-            "{mk} {cfg} {version:?} ({m}x{n}x{k}): vs f64 oracle diff {}",
-            got.max_abs_diff(&oracle)
-        );
-    }
+    let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+    assert_eq!(prep.isa(), mk.isa());
+    let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+    let tag = format!("{mk} {cfg} ({m}x{n}x{k})");
+    assert_eq!(got.as_slice(), serial.as_slice(), "{tag}: one worker");
+    assert!(
+        got.allclose(&oracle, 1e-3, 1e-4),
+        "{tag}: vs f64 oracle diff {}",
+        got.max_abs_diff(&oracle)
+    );
 }
 
 #[test]
@@ -136,15 +138,15 @@ proptest! {
         let oracle = gemm_reference_f64(&a, &sb.decompress());
         let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
         for mk in MicroKernel::available() {
-            for version in VERSIONS {
-                let prep = CpuPrepared::with_kernel(version, &sb, tiling, mk).unwrap();
-                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-                prop_assert!(
-                    got.allclose(&oracle, 1e-3, 1e-4),
-                    "{} {} {:?} ({}x{}x{}): max diff {}",
-                    mk, cfg, version, m, n, k, got.max_abs_diff(&oracle)
-                );
-            }
+            let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+            prop_assert_eq!(got.as_slice(), serial.as_slice());
+            prop_assert!(
+                got.allclose(&oracle, 1e-3, 1e-4),
+                "{} {} ({}x{}x{}): max diff {}",
+                mk, cfg, m, n, k, got.max_abs_diff(&oracle)
+            );
         }
     }
 }

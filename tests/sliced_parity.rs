@@ -2,11 +2,11 @@
 //! *invisible* rearrangement. Three claims are enforced end to end:
 //!
 //! 1. **Numerics** — a sliced-staged layer produces bit-for-bit the same
-//!    output as a row-major one (same version, same tiling, same
-//!    micro-kernel) — both are layouts of one panel walk, row-major the
-//!    `C = nb/L, σ = 1` one — and both sit within oracle tolerance of the
-//!    f64 reference, across every ISA this host can execute, every ladder
-//!    version, every paper sparsity level, ragged shapes, and skinny and
+//!    output as a row-major one (same tiling, same micro-kernel) — both
+//!    are layouts of one panel walk, row-major the `C = nb/L, σ = 1` one —
+//!    on all workers and pinned to one, and both sit within oracle
+//!    tolerance of the f64 reference, across every ISA this host can
+//!    execute, every paper sparsity level, ragged shapes, and skinny and
 //!    multi-panel row counts.
 //! 2. **Permutation bookkeeping** — the window permutation and its
 //!    inverse compose to the identity, and the per-window write-back
@@ -14,6 +14,9 @@
 //! 3. **Persistence** — the plan-cache format round-trips the storage
 //!    lane through disk.
 
+mod common;
+
+use common::one_worker;
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::plan::Planner;
@@ -22,8 +25,6 @@ use nm_spmm::kernels::{BackendKind, LoadSpec, NmVersion, PlanCache, SessionBuild
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
-
-const VERSIONS: [NmVersion; 3] = [NmVersion::V1, NmVersion::V2, NmVersion::V3];
 
 /// Ragged (k, n) pairs: k off the window depth, n off the pruning-window
 /// width, plus an exact multiple as the control.
@@ -71,35 +72,31 @@ fn sliced_matches_row_major_bitwise_and_the_oracle_across_isas_versions_and_leve
     }
 }
 
-/// One `(kernel, operand, rows, tiling)` cell: every version's row-major
-/// output sits within tolerance of the f64 oracle, and every sliced
-/// layout reproduces it bit for bit.
+/// One `(kernel, operand, rows, tiling)` cell: the row-major output
+/// pinned to one worker sits within tolerance of the f64 oracle, and
+/// row-major and every sliced layout reproduce it bit for bit on all
+/// workers.
 fn check_layouts(mk: MicroKernel, sb: &NmSparseMatrix, m: usize, tiling: CpuTiling, seed: u64) {
     let (cfg, k, n) = (sb.cfg(), sb.k(), sb.cols());
     let a = MatrixF32::random(m, k, seed);
     let oracle = gemm_reference_f64(&a, &sb.decompress());
-    for version in VERSIONS {
-        let tag = format!("{mk} {cfg} {version:?} m={m} k={k} n={n}");
-        let rm = CpuPrepared::with_kernel(version, sb, tiling, mk).unwrap();
-        let want = spmm_cpu_prepared(&a, sb, &rm).unwrap();
-        assert!(
-            want.allclose(&oracle, 1e-3, 1e-4),
-            "{tag}: row-major vs f64 oracle diff {}",
-            want.max_abs_diff(&oracle)
+    let tag = format!("{mk} {cfg} m={m} k={k} n={n}");
+    let rm = CpuPrepared::with_kernel(sb, tiling, mk).unwrap();
+    let want = one_worker(|| spmm_cpu_prepared(&a, sb, &rm)).unwrap();
+    assert!(
+        want.allclose(&oracle, 1e-3, 1e-4),
+        "{tag}: row-major vs f64 oracle diff {}",
+        want.max_abs_diff(&oracle)
+    );
+    let formats = layouts().into_iter().map(StorageFormat::Sliced);
+    for format in std::iter::once(StorageFormat::RowMajor).chain(formats) {
+        let prep = CpuPrepared::with_format(sb, tiling, mk, format).unwrap();
+        let got = spmm_cpu_prepared(&a, sb, &prep).unwrap();
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "{tag} {format}: bit-identical to row-major on one worker",
         );
-        for layout in layouts() {
-            let sl =
-                CpuPrepared::with_format(version, sb, tiling, mk, StorageFormat::Sliced(layout))
-                    .unwrap();
-            let got = spmm_cpu_prepared(&a, sb, &sl).unwrap();
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{tag} C={} σ={}: sliced must be bit-identical to row-major",
-                layout.slice_height,
-                layout.sort_window,
-            );
-        }
     }
 }
 
@@ -183,7 +180,7 @@ proptest! {
 
     /// Property: a session layer pinned to any sliced layout serves
     /// `forward_vec` bit-for-bit identically to the auto (row-major)
-    /// layer, for every ladder version, arbitrary ragged (k, n), every
+    /// layer pinned to one worker, for arbitrary ragged (k, n), every
     /// paper level and both pruning-window widths.
     #[test]
     fn forward_vec_is_bit_identical_across_storage_formats(
@@ -202,26 +199,25 @@ proptest! {
         let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let x: Vec<f32> = MatrixF32::random(1, k, seed).into_vec();
         let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-        for version in VERSIONS {
-            let auto = session
-                .load_with(sb.clone(), LoadSpec::rows(1).backend(BackendKind::Cpu(version)))
-                .unwrap();
-            let sliced = session
-                .load_with(
-                    sb.clone(),
-                    LoadSpec::rows(1)
-                        .backend(BackendKind::Cpu(version))
-                        .storage(StorageFormat::Sliced(layout)),
-                )
-                .unwrap();
-            prop_assert_eq!(
-                sliced.storage(),
-                Some(StorageFormat::Sliced(layout)),
-                "the pin must reach the staged state"
-            );
-            let want = auto.forward_vec(&x).unwrap();
-            let got = sliced.forward_vec(&x).unwrap();
-            prop_assert_eq!(got.c.as_slice(), want.c.as_slice());
-        }
+        let cpu = BackendKind::Cpu(NmVersion::V3);
+        let auto = session
+            .load_with(sb.clone(), LoadSpec::rows(1).backend(cpu))
+            .unwrap();
+        let sliced = session
+            .load_with(
+                sb.clone(),
+                LoadSpec::rows(1)
+                    .backend(cpu)
+                    .storage(StorageFormat::Sliced(layout)),
+            )
+            .unwrap();
+        prop_assert_eq!(
+            sliced.storage(),
+            Some(StorageFormat::Sliced(layout)),
+            "the pin must reach the staged state"
+        );
+        let want = one_worker(|| auto.forward_vec(&x)).unwrap();
+        let got = sliced.forward_vec(&x).unwrap();
+        prop_assert_eq!(got.c.as_slice(), want.c.as_slice());
     }
 }
