@@ -29,6 +29,7 @@ use nm_kernels::backend::ExecBackend;
 use nm_kernels::codegen::{CodegenBackend, CodegenPrepared};
 use nm_kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
 use nm_kernels::{BackendKind, CpuBackend, MicroKernel};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One matrix cell's outcome.
@@ -86,8 +87,8 @@ impl Cell {
 /// Run one `(plan, operand, rows)` cell: prepare (lower + emit +
 /// validate), execute through the interpreter, compare with `cpu_v3`,
 /// compare phase structures.
-fn run_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, seed: u64) -> Cell {
-    let dev = a100_80g();
+fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
+    let (dev, sb) = (a100_80g(), &Arc::new(sb));
     let a = MatrixF32::random(m, sb.k(), seed);
     let backend = CodegenBackend::new();
     let state = backend
@@ -104,7 +105,7 @@ fn run_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let stats = stats.unwrap_or_else(|e| panic!("{}: {e}", prep.spec().name()));
 
     let t0 = Instant::now();
-    let (c, trace) = prep.execute(&a, sb).expect("interpret");
+    let (c, trace) = prep.execute(&a).expect("interpret");
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
@@ -209,7 +210,7 @@ fn main() {
                     .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
                     .expect("plan");
                 plan.choice = choice;
-                cells.push(run_cell(&plan, &sb, m, seed ^ (0x200 + ci as u64)));
+                cells.push(run_cell(&plan, sb, m, seed ^ (0x200 + ci as u64)));
             }
         }
         // The skinny decode family at m = 1, on the largest shape.
@@ -219,7 +220,7 @@ fn main() {
         let plan = Planner::new(a100_80g())
             .plan_stored(ShapeClass::Decode(1), storage, 1, n, k, cfg)
             .expect("decode plan");
-        cells.push(run_cell(&plan, &sb, 1, seed ^ 0x400));
+        cells.push(run_cell(&plan, sb, 1, seed ^ 0x400));
     }
 
     let mut table = TextTable::new(&[

@@ -26,12 +26,19 @@
 //! * **serial** — the same requests served one-by-one via `forward_vec`,
 //!   no server in the path: the goodput floor batching must beat.
 //! * **closed loop** — `c` client threads, each submitting and waiting,
-//!   at `c ∈ {1, 2, 4, 8}`: latency distribution (client-observed e2e
-//!   p50/p95/p99), goodput, and the server's mean coalesced batch size.
+//!   at `c ∈ {1, 2, 4, 8}`, against one server per `c`: latency
+//!   distribution (client-observed e2e p50/p95/p99, from the last round),
+//!   goodput, and the server's mean coalesced batch size.
 //! * **open loop** — paced submissions at ~2× the serial service rate
 //!   with a per-request deadline: goodput under overload plus the shed
 //!   and rejection accounting (every non-served request resolves with a
 //!   structured error; the artifact proves none vanished).
+//!
+//! The serial and closed-loop lanes run as rivals of one [`race`] of
+//! `ROUNDS` paired rounds, so every lane sees the same host drift. A
+//! lane's goodput is its requests over its median round, and each
+//! batched/serial ratio the gate reads is the median of the per-round
+//! ratios.
 //!
 //! Exit codes: `0` success, `1` a `--assert-batching` gate failure,
 //! `2` usage / I/O failure — including an `NM_SPMM_ISA` override this
@@ -45,25 +52,45 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::session::{LoadSpec, PreparedLayer};
-use nm_kernels::{BackendKind, MicroKernel, NmVersion, SessionBuilder, DECODE_MAX_ROWS};
+use nm_kernels::{
+    race, BackendKind, MicroKernel, NmVersion, SessionBuilder, Spread, DECODE_MAX_ROWS,
+};
 use nm_serve::{Server, ServerConfig, SubmitOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Paired rounds of the serial and closed-loop race.
+const ROUNDS: usize = 21;
 
 /// One serving lane's outcome: wall-clock goodput plus the
 /// client-observed latency distribution.
 struct Lane {
     label: String,
     concurrency: usize,
+    /// Requests served per round.
     requests: usize,
-    seconds: f64,
+    /// Wall time of each raced round, seconds.
+    rounds: Vec<f64>,
     latencies_ms: Vec<f64>,
     mean_batch: f64,
 }
 
 impl Lane {
+    fn seconds(&self) -> f64 {
+        Spread::of(&self.rounds).median
+    }
+
     fn goodput_rps(&self) -> f64 {
-        self.requests as f64 / self.seconds
+        self.requests as f64 / self.seconds()
+    }
+
+    /// The median over rounds of this lane's goodput over `base`'s in the
+    /// same round.
+    fn paired_over(&self, base: &Lane) -> f64 {
+        let ratios: Vec<f64> = (self.rounds.iter().zip(&base.rounds))
+            .map(|(t, t0)| (self.requests as f64 / t) / (base.requests as f64 / t0))
+            .collect();
+        Spread::of(&ratios).median
     }
 
     fn json(&self) -> JsonValue {
@@ -71,7 +98,7 @@ impl Lane {
             ("label", JsonValue::from_str_value(&self.label)),
             ("concurrency", JsonValue::from_usize(self.concurrency)),
             ("requests", JsonValue::from_usize(self.requests)),
-            ("seconds", JsonValue::Number(self.seconds)),
+            ("seconds", JsonValue::Number(self.seconds())),
             ("goodput_rps", JsonValue::Number(self.goodput_rps())),
             (
                 "p50_ms",
@@ -97,78 +124,56 @@ fn request_pool(k: usize, count: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..count).map(|i| m.row(i).to_vec()).collect()
 }
 
-/// The no-server baseline: the identical request stream served one at a
-/// time through the prepared SpMV path.
-fn run_serial(layer: &PreparedLayer, pool: &[Vec<f32>], requests: usize) -> Lane {
-    let mut latencies_ms = Vec::with_capacity(requests);
-    let t0 = Instant::now();
-    for i in 0..requests {
-        let t = Instant::now();
-        layer
-            .forward_vec(&pool[i % pool.len()])
-            .expect("serial forward_vec");
-        latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    Lane {
-        label: "serial".into(),
-        concurrency: 1,
-        requests,
-        seconds: t0.elapsed().as_secs_f64(),
-        latencies_ms,
-        mean_batch: 1.0,
-    }
-}
-
-/// Closed loop: `concurrency` clients, each submit → wait → repeat.
-fn run_closed(
-    layer: Arc<PreparedLayer>,
-    cfg: &ServerConfig,
+/// One round of a lane: the request stream served one at a time
+/// through the prepared SpMV path when `server` is `None` (the no-server
+/// baseline), else by `concurrency` closed-loop clients, each submit →
+/// wait → repeat, `per_client` requests each. Returns the client-observed
+/// latencies in milliseconds.
+fn serve_round(
+    layer: &PreparedLayer,
+    server: Option<&Server>,
     pool: &[Vec<f32>],
     concurrency: usize,
     per_client: usize,
-) -> Lane {
-    let server = Server::start(layer, cfg.clone()).expect("server");
-    let t0 = Instant::now();
-    let latencies_ms: Vec<f64> = std::thread::scope(|scope| {
-        let server = &server;
+) -> Result<Vec<f64>, NmError> {
+    let Some(server) = server else {
+        return (0..per_client)
+            .map(|i| {
+                let t = Instant::now();
+                layer.forward_vec(&pool[i % pool.len()])?;
+                Ok(t.elapsed().as_secs_f64() * 1e3)
+            })
+            .collect();
+    };
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|client| {
                 scope.spawn(move || {
-                    let mut lats = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let x = pool[(client * per_client + i) % pool.len()].clone();
-                        let t = Instant::now();
-                        let ticket = loop {
-                            match server.submit_decode(x.clone(), SubmitOptions::default()) {
-                                Ok(ticket) => break ticket,
-                                // A closed loop can only trip the bound
-                                // transiently; back off and retry.
-                                Err(NmError::Overloaded { .. }) => std::thread::yield_now(),
-                                Err(e) => panic!("submit failed: {e}"),
-                            }
-                        };
-                        ticket.wait().expect("request served");
-                        lats.push(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    lats
+                    (0..per_client)
+                        .map(|i| {
+                            let x = &pool[(client * per_client + i) % pool.len()];
+                            let t = Instant::now();
+                            let ticket = loop {
+                                match server.submit_decode(x.clone(), SubmitOptions::default()) {
+                                    // A closed loop can only trip the bound
+                                    // transiently; back off and retry.
+                                    Err(NmError::Overloaded { .. }) => std::thread::yield_now(),
+                                    submitted => break submitted?,
+                                }
+                            };
+                            ticket.wait()?;
+                            Ok(t.elapsed().as_secs_f64() * 1e3)
+                        })
+                        .collect::<Result<Vec<f64>, NmError>>()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let seconds = t0.elapsed().as_secs_f64();
-    let stats = server.stats();
-    Lane {
-        label: format!("closed-c{concurrency}"),
-        concurrency,
-        requests: concurrency * per_client,
-        seconds,
-        latencies_ms,
-        mean_batch: stats.mean_batch_size,
-    }
+        let mut latencies = Vec::new();
+        for handle in handles {
+            latencies.extend(handle.join().expect("client thread")?);
+        }
+        Ok(latencies)
+    })
 }
 
 /// Open loop: paced submissions at `offered_rps` with a deadline;
@@ -365,17 +370,42 @@ fn main() {
         layer.forward_vec(x).expect("warmup");
     }
 
-    let serial = run_serial(&layer, &pool, serial_requests);
-    let mut lanes: Vec<Lane> = vec![];
+    // The serial lane (no server) and one closed loop per concurrency,
+    // each against its own server, raced in paired rounds.
+    let mut rigs: Vec<(usize, usize, Option<Server>)> = vec![(1, serial_requests, None)];
     for c in [1usize, 2, 4, 8] {
-        lanes.push(run_closed(
-            layer.clone(),
-            &serving_cfg,
-            &pool,
-            c,
-            per_client,
-        ));
+        let server = Server::start(layer.clone(), serving_cfg.clone()).expect("server");
+        rigs.push((c, per_client, Some(server)));
     }
+    let mut rivals: Vec<_> = rigs
+        .iter()
+        .map(|(c, n, server)| || serve_round(&layer, server.as_ref(), &pool, *c, *n))
+        .collect();
+    let raced = race(&mut rivals, ROUNDS).expect("serving lanes");
+    drop(rivals);
+    let mut lanes: Vec<Lane> = rigs
+        .into_iter()
+        .zip(raced)
+        .map(|((c, n, server), (rounds, latencies_ms))| Lane {
+            label: match server {
+                Some(_) => format!("closed-c{c}"),
+                None => "serial".into(),
+            },
+            concurrency: c,
+            requests: c * n,
+            rounds,
+            latencies_ms,
+            mean_batch: server.map_or(1.0, |s| s.stats().mean_batch_size),
+        })
+        .collect();
+    let serial = lanes.remove(0);
+    // The same-run batching gate, on paired ratios: coalescing must buy
+    // goodput once concurrency covers the decode band's stacking headroom.
+    let ratio_at = |c: usize| {
+        let lane = lanes.iter().find(|l| l.concurrency == c).expect("lane");
+        lane.paired_over(&serial)
+    };
+    let (r4, r8) = (ratio_at(4), ratio_at(8));
 
     // Open loop, twice: at 2x the serial service rate (load batching is
     // expected to absorb — low shed, goodput above serial), and at 8x
@@ -434,22 +464,13 @@ fn main() {
     }
     table.print();
 
-    // The same-run batching gate: coalescing must buy goodput once
-    // concurrency covers the decode band's stacking headroom.
-    let ratio_at = |c: usize| -> f64 {
-        lanes
-            .iter()
-            .find(|l| l.concurrency == c)
-            .map(|l| l.goodput_rps() / serial_rate)
-            .unwrap_or(0.0)
-    };
-    let (r4, r8) = (ratio_at(4), ratio_at(8));
     println!("batched/serial goodput: c4 {r4:.2}x, c8 {r8:.2}x");
 
     let doc = JsonValue::object(vec![
         ("schema", JsonValue::from_str_value("serving-v1")),
         ("quick", JsonValue::Bool(quick)),
         ("seed", JsonValue::from_usize(seed as usize)),
+        ("rounds", JsonValue::from_usize(ROUNDS)),
         ("threads", JsonValue::from_usize(session.threads())),
         (
             "isa",

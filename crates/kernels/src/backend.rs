@@ -22,10 +22,14 @@
 //! [`ExecBackend::prepare`], which returns an opaque [`PreparedState`];
 //! the **online** kernel is [`ExecBackend::run_prepared`], which may be
 //! called any number of times against the same state without repeating
-//! the staging. [`ExecBackend::run`] is the convenience composition for
-//! one-shot callers. The handle-based [`Session`](crate::session) API owns
-//! this amortization for library users; code outside the crate should go
-//! through it rather than drive backends directly.
+//! the staging. The state owns everything the online step reads, so
+//! `run_prepared` takes the activations alone: the CPU state holds its
+//! staged `B′`, and the simulator and codegen states share the compressed
+//! matrix through an `Arc` clone. [`ExecBackend::run`] is the convenience
+//! composition for one-shot callers. The handle-based
+//! [`Session`](crate::session) API owns this amortization for library
+//! users; code outside the crate should go through it rather than drive
+//! backends directly.
 //!
 //! Every backend returns an [`ExecRun`]: the computed matrix, the
 //! **measured wall-clock time** of the online execution, and the plan's
@@ -38,6 +42,7 @@ use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::sparse::NmSparseMatrix;
 use nm_core::spmm::spmm_reference;
+use std::sync::Arc;
 
 use crate::cpu::{spmm_cpu_prepared, CpuPrepared};
 use crate::nm::{NmSpmmKernel, NmVersion};
@@ -181,10 +186,10 @@ pub struct ExecRun {
     /// The plan's simulated estimate for the kernel family this backend
     /// ran (`None` when the plan carries no estimate for it).
     pub estimate: Option<EstimateSummary>,
-    /// The instruction set the micro-kernel executed with; only the
-    /// [`CpuBackend`] selects one (runtime dispatch, see
-    /// [`crate::simd::MicroKernel`]) — the simulator has no host ISA to
-    /// report.
+    /// The instruction set the micro-kernel executed with: the CPU
+    /// backend's, or the ISA the codegen backend's CPU twin dispatched to
+    /// (runtime dispatch, see [`crate::simd::MicroKernel`]). `None` on the
+    /// simulator, which has no host ISA to report.
     pub isa: Option<Isa>,
     /// Simulated event counts: the [`SimBackend`]'s prediction, or the
     /// codegen interpreter's counts; `None` on the native CPU kernel.
@@ -215,13 +220,15 @@ pub trait PreparedState: Send + Sync {
     fn as_any(&self) -> &dyn Any;
 
     /// The micro-kernel ISA this preparation dispatched to, when the
-    /// backend runs on the host (CPU kernel); `None` for the simulator.
+    /// backend runs on the host (the CPU kernel, and the codegen
+    /// backend's CPU twin); `None` for the simulator.
     fn isa(&self) -> Option<Isa> {
         None
     }
 
     /// The `B′` storage format this preparation staged, when the backend
-    /// stages one (CPU kernel); `None` for the simulator.
+    /// stages one (the CPU kernel and the codegen backend); `None` for the
+    /// simulator.
     fn storage(&self) -> Option<nm_core::sliced::StorageFormat> {
         None
     }
@@ -230,8 +237,10 @@ pub trait PreparedState: Send + Sync {
 /// A way to execute a resolved plan on concrete operands.
 ///
 /// Implementations split the work along the paper's offline/online line:
-/// [`ExecBackend::prepare`] runs once per weight matrix,
-/// [`ExecBackend::run_prepared`] any number of times per activation batch.
+/// [`ExecBackend::prepare`] runs once per weight matrix and returns a state
+/// that owns what the online step reads; [`ExecBackend::run_prepared`]
+/// then runs any number of times per activation batch, given only the
+/// activations.
 pub trait ExecBackend: Send + Sync {
     /// The selector this backend answers to.
     fn kind(&self) -> BackendKind;
@@ -242,29 +251,30 @@ pub trait ExecBackend: Send + Sync {
     /// under `plan` so [`ExecBackend::run_prepared`] can amortize it.
     ///
     /// Implementations must return structured errors (never panic) when
-    /// the plan's blocking cannot drive this backend.
+    /// the plan's blocking cannot drive this backend. A state that reads
+    /// the compressed matrix online keeps a clone of the `Arc`, never a
+    /// copy of the matrix.
     fn prepare(
         &self,
         dev: &DeviceConfig,
         plan: &Plan,
-        sb: &NmSparseMatrix,
+        sb: &Arc<NmSparseMatrix>,
     ) -> Result<Box<dyn PreparedState>>;
 
     /// Online step: execute `C = A ⊛ (B′, D)` against a state this same
-    /// backend prepared from this same `sb`. The returned
-    /// [`ExecRun::wall_seconds`] covers this call only — no staging cost.
+    /// backend prepared. The returned [`ExecRun::wall_seconds`] covers this
+    /// call only — no staging cost.
     ///
     /// # Errors
     /// A state prepared by a *different* backend is rejected with a
-    /// structured [`NmError::InvalidConfig`]; operand mismatches are
-    /// [`NmError::DimensionMismatch`].
+    /// structured [`NmError::InvalidConfig`]; an `A` whose depth is not the
+    /// prepared weights' `k` is [`NmError::DimensionMismatch`].
     fn run_prepared(
         &self,
         dev: &DeviceConfig,
         plan: &Plan,
         state: &dyn PreparedState,
         a: &MatrixF32,
-        sb: &NmSparseMatrix,
     ) -> Result<ExecRun>;
 
     /// One-shot convenience: prepare, then run once. Callers executing the
@@ -275,14 +285,14 @@ pub trait ExecBackend: Send + Sync {
         dev: &DeviceConfig,
         plan: &Plan,
         a: &MatrixF32,
-        sb: &NmSparseMatrix,
+        sb: &Arc<NmSparseMatrix>,
     ) -> Result<ExecRun> {
         let state = self.prepare(dev, plan, sb)?;
-        self.run_prepared(dev, plan, &*state, a, sb)
+        self.run_prepared(dev, plan, &*state, a)
     }
 }
 
-fn foreign_state_error(backend: BackendKind) -> NmError {
+pub(crate) fn foreign_state_error(backend: BackendKind) -> NmError {
     NmError::InvalidConfig {
         reason: format!(
             "prepared state was not produced by the {backend} backend \
@@ -299,9 +309,11 @@ pub struct SimBackend;
 
 /// The simulator's prepared state: the weight-derived `col_info` packing
 /// ratio of the predicted NM-SpMM launch (`None` when that launch does not
-/// pack or the family is a baseline).
+/// pack or the family is a baseline), and the weights the reference
+/// oracle and Sputnik's prediction read.
 struct SimPrepared {
     packing_ratio: Option<f64>,
+    sb: Arc<NmSparseMatrix>,
 }
 
 impl PreparedState for SimPrepared {
@@ -334,13 +346,16 @@ impl ExecBackend for SimBackend {
         &self,
         dev: &DeviceConfig,
         plan: &Plan,
-        sb: &NmSparseMatrix,
+        sb: &Arc<NmSparseMatrix>,
     ) -> Result<Box<dyn PreparedState>> {
         let packing_ratio = match Self::predicted_family(plan).nm_version() {
             Some(v) => NmSpmmKernel::new(v, plan.params).measured_packing_ratio(dev, sb)?,
             None => None,
         };
-        Ok(Box::new(SimPrepared { packing_ratio }))
+        Ok(Box::new(SimPrepared {
+            packing_ratio,
+            sb: Arc::clone(sb),
+        }))
     }
 
     /// `estimate`, `stats` and `report` all describe the predicted family
@@ -351,11 +366,11 @@ impl ExecBackend for SimBackend {
         plan: &Plan,
         state: &dyn PreparedState,
         a: &MatrixF32,
-        sb: &NmSparseMatrix,
     ) -> Result<ExecRun> {
         let Some(prep) = state.as_any().downcast_ref::<SimPrepared>() else {
             return Err(foreign_state_error(self.kind()));
         };
+        let sb = &*prep.sb;
         let (m, k) = a.shape();
         if k != sb.k() {
             return Err(NmError::DimensionMismatch {
@@ -454,7 +469,7 @@ impl ExecBackend for CpuBackend {
         &self,
         _dev: &DeviceConfig,
         plan: &Plan,
-        sb: &NmSparseMatrix,
+        sb: &Arc<NmSparseMatrix>,
     ) -> Result<Box<dyn PreparedState>> {
         let prep = CpuPrepared::for_plan(plan, sb, self.kernel)?;
         Ok(Box::new(prep))
@@ -469,14 +484,13 @@ impl ExecBackend for CpuBackend {
         plan: &Plan,
         state: &dyn PreparedState,
         a: &MatrixF32,
-        sb: &NmSparseMatrix,
     ) -> Result<ExecRun> {
         let Some(prep) = state.as_any().downcast_ref::<CpuPrepared>() else {
             return Err(foreign_state_error(self.kind()));
         };
         let estimate = plan.estimates.get(KernelChoice::NmV3);
         let t0 = Instant::now();
-        let c = spmm_cpu_prepared(a, sb, prep)?;
+        let c = spmm_cpu_prepared(a, prep)?;
         let wall_seconds = t0.elapsed().as_secs_f64();
         Ok(ExecRun {
             c,
@@ -515,7 +529,8 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(96, 256, 192, cfg).unwrap();
         let a = MatrixF32::random(96, 192, 11);
         let b = MatrixF32::random(192, 256, 12);
-        let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 13 }).unwrap();
+        let sb =
+            Arc::new(NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 13 }).unwrap());
         let expect = spmm_reference(&a, &sb);
         for kind in BackendKind::all() {
             let run = kind
@@ -555,13 +570,13 @@ mod tests {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let plan = Planner::new(dev.clone()).plan(64, 128, 128, cfg).unwrap();
         let b = MatrixF32::random(128, 128, 21);
-        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         for kind in BackendKind::all() {
             let backend = kind.instantiate().unwrap();
             let state = backend.prepare(&dev, &plan, &sb).unwrap();
             for seed in 0..3u64 {
                 let a = MatrixF32::random(64, 128, 30 + seed);
-                let run = backend.run_prepared(&dev, &plan, &*state, &a, &sb).unwrap();
+                let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
                 let expect = spmm_reference(&a, &sb);
                 assert!(
                     run.c.allclose(&expect, 1e-3, 1e-4),
@@ -581,7 +596,7 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(64, 128, 128, cfg).unwrap();
         let a = MatrixF32::random(64, 128, 1);
         let b = MatrixF32::random(128, 128, 2);
-        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
 
         let sim = SimBackend;
         let cpu = CpuBackend::new();
@@ -589,13 +604,9 @@ mod tests {
         let cpu_state = cpu.prepare(&dev, &plan, &sb).unwrap();
 
         // Crossing the states over must fail structurally, not compute.
-        let err = cpu
-            .run_prepared(&dev, &plan, &*sim_state, &a, &sb)
-            .unwrap_err();
+        let err = cpu.run_prepared(&dev, &plan, &*sim_state, &a).unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
-        let err = sim
-            .run_prepared(&dev, &plan, &*cpu_state, &a, &sb)
-            .unwrap_err();
+        let err = sim.run_prepared(&dev, &plan, &*cpu_state, &a).unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
 
         // An `A` whose k does not match the weights is a structured
@@ -627,7 +638,7 @@ mod tests {
         let b = MatrixF32::random(k, n, 10);
         // Strided windows pack to the N/M floor, far from the
         // expected-union model's ratio for random patterns.
-        let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Strided).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune(&b, cfg, PrunePolicy::Strided).unwrap());
         for choice in [
             KernelChoice::NmV1,
             KernelChoice::NmV2,
@@ -671,12 +682,12 @@ mod tests {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let plan = Planner::new(dev.clone()).plan(32, 64, 64, cfg).unwrap();
         let b = MatrixF32::random(64, 64, 3);
-        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let backend = CpuBackend::with_kernel(MicroKernel::scalar());
         let state = backend.prepare(&dev, &plan, &sb).unwrap();
         assert_eq!(state.isa(), Some(Isa::Scalar));
         let a = MatrixF32::random(32, 64, 4);
-        let run = backend.run_prepared(&dev, &plan, &*state, &a, &sb).unwrap();
+        let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
         assert_eq!(run.isa, Some(Isa::Scalar));
         assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
     }
@@ -688,7 +699,7 @@ mod tests {
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let b = MatrixF32::random(128, 128, 5);
-        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let a = MatrixF32::random(1, 128, 6);
         let expect = spmm_reference(&a, &sb);
         let backend = CpuBackend::new();
@@ -701,9 +712,7 @@ mod tests {
         let state = backend.prepare(&dev, &pinned, &sb).unwrap();
         let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
         assert_eq!(prep.format(), pin);
-        let run = backend
-            .run_prepared(&dev, &pinned, &*state, &a, &sb)
-            .unwrap();
+        let run = backend.run_prepared(&dev, &pinned, &*state, &a).unwrap();
         assert!(run.c.allclose(&expect, 1e-3, 1e-4));
 
         // Measured evidence carries the format too.
@@ -737,7 +746,7 @@ mod tests {
         assert!(!plan.params.ns.is_multiple_of(48), "setup: preset expected");
         let a = MatrixF32::random(64, 96, 1);
         let b = MatrixF32::random(96, 96, 2);
-        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let err = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap_err();
         assert!(matches!(err, NmError::InvalidBlocking { .. }), "{err}");
     }

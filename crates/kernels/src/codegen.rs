@@ -24,9 +24,9 @@
 //! * the per-`(span, k-block)` fast flags are the twin's op-flavor map,
 //!   reused verbatim, so the interpreter chooses FMA vs zero-skipping
 //!   mul-add exactly where the CPU kernel does;
-//! * `B′` is bound from the operand itself at execution, so a prepared
-//!   layer holds `B′` and its gather indices once, in the twin's staging,
-//!   besides the operand.
+//! * `B′` is bound to the values of the compressed matrix the preparation
+//!   holds (an `Arc` clone of the one it was prepared from, never a copy),
+//!   so the state adds no second copy of `B′` to the twin's staging.
 //!
 //! That is what makes the parity guarantee *trace-level*: the
 //! interpreter's output is bit-identical to `cpu_v3`, and its phase
@@ -38,8 +38,9 @@ use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
+use std::sync::Arc;
 
-use crate::backend::{BackendKind, ExecBackend, ExecRun, PreparedState};
+use crate::backend::{foreign_state_error, BackendKind, ExecBackend, ExecRun, PreparedState};
 use crate::cpu::{uses_packing, CpuPrepared};
 use crate::nm::NmVersion;
 use crate::plan::{KernelChoice, Plan};
@@ -61,14 +62,6 @@ use std::time::Instant;
 /// operands).
 const REGS_PER_THREAD: usize = 64;
 
-fn foreign_state_error() -> NmError {
-    NmError::InvalidConfig {
-        reason: "prepared state was not produced by the codegen backend \
-                 (prepare and run_prepared must use the same backend)"
-            .into(),
-    }
-}
-
 /// The kernel family a plan lowers to: the plan's ladder choice, except
 /// that decode-class shapes take the skinny-row family (the 1-row rung
 /// of the ladder, single-row register tiles).
@@ -86,8 +79,10 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
 
 /// The offline product of the codegen backend: the CPU twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
-/// column groups — everything derived from the weights alone.
+/// column groups — everything derived from the weights alone — plus the
+/// compressed weights whose values the shader binds as `B′`.
 pub struct CodegenPrepared {
+    sb: Arc<NmSparseMatrix>,
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
@@ -97,7 +92,7 @@ pub struct CodegenPrepared {
 impl CodegenPrepared {
     /// Lower, emit and validate the kernel for `(plan, sb)` on top of an
     /// already-staged CPU twin preparation.
-    fn build(plan: &Plan, sb: &NmSparseMatrix, twin: CpuPrepared) -> Result<Self> {
+    fn build(plan: &Plan, sb: &Arc<NmSparseMatrix>, twin: CpuPrepared) -> Result<Self> {
         let cfg = sb.cfg();
         let (w, n, k) = (sb.w(), sb.cols(), sb.k());
         let tiling = twin.tiling();
@@ -156,6 +151,7 @@ impl CodegenPrepared {
             reason: format!("generated WGSL failed validation: {e}"),
         })?;
         Ok(Self {
+            sb: Arc::clone(sb),
             twin,
             ir,
             wgsl,
@@ -179,17 +175,16 @@ impl CodegenPrepared {
     }
 
     /// The interpreter's view of the binding tables, with `B′` bound to
-    /// the operand's own values (`sb`, as [`CodegenPrepared::execute`]
-    /// validates it) and the gather indices and fast flags to the twin's
-    /// staging, rather than to copies.
-    pub fn bindings<'a>(&'a self, sb: &'a NmSparseMatrix) -> KernelBindings<'a> {
+    /// the held weights' values and the gather indices and fast flags to
+    /// the twin's staging, rather than to copies.
+    pub fn bindings(&self) -> KernelBindings<'_> {
         let (sm, fast, _) = self.twin.staged();
         KernelBindings {
-            b: sb.values().as_slice(),
+            b: self.sb.values().as_slice(),
             gather: sm.gather(),
             groups: &self.groups,
             fast,
-            q: sb.q(),
+            q: self.sb.q(),
         }
     }
 
@@ -199,21 +194,20 @@ impl CodegenPrepared {
     }
 
     /// Execute the generated kernel over `a` through the shader
-    /// interpreter, after the same operand validation the CPU path runs.
+    /// interpreter.
     ///
     /// # Errors
-    /// [`NmError::DimensionMismatch`] when `a.cols() != sb.k()` or when
-    /// `sb` is not the operand this preparation was staged from.
-    pub fn execute(&self, a: &MatrixF32, sb: &NmSparseMatrix) -> Result<(MatrixF32, InterpTrace)> {
+    /// [`NmError::DimensionMismatch`] when `a`'s depth is not the prepared
+    /// weights' `k`.
+    pub fn execute(&self, a: &MatrixF32) -> Result<(MatrixF32, InterpTrace)> {
         let (m, k) = a.shape();
-        if k != sb.k() {
+        if k != self.ir.spec.k {
             return Err(NmError::DimensionMismatch {
-                expected: format!("A with k = {}", sb.k()),
+                expected: format!("A with k = {}", self.ir.spec.k),
                 found: format!("A is {m} x {k}"),
             });
         }
-        self.twin.validate_operand(sb)?;
-        let (c, trace) = interpret(&self.ir, &self.bindings(sb), a.as_slice(), m)?;
+        let (c, trace) = interpret(&self.ir, &self.bindings(), a.as_slice(), m)?;
         Ok((MatrixF32::from_vec(m, self.ir.spec.n, c), trace))
     }
 
@@ -373,7 +367,7 @@ impl ExecBackend for CodegenBackend {
         &self,
         _dev: &DeviceConfig,
         plan: &Plan,
-        sb: &NmSparseMatrix,
+        sb: &Arc<NmSparseMatrix>,
     ) -> Result<Box<dyn PreparedState>> {
         let twin = CpuPrepared::for_plan(plan, sb, self.kernel)?;
         Ok(Box::new(CodegenPrepared::build(plan, sb, twin)?))
@@ -389,13 +383,12 @@ impl ExecBackend for CodegenBackend {
         plan: &Plan,
         state: &dyn PreparedState,
         a: &MatrixF32,
-        sb: &NmSparseMatrix,
     ) -> Result<ExecRun> {
         let Some(prep) = state.as_any().downcast_ref::<CodegenPrepared>() else {
-            return Err(foreign_state_error());
+            return Err(foreign_state_error(self.kind()));
         };
         let t0 = Instant::now();
-        let (c, trace) = prep.execute(a, sb)?;
+        let (c, trace) = prep.execute(a)?;
         let wall_seconds = t0.elapsed().as_secs_f64();
         let (report, _) = prep.simulate(dev, a.rows().max(1))?;
         let estimate_family = match prep.ir.spec.family {
@@ -425,9 +418,9 @@ mod tests {
     use nm_core::sliced::{SlicedLayout, StorageFormat};
     use nm_core::spmm::spmm_reference;
 
-    fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> NmSparseMatrix {
+    fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> {
         let b = MatrixF32::random(k, n, seed);
-        NmSparseMatrix::prune_magnitude(&b, cfg).unwrap()
+        Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap())
     }
 
     #[test]
@@ -466,7 +459,7 @@ mod tests {
         let prep = state.as_any().downcast_ref::<CodegenPrepared>().unwrap();
         assert_eq!(prep.spec().storage, pin);
         assert!(prep.wgsl().contains("sliced"));
-        let run = backend.run_prepared(&dev, &plan, &*state, &a, &sb).unwrap();
+        let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
         let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
         assert_eq!(cpu.c.as_slice(), run.c.as_slice());
     }
@@ -496,24 +489,40 @@ mod tests {
         let backend = CodegenBackend::new();
         let state = backend.prepare(&dev, &plan, &sb).unwrap();
         let prep = state.as_any().downcast_ref::<CodegenPrepared>().unwrap();
-        let (_, trace) = prep.execute(&a, &sb).unwrap();
+        let (_, trace) = prep.execute(&a).unwrap();
         let (ours, sim) = prep.phase_parity(&dev, &trace, 96).unwrap();
         assert!(ours.matches(&sim), "interpreter {ours} vs simulator {sim}");
     }
 
     #[test]
-    fn foreign_operand_is_rejected() {
+    fn a_staging_outlives_its_source() {
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 8, 32).unwrap();
-        let plan = Planner::new(dev.clone()).plan(8, 64, 64, cfg).unwrap();
-        let sb = operand(cfg, 64, 64, 15);
-        let other = operand(cfg, 64, 64, 16);
-        let a = MatrixF32::random(8, 64, 17);
-        let backend = CodegenBackend::new();
-        let state = backend.prepare(&dev, &plan, &sb).unwrap();
-        let err = backend
-            .run_prepared(&dev, &plan, &*state, &a, &other)
-            .unwrap_err();
-        assert!(matches!(err, NmError::DimensionMismatch { .. }), "{err}");
+        let (m, n, k) = (8, 96, 80);
+        let a = MatrixF32::random(m, k, 19);
+        let sliced = StorageFormat::Sliced(SlicedLayout::DEFAULT);
+        for storage in [StorageFormat::RowMajor, sliced] {
+            let plan = Planner::new(dev.clone())
+                .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
+                .unwrap();
+            let backends: [Box<dyn ExecBackend>; 2] =
+                [Box::new(CpuBackend::new()), Box::new(CodegenBackend::new())];
+            for backend in backends {
+                let kind = backend.kind();
+                let sb = operand(cfg, k, n, 18);
+                let state = backend.prepare(&dev, &plan, &sb).unwrap();
+                assert_eq!(state.storage(), Some(storage));
+                // The CPU state reads only its staging; codegen shares the
+                // matrix it binds as `B′`.
+                let held = usize::from(kind == BackendKind::Codegen);
+                assert_eq!(Arc::strong_count(&sb), 1 + held, "{kind}");
+                drop(sb);
+                let got = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
+                let fresh = operand(cfg, k, n, 18);
+                let want = backend.run(&dev, &plan, &a, &fresh).unwrap();
+                assert_eq!(got.c.as_slice(), want.c.as_slice(), "{kind} {storage}");
+                assert!(got.c.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
+            }
+        }
     }
 }

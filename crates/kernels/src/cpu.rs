@@ -283,7 +283,8 @@ fn lcm(a: usize, b: usize) -> usize {
 ///
 /// Everything in here depends only on the *weights* (`sb`) and the tiling,
 /// never on the activations `A`, so it is built once and amortized across
-/// executions — exactly the paper's offline step.
+/// executions — exactly the paper's offline step. It holds no reference
+/// to `sb`: the online kernel reads the staging alone.
 /// [`CpuBackend`](crate::backend::CpuBackend) prepares outside its
 /// wall-clock window so measured times cover the online kernel only; the
 /// zero-padded copy of `A` a ragged depth (`k` not a multiple of `M`)
@@ -293,16 +294,11 @@ pub struct CpuPrepared {
     /// The micro-kernel selected for this preparation — runtime ISA
     /// detection happens exactly once, here, never inside the hot loop.
     kernel: MicroKernel,
-    /// Shape/config fingerprint of the operand this was prepared for.
-    /// `(cfg, w, n, k)` catches shape and sparsity-pattern-class mixups;
-    /// `content_fp` additionally samples the values and indices so a
-    /// *different* matrix with identical shape and config is rejected
-    /// too, instead of silently gathering against the wrong staging.
+    /// The staged operand's config and `k × n` shape; the online path
+    /// checks an activation's depth against `k`.
     cfg: NmConfig,
-    w: usize,
     n: usize,
     k: usize,
-    content_fp: u64,
     /// The format the caller asked for; row-major stages as the
     /// `C = nb/L, σ = 1` slices.
     format: StorageFormat,
@@ -311,35 +307,6 @@ pub struct CpuPrepared {
     /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
     /// runs as given) for a measured or explicit tiling.
     min_panel: usize,
-}
-
-/// FNV-1a over a bounded strided sample of `B′` values and `D` indices —
-/// ≤128 probes however large the matrix, so verifying it per call is
-/// noise next to the multiply, yet a same-shape-same-config *different*
-/// matrix collides only if the sampled entries all agree bit for bit.
-fn content_fingerprint(sb: &NmSparseMatrix) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    let values = sb.values();
-    let d = sb.indices();
-    let (w, n, q) = (sb.w(), sb.cols(), sb.q());
-    if w == 0 || n == 0 {
-        return h;
-    }
-    let samples = 64usize;
-    for s in 0..samples {
-        // Deterministic stride over the (w × n) value grid.
-        let u = s * w / samples;
-        let j = (s * 31) % n;
-        mix(values.row(u)[j].to_bits() as u64);
-        if q > 0 {
-            mix(d.get(u, (s * 7) % q) as u64);
-        }
-    }
-    h
 }
 
 impl CpuPrepared {
@@ -427,10 +394,8 @@ impl CpuPrepared {
             tiling,
             kernel,
             cfg,
-            w: sb.w(),
             n,
             k,
-            content_fp: content_fingerprint(sb),
             format,
             staged,
             min_panel: tiling.mb,
@@ -505,60 +470,28 @@ impl CpuPrepared {
         let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
         v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
     }
-
-    /// Reject an operand this preparation was not staged from: shape or
-    /// config disagreement, or a *different* matrix with identical shape
-    /// and config (bounded content-fingerprint sample). Shared by every
-    /// execution path that accepts `(operand, preparation)` pairs.
-    pub(crate) fn validate_operand(&self, sb: &NmSparseMatrix) -> Result<()> {
-        if (self.cfg, self.w, self.n, self.k) != (sb.cfg(), sb.w(), sb.cols(), sb.k()) {
-            return Err(NmError::DimensionMismatch {
-                expected: format!(
-                    "the {}x{} {} operand prepared for",
-                    self.k, self.n, self.cfg
-                ),
-                found: format!("B′ for a {}x{} {} matrix", sb.k(), sb.cols(), sb.cfg()),
-            });
-        }
-        if self.content_fp != content_fingerprint(sb) {
-            return Err(NmError::DimensionMismatch {
-                expected: "the same B′ this preparation was staged from".into(),
-                found: "a different matrix with identical shape and config \
-                        (content fingerprint mismatch)"
-                    .into(),
-            });
-        }
-        Ok(())
-    }
 }
 
 /// The online kernel: execute `C = A ⊛ (B′, D)` natively on the CPU
 /// against a pre-built [`CpuPrepared`] (amortizing the offline staging
-/// across calls, as inference serving would). The result matches
-/// [`nm_core::spmm::spmm_reference`] up to reduction order, and is
-/// bit-identical on every worker count.
+/// across calls, as inference serving would). The preparation owns the
+/// staged `B′` it reads, so the compressed matrix is not consulted. The
+/// result matches [`nm_core::spmm::spmm_reference`] up to reduction order,
+/// and is bit-identical on every worker count.
 ///
 /// # Errors
-/// [`NmError::DimensionMismatch`] when `a.cols() != sb.k()`, when `sb`'s
-/// shape/config disagrees with what `prep` was prepared from, or when a
-/// *different* matrix with identical shape and config is substituted (a
-/// bounded content-fingerprint sample catches the swap instead of letting
-/// the kernel gather against the wrong staging).
-pub fn spmm_cpu_prepared(
-    a: &MatrixF32,
-    sb: &NmSparseMatrix,
-    prep: &CpuPrepared,
-) -> Result<MatrixF32> {
+/// [`NmError::DimensionMismatch`] when `a`'s depth disagrees with the `k`
+/// the preparation was staged for.
+pub fn spmm_cpu_prepared(a: &MatrixF32, prep: &CpuPrepared) -> Result<MatrixF32> {
     let (m, k) = a.shape();
-    if k != sb.k() {
+    if k != prep.k {
         return Err(NmError::DimensionMismatch {
-            expected: format!("A with k = {}", sb.k()),
+            expected: format!("A with k = {}", prep.k),
             found: format!("A is {m} x {k}"),
         });
     }
-    prep.validate_operand(sb)?;
 
-    let n = sb.cols();
+    let n = prep.n;
     let mut c = MatrixF32::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
         return Ok(c);
@@ -667,18 +600,11 @@ fn zero_padded(a: &MatrixF32, k_pad: usize) -> Option<Vec<f32>> {
 /// prefill serves decode for free.
 ///
 /// # Errors
-/// [`NmError::DimensionMismatch`] when `x.len() != sb.k()` or when `sb`
-/// disagrees with what `prep` was prepared from (shape, config, or
-/// content fingerprint) — the same contract as [`spmm_cpu_prepared`].
-pub fn spmv_cpu_prepared(x: &[f32], sb: &NmSparseMatrix, prep: &CpuPrepared) -> Result<Vec<f32>> {
-    if x.len() != sb.k() {
-        return Err(NmError::DimensionMismatch {
-            expected: format!("x of length k = {}", sb.k()),
-            found: format!("x of length {}", x.len()),
-        });
-    }
+/// [`NmError::DimensionMismatch`] when `x.len()` disagrees with the
+/// preparation's `k` — the same check as [`spmm_cpu_prepared`].
+pub fn spmv_cpu_prepared(x: &[f32], prep: &CpuPrepared) -> Result<Vec<f32>> {
     let a = MatrixF32::from_vec(1, x.len(), x.to_vec());
-    spmm_cpu_prepared(&a, sb, prep).map(MatrixF32::into_vec)
+    spmm_cpu_prepared(&a, prep).map(MatrixF32::into_vec)
 }
 
 /// The staged `B′`: the built [`SlicedMatrix`] plus the *op-flavor map*
@@ -754,7 +680,7 @@ impl StagedSliced {
 /// block runs the vectorized micro-tiles when the window length is a
 /// multiple of the 16-float tile, the column block holds no partial
 /// window, and every gather stays inside the dense depth `k` — a bound
-/// the [`packed_class`] (`packed`) waives, since it gathers the padded
+/// a packed operand ([`uses_packing`], `packed`) waives, since it gathers the padded
 /// tail as zeros. The bound is checked per index, so a final partial
 /// k-block whose gathers all land below `k` stays fast.
 fn fast_flags(sb: &NmSparseMatrix, nb: usize, kb: usize, packed: bool) -> Vec<bool> {
@@ -1084,13 +1010,13 @@ mod tests {
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 3 }).unwrap();
         let expect = spmm_reference(&a, &sb);
         let prep = CpuPrepared::new(&sb, tiling).unwrap();
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let got = spmm_cpu_prepared(&a, &prep).unwrap();
         assert!(
             got.allclose(&expect, 1e-3, 1e-4),
             "{c}: max diff {}",
             got.max_abs_diff(&expect)
         );
-        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
         assert_eq!(got.as_slice(), serial.as_slice(), "{c}: one worker");
     }
 
@@ -1321,7 +1247,7 @@ mod tests {
         for (mb, _) in [prep.split(40), one_worker(|| prep.split(40))] {
             assert!(mb <= 40, "{mb}");
         }
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let got = spmm_cpu_prepared(&a, &prep).unwrap();
         assert!(got.allclose(&expect, 1e-3, 1e-4));
     }
 
@@ -1349,7 +1275,7 @@ mod tests {
         let prep = CpuPrepared::new(&sb, good).unwrap();
         let short_a = MatrixF32::random(8, 12, 7);
         assert!(matches!(
-            spmm_cpu_prepared(&short_a, &sb, &prep),
+            spmm_cpu_prepared(&short_a, &prep),
             Err(NmError::DimensionMismatch { .. })
         ));
         for bad in [
@@ -1369,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_is_reusable_and_rejects_mismatched_operands() {
+    fn prepared_is_reusable_across_activations() {
         let c = cfg(2, 8, 4);
         let b = MatrixF32::random(64, 32, 11);
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
@@ -1377,36 +1303,9 @@ mod tests {
         let prep = CpuPrepared::new(&sb, t).unwrap();
         for seed in 0..3u64 {
             let a = MatrixF32::random(16, 64, 20 + seed);
-            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            let got = spmm_cpu_prepared(&a, &prep).unwrap();
             assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
         }
-        // A same-k different-n operand (and a same-shape different-config
-        // one) must be rejected by the fingerprint.
-        let a = MatrixF32::random(16, 64, 30);
-        let other = NmSparseMatrix::prune_magnitude(&MatrixF32::random(64, 40, 12), c).unwrap();
-        assert!(matches!(
-            spmm_cpu_prepared(&a, &other, &prep),
-            Err(NmError::DimensionMismatch { .. })
-        ));
-        let recfg = NmSparseMatrix::prune_magnitude(&b, cfg(4, 16, 4)).unwrap(); // same w, different cfg
-        assert_eq!(recfg.w(), sb.w(), "setup: shapes collide on purpose");
-        assert!(matches!(
-            spmm_cpu_prepared(&a, &recfg, &prep),
-            Err(NmError::DimensionMismatch { .. })
-        ));
-        // A *different* matrix with identical shape AND config: shape
-        // fields collide, the content fingerprint must not.
-        let swapped = NmSparseMatrix::prune_magnitude(&MatrixF32::random(64, 32, 99), c).unwrap();
-        assert_eq!(
-            (swapped.w(), swapped.cols(), swapped.k(), swapped.cfg()),
-            (sb.w(), sb.cols(), sb.k(), sb.cfg()),
-            "setup: identical shape and config on purpose"
-        );
-        let err = spmm_cpu_prepared(&a, &swapped, &prep).unwrap_err();
-        assert!(
-            err.to_string().contains("fingerprint"),
-            "swapping in a same-shape different matrix must be caught: {err}"
-        );
     }
 
     #[test]
@@ -1430,7 +1329,7 @@ mod tests {
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 23 }).unwrap();
         // Pinned to one worker, every block is counted on one thread.
         let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let run = || spmm_cpu_prepared(&a, &prep).unwrap();
         let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert!(
             got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
@@ -1470,7 +1369,7 @@ mod tests {
         let tail_hits_pad = (sb.w() - c.n..sb.w())
             .any(|u| (0..sb.q()).any(|j| u / c.n * c.m + d.get(u, j) as usize >= k));
         let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let run = || spmm_cpu_prepared(&a, &prep).unwrap();
         let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
         // Two windows per k-block; the tail block's both fall back together.
@@ -1613,7 +1512,7 @@ mod tests {
             let prep = CpuPrepared::with_kernel(&sb, t, mk).unwrap();
             for m in [8, 9, 15, 16, 23, 130] {
                 let a = MatrixF32::random(m, k, 123 + m as u64);
-                let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+                let run = || spmm_cpu_prepared(&a, &prep).unwrap();
                 let (want, [tall]) = counted([&instrument::TALL_RUNGS], run);
                 // One panel-row walk per 64-row panel: two column blocks ×
                 // two k-blocks, each running every whole 8-row group.
@@ -1630,7 +1529,7 @@ mod tests {
                     want.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
                     "{mk} m = {m}"
                 );
-                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+                let got = spmm_cpu_prepared(&a, &prep).unwrap();
                 assert_eq!(got.as_slice(), want.as_slice(), "{mk} m = {m}: one worker");
             }
         }
@@ -1714,7 +1613,7 @@ mod tests {
         for (m, want_skinny) in [(1, 2), (2, 2), (3, 4), (6, 2)] {
             let a = MatrixF32::random(m, k, 51);
             let counters = [&instrument::FAST_BLOCKS, &instrument::SKINNY_RUNGS];
-            let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            let run = || spmm_cpu_prepared(&a, &prep).unwrap();
             let (got, [fast, skinny]) = counted(counters, run);
             assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
             // One column block of two windows × two k-blocks, all fast.
@@ -1736,7 +1635,7 @@ mod tests {
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: seed + 2 }).unwrap();
         let expect = spmm_reference(&a, &sb);
         let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let want = one_worker(|| spmm_cpu_prepared(&a, &sb, &rm)).unwrap();
+        let want = one_worker(|| spmm_cpu_prepared(&a, &rm)).unwrap();
         assert!(
             want.allclose(&expect, 1e-3, 1e-4),
             "{c} m = {m}: row-major must match the reference"
@@ -1749,7 +1648,7 @@ mod tests {
         ] {
             let prep = CpuPrepared::with_format(&sb, t, MicroKernel::scalar(), format).unwrap();
             assert_eq!(prep.format(), format);
-            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+            let got = spmm_cpu_prepared(&a, &prep).unwrap();
             assert_eq!(
                 got.as_slice(),
                 want.as_slice(),
@@ -1828,7 +1727,7 @@ mod tests {
             "setup: the tail block must gather from the pad"
         );
         let prep = CpuPrepared::with_kernel(&sb, t16, MicroKernel::scalar()).unwrap();
-        let run = || spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+        let run = || spmm_cpu_prepared(&a, &prep).unwrap();
         let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert_eq!(
             fast_blocks, 4,
@@ -1857,12 +1756,12 @@ mod tests {
         )
         .unwrap();
         let x = MatrixF32::random(1, k, 92);
-        let run = || spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
+        let run = || spmv_cpu_prepared(x.row(0), &prep).unwrap();
         let (y, [fast]) = counted([&instrument::FAST_BLOCKS], run);
         // 2 windows × 2 k-blocks, all block-aligned: every pair is fast.
         assert_eq!(fast, 4, "all sliced (window, k-block) pairs must be fast");
         let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let want = spmv_cpu_prepared(x.row(0), &sb, &rm).unwrap();
+        let want = spmv_cpu_prepared(x.row(0), &rm).unwrap();
         assert_eq!(y, want, "bit-identical to the row-major decode path");
         let expect = spmm_reference(&x, &sb);
         let got = MatrixF32::from_vec(1, n, y);
@@ -1879,10 +1778,10 @@ mod tests {
         let x = MatrixF32::random(1, k, 62);
         let expect = spmm_reference(&x, &sb);
         let prep = CpuPrepared::new(&sb, t).unwrap();
-        let y = spmv_cpu_prepared(x.row(0), &sb, &prep).unwrap();
+        let y = spmv_cpu_prepared(x.row(0), &prep).unwrap();
         assert_eq!(
             y,
-            one_worker(|| spmv_cpu_prepared(x.row(0), &sb, &prep)).unwrap()
+            one_worker(|| spmv_cpu_prepared(x.row(0), &prep)).unwrap()
         );
         let got = MatrixF32::from_vec(1, n, y);
         assert!(
@@ -1891,7 +1790,7 @@ mod tests {
             got.max_abs_diff(&expect)
         );
         assert!(matches!(
-            spmv_cpu_prepared(&x.row(0)[..k - 1], &sb, &prep),
+            spmv_cpu_prepared(&x.row(0)[..k - 1], &prep),
             Err(NmError::DimensionMismatch { .. })
         ));
     }
@@ -1919,18 +1818,18 @@ mod tests {
             for m in [1, 3, 8] {
                 let a = MatrixF32::random(m, k, 102);
                 let before = splits();
-                let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
+                let got = spmm_cpu_prepared(&a, &prep).unwrap();
                 assert_eq!(
                     splits() - before,
                     usize::from(split_expected),
                     "{format} m = {m}: one row panel must split across columns"
                 );
-                let want = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+                let want = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
                 assert_eq!(got.as_slice(), want.as_slice(), "{format} m = {m}");
             }
             // Enough row panels for every worker: the row panels stay.
             let before = splits();
-            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &sb, &prep).unwrap();
+            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &prep).unwrap();
             assert_eq!(splits() - before, 0, "{format}: m = 256 keeps its rows");
             // One worker never splits.
             assert_eq!(one_worker(|| prep.split(1)).1, 1);
@@ -1942,7 +1841,7 @@ mod tests {
         let prep = CpuPrepared::with_kernel(&narrow, t, MicroKernel::scalar()).unwrap();
         assert_eq!(prep.split(1).1, 1);
         let before = splits();
-        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &narrow, &prep).unwrap();
+        spmm_cpu_prepared(&MatrixF32::random(1, 256, 104), &prep).unwrap();
         assert_eq!(splits() - before, 0, "a one-block layer must stay unsplit");
     }
 }

@@ -414,7 +414,7 @@ pub fn measure(
     let race_staged = |preps: &[&CpuPrepared]| {
         let mut rivals: Vec<_> = preps
             .iter()
-            .map(|prep| || spmm_cpu_prepared(&a, sb, prep))
+            .map(|prep| || spmm_cpu_prepared(&a, prep))
             .collect();
         race(&mut rivals, spec.timed_iters)
     };

@@ -437,7 +437,7 @@ mod tests {
         use crate::plan::{KernelChoice, Planner};
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 16, 32).unwrap();
-        let sb = pruned(512, 256, cfg, 9);
+        let sb = std::sync::Arc::new(pruned(512, 256, cfg, 9));
         let a = MatrixF32::random(128, 512, 8);
         let mut plan = Planner::new(dev.clone()).plan(128, 256, 512, cfg).unwrap();
         plan.choice = KernelChoice::NmV3;

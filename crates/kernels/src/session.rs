@@ -687,9 +687,10 @@ impl Session {
 }
 
 /// One layer, fully prepared: the plan, the instantiated backend, the
-/// backend's offline state, and the (shared, via `Arc`) weights —
-/// everything `forward` needs, owned, so nothing is rebuilt per call and
-/// loading the same weights onto several backends copies nothing.
+/// backend's offline state — which owns everything `forward` reads, so
+/// nothing is rebuilt per call — and the (shared, via `Arc`) weights that
+/// [`PreparedLayer::weights`] hands back. Loading the same weights onto
+/// several backends copies nothing.
 ///
 /// The handle is `Send + Sync`; `forward` takes `&self`, so one prepared
 /// layer can serve concurrent callers (e.g. a serving front-end's worker
@@ -742,14 +743,8 @@ impl PreparedLayer {
     /// weights' reduction depth — a structured error in every build
     /// profile, never a silent garbage product.
     pub fn forward(&self, a: &MatrixF32) -> Result<ExecRun> {
-        if a.cols() != self.weights.k() {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("A with k = {}", self.weights.k()),
-                found: format!("A is {} x {}", a.rows(), a.cols()),
-            });
-        }
         self.backend
-            .run_prepared(&self.device, &self.plan, &*self.state, a, &self.weights)
+            .run_prepared(&self.device, &self.plan, &*self.state, a)
     }
 
     /// The decode entry point: multiply one activation **vector**,
@@ -766,12 +761,6 @@ impl PreparedLayer {
     /// [`NmError::DimensionMismatch`] when `x.len()` disagrees with the
     /// weights' reduction depth.
     pub fn forward_vec(&self, x: &[f32]) -> Result<ExecRun> {
-        if x.len() != self.weights.k() {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("x of length k = {}", self.weights.k()),
-                found: format!("x of length {}", x.len()),
-            });
-        }
         let a = MatrixF32::from_vec(1, x.len(), x.to_vec());
         self.forward(&a)
     }
@@ -1422,6 +1411,71 @@ mod tests {
             "the reloaded session must serve the plan from disk"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mutated_plan_caches_load_or_fail_without_panicking() {
+        use crate::plan::{PlanCache, Provenance};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let file = |tag: &str| {
+            let pid = std::process::id();
+            std::env::temp_dir().join(format!("nm-spmm-mutated-cache-{pid}-{tag}.json"))
+        };
+        let (saved, variant) = (file("saved"), file("variant"));
+        let _ = std::fs::remove_file(&saved);
+        let session = |path: &Path| {
+            SessionBuilder::new(a100_80g())
+                .backend(BackendKind::Cpu(NmVersion::V3))
+                .autotune(AutotuneMode::Quick)
+                .plan_cache(path)
+                .build()
+        };
+        let cfg = NmConfig::new(2, 8, 32).unwrap();
+        let sb = Arc::new(weights(64, 64, cfg, 91));
+        let load = |path: &Path| session(path)?.load(Arc::clone(&sb), 8);
+
+        // A measured load saves the cost-model base plan and its
+        // host-scoped measured winner: one entry of each provenance.
+        load(&saved).unwrap();
+        let doc = std::fs::read_to_string(&saved).unwrap();
+        let _ = std::fs::remove_file(&saved);
+        let cache = PlanCache::from_json(&doc).unwrap();
+        let mut kinds: Vec<_> = cache.plans().map(|p| p.provenance).collect();
+        kinds.sort_by_key(|p| p.name());
+        assert_eq!(kinds, [Provenance::CostModel, Provenance::Measured]);
+
+        // Parsing ends in `Ok` or an `NmError`; a document that parses
+        // then drives `Session::load` to `Ok` or an `NmError`.
+        let loads_or_fails_cleanly = |case: &str, text: &str| {
+            let Ok(parsed) = catch_unwind(|| PlanCache::from_json(text)) else {
+                panic!("{case}: PlanCache::from_json panicked");
+            };
+            if parsed.is_err() {
+                return false;
+            }
+            std::fs::write(&variant, text).unwrap();
+            let loaded = catch_unwind(AssertUnwindSafe(|| load(&variant)));
+            assert!(loaded.is_ok(), "{case}: Session::load panicked");
+            true
+        };
+        assert!(loads_or_fails_cleanly("intact", &doc));
+        let bytes = doc.as_bytes();
+        for cut in 0..bytes.len() {
+            let text = String::from_utf8_lossy(&bytes[..cut]);
+            loads_or_fails_cleanly(&format!("cut at {cut}"), &text);
+        }
+        // Every single-bit flip below 0x80 keeps the text ASCII (digits
+        // turn into digits, punctuation or letters; letters change case);
+        // the full flip leaves a replacement character.
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0xFF] {
+                let mut bad = bytes.to_vec();
+                bad[at] ^= flip;
+                let text = String::from_utf8_lossy(&bad);
+                loads_or_fails_cleanly(&format!("byte {at} ^ {flip:#04x}"), &text);
+            }
+        }
+        let _ = std::fs::remove_file(&variant);
     }
 
     #[test]

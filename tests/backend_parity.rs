@@ -30,8 +30,8 @@ fn assert_parity(m: usize, k: usize, n: usize, cfg: NmConfig, seed: u64) {
     );
     let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
     let prep = CpuPrepared::new(&sb, tiling).unwrap();
-    let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-    let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+    let got = spmm_cpu_prepared(&a, &prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
     assert_eq!(
         got.as_slice(),
         serial.as_slice(),
@@ -92,7 +92,7 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let plan = Planner::new(dev.clone()).plan(64, 128, 96, cfg).unwrap();
     let a = MatrixF32::random(64, 96, 7);
     let b = MatrixF32::random(96, 128, 8);
-    let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+    let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
     let expect = spmm_reference(&a, &sb);
     let run = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
     assert!(run.c.allclose(&expect, 1e-3, 1e-4));
@@ -104,7 +104,7 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let cfg48 = NmConfig::new(2, 16, 48).unwrap();
     let plan48 = Planner::new(dev.clone()).plan(64, 96, 96, cfg48).unwrap();
     let b48 = MatrixF32::random(96, 96, 9);
-    let sb48 = NmSparseMatrix::prune_magnitude(&b48, cfg48).unwrap();
+    let sb48 = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b48, cfg48).unwrap());
     let err = CpuBackend::new().run(&dev, &plan48, &a, &sb48).unwrap_err();
     assert!(
         matches!(err, NmError::InvalidBlocking { .. }),
@@ -132,8 +132,8 @@ proptest! {
         let oracle = gemm_reference_f64(&a, &sb.decompress());
         let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
         let prep = CpuPrepared::new(&sb, tiling).unwrap();
-        let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+        let got = spmm_cpu_prepared(&a, &prep).unwrap();
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
         prop_assert_eq!(got.as_slice(), serial.as_slice());
         prop_assert!(
             got.allclose(&oracle, 1e-3, 1e-4),

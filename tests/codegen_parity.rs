@@ -15,6 +15,7 @@ use nm_spmm::kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
 use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
+use std::sync::Arc;
 
 /// Ragged `(k, n)` pairs: every dimension off the window depth, the
 /// pruning-window width and the tile sizes.
@@ -23,15 +24,15 @@ const RAGGED: [(usize, usize); 3] = [(80, 100), (112, 72), (200, 144)];
 /// Prefill row counts, one per shape — all above the decode band.
 const PREFILL_ROWS: [usize; 3] = [9, 13, 33];
 
-fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> NmSparseMatrix {
+fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> {
     let b = MatrixF32::random(k, n, seed);
-    NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune")
+    Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"))
 }
 
 /// The full three-part acceptance check for one `(plan, operand, rows)`
 /// cell: validator, bit-identity against `cpu_v3`, phase parity against
 /// the simulated trace.
-fn check_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, family: KernelFamily, seed: u64) {
+fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFamily, seed: u64) {
     let dev = a100_80g();
     let a = MatrixF32::random(m, sb.k(), seed);
     let tag = format!(
@@ -56,7 +57,7 @@ fn check_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, family: KernelFamily, 
 
     // 2. The interpreter reproduces the V3 CPU oracle bit for bit.
     let cpu = CpuBackend::new().run(&dev, plan, &a, sb).expect("cpu_v3");
-    let (c, trace) = prep.execute(&a, sb).expect("interpret");
+    let (c, trace) = prep.execute(&a).expect("interpret");
     assert_eq!(
         c.as_slice(),
         cpu.c.as_slice(),
@@ -73,7 +74,7 @@ fn check_cell(plan: &Plan, sb: &NmSparseMatrix, m: usize, family: KernelFamily, 
     // And the backend's own run path reports the same numerics with the
     // simulated launch report attached.
     let run = backend
-        .run_prepared(&dev, plan, &*state, &a, sb)
+        .run_prepared(&dev, plan, &*state, &a)
         .expect("run_prepared");
     assert_eq!(run.c.as_slice(), c.as_slice(), "{tag}: run path");
     assert_eq!(run.backend, BackendKind::Codegen);

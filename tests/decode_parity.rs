@@ -26,8 +26,8 @@ const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
 /// same preparation pinned to one worker, bit for bit.
 fn check_cell(a: &MatrixF32, sb: &NmSparseMatrix, prep: &CpuPrepared, tag: &str) {
     let oracle = gemm_reference_f64(a, &sb.decompress());
-    let got = spmm_cpu_prepared(a, sb, prep).unwrap();
-    let serial = one_worker(|| spmm_cpu_prepared(a, sb, prep)).unwrap();
+    let got = spmm_cpu_prepared(a, prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(a, prep)).unwrap();
     assert_eq!(got.as_slice(), serial.as_slice(), "{tag}: one worker");
     assert!(
         got.allclose(&oracle, 1e-3, 1e-4),
@@ -83,8 +83,8 @@ fn spmv_prepared_matches_the_oracle_through_every_isa() {
     let tiling = CpuTiling::auto(cfg, 1, n, k).unwrap();
     for mk in MicroKernel::available() {
         let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
-        let y = spmv_cpu_prepared(&x, &sb, &prep).unwrap();
-        let serial = one_worker(|| spmv_cpu_prepared(&x, &sb, &prep)).unwrap();
+        let y = spmv_cpu_prepared(&x, &prep).unwrap();
+        let serial = one_worker(|| spmv_cpu_prepared(&x, &prep)).unwrap();
         assert_eq!(y, serial, "{mk}: one worker");
         let got = MatrixF32::from_vec(1, n, y);
         assert!(

@@ -33,8 +33,8 @@ fn problem(m: usize, n: usize, k: usize, cfg: NmConfig, policy: PrunePolicy, see
 fn cpu(a: &MatrixF32, sb: &NmSparseMatrix) -> MatrixF32 {
     let tiling = CpuTiling::auto(sb.cfg(), a.rows(), sb.cols(), sb.k()).expect("tiling");
     let prep = CpuPrepared::new(sb, tiling).expect("staging");
-    let got = spmm_cpu_prepared(a, sb, &prep).expect("cpu kernel");
-    let serial = one_worker(|| spmm_cpu_prepared(a, sb, &prep)).expect("cpu kernel");
+    let got = spmm_cpu_prepared(a, &prep).expect("cpu kernel");
+    let serial = one_worker(|| spmm_cpu_prepared(a, &prep)).expect("cpu kernel");
     assert_eq!(
         got.as_slice(),
         serial.as_slice(),

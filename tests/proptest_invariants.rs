@@ -138,8 +138,8 @@ proptest! {
         let oracle = spmm_reference(&a, &sb);
         let tiling = CpuTiling::auto(cfg, m, n, k).expect("tiling");
         let prep = CpuPrepared::new(&sb, tiling).expect("staging");
-        let got = spmm_cpu_prepared(&a, &sb, &prep).expect("cpu kernel");
-        let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).expect("cpu kernel");
+        let got = spmm_cpu_prepared(&a, &prep).expect("cpu kernel");
+        let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).expect("cpu kernel");
         prop_assert_eq!(got.as_slice(), serial.as_slice());
         prop_assert!(
             got.allclose(&oracle, 1e-3, 1e-4),

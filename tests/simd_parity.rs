@@ -28,8 +28,8 @@ fn assert_kernel_parity(mk: MicroKernel, m: usize, k: usize, n: usize, cfg: NmCo
     let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
     let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
     assert_eq!(prep.isa(), mk.isa());
-    let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-    let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+    let got = spmm_cpu_prepared(&a, &prep).unwrap();
+    let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
     let tag = format!("{mk} {cfg} ({m}x{n}x{k})");
     assert_eq!(got.as_slice(), serial.as_slice(), "{tag}: one worker");
     assert!(
@@ -139,8 +139,8 @@ proptest! {
         let tiling = CpuTiling::auto(cfg, m, n, k).unwrap();
         for mk in MicroKernel::available() {
             let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
-            let got = spmm_cpu_prepared(&a, &sb, &prep).unwrap();
-            let serial = one_worker(|| spmm_cpu_prepared(&a, &sb, &prep)).unwrap();
+            let got = spmm_cpu_prepared(&a, &prep).unwrap();
+            let serial = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
             prop_assert_eq!(got.as_slice(), serial.as_slice());
             prop_assert!(
                 got.allclose(&oracle, 1e-3, 1e-4),

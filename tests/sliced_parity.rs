@@ -82,7 +82,7 @@ fn check_layouts(mk: MicroKernel, sb: &NmSparseMatrix, m: usize, tiling: CpuTili
     let oracle = gemm_reference_f64(&a, &sb.decompress());
     let tag = format!("{mk} {cfg} m={m} k={k} n={n}");
     let rm = CpuPrepared::with_kernel(sb, tiling, mk).unwrap();
-    let want = one_worker(|| spmm_cpu_prepared(&a, sb, &rm)).unwrap();
+    let want = one_worker(|| spmm_cpu_prepared(&a, &rm)).unwrap();
     assert!(
         want.allclose(&oracle, 1e-3, 1e-4),
         "{tag}: row-major vs f64 oracle diff {}",
@@ -91,7 +91,7 @@ fn check_layouts(mk: MicroKernel, sb: &NmSparseMatrix, m: usize, tiling: CpuTili
     let formats = layouts().into_iter().map(StorageFormat::Sliced);
     for format in std::iter::once(StorageFormat::RowMajor).chain(formats) {
         let prep = CpuPrepared::with_format(sb, tiling, mk, format).unwrap();
-        let got = spmm_cpu_prepared(&a, sb, &prep).unwrap();
+        let got = spmm_cpu_prepared(&a, &prep).unwrap();
         assert_eq!(
             got.as_slice(),
             want.as_slice(),
