@@ -25,10 +25,9 @@ use nm_core::pattern::NmConfig;
 use nm_core::sliced::{SlicedLayout, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use nm_gpu::ShaderStats;
-use nm_kernels::backend::ExecBackend;
-use nm_kernels::codegen::{CodegenBackend, CodegenPrepared};
+use nm_kernels::codegen::CodegenPrepared;
 use nm_kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_kernels::{BackendKind, CpuBackend, MicroKernel};
+use nm_kernels::{BackendKind, MicroKernel, NmVersion};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,14 +89,8 @@ impl Cell {
 fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let (dev, sb) = (a100_80g(), &Arc::new(sb));
     let a = MatrixF32::random(m, sb.k(), seed);
-    let backend = CodegenBackend::new();
-    let state = backend
-        .prepare(&dev, plan, sb)
+    let prep = CodegenPrepared::new(&dev, plan, sb, None)
         .expect("codegen preparation (lower/emit/validate)");
-    let prep = state
-        .as_any()
-        .downcast_ref::<CodegenPrepared>()
-        .expect("codegen state");
     // `prepare` already gates on the validator; collecting stats re-runs
     // it on the emitted text, so `validated` reports the emission.
     let stats = ShaderStats::collect(prep.ir(), prep.wgsl());
@@ -109,7 +102,10 @@ fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let cpu = CpuBackend::new().run(&dev, plan, &a, sb).expect("cpu_v3");
+    let cpu = BackendKind::Cpu(NmVersion::V3)
+        .prepare(&dev, plan, sb, None)
+        .and_then(|state| state.run(&a))
+        .expect("cpu_v3");
     let cpu_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let bit_identical = c.as_slice() == cpu.c.as_slice();

@@ -23,17 +23,6 @@ pub struct TrafficSplit {
     pub miss_fraction: f64,
 }
 
-impl TrafficSplit {
-    /// Split with no reuse at all (everything from DRAM).
-    pub fn all_miss(bytes: f64) -> Self {
-        Self {
-            dram_bytes: bytes,
-            l2_hit_bytes: 0.0,
-            miss_fraction: 1.0,
-        }
-    }
-}
-
 /// Per-block traffic description for the reuse analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BlockTraffic {

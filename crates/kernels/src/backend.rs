@@ -1,42 +1,39 @@
-//! Execution backends: one trait, several ways to run a plan.
+//! Execution backends: one preparation step, a state that runs itself.
 //!
-//! A [`Plan`] records *what* to run — kernel family and
-//! auto-tuned blocking. [`ExecBackend`] decides *where*:
+//! A [`Plan`] records *what* to run — kernel family and auto-tuned
+//! blocking. [`BackendKind`] says *where*:
 //!
-//! * [`SimBackend`] — the simulated GPU: the reference oracle
+//! * [`BackendKind::Sim`] — the simulated GPU: the reference oracle
 //!   ([`spmm_reference`]) computes `C`, and the simulated kernel of the
 //!   plan's family attaches its predicted event counts and timing-model
 //!   report. The simulator predicts; it does not multiply.
-//! * [`CpuBackend`] — the native path: one CPU kernel executed for real
-//!   on the host ([`crate::cpu`]), with the plan's blocking parameters
-//!   driving the CPU tile sizes.
-//! * [`CodegenBackend`](crate::codegen::CodegenBackend) — the plan
-//!   lowered to a WGSL shader and run by the deterministic interpreter.
+//! * [`BackendKind::Cpu`] — the native path: one CPU kernel executed for
+//!   real on the host ([`crate::cpu`]), with the plan's blocking
+//!   parameters driving the CPU tile sizes.
+//! * [`BackendKind::Codegen`] — the plan lowered to a WGSL shader and run
+//!   by the deterministic interpreter ([`crate::codegen`]).
 //!
 //! ## The offline/online split
 //!
-//! The trait mirrors the paper's performance accounting: everything that
+//! The split mirrors the paper's performance accounting: everything that
 //! depends only on the *weights* — layout transformation, the
-//! simulator's `col_info` packing ratio, micro-kernel dispatch — is **offline**
-//! work done once by
-//! [`ExecBackend::prepare`], which returns an opaque [`PreparedState`];
-//! the **online** kernel is [`ExecBackend::run_prepared`], which may be
-//! called any number of times against the same state without repeating
-//! the staging. The state owns everything the online step reads, so
-//! `run_prepared` takes the activations alone: the CPU state holds its
-//! staged `B′`, and the simulator and codegen states share the compressed
-//! matrix through an `Arc` clone. [`ExecBackend::run`] is the convenience
-//! composition for one-shot callers. The handle-based
+//! simulator's `col_info` packing ratio, micro-kernel dispatch — is
+//! **offline** work done once by [`BackendKind::prepare`], which returns a
+//! boxed [`PreparedState`]; the **online** kernel is
+//! [`PreparedState::run`], which may be called any number of times
+//! without repeating the staging. The state owns everything the online
+//! step reads — the CPU state its staged `B′`, the simulator and codegen
+//! states the compressed matrix through an `Arc` clone, and each the
+//! plan's estimate and whatever device and blocking its report needs —
+//! so `run` takes the activations alone. The handle-based
 //! [`Session`](crate::session) API owns this amortization for library
-//! users; code outside the crate should go through it rather than drive
-//! backends directly.
+//! users; code outside the crate should go through it rather than
+//! prepare states directly.
 //!
-//! Every backend returns an [`ExecRun`]: the computed matrix, the
+//! Every state's `run` returns an [`ExecRun`]: the computed matrix, the
 //! **measured wall-clock time** of the online execution, and the plan's
 //! simulated estimate for the same kernel family, so callers can put model
-//! time and real time side by side. [`BackendKind`] is the cheap copyable
-//! selector; [`BackendKind::instantiate`] turns it into a boxed backend
-//! for dynamic dispatch.
+//! time and real time side by side.
 
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
@@ -44,14 +41,15 @@ use nm_core::sparse::NmSparseMatrix;
 use nm_core::spmm::spmm_reference;
 use std::sync::Arc;
 
-use crate::cpu::{spmm_cpu_prepared, CpuPrepared};
+use crate::codegen::CodegenPrepared;
+use crate::cpu::CpuPrepared;
 use crate::nm::{NmSpmmKernel, NmVersion};
 use crate::nmsparse::NmSparseKernel;
+use crate::params::BlockingParams;
 use crate::plan::{EstimateSummary, KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
 use crate::sputnik::SputnikKernel;
 use gpu_sim::device::DeviceConfig;
-use std::any::Any;
 use std::time::Instant;
 
 /// Environment variable naming the default execution backend
@@ -69,11 +67,11 @@ pub enum BackendKind {
     Sim,
     /// The native CPU kernel. Only [`NmVersion::V3`] names it: the paper's
     /// V1/V2 steps exist in the simulator and the WGSL families, not on
-    /// the CPU, and [`BackendKind::instantiate`] rejects them.
+    /// the CPU, and [`BackendKind::prepare`] rejects them.
     Cpu(NmVersion),
     /// The WGSL code-generation backend: the plan lowered to a validated
     /// compute shader, executed by the deterministic interpreter
-    /// ([`crate::codegen::CodegenBackend`]).
+    /// ([`CodegenPrepared`]).
     Codegen,
 }
 
@@ -126,26 +124,57 @@ impl BackendKind {
         }
     }
 
-    /// Box the backend this selector names, with default micro-kernel
-    /// dispatch (the CPU kernel selects its ISA per preparation).
+    /// `self`, or [`NmError::Unsupported`] for `Cpu(V1)` and `Cpu(V2)`: the
+    /// CPU runs one kernel, and a ladder step it does not have is never
+    /// aliased.
+    pub(crate) fn supported(self) -> Result<Self> {
+        match self {
+            BackendKind::Cpu(NmVersion::V1 | NmVersion::V2) => Err(NmError::Unsupported {
+                reason: format!(
+                    "backend `{}`: the native CPU runs one kernel, `cpu_v3`; the \
+                     paper's V1/V2 steps live in the simulator and the WGSL families",
+                    self.name()
+                ),
+            }),
+            kind => Ok(kind),
+        }
+    }
+
+    /// The offline step: stage everything derivable from the weights
+    /// under `plan` and return the state whose [`PreparedState::run`]
+    /// executes it.
+    ///
+    /// * `Sim` measures the `col_info` packing ratio of the predicted
+    ///   NM-SpMM launch once per weight.
+    /// * `Cpu` stages `B′` ([`CpuPrepared`]): tile sizes derived from the
+    ///   plan's auto-tuned blocking
+    ///   ([`CpuTiling::derive`](crate::cpu::CpuTiling::derive)) or, when
+    ///   the plan carries **measured** evidence, the tile geometry and
+    ///   storage format that measured fastest on this host.
+    /// * `Codegen` stages the same CPU twin, then lowers, emits and
+    ///   validates the WGSL kernel ([`CodegenPrepared`]).
+    ///
+    /// `kernel` pins the micro-kernel of the CPU and codegen preparations
+    /// (`None` runs [`MicroKernel::select`]); the simulator has no host
+    /// ISA and ignores it. A state that reads the compressed matrix
+    /// online keeps a clone of the `Arc`, never a copy of the matrix.
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] for `Cpu(V1)` and `Cpu(V2)`: the CPU runs
-    /// one kernel, and a ladder step it does not have is never aliased.
-    pub fn instantiate(&self) -> Result<Box<dyn ExecBackend>> {
-        Ok(match self {
-            BackendKind::Sim => Box::new(SimBackend),
-            BackendKind::Cpu(NmVersion::V3) => Box::new(CpuBackend::new()),
-            BackendKind::Cpu(_) => {
-                return Err(NmError::Unsupported {
-                    reason: format!(
-                        "backend `{}`: the native CPU runs one kernel, `cpu_v3`; the \
-                         paper's V1/V2 steps live in the simulator and the WGSL families",
-                        self.name()
-                    ),
-                })
-            }
-            BackendKind::Codegen => Box::new(crate::codegen::CodegenBackend::new()),
+    /// [`NmError::Unsupported`] for `Cpu(V1)` and `Cpu(V2)`;
+    /// [`NmError::InvalidBlocking`] when the plan's blocking cannot drive
+    /// the CPU tiles — e.g. `ns` not a multiple of the operand's vector
+    /// length `L`; never a panic.
+    pub fn prepare(
+        self,
+        dev: &DeviceConfig,
+        plan: &Plan,
+        sb: &Arc<NmSparseMatrix>,
+        kernel: Option<MicroKernel>,
+    ) -> Result<Box<dyn PreparedState>> {
+        Ok(match self.supported()? {
+            BackendKind::Sim => Box::new(SimPrepared::new(dev, plan, sb)?),
+            BackendKind::Cpu(_) => Box::new(CpuPrepared::for_plan(plan, sb, kernel)?),
+            BackendKind::Codegen => Box::new(CodegenPrepared::new(dev, plan, sb, kernel)?),
         })
     }
 }
@@ -175,7 +204,7 @@ pub struct ExecRun {
     /// `estimate` and `report`).
     ///
     /// The clock starts *after* the offline preparation
-    /// ([`ExecBackend::prepare`] — `B′` block staging, the simulator's
+    /// ([`BackendKind::prepare`] — `B′` block staging, the simulator's
     /// `col_info` packing ratio, ISA dispatch), so repeated calls against one
     /// [`PreparedLayer`](crate::session::PreparedLayer) measure exactly
     /// the amortized per-call cost the paper's accounting describes. The
@@ -187,14 +216,14 @@ pub struct ExecRun {
     /// ran (`None` when the plan carries no estimate for it).
     pub estimate: Option<EstimateSummary>,
     /// The instruction set the micro-kernel executed with: the CPU
-    /// backend's, or the ISA the codegen backend's CPU twin dispatched to
+    /// kernel's, or the ISA the codegen backend's CPU twin dispatched to
     /// (runtime dispatch, see [`crate::simd::MicroKernel`]). `None` on the
     /// simulator, which has no host ISA to report.
     pub isa: Option<Isa>,
-    /// Simulated event counts: the [`SimBackend`]'s prediction, or the
-    /// codegen interpreter's counts; `None` on the native CPU kernel.
+    /// Simulated event counts: the simulator's prediction, or the codegen
+    /// interpreter's counts; `None` on the native CPU kernel.
     pub stats: Option<gpu_sim::KernelStats>,
-    /// The simulated timing-model report, from the [`SimBackend`] or the
+    /// The simulated timing-model report, from the simulator or the
     /// codegen backend; `None` on the native CPU kernel.
     pub report: Option<gpu_sim::LaunchReport>,
 }
@@ -207,17 +236,21 @@ impl ExecRun {
     }
 }
 
-/// Opaque product of a backend's offline preparation: everything derived
-/// from the *weights* alone, reusable across any number of online runs.
+/// The product of [`BackendKind::prepare`]: everything derived from the
+/// *weights* alone, and the online step that runs against it any number
+/// of times.
 ///
-/// Each backend downcasts its own state back out via
-/// [`PreparedState::as_any`]; handing one backend's state to another is a
-/// structured error, never undefined behavior. The `Send + Sync` bound is
-/// what lets one [`PreparedLayer`](crate::session::PreparedLayer) serve
-/// concurrent callers.
+/// The `Send + Sync` bound is what lets one
+/// [`PreparedLayer`](crate::session::PreparedLayer) serve concurrent
+/// callers.
 pub trait PreparedState: Send + Sync {
-    /// Downcasting hook for the owning backend.
-    fn as_any(&self) -> &dyn Any;
+    /// Online step: execute `C = A ⊛ (B′, D)`. The returned
+    /// [`ExecRun::wall_seconds`] covers this call only — no staging cost.
+    ///
+    /// # Errors
+    /// [`NmError::DimensionMismatch`] when `a`'s depth is not the prepared
+    /// weights' `k`.
+    fn run(&self, a: &MatrixF32) -> Result<ExecRun>;
 
     /// The micro-kernel ISA this preparation dispatched to, when the
     /// backend runs on the host (the CPU kernel, and the codegen
@@ -234,143 +267,52 @@ pub trait PreparedState: Send + Sync {
     }
 }
 
-/// A way to execute a resolved plan on concrete operands.
-///
-/// Implementations split the work along the paper's offline/online line:
-/// [`ExecBackend::prepare`] runs once per weight matrix and returns a state
-/// that owns what the online step reads; [`ExecBackend::run_prepared`]
-/// then runs any number of times per activation batch, given only the
-/// activations.
-pub trait ExecBackend: Send + Sync {
-    /// The selector this backend answers to.
-    fn kind(&self) -> BackendKind;
-
-    /// Offline step: stage everything derivable from the weights (`B′`
-    /// layout transformation, the simulator's `col_info` packing ratio,
-    /// micro-kernel dispatch)
-    /// under `plan` so [`ExecBackend::run_prepared`] can amortize it.
-    ///
-    /// Implementations must return structured errors (never panic) when
-    /// the plan's blocking cannot drive this backend. A state that reads
-    /// the compressed matrix online keeps a clone of the `Arc`, never a
-    /// copy of the matrix.
-    fn prepare(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        sb: &Arc<NmSparseMatrix>,
-    ) -> Result<Box<dyn PreparedState>>;
-
-    /// Online step: execute `C = A ⊛ (B′, D)` against a state this same
-    /// backend prepared. The returned [`ExecRun::wall_seconds`] covers this
-    /// call only — no staging cost.
-    ///
-    /// # Errors
-    /// A state prepared by a *different* backend is rejected with a
-    /// structured [`NmError::InvalidConfig`]; an `A` whose depth is not the
-    /// prepared weights' `k` is [`NmError::DimensionMismatch`].
-    fn run_prepared(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        state: &dyn PreparedState,
-        a: &MatrixF32,
-    ) -> Result<ExecRun>;
-
-    /// One-shot convenience: prepare, then run once. Callers executing the
-    /// same weights repeatedly should hold a
-    /// [`PreparedLayer`](crate::session::PreparedLayer) instead.
-    fn run(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        a: &MatrixF32,
-        sb: &Arc<NmSparseMatrix>,
-    ) -> Result<ExecRun> {
-        let state = self.prepare(dev, plan, sb)?;
-        self.run_prepared(dev, plan, &*state, a)
-    }
-}
-
-pub(crate) fn foreign_state_error(backend: BackendKind) -> NmError {
-    NmError::InvalidConfig {
-        reason: format!(
-            "prepared state was not produced by the {backend} backend \
-             (prepare and run_prepared must use the same backend)"
-        ),
-    }
-}
-
-/// The simulated-GPU backend: the reference oracle's `C` with the
-/// simulator's predicted event counts and timing for the plan's kernel
-/// family attached.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend;
-
-/// The simulator's prepared state: the weight-derived `col_info` packing
-/// ratio of the predicted NM-SpMM launch (`None` when that launch does not
-/// pack or the family is a baseline), and the weights the reference
-/// oracle and Sputnik's prediction read.
+/// The simulator's prepared state: the predicted family with the plan's
+/// blocking and estimate, the device it predicts for, the weight-derived
+/// `col_info` packing ratio of the predicted NM-SpMM launch (`None` when
+/// that launch does not pack or the family is a baseline), and the
+/// weights the reference oracle and Sputnik's prediction read.
 struct SimPrepared {
+    dev: DeviceConfig,
+    family: KernelChoice,
+    params: BlockingParams,
+    estimate: Option<EstimateSummary>,
     packing_ratio: Option<f64>,
     sb: Arc<NmSparseMatrix>,
 }
 
-impl PreparedState for SimPrepared {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl SimBackend {
-    /// The family whose prediction is attached: the plan's choice, except
-    /// that `Dense` and `SparseTc` fall back to NM-SpMM V3 with the plan's
-    /// tuned blocking, so the counts always describe an N:M kernel over
-    /// the layer's sparse weights (`sweep`'s energy column reads them).
-    fn predicted_family(plan: &Plan) -> KernelChoice {
-        match plan.choice {
-            KernelChoice::Dense | KernelChoice::SparseTc => KernelChoice::NmV3,
-            choice => choice,
-        }
-    }
-}
-
-impl ExecBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
+impl SimPrepared {
     /// The offline step: the `col_info` packing ratio of `sb` at the
     /// predicted NM-SpMM launch's blocking, measured once per weight.
-    fn prepare(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        sb: &Arc<NmSparseMatrix>,
-    ) -> Result<Box<dyn PreparedState>> {
-        let packing_ratio = match Self::predicted_family(plan).nm_version() {
+    ///
+    /// The predicted family is the plan's choice, except that `Dense` and
+    /// `SparseTc` fall back to NM-SpMM V3 with the plan's tuned blocking,
+    /// so the counts always describe an N:M kernel over the layer's
+    /// sparse weights (`sweep`'s energy column reads them). `estimate`,
+    /// `stats` and `report` all describe that family.
+    fn new(dev: &DeviceConfig, plan: &Plan, sb: &Arc<NmSparseMatrix>) -> Result<Self> {
+        let family = match plan.choice {
+            KernelChoice::Dense | KernelChoice::SparseTc => KernelChoice::NmV3,
+            choice => choice,
+        };
+        let packing_ratio = match family.nm_version() {
             Some(v) => NmSpmmKernel::new(v, plan.params).measured_packing_ratio(dev, sb)?,
             None => None,
         };
-        Ok(Box::new(SimPrepared {
+        Ok(Self {
+            dev: dev.clone(),
+            family,
+            params: plan.params,
+            estimate: plan.estimates.get(family),
             packing_ratio,
             sb: Arc::clone(sb),
-        }))
+        })
     }
+}
 
-    /// `estimate`, `stats` and `report` all describe the predicted family
-    /// (see `predicted_family` above).
-    fn run_prepared(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        state: &dyn PreparedState,
-        a: &MatrixF32,
-    ) -> Result<ExecRun> {
-        let Some(prep) = state.as_any().downcast_ref::<SimPrepared>() else {
-            return Err(foreign_state_error(self.kind()));
-        };
-        let sb = &*prep.sb;
+impl PreparedState for SimPrepared {
+    fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
+        let (sb, dev) = (&*self.sb, &self.dev);
         let (m, k) = a.shape();
         if k != sb.k() {
             return Err(NmError::DimensionMismatch {
@@ -379,20 +321,19 @@ impl ExecBackend for SimBackend {
             });
         }
         let (n, cfg) = (sb.cols(), sb.cfg());
-        let family = Self::predicted_family(plan);
         let t0 = Instant::now();
-        let (stats, report) = match family {
+        let (stats, report) = match self.family {
             KernelChoice::NmSparse => NmSparseKernel.predict(dev, m, n, k, cfg)?,
             KernelChoice::Sputnik => SputnikKernel.predict(dev, m, sb),
             choice => {
                 let version = choice.nm_version().unwrap_or(NmVersion::V3);
-                NmSpmmKernel::new(version, plan.params).predict(
+                NmSpmmKernel::new(version, self.params).predict(
                     dev,
                     m,
                     n,
                     k,
                     cfg,
-                    prep.packing_ratio,
+                    self.packing_ratio,
                 )?
             }
         };
@@ -402,104 +343,10 @@ impl ExecBackend for SimBackend {
             c,
             backend: BackendKind::Sim,
             wall_seconds,
-            estimate: plan.estimates.get(family),
+            estimate: self.estimate,
             isa: None,
             stats: Some(stats),
             report: Some(report),
-        })
-    }
-}
-
-impl PreparedState for CpuPrepared {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn isa(&self) -> Option<Isa> {
-        Some(CpuPrepared::isa(self))
-    }
-
-    fn storage(&self) -> Option<nm_core::sliced::StorageFormat> {
-        Some(CpuPrepared::format(self))
-    }
-}
-
-/// The native CPU backend: one kernel ([`crate::cpu`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuBackend {
-    /// Explicit micro-kernel, overriding the per-preparation runtime
-    /// dispatch — how a [`Session`](crate::session::Session) pins one ISA
-    /// across every layer it loads.
-    kernel: Option<MicroKernel>,
-}
-
-impl CpuBackend {
-    /// Backend with runtime ISA dispatch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Backend pinned to an explicit micro-kernel.
-    pub fn with_kernel(kernel: MicroKernel) -> Self {
-        Self {
-            kernel: Some(kernel),
-        }
-    }
-}
-
-impl ExecBackend for CpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cpu(NmVersion::V3)
-    }
-
-    /// The offline step: tile sizes derived from the plan's auto-tuned
-    /// blocking ([`CpuTiling::derive`](crate::cpu::CpuTiling::derive)),
-    /// `B′` staged block-contiguously (the kernel gathers `A` in place, so
-    /// nothing else is staged), and the micro-kernel selected once
-    /// ([`crate::simd::MicroKernel::select`], unless this backend pins
-    /// one). A blocking that cannot drive the CPU tiles — e.g. `ns` not a
-    /// multiple of the operand's vector length `L` — is a structured
-    /// [`NmError::InvalidBlocking`].
-    ///
-    /// A plan carrying **measured** evidence overrides the cost-model
-    /// derivation: the preparation stages with the tile geometry and
-    /// storage format that actually measured fastest on this host (see
-    /// `CpuPrepared::for_plan`).
-    fn prepare(
-        &self,
-        _dev: &DeviceConfig,
-        plan: &Plan,
-        sb: &Arc<NmSparseMatrix>,
-    ) -> Result<Box<dyn PreparedState>> {
-        let prep = CpuPrepared::for_plan(plan, sb, self.kernel)?;
-        Ok(Box::new(prep))
-    }
-
-    /// The online kernel only — `wall_seconds` excludes every cost
-    /// [`CpuBackend::prepare`] already paid, matching the paper's
-    /// accounting for its `col_info` pre-processing.
-    fn run_prepared(
-        &self,
-        _dev: &DeviceConfig,
-        plan: &Plan,
-        state: &dyn PreparedState,
-        a: &MatrixF32,
-    ) -> Result<ExecRun> {
-        let Some(prep) = state.as_any().downcast_ref::<CpuPrepared>() else {
-            return Err(foreign_state_error(self.kind()));
-        };
-        let estimate = plan.estimates.get(KernelChoice::NmV3);
-        let t0 = Instant::now();
-        let c = spmm_cpu_prepared(a, prep)?;
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        Ok(ExecRun {
-            c,
-            backend: self.kind(),
-            wall_seconds,
-            estimate,
-            isa: Some(prep.isa()),
-            stats: None,
-            report: None,
         })
     }
 }
@@ -516,7 +363,6 @@ mod tests {
     fn backend_names_round_trip() {
         for kind in BackendKind::all() {
             assert_eq!(BackendKind::from_name(kind.name()).unwrap(), kind);
-            assert_eq!(kind.instantiate().unwrap().kind(), kind);
             assert!(!kind.to_string().is_empty());
         }
         assert!(BackendKind::from_name("tpu").is_err());
@@ -534,9 +380,9 @@ mod tests {
         let expect = spmm_reference(&a, &sb);
         for kind in BackendKind::all() {
             let run = kind
-                .instantiate()
+                .prepare(&dev, &plan, &sb, None)
                 .unwrap()
-                .run(&dev, &plan, &a, &sb)
+                .run(&a)
                 .unwrap();
             assert!(
                 run.c.allclose(&expect, 1e-3, 1e-4),
@@ -572,11 +418,10 @@ mod tests {
         let b = MatrixF32::random(128, 128, 21);
         let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         for kind in BackendKind::all() {
-            let backend = kind.instantiate().unwrap();
-            let state = backend.prepare(&dev, &plan, &sb).unwrap();
+            let state = kind.prepare(&dev, &plan, &sb, None).unwrap();
             for seed in 0..3u64 {
                 let a = MatrixF32::random(64, 128, 30 + seed);
-                let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
+                let run = state.run(&a).unwrap();
                 let expect = spmm_reference(&a, &sb);
                 assert!(
                     run.c.allclose(&expect, 1e-3, 1e-4),
@@ -590,34 +435,19 @@ mod tests {
     }
 
     #[test]
-    fn foreign_prepared_state_is_a_structured_error() {
+    fn mismatched_depth_is_a_structured_error() {
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let plan = Planner::new(dev.clone()).plan(64, 128, 128, cfg).unwrap();
-        let a = MatrixF32::random(64, 128, 1);
         let b = MatrixF32::random(128, 128, 2);
         let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
-
-        let sim = SimBackend;
-        let cpu = CpuBackend::new();
-        let sim_state = sim.prepare(&dev, &plan, &sb).unwrap();
-        let cpu_state = cpu.prepare(&dev, &plan, &sb).unwrap();
-
-        // Crossing the states over must fail structurally, not compute.
-        let err = cpu.run_prepared(&dev, &plan, &*sim_state, &a).unwrap_err();
-        assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
-        let err = sim.run_prepared(&dev, &plan, &*cpu_state, &a).unwrap_err();
-        assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
 
         // An `A` whose k does not match the weights is a structured
         // error, never the oracle's assertion.
         let short = MatrixF32::random(64, 96, 3);
         for kind in BackendKind::all() {
-            let err = kind
-                .instantiate()
-                .unwrap()
-                .run(&dev, &plan, &short, &sb)
-                .unwrap_err();
+            let state = kind.prepare(&dev, &plan, &sb, None).unwrap();
+            let err = state.run(&short).unwrap_err();
             assert!(
                 matches!(err, NmError::DimensionMismatch { .. }),
                 "{kind}: {err}"
@@ -648,7 +478,8 @@ mod tests {
             KernelChoice::Dense,
         ] {
             plan.choice = choice;
-            let run = SimBackend.run(&dev, &plan, &a, &sb).unwrap();
+            let state = BackendKind::Sim.prepare(&dev, &plan, &sb, None).unwrap();
+            let run = state.run(&a).unwrap();
             assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-6, 0.0));
             let (stats, report) = match choice {
                 KernelChoice::NmSparse => NmSparseKernel.predict(&dev, m, n, k, cfg).unwrap(),
@@ -683,13 +514,15 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(32, 64, 64, cfg).unwrap();
         let b = MatrixF32::random(64, 64, 3);
         let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
-        let backend = CpuBackend::with_kernel(MicroKernel::scalar());
-        let state = backend.prepare(&dev, &plan, &sb).unwrap();
-        assert_eq!(state.isa(), Some(Isa::Scalar));
         let a = MatrixF32::random(32, 64, 4);
-        let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
-        assert_eq!(run.isa, Some(Isa::Scalar));
-        assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
+        for kind in [BackendKind::Cpu(NmVersion::V3), BackendKind::Codegen] {
+            let pin = Some(MicroKernel::scalar());
+            let state = kind.prepare(&dev, &plan, &sb, pin).unwrap();
+            assert_eq!(state.isa(), Some(Isa::Scalar), "{kind}");
+            let run = state.run(&a).unwrap();
+            assert_eq!(run.isa, Some(Isa::Scalar), "{kind}");
+            assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
+        }
     }
 
     #[test]
@@ -702,17 +535,16 @@ mod tests {
         let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let a = MatrixF32::random(1, 128, 6);
         let expect = spmm_reference(&a, &sb);
-        let backend = CpuBackend::new();
+        let cpu = BackendKind::Cpu(NmVersion::V3);
 
         // A sliced-pinned plan stages SELL-C-σ.
         let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
         let pinned = Planner::new(dev.clone())
             .plan_stored(ShapeClass::Decode(1), pin, 1, 128, 128, cfg)
             .unwrap();
-        let state = backend.prepare(&dev, &pinned, &sb).unwrap();
-        let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
-        assert_eq!(prep.format(), pin);
-        let run = backend.run_prepared(&dev, &pinned, &*state, &a).unwrap();
+        let state = cpu.prepare(&dev, &pinned, &sb, None).unwrap();
+        assert_eq!(state.storage(), Some(pin));
+        let run = state.run(&a).unwrap();
         assert!(run.c.allclose(&expect, 1e-3, 1e-4));
 
         // Measured evidence carries the format too.
@@ -730,9 +562,12 @@ mod tests {
             threads: rayon::current_num_threads(),
         };
         let measured = auto.with_measured(host, outcome.best).unwrap();
-        let state = backend.prepare(&dev, &measured, &sb).unwrap();
-        let prep = state.as_any().downcast_ref::<CpuPrepared>().unwrap();
-        assert_eq!(prep.format(), pin, "measured storage wins on the auto lane");
+        let state = cpu.prepare(&dev, &measured, &sb, None).unwrap();
+        assert_eq!(
+            state.storage(),
+            Some(pin),
+            "measured storage wins on the auto lane"
+        );
     }
 
     #[test]
@@ -744,10 +579,10 @@ mod tests {
         let cfg = NmConfig::new(2, 16, 48).unwrap();
         let plan = Planner::new(dev.clone()).plan(64, 96, 96, cfg).unwrap();
         assert!(!plan.params.ns.is_multiple_of(48), "setup: preset expected");
-        let a = MatrixF32::random(64, 96, 1);
         let b = MatrixF32::random(96, 96, 2);
         let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
-        let err = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap_err();
+        let cpu = BackendKind::Cpu(NmVersion::V3);
+        let err = cpu.prepare(&dev, &plan, &sb, None).err().unwrap();
         assert!(matches!(err, NmError::InvalidBlocking { .. }), "{err}");
     }
 }

@@ -1,15 +1,15 @@
 //! The `codegen` execution backend: plans lowered to WGSL through
 //! `nm-gpu`, executed by its deterministic shader interpreter.
 //!
-//! This is the third [`ExecBackend`]: where
-//! [`SimBackend`](crate::backend::SimBackend) models a launch and
-//! [`CpuBackend`](crate::backend::CpuBackend) runs the ladder natively,
+//! Where the simulator models a launch and the CPU kernel runs natively,
 //! this backend *generates the GPU kernel* — a complete WGSL compute
 //! shader lowered from the plan's blocking, the N:M config and the
 //! staged storage format — validates it, and executes its tile walk on
-//! the host, workgroup by workgroup.
+//! the host, workgroup by workgroup. [`CodegenPrepared::new`] (what
+//! [`BackendKind::Codegen`]'s [`prepare`](BackendKind::prepare) builds)
+//! is the offline step; its [`PreparedState::run`] is the online one.
 //!
-//! ## The twin-preparation contract
+//! ## The twin preparation
 //!
 //! A [`CodegenPrepared`] wraps an ordinary [`CpuPrepared`] twin and
 //! derives every shader binding from the *same clamped geometry and the
@@ -40,10 +40,10 @@ use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use std::sync::Arc;
 
-use crate::backend::{foreign_state_error, BackendKind, ExecBackend, ExecRun, PreparedState};
+use crate::backend::{BackendKind, ExecRun, PreparedState};
 use crate::cpu::{uses_packing, CpuPrepared};
 use crate::nm::NmVersion;
-use crate::plan::{KernelChoice, Plan};
+use crate::plan::{EstimateSummary, KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel};
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::occupancy::BlockResources;
@@ -53,7 +53,6 @@ use nm_gpu::{
     emit_wgsl, interpret, lower, validate_wgsl, ColumnGroup, InterpTrace, KernelBindings,
     KernelFamily, KernelIr, KernelSpec, ValidateOptions, WindowSpan,
 };
-use std::any::Any;
 use std::time::Instant;
 
 /// Registers the timing model charges each generated-kernel thread —
@@ -80,19 +79,37 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
 /// The offline product of the codegen backend: the CPU twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
 /// column groups — everything derived from the weights alone — plus the
-/// compressed weights whose values the shader binds as `B′`.
+/// compressed weights whose values the shader binds as `B′`, and the
+/// device and plan estimate a run's report reads.
 pub struct CodegenPrepared {
     sb: Arc<NmSparseMatrix>,
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
     groups: Vec<ColumnGroup>,
+    dev: DeviceConfig,
+    estimate: Option<EstimateSummary>,
 }
 
 impl CodegenPrepared {
-    /// Lower, emit and validate the kernel for `(plan, sb)` on top of an
-    /// already-staged CPU twin preparation.
-    fn build(plan: &Plan, sb: &Arc<NmSparseMatrix>, twin: CpuPrepared) -> Result<Self> {
+    /// The offline step: stage the twin preparation exactly as the CPU
+    /// backend would (measured evidence wins, cost-model derivation
+    /// otherwise), then lower, emit and validate the WGSL kernel for
+    /// `(plan, sb)`. `kernel` pins the twin's micro-kernel — the ALU-mode
+    /// pin: scalar → twice-rounded mul/add, vector → FMA; `None` runs
+    /// [`MicroKernel::select`].
+    ///
+    /// # Errors
+    /// [`NmError::InvalidBlocking`] when the plan's blocking cannot drive
+    /// the twin's tiles, and [`NmError::InvalidConfig`] when the emitted
+    /// shader fails validation.
+    pub fn new(
+        dev: &DeviceConfig,
+        plan: &Plan,
+        sb: &Arc<NmSparseMatrix>,
+        kernel: Option<MicroKernel>,
+    ) -> Result<Self> {
+        let twin = CpuPrepared::for_plan(plan, sb, kernel)?;
         let cfg = sb.cfg();
         let (w, n, k) = (sb.w(), sb.cols(), sb.k());
         let tiling = twin.tiling();
@@ -150,12 +167,19 @@ impl CodegenPrepared {
         validate_wgsl(&wgsl, &ValidateOptions::default()).map_err(|e| NmError::InvalidConfig {
             reason: format!("generated WGSL failed validation: {e}"),
         })?;
+        let estimate_family = match family {
+            KernelFamily::V1 => KernelChoice::NmV1,
+            KernelFamily::V2 => KernelChoice::NmV2,
+            KernelFamily::V3 | KernelFamily::SkinnyDecode => KernelChoice::NmV3,
+        };
         Ok(Self {
             sb: Arc::clone(sb),
             twin,
             ir,
             wgsl,
             groups,
+            dev: dev.clone(),
+            estimate: plan.estimates.get(estimate_family),
         })
     }
 
@@ -318,8 +342,24 @@ impl CodegenPrepared {
 }
 
 impl PreparedState for CodegenPrepared {
-    fn as_any(&self) -> &dyn Any {
-        self
+    /// The online step: interpret the generated kernel, then attach the
+    /// simulated report and event counts for the same launch — this
+    /// backend reports both real numerics *and* the model's opinion of
+    /// the kernel it generated.
+    fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
+        let t0 = Instant::now();
+        let (c, trace) = self.execute(a)?;
+        let wall_seconds = t0.elapsed().as_secs_f64();
+        let (report, _) = self.simulate(&self.dev, a.rows().max(1))?;
+        Ok(ExecRun {
+            c,
+            backend: BackendKind::Codegen,
+            wall_seconds,
+            estimate: self.estimate,
+            isa: Some(self.twin.isa()),
+            stats: Some(self.stats(&trace)),
+            report: Some(report),
+        })
     }
 
     fn isa(&self) -> Option<Isa> {
@@ -331,96 +371,25 @@ impl PreparedState for CodegenPrepared {
     }
 }
 
-/// The WGSL code-generation backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CodegenBackend {
-    /// Explicit micro-kernel pin for the twin preparation, mirroring
-    /// [`CpuBackend::with_kernel`](crate::backend::CpuBackend::with_kernel).
-    kernel: Option<MicroKernel>,
-}
-
-impl CodegenBackend {
-    /// Backend with runtime ISA dispatch for the twin preparation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Backend pinned to an explicit micro-kernel (the ALU-mode pin:
-    /// scalar → twice-rounded mul/add, vector → FMA).
-    pub fn with_kernel(kernel: MicroKernel) -> Self {
-        Self {
-            kernel: Some(kernel),
-        }
-    }
-}
-
-impl ExecBackend for CodegenBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Codegen
-    }
-
-    /// The offline step: stage the twin preparation exactly as the V3 CPU
-    /// backend would (`CpuPrepared::for_plan`: measured evidence wins,
-    /// cost-model derivation otherwise), then lower, emit and validate the
-    /// WGSL kernel.
-    fn prepare(
-        &self,
-        _dev: &DeviceConfig,
-        plan: &Plan,
-        sb: &Arc<NmSparseMatrix>,
-    ) -> Result<Box<dyn PreparedState>> {
-        let twin = CpuPrepared::for_plan(plan, sb, self.kernel)?;
-        Ok(Box::new(CodegenPrepared::build(plan, sb, twin)?))
-    }
-
-    /// The online step: interpret the generated kernel, then attach the
-    /// simulated report and event counts for the same launch — this
-    /// backend reports both real numerics *and* the model's opinion of
-    /// the kernel it generated.
-    fn run_prepared(
-        &self,
-        dev: &DeviceConfig,
-        plan: &Plan,
-        state: &dyn PreparedState,
-        a: &MatrixF32,
-    ) -> Result<ExecRun> {
-        let Some(prep) = state.as_any().downcast_ref::<CodegenPrepared>() else {
-            return Err(foreign_state_error(self.kind()));
-        };
-        let t0 = Instant::now();
-        let (c, trace) = prep.execute(a)?;
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let (report, _) = prep.simulate(dev, a.rows().max(1))?;
-        let estimate_family = match prep.ir.spec.family {
-            KernelFamily::V1 => KernelChoice::NmV1,
-            KernelFamily::V2 => KernelChoice::NmV2,
-            KernelFamily::V3 | KernelFamily::SkinnyDecode => KernelChoice::NmV3,
-        };
-        Ok(ExecRun {
-            c,
-            backend: BackendKind::Codegen,
-            wall_seconds,
-            estimate: plan.estimates.get(estimate_family),
-            isa: Some(prep.twin.isa()),
-            stats: Some(prep.stats(&trace)),
-            report: Some(report),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::CpuBackend;
     use crate::plan::{Planner, ShapeClass};
     use gpu_sim::device::a100_80g;
     use nm_core::pattern::NmConfig;
     use nm_core::sliced::{SlicedLayout, StorageFormat};
     use nm_core::spmm::spmm_reference;
 
+    const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
+
     fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> {
         let b = MatrixF32::random(k, n, seed);
         Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap())
+    }
+
+    fn run(kind: BackendKind, plan: &Plan, sb: &Arc<NmSparseMatrix>, a: &MatrixF32) -> ExecRun {
+        let state = kind.prepare(&a100_80g(), plan, sb, None).unwrap();
+        state.run(a).unwrap()
     }
 
     #[test]
@@ -431,8 +400,8 @@ mod tests {
         let sb = operand(cfg, 200, 144, 7);
         let a = MatrixF32::random(33, 200, 8);
 
-        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
-        let gen = CodegenBackend::new().run(&dev, &plan, &a, &sb).unwrap();
+        let cpu = run(CPU, &plan, &sb, &a);
+        let gen = run(BackendKind::Codegen, &plan, &sb, &a);
         assert_eq!(
             cpu.c.as_slice(),
             gen.c.as_slice(),
@@ -454,14 +423,12 @@ mod tests {
         let sb = operand(cfg, 72, 112, 9);
         let a = MatrixF32::random(13, 72, 10);
 
-        let backend = CodegenBackend::new();
-        let state = backend.prepare(&dev, &plan, &sb).unwrap();
-        let prep = state.as_any().downcast_ref::<CodegenPrepared>().unwrap();
+        let prep = CodegenPrepared::new(&dev, &plan, &sb, None).unwrap();
         assert_eq!(prep.spec().storage, pin);
         assert!(prep.wgsl().contains("sliced"));
-        let run = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
-        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
-        assert_eq!(cpu.c.as_slice(), run.c.as_slice());
+        let gen = prep.run(&a).unwrap();
+        let cpu = run(CPU, &plan, &sb, &a);
+        assert_eq!(cpu.c.as_slice(), gen.c.as_slice());
     }
 
     #[test]
@@ -474,9 +441,9 @@ mod tests {
         assert_eq!(family_for_plan(&plan), KernelFamily::SkinnyDecode);
         let sb = operand(cfg, 128, 128, 11);
         let a = MatrixF32::random(1, 128, 12);
-        let run = CodegenBackend::new().run(&dev, &plan, &a, &sb).unwrap();
-        let cpu = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
-        assert_eq!(cpu.c.as_slice(), run.c.as_slice());
+        let gen = run(BackendKind::Codegen, &plan, &sb, &a);
+        let cpu = run(CPU, &plan, &sb, &a);
+        assert_eq!(cpu.c.as_slice(), gen.c.as_slice());
     }
 
     #[test]
@@ -486,9 +453,7 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(96, 256, 192, cfg).unwrap();
         let sb = operand(cfg, 192, 256, 13);
         let a = MatrixF32::random(96, 192, 14);
-        let backend = CodegenBackend::new();
-        let state = backend.prepare(&dev, &plan, &sb).unwrap();
-        let prep = state.as_any().downcast_ref::<CodegenPrepared>().unwrap();
+        let prep = CodegenPrepared::new(&dev, &plan, &sb, None).unwrap();
         let (_, trace) = prep.execute(&a).unwrap();
         let (ours, sim) = prep.phase_parity(&dev, &trace, 96).unwrap();
         assert!(ours.matches(&sim), "interpreter {ours} vs simulator {sim}");
@@ -505,21 +470,18 @@ mod tests {
             let plan = Planner::new(dev.clone())
                 .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
                 .unwrap();
-            let backends: [Box<dyn ExecBackend>; 2] =
-                [Box::new(CpuBackend::new()), Box::new(CodegenBackend::new())];
-            for backend in backends {
-                let kind = backend.kind();
+            for kind in [CPU, BackendKind::Codegen] {
                 let sb = operand(cfg, k, n, 18);
-                let state = backend.prepare(&dev, &plan, &sb).unwrap();
+                let state = kind.prepare(&dev, &plan, &sb, None).unwrap();
                 assert_eq!(state.storage(), Some(storage));
                 // The CPU state reads only its staging; codegen shares the
                 // matrix it binds as `B′`.
                 let held = usize::from(kind == BackendKind::Codegen);
                 assert_eq!(Arc::strong_count(&sb), 1 + held, "{kind}");
                 drop(sb);
-                let got = backend.run_prepared(&dev, &plan, &*state, &a).unwrap();
+                let got = state.run(&a).unwrap();
                 let fresh = operand(cfg, k, n, 18);
-                let want = backend.run(&dev, &plan, &a, &fresh).unwrap();
+                let want = run(kind, &plan, &fresh, &a);
                 assert_eq!(got.c.as_slice(), want.c.as_slice(), "{kind} {storage}");
                 assert!(got.c.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
             }

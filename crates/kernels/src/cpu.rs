@@ -64,9 +64,12 @@ use nm_core::sliced::{SlicedLayout, SlicedMatrix, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use rayon::prelude::*;
 use std::ops::Range;
+use std::time::Instant;
 
+use crate::backend::{BackendKind, ExecRun, PreparedState};
+use crate::nm::NmVersion;
 use crate::params::BlockingParams;
-use crate::plan::Plan;
+use crate::plan::{EstimateSummary, KernelChoice, Plan};
 use crate::simd::{Isa, MicroKernel, MW, MW_TALL, NW, NW2};
 
 /// Cache-capacity target for one staged `B′` block (`ub × nb` floats): the
@@ -284,11 +287,10 @@ fn lcm(a: usize, b: usize) -> usize {
 /// Everything in here depends only on the *weights* (`sb`) and the tiling,
 /// never on the activations `A`, so it is built once and amortized across
 /// executions — exactly the paper's offline step. It holds no reference
-/// to `sb`: the online kernel reads the staging alone.
-/// [`CpuBackend`](crate::backend::CpuBackend) prepares outside its
-/// wall-clock window so measured times cover the online kernel only; the
-/// zero-padded copy of `A` a ragged depth (`k` not a multiple of `M`)
-/// needs stays inside the timed loop because it genuinely is online work.
+/// to `sb`: the online kernel reads the staging alone. Its
+/// [`PreparedState::run`] times the online kernel only; the zero-padded
+/// copy of `A` a ragged depth (`k` not a multiple of `M`) needs stays
+/// inside the timed window because it genuinely is online work.
 pub struct CpuPrepared {
     tiling: CpuTiling,
     /// The micro-kernel selected for this preparation — runtime ISA
@@ -307,6 +309,9 @@ pub struct CpuPrepared {
     /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
     /// runs as given) for a measured or explicit tiling.
     min_panel: usize,
+    /// The plan's V3 estimate a run reports (`None` outside
+    /// [`CpuPrepared::for_plan`]).
+    estimate: Option<EstimateSummary>,
 }
 
 impl CpuPrepared {
@@ -399,6 +404,7 @@ impl CpuPrepared {
             format,
             staged,
             min_panel: tiling.mb,
+            estimate: None,
         })
     }
 
@@ -425,7 +431,11 @@ impl CpuPrepared {
         let format = measured.map_or(plan.key.storage, |m| m.storage);
         let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
         let prep = Self::with_format(sb, tiling, kernel, format)?;
-        Ok(Self { min_panel, ..prep })
+        Ok(Self {
+            min_panel,
+            estimate: plan.estimates.get(KernelChoice::NmV3),
+            ..prep
+        })
     }
 
     /// The effective (clamped) tile geometry.
@@ -441,7 +451,7 @@ impl CpuPrepared {
     }
 
     /// The instruction set the selected micro-kernel executes — what
-    /// [`ExecRun`](crate::backend::ExecRun) and `BENCH_pr.json` record.
+    /// [`ExecRun`] and `BENCH_pr.json` record.
     pub fn isa(&self) -> Isa {
         self.kernel.isa()
     }
@@ -469,6 +479,34 @@ impl CpuPrepared {
     fn split(&self, m: usize) -> (usize, usize) {
         let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
         v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
+    }
+}
+
+impl PreparedState for CpuPrepared {
+    /// The online kernel only — `wall_seconds` excludes every cost the
+    /// preparation already paid, matching the paper's accounting for its
+    /// `col_info` pre-processing.
+    fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
+        let t0 = Instant::now();
+        let c = spmm_cpu_prepared(a, self)?;
+        let wall_seconds = t0.elapsed().as_secs_f64();
+        Ok(ExecRun {
+            c,
+            backend: BackendKind::Cpu(NmVersion::V3),
+            wall_seconds,
+            estimate: self.estimate,
+            isa: Some(self.isa()),
+            stats: None,
+            report: None,
+        })
+    }
+
+    fn isa(&self) -> Option<Isa> {
+        Some(CpuPrepared::isa(self))
+    }
+
+    fn storage(&self) -> Option<StorageFormat> {
+        Some(self.format)
     }
 }
 

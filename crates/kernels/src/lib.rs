@@ -41,20 +41,22 @@
 //!
 //! ## Execution backends
 //!
-//! A resolved plan can run through more than one substrate
-//! ([`backend::ExecBackend`]):
+//! A resolved plan can run through more than one substrate.
+//! [`BackendKind::prepare`] does a backend's offline work once and returns
+//! a [`backend::PreparedState`] that runs itself, given only the
+//! activations:
 //!
-//! * [`backend::SimBackend`] — the reference oracle's result with the
+//! * `BackendKind::Sim` — the reference oracle's result with the
 //!   simulated kernels' predicted event counts and timing attached,
-//! * [`backend::CpuBackend`] — [`cpu`], one **native** host kernel (the
+//! * `BackendKind::Cpu` — [`cpu`], one **native** host kernel (the
 //!   paper's V1→V3 ladder stays in the simulator and the codegen) whose
 //!   tile sizes are derived from the plan's auto-tuned blocking: the
-//!   measured-performance path the `bench_measured` harness sweeps.
-//! * [`codegen::CodegenBackend`] — the plan lowered to a **generated
-//!   WGSL compute shader** through the `nm-gpu` crate (typed shader IR →
-//!   validated WGSL → deterministic host interpretation), bit-identical
-//!   to the CPU kernel and phase-matched against the simulator's
-//!   launch timeline.
+//!   measured-performance path the `bench_measured` harness sweeps,
+//! * `BackendKind::Codegen` — [`codegen::CodegenPrepared`], the plan
+//!   lowered to a **generated WGSL compute shader** through the `nm-gpu`
+//!   crate (typed shader IR → validated WGSL → deterministic host
+//!   interpretation), bit-identical to the CPU kernel and phase-matched
+//!   against the simulator's launch timeline.
 //!
 //! Plans record their [`plan::Provenance`]: the analytic cost model, or
 //! **measurement** — [`measure`](mod@measure) is a short-run harness that times the
@@ -91,8 +93,8 @@ pub mod sparse_tc;
 pub mod sputnik;
 
 pub use autotune::{tune, TuneResult};
-pub use backend::{BackendKind, CpuBackend, ExecBackend, ExecRun, SimBackend, BACKEND_ENV};
-pub use codegen::{CodegenBackend, CodegenPrepared};
+pub use backend::{BackendKind, ExecRun, PreparedState, BACKEND_ENV};
+pub use codegen::CodegenPrepared;
 pub use cpu::{spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling};
 pub use dense::DenseGemmKernel;
 pub use engine::{CacheStats, Engine};

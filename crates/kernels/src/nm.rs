@@ -433,7 +433,7 @@ mod tests {
     fn estimate_matches_run_report() {
         // A Sim-backend run of a V3 plan reports this kernel's estimate at
         // the measured col_info ratio.
-        use crate::backend::{ExecBackend, SimBackend};
+        use crate::backend::BackendKind;
         use crate::plan::{KernelChoice, Planner};
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 16, 32).unwrap();
@@ -442,7 +442,8 @@ mod tests {
         let mut plan = Planner::new(dev.clone()).plan(128, 256, 512, cfg).unwrap();
         plan.choice = KernelChoice::NmV3;
         plan.params = BlockingParams::large();
-        let run = SimBackend.run(&dev, &plan, &a, &sb).unwrap();
+        let state = BackendKind::Sim.prepare(&dev, &plan, &sb, None).unwrap();
+        let run = state.run(&a).unwrap();
         let kern = NmSpmmKernel::new(NmVersion::V3, plan.params);
         let nm = kern.plan(&dev, 128, 256, 512, cfg).unwrap();
         assert!(nm.packing, "2:16 packs on V3");

@@ -267,14 +267,6 @@ impl PlanKey {
         }
     }
 
-    /// The same key re-keyed to an explicit storage lane.
-    pub fn with_storage(&self, storage: StorageFormat) -> Self {
-        Self {
-            storage,
-            ..self.clone()
-        }
-    }
-
     /// The sparsity configuration the key encodes.
     pub fn cfg(&self) -> Result<NmConfig> {
         NmConfig::new(self.n_keep, self.m_win, self.l)

@@ -14,13 +14,13 @@
 //!   thread cap, persistent plan-cache path.
 //! * [`Session::load`] takes a pruned weight matrix and does **all** the
 //!   offline work in one place: it plans (strategy decision + exhaustive
-//!   autotune, memoized in the engine's [`PlanCache`](crate::plan::PlanCache)),
-//!   instantiates the backend, and runs the backend's preparation
-//!   ([`ExecBackend::prepare`] — `B′` block staging, the simulator's
-//!   `col_info` packing, micro-kernel dispatch). The result is a [`PreparedLayer`] handle.
+//!   autotune, memoized in the engine's [`PlanCache`](crate::plan::PlanCache))
+//!   and runs the backend's preparation ([`BackendKind::prepare`] — `B′`
+//!   block staging, the simulator's `col_info` packing, micro-kernel
+//!   dispatch). The result is a [`PreparedLayer`] handle.
 //! * [`PreparedLayer::forward`] / [`PreparedLayer::forward_batch`] are the
 //!   **online** path: they touch none of the offline work again — every
-//!   call reuses the owned plan, backend and prepared state. The
+//!   call runs the owned prepared state. The
 //!   [`cpu::offline_staging_passes`](crate::cpu::offline_staging_passes)
 //!   probe lets callers prove that, not just trust it.
 //! * [`Session::load_model`] loads a whole stack of layers (a Llama
@@ -63,7 +63,7 @@
 //! reference oracle (the simulator) map their batch serially instead of
 //! nesting thread fan-outs.
 
-use crate::backend::{BackendKind, CpuBackend, ExecBackend, ExecRun, PreparedState};
+use crate::backend::{BackendKind, ExecRun, PreparedState};
 use crate::engine::{CacheStats, Engine};
 use crate::measure::{self, AutotuneMode, MeasureSpec};
 use crate::nm::NmVersion;
@@ -134,17 +134,19 @@ impl SessionBuilder {
         self
     }
 
-    /// Pin every CPU preparation to one micro-kernel ISA instead of the
-    /// per-host runtime dispatch. [`SessionBuilder::build`] fails with
-    /// [`NmError::Unsupported`] when this host cannot execute `isa`.
+    /// Pin every CPU and codegen preparation to one micro-kernel ISA
+    /// instead of the per-host runtime dispatch. [`SessionBuilder::build`]
+    /// fails with [`NmError::Unsupported`] when this host cannot execute
+    /// `isa`.
     pub fn isa(mut self, isa: Isa) -> Self {
         self.isa = Some(isa);
         self.kernel = None;
         self
     }
 
-    /// Pin every CPU preparation to an already-resolved micro-kernel
-    /// (the harness hook; [`SessionBuilder::isa`] is the usual override).
+    /// Pin every CPU and codegen preparation to an already-resolved
+    /// micro-kernel (the harness hook; [`SessionBuilder::isa`] is the
+    /// usual override).
     pub fn micro_kernel(mut self, kernel: MicroKernel) -> Self {
         self.kernel = Some(kernel);
         self.isa = None;
@@ -211,7 +213,7 @@ impl SessionBuilder {
     /// backend (`cpu_v1` and `cpu_v2` included) or the plan-cache file
     /// exists but cannot be parsed, and [`NmError::Unsupported`] when
     /// [`SessionBuilder::backend`] names a backend
-    /// [`BackendKind::instantiate`] rejects (`Cpu(V1)`, `Cpu(V2)`).
+    /// [`BackendKind::prepare`] rejects (`Cpu(V1)`, `Cpu(V2)`).
     ///
     /// Environment overrides (`NM_SPMM_BACKEND`, `NM_SPMM_STORAGE`,
     /// `NM_SPMM_AUTOTUNE`) are consulted **only** for settings the
@@ -221,8 +223,8 @@ impl SessionBuilder {
         let backend = match self.backend {
             Some(b) => b,
             None => BackendKind::from_env()?.unwrap_or(BackendKind::Cpu(NmVersion::V3)),
-        };
-        backend.instantiate()?;
+        }
+        .supported()?;
         let kernel = match (self.kernel, self.isa) {
             (Some(k), _) => Some(k),
             (None, Some(isa)) => Some(MicroKernel::for_isa(isa)?),
@@ -286,7 +288,6 @@ impl SessionBuilder {
 /// let spec = LoadSpec::rows(64)
 ///     .backend(BackendKind::Cpu(NmVersion::V3))
 ///     .shape_class(ShapeClass::Decode(4));
-/// assert_eq!(spec.rows_hint(), 64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadSpec {
@@ -343,31 +344,6 @@ impl LoadSpec {
     pub fn storage(mut self, format: StorageFormat) -> Self {
         self.storage = Some(format);
         self
-    }
-
-    /// The activation row count this spec was built for.
-    pub fn rows_hint(&self) -> usize {
-        self.rows
-    }
-
-    /// The backend override, when one is set.
-    pub fn backend_hint(&self) -> Option<BackendKind> {
-        self.backend
-    }
-
-    /// The shape-class override, when one is set.
-    pub fn shape_class_hint(&self) -> Option<ShapeClass> {
-        self.shape_class
-    }
-
-    /// The storage-format pin, when one is set.
-    pub fn storage_hint(&self) -> Option<StorageFormat> {
-        self.storage
-    }
-
-    /// Whether this spec carries a pre-resolved plan.
-    pub fn is_planned(&self) -> bool {
-        self.plan.is_some()
     }
 }
 
@@ -459,10 +435,10 @@ impl Session {
     }
 
     /// Do **all** the offline work for one layer, once, as described by a
-    /// typed [`LoadSpec`]: plan (or adopt the spec's pre-resolved plan),
-    /// instantiate the backend, and run its preparation (staging +
-    /// dispatch). The returned handle amortizes every one of
-    /// those costs across its `forward` calls.
+    /// typed [`LoadSpec`]: plan (or adopt the spec's pre-resolved plan)
+    /// and run the backend's preparation (staging + dispatch). The
+    /// returned handle amortizes every one of those costs across its
+    /// `forward` calls.
     ///
     /// This is the **single load entry point**; [`Session::load`],
     /// [`Session::load_on`] and [`Session::load_planned`] are thin
@@ -491,7 +467,7 @@ impl Session {
     /// [`NmError::InvalidBlocking`] when the tuned blocking cannot drive
     /// the backend; [`NmError::Unsupported`] when an environment ISA
     /// override names an ISA this host cannot execute, or the spec's
-    /// backend is one [`BackendKind::instantiate`] rejects.
+    /// backend is one [`BackendKind::prepare`] rejects.
     pub fn load_with(
         &mut self,
         weights: impl Into<Arc<NmSparseMatrix>>,
@@ -671,23 +647,18 @@ impl Session {
         weights: Arc<NmSparseMatrix>,
         kind: BackendKind,
     ) -> Result<PreparedLayer> {
-        let mut backend = kind.instantiate()?;
-        if let (BackendKind::Cpu(_), Some(kernel)) = (kind, self.kernel) {
-            backend = Box::new(CpuBackend::with_kernel(kernel));
-        }
-        let state = backend.prepare(self.engine.device(), &plan, &weights)?;
+        let state = kind.prepare(self.engine.device(), &plan, &weights, self.kernel)?;
         Ok(PreparedLayer {
-            device: self.engine.device().clone(),
             plan,
-            backend,
+            kind,
             state,
             weights,
         })
     }
 }
 
-/// One layer, fully prepared: the plan, the instantiated backend, the
-/// backend's offline state — which owns everything `forward` reads, so
+/// One layer, fully prepared: the plan, the backend it was prepared on,
+/// the backend's offline state — which owns everything `forward` reads, so
 /// nothing is rebuilt per call — and the (shared, via `Arc`) weights that
 /// [`PreparedLayer::weights`] hands back. Loading the same weights onto
 /// several backends copies nothing.
@@ -696,9 +667,8 @@ impl Session {
 /// layer can serve concurrent callers (e.g. a serving front-end's worker
 /// threads) without cloning any staged data.
 pub struct PreparedLayer {
-    device: DeviceConfig,
     plan: Plan,
-    backend: Box<dyn ExecBackend>,
+    kind: BackendKind,
     state: Box<dyn PreparedState>,
     weights: Arc<NmSparseMatrix>,
 }
@@ -711,7 +681,7 @@ impl PreparedLayer {
 
     /// The backend this layer runs on.
     pub fn backend(&self) -> BackendKind {
-        self.backend.kind()
+        self.kind
     }
 
     /// The compressed weights this layer multiplies by.
@@ -743,8 +713,7 @@ impl PreparedLayer {
     /// weights' reduction depth — a structured error in every build
     /// profile, never a silent garbage product.
     pub fn forward(&self, a: &MatrixF32) -> Result<ExecRun> {
-        self.backend
-            .run_prepared(&self.device, &self.plan, &*self.state, a)
+        self.state.run(a)
     }
 
     /// The decode entry point: multiply one activation **vector**,
@@ -794,7 +763,7 @@ impl PreparedLayer {
                 });
             }
         }
-        let routing = match self.backend.kind() {
+        let routing = match self.kind {
             // The codegen interpreter walks its workgroups on the calling
             // thread, so it benefits from batch fan-out.
             BackendKind::Codegen => BatchRouting::ParallelAcross,
@@ -896,7 +865,7 @@ impl BatchRun {
 impl std::fmt::Debug for PreparedLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedLayer")
-            .field("backend", &self.backend.kind())
+            .field("backend", &self.kind)
             .field("plan", &self.plan.key)
             .field("isa", &self.isa())
             .field("k", &self.weights.k())
@@ -1158,7 +1127,6 @@ mod tests {
             .load_with(sb.clone(), LoadSpec::rows(1).planned(plan).storage(pin))
             .unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
-        assert_eq!(LoadSpec::rows(1).storage(pin).storage_hint(), Some(pin));
     }
 
     #[test]
@@ -1345,11 +1313,6 @@ mod tests {
         let after = s.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
         assert_eq!(layer.backend(), s.backend());
-        let spec = LoadSpec::rows(64);
-        assert_eq!(spec.rows_hint(), 64);
-        assert!(spec.backend_hint().is_none());
-        assert!(spec.shape_class_hint().is_none());
-        assert!(!spec.is_planned());
     }
 
     #[test]
@@ -1359,8 +1322,16 @@ mod tests {
             .build()
             .unwrap();
         let cfg = NmConfig::new(2, 8, 8).unwrap();
-        let layer = s.load(weights(64, 32, cfg, 31), 16).unwrap();
+        let sb = Arc::new(weights(64, 32, cfg, 31));
+        let layer = s.load(sb.clone(), 16).unwrap();
         assert_eq!(layer.isa(), Some(Isa::Scalar));
+        // The codegen twin takes the same pin, so it reproduces the CPU
+        // layer bit for bit.
+        let codegen = s.load_on(sb, 16, BackendKind::Codegen).unwrap();
+        assert_eq!(codegen.isa(), Some(Isa::Scalar));
+        let a = MatrixF32::random(16, 64, 33);
+        let (cpu_run, gen_run) = (layer.forward(&a).unwrap(), codegen.forward(&a).unwrap());
+        assert_eq!(cpu_run.c.as_slice(), gen_run.c.as_slice());
         // The simulator is unaffected by the pin.
         let sim = s
             .load_on(weights(64, 32, cfg, 32), 16, BackendKind::Sim)

@@ -68,16 +68,6 @@ pub fn table_ii() -> [TableIiShape; 6] {
     ]
 }
 
-/// The square shape (`m = n = k = 4096`) used by Fig. 7 and Fig. 10.
-pub fn square_4096() -> TableIiShape {
-    TableIiShape {
-        label: 'F',
-        m: 4096,
-        n: 4096,
-        k: 4096,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

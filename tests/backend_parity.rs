@@ -10,7 +10,7 @@ use common::one_worker;
 use nm_spmm::core::spmm::{gemm_reference_f64, spmm_reference};
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, uses_packing, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::plan::Planner;
-use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend, NmVersion};
+use nm_spmm::kernels::{BackendKind, NmVersion};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
@@ -94,7 +94,12 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let b = MatrixF32::random(96, 128, 8);
     let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
     let expect = spmm_reference(&a, &sb);
-    let run = CpuBackend::new().run(&dev, &plan, &a, &sb).unwrap();
+    let cpu = BackendKind::Cpu(NmVersion::V3);
+    let run = cpu
+        .prepare(&dev, &plan, &sb, None)
+        .unwrap()
+        .run(&a)
+        .unwrap();
     assert!(run.c.allclose(&expect, 1e-3, 1e-4));
     assert_eq!(run.backend, BackendKind::Cpu(NmVersion::V3));
 
@@ -105,7 +110,7 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let plan48 = Planner::new(dev.clone()).plan(64, 96, 96, cfg48).unwrap();
     let b48 = MatrixF32::random(96, 96, 9);
     let sb48 = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b48, cfg48).unwrap());
-    let err = CpuBackend::new().run(&dev, &plan48, &a, &sb48).unwrap_err();
+    let err = cpu.prepare(&dev, &plan48, &sb48, None).err().unwrap();
     assert!(
         matches!(err, NmError::InvalidBlocking { .. }),
         "expected InvalidBlocking, got: {err}"

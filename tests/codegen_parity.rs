@@ -10,9 +10,9 @@
 //! from decode-class plans, where the shape — not the choice — decides.
 
 use nm_spmm::gpu::{validate_wgsl, KernelFamily, ValidateOptions};
-use nm_spmm::kernels::codegen::{family_for_plan, CodegenBackend, CodegenPrepared};
+use nm_spmm::kernels::codegen::{family_for_plan, CodegenPrepared};
 use nm_spmm::kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_spmm::kernels::{BackendKind, CpuBackend, ExecBackend};
+use nm_spmm::kernels::{BackendKind, NmVersion, PreparedState};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use std::sync::Arc;
@@ -42,12 +42,7 @@ fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFam
         sb.cols()
     );
 
-    let backend = CodegenBackend::new();
-    let state = backend.prepare(&dev, plan, sb).expect("prepare");
-    let prep = state
-        .as_any()
-        .downcast_ref::<CodegenPrepared>()
-        .expect("codegen state");
+    let prep = CodegenPrepared::new(&dev, plan, sb, None).expect("prepare");
     assert_eq!(prep.spec().family, family, "{tag}: family");
     assert_eq!(prep.spec().storage, plan.key.storage, "{tag}: storage");
 
@@ -56,7 +51,10 @@ fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFam
         .unwrap_or_else(|e| panic!("{tag}: generated WGSL failed validation: {e}"));
 
     // 2. The interpreter reproduces the V3 CPU oracle bit for bit.
-    let cpu = CpuBackend::new().run(&dev, plan, &a, sb).expect("cpu_v3");
+    let cpu = BackendKind::Cpu(NmVersion::V3)
+        .prepare(&dev, plan, sb, None)
+        .and_then(|state| state.run(&a))
+        .expect("cpu_v3");
     let (c, trace) = prep.execute(&a).expect("interpret");
     assert_eq!(
         c.as_slice(),
@@ -71,11 +69,9 @@ fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFam
         "{tag}: interpreter phases {ours} vs simulated {sim}"
     );
 
-    // And the backend's own run path reports the same numerics with the
+    // And the state's own run path reports the same numerics with the
     // simulated launch report attached.
-    let run = backend
-        .run_prepared(&dev, plan, &*state, &a)
-        .expect("run_prepared");
+    let run = prep.run(&a).expect("run");
     assert_eq!(run.c.as_slice(), c.as_slice(), "{tag}: run path");
     assert_eq!(run.backend, BackendKind::Codegen);
     assert!(
