@@ -233,7 +233,7 @@ mod tests {
         let cfg = NmConfig::new(2, 16, 4).unwrap();
         let sb = sparse(512, 512, cfg, PrunePolicy::Magnitude);
         let p = preprocess(&sb, 64, 64).unwrap();
-        let values_bytes = sb.values().as_slice().len() * 4;
+        let values_bytes = sb.panels().len() * 4;
         let overhead = p.storage_bytes() as f64 / values_bytes as f64;
         assert!(
             overhead < 0.15,

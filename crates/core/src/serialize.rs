@@ -3,9 +3,12 @@
 //! A deployment-oriented container: magic + version header, the `N:M (L)`
 //! configuration, logical shape `k × n`, the bit-packed index matrix `D`
 //! and the raw little-endian `f32` values `B′`, each section
-//! length-prefixed. Loading touches only those compressed bytes: the values
-//! section is decoded in one pass straight into the `w × n` values matrix
-//! and `D` is unpacked beside it. No dense `k × n` matrix is rebuilt.
+//! length-prefixed. The wire keeps `B′` row-major; in memory it is
+//! window-major ([`NmSparseMatrix::panels`]). Loading touches only the
+//! compressed bytes: `D` is unpacked and checked first, then the values
+//! section is decoded in bands of 16 rows, each scattered window by
+//! window straight into the panels. No dense `k × n` matrix and no
+//! row-major copy of `B′` is built.
 //!
 //! [`from_bytes`] checks, before it allocates anything:
 //! - magic, version and the configuration (`1 ≤ N ≤ M`, `L ≥ 1`);
@@ -29,7 +32,7 @@
 use crate::error::{NmError, Result};
 use crate::index::IndexMatrix;
 use crate::pattern::NmConfig;
-use crate::sparse::NmSparseMatrix;
+use crate::sparse::{window_span, NmSparseMatrix};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// File magic: `NMSP`.
@@ -37,11 +40,15 @@ pub const MAGIC: [u8; 4] = *b"NMSP";
 /// Current container version.
 pub const VERSION: u16 = 1;
 
+/// Compressed rows decoded per band: each window then takes one contiguous
+/// `BAND × width` run of its panel.
+const BAND: usize = 16;
+
 /// Serialize a compressed matrix into a standalone binary blob.
 pub fn to_bytes(sb: &NmSparseMatrix) -> Bytes {
     let cfg = sb.cfg();
     let packed_idx = sb.indices().bit_pack(cfg);
-    let values = sb.values().as_slice();
+    let values = sb.panels();
 
     let mut buf = BytesMut::with_capacity(32 + packed_idx.len() + values.len() * 4);
     buf.put_slice(&MAGIC);
@@ -55,8 +62,13 @@ pub fn to_bytes(sb: &NmSparseMatrix) -> Bytes {
     buf.put_u64_le(packed_idx.len() as u64);
     buf.put_slice(&packed_idx);
     buf.put_u64_le(values.len() as u64);
-    for v in values {
-        buf.put_f32_le(*v);
+    // The wire keeps `B′` row-major.
+    for u in 0..sb.w() {
+        for j in 0..sb.q() {
+            for v in sb.panel_row(j, u) {
+                buf.put_f32_le(*v);
+            }
+        }
     }
     buf.freeze()
 }
@@ -137,12 +149,26 @@ pub fn from_bytes(mut data: &[u8]) -> Result<NmSparseMatrix> {
     }
     need(data, val_bytes, "values payload")?;
 
-    let values = data[..val_bytes]
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes(b.try_into().expect("chunks_exact yields 4 bytes")))
-        .collect();
+    let values = &data[..val_bytes];
     let indices = IndexMatrix::bit_unpack(packed, w, q, cfg)?;
-    NmSparseMatrix::from_parts(cfg, k, n, values, indices)
+    NmSparseMatrix::from_parts(cfg, k, n, indices, |panels, _| {
+        let mut band = vec![0f32; BAND.min(w) * n];
+        for (b, rows) in values.chunks(BAND * n * 4).enumerate() {
+            let band = &mut band[..rows.len() / 4];
+            for (v, x) in band.iter_mut().zip(rows.chunks_exact(4)) {
+                *v = f32::from_le_bytes(x.try_into().expect("chunks_exact yields 4 bytes"));
+            }
+            let u0 = b * BAND;
+            for j in 0..q {
+                let (lo, width) = window_span(cfg, n, j);
+                let at = lo * w + u0 * width;
+                let dst = panels[at..at + band.len() / n * width].chunks_exact_mut(width);
+                for (dst, src) in dst.zip(band.chunks_exact(n)) {
+                    dst.copy_from_slice(&src[lo..lo + width]);
+                }
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -165,7 +191,7 @@ mod tests {
         assert_eq!(back.cfg(), sb.cfg());
         assert_eq!(back.k(), sb.k());
         assert_eq!(back.cols(), sb.cols());
-        assert_eq!(back.values(), sb.values());
+        assert_eq!(back.panels(), sb.panels());
         assert_eq!(back.indices(), sb.indices());
     }
 
@@ -188,7 +214,7 @@ mod tests {
         let b = MatrixF32::random(17, 13, 5); // both axes ragged
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let back = from_bytes(&to_bytes(&sb)).unwrap();
-        assert_eq!(back.values(), sb.values());
+        assert_eq!(back.panels(), sb.panels());
         assert_eq!(back.decompress(), sb.decompress());
     }
 
@@ -281,7 +307,7 @@ mod tests {
     }
 
     fn bits(sb: &NmSparseMatrix) -> Vec<u32> {
-        sb.values().as_slice().iter().map(|v| v.to_bits()).collect()
+        sb.panels().iter().map(|v| v.to_bits()).collect()
     }
 
     /// Loading a blob must end in `Ok` with a valid matrix or in `Err`.
@@ -290,7 +316,7 @@ mod tests {
             Ok(Ok(sb)) => {
                 sb.validate()
                     .unwrap_or_else(|e| panic!("{case}: loaded an invalid matrix: {e}"));
-                assert_eq!(sb.values().shape(), (sb.w(), sb.cols()), "{case}");
+                assert_eq!(sb.panels().len(), sb.w() * sb.cols(), "{case}");
                 assert_eq!(sb.indices().q(), sb.cfg().window_cols(sb.cols()), "{case}");
                 true
             }
@@ -409,9 +435,48 @@ mod tests {
             assert_eq!(bits(&loaded), bits(&dense_trip), "{case}");
             assert_eq!(loaded.indices(), dense_trip.indices(), "{case}");
             assert_eq!((loaded.k(), loaded.cols()), (k, n), "{case}");
-            assert_eq!(loaded.values().get(0, l).to_bits(), (-0.0f32).to_bits());
-            assert_eq!(loaded.values().get(nk - 1, l + 1).to_bits(), nan.to_bits());
+            let values = loaded.values_row_major();
+            assert_eq!(values.get(0, l).to_bits(), (-0.0f32).to_bits());
+            assert_eq!(values.get(nk - 1, l + 1).to_bits(), nan.to_bits());
         }
+    }
+
+    #[test]
+    fn blobs_round_trip_byte_for_byte() {
+        for ((nk, m, l), (k, n)) in [
+            ((2, 4, 4), (17, 13)),
+            ((3, 8, 3), (17, 10)),
+            ((2, 8, 32), (42, 70)),
+            ((1, 5, 2), (11, 7)),
+            ((2, 16, 8), (60, 44)),
+        ] {
+            let cfg = NmConfig::new(nk, m, l).unwrap();
+            let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 3), cfg).unwrap();
+            let blob = to_bytes(&sb);
+            assert_eq!(to_bytes(&from_bytes(&blob).unwrap()), blob, "{cfg} {k}x{n}");
+        }
+    }
+
+    #[test]
+    fn wire_format_is_unchanged() {
+        // 2:4 (L = 4), 6 x 5: both axes ragged. Row-major `B′` on the wire.
+        #[rustfmt::skip]
+        const BLOB: [u8; 134] = [
+            78, 77, 83, 80, 1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0,
+            6, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+            248, 80, 20, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 80, 192, 0, 0, 48, 192, 0, 0, 16, 192, 0, 0, 224, 191, 0, 0, 112, 64,
+            0, 0, 136, 64, 0, 0, 152, 64, 0, 0, 168, 64, 0, 0, 184, 64, 0, 0, 200, 64,
+            0, 0, 216, 64, 0, 0, 232, 64, 0, 0, 248, 64, 0, 0, 4, 65, 0, 0, 12, 65,
+            0, 0, 20, 65, 0, 0, 28, 65, 0, 0, 36, 65, 0, 0, 44, 65, 0, 0, 52, 65,
+        ];
+        let cfg = NmConfig::new(2, 4, 4).unwrap();
+        let b = MatrixF32::from_fn(6, 5, |i, j| (i * 5 + j) as f32 * 0.5 - 3.25);
+        let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
+        assert_eq!(to_bytes(&sb).as_ref(), &BLOB[..]);
+        let back = from_bytes(&BLOB).unwrap();
+        assert_eq!(back, sb);
+        assert_eq!(back.decompress(), sb.decompress());
     }
 
     #[test]
@@ -419,7 +484,7 @@ mod tests {
         let sb = sample(8);
         let blob = to_bytes(&sb);
         // values dominate: w*n floats + small header/indices.
-        let floor = sb.values().as_slice().len() * 4;
+        let floor = sb.panels().len() * 4;
         assert!(blob.len() >= floor);
         assert!(blob.len() < floor + floor / 4 + 64);
     }

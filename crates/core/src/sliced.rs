@@ -12,7 +12,8 @@
 //!
 //! * **slice** — `slice_height` (= `C`) consecutive windows after sorting,
 //!   the unit the kernel walks and splits work by. Each window's values
-//!   are stored as one dense `w × L` panel, row-major, so any k-block of
+//!   are one dense `w × L` panel, row-major — the operand's own
+//!   window-major storage ([`NmSparseMatrix::panels`]) — so any k-block of
 //!   a window is one contiguous run the kernel streams at unit stride;
 //! * **sort window** — windows are reordered inside disjoint groups of
 //!   `sort_window` (= `σ`) windows. Classic SELL sorts by row length; an
@@ -23,11 +24,13 @@
 //! * **permutation** — carried as a [`ChannelPermutation`]
 //!   (`perm[new] = old` over window indices, the same convention
 //!   `permute.rs` uses for `k`-rows). Because whole windows move, the
-//!   inverse permutation on write-back is a contiguous copy per window,
-//!   and the summation order over compressed rows is untouched — sliced
-//!   results can be *bit-identical* to the row-major path.
+//!   permutation is an index over the operand's panels, never a copy of
+//!   them; the inverse permutation on write-back is a contiguous copy per
+//!   window, and the summation order over compressed rows is untouched —
+//!   sliced results can be *bit-identical* to the row-major path.
 //!
-//! The built product additionally materializes **absolute** gather indices
+//! The built product copies no values: it holds a shared handle to the
+//! operand's panels, and materializes **absolute** gather indices
 //! (`u32`, one per compressed row per window) so the online kernel never
 //! reconstructs `base + D[u][j]` per call; that is paid for with `4×` the
 //! index bytes of the operand's `u8` `D` ([`SlicedMatrix::storage_bytes`]
@@ -40,8 +43,9 @@
 
 use crate::error::{NmError, Result};
 use crate::permute::ChannelPermutation;
-use crate::sparse::NmSparseMatrix;
+use crate::sparse::{window_span, NmSparseMatrix, PanelBuf};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Environment variable that pins the storage format for session loads
 /// (`rowmajor`, `sliced`, or `sliced:<C>:<σ>`). Validated strictly, like
@@ -67,7 +71,14 @@ impl SlicedLayout {
         sort_window: 32,
     };
 
-    /// Validated constructor: both parameters must be positive.
+    /// The largest slice height or sort window accepted, in windows.
+    /// Either parameter at or above a matrix's window count `q` acts as
+    /// `q` (one slice, one sort group), so the cap loses no layout of any
+    /// matrix up to `65,536 · L` columns wide.
+    pub const MAX_WINDOWS: usize = 1 << 16;
+
+    /// Validated constructor: both parameters must lie in
+    /// `1..=`[`Self::MAX_WINDOWS`].
     pub fn new(slice_height: usize, sort_window: usize) -> Result<Self> {
         if slice_height == 0 || sort_window == 0 {
             return Err(NmError::InvalidConfig {
@@ -76,6 +87,16 @@ impl SlicedLayout {
                      (got C={slice_height}, sigma={sort_window})"
                 ),
             });
+        }
+        for (name, v) in [("C", slice_height), ("sigma", sort_window)] {
+            if v > Self::MAX_WINDOWS {
+                return Err(NmError::InvalidConfig {
+                    reason: format!(
+                        "sliced layout {name}={v} exceeds {} windows",
+                        Self::MAX_WINDOWS
+                    ),
+                });
+            }
         }
         Ok(Self {
             slice_height,
@@ -89,8 +110,10 @@ impl SlicedLayout {
     }
 
     /// Bytes the sliced form of a `w × n` operand with `q` windows takes:
-    /// the values panels (same float count as row-major, re-laid out), the
-    /// absolute `u32` gather indices, and the `u32` window permutation.
+    /// the value panels, the absolute `u32` gather indices, and the `u32`
+    /// window permutation. The panels are the operand's own storage, which
+    /// every staging shares; a staging owns only the indices and the
+    /// permutation.
     pub fn storage_bytes_for(&self, w: usize, n: usize, q: usize) -> usize {
         w * n * std::mem::size_of::<f32>()
             + w * q * std::mem::size_of::<u32>()
@@ -194,11 +217,15 @@ impl std::fmt::Display for StorageFormat {
     }
 }
 
-/// The built sliced form: per-window contiguous value panels, absolute
-/// gather indices, and the window permutation that produced them.
+/// The built sliced form: the window permutation, absolute gather indices
+/// in permuted order, and a shared handle to the operand's window-major
+/// value panels, which the permutation indexes without copying.
 ///
-/// Everything here depends only on the weights, never on activations — it
-/// is offline work in the paper's accounting, built once per preparation.
+/// A staging owns its gather table, permutation and spans; the values
+/// belong to the [`NmSparseMatrix`] and every staging of it borrows the
+/// same buffer. Everything here depends only on the weights, never on
+/// activations — it is offline work in the paper's accounting, built once
+/// per preparation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlicedMatrix {
     layout: SlicedLayout,
@@ -208,34 +235,32 @@ pub struct SlicedMatrix {
     n: usize,
     /// Window count along the output dimension.
     q: usize,
-    /// Vector length `L`.
-    l: usize,
     /// Window permutation, `perm[new] = old` — reused from `permute.rs`.
     perm: ChannelPermutation,
     /// Per permuted window: first dense output column and width (the
     /// write-back map; the final window of a ragged `n` is narrower).
     spans: Vec<(u32, u32)>,
-    /// Per-window value panels in permuted order, concatenated. The
-    /// window at position `pos` holds `w` rows of its span's width.
-    values: Vec<f32>,
+    /// The operand's window-major value panels, shared: the window whose
+    /// span starts at column `col` holds `w` rows of its span's width from
+    /// float `col · w`.
+    panels: Arc<PanelBuf>,
     /// Per-window absolute gather indices in permuted order, one `w`-long
     /// `u32` run each — the index stream the kernel reads instead of
     /// recomputing `base + D[u][j]`.
     gather: Vec<u32>,
-    /// Value-panel offset of each permuted window (`q + 1` entries).
-    offs: Vec<usize>,
 }
 
 impl SlicedMatrix {
     /// Build the sliced form of `sb`: sort windows by offset mass inside
     /// each `σ` group (stable, so `σ = 1` and uniform patterns keep the
-    /// identity), then materialize per-window panels and absolute indices.
+    /// identity), then materialize absolute indices. The value panels are
+    /// `sb`'s own, shared, never copied.
     pub fn build(sb: &NmSparseMatrix, layout: SlicedLayout) -> Result<Self> {
         // Constructed through the validated path even when callers built
         // the struct literally.
         let layout = SlicedLayout::new(layout.slice_height, layout.sort_window)?;
         let cfg = sb.cfg();
-        let (w, n, q, l) = (sb.w(), sb.cols(), sb.q(), cfg.l);
+        let (w, n, q) = (sb.w(), sb.cols(), sb.q());
         let d = sb.indices();
 
         // Sort key per window: offset mass of its index column.
@@ -259,41 +284,27 @@ impl SlicedMatrix {
             .perm
             .iter()
             .map(|&jw| {
-                let lo = jw * l;
-                let hi = ((jw + 1) * l).min(n);
-                (lo as u32, (hi - lo) as u32)
+                let (lo, width) = window_span(cfg, n, jw);
+                (lo as u32, width as u32)
             })
             .collect();
 
-        let values_src = sb.values();
-        let mut values = Vec::with_capacity(w * n);
-        let mut gather = Vec::with_capacity(w * q);
-        let mut offs = Vec::with_capacity(q + 1);
-        for (&jw, &(col, width)) in perm.perm.iter().zip(&spans) {
-            offs.push(values.len());
-            // Values: the window's columns, contiguous per compressed row.
-            for u in 0..w {
-                values.extend_from_slice(&values_src.row(u)[col as usize..(col + width) as usize]);
-            }
-            // Indices: absolute positions, one per compressed row.
-            for u in 0..w {
-                let base = u / cfg.n * cfg.m;
-                gather.push((base + d.get(u, jw) as usize) as u32);
-            }
-        }
-        offs.push(values.len());
+        // Absolute gather positions, one per compressed row per window.
+        let gather = perm
+            .perm
+            .iter()
+            .flat_map(|&jw| (0..w).map(move |u| (u / cfg.n * cfg.m + d.get(u, jw) as usize) as u32))
+            .collect();
 
         Ok(Self {
             layout,
             w,
             n,
             q,
-            l,
             perm,
             spans,
-            values,
+            panels: Arc::clone(sb.panel_buf()),
             gather,
-            offs,
         })
     }
 
@@ -362,8 +373,9 @@ impl SlicedMatrix {
     /// `(u_hi - u_lo) × width` floats, `width` the window's span width.
     #[inline]
     pub fn window_values(&self, pos: usize, u_lo: usize, u_hi: usize) -> &[f32] {
-        let (at, width) = (self.offs[pos], self.spans[pos].1 as usize);
-        &self.values[at + u_lo * width..at + u_hi * width]
+        let (col, width) = self.span(pos);
+        let at = col * self.w;
+        &self.panels.as_slice()[at + u_lo * width..at + u_hi * width]
     }
 
     /// The whole gather table, position-major: the window at permuted
@@ -380,10 +392,12 @@ impl SlicedMatrix {
         &self.gather[at + u_lo..at + u_hi]
     }
 
-    /// Bytes this built form occupies: value panels, absolute `u32`
-    /// indices, and the `u32`-sized permutation table. `4×` the index
-    /// bytes of the operand's `u8` offsets — the price of skipping the
-    /// per-call index reconstruction.
+    /// Bytes this format occupies: value panels, absolute `u32` indices,
+    /// and the `u32`-sized permutation table. The indices cost `4×` the
+    /// index bytes of the operand's `u8` offsets — the price of skipping
+    /// the per-call index reconstruction. The panels are shared with the
+    /// operand and every other staging of it, so a staging adds only the
+    /// index and permutation bytes to the operand's.
     pub fn storage_bytes(&self) -> usize {
         self.layout.storage_bytes_for(self.w, self.n, self.q)
     }
@@ -435,7 +449,39 @@ mod tests {
             StorageFormat::from_name("SLICED").unwrap(),
             StorageFormat::Sliced(SlicedLayout::DEFAULT)
         );
-        for bad in ["csr", "sliced:", "sliced:0:4", "sliced:4", "sliced:4:2:1"] {
+        let max = SlicedLayout::MAX_WINDOWS;
+        let edge = format!("sliced:{max}:{max}");
+        assert_eq!(
+            StorageFormat::from_name(&edge).unwrap(),
+            StorageFormat::Sliced(SlicedLayout::new(max, max).unwrap())
+        );
+        // Above the cap: an `InvalidConfig` naming the value.
+        for (bad, named) in [
+            ("sliced:65537:1", "C=65537"),
+            ("sliced:1:65537", "sigma=65537"),
+            ("sliced:18446744073709551615:1", "C=18446744073709551615"),
+            (
+                "sliced:8:18446744073709551615",
+                "sigma=18446744073709551615",
+            ),
+        ] {
+            match StorageFormat::from_name(bad) {
+                Err(NmError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(named), "{reason}")
+                }
+                other => panic!("`{bad}` must be an InvalidConfig, got {other:?}"),
+            }
+        }
+        for bad in [
+            "csr",
+            "sliced:",
+            "sliced:0:4",
+            "sliced:4",
+            "sliced:4:2:1",
+            "sliced:18446744073709551616:1",
+            "sliced:1:99999999999999999999999",
+            "sliced:-1:4",
+        ] {
             assert!(
                 matches!(
                     StorageFormat::from_name(bad),
@@ -447,6 +493,19 @@ mod tests {
         assert!(!StorageFormat::RowMajor.is_sliced());
         assert!(StorageFormat::default() == StorageFormat::RowMajor);
         assert!(StorageFormat::Sliced(SlicedLayout::default()).is_sliced());
+    }
+
+    #[test]
+    fn parameters_at_or_above_the_window_count_act_as_it() {
+        let cfg = NmConfig::new(2, 8, 4).unwrap();
+        let sb = sparse(32, 60, cfg, 21); // q = 15 windows
+        let as_q = SlicedMatrix::build(&sb, SlicedLayout::new(15, 15).unwrap()).unwrap();
+        for c in [16, SlicedLayout::MAX_WINDOWS] {
+            let big = SlicedMatrix::build(&sb, SlicedLayout::new(c, c).unwrap()).unwrap();
+            assert_eq!(big.perm().perm, as_q.perm().perm);
+            assert_eq!((big.slices(), big.slice_windows(0)), (1, 0..15));
+            assert_eq!(big.gather(), as_q.gather());
+        }
     }
 
     #[test]
@@ -478,7 +537,7 @@ mod tests {
         }
         // Reassembling rows from the window panels through the spans
         // restores the original values exactly.
-        let values = sb.values();
+        let values = sb.values_row_major();
         for u in 0..sm.w() {
             let mut restored = vec![0f32; sm.cols()];
             for s in 0..sm.slices() {
@@ -533,8 +592,9 @@ mod tests {
             sm.storage_bytes(),
             SlicedLayout::DEFAULT.storage_bytes_for(w, n, q)
         );
-        // The panels really hold every value and index exactly once.
-        assert_eq!(sm.values.len(), w * n);
+        // One index per compressed row per window; the values are the
+        // operand's panels, not a copy.
         assert_eq!(sm.gather.len(), w * q);
+        assert!(Arc::ptr_eq(&sm.panels, sb.panel_buf()));
     }
 }

@@ -4,6 +4,12 @@
 //! `L` columns of `B[k][n]`, the `N` selected row-vectors are stacked into
 //! the values matrix `B′[w][n]` (`w = k·N/M`); the index matrix `D[w][q]`
 //! (`q = ⌈n/L⌉`) records each vector's offset within its window.
+//!
+//! `B′` is stored window-major ([`NmSparseMatrix::panels`]): window `j`'s
+//! `w × width` panel starts at float `j·L·w`, so each window's columns are
+//! one contiguous run. That is the layout the CPU kernel streams, and every
+//! staging of the matrix ([`crate::sliced::SlicedMatrix`]) borrows it
+//! through a shared handle instead of copying it.
 
 use crate::error::{NmError, Result};
 use crate::index::{IndexLayout, IndexMatrix};
@@ -11,18 +17,60 @@ use crate::matrix::MatrixF32;
 use crate::pattern::NmConfig;
 use crate::prune::{select, PrunePolicy};
 use crate::sliced::StorageFormat;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Bytes a panel buffer's first float is aligned to: one cache line, and
+/// one 16-float AVX-512 vector.
+pub(crate) const PANEL_ALIGN: usize = 64;
+
+/// The window-major `B′` floats, starting on a [`PANEL_ALIGN`] boundary: a
+/// pad prefix inside an ordinary `Vec` absorbs the allocator's offset.
+#[derive(Debug)]
+pub(crate) struct PanelBuf {
+    buf: Vec<f32>,
+    start: usize,
+    len: usize,
+}
+
+impl PanelBuf {
+    /// `len` zeroed floats, the first one aligned.
+    fn zeroed(len: usize) -> Self {
+        let pad = PANEL_ALIGN / std::mem::size_of::<f32>() - 1;
+        let buf = vec![0.0; len + pad];
+        // `align_offset` may decline; an unaligned start is still correct.
+        let start = Some(buf.as_ptr().align_offset(PANEL_ALIGN))
+            .filter(|&s| s <= pad)
+            .unwrap_or(0);
+        Self { buf, start, len }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl PartialEq for PanelBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
 
 /// A dense matrix pruned to N:M vector-wise sparsity and stored compressed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Cloning shares the value panels; nothing ever mutates them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NmSparseMatrix {
     cfg: NmConfig,
     /// Original (unpadded) row count `k`.
     k: usize,
     /// Original (unpadded) column count `n`.
     n_cols: usize,
-    /// Compressed values `B′`, shape `w × n`.
-    values: MatrixF32,
+    /// Compressed values `B′` (`w × n` floats), window-major.
+    values: Arc<PanelBuf>,
     /// Index matrix `D`, shape `w × q`.
     indices: IndexMatrix,
 }
@@ -45,56 +93,46 @@ impl NmSparseMatrix {
     /// [`IndexMatrix::validate`].
     pub fn compress(b: &MatrixF32, cfg: NmConfig, d: IndexMatrix) -> Result<Self> {
         let (k, n) = b.shape();
-        let (w, q) = check_indices(cfg, k, n, &d)?;
-
-        let mut values = MatrixF32::zeros(w, n);
-        for u in 0..w {
-            let window = u / cfg.n;
-            let base = window * cfg.m;
-            for j in 0..q {
-                let src_row = base + d.get(u, j) as usize;
-                if src_row >= k {
-                    continue; // padded row — stays zero
+        Self::from_parts(cfg, k, n, d, |panels, d| {
+            let w = d.w();
+            for j in 0..d.q() {
+                let (lo, width) = window_span(cfg, n, j);
+                let panel = &mut panels[lo * w..(lo + width) * w];
+                for (u, dst) in panel.chunks_exact_mut(width).enumerate() {
+                    let src_row = u / cfg.n * cfg.m + d.get(u, j) as usize;
+                    if src_row < k {
+                        dst.copy_from_slice(&b.row(src_row)[lo..lo + width]);
+                    }
                 }
-                let lo = j * cfg.l;
-                let hi = ((j + 1) * cfg.l).min(n);
-                let dst = &mut values.row_mut(u)[lo..hi];
-                dst.copy_from_slice(&b.row(src_row)[lo..hi]);
             }
-        }
-        Ok(Self {
-            cfg,
-            k,
-            n_cols: n,
-            values,
-            indices: d,
         })
     }
 
-    /// Assemble already-compressed parts, the `w × n` values `B′` (row
-    /// major) and `D`, without a dense `k × n` detour, with the checks
-    /// [`Self::compress`] makes: `D` must be `w × q` and canonical. A value
-    /// span whose offset lands in the padded tail of the last pruning window
-    /// (`base + D[u][j] ≥ k`) is zeroed, exactly as `compress` leaves it.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != w · n`.
+    /// Assemble already-compressed parts without a dense `k × n` detour:
+    /// `fill` writes the `w × n` values `B′` into the zeroed window-major
+    /// buffer ([`Self::panels`]'s layout), given the checked `D`. The
+    /// checks [`Self::compress`] makes come first, so nothing is allocated
+    /// for a bad `D`: it must be `w × q` and canonical. A value span whose
+    /// offset lands in the padded tail of the last pruning window
+    /// (`base + D[u][j] ≥ k`) is zeroed after `fill`, exactly as
+    /// `compress` leaves it.
     pub(crate) fn from_parts(
         cfg: NmConfig,
         k: usize,
         n: usize,
-        values: Vec<f32>,
         d: IndexMatrix,
+        fill: impl FnOnce(&mut [f32], &IndexMatrix),
     ) -> Result<Self> {
         let (w, q) = check_indices(cfg, k, n, &d)?;
-        let mut values = MatrixF32::from_vec(w, n, values);
-        for u in 0..w {
-            let base = u / cfg.n * cfg.m;
-            for j in 0..q {
-                if base + d.get(u, j) as usize >= k {
-                    let lo = j * cfg.l;
-                    let hi = ((j + 1) * cfg.l).min(n);
-                    values.row_mut(u)[lo..hi].fill(0.0);
+        let mut values = PanelBuf::zeroed(w * n);
+        let panels = values.as_mut_slice();
+        fill(panels, &d);
+        for j in 0..q {
+            let (lo, width) = window_span(cfg, n, j);
+            for u in 0..w {
+                if u / cfg.n * cfg.m + d.get(u, j) as usize >= k {
+                    let at = lo * w + u * width;
+                    panels[at..at + width].fill(0.0);
                 }
             }
         }
@@ -102,7 +140,7 @@ impl NmSparseMatrix {
             cfg,
             k,
             n_cols: n,
-            values,
+            values: Arc::new(values),
             indices: d,
         })
     }
@@ -110,41 +148,32 @@ impl NmSparseMatrix {
     /// Expand back to a dense `k × n` matrix (pruned entries are zero).
     pub fn decompress(&self) -> MatrixF32 {
         let mut out = MatrixF32::zeros(self.k, self.n_cols);
-        for u in 0..self.w() {
-            let window = u / self.cfg.n;
-            let base = window * self.cfg.m;
-            for j in 0..self.q() {
-                let dst_row = base + self.indices.get(u, j) as usize;
-                if dst_row >= self.k {
-                    continue;
-                }
-                let lo = j * self.cfg.l;
-                let hi = ((j + 1) * self.cfg.l).min(self.n_cols);
-                out.row_mut(dst_row)[lo..hi].copy_from_slice(&self.values.row(u)[lo..hi]);
-            }
-        }
+        self.for_each_kept(|u, j, row, lo, width| {
+            out.row_mut(row)[lo..lo + width].copy_from_slice(self.panel_row(j, u));
+        });
         out
     }
 
     /// 0/1 mask of surviving positions, shape `k × n`.
     pub fn dense_mask(&self) -> MatrixF32 {
         let mut out = MatrixF32::zeros(self.k, self.n_cols);
+        self.for_each_kept(|_, _, row, lo, width| out.row_mut(row)[lo..lo + width].fill(1.0));
+        out
+    }
+
+    /// Visit every kept vector that lies inside the dense `k` rows:
+    /// `f(u, j, dense row, first column, width)`.
+    fn for_each_kept(&self, mut f: impl FnMut(usize, usize, usize, usize, usize)) {
         for u in 0..self.w() {
-            let window = u / self.cfg.n;
-            let base = window * self.cfg.m;
+            let base = u / self.cfg.n * self.cfg.m;
             for j in 0..self.q() {
-                let dst_row = base + self.indices.get(u, j) as usize;
-                if dst_row >= self.k {
-                    continue;
-                }
-                let lo = j * self.cfg.l;
-                let hi = ((j + 1) * self.cfg.l).min(self.n_cols);
-                for v in &mut out.row_mut(dst_row)[lo..hi] {
-                    *v = 1.0;
+                let row = base + self.indices.get(u, j) as usize;
+                if row < self.k {
+                    let (lo, width) = window_span(self.cfg, self.n_cols, j);
+                    f(u, j, row, lo, width);
                 }
             }
         }
-        out
     }
 
     /// The sparsity configuration.
@@ -168,7 +197,7 @@ impl NmSparseMatrix {
     /// Compressed row count `w = ⌈k/M⌉·N`.
     #[inline]
     pub fn w(&self) -> usize {
-        self.values.rows()
+        self.indices.w()
     }
 
     /// Window-column count `q = ⌈n/L⌉`.
@@ -177,9 +206,44 @@ impl NmSparseMatrix {
         self.indices.q()
     }
 
-    /// The compressed values matrix `B′` (`w × n`).
+    /// The compressed values `B′`, window-major: window `j`'s `w × width`
+    /// panel (row-major, `width = min(L, n − j·L)`) starts at float
+    /// `j·L·w`. The buffer starts on a 64-byte boundary, so at `L = 32`
+    /// every panel and every panel row does too.
     #[inline]
-    pub fn values(&self) -> &MatrixF32 {
+    pub fn panels(&self) -> &[f32] {
+        self.values.as_slice()
+    }
+
+    /// Window `j`'s `w × width` panel of [`Self::panels`].
+    #[inline]
+    pub(crate) fn panel(&self, j: usize) -> &[f32] {
+        let (lo, width) = window_span(self.cfg, self.n_cols, j);
+        &self.panels()[lo * self.w()..(lo + width) * self.w()]
+    }
+
+    /// Compressed row `u` of window `j`: `B′[u][j·L..j·L + width]`.
+    #[inline]
+    pub(crate) fn panel_row(&self, j: usize, u: usize) -> &[f32] {
+        let width = window_span(self.cfg, self.n_cols, j).1;
+        &self.panel(j)[u * width..(u + 1) * width]
+    }
+
+    /// A row-major `w × n` **copy** of `B′` — for cold callers and checks;
+    /// the hot paths read [`Self::panels`].
+    pub fn values_row_major(&self) -> MatrixF32 {
+        let mut out = MatrixF32::zeros(self.w(), self.n_cols);
+        for u in 0..self.w() {
+            for j in 0..self.q() {
+                let (lo, width) = window_span(self.cfg, self.n_cols, j);
+                out.row_mut(u)[lo..lo + width].copy_from_slice(self.panel_row(j, u));
+            }
+        }
+        out
+    }
+
+    /// The shared panel buffer a staging borrows.
+    pub(crate) fn panel_buf(&self) -> &Arc<PanelBuf> {
         &self.values
     }
 
@@ -196,7 +260,7 @@ impl NmSparseMatrix {
 
     /// Compressed footprint in bytes: values + indices under `layout`.
     pub fn storage_bytes(&self, layout: IndexLayout) -> usize {
-        std::mem::size_of_val(self.values.as_slice()) + self.indices.storage_bytes(self.cfg, layout)
+        std::mem::size_of_val(self.panels()) + self.indices.storage_bytes(self.cfg, layout)
     }
 
     /// Dense footprint in bytes of the original matrix.
@@ -212,10 +276,10 @@ impl NmSparseMatrix {
     /// Compressed footprint in bytes under an arbitrary storage format.
     ///
     /// [`StorageFormat::RowMajor`] defers to [`NmSparseMatrix::storage_bytes`]
-    /// with `layout`; a sliced format re-lays the same floats out in slice
-    /// panels but replaces the `u8`/bit-packed `D` with absolute `u32`
-    /// gather indices plus a window permutation table, so `layout` does not
-    /// apply to it — the sliced footprint is always the `u32` one.
+    /// with `layout`; a sliced format reads the same value panels but
+    /// replaces the `u8`/bit-packed `D` with absolute `u32` gather indices
+    /// plus a window permutation table, so `layout` does not apply to it —
+    /// the sliced footprint is always the `u32` one.
     pub fn storage_bytes_as(&self, format: StorageFormat, layout: IndexLayout) -> usize {
         match format {
             StorageFormat::RowMajor => self.storage_bytes(layout),
@@ -227,6 +291,13 @@ impl NmSparseMatrix {
     pub fn compression_ratio_as(&self, format: StorageFormat, layout: IndexLayout) -> f64 {
         self.dense_bytes() as f64 / self.storage_bytes_as(format, layout) as f64
     }
+}
+
+/// First column and width of window `j` of an `n`-column matrix.
+#[inline]
+pub(crate) fn window_span(cfg: NmConfig, n: usize, j: usize) -> (usize, usize) {
+    let lo = j * cfg.l;
+    (lo, cfg.l.min(n - lo))
 }
 
 /// Check that `d` is the `w × q` canonical index matrix of a `k × n` matrix
@@ -304,7 +375,8 @@ mod tests {
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
         assert_eq!(sb.w(), 64 * 2 / 16);
         assert_eq!(sb.q(), 40 / 8);
-        assert_eq!(sb.values().shape(), (8, 40));
+        assert_eq!(sb.panels().len(), 8 * 40);
+        assert_eq!(sb.values_row_major().shape(), (8, 40));
     }
 
     #[test]
@@ -344,15 +416,15 @@ mod tests {
         let c = cfg(2, 4, 4);
         let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(16, 8, 2), c).unwrap();
         let parts = |k| {
-            let values = sb.values().as_slice().to_vec();
-            NmSparseMatrix::from_parts(c, k, 8, values, sb.indices().clone())
+            let fill = |dst: &mut [f32], _: &IndexMatrix| dst.copy_from_slice(sb.panels());
+            NmSparseMatrix::from_parts(c, k, 8, sb.indices().clone(), fill)
         };
         assert_eq!(parts(16).unwrap(), sb);
         // An index matrix for another k, and a non-canonical one.
         assert!(matches!(parts(20), Err(NmError::DimensionMismatch { .. })));
         let d = IndexMatrix::from_vec(2, 1, vec![3, 1]);
         assert!(matches!(
-            NmSparseMatrix::from_parts(c, 4, 4, vec![0.0; 8], d),
+            NmSparseMatrix::from_parts(c, 4, 4, d, |_, _| unreachable!("D is checked first")),
             Err(NmError::CorruptIndex { .. })
         ));
     }
@@ -411,6 +483,33 @@ mod tests {
             sb.compression_ratio_as(sliced, IndexLayout::BitPacked)
                 < sb.compression_ratio(IndexLayout::BitPacked)
         );
+    }
+
+    #[test]
+    fn panels_are_window_major_and_cache_line_aligned() {
+        // Ragged k (pads 50 to 56) and ragged n (the last window is 6 wide).
+        let c = cfg(2, 8, 32);
+        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(50, 70, 17), c).unwrap();
+        let loaded = crate::serialize::from_bytes(&crate::serialize::to_bytes(&sb)).unwrap();
+        let rows = sb.values_row_major();
+        let (w, q) = (sb.w(), sb.q());
+        assert_eq!((w, q), (14, 3));
+        for m in [&sb, &loaded] {
+            assert_eq!(m.panels().as_ptr() as usize % PANEL_ALIGN, 0);
+            for j in 0..q {
+                let (lo, width) = window_span(c, 70, j);
+                let panel = m.panel(j);
+                assert_eq!(panel.as_ptr(), m.panels()[j * c.l * w..].as_ptr());
+                assert_eq!(panel.as_ptr() as usize % PANEL_ALIGN, 0, "panel {j}");
+                for u in 0..w {
+                    let row = m.panel_row(j, u);
+                    assert_eq!(row, &rows.row(u)[lo..lo + width], "({u}, {j})");
+                    if width == c.l {
+                        assert_eq!(row.as_ptr() as usize % PANEL_ALIGN, 0, "({u}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,27 +97,27 @@ fn spmm_with_scale(a: &MatrixF32, sb: &NmSparseMatrix, scale: f32) -> MatrixF32 
     );
     let cfg = sb.cfg();
     let n = sb.cols();
-    let (w, q) = (sb.w(), sb.q());
-    let values = sb.values();
+    let q = sb.q();
     let d = sb.indices();
 
+    // Windows write disjoint columns, so each `C` element sums over `u`
+    // in ascending order.
     let mut c = MatrixF32::zeros(m, n);
     for i in 0..m {
         let a_row = a.row(i);
-        for u in 0..w {
-            let base = u / cfg.n * cfg.m;
-            let b_row = values.row(u);
-            let c_row = c.row_mut(i);
-            for j in 0..q {
-                let src = base + d.get(u, j) as usize;
+        let c_row = c.row_mut(i);
+        for j in 0..q {
+            let lo = j * cfg.l;
+            let hi = ((j + 1) * cfg.l).min(n);
+            let panel = sb.panel(j).chunks_exact(hi - lo);
+            for (u, b_row) in panel.enumerate() {
+                let src = u / cfg.n * cfg.m + d.get(u, j) as usize;
                 // Padded k rows read an implicit zero.
                 let av = if src < k { a_row[src] } else { 0.0 };
                 if av == 0.0 {
                     continue;
                 }
-                let lo = j * cfg.l;
-                let hi = ((j + 1) * cfg.l).min(n);
-                for (cv, bv) in c_row[lo..hi].iter_mut().zip(&b_row[lo..hi]) {
+                for (cv, bv) in c_row[lo..hi].iter_mut().zip(b_row) {
                     *cv += av * bv;
                 }
             }

@@ -156,8 +156,10 @@ impl BackendKind {
     ///
     /// `kernel` pins the micro-kernel of the CPU and codegen preparations
     /// (`None` runs [`MicroKernel::select`]); the simulator has no host
-    /// ISA and ignores it. A state that reads the compressed matrix
-    /// online keeps a clone of the `Arc`, never a copy of the matrix.
+    /// ISA and ignores it. No state copies the compressed matrix to run
+    /// it: the simulator keeps a clone of the `Arc`, and a CPU staging
+    /// borrows the matrix's value panels. Only the codegen verifier keeps
+    /// a row-major copy of `B′` for its shader binding.
     ///
     /// # Errors
     /// [`NmError::Unsupported`] for `Cpu(V1)` and `Cpu(V2)`;
@@ -263,6 +265,13 @@ pub trait PreparedState: Send + Sync {
     /// stages one (the CPU kernel and the codegen backend); `None` for the
     /// simulator.
     fn storage(&self) -> Option<nm_core::sliced::StorageFormat> {
+        None
+    }
+
+    /// The staged `B′` (the CPU kernel's, or the codegen backend's twin's);
+    /// `None` for the simulator. Its value panels are the prepared
+    /// weights' own buffer, shared.
+    fn staging(&self) -> Option<&nm_core::sliced::SlicedMatrix> {
         None
     }
 }

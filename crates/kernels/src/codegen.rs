@@ -78,11 +78,15 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
 
 /// The offline product of the codegen backend: the CPU twin preparation,
 /// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
-/// column groups — everything derived from the weights alone — plus the
-/// compressed weights whose values the shader binds as `B′`, and the
-/// device and plan estimate a run's report reads.
+/// column groups — everything derived from the weights alone — plus a
+/// row-major copy of `B′` for the shader's `B′` binding, and the device
+/// and plan estimate a run's report reads.
+///
+/// The copy keeps the shader's `B′` indexing (`u · n + col`) and its text
+/// unchanged; the codegen backend verifies the CPU kernel, so it may pay
+/// for one.
 pub struct CodegenPrepared {
-    sb: Arc<NmSparseMatrix>,
+    b: Vec<f32>,
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
@@ -173,7 +177,7 @@ impl CodegenPrepared {
             KernelFamily::V3 | KernelFamily::SkinnyDecode => KernelChoice::NmV3,
         };
         Ok(Self {
-            sb: Arc::clone(sb),
+            b: sb.values_row_major().into_vec(),
             twin,
             ir,
             wgsl,
@@ -199,16 +203,16 @@ impl CodegenPrepared {
     }
 
     /// The interpreter's view of the binding tables, with `B′` bound to
-    /// the held weights' values and the gather indices and fast flags to
-    /// the twin's staging, rather than to copies.
+    /// the row-major copy and the gather indices and fast flags to the
+    /// twin's staging.
     pub fn bindings(&self) -> KernelBindings<'_> {
         let (sm, fast, _) = self.twin.staged();
         KernelBindings {
-            b: self.sb.values().as_slice(),
+            b: &self.b,
             gather: sm.gather(),
             groups: &self.groups,
             fast,
-            q: self.sb.q(),
+            q: sm.windows(),
         }
     }
 
@@ -369,6 +373,10 @@ impl PreparedState for CodegenPrepared {
     fn storage(&self) -> Option<StorageFormat> {
         Some(self.twin.format())
     }
+
+    fn staging(&self) -> Option<&nm_core::sliced::SlicedMatrix> {
+        Some(self.twin.staged().0)
+    }
 }
 
 #[cfg(test)]
@@ -474,10 +482,9 @@ mod tests {
                 let sb = operand(cfg, k, n, 18);
                 let state = kind.prepare(&dev, &plan, &sb, None).unwrap();
                 assert_eq!(state.storage(), Some(storage));
-                // The CPU state reads only its staging; codegen shares the
-                // matrix it binds as `B′`.
-                let held = usize::from(kind == BackendKind::Codegen);
-                assert_eq!(Arc::strong_count(&sb), 1 + held, "{kind}");
+                // Neither state holds the matrix: a staging shares only its
+                // value panels, and codegen binds a row-major copy as `B′`.
+                assert_eq!(Arc::strong_count(&sb), 1, "{kind}");
                 drop(sb);
                 let got = state.run(&a).unwrap();
                 let fresh = operand(cfg, k, n, 18);

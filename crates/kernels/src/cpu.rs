@@ -9,8 +9,9 @@
 //! * **Blocking.** `mb×nb×kb` cache blocking around a register
 //!   micro-kernel. `B′` is staged once as SELL-C-σ slices
 //!   ([`SlicedMatrix`]): runs of `C` pruning windows, each window's values
-//!   one dense `w×L` panel (so a k-block of it is one contiguous `ub×L`
-//!   run) with its absolute gather indices resolved offline. The paper's
+//!   one dense `w×L` panel of the weights' own window-major storage,
+//!   borrowed rather than copied (so a k-block of it is one contiguous
+//!   `ub×L` run), with its absolute gather indices resolved offline. The paper's
 //!   layout ([`StorageFormat::RowMajor`], the CPU analogue of its
 //!   `transformLayout` + shared-memory `Bs` tile) is the `C = nb/L, σ = 1`
 //!   slicing: one unsorted slice per `nb`-wide column block. One panel
@@ -388,8 +389,9 @@ impl CpuPrepared {
         let nb = tiling.nb.min(n.max(1).div_ceil(cfg.l) * cfg.l);
         let tiling = CpuTiling { kb, nb, ..tiling };
 
-        // Stage B′ once. Row-major is the slicing whose slices are the
-        // `nb`-wide column blocks, unsorted: the `transformLayout` panels.
+        // Stage B′ once, borrowing its panels. Row-major is the slicing
+        // whose slices are the `nb`-wide column blocks, unsorted: the
+        // `transformLayout` panels.
         let layout = match format {
             StorageFormat::RowMajor => SlicedLayout::new(nb / cfg.l, 1)?,
             StorageFormat::Sliced(layout) => layout,
@@ -507,6 +509,10 @@ impl PreparedState for CpuPrepared {
 
     fn storage(&self) -> Option<StorageFormat> {
         Some(self.format)
+    }
+
+    fn staging(&self) -> Option<&SlicedMatrix> {
+        Some(&self.staged.sm)
     }
 }
 

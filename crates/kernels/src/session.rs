@@ -658,10 +658,15 @@ impl Session {
 }
 
 /// One layer, fully prepared: the plan, the backend it was prepared on,
-/// the backend's offline state — which owns everything `forward` reads, so
+/// the backend's offline state — which holds everything `forward` reads, so
 /// nothing is rebuilt per call — and the (shared, via `Arc`) weights that
-/// [`PreparedLayer::weights`] hands back. Loading the same weights onto
-/// several backends copies nothing.
+/// [`PreparedLayer::weights`] hands back.
+///
+/// The weights' window-major value panels are the only resident copy of
+/// `B′`: a CPU staging ([`PreparedState::staging`]) owns its gather table
+/// and window permutation and borrows the panels. Loading the same weights
+/// several times — other formats, a decode stack, measured candidates —
+/// copies no values.
 ///
 /// The handle is `Send + Sync`; `forward` takes `&self`, so one prepared
 /// layer can serve concurrent callers (e.g. a serving front-end's worker
@@ -1176,6 +1181,54 @@ mod tests {
             let got = layer.forward_vec(x.row(0)).unwrap();
             assert_eq!(want.c.as_slice(), got.c.as_slice());
         }
+    }
+
+    #[test]
+    fn every_staging_borrows_the_weights_panels() {
+        use nm_core::sliced::SlicedLayout;
+        // Ragged k and n; L = 32 aligns every full panel.
+        let cfg = NmConfig::new(2, 8, 32).unwrap();
+        let sb = Arc::new(weights(200, 130, cfg, 91));
+        let mut s = session();
+        let rm = s
+            .load_with(
+                sb.clone(),
+                LoadSpec::rows(4).storage(StorageFormat::RowMajor),
+            )
+            .unwrap();
+        let pin = StorageFormat::Sliced(SlicedLayout::new(8, 32).unwrap());
+        let sliced = s
+            .load_with(sb.clone(), LoadSpec::rows(4).storage(pin))
+            .unwrap();
+        let mut quick = SessionBuilder::new(a100_80g())
+            .autotune(AutotuneMode::Quick)
+            .build()
+            .unwrap();
+        let measured = quick.load(sb.clone(), 1).unwrap();
+
+        let panels = sb.panels().as_ptr_range();
+        assert_eq!(panels.start as usize % 64, 0);
+        for layer in [&rm, &sliced, &measured] {
+            assert!(std::ptr::eq(layer.weights(), &*sb));
+            let sm = layer.state.staging().expect("a CPU staging");
+            for pos in 0..sm.windows() {
+                let v = sm.window_values(pos, 0, sm.w()).as_ptr_range();
+                let within = panels.start <= v.start && v.end <= panels.end;
+                assert!(
+                    within,
+                    "{:?}: window {pos} is not in the panels",
+                    layer.storage()
+                );
+                if sm.span(pos).1 == cfg.l {
+                    assert_eq!(v.start as usize % 64, 0, "window {pos}");
+                }
+            }
+        }
+        assert_eq!(rm.state.staging().unwrap().layout().sort_window, 1);
+        assert_eq!(
+            sliced.state.staging().unwrap().layout(),
+            SlicedLayout::new(8, 32).unwrap()
+        );
     }
 
     #[test]

@@ -152,19 +152,6 @@ impl Ticket {
             }),
         }
     }
-
-    /// As [`Ticket::wait`] with a timeout; `None` when still pending.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<Completion>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => None,
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                Some(Err(NmError::Canceled {
-                    reason: "server shut down before the request resolved".into(),
-                }))
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ mod tests {
         let a = ProblemInstance::generate(spec(), 7);
         let b = ProblemInstance::generate(spec(), 7);
         assert_eq!(a.a, b.a);
-        assert_eq!(a.b_sparse.values(), b.b_sparse.values());
+        assert_eq!(a.b_sparse.panels(), b.b_sparse.panels());
         let c = ProblemInstance::generate(spec(), 8);
         assert_ne!(a.a, c.a);
     }
