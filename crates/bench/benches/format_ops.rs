@@ -55,6 +55,24 @@ fn bench_format(c: &mut Criterion) {
     group.bench_function("deserialize", |bench| {
         bench.iter(|| from_bytes(&blob).expect("deserialize"))
     });
+
+    // A q/k/v/o projection (2048 × 2048 at 4:8), and a ragged layer: k = 2049
+    // leaves one real row in the last pruning window, so every window column
+    // keeps a padded-tail span that the load zeroes; n = 2050 leaves a
+    // 2-wide last window.
+    for (label, (k, n), (nk, m)) in [
+        ("qkvo_4:8_2048x2048", (2048, 2048), (4, 8)),
+        ("ragged_2:8_2049x2050", (2049, 2050), (2, 8)),
+    ] {
+        let cfg = NmConfig::new(nk, m, 32).expect("config");
+        let layer =
+            NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 5), cfg).expect("prune");
+        let blob = to_bytes(&layer);
+        group.throughput(Throughput::Bytes(blob.len() as u64));
+        group.bench_with_input(BenchmarkId::new("deserialize", label), &blob, |bench, b| {
+            bench.iter(|| from_bytes(b).expect("deserialize"))
+        });
+    }
     group.finish();
 }
 

@@ -163,28 +163,40 @@ impl IndexMatrix {
         out
     }
 
-    /// Inverse of [`Self::bit_pack`].
+    /// Inverse of [`Self::bit_pack`]. A `w × q` shape whose entry or bit
+    /// count overflows `usize` is an [`NmError::DimensionMismatch`].
     pub fn bit_unpack(packed: &[u8], w: usize, q: usize, cfg: NmConfig) -> Result<Self> {
-        let bits = cfg.index_bits();
-        let needed_bits = w * q * bits as usize;
-        if packed.len() * 8 < needed_bits {
+        let bits = cfg.index_bits() as usize;
+        let needed_bits = w
+            .checked_mul(q)
+            .and_then(|e| e.checked_mul(bits))
+            .ok_or_else(|| NmError::DimensionMismatch {
+                expected: format!("a {w}x{q} index matrix whose bit count fits usize"),
+                found: format!("{w}·{q}·{bits} bits"),
+            })?;
+        if packed.len() < needed_bits.div_ceil(8) {
             return Err(NmError::DimensionMismatch {
                 expected: format!("at least {} packed bytes", needed_bits.div_ceil(8)),
                 found: format!("{} bytes", packed.len()),
             });
         }
-        let mut data = Vec::with_capacity(w * q);
-        let mut bitpos = 0usize;
-        for _ in 0..w * q {
-            let mut val = 0u32;
-            for b in 0..bits {
-                if packed[bitpos / 8] & (1 << (bitpos % 8)) != 0 {
-                    val |= 1 << b;
+        // A shift register: whole bytes go in at the top, entries come out
+        // at the bottom. `bits ≤ 8`, so one byte always refills it.
+        let mask = (1u32 << bits) - 1;
+        let (mut reg, mut held) = (0u32, 0usize);
+        let mut bytes = packed.iter();
+        let data = (0..w * q)
+            .map(|_| {
+                if held < bits {
+                    reg |= u32::from(*bytes.next().expect("length checked above")) << held;
+                    held += 8;
                 }
-                bitpos += 1;
-            }
-            data.push(val as u8);
-        }
+                let v = (reg & mask) as u8;
+                reg >>= bits;
+                held -= bits;
+                v
+            })
+            .collect();
         Ok(Self { w, q, data })
     }
 }
@@ -253,9 +265,46 @@ mod tests {
     }
 
     #[test]
+    fn bit_pack_round_trips_every_width() {
+        // M = 2..=256 covers 1..=8 bits; w·q = 7·3 = 21 entries, so w·q·bits
+        // is a multiple of 8 only at 8 bits, and the stream ends mid-byte.
+        for bits in 1..=8u32 {
+            let m = 1usize << bits;
+            let cfg = NmConfig::new(1, m, 1).unwrap();
+            assert_eq!(cfg.index_bits(), bits);
+            let (w, q) = (7, 3);
+            let data = (0..w * q).map(|i| ((i * 37 + 11) % m) as u8).collect();
+            let d = IndexMatrix::from_vec(w, q, data);
+            let packed = d.bit_pack(cfg);
+            assert_eq!(
+                packed.len(),
+                (w * q * bits as usize).div_ceil(8),
+                "{bits} bits"
+            );
+            let back = IndexMatrix::bit_unpack(&packed, w, q, cfg).unwrap();
+            assert_eq!(back, d, "{bits} bits");
+        }
+    }
+
+    #[test]
     fn bit_unpack_rejects_short_buffer() {
         let cfg = NmConfig::new(2, 16, 4).unwrap();
         assert!(IndexMatrix::bit_unpack(&[0u8; 1], 4, 4, cfg).is_err());
+    }
+
+    #[test]
+    fn bit_unpack_rejects_an_overflowing_shape() {
+        // Each shape's bit count overflows usize: the result must be an
+        // error, never a `w × q` matrix with an empty (wrapped) buffer.
+        let cfg = NmConfig::new(2, 8, 4).unwrap();
+        for (w, q) in [(1 << 62, 4), (usize::MAX, 2), (1 << 63, 1)] {
+            match IndexMatrix::bit_unpack(&[], w, q, cfg) {
+                Err(NmError::DimensionMismatch { expected, .. }) => {
+                    assert!(expected.contains("fits usize"), "{w}x{q}: {expected}")
+                }
+                other => panic!("{w}x{q}: expected an overflow error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! and the raw little-endian `f32` values `B′`, each section
 //! length-prefixed. The wire keeps `B′` row-major; in memory it is
 //! window-major ([`NmSparseMatrix::panels`]). Loading touches only the
-//! compressed bytes: `D` is unpacked and checked first, then the values
-//! section is decoded in bands of 16 rows, each scattered window by
-//! window straight into the panels. No dense `k × n` matrix and no
-//! row-major copy of `B′` is built.
+//! compressed bytes: `D` is unpacked and checked first, then the panel
+//! buffer is split into runs of whole windows, one run per rayon worker.
+//! Each worker walks the wire in bands of 16 compressed rows and decodes
+//! its windows' columns of each band straight into their panel rows, so
+//! every float is read once from the wire and written once, by one worker
+//! (the panels are bit-identical on any worker count). No dense `k × n`
+//! matrix, no row-major copy of `B′` and no staging buffer is built.
 //!
 //! [`from_bytes`] checks, before it allocates anything:
 //! - magic, version and the configuration (`1 ≤ N ≤ M`, `L ≥ 1`);
@@ -32,8 +35,10 @@
 use crate::error::{NmError, Result};
 use crate::index::IndexMatrix;
 use crate::pattern::NmConfig;
-use crate::sparse::{window_span, NmSparseMatrix};
+use crate::sparse::NmSparseMatrix;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// File magic: `NMSP`.
 pub const MAGIC: [u8; 4] = *b"NMSP";
@@ -41,7 +46,8 @@ pub const MAGIC: [u8; 4] = *b"NMSP";
 pub const VERSION: u16 = 1;
 
 /// Compressed rows decoded per band: each window then takes one contiguous
-/// `BAND × width` run of its panel.
+/// `BAND × width` run of its panel, while the band's wire rows stay in
+/// cache.
 const BAND: usize = 16;
 
 /// Serialize a compressed matrix into a standalone binary blob.
@@ -152,23 +158,39 @@ pub fn from_bytes(mut data: &[u8]) -> Result<NmSparseMatrix> {
     let values = &data[..val_bytes];
     let indices = IndexMatrix::bit_unpack(packed, w, q, cfg)?;
     NmSparseMatrix::from_parts(cfg, k, n, indices, |panels, _| {
-        let mut band = vec![0f32; BAND.min(w) * n];
-        for (b, rows) in values.chunks(BAND * n * 4).enumerate() {
-            let band = &mut band[..rows.len() / 4];
-            for (v, x) in band.iter_mut().zip(rows.chunks_exact(4)) {
-                *v = f32::from_le_bytes(x.try_into().expect("chunks_exact yields 4 bytes"));
-            }
-            let u0 = b * BAND;
-            for j in 0..q {
-                let (lo, width) = window_span(cfg, n, j);
-                let at = lo * w + u0 * width;
-                let dst = panels[at..at + band.len() / n * width].chunks_exact_mut(width);
-                for (dst, src) in dst.zip(band.chunks_exact(n)) {
-                    dst.copy_from_slice(&src[lo..lo + width]);
+        // Whole windows per run; `min(n)` keeps a lone run's column count
+        // (and so its float count) inside the checked `w·n`.
+        let run_cols = q
+            .div_ceil(rayon::current_num_threads())
+            .saturating_mul(cfg.l)
+            .min(n);
+        panels
+            .par_chunks_mut(run_cols * w)
+            .enumerate()
+            .for_each(|(r, out)| {
+                let lo = r * run_cols;
+                decode_windows(values, n, w, cfg.l, lo..lo + out.len() / w, out);
+            });
+    })
+}
+
+/// Decode the wire's columns `cols` (whole windows of width `l`) of all `w`
+/// compressed rows into `out`, those windows' panels, band by band.
+fn decode_windows(wire: &[u8], n: usize, w: usize, l: usize, cols: Range<usize>, out: &mut [f32]) {
+    for u0 in (0..w).step_by(BAND) {
+        let rows = u0..(u0 + BAND).min(w);
+        for lo in cols.clone().step_by(l) {
+            let width = l.min(cols.end - lo);
+            let panel = &mut out[(lo - cols.start) * w..][..w * width];
+            for u in rows.clone() {
+                let src = &wire[(u * n + lo) * 4..][..width * 4];
+                let dst = &mut panel[u * width..][..width];
+                for (v, x) in dst.iter_mut().zip(src.chunks_exact(4)) {
+                    *v = f32::from_le_bytes(x.try_into().expect("chunks_exact yields 4 bytes"));
                 }
             }
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -244,11 +266,11 @@ mod tests {
         let blob = to_bytes(&sb).to_vec();
         // Flip bits across the index section; the canonical-form validator
         // (strictly increasing offsets per window) must catch corruption.
-        let idx_start = 40; // header(8) + cfg(12) + dims(16) + len(8) = 44... locate by construction
+        let idx_start = IDX_LEN_AT + 8;
         let mut rejected = 0;
         for i in 0..16 {
             let mut bad = blob.clone();
-            let pos = idx_start + 4 + i;
+            let pos = idx_start + i;
             if pos < bad.len() {
                 bad[pos] ^= 0xFF;
             }
@@ -438,6 +460,67 @@ mod tests {
             let values = loaded.values_row_major();
             assert_eq!(values.get(0, l).to_bits(), (-0.0f32).to_bits());
             assert_eq!(values.get(nk - 1, l + 1).to_bits(), nan.to_bits());
+        }
+    }
+
+    #[test]
+    fn loads_the_same_bits_on_one_worker_and_on_all() {
+        // Ragged k (padded-tail spans), ragged n, w off the 16-row band
+        // (one, or more than one, band), and q = 1 (one run, so every other
+        // worker gets no windows).
+        let cases = [
+            ((2, 8, 32), (75, 70)),
+            ((3, 8, 4), (75, 13)),
+            ((2, 4, 16), (37, 9)),
+            ((1, 5, 2), (11, 7)),
+            ((2, 8, 32), (2049, 100)),
+        ];
+        let one_worker = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for ((nk, m, l), (k, n)) in cases {
+            let cfg = NmConfig::new(nk, m, l).unwrap();
+            let d = top_and_bottom(cfg, k, n);
+            let sb = NmSparseMatrix::compress(&MatrixF32::random(k, n, 4), cfg, d.clone()).unwrap();
+            let mut blob = to_bytes(&sb).to_vec();
+            // Row 0 lies in the first pruning window, so its spans are real:
+            // plant a -0.0 and a NaN payload there, and garbage everywhere
+            // else on the wire.
+            let vals_at = val_len_at(&blob) + 8;
+            let nan = f32::from_bits(0x7fc0_1234);
+            for (i, x) in blob[vals_at..].chunks_exact_mut(4).enumerate() {
+                let v = match i {
+                    0 => -0.0,
+                    i if i == n - 1 => nan,
+                    i => i as f32 * 0.25 - 7.0,
+                };
+                x.copy_from_slice(&v.to_le_bytes());
+            }
+
+            let case = format!("{cfg} {k}x{n}");
+            let serial = one_worker.install(|| from_bytes(&blob)).unwrap();
+            let parallel = from_bytes(&blob).unwrap();
+            assert_eq!(bits(&serial), bits(&parallel), "{case}");
+            assert_eq!(serial.indices(), &d, "{case}");
+
+            let mut tail_spans = 0;
+            for u in 0..sb.w() {
+                for j in 0..sb.q() {
+                    let padding = u / nk * m + d.get(u, j) as usize >= k;
+                    tail_spans += usize::from(padding);
+                    for (c, v) in parallel.panel_row(j, u).iter().enumerate() {
+                        let at = vals_at + (u * n + j * l + c) * 4;
+                        let wire = u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+                        let want = if padding { 0 } else { wire };
+                        assert_eq!(v.to_bits(), want, "{case} ({u}, {j}, {c})");
+                    }
+                }
+            }
+            assert!(tail_spans > 0, "{case}: no padded-tail span");
+            let values = parallel.values_row_major();
+            assert_eq!(values.get(0, 0).to_bits(), (-0.0f32).to_bits(), "{case}");
+            assert_eq!(values.get(0, n - 1).to_bits(), nan.to_bits(), "{case}");
         }
     }
 

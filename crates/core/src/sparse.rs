@@ -113,9 +113,10 @@ impl NmSparseMatrix {
     /// buffer ([`Self::panels`]'s layout), given the checked `D`. The
     /// checks [`Self::compress`] makes come first, so nothing is allocated
     /// for a bad `D`: it must be `w × q` and canonical. A value span whose
-    /// offset lands in the padded tail of the last pruning window
-    /// (`base + D[u][j] ≥ k`) is zeroed after `fill`, exactly as
-    /// `compress` leaves it.
+    /// offset lands in the padded tail (`base + D[u][j] ≥ k`) is zeroed
+    /// after `fill`, exactly as `compress` leaves it. Only the last pruning
+    /// window's `N` rows can land there, so only their `N × q` offsets are
+    /// visited.
     pub(crate) fn from_parts(
         cfg: NmConfig,
         k: usize,
@@ -127,10 +128,12 @@ impl NmSparseMatrix {
         let mut values = PanelBuf::zeroed(w * n);
         let panels = values.as_mut_slice();
         fill(panels, &d);
-        for j in 0..q {
-            let (lo, width) = window_span(cfg, n, j);
-            for u in 0..w {
+        // An earlier window's rows all lie below the next window's base
+        // row, which is `< k`.
+        for u in w.saturating_sub(cfg.n)..w {
+            for j in 0..q {
                 if u / cfg.n * cfg.m + d.get(u, j) as usize >= k {
+                    let (lo, width) = window_span(cfg, n, j);
                     let at = lo * w + u * width;
                     panels[at..at + width].fill(0.0);
                 }
