@@ -14,7 +14,7 @@ use gpu_sim::device::a100_80g;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
-use nm_kernels::{BackendKind, NmVersion, PreparedLayer, Session, SessionBuilder};
+use nm_kernels::{AutotuneMode, PreparedLayer, Session, SessionBuilder};
 use std::sync::Arc;
 
 const M: usize = 256;
@@ -35,17 +35,23 @@ const DECODE_N: usize = 5504;
 /// model stack does.
 const DECODE_COPIES: usize = 32;
 
-const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
+/// A session that loads cost-model plans: nothing is measured.
+fn session() -> Session {
+    SessionBuilder::new(a100_80g())
+        .autotune(AutotuneMode::Off)
+        .build()
+        .expect("session")
+}
 
 fn load(session: &mut Session, b: &MatrixF32, cfg: NmConfig) -> PreparedLayer {
     let sb = NmSparseMatrix::prune_magnitude(b, cfg).expect("prune");
-    session.load_on(sb, M, CPU).expect("load layer")
+    session.load(sb, M).expect("load layer")
 }
 
 fn bench_cpu_spmm(c: &mut Criterion) {
     let a = MatrixF32::random(M, K, 1);
     let b = MatrixF32::random(K, N, 2);
-    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+    let mut session = session();
 
     let mut group = c.benchmark_group("cpu_spmm");
     group.sample_size(10);
@@ -77,8 +83,8 @@ fn bench_prefill(c: &mut Criterion) {
     let b = MatrixF32::random(DECODE_K, DECODE_N, 5);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune");
     let a = MatrixF32::random(PREFILL_M, DECODE_K, 6);
-    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
-    let layer = session.load_on(sb, PREFILL_M, CPU).expect("load layer");
+    let mut session = session();
+    let layer = session.load(sb, PREFILL_M).expect("load layer");
 
     let mut group = c.benchmark_group("cpu_spmm_prefill");
     group.sample_size(10);
@@ -99,7 +105,7 @@ fn bench_decode(c: &mut Criterion) {
     let b = MatrixF32::random(DECODE_K, DECODE_N, 4);
     let weights = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
     let x = MatrixF32::random(1, DECODE_K, 3);
-    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+    let mut session = session();
 
     let mut group = c.benchmark_group("cpu_spmm_decode");
     group.sample_size(2 * DECODE_COPIES);
@@ -107,11 +113,7 @@ fn bench_decode(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(staged_bytes as u64));
     // Every load stages its own copy of `B′`.
     let layers: Vec<PreparedLayer> = (0..DECODE_COPIES)
-        .map(|_| {
-            session
-                .load_on(weights.clone(), 1, CPU)
-                .expect("load layer")
-        })
+        .map(|_| session.load(weights.clone(), 1).expect("load layer"))
         .collect();
     let mut next = 0;
     group.bench_function("m1_2048x5504_75.0%/v3-column-split", |bench| {

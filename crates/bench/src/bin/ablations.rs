@@ -13,20 +13,20 @@ use nm_analysis::packing::expected_ratio;
 use nm_bench::{pct, TextTable};
 use nm_core::index::{IndexLayout, IndexMatrix};
 use nm_core::pattern::NmConfig;
-use nm_kernels::Engine;
+use nm_kernels::Planner;
 
 fn main() {
     nm_bench::switches("usage: ablations", []);
-    let mut engine = Engine::new(a100_80g());
+    let mut planner = Planner::new(a100_80g());
     let (m, n, k) = (4096, 4096, 4096);
 
     println!("== Ablation 1: packing vs non-packing across sparsity ==\n");
     // V2-with-packing vs V1 (never packs), same (tuned) blocking and the
-    // same serial pipeline — both estimates come from one engine plan.
+    // same serial pipeline — both estimates come from one planner plan.
     let mut t = TextTable::new(&["N:M", "sparsity", "non-packing", "packing", "winner"]);
     for nn in [14usize, 12, 10, 8, 6, 5, 4, 3, 2, 1] {
         let cfg = NmConfig::new(nn, 16, 32).expect("config");
-        let plan = engine.plan(m, n, k, cfg).expect("plan");
+        let plan = planner.plan(m, n, k, cfg).expect("plan");
         let v1_eff = plan.estimates.nm_v1.expect("v1").efficiency;
         // Below the threshold the strategy refuses packing, so V2 degrades
         // to V1 and no forced-packing estimate exists.
@@ -60,7 +60,7 @@ fn main() {
     let mut t = TextTable::new(&["sparsity", "serial (V2)", "pipelined (V3)", "gain"]);
     for nn in [8usize, 6, 4, 2] {
         let cfg = NmConfig::new(nn, 16, 32).expect("config");
-        let plan = engine.plan(m, n, k, cfg).expect("plan");
+        let plan = planner.plan(m, n, k, cfg).expect("plan");
         let v2 = plan.estimates.nm_v2.expect("v2");
         let v3 = plan.estimates.nm_v3.expect("v3");
         t.row(&[
@@ -76,7 +76,7 @@ fn main() {
     let mut t = TextTable::new(&["L", "qs", "expected packed ratio", "V3 efficiency"]);
     for l in [8usize, 16, 32, 64, 128] {
         let cfg = NmConfig::new(2, 16, l).expect("config");
-        match engine.plan(m, n, k, cfg) {
+        match planner.plan(m, n, k, cfg) {
             Ok(plan) => {
                 let qs = plan.params.ns / l;
                 t.row(&[
@@ -131,6 +131,6 @@ fn main() {
     println!("(the paper's 8x8 / 8x16 tiles maximize CMAR within the 255-register budget)");
 
     // Ablations 1 and 2 share plan keys (same shape, same levels), so the
-    // engine's memo serves the overlap without re-tuning.
-    println!("\nplan cache: {}", engine.stats());
+    // planner's memo serves the overlap without re-tuning.
+    println!("\nplan cache: {}", planner.cache().stats());
 }

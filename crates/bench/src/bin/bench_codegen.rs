@@ -27,7 +27,7 @@ use nm_core::sparse::NmSparseMatrix;
 use nm_gpu::ShaderStats;
 use nm_kernels::codegen::CodegenPrepared;
 use nm_kernels::plan::{KernelChoice, Plan, Planner, ShapeClass};
-use nm_kernels::{BackendKind, MicroKernel, NmVersion};
+use nm_kernels::{CpuPrepared, MicroKernel};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,8 +89,8 @@ impl Cell {
 fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let (dev, sb) = (a100_80g(), &Arc::new(sb));
     let a = MatrixF32::random(m, sb.k(), seed);
-    let prep = CodegenPrepared::new(&dev, plan, sb, None)
-        .expect("codegen preparation (lower/emit/validate)");
+    let prep =
+        CodegenPrepared::new(plan, sb, None).expect("codegen preparation (lower/emit/validate)");
     // `prepare` already gates on the validator; collecting stats re-runs
     // it on the emitted text, so `validated` reports the emission.
     let stats = ShaderStats::collect(prep.ir(), prep.wgsl());
@@ -102,8 +102,7 @@ fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let cpu = BackendKind::Cpu(NmVersion::V3)
-        .prepare(&dev, plan, sb, None)
+    let cpu = CpuPrepared::for_plan(plan, sb, None)
         .and_then(|state| state.run(&a))
         .expect("cpu_v3");
     let cpu_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -167,14 +166,8 @@ fn main() {
 
     // Resolve the micro-kernel before any work, so a malformed
     // NM_SPMM_ISA is a usage error (exit 2) rather than a panic mid-sweep.
-    // Every backend here is explicit, so NM_SPMM_BACKEND is only
-    // validated: an unknown name (`cpu_v1` included) fails the same way.
     if let Err(e) = MicroKernel::select() {
         eprintln!("micro-kernel selection failed: {e}");
-        std::process::exit(2);
-    }
-    if let Err(e) = BackendKind::from_env() {
-        eprintln!("{e}");
         std::process::exit(2);
     }
 

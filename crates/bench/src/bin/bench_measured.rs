@@ -3,7 +3,7 @@
 //!
 //! Unlike the other bins (which regenerate the paper's figures from the
 //! *timing model*), this one executes every kernel for real through the
-//! [`nm_kernels::backend`] subsystem, cross-checks the numerics, and emits
+//! prepared [`nm_kernels::session`] layers, cross-checks the numerics, and emits
 //! a `BENCH_pr.json` trajectory file — the repo's measured performance
 //! record, consumed by the `perf-smoke` CI gate.
 //!
@@ -39,9 +39,10 @@
 //! lanes is the median of their per-round ratios
 //! ([`ShapeResult::ratio`]), and every gate prints each pair's ratio, the
 //! IQRs and the threshold, on pass as well as on fail. `cpu_v3` is the
-//! kernel a plain `Session::load` prepares; `cpu_v3_1w`, the same layer
-//! raced inside a one-thread `rayon::ThreadPool::install`, must match it
-//! bit for bit. `stepwise` reports `serial_over_ref` and
+//! kernel a plain `Session::load` prepares without measuring (a session
+//! whose autotune mode is `Off` loads every cost-model lane);
+//! `cpu_v3_1w`, the same layer raced inside a one-thread
+//! `rayon::ThreadPool::install`, must match it bit for bit. `stepwise` reports `serial_over_ref` and
 //! `parallel_over_serial`, what the workers add over one.
 //!
 //! ## The plan A/B lane
@@ -83,12 +84,9 @@ use nm_core::sliced::{SlicedLayout, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use nm_core::spmm::spmm_reference;
 use nm_kernels::{
-    race, AutotuneMode, BackendKind, Isa, LoadSpec, MeasuredChoice, MicroKernel, NmVersion,
-    PreparedLayer, Session, SessionBuilder, ShapeClass, Spread, DECODE_MAX_ROWS,
+    race, AutotuneMode, Isa, LoadSpec, MeasuredChoice, MicroKernel, PreparedLayer, Session,
+    SessionBuilder, ShapeClass, Spread, DECODE_MAX_ROWS,
 };
-
-/// The native CPU kernel, the backend of every prepared lane.
-const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
 
 /// One benchmarked problem.
 struct Shape {
@@ -295,7 +293,14 @@ struct Lane<'a> {
     check: Check,
 }
 
-fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeResult, String> {
+/// One shape's race. `cost` (autotune `Off`) loads every cost-model lane;
+/// `tuned` loads the `measured` lane when its autotune mode is on.
+fn bench_shape(
+    cost: &mut Session,
+    tuned: &mut Session,
+    shape: &Shape,
+    seed: u64,
+) -> Result<ShapeResult, String> {
     let Shape { label, m, n, k, .. } = *shape;
     let c = shape.cfg;
 
@@ -309,26 +314,27 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     );
     let useful = 2.0 * m as f64 * n as f64 * sb.w() as f64;
     let decode = m <= DECODE_MAX_ROWS;
-    let autotuned = session.autotune() != AutotuneMode::Off;
+    let autotuned = tuned.autotune() != AutotuneMode::Off;
     let traffic_bytes = decode.then(|| decode_traffic_bytes(m, n, k, &sb));
     let a4 = (m == 1).then(|| MatrixF32::from_vec(4, k, [a.row(0), &vec![0.0; 3 * k]].concat()));
 
     // Session::load_with does each lane's offline work (planning, B'
-    // staging) before the race, which times the online forward alone. The
-    // session's pinned micro-kernel drives every preparation, so the
-    // top-level `isa` and the per-kernel entries agree by construction.
-    let mut load = |name: &'static str, spec: LoadSpec, input, one_worker, check| {
-        let layer = session
-            .load_with(sb.clone(), spec)
-            .map_err(|e| format!("{label}: {name} preparation failed: {e}"))?;
-        Ok::<_, String>(Lane {
-            name,
-            layer: Some(layer),
-            input,
-            one_worker,
-            check,
-        })
-    };
+    // staging, measuring) before the race, which times the online forward
+    // alone. Both sessions pin the same micro-kernel, so the top-level
+    // `isa` and the per-kernel entries agree by construction.
+    let load =
+        |session: &mut Session, name: &'static str, spec: LoadSpec, input, one_worker, check| {
+            let layer = session
+                .load_with(sb.clone(), spec)
+                .map_err(|e| format!("{label}: {name} preparation failed: {e}"))?;
+            Ok::<_, String>(Lane {
+                name,
+                layer: Some(layer),
+                input,
+                one_worker,
+                check,
+            })
+        };
     // The scalar reference is both the baseline and the numeric oracle.
     let mut lanes = vec![Lane {
         name: "reference",
@@ -340,12 +346,12 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     // `cpu_v3_1w` is the same kind of layer pinned to one worker: the row
     // and column splits leave every `+=` sequence unchanged, so it must
     // reproduce `cpu_v3` bit for bit.
-    let (cpu, bits) = (LoadSpec::rows(m).backend(CPU), Check::BitsOf("cpu_v3"));
-    lanes.push(load("cpu_v3", cpu.clone(), &a, false, Check::Close)?);
-    lanes.push(load("cpu_v3_1w", cpu.clone(), &a, true, bits)?);
+    let (cpu, bits) = (LoadSpec::rows(m), Check::BitsOf("cpu_v3"));
+    lanes.push(load(cost, "cpu_v3", cpu.clone(), &a, false, Check::Close)?);
+    lanes.push(load(cost, "cpu_v3_1w", cpu.clone(), &a, true, bits)?);
     // The storage-format rival, decode shapes only: the same preparation
     // pinned to the SELL-C-σ sliced layout, head to head with the
-    // row-major `cpu_v3` lane. An explicit backend keeps this lane
+    // row-major `cpu_v3` lane. The cost-model session keeps this lane
     // measurement-free (like the kernel lanes), so it times the *derived*
     // sliced geometry — the measured lane is where evidence picks a
     // format. The sliced staging is bit-identical to the row-major one,
@@ -353,15 +359,22 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     // hide a broken permutation.
     if decode {
         let spec = cpu.storage(StorageFormat::Sliced(SlicedLayout::DEFAULT));
-        lanes.push(load("cpu_v3_sliced", spec, &a, false, bits)?);
+        lanes.push(load(cost, "cpu_v3_sliced", spec, &a, false, bits)?);
     }
     // Decode rival, m = 1 only: the GEMM tile forced onto the SpMV shape
     // — a 4-row zero-padded operand, pinned to one worker so it stays a
     // sequential 4-row tile. It is scored at the *useful* (1-row) FLOPs
     // and traffic, so the padding waste shows up as lost throughput.
     if let Some(a4) = &a4 {
-        let spec = LoadSpec::rows(4).backend(CPU);
-        lanes.push(load("gemm4_forced", spec, a4, true, Check::Row0Close)?);
+        let spec = LoadSpec::rows(4);
+        lanes.push(load(
+            cost,
+            "gemm4_forced",
+            spec,
+            a4,
+            true,
+            Check::Row0Close,
+        )?);
     }
     // The A/B lane: `Session::load` with measured autotuning routes
     // through the short-run harness (cache-consulted, so repeat shapes
@@ -369,7 +382,14 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
     // and storage format.
     let mut evidence = None;
     if autotuned {
-        let lane = load("measured", LoadSpec::rows(m), &a, false, Check::Close)?;
+        let lane = load(
+            tuned,
+            "measured",
+            LoadSpec::rows(m),
+            &a,
+            false,
+            Check::Close,
+        )?;
         let measured = lane.layer.as_ref().and_then(|l| l.plan().measured);
         let why = || format!("{label}: measured load returned a plan without evidence");
         evidence = Some(measured.ok_or_else(why)?);
@@ -427,10 +447,7 @@ fn bench_shape(session: &mut Session, shape: &Shape, seed: u64) -> Result<ShapeR
                 }
             }
         }
-        let isa = lane
-            .layer
-            .as_ref()
-            .map(|l| l.isa().expect("CPU backend reports an ISA"));
+        let isa = lane.layer.as_ref().map(|l| l.isa());
         let seconds = Spread::of(rounds).median;
         kernels.push((
             lane.name,
@@ -986,15 +1003,19 @@ fn main() {
         std::process::exit(2);
     });
     // Plans come from the A100 model: the auto-tuned blocking (not the
-    // timing estimate) is what drives the CPU tile sizes. The session
-    // pins the resolved micro-kernel across every layer it loads.
-    let mut session = (SessionBuilder::new(a100_80g()).micro_kernel(kernel))
-        .autotune(autotune)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build session: {e}");
-            std::process::exit(2);
-        });
+    // timing estimate) is what drives the CPU tile sizes. Both sessions
+    // pin the resolved micro-kernel across every layer they load; only
+    // the second measures.
+    let build = |mode| {
+        (SessionBuilder::new(a100_80g()).micro_kernel(kernel))
+            .autotune(mode)
+            .build()
+            .unwrap_or_else(|e| {
+                eprintln!("cannot build session: {e}");
+                std::process::exit(2);
+            })
+    };
+    let (mut cost, mut tuned) = (build(AutotuneMode::Off), build(autotune));
 
     println!(
         "== measured CPU kernel ({mode} mode, {} shapes, {} micro-kernel, autotune {autotune}) ==\n",
@@ -1013,7 +1034,7 @@ fn main() {
         );
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        match bench_shape(&mut session, shape, seed) {
+        match bench_shape(&mut cost, &mut tuned, shape, seed) {
             Ok(r) => {
                 println!(
                     "ref {:.3}s  V3 {} ({:.2} GFLOP/s)",
@@ -1117,13 +1138,7 @@ fn main() {
         t.print();
     }
 
-    let doc = results_to_json(
-        &results,
-        mode,
-        &session.device().name,
-        kernel.isa(),
-        autotune,
-    );
+    let doc = results_to_json(&results, mode, &cost.device().name, kernel.isa(), autotune);
     let json = doc.dump().expect("results serialize");
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cannot write {out}: {e}");

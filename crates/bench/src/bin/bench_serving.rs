@@ -52,9 +52,7 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::session::{LoadSpec, PreparedLayer};
-use nm_kernels::{
-    race, BackendKind, MicroKernel, NmVersion, SessionBuilder, Spread, DECODE_MAX_ROWS,
-};
+use nm_kernels::{race, MicroKernel, SessionBuilder, Spread, DECODE_MAX_ROWS};
 use nm_serve::{Server, ServerConfig, SubmitOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -315,16 +313,8 @@ fn main() {
 
     // Resolve the micro-kernel and build the session before any work, so
     // a malformed NM_SPMM_ISA / NM_SPMM_AUTOTUNE is a usage error (exit 2).
-    // The session pins its backend, so NM_SPMM_BACKEND is only validated:
-    // an unknown name (`cpu_v1` included) fails here too.
     let mut session = MicroKernel::select()
-        .and_then(|kernel| {
-            BackendKind::from_env()?;
-            SessionBuilder::new(a100_80g())
-                .backend(BackendKind::Cpu(NmVersion::V3))
-                .micro_kernel(kernel)
-                .build()
-        })
+        .and_then(|kernel| SessionBuilder::new(a100_80g()).micro_kernel(kernel).build())
         .unwrap_or_else(|e| {
             eprintln!("cannot build session: {e}");
             std::process::exit(2);
@@ -349,7 +339,7 @@ fn main() {
         nm,
         layer.backend(),
         layer.plan().key.shape.tag(),
-        layer.isa().map(|i| i.name()).unwrap_or("-"),
+        layer.isa().name(),
     );
 
     // Gap-closed linger: a wide hard cap so a full closed-loop cohort can
@@ -472,13 +462,7 @@ fn main() {
         ("seed", JsonValue::from_usize(seed as usize)),
         ("rounds", JsonValue::from_usize(ROUNDS)),
         ("threads", JsonValue::from_usize(session.threads())),
-        (
-            "isa",
-            layer
-                .isa()
-                .map(|i| JsonValue::from_str_value(i.name()))
-                .unwrap_or(JsonValue::Null),
-        ),
+        ("isa", JsonValue::from_str_value(layer.isa().name())),
         (
             "shape",
             JsonValue::object(vec![

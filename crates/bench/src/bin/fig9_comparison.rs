@@ -3,7 +3,7 @@
 //! levels, on all three GPUs — plus the §IV-D aggregate claims
 //! (NM-SpMM ≈ 2.1× nmSPARSE overall, 1.4×–6.3× over cuBLAS).
 //!
-//! All kernel selection goes through the unified [`Engine`]: one plan per
+//! All kernel selection goes through the unified [`Planner`]: one plan per
 //! `(device, shape class, N:M)` key carries every family's estimate, and
 //! repeated shapes (Llama's `mlp.gate`/`mlp.up` share weights shapes) are
 //! cache hits rather than re-tunes — the per-device cache accounting is
@@ -14,7 +14,7 @@
 
 use gpu_sim::device::paper_devices;
 use nm_bench::{geomean, spd, TextTable};
-use nm_kernels::Engine;
+use nm_kernels::Planner;
 use nm_workloads::levels::{benchmark_levels, label};
 use nm_workloads::llama::dataset;
 
@@ -28,7 +28,7 @@ fn main() {
 
     for dev in paper_devices() {
         println!("-- {} --", dev.name);
-        let mut engine = Engine::new(dev.clone());
+        let mut planner = Planner::new(dev.clone());
         let mut summary = TextTable::new(&[
             "sparsity", "ideal", "NM-SpMM", "nmSPARSE", "Sputnik", "NM/nmSP",
         ]);
@@ -39,7 +39,7 @@ fn main() {
             let mut series: Vec<(usize, f64, f64, f64)> = Vec::new();
             for p in &points {
                 let (m, n, k) = (p.m, p.shape.n, p.shape.k);
-                let plan = engine.plan(m, n, k, cfg).expect("plan");
+                let plan = planner.plan(m, n, k, cfg).expect("plan");
                 let e = &plan.estimates;
                 let dense = e.dense.seconds;
                 let nm = e.nm_v3.expect("nm-spmm estimate").seconds;
@@ -85,7 +85,7 @@ fn main() {
             }
         }
         summary.print();
-        println!("  plan cache: {}\n", engine.stats());
+        println!("  plan cache: {}\n", planner.cache().stats());
     }
 
     println!("== §IV-D aggregates ==");

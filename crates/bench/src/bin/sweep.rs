@@ -13,8 +13,9 @@
 //!
 //! Every kernel choice comes from [`Session::plan`] — strategy decision
 //! plus exhaustive autotune, memoized per `(device, shape class, N:M)`
-//! key — and every execution goes through a prepared layer
-//! handle ([`Session::load_planned`]). With `--cache PATH` the memo is
+//! key — every energy figure from the plan's prediction
+//! ([`Plan::predict`](nm_kernels::Plan::predict)), and every execution
+//! goes through a prepared layer handle. With `--cache PATH` the memo is
 //! loaded at startup and saved on exit, so the second run of an identical
 //! sweep performs zero tuning searches (the cache accounting printed at
 //! the end proves it).
@@ -22,7 +23,7 @@
 use gpu_sim::device::{a100_80g, a100_ncu_locked, rtx3090, rtx4090, DeviceConfig};
 use gpu_sim::energy;
 use nm_bench::{pct, spd, TextTable};
-use nm_kernels::{AutotuneMode, BackendKind, NmSpmmKernel, NmVersion, Session, SessionBuilder};
+use nm_kernels::{AutotuneMode, NmSpmmKernel, NmVersion, Session, SessionBuilder};
 use nm_workloads::gen::{ProblemInstance, ProblemSpec};
 use nm_workloads::levels::{benchmark_levels, label};
 use nm_workloads::llama::LLAMA_FAMILY;
@@ -290,7 +291,7 @@ fn llama_sweep(args: &Args, session: &mut Session, model_name: &str) {
                         e.measured_ms
                             .map(|ms| format!("{ms:.1}"))
                             .unwrap_or_else(|| "-".into()),
-                        format!("{:.2e}", e.sim_vs_cpu_max_diff),
+                        format!("{:.2e}", e.oracle_vs_cpu_max_diff),
                     ]);
                 }
             }
@@ -383,17 +384,13 @@ fn shape_sweep(args: &Args, session: &mut Session) {
         let plan = session.plan(m, n, k, cfg).expect("plan");
         let best = plan.best().expect("planner-built plans carry an estimate");
         // Energy needs event counts: small problems take the chosen
-        // kernel's predicted counts from a prepared Sim-backend handle;
-        // large shapes skip it (the estimate covers time).
+        // kernel's predicted counts over generated weights; large shapes
+        // skip it (the estimate covers time).
         let spec = ProblemSpec { m, n, k, cfg };
         let e = if m * n <= 512 * 512 {
             let inst = ProblemInstance::generate(spec, 1);
-            let layer = session
-                .load_planned(plan.clone(), inst.b_sparse.clone(), BackendKind::Sim)
-                .expect("prepare");
-            let run = layer.forward(&inst.a).expect("run");
-            let stats = run.stats.expect("sim backend counts events");
-            let report = run.report.expect("sim backend reports timing");
+            let (stats, report) =
+                (plan.predict(session.device(), m, &inst.b_sparse)).expect("prediction");
             Some(energy::estimate(session.device(), &stats, &report))
         } else {
             None

@@ -1,7 +1,7 @@
 //! The command lines of the `sweep`, bench, figure and table binaries:
-//! every malformed invocation — a bad flag or a bad environment override,
-//! the removed `cpu_v1`/`cpu_v2` backend names included — ends in a usage
-//! or error line and exit code 2 before any work starts, never a panic.
+//! every malformed invocation — a bad flag or a bad environment override
+//! — ends in a usage or error line and exit code 2 before any work
+//! starts, never a panic.
 
 use std::process::Command;
 
@@ -17,10 +17,6 @@ fn bad_arguments_exit_2_without_a_backtrace() {
     let codegen = env!("CARGO_BIN_EXE_bench_codegen");
     let bogus = Some("`bogus`");
     let (isa, autotune) = (Some("NM_SPMM_ISA=bogus"), Some("NM_SPMM_AUTOTUNE=bogus"));
-    let (v1, v2) = (
-        Some("NM_SPMM_BACKEND=cpu_v1"),
-        Some("NM_SPMM_BACKEND=cpu_v2"),
-    );
     let cases: &[Case] = &[
         (sweep, &["--m"], None, None),
         (sweep, &["--m", "abc"], None, None),
@@ -34,19 +30,13 @@ fn bad_arguments_exit_2_without_a_backtrace() {
         (measured, &["--out"], None, None),
         (measured, &["--assert-ab"], None, None),
         (measured, &["--quick"], autotune, bogus),
-        (measured, &["--quick"], v1, Some("`cpu_v1`")),
-        (measured, &["--quick"], v2, Some("`cpu_v2`")),
         (serving, &["--bogus"], None, None),
         (serving, &["--seed", "x"], None, None),
         (serving, &["--quick"], isa, bogus),
         (serving, &["--quick"], autotune, bogus),
-        (serving, &["--quick"], v1, Some("`cpu_v1`")),
-        (serving, &["--quick"], v2, Some("`cpu_v2`")),
         (codegen, &["--bogus"], None, None),
         (codegen, &["--seed", "x"], None, None),
         (codegen, &["--quick"], isa, bogus),
-        (codegen, &["--quick"], v1, Some("`cpu_v1`")),
-        (codegen, &["--quick"], v2, Some("`cpu_v2`")),
         (
             env!("CARGO_BIN_EXE_fig7_stepwise"),
             &["--bogus"],

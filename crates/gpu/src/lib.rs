@@ -24,9 +24,9 @@
 //!    bit for bit and counting phase events that must match the
 //!    simulator's [`gpu_sim::ExecutionTrace`] launch shape.
 //!
-//! The `nm-kernels` crate wires all three in as the `codegen` execution
-//! backend; a real `wgpu` runtime would replace layer 3 with a device
-//! queue and keep layers 1–2 unchanged.
+//! The `nm-kernels` crate wires all three into its codegen verifier
+//! (`CodegenPrepared`); a real `wgpu` runtime would replace layer 3 with a
+//! device queue and keep layers 1–2 unchanged.
 
 #![warn(missing_docs)]
 

@@ -18,7 +18,7 @@
 //! Callers rarely use this module directly: [`crate::plan::Planner`] runs
 //! the search once per `(device, shape-class, N:M)` key and memoizes the
 //! winner in a [`crate::plan::PlanCache`] (optionally persisted to JSON by
-//! [`crate::engine::Engine`]), so repeated sweeps over the same shapes are
+//! a [`crate::session::Session`]), so repeated sweeps over the same shapes are
 //! O(1) lookups instead of re-searches.
 
 use crate::nm::{NmSpmmKernel, NmVersion};

@@ -1,13 +1,14 @@
-//! The `codegen` execution backend: plans lowered to WGSL through
-//! `nm-gpu`, executed by its deterministic shader interpreter.
+//! The WGSL proof: plans lowered to WGSL through `nm-gpu`, executed by its
+//! deterministic shader interpreter.
 //!
 //! Where the simulator models a launch and the CPU kernel runs natively,
-//! this backend *generates the GPU kernel* — a complete WGSL compute
+//! this module *generates the GPU kernel* — a complete WGSL compute
 //! shader lowered from the plan's blocking, the N:M config and the
 //! staged storage format — validates it, and executes its tile walk on
-//! the host, workgroup by workgroup. [`CodegenPrepared::new`] (what
-//! [`BackendKind::Codegen`]'s [`prepare`](BackendKind::prepare) builds)
-//! is the offline step; its [`PreparedState::run`] is the online one.
+//! the host, workgroup by workgroup. It runs no layer in production: a
+//! [`CodegenPrepared`] is the verifier that proves the shader means what
+//! the CPU kernel computes ([`CodegenPrepared::execute`]) and that its
+//! phases match the simulated launch ([`CodegenPrepared::phase_parity`]).
 //!
 //! ## The twin preparation
 //!
@@ -40,20 +41,18 @@ use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use std::sync::Arc;
 
-use crate::backend::{BackendKind, ExecRun, PreparedState};
 use crate::cpu::{uses_packing, CpuPrepared};
 use crate::nm::NmVersion;
-use crate::plan::{EstimateSummary, KernelChoice, Plan};
+use crate::plan::Plan;
 use crate::simd::{Isa, MicroKernel};
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::timing::{estimate, KernelProfile, PipelineMode};
-use gpu_sim::{ExecutionTrace, KernelStats, LaunchReport, PhaseCounts};
+use gpu_sim::{ExecutionTrace, LaunchReport, PhaseCounts};
 use nm_gpu::{
     emit_wgsl, interpret, lower, validate_wgsl, ColumnGroup, InterpTrace, KernelBindings,
     KernelFamily, KernelIr, KernelSpec, ValidateOptions, WindowSpan,
 };
-use std::time::Instant;
 
 /// Registers the timing model charges each generated-kernel thread —
 /// the register budget of the paper's hand-written kernels; the emitted
@@ -76,23 +75,19 @@ pub fn family_for_plan(plan: &Plan) -> KernelFamily {
     }
 }
 
-/// The offline product of the codegen backend: the CPU twin preparation,
-/// the lowered IR, the emitted-and-validated WGSL, and the interpreter's
+/// The codegen verifier's offline product: the CPU twin preparation, the
+/// lowered IR, the emitted-and-validated WGSL, and the interpreter's
 /// column groups — everything derived from the weights alone — plus a
-/// row-major copy of `B′` for the shader's `B′` binding, and the device
-/// and plan estimate a run's report reads.
+/// row-major copy of `B′` for the shader's `B′` binding.
 ///
 /// The copy keeps the shader's `B′` indexing (`u · n + col`) and its text
-/// unchanged; the codegen backend verifies the CPU kernel, so it may pay
-/// for one.
+/// unchanged; the verifier checks the CPU kernel, so it may pay for one.
 pub struct CodegenPrepared {
     b: Vec<f32>,
     twin: CpuPrepared,
     ir: KernelIr,
     wgsl: String,
     groups: Vec<ColumnGroup>,
-    dev: DeviceConfig,
-    estimate: Option<EstimateSummary>,
 }
 
 impl CodegenPrepared {
@@ -107,12 +102,7 @@ impl CodegenPrepared {
     /// [`NmError::InvalidBlocking`] when the plan's blocking cannot drive
     /// the twin's tiles, and [`NmError::InvalidConfig`] when the emitted
     /// shader fails validation.
-    pub fn new(
-        dev: &DeviceConfig,
-        plan: &Plan,
-        sb: &Arc<NmSparseMatrix>,
-        kernel: Option<MicroKernel>,
-    ) -> Result<Self> {
+    pub fn new(plan: &Plan, sb: &Arc<NmSparseMatrix>, kernel: Option<MicroKernel>) -> Result<Self> {
         let twin = CpuPrepared::for_plan(plan, sb, kernel)?;
         let cfg = sb.cfg();
         let (w, n, k) = (sb.w(), sb.cols(), sb.k());
@@ -171,19 +161,12 @@ impl CodegenPrepared {
         validate_wgsl(&wgsl, &ValidateOptions::default()).map_err(|e| NmError::InvalidConfig {
             reason: format!("generated WGSL failed validation: {e}"),
         })?;
-        let estimate_family = match family {
-            KernelFamily::V1 => KernelChoice::NmV1,
-            KernelFamily::V2 => KernelChoice::NmV2,
-            KernelFamily::V3 | KernelFamily::SkinnyDecode => KernelChoice::NmV3,
-        };
         Ok(Self {
             b: sb.values_row_major().into_vec(),
             twin,
             ir,
             wgsl,
             groups,
-            dev: dev.clone(),
-            estimate: plan.estimates.get(estimate_family),
         })
     }
 
@@ -321,62 +304,6 @@ impl CodegenPrepared {
             sim_trace.phase_counts(),
         ))
     }
-
-    /// Event counts attributed from what the interpreter observed.
-    fn stats(&self, trace: &InterpTrace) -> KernelStats {
-        let shared_floats = self.ir.shared_floats as u64;
-        KernelStats {
-            ffma: trace.flops as u64 / 2,
-            ldg_bytes_a: trace.gather_loads as u64 * 4,
-            ldg_bytes_b: trace.gather_loads as u64 * 4,
-            ldg_bytes_d: self.twin.staged().0.gather().len() as u64 * 4,
-            ldg_bytes_colinfo: 0,
-            stg_bytes: trace.writebacks as u64 * 4,
-            ldg_sectors: (trace.gather_loads as u64 * 4).div_ceil(32),
-            lds_requests: trace.flops as u64 / 2 / 32,
-            lds_replays: 0,
-            sts_requests: trace.shared_stages as u64,
-            lds_bytes: trace.flops as u64 / 2 * 4,
-            sts_bytes: trace.shared_stages as u64 * shared_floats * 4,
-            barriers: (trace.shared_stages + trace.epilogues) as u64,
-            blocks: trace.workgroups as u64,
-            main_loop_iters: (trace.workgroups * trace.main_iters_per_workgroup) as u64,
-        }
-    }
-}
-
-impl PreparedState for CodegenPrepared {
-    /// The online step: interpret the generated kernel, then attach the
-    /// simulated report and event counts for the same launch — this
-    /// backend reports both real numerics *and* the model's opinion of
-    /// the kernel it generated.
-    fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
-        let t0 = Instant::now();
-        let (c, trace) = self.execute(a)?;
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let (report, _) = self.simulate(&self.dev, a.rows().max(1))?;
-        Ok(ExecRun {
-            c,
-            backend: BackendKind::Codegen,
-            wall_seconds,
-            estimate: self.estimate,
-            isa: Some(self.twin.isa()),
-            stats: Some(self.stats(&trace)),
-            report: Some(report),
-        })
-    }
-
-    fn isa(&self) -> Option<Isa> {
-        Some(self.twin.isa())
-    }
-
-    fn storage(&self) -> Option<StorageFormat> {
-        Some(self.twin.format())
-    }
-
-    fn staging(&self) -> Option<&nm_core::sliced::SlicedMatrix> {
-        Some(self.twin.staged().0)
-    }
 }
 
 #[cfg(test)]
@@ -388,16 +315,19 @@ mod tests {
     use nm_core::sliced::{SlicedLayout, StorageFormat};
     use nm_core::spmm::spmm_reference;
 
-    const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
-
     fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> {
         let b = MatrixF32::random(k, n, seed);
         Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap())
     }
 
-    fn run(kind: BackendKind, plan: &Plan, sb: &Arc<NmSparseMatrix>, a: &MatrixF32) -> ExecRun {
-        let state = kind.prepare(&a100_80g(), plan, sb, None).unwrap();
-        state.run(a).unwrap()
+    fn cpu(plan: &Plan, sb: &Arc<NmSparseMatrix>, a: &MatrixF32) -> MatrixF32 {
+        let state = CpuPrepared::for_plan(plan, sb, None).unwrap();
+        state.run(a).unwrap().c
+    }
+
+    fn gen(plan: &Plan, sb: &Arc<NmSparseMatrix>, a: &MatrixF32) -> MatrixF32 {
+        let prep = CodegenPrepared::new(plan, sb, None).unwrap();
+        prep.execute(a).unwrap().0
     }
 
     #[test]
@@ -408,16 +338,13 @@ mod tests {
         let sb = operand(cfg, 200, 144, 7);
         let a = MatrixF32::random(33, 200, 8);
 
-        let cpu = run(CPU, &plan, &sb, &a);
-        let gen = run(BackendKind::Codegen, &plan, &sb, &a);
+        let (cpu, gen) = (cpu(&plan, &sb, &a), gen(&plan, &sb, &a));
         assert_eq!(
-            cpu.c.as_slice(),
-            gen.c.as_slice(),
+            cpu.as_slice(),
+            gen.as_slice(),
             "interpreter must reproduce cpu_v3 bit for bit"
         );
-        assert!(gen.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-        assert!(gen.stats.is_some() && gen.report.is_some());
-        assert_eq!(gen.backend, BackendKind::Codegen);
+        assert!(gen.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
     }
 
     #[test]
@@ -431,12 +358,11 @@ mod tests {
         let sb = operand(cfg, 72, 112, 9);
         let a = MatrixF32::random(13, 72, 10);
 
-        let prep = CodegenPrepared::new(&dev, &plan, &sb, None).unwrap();
+        let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
         assert_eq!(prep.spec().storage, pin);
         assert!(prep.wgsl().contains("sliced"));
-        let gen = prep.run(&a).unwrap();
-        let cpu = run(CPU, &plan, &sb, &a);
-        assert_eq!(cpu.c.as_slice(), gen.c.as_slice());
+        let (gen, _) = prep.execute(&a).unwrap();
+        assert_eq!(cpu(&plan, &sb, &a).as_slice(), gen.as_slice());
     }
 
     #[test]
@@ -449,9 +375,10 @@ mod tests {
         assert_eq!(family_for_plan(&plan), KernelFamily::SkinnyDecode);
         let sb = operand(cfg, 128, 128, 11);
         let a = MatrixF32::random(1, 128, 12);
-        let gen = run(BackendKind::Codegen, &plan, &sb, &a);
-        let cpu = run(CPU, &plan, &sb, &a);
-        assert_eq!(cpu.c.as_slice(), gen.c.as_slice());
+        assert_eq!(
+            cpu(&plan, &sb, &a).as_slice(),
+            gen(&plan, &sb, &a).as_slice()
+        );
     }
 
     #[test]
@@ -461,7 +388,7 @@ mod tests {
         let plan = Planner::new(dev.clone()).plan(96, 256, 192, cfg).unwrap();
         let sb = operand(cfg, 192, 256, 13);
         let a = MatrixF32::random(96, 192, 14);
-        let prep = CodegenPrepared::new(&dev, &plan, &sb, None).unwrap();
+        let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
         let (_, trace) = prep.execute(&a).unwrap();
         let (ours, sim) = prep.phase_parity(&dev, &trace, 96).unwrap();
         assert!(ours.matches(&sim), "interpreter {ours} vs simulator {sim}");
@@ -478,20 +405,21 @@ mod tests {
             let plan = Planner::new(dev.clone())
                 .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
                 .unwrap();
-            for kind in [CPU, BackendKind::Codegen] {
-                let sb = operand(cfg, k, n, 18);
-                let state = kind.prepare(&dev, &plan, &sb, None).unwrap();
-                assert_eq!(state.storage(), Some(storage));
-                // Neither state holds the matrix: a staging shares only its
-                // value panels, and codegen binds a row-major copy as `B′`.
-                assert_eq!(Arc::strong_count(&sb), 1, "{kind}");
-                drop(sb);
-                let got = state.run(&a).unwrap();
-                let fresh = operand(cfg, k, n, 18);
-                let want = run(kind, &plan, &fresh, &a);
-                assert_eq!(got.c.as_slice(), want.c.as_slice(), "{kind} {storage}");
-                assert!(got.c.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
-            }
+            let sb = operand(cfg, k, n, 18);
+            let staged = CpuPrepared::for_plan(&plan, &sb, None).unwrap();
+            let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
+            assert_eq!((staged.format(), prep.spec().storage), (storage, storage));
+            // Neither holds the matrix: a staging shares only its value
+            // panels, and codegen binds a row-major copy as `B′`.
+            assert_eq!(Arc::strong_count(&sb), 1);
+            drop(sb);
+            let fresh = operand(cfg, k, n, 18);
+            let want = cpu(&plan, &fresh, &a);
+            let got = staged.run(&a).unwrap().c;
+            assert_eq!(got.as_slice(), want.as_slice(), "cpu {storage}");
+            let got = prep.execute(&a).unwrap().0;
+            assert_eq!(got.as_slice(), want.as_slice(), "codegen {storage}");
+            assert!(want.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's V1→V3 ladder (hierarchical blocking, then sparsity-aware
 //! packing, then the pipeline) is a set of GPU steps; the simulated kernels
-//! in [`crate::nm`] model it and the WGSL families in the codegen backend
+//! in [`crate::nm`] model it and the WGSL families in the codegen verifier
 //! emit it. On the host those steps do not separate, so this module runs
 //! one kernel over the identical offset-compressed [`NmSparseMatrix`]:
 //!
@@ -67,10 +67,9 @@ use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
 
-use crate::backend::{BackendKind, ExecRun, PreparedState};
-use crate::nm::NmVersion;
+use crate::backend::ExecRun;
 use crate::params::BlockingParams;
-use crate::plan::{EstimateSummary, KernelChoice, Plan};
+use crate::plan::Plan;
 use crate::simd::{Isa, MicroKernel, MW, MW_TALL, NW, NW2};
 
 /// Cache-capacity target for one staged `B′` block (`ub × nb` floats): the
@@ -289,7 +288,7 @@ fn lcm(a: usize, b: usize) -> usize {
 /// never on the activations `A`, so it is built once and amortized across
 /// executions — exactly the paper's offline step. It holds no reference
 /// to `sb`: the online kernel reads the staging alone. Its
-/// [`PreparedState::run`] times the online kernel only; the zero-padded
+/// [`CpuPrepared::run`] times the online kernel only; the zero-padded
 /// copy of `A` a ragged depth (`k` not a multiple of `M`) needs stays
 /// inside the timed window because it genuinely is online work.
 pub struct CpuPrepared {
@@ -310,9 +309,6 @@ pub struct CpuPrepared {
     /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
     /// runs as given) for a measured or explicit tiling.
     min_panel: usize,
-    /// The plan's V3 estimate a run reports (`None` outside
-    /// [`CpuPrepared::for_plan`]).
-    estimate: Option<EstimateSummary>,
 }
 
 impl CpuPrepared {
@@ -406,21 +402,21 @@ impl CpuPrepared {
             format,
             staged,
             min_panel: tiling.mb,
-            estimate: None,
         })
     }
 
-    /// The CPU and codegen backends' offline step: prepare `sb` for a run
-    /// of `plan`. A plan carrying measured evidence stages its measured
-    /// tiling (when window-aligned for these weights) and storage format;
-    /// otherwise the tiling is [`CpuTiling::derive`]d and the format is
-    /// the key's lane. `kernel` pins the micro-kernel; `None` runs
-    /// [`MicroKernel::select`].
-    pub(crate) fn for_plan(
-        plan: &Plan,
-        sb: &NmSparseMatrix,
-        kernel: Option<MicroKernel>,
-    ) -> Result<Self> {
+    /// The offline step of every prepared layer (and of the codegen
+    /// verifier's twin): prepare `sb` for a run of `plan`. A plan carrying
+    /// measured evidence stages its measured tiling (when window-aligned
+    /// for these weights) and storage format; otherwise the tiling is
+    /// [`CpuTiling::derive`]d and the format is the key's lane. `kernel`
+    /// pins the micro-kernel; `None` runs [`MicroKernel::select`].
+    ///
+    /// # Errors
+    /// [`NmError::InvalidBlocking`] when the plan's blocking cannot drive
+    /// the CPU tiles — e.g. `ns` not a multiple of the operand's vector
+    /// length `L`; never a panic.
+    pub fn for_plan(plan: &Plan, sb: &NmSparseMatrix, kernel: Option<MicroKernel>) -> Result<Self> {
         let cfg = sb.cfg();
         let measured = plan.measured;
         let (tiling, min_panel) = match measured.map(|m| m.cpu_tiling) {
@@ -433,11 +429,7 @@ impl CpuPrepared {
         let format = measured.map_or(plan.key.storage, |m| m.storage);
         let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
         let prep = Self::with_format(sb, tiling, kernel, format)?;
-        Ok(Self {
-            min_panel,
-            estimate: plan.estimates.get(KernelChoice::NmV3),
-            ..prep
-        })
+        Ok(Self { min_panel, ..prep })
     }
 
     /// The effective (clamped) tile geometry.
@@ -465,7 +457,7 @@ impl CpuPrepared {
 
     /// The staging's parts `(slices, fast flags, kblocks)`. The fast
     /// flags are the op-flavor map, `fast[pos * kblocks + bk]` over
-    /// permuted window positions — the codegen backend lowers its column
+    /// permuted window positions — the codegen verifier lowers its column
     /// groups from the slices and re-uses the flags verbatim as its
     /// per-span selector table, so the generated shader walks the same
     /// blocks the CPU kernel does.
@@ -482,37 +474,21 @@ impl CpuPrepared {
         let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
         v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
     }
-}
 
-impl PreparedState for CpuPrepared {
     /// The online kernel only — `wall_seconds` excludes every cost the
     /// preparation already paid, matching the paper's accounting for its
     /// `col_info` pre-processing.
-    fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
+    ///
+    /// # Errors
+    /// As [`spmm_cpu_prepared`].
+    pub fn run(&self, a: &MatrixF32) -> Result<ExecRun> {
         let t0 = Instant::now();
         let c = spmm_cpu_prepared(a, self)?;
-        let wall_seconds = t0.elapsed().as_secs_f64();
         Ok(ExecRun {
             c,
-            backend: BackendKind::Cpu(NmVersion::V3),
-            wall_seconds,
-            estimate: self.estimate,
-            isa: Some(self.isa()),
-            stats: None,
-            report: None,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            isa: self.isa(),
         })
-    }
-
-    fn isa(&self) -> Option<Isa> {
-        Some(CpuPrepared::isa(self))
-    }
-
-    fn storage(&self) -> Option<StorageFormat> {
-        Some(self.format)
-    }
-
-    fn staging(&self) -> Option<&SlicedMatrix> {
-        Some(&self.staged.sm)
     }
 }
 

@@ -21,12 +21,11 @@
 //! * [`sputnik::SputnikKernel`] — the Sputnik unstructured-SpMM baseline
 //!   (CSR row-split with uncoalesced gathers).
 //!
-//! The five families are unified behind the [`plan::Planner`] /
-//! [`engine::Engine`] subsystem: `Planner::plan` runs the §III-A strategy
-//! decision plus the exhaustive autotune once per
-//! `(device, shape class, N:M)` key and memoizes the winning [`plan::Plan`]
-//! in a JSON-serializable [`plan::PlanCache`]; `Engine` adds file-backed
-//! persistence.
+//! The five families are unified behind the [`plan::Planner`]:
+//! `Planner::plan` runs the §III-A strategy decision plus the exhaustive
+//! autotune once per `(device, shape class, N:M)` key and memoizes the
+//! winning [`plan::Plan`] in a JSON-serializable [`plan::PlanCache`],
+//! which a session can back with a file.
 //!
 //! ## The session API — the public execution surface
 //!
@@ -36,26 +35,23 @@
 //! **once**, then amortize that offline work across every
 //! `forward`/`forward_batch` call — the paper's offline/online split as
 //! an object. Examples, bench bins and the `nm-workloads` layer-sweep
-//! driver all execute through sessions; nothing outside this crate drives
-//! a backend or a `CpuPrepared` by hand.
+//! driver all execute through sessions.
 //!
-//! ## Execution backends
+//! ## One kernel runs; the model predicts beside it
 //!
-//! A resolved plan can run through more than one substrate.
-//! [`BackendKind::prepare`] does a backend's offline work once and returns
-//! a [`backend::PreparedState`] that runs itself, given only the
-//! activations:
+//! Every prepared layer runs one kernel, [`cpu`]: a **native** host
+//! kernel (the paper's V1→V3 ladder stays in the simulator and the
+//! codegen) whose tile sizes are derived from the plan's auto-tuned
+//! blocking — the measured-performance path the `bench_measured` harness
+//! sweeps. Two things attach to it without running it:
 //!
-//! * `BackendKind::Sim` — the reference oracle's result with the
-//!   simulated kernels' predicted event counts and timing attached,
-//! * `BackendKind::Cpu` — [`cpu`], one **native** host kernel (the
-//!   paper's V1→V3 ladder stays in the simulator and the codegen) whose
-//!   tile sizes are derived from the plan's auto-tuned blocking: the
-//!   measured-performance path the `bench_measured` harness sweeps,
-//! * `BackendKind::Codegen` — [`codegen::CodegenPrepared`], the plan
-//!   lowered to a **generated WGSL compute shader** through the `nm-gpu`
-//!   crate (typed shader IR → validated WGSL → deterministic host
-//!   interpretation), bit-identical to the CPU kernel and phase-matched
+//! * [`plan::Plan::predict`] — the simulated kernels' event counts and
+//!   timing report for the plan, computed on demand from the plan and the
+//!   weights' measured `col_info` packing ratio;
+//! * [`codegen::CodegenPrepared`] — the plan lowered to a **generated WGSL
+//!   compute shader** through the `nm-gpu` crate (typed shader IR →
+//!   validated WGSL → deterministic host interpretation), the verifier
+//!   that proves it bit-identical to the CPU kernel and phase-matched
 //!   against the simulator's launch timeline.
 //!
 //! Plans record their [`plan::Provenance`]: the analytic cost model, or
@@ -71,7 +67,7 @@
 //! assumed **k-major (column-major)** in global memory, so both the dense
 //! tile load and the packed per-column gather are fully coalesced; the
 //! traffic model accounts sectors for that k-major layout, whatever layout
-//! the host backends use.
+//! the host kernel uses.
 
 #![warn(missing_docs)]
 
@@ -81,7 +77,6 @@ pub mod codegen;
 pub mod common;
 pub mod cpu;
 pub mod dense;
-pub mod engine;
 pub mod measure;
 pub mod nm;
 pub mod nmsparse;
@@ -93,11 +88,10 @@ pub mod sparse_tc;
 pub mod sputnik;
 
 pub use autotune::{tune, TuneResult};
-pub use backend::{BackendKind, ExecRun, PreparedState, BACKEND_ENV};
+pub use backend::{BackendKind, ExecRun};
 pub use codegen::CodegenPrepared;
 pub use cpu::{spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling};
 pub use dense::DenseGemmKernel;
-pub use engine::{CacheStats, Engine};
 pub use measure::{
     measure, measurement_passes, race, AutotuneMode, MeasureOutcome, MeasureSpec, MeasuredSample,
     Spread,
@@ -106,12 +100,10 @@ pub use nm::{NmSpmmKernel, NmVersion};
 pub use nmsparse::NmSparseKernel;
 pub use params::{Blocking, BlockingParams};
 pub use plan::{
-    KernelChoice, MeasuredChoice, Plan, PlanCache, PlanHost, PlanKey, Planner, Provenance,
-    ShapeClass, DECODE_MAX_ROWS,
+    CacheStats, KernelChoice, MeasuredChoice, Plan, PlanCache, PlanHost, PlanKey, Planner,
+    Provenance, ShapeClass, DECODE_MAX_ROWS,
 };
-pub use session::{
-    BatchRouting, BatchRun, LoadSpec, PreparedLayer, PreparedModel, Session, SessionBuilder,
-};
+pub use session::{BatchRun, LoadSpec, PreparedLayer, PreparedModel, Session, SessionBuilder};
 pub use simd::{Isa, MicroKernel};
 pub use sparse_tc::SparseTensorCoreKernel;
 pub use sputnik::SputnikKernel;

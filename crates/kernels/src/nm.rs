@@ -431,19 +431,16 @@ mod tests {
 
     #[test]
     fn estimate_matches_run_report() {
-        // A Sim-backend run of a V3 plan reports this kernel's estimate at
+        // The prediction for a V3 plan reports this kernel's estimate at
         // the measured col_info ratio.
-        use crate::backend::BackendKind;
         use crate::plan::{KernelChoice, Planner};
         let dev = a100_80g();
         let cfg = NmConfig::new(2, 16, 32).unwrap();
-        let sb = std::sync::Arc::new(pruned(512, 256, cfg, 9));
-        let a = MatrixF32::random(128, 512, 8);
+        let sb = pruned(512, 256, cfg, 9);
         let mut plan = Planner::new(dev.clone()).plan(128, 256, 512, cfg).unwrap();
         plan.choice = KernelChoice::NmV3;
         plan.params = BlockingParams::large();
-        let state = BackendKind::Sim.prepare(&dev, &plan, &sb, None).unwrap();
-        let run = state.run(&a).unwrap();
+        let (_, report) = plan.predict(&dev, 128, &sb).unwrap();
         let kern = NmSpmmKernel::new(NmVersion::V3, plan.params);
         let nm = kern.plan(&dev, 128, 256, 512, cfg).unwrap();
         assert!(nm.packing, "2:16 packs on V3");
@@ -452,7 +449,7 @@ mod tests {
         let est = kern
             .estimate(&dev, 128, 256, 512, cfg, Some(ratio))
             .unwrap();
-        assert_eq!(run.report, Some(est));
+        assert_eq!(report, est);
     }
 
     #[test]

@@ -32,11 +32,13 @@ use crate::sparse_tc::SparseTensorCoreKernel;
 use crate::sputnik::SputnikKernel;
 use gpu_sim::device::DeviceConfig;
 use gpu_sim::timing::LaunchReport;
+use gpu_sim::KernelStats;
 use nm_analysis::strategy::{PipelineHint, PredictedBound, StrategyDecision};
 use nm_core::error::{NmError, Result};
 use nm_core::json::JsonValue;
 use nm_core::pattern::NmConfig;
 use nm_core::sliced::StorageFormat;
+use nm_core::sparse::NmSparseMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -613,6 +615,40 @@ impl Plan {
         Ok(self.estimates.dense.seconds / self.best()?.seconds)
     }
 
+    /// The simulator's prediction for an `m`-row launch of this plan over
+    /// the weights `sb`: event counts and the timing-model report of the
+    /// plan's kernel family, computed beside the CPU kernel that runs the
+    /// layer, never by it. Nothing is executed and no layer is built.
+    ///
+    /// `Dense` and `SparseTc` plans fall back to NM-SpMM V3 with the
+    /// plan's tuned blocking, so the counts always describe an N:M kernel
+    /// over the layer's sparse weights. An NM-SpMM launch that packs
+    /// reads the `col_info` packing ratio measured on `sb` (a walk over
+    /// every window of `D`), not the expected-union model's; Sputnik
+    /// reads its nonzero count.
+    ///
+    /// # Errors
+    /// Propagates the kernels' structured errors for a blocking the
+    /// device cannot launch.
+    pub fn predict(
+        &self,
+        dev: &DeviceConfig,
+        m: usize,
+        sb: &NmSparseMatrix,
+    ) -> Result<(KernelStats, LaunchReport)> {
+        let (n, k, cfg) = (sb.cols(), sb.k(), sb.cfg());
+        match self.choice {
+            KernelChoice::NmSparse => NmSparseKernel.predict(dev, m, n, k, cfg),
+            KernelChoice::Sputnik => Ok(SputnikKernel.predict(dev, m, sb)),
+            choice => {
+                let version = choice.nm_version().unwrap_or(NmVersion::V3);
+                let kernel = NmSpmmKernel::new(version, self.params);
+                let ratio = kernel.measured_packing_ratio(dev, sb)?;
+                kernel.predict(dev, m, n, k, cfg, ratio)
+            }
+        }
+    }
+
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         let p = self.params;
@@ -922,6 +958,27 @@ const CACHE_FORMAT_VERSION: usize = 6;
 /// Oldest cache-file version whose plans [`PlanCache::from_json`] loads.
 const CACHE_FORMAT_OLDEST: usize = 6;
 
+/// Cache-effectiveness counters of one [`PlanCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Plans currently memoized.
+    pub entries: usize,
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that required a full strategy + autotune run.
+    pub misses: u64,
+}
+
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} plans cached, {} hits / {} misses",
+            self.entries, self.hits, self.misses
+        )
+    }
+}
+
 /// In-memory memo of finished [`Plan`]s with hit/miss accounting and JSON
 /// persistence.
 #[derive(Debug, Default, Clone)]
@@ -955,6 +1012,15 @@ impl PlanCache {
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Entries, hits and misses in one value.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            entries: self.len(),
+            hits: self.hits,
+            misses: self.misses,
+        }
     }
 
     /// Counted lookup: bumps the hit or miss counter.
@@ -1369,6 +1435,58 @@ mod tests {
         assert_eq!(plan.choice, KernelChoice::NmV3);
         assert!(plan.speedup_vs_dense().unwrap() > 1.0);
         assert!(!plan.summary().is_empty());
+    }
+
+    #[test]
+    fn predict_is_the_data_free_model_of_the_plan() {
+        use nm_core::inspect::measured_packing_ratio;
+        use nm_core::matrix::MatrixF32;
+        use nm_core::prune::PrunePolicy;
+        let dev = a100_80g();
+        let cfg = NmConfig::new(2, 16, 32).unwrap();
+        let (m, n, k) = (128, 256, 512);
+        let mut plan = Planner::new(dev.clone()).plan(m, n, k, cfg).unwrap();
+        plan.params = BlockingParams::large();
+        let b = MatrixF32::random(k, n, 10);
+        // Strided windows pack to the N/M floor, far from the
+        // expected-union model's ratio for random patterns.
+        let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Strided).unwrap();
+        for choice in [
+            KernelChoice::NmV1,
+            KernelChoice::NmV2,
+            KernelChoice::NmV3,
+            KernelChoice::NmSparse,
+            KernelChoice::Sputnik,
+            KernelChoice::Dense,
+            KernelChoice::SparseTc,
+        ] {
+            plan.choice = choice;
+            let predicted = plan.predict(&dev, m, &sb).unwrap();
+            let (stats, report) = match choice {
+                KernelChoice::NmSparse => NmSparseKernel.predict(&dev, m, n, k, cfg).unwrap(),
+                KernelChoice::Sputnik => SputnikKernel.predict(&dev, m, &sb),
+                _ => {
+                    // Dense and SparseTc fall back to V3 with the plan's
+                    // blocking.
+                    let v = choice.nm_version().unwrap_or(NmVersion::V3);
+                    let kern = NmSpmmKernel::new(v, plan.params);
+                    let nm = kern.plan(&dev, m, n, k, cfg).unwrap();
+                    let (ks, ns) = (nm.blocking.ks, nm.blocking.params.ns);
+                    let ratio = nm
+                        .packing
+                        .then(|| measured_packing_ratio(&sb, ks, ns).unwrap());
+                    assert_eq!(ratio.is_some(), v != NmVersion::V1, "{choice}");
+                    // The measured ratio, not the expected-union model's,
+                    // drives the packing launches.
+                    let modeled = kern.predict(&dev, m, n, k, cfg, None).unwrap();
+                    let measured = kern.predict(&dev, m, n, k, cfg, ratio).unwrap();
+                    assert_eq!(measured == modeled, v == NmVersion::V1, "{choice}");
+                    measured
+                }
+            };
+            assert_eq!(predicted.0, stats, "{choice}");
+            assert_eq!(predicted.1, report, "{choice}");
+        }
     }
 
     #[test]

@@ -4,51 +4,59 @@
 //! ## Why a session
 //!
 //! The paper's performance accounting hinges on the **offline/online
-//! split**: layout transformation (`transformLayout`) and, on the
-//! simulated GPU, `col_info` packing are one-time offline work, amortized
-//! over every inference call
-//! that follows. This module is the object that *owns* that amortization:
+//! split**: layout transformation (`transformLayout`) and, on the GPU,
+//! `col_info` packing are one-time offline work, amortized over every
+//! inference call that follows. This module is the object that *owns*
+//! that amortization:
 //!
 //! * [`SessionBuilder`] configures the execution context once — device
-//!   model, default [`BackendKind`], micro-kernel ISA override, worker
-//!   thread cap, persistent plan-cache path.
+//!   model, micro-kernel ISA override, worker thread cap, persistent
+//!   plan-cache path, measured-autotune mode, storage-format pin.
 //! * [`Session::load`] takes a pruned weight matrix and does **all** the
 //!   offline work in one place: it plans (strategy decision + exhaustive
-//!   autotune, memoized in the engine's [`PlanCache`](crate::plan::PlanCache))
-//!   and runs the backend's preparation ([`BackendKind::prepare`] — `B′`
-//!   block staging, the simulator's `col_info` packing, micro-kernel
-//!   dispatch). The result is a [`PreparedLayer`] handle.
+//!   autotune, memoized in the session's [`PlanCache`]) and stages the one
+//!   executing kernel ([`CpuPrepared::for_plan`] — `B′` staging,
+//!   micro-kernel dispatch). The result is a [`PreparedLayer`] handle.
 //! * [`PreparedLayer::forward`] / [`PreparedLayer::forward_batch`] are the
 //!   **online** path: they touch none of the offline work again — every
-//!   call runs the owned prepared state. The
+//!   call runs the owned staging. The
 //!   [`cpu::offline_staging_passes`](crate::cpu::offline_staging_passes)
 //!   probe lets callers prove that, not just trust it.
 //! * [`Session::load_model`] loads a whole stack of layers (a Llama
 //!   sweep's five linears, a transformer block's three matmuls) as one
 //!   group, reporting how many plans came from the shared cache.
 //!
+//! The simulator's prediction for a layer is not part of a load: it is
+//! [`Plan::predict`], called on demand beside the kernel that runs.
+//!
+//! ## Whether a load measures
+//!
+//! The session's autotune mode alone decides ([`SessionBuilder::autotune`]):
+//! under `Off` every load executes the cost-model plan as-is; under
+//! `Quick`/`Full` every load that does not bring its own plan
+//! ([`LoadSpec::planned`]) takes the measured path.
+//!
 //! ## What lands in `wall_seconds`
 //!
 //! [`ExecRun::wall_seconds`] measures the **online kernel only**: the
-//! clock starts after `load` finished staging. Two costs are deliberately
-//! *inside* the timed window because they genuinely recur per call: the
-//! CPU kernel's zero-padded copy of `A` when `k` is not a multiple of `M`
-//! (it otherwise gathers `A` in place), and — for the simulator — the
-//! reference oracle plus the prediction. Everything derived
-//! from the weights alone (blocking derivation, `B′` staging, `col_info`,
-//! ISA dispatch) is paid once in `load` and never again, mirroring how
-//! the paper excludes its pre-processing from kernel time.
+//! clock starts after `load` finished staging. One cost is deliberately
+//! *inside* the timed window because it genuinely recurs per call: the
+//! kernel's zero-padded copy of `A` when `k` is not a multiple of `M` (it
+//! otherwise gathers `A` in place). Everything derived from the weights
+//! alone (blocking derivation, `B′` staging, ISA dispatch) is paid once in
+//! `load` and never again, mirroring how the paper excludes its
+//! pre-processing from kernel time.
 //!
 //! ## Environment-override precedence
 //!
-//! Several defaults can be steered from the environment: `NM_SPMM_BACKEND`
-//! (default backend), `NM_SPMM_STORAGE` (storage-format pin),
-//! `NM_SPMM_AUTOTUNE` (measured autotuning), and — inside the micro-kernel
-//! dispatch — `NM_SPMM_ISA` / `NM_SPMM_FORCE_SCALAR`. The rule is uniform:
-//! **an explicit builder call always beats the environment variable**, and
-//! the variable beats the built-in default. Every variable is strictly
-//! validated (an unrecognized value is a structured build error, never a
-//! silent fallback). The precedence is pinned by `tests/env_overrides.rs`.
+//! Several defaults can be steered from the environment: `NM_SPMM_STORAGE`
+//! (storage-format pin), `NM_SPMM_AUTOTUNE` (measured autotuning), and —
+//! inside the micro-kernel dispatch — `NM_SPMM_ISA` /
+//! `NM_SPMM_FORCE_SCALAR`. The rule is uniform: **an explicit builder call
+//! always beats the environment variable**, and the variable beats the
+//! built-in default. Every variable is strictly validated (an
+//! unrecognized value is a structured build error, never a silent
+//! fallback). The precedence is pinned by `tests/env_overrides.rs`.
 //!
 //! ## Concurrency
 //!
@@ -56,18 +64,17 @@
 //! concurrent callers (`forward` takes `&self`), which is the shape a
 //! serving front-end needs. [`PreparedLayer::forward_batch`] validates
 //! every member's shape up front (a mid-batch mismatch is reported before
-//! any work is spent) and keeps parallelism at exactly one level: batch
-//! members fan across the rayon pool for the per-call-serial backend (the
-//! codegen interpreter), while backends that parallelize inside each call
-//! (the CPU kernel, by row panels or by column ranges) or that run the
-//! reference oracle (the simulator) map their batch serially instead of
-//! nesting thread fan-outs.
+//! any work is spent) and maps its members serially: the kernel already
+//! parallelizes inside each call, by row panels or by column ranges, and
+//! the rayon pool runs a parallel call nested inside another one inline,
+//! so fanning out across members as well would only move the parallelism
+//! up to the batch.
 
-use crate::backend::{BackendKind, ExecRun, PreparedState};
-use crate::engine::{CacheStats, Engine};
+use crate::backend::{BackendKind, ExecRun};
+use crate::cpu::CpuPrepared;
 use crate::measure::{self, AutotuneMode, MeasureSpec};
 use crate::nm::NmVersion;
-use crate::plan::{Plan, PlanHost, ShapeClass};
+use crate::plan::{CacheStats, Plan, PlanCache, PlanHost, Planner, ShapeClass};
 use crate::simd::{Isa, MicroKernel};
 use gpu_sim::device::DeviceConfig;
 use nm_core::error::{NmError, Result};
@@ -75,7 +82,6 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -83,19 +89,19 @@ use std::sync::Arc;
 ///
 /// ```
 /// use nm_kernels::session::SessionBuilder;
-/// use nm_kernels::{BackendKind, NmVersion};
+/// use nm_kernels::AutotuneMode;
 /// use gpu_sim::device::a100_80g;
 ///
 /// let session = SessionBuilder::new(a100_80g())
-///     .backend(BackendKind::Cpu(NmVersion::V3))
+///     .autotune(AutotuneMode::Off)
 ///     .build()
 ///     .expect("session");
-/// assert_eq!(session.backend(), BackendKind::Cpu(NmVersion::V3));
+/// assert_eq!(session.autotune(), AutotuneMode::Off);
 /// ```
 #[derive(Debug)]
 pub struct SessionBuilder {
     device: DeviceConfig,
-    backend: Option<BackendKind>,
+    backend: BackendKind,
     isa: Option<Isa>,
     kernel: Option<MicroKernel>,
     threads: Option<usize>,
@@ -105,14 +111,13 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder for `device` with the defaults: native CPU V3 backend
-    /// (unless `NM_SPMM_BACKEND` says otherwise), runtime micro-kernel
+    /// A builder for `device` with the defaults: runtime micro-kernel
     /// dispatch, uncapped workers, in-memory plan cache, measured
     /// autotuning off (unless `NM_SPMM_AUTOTUNE` says otherwise).
     pub fn new(device: DeviceConfig) -> Self {
         Self {
             device,
-            backend: None,
+            backend: BackendKind::Cpu(NmVersion::V3),
             isa: None,
             kernel: None,
             threads: None,
@@ -122,39 +127,31 @@ impl SessionBuilder {
         }
     }
 
-    /// The default backend layers are loaded on ([`Session::load`]);
-    /// [`Session::load_on`] overrides it per layer.
-    ///
-    /// Precedence: an explicit call here **always beats** the
-    /// `NM_SPMM_BACKEND` environment variable, which in turn beats the
-    /// built-in default (`cpu_v3`) — the same explicit-beats-environment
-    /// rule every `NM_SPMM_*` override follows (see the module docs).
+    /// The kernel layers run on. `Cpu(V3)`, the default, is the only one
+    /// [`SessionBuilder::build`] accepts: the CPU runs one kernel.
     pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
     }
 
-    /// Pin every CPU and codegen preparation to one micro-kernel ISA
-    /// instead of the per-host runtime dispatch. [`SessionBuilder::build`]
-    /// fails with [`NmError::Unsupported`] when this host cannot execute
-    /// `isa`.
+    /// Pin every preparation to one micro-kernel ISA instead of the
+    /// per-host runtime dispatch. [`SessionBuilder::build`] fails with
+    /// [`NmError::Unsupported`] when this host cannot execute `isa`.
     pub fn isa(mut self, isa: Isa) -> Self {
         self.isa = Some(isa);
         self.kernel = None;
         self
     }
 
-    /// Pin every CPU and codegen preparation to an already-resolved
-    /// micro-kernel (the harness hook; [`SessionBuilder::isa`] is the
-    /// usual override).
+    /// Pin every preparation to an already-resolved micro-kernel (the
+    /// harness hook; [`SessionBuilder::isa`] is the usual override).
     pub fn micro_kernel(mut self, kernel: MicroKernel) -> Self {
         self.kernel = Some(kernel);
         self.isa = None;
         self
     }
 
-    /// Cap the rayon worker fan-out (V3's row panels or column ranges,
-    /// batched forwards).
+    /// Cap the rayon worker fan-out (V3's row panels or column ranges).
     ///
     /// Best-effort: the cap installs through rayon's first-wins global
     /// pool initialization, so if the pool is already configured the
@@ -166,20 +163,19 @@ impl SessionBuilder {
     }
 
     /// Back the plan cache with a JSON file: hydrated at build time when
-    /// it exists (a malformed file is a build error, not silently
-    /// ignored), written back by [`Session::save`].
+    /// it exists (a malformed file or a newer format version is a build
+    /// error, not silently ignored; an older format version loads empty,
+    /// so its problems re-plan), written back by [`Session::save`].
     pub fn plan_cache(mut self, path: impl AsRef<Path>) -> Self {
         self.cache_path = Some(path.as_ref().to_path_buf());
         self
     }
 
-    /// How much **measured** autotuning [`Session::load`] performs when
-    /// the default backend is the native CPU kernel: `Off` executes the
-    /// cost-model plan as-is, `Quick`/`Full` run the
-    /// [`measure`](mod@crate::measure) harness on a cache miss and persist
-    /// the measured-best tiling and storage format through the plan
-    /// cache, keyed by `(host ISA, thread count, shape class, N:M)`, and
-    /// prepare the CPU kernel on them.
+    /// Whether [`Session::load`] measures: `Off` executes the cost-model
+    /// plan as-is, `Quick`/`Full` run the [`measure`](mod@crate::measure)
+    /// harness on a cache miss and persist the measured-best tiling and
+    /// storage format through the plan cache, keyed by `(host ISA, thread
+    /// count, shape class, N:M)`, and stage the kernel on them.
     ///
     /// An explicit mode overrides the `NM_SPMM_AUTOTUNE` environment
     /// variable; without either, measurement is off.
@@ -204,27 +200,20 @@ impl SessionBuilder {
     /// Build the session.
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] when an [`SessionBuilder::isa`] override
-    /// names an ISA this host cannot execute, `NM_SPMM_AUTOTUNE` holds
-    /// an unrecognized mode, or `NM_SPMM_STORAGE` holds an unrecognized
+    /// [`NmError::Unsupported`] when [`SessionBuilder::backend`] names
+    /// `Cpu(V1)` or `Cpu(V2)`, an [`SessionBuilder::isa`] override names an
+    /// ISA this host cannot execute, `NM_SPMM_AUTOTUNE` holds an
+    /// unrecognized mode, or `NM_SPMM_STORAGE` holds an unrecognized
     /// storage format (both strictly validated, like `NM_SPMM_ISA` —
-    /// never a silent fallback), and
-    /// [`NmError::Persist`] when `NM_SPMM_BACKEND` names an unknown
-    /// backend (`cpu_v1` and `cpu_v2` included) or the plan-cache file
-    /// exists but cannot be parsed, and [`NmError::Unsupported`] when
-    /// [`SessionBuilder::backend`] names a backend
-    /// [`BackendKind::prepare`] rejects (`Cpu(V1)`, `Cpu(V2)`).
+    /// never a silent fallback), and [`NmError::Persist`] when the
+    /// plan-cache file exists but cannot be parsed.
     ///
-    /// Environment overrides (`NM_SPMM_BACKEND`, `NM_SPMM_STORAGE`,
-    /// `NM_SPMM_AUTOTUNE`) are consulted **only** for settings the
-    /// builder was not explicitly given — explicit builder calls always
-    /// win (tested in `tests/env_overrides.rs`).
+    /// Environment overrides (`NM_SPMM_STORAGE`, `NM_SPMM_AUTOTUNE`) are
+    /// consulted **only** for settings the builder was not explicitly
+    /// given — explicit builder calls always win (tested in
+    /// `tests/env_overrides.rs`).
     pub fn build(self) -> Result<Session> {
-        let backend = match self.backend {
-            Some(b) => b,
-            None => BackendKind::from_env()?.unwrap_or(BackendKind::Cpu(NmVersion::V3)),
-        }
-        .supported()?;
+        self.backend.supported()?;
         let kernel = match (self.kernel, self.isa) {
             (Some(k), _) => Some(k),
             (None, Some(isa)) => Some(MicroKernel::for_isa(isa)?),
@@ -245,13 +234,13 @@ impl SessionBuilder {
                 .num_threads(threads)
                 .build_global();
         }
-        let engine = match &self.cache_path {
-            Some(path) => Engine::with_cache_file(self.device, path)?,
-            None => Engine::new(self.device),
+        let cache = match &self.cache_path {
+            Some(path) if path.exists() => PlanCache::load(path)?,
+            _ => PlanCache::new(),
         };
         Ok(Session {
-            engine,
-            backend,
+            planner: Planner::with_cache(self.device, cache),
+            cache_path: self.cache_path,
             kernel,
             autotune,
             storage,
@@ -260,39 +249,33 @@ impl SessionBuilder {
 }
 
 /// A typed description of **one layer load** — what [`Session::load_with`]
-/// consumes, and what the `load`/`load_on`/`load_planned` conveniences
-/// build behind the scenes.
+/// consumes, and what the `load`/`load_planned` conveniences build behind
+/// the scenes.
 ///
 /// A spec starts from the one piece of information every load needs — the
 /// activation row count — and layers optional overrides on top:
 ///
-/// * [`LoadSpec::backend`] — prepare on an explicit backend instead of
-///   the session default. An explicit backend also **opts out of the
-///   measured-autotune path**: measurement evidence is only gathered and
-///   consulted for default-backend loads, exactly as `load` vs `load_on`
-///   always behaved.
 /// * [`LoadSpec::shape_class`] — plan under an explicit
 ///   [`ShapeClass`] instead of the one `rows` classifies to: a layer
 ///   serving autoregressive decode can be planned on the decode band
 ///   (`ShapeClass::Decode(m)`, `m ≤ DECODE_MAX_ROWS`) even though it was
 ///   loaded for a prefill row count, and vice versa.
-/// * [`LoadSpec::planned`] — the escape hatch: skip planning entirely
-///   and prepare against an externally resolved [`Plan`] (cache
-///   accounting untouched). Mutually exclusive with `shape_class`; the
-///   plan *is* the shape decision.
+/// * [`LoadSpec::storage`] — pin this layer's `B′` storage format.
+/// * [`LoadSpec::planned`] — the escape hatch: skip planning (and
+///   measurement) entirely and prepare against an externally resolved
+///   [`Plan`] (cache accounting untouched). Mutually exclusive with
+///   `shape_class` and `storage`; the plan *is* the shape and lane
+///   decision.
 ///
 /// ```
 /// use nm_kernels::session::LoadSpec;
-/// use nm_kernels::{BackendKind, NmVersion, ShapeClass};
+/// use nm_kernels::ShapeClass;
 ///
-/// let spec = LoadSpec::rows(64)
-///     .backend(BackendKind::Cpu(NmVersion::V3))
-///     .shape_class(ShapeClass::Decode(4));
+/// let spec = LoadSpec::rows(64).shape_class(ShapeClass::Decode(4));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadSpec {
     rows: usize,
-    backend: Option<BackendKind>,
     shape_class: Option<ShapeClass>,
     plan: Option<Plan>,
     storage: Option<StorageFormat>,
@@ -300,23 +283,14 @@ pub struct LoadSpec {
 
 impl LoadSpec {
     /// A spec for activations of `rows` rows, with every override unset:
-    /// session-default backend, shape class derived from `rows`, planning
-    /// through the cache.
+    /// shape class derived from `rows`, planning through the cache.
     pub fn rows(rows: usize) -> Self {
         Self {
             rows,
-            backend: None,
             shape_class: None,
             plan: None,
             storage: None,
         }
-    }
-
-    /// Prepare on an explicit backend instead of the session default
-    /// (also opts out of measured autotuning — see the type docs).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
     }
 
     /// Plan under an explicit shape class instead of the one `rows`
@@ -347,15 +321,16 @@ impl LoadSpec {
     }
 }
 
-/// An execution context: planner + plan cache + backend configuration.
+/// An execution context: planner + plan cache (and the file it saves to)
+/// + kernel configuration.
 ///
 /// Sessions hand out [`PreparedLayer`] handles via [`Session::load_with`]
-/// (and the `load`/`load_on`/`load_planned` conveniences built on it);
+/// (and the `load`/`load_planned` conveniences built on it);
 /// estimate-only consumers can also call [`Session::plan`] directly.
 #[derive(Debug)]
 pub struct Session {
-    engine: Engine,
-    backend: BackendKind,
+    planner: Planner,
+    cache_path: Option<PathBuf>,
     kernel: Option<MicroKernel>,
     autotune: AutotuneMode,
     storage: Option<StorageFormat>,
@@ -369,12 +344,7 @@ impl Session {
 
     /// The device this session plans for.
     pub fn device(&self) -> &DeviceConfig {
-        self.engine.device()
-    }
-
-    /// The default backend layers are loaded on.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.planner.device()
     }
 
     /// The worker threads parallel execution fans out to at most.
@@ -382,7 +352,7 @@ impl Session {
         rayon::current_num_threads()
     }
 
-    /// The measured-autotuning mode [`Session::load`] applies.
+    /// The measured-autotuning mode every [`Session::load`] applies.
     pub fn autotune(&self) -> AutotuneMode {
         self.autotune
     }
@@ -399,16 +369,11 @@ impl Session {
     /// storage pin routes the plan onto that format's cache lane, exactly
     /// as the load paths would.
     pub fn plan(&mut self, m: usize, n: usize, k: usize, cfg: NmConfig) -> Result<Plan> {
-        match self.storage {
-            Some(f) => self
-                .engine
-                .plan_stored(ShapeClass::of_rows(m), f, m, n, k, cfg),
-            None => self.engine.plan(m, n, k, cfg),
-        }
+        self.plan_as(ShapeClass::of_rows(m), m, n, k, cfg)
     }
 
     /// As [`Session::plan`], but under an explicit [`ShapeClass`] —
-    /// see [`Planner::plan_as`](crate::plan::Planner::plan_as).
+    /// see [`Planner::plan_as`].
     pub fn plan_as(
         &mut self,
         class: ShapeClass,
@@ -417,57 +382,54 @@ impl Session {
         k: usize,
         cfg: NmConfig,
     ) -> Result<Plan> {
-        match self.storage {
-            Some(f) => self.engine.plan_stored(class, f, m, n, k, cfg),
-            None => self.engine.plan_as(class, m, n, k, cfg),
-        }
+        let storage = self.storage.unwrap_or(StorageFormat::RowMajor);
+        self.planner.plan_stored(class, storage, m, n, k, cfg)
     }
 
     /// Plan-cache counters — entries, hits, misses.
     pub fn stats(&self) -> CacheStats {
-        self.engine.stats()
+        self.planner.cache().stats()
     }
 
-    /// Write the plan cache back to its backing file; `false` when the
-    /// session has none.
+    /// Write the plan cache back to its backing file; `false` (and nothing
+    /// written) when the session has none.
     pub fn save(&self) -> Result<bool> {
-        self.engine.save()
+        let Some(path) = &self.cache_path else {
+            return Ok(false);
+        };
+        self.planner.cache().save(path)?;
+        Ok(true)
     }
 
     /// Do **all** the offline work for one layer, once, as described by a
     /// typed [`LoadSpec`]: plan (or adopt the spec's pre-resolved plan)
-    /// and run the backend's preparation (staging + dispatch). The
-    /// returned handle amortizes every one of those costs across its
-    /// `forward` calls.
+    /// and stage the kernel. The returned handle amortizes every one of
+    /// those costs across its `forward` calls.
     ///
-    /// This is the **single load entry point**; [`Session::load`],
-    /// [`Session::load_on`] and [`Session::load_planned`] are thin
-    /// conveniences over it. The spec resolves in this order:
+    /// This is the **single load entry point**; [`Session::load`] and
+    /// [`Session::load_planned`] are thin conveniences over it. The spec
+    /// resolves in this order:
     ///
     /// 1. A [`LoadSpec::planned`] plan is adopted as-is (cache accounting
-    ///    untouched) and prepared on the spec's backend, defaulting to
-    ///    the session backend.
+    ///    untouched, nothing measured) and staged.
     /// 2. Otherwise the layer is planned through the shared cache — under
     ///    the [`LoadSpec::shape_class`] override when one is set, else
     ///    under the class `rows` derives.
-    /// 3. A load with **no backend override** on a CPU-default session
-    ///    with [`SessionBuilder::autotune`] `Quick`/`Full` additionally
-    ///    takes the measured-autotune pass: consult the plan cache for a
-    ///    measured entry scoped to this host (ISA + thread count); on a
-    ///    miss, run the [`measure`](mod@crate::measure) harness, persist
-    ///    the winner through the cache's backing file (when one is
-    ///    configured), and prepare the CPU kernel on the measured-best
-    ///    tiling and storage format. An explicit [`LoadSpec::backend`] never measures —
-    ///    the same contract `load` vs `load_on` always had.
+    /// 3. A session with [`SessionBuilder::autotune`] `Quick`/`Full`
+    ///    additionally takes the measured-autotune pass: consult the plan
+    ///    cache for a measured entry scoped to this host (ISA + thread
+    ///    count); on a miss, run the [`measure`](mod@crate::measure)
+    ///    harness, persist the winner through the cache's backing file
+    ///    (when one is configured), and stage the kernel on the
+    ///    measured-best tiling and storage format.
     ///
     /// # Errors
     /// [`NmError::InvalidConfig`] when the spec sets both `planned` and
-    /// `shape_class` (the plan *is* the shape decision) or names an
-    /// out-of-band decode class; planning failures;
-    /// [`NmError::InvalidBlocking`] when the tuned blocking cannot drive
-    /// the backend; [`NmError::Unsupported`] when an environment ISA
-    /// override names an ISA this host cannot execute, or the spec's
-    /// backend is one [`BackendKind::prepare`] rejects.
+    /// `shape_class` or `storage`, or names an out-of-band decode class;
+    /// planning failures; [`NmError::InvalidBlocking`] when the tuned
+    /// blocking cannot drive the kernel's tiles; [`NmError::Unsupported`]
+    /// when an environment ISA override names an ISA this host cannot
+    /// execute.
     pub fn load_with(
         &mut self,
         weights: impl Into<Arc<NmSparseMatrix>>,
@@ -489,48 +451,28 @@ impl Session {
             });
         }
         if let Some(plan) = spec.plan {
-            return self.prepare_layer(plan, weights, spec.backend.unwrap_or(self.backend));
+            return self.load_planned(plan, weights);
         }
         let pin = spec.storage.or(self.storage);
-        if spec.backend.is_none() {
-            if let (BackendKind::Cpu(_), Some(mspec)) =
-                (self.backend, MeasureSpec::for_mode(self.autotune))
-            {
-                return self.load_measured(weights, spec.rows, spec.shape_class, pin, mspec);
-            }
-        }
-        let backend = spec.backend.unwrap_or(self.backend);
-        let plan = self.plan_spec(spec.shape_class, pin, spec.rows, &weights)?;
-        self.prepare_layer(plan, weights, backend)
-    }
-
-    /// Plan one layer for `rows`-row activations, honoring the optional
-    /// shape-class and storage-format overrides, through the shared
-    /// (counted) cache. A pinned format plans on that format's lane
-    /// (a sliced pin gets its own cache identity; a row-major pin shares
-    /// the auto lane — both spell `StorageFormat` into the key the same
-    /// way row-major auto plans do).
-    fn plan_spec(
-        &mut self,
-        class: Option<ShapeClass>,
-        pin: Option<StorageFormat>,
-        rows: usize,
-        weights: &NmSparseMatrix,
-    ) -> Result<Plan> {
         let (n, k, cfg) = (weights.cols(), weights.k(), weights.cfg());
-        match (pin, class) {
-            (Some(f), class) => {
-                let class = class.unwrap_or_else(|| ShapeClass::of_rows(rows));
-                self.engine.plan_stored(class, f, rows, n, k, cfg)
-            }
-            (None, Some(c)) => self.engine.plan_as(c, rows, n, k, cfg),
-            (None, None) => self.engine.plan(rows, n, k, cfg),
+        // A pinned format plans on that format's lane (a sliced pin gets
+        // its own cache identity; a row-major pin shares the auto lane).
+        let class = spec
+            .shape_class
+            .unwrap_or_else(|| ShapeClass::of_rows(spec.rows));
+        let storage = pin.unwrap_or(StorageFormat::RowMajor);
+        let plan = self
+            .planner
+            .plan_stored(class, storage, spec.rows, n, k, cfg)?;
+        match MeasureSpec::for_mode(self.autotune) {
+            Some(mspec) => self.load_measured(plan, weights, spec.rows, pin, mspec),
+            None => self.load_planned(plan, weights),
         }
     }
 
     /// Convenience for the common case: [`Session::load_with`] under a
-    /// bare `LoadSpec::rows(rows)` — session-default backend, derived
-    /// shape class, measured autotuning when the session enables it.
+    /// bare `LoadSpec::rows(rows)` — derived shape class, measured
+    /// autotuning when the session enables it.
     pub fn load(
         &mut self,
         weights: impl Into<Arc<NmSparseMatrix>>,
@@ -540,16 +482,16 @@ impl Session {
     }
 
     /// The measured path of [`Session::load_with`]: cache consult →
-    /// measure on miss → persist → prepare on the measured winner.
+    /// measure on miss → persist → stage on the measured winner of the
+    /// cost-model plan `base`.
     fn load_measured(
         &mut self,
+        base: Plan,
         weights: Arc<NmSparseMatrix>,
         rows: usize,
-        class: Option<ShapeClass>,
         pin: Option<StorageFormat>,
         spec: MeasureSpec,
     ) -> Result<PreparedLayer> {
-        let base = self.plan_spec(class, pin, rows, &weights)?;
         // Resolve the micro-kernel first: the host ISA is part of the
         // measured cache key, so a cache file moved to a different
         // machine (or a different worker-count run) misses instead of
@@ -560,16 +502,16 @@ impl Session {
             threads: rayon::current_num_threads(),
         };
         let key = base.key.for_host(host.clone());
-        let mut plan = match self.engine.lookup(&key) {
+        let mut plan = match self.planner.lookup(&key) {
             Some(plan) => plan,
             None => {
                 let outcome = measure::measure(&base, &weights, rows, Some(kernel), spec)?;
                 let plan = base.with_measured(host, outcome.best)?;
-                self.engine.insert(plan.clone());
+                self.planner.insert(plan.clone());
                 // Persist the (comparatively expensive) evidence through
                 // the same path analytic plans use; no-op when the
                 // session has no backing file.
-                self.engine.save()?;
+                self.save()?;
                 plan
             }
         };
@@ -582,37 +524,30 @@ impl Session {
         if let (Some(f), Some(m)) = (pin, plan.measured.as_mut()) {
             m.storage = f;
         }
-        self.prepare_layer(plan, weights, BackendKind::Cpu(NmVersion::V3))
+        self.load_planned(plan, weights)
     }
 
-    /// Convenience for per-layer backend selection:
-    /// [`Session::load_with`] under `LoadSpec::rows(rows).backend(..)`.
-    /// An explicit backend never takes the measured-autotune path.
-    pub fn load_on(
-        &mut self,
-        weights: impl Into<Arc<NmSparseMatrix>>,
-        rows: usize,
-        backend: BackendKind,
-    ) -> Result<PreparedLayer> {
-        self.load_with(weights, LoadSpec::rows(rows).backend(backend))
-    }
-
-    /// Convenience for the plan escape hatch: prepare a layer against an
+    /// Convenience for the plan escape hatch: stage a layer against an
     /// **explicitly provided** plan, bypassing the planner (and therefore
-    /// the cache counters) entirely — `LoadSpec::planned` semantics,
-    /// callable on `&self` since nothing is planned.
+    /// the cache counters and measurement) entirely — `LoadSpec::planned`
+    /// semantics, callable on `&self` since nothing is planned.
     ///
-    /// The weights need not match the plan's shape class — backends
-    /// re-derive their tiling from the actual dimensions — which lets a
+    /// The weights need not match the plan's shape class — the kernel
+    /// re-derives its tiling from the actual dimensions — which lets a
     /// sweep plan at full model size but execute a scaled-down instance,
     /// keeping its cache accounting untouched.
     pub fn load_planned(
         &self,
         plan: Plan,
         weights: impl Into<Arc<NmSparseMatrix>>,
-        backend: BackendKind,
     ) -> Result<PreparedLayer> {
-        self.prepare_layer(plan, weights.into(), backend)
+        let weights = weights.into();
+        let state = CpuPrepared::for_plan(&plan, &weights, self.kernel)?;
+        Ok(PreparedLayer {
+            plan,
+            state,
+            weights,
+        })
     }
 
     /// Load a whole model's layers as one group through the shared plan
@@ -640,41 +575,23 @@ impl Session {
             cache_misses: after.misses - before.misses,
         })
     }
-
-    fn prepare_layer(
-        &self,
-        plan: Plan,
-        weights: Arc<NmSparseMatrix>,
-        kind: BackendKind,
-    ) -> Result<PreparedLayer> {
-        let state = kind.prepare(self.engine.device(), &plan, &weights, self.kernel)?;
-        Ok(PreparedLayer {
-            plan,
-            kind,
-            state,
-            weights,
-        })
-    }
 }
 
-/// One layer, fully prepared: the plan, the backend it was prepared on,
-/// the backend's offline state — which holds everything `forward` reads, so
-/// nothing is rebuilt per call — and the (shared, via `Arc`) weights that
-/// [`PreparedLayer::weights`] hands back.
+/// One layer, fully prepared: the plan, the kernel's staging — which holds
+/// everything `forward` reads, so nothing is rebuilt per call — and the
+/// (shared, via `Arc`) weights that [`PreparedLayer::weights`] hands back.
 ///
 /// The weights' window-major value panels are the only resident copy of
-/// `B′`: a CPU staging ([`PreparedState::staging`]) owns its gather table
-/// and window permutation and borrows the panels. Loading the same weights
-/// several times — other formats, a decode stack, measured candidates —
-/// copies no values.
+/// `B′`: the staging owns its gather table and window permutation and
+/// borrows the panels. Loading the same weights several times — other
+/// formats, a decode stack, measured candidates — copies no values.
 ///
 /// The handle is `Send + Sync`; `forward` takes `&self`, so one prepared
 /// layer can serve concurrent callers (e.g. a serving front-end's worker
 /// threads) without cloning any staged data.
 pub struct PreparedLayer {
     plan: Plan,
-    kind: BackendKind,
-    state: Box<dyn PreparedState>,
+    state: CpuPrepared,
     weights: Arc<NmSparseMatrix>,
 }
 
@@ -684,9 +601,9 @@ impl PreparedLayer {
         &self.plan
     }
 
-    /// The backend this layer runs on.
+    /// The kernel this layer runs on: always the native CPU kernel.
     pub fn backend(&self) -> BackendKind {
-        self.kind
+        BackendKind::Cpu(NmVersion::V3)
     }
 
     /// The compressed weights this layer multiplies by.
@@ -694,18 +611,17 @@ impl PreparedLayer {
         &self.weights
     }
 
-    /// The micro-kernel ISA the preparation dispatched to (CPU backends
-    /// only; the simulator has no host ISA).
-    pub fn isa(&self) -> Option<Isa> {
+    /// The micro-kernel ISA the preparation dispatched to.
+    pub fn isa(&self) -> Isa {
         self.state.isa()
     }
 
-    /// The `B′` storage format the preparation actually staged (CPU
-    /// backends only; the simulator stages nothing). `forward` results
-    /// are bit-identical across formats — this reports which layout the
-    /// planned/measured/pinned resolution landed on.
+    /// The `B′` storage format the preparation actually staged (always
+    /// `Some`). `forward` results are bit-identical across formats — this
+    /// reports which layout the planned/measured/pinned resolution landed
+    /// on.
     pub fn storage(&self) -> Option<StorageFormat> {
-        self.state.storage()
+        Some(self.state.format())
     }
 
     /// The online path: multiply one activation batch,
@@ -724,12 +640,11 @@ impl PreparedLayer {
     /// The decode entry point: multiply one activation **vector**,
     /// `y[n] = x[k] ⊛ (B′, D)` — the prepared SpMV path.
     ///
-    /// The exact staged state `forward` uses serves this call (on the CPU
-    /// kernel the one-row rung of the vectorized register-tile ladder
-    /// streams the same staged `B′`), so a layer prepared once — e.g. for
-    /// a prefill shape — serves autoregressive decode with **zero**
-    /// additional offline work; only the `1 × k` operand view is built
-    /// per call.
+    /// The exact staging `forward` uses serves this call (the one-row rung
+    /// of the vectorized register-tile ladder streams the same staged
+    /// `B′`), so a layer prepared once — e.g. for a prefill shape — serves
+    /// autoregressive decode with **zero** additional offline work; only
+    /// the `1 × k` operand view is built per call.
     ///
     /// # Errors
     /// [`NmError::DimensionMismatch`] when `x.len()` disagrees with the
@@ -741,24 +656,12 @@ impl PreparedLayer {
 
     /// Multiply a whole batch of activation matrices, one [`ExecRun`] per
     /// member, in batch order, returned as one [`BatchRun`] carrying the
-    /// aggregate wall time and the routing decision.
+    /// aggregate wall time.
     ///
     /// Every member's shape is validated **before any work starts**, so a
     /// mismatched member cannot discard the compute already spent on its
-    /// predecessors.
-    ///
-    /// Parallelism lives at exactly one level: the backend that runs each
-    /// call serially (the codegen interpreter) fans the batch members
-    /// across the rayon worker pool ([`BatchRouting::ParallelAcross`]).
-    /// Backends that already parallelize *inside* each call — the CPU
-    /// kernel, by row panels or (when a call has fewer row panels than
-    /// workers, as every decode call does) by column ranges — and the
-    /// simulator map their batch serially instead
-    /// ([`BatchRouting::SerialWithin`]): the rayon pool runs a parallel
-    /// call nested inside another one inline (it has no work-stealing
-    /// scheduler), so fanning out at both levels would only move the
-    /// parallelism up to the batch, where a batch with fewer members
-    /// than workers leaves threads idle.
+    /// predecessors. Members run one after another; each call
+    /// parallelizes inside itself (see the module docs).
     pub fn forward_batch(&self, batch: &[MatrixF32]) -> Result<BatchRun> {
         for (i, a) in batch.iter().enumerate() {
             if a.cols() != self.weights.k() {
@@ -768,80 +671,27 @@ impl PreparedLayer {
                 });
             }
         }
-        let routing = match self.kind {
-            // The codegen interpreter walks its workgroups on the calling
-            // thread, so it benefits from batch fan-out.
-            BackendKind::Codegen => BatchRouting::ParallelAcross,
-            // The CPU kernel parallelizes inside each call; under
-            // batch-level fan-out those calls would run inline.
-            _ => BatchRouting::SerialWithin,
-        };
         let t0 = std::time::Instant::now();
-        let runs: Vec<Result<ExecRun>> = match routing {
-            BatchRouting::ParallelAcross => (0..batch.len())
-                .into_par_iter()
-                .map(|i| self.forward(&batch[i]))
-                .collect(),
-            BatchRouting::SerialWithin => batch.iter().map(|a| self.forward(a)).collect(),
-        };
-        let wall_seconds = t0.elapsed().as_secs_f64();
+        let runs = batch
+            .iter()
+            .map(|a| self.forward(a))
+            .collect::<Result<_>>()?;
         Ok(BatchRun {
-            runs: runs.into_iter().collect::<Result<_>>()?,
-            wall_seconds,
-            routing,
+            runs,
+            wall_seconds: t0.elapsed().as_secs_f64(),
         })
     }
 }
 
-/// How [`PreparedLayer::forward_batch`] mapped batch members onto the
-/// machine — recorded on the [`BatchRun`] so callers (a serving batcher,
-/// a bench harness) can attribute the aggregate wall time correctly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BatchRouting {
-    /// Members fanned across the rayon worker pool; each member ran
-    /// serially inside its worker (the codegen interpreter).
-    ParallelAcross,
-    /// Members mapped serially, one after another; each member
-    /// parallelized internally (the CPU kernel by rows or by columns) or
-    /// ran the simulator's reference oracle.
-    SerialWithin,
-}
-
-impl BatchRouting {
-    /// Stable identifier (`parallel_across`, `serial_within`) for
-    /// artifacts and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchRouting::ParallelAcross => "parallel_across",
-            BatchRouting::SerialWithin => "serial_within",
-        }
-    }
-}
-
-impl std::fmt::Display for BatchRouting {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The result of one [`PreparedLayer::forward_batch`] call: the
-/// per-member [`ExecRun`]s in batch order, plus the two aggregates every
-/// caller was previously recomputing — the wall time of the whole batch
-/// call and the routing decision that produced it.
-///
-/// `wall_seconds` is measured around the entire fan-out, so under
-/// [`BatchRouting::ParallelAcross`] it is *less* than the sum of the
-/// member walls (that overlap is the point of batching); under
-/// [`BatchRouting::SerialWithin`] it is their sum plus dispatch overhead.
+/// per-member [`ExecRun`]s in batch order, plus the wall time of the whole
+/// batch call — the members' walls plus dispatch overhead.
 #[derive(Debug, Clone)]
 pub struct BatchRun {
     /// Per-member results, in batch order.
     pub runs: Vec<ExecRun>,
-    /// Wall-clock seconds of the whole batch call, measured around the
-    /// fan-out (not the sum of member walls).
+    /// Wall-clock seconds of the whole batch call.
     pub wall_seconds: f64,
-    /// How members were mapped onto the machine.
-    pub routing: BatchRouting,
 }
 
 impl BatchRun {
@@ -855,8 +705,8 @@ impl BatchRun {
         self.runs.is_empty()
     }
 
-    /// Sum of the members' own kernel walls — the serial cost the batch
-    /// routing amortized (compare against [`BatchRun::wall_seconds`]).
+    /// Sum of the members' own kernel walls (compare against
+    /// [`BatchRun::wall_seconds`]).
     pub fn member_seconds(&self) -> f64 {
         self.runs.iter().map(|r| r.wall_seconds).sum()
     }
@@ -870,7 +720,6 @@ impl BatchRun {
 impl std::fmt::Debug for PreparedLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedLayer")
-            .field("backend", &self.kind)
             .field("plan", &self.plan.key)
             .field("isa", &self.isa())
             .field("k", &self.weights.k())
@@ -930,7 +779,6 @@ impl PreparedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nm::NmVersion;
     use gpu_sim::device::a100_80g;
     use nm_core::prune::PrunePolicy;
     use nm_core::spmm::spmm_reference;
@@ -951,25 +799,25 @@ mod tests {
         let sb = weights(128, 96, cfg, 7);
         let a = MatrixF32::random(64, 128, 8);
         let expect = spmm_reference(&a, &sb);
-        for backend in BackendKind::all() {
-            let layer = s.load_on(sb.clone(), 64, backend).unwrap();
-            assert_eq!(layer.backend(), backend);
+        let specs = [
+            LoadSpec::rows(64),
+            LoadSpec::rows(64).storage(StorageFormat::RowMajor),
+            LoadSpec::rows(64).shape_class(ShapeClass::Prefill),
+        ];
+        for spec in specs {
+            let layer = s.load_with(sb.clone(), spec).unwrap();
+            assert_eq!(layer.backend(), BackendKind::Cpu(NmVersion::V3));
             let run = layer.forward(&a).unwrap();
             assert!(
                 run.c.allclose(&expect, 1e-3, 1e-4),
-                "{backend}: max diff {}",
+                "max diff {}",
                 run.c.max_abs_diff(&expect)
             );
-            assert!(run.wall_seconds > 0.0, "{backend} must report wall time");
-            assert_eq!(
-                run.isa.is_some(),
-                backend != BackendKind::Sim,
-                "{backend}: only the simulator reports no host ISA"
-            );
+            assert!(run.wall_seconds > 0.0, "must report wall time");
             assert_eq!(run.isa, layer.isa());
         }
         // One shape class: a single planning miss, then a cache hit for
-        // every further backend.
+        // every further load.
         let st = s.stats();
         assert_eq!((st.entries, st.hits, st.misses), (1, 2, 1));
     }
@@ -991,9 +839,7 @@ mod tests {
         let sb = weights(96, 64, cfg, 71);
         // Prepared once, for a *prefill* shape — the decode call below
         // must ride on exactly this offline work.
-        let layer = s
-            .load_on(sb.clone(), 128, BackendKind::Cpu(NmVersion::V3))
-            .unwrap();
+        let layer = s.load(sb.clone(), 128).unwrap();
         let x = MatrixF32::random(1, 96, 72);
         let staged_before = crate::cpu::offline_staging_passes();
         let vec_run = layer.forward_vec(x.row(0)).unwrap();
@@ -1046,30 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_agrees_on_both_routing_paths() {
-        // The CPU kernel maps the batch serially (per-call parallelism),
-        // the codegen interpreter fans it across the pool — both must
-        // produce the same per-member matrix.
-        let mut s = session();
-        let cfg = NmConfig::new(2, 8, 16).unwrap();
-        let sb = weights(96, 64, cfg, 41);
-        let batch: Vec<MatrixF32> = (0..3).map(|i| MatrixF32::random(8, 96, 50 + i)).collect();
-        let cpu = s
-            .load_on(sb.clone(), 8, BackendKind::Cpu(NmVersion::V3))
-            .unwrap();
-        let codegen = s.load_on(sb.clone(), 8, BackendKind::Codegen).unwrap();
-        let serial = cpu.forward_batch(&batch).unwrap();
-        let pooled = codegen.forward_batch(&batch).unwrap();
-        assert_eq!(serial.routing, BatchRouting::SerialWithin);
-        assert_eq!(pooled.routing, BatchRouting::ParallelAcross);
-        for ((a, sr), pr) in batch.iter().zip(&serial.runs).zip(&pooled.runs) {
-            let expect = spmm_reference(a, &sb);
-            assert!(sr.c.allclose(&expect, 1e-3, 1e-4));
-            assert!(pr.c.allclose(&expect, 1e-3, 1e-4));
-        }
-    }
-
-    #[test]
     fn storage_pins_route_transparently_and_stay_bit_identical() {
         use nm_core::sliced::SlicedLayout;
         let mut s = session();
@@ -1110,12 +932,6 @@ mod tests {
             .unwrap();
         assert_eq!(rm.plan().key, auto.plan().key);
         assert_eq!(rm.storage(), Some(StorageFormat::RowMajor));
-
-        // The simulator stages no format; the pin does not break it.
-        let sim = s
-            .load_with(sb.clone(), LoadSpec::rows(1).backend(BackendKind::Sim))
-            .unwrap();
-        assert_eq!(sim.storage(), None);
 
         // Session-wide pin applies when the spec sets none.
         let mut pinned_session = SessionBuilder::new(a100_80g())
@@ -1210,7 +1026,7 @@ mod tests {
         assert_eq!(panels.start as usize % 64, 0);
         for layer in [&rm, &sliced, &measured] {
             assert!(std::ptr::eq(layer.weights(), &*sb));
-            let sm = layer.state.staging().expect("a CPU staging");
+            let (sm, _, _) = layer.state.staged();
             for pos in 0..sm.windows() {
                 let v = sm.window_values(pos, 0, sm.w()).as_ptr_range();
                 let within = panels.start <= v.start && v.end <= panels.end;
@@ -1224,9 +1040,9 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rm.state.staging().unwrap().layout().sort_window, 1);
+        assert_eq!(rm.state.staged().0.layout().sort_window, 1);
         assert_eq!(
-            sliced.state.staging().unwrap().layout(),
+            sliced.state.staged().0.layout(),
             SlicedLayout::new(8, 32).unwrap()
         );
     }
@@ -1265,9 +1081,7 @@ mod tests {
         let before = s.stats();
         // Scaled-down weights executed under the full-size plan.
         let sb = weights(64, 64, cfg, 21);
-        let layer = s
-            .load_planned(plan, sb, BackendKind::Cpu(NmVersion::V3))
-            .unwrap();
+        let layer = s.load_planned(plan, sb).unwrap();
         let after = s.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
         let a = MatrixF32::random(16, 64, 22);
@@ -1279,8 +1093,8 @@ mod tests {
 
     #[test]
     fn load_with_is_the_wrappers_single_implementation() {
-        // load / load_on must be byte-for-byte equivalent to the bare and
-        // backend-carrying specs: same plan key, same backend, same math.
+        // load / load_planned must be byte-for-byte equivalent to the bare
+        // and plan-carrying specs: same plan key, same math.
         let mut s = session();
         let cfg = NmConfig::new(2, 8, 16).unwrap();
         let sb = Arc::new(weights(96, 64, cfg, 61));
@@ -1289,16 +1103,17 @@ mod tests {
         let via_load = s.load(sb.clone(), 16).unwrap();
         let via_spec = s.load_with(sb.clone(), LoadSpec::rows(16)).unwrap();
         assert_eq!(via_load.plan().key, via_spec.plan().key);
-        assert_eq!(via_load.backend(), via_spec.backend());
 
-        let on = s.load_on(sb.clone(), 16, BackendKind::Codegen).unwrap();
-        let spec_on = s
-            .load_with(sb.clone(), LoadSpec::rows(16).backend(BackendKind::Codegen))
+        let plan = via_load.plan().clone();
+        let planned = s.load_planned(plan.clone(), sb.clone()).unwrap();
+        let spec_planned = s
+            .load_with(sb.clone(), LoadSpec::rows(16).planned(plan))
             .unwrap();
-        assert_eq!(on.plan().key, spec_on.plan().key);
-        assert_eq!(spec_on.backend(), BackendKind::Codegen);
-        let (r1, r2) = (on.forward(&a).unwrap(), spec_on.forward(&a).unwrap());
+        assert_eq!(planned.plan().key, spec_planned.plan().key);
+        let (r1, r2) = (via_load.forward(&a).unwrap(), planned.forward(&a).unwrap());
         assert_eq!(r1.c.as_slice(), r2.c.as_slice());
+        let r3 = spec_planned.forward(&a).unwrap();
+        assert_eq!(r1.c.as_slice(), r3.c.as_slice());
     }
 
     #[test]
@@ -1365,7 +1180,7 @@ mod tests {
         let layer = s.load_with(sb, LoadSpec::rows(64).planned(plan)).unwrap();
         let after = s.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-        assert_eq!(layer.backend(), s.backend());
+        assert_eq!(layer.backend(), BackendKind::Cpu(NmVersion::V3));
     }
 
     #[test]
@@ -1377,19 +1192,15 @@ mod tests {
         let cfg = NmConfig::new(2, 8, 8).unwrap();
         let sb = Arc::new(weights(64, 32, cfg, 31));
         let layer = s.load(sb.clone(), 16).unwrap();
-        assert_eq!(layer.isa(), Some(Isa::Scalar));
+        assert_eq!(layer.isa(), Isa::Scalar);
         // The codegen twin takes the same pin, so it reproduces the CPU
         // layer bit for bit.
-        let codegen = s.load_on(sb, 16, BackendKind::Codegen).unwrap();
-        assert_eq!(codegen.isa(), Some(Isa::Scalar));
+        let pin = Some(MicroKernel::scalar());
+        let codegen = crate::codegen::CodegenPrepared::new(layer.plan(), &sb, pin).unwrap();
+        assert_eq!(codegen.isa(), Isa::Scalar);
         let a = MatrixF32::random(16, 64, 33);
-        let (cpu_run, gen_run) = (layer.forward(&a).unwrap(), codegen.forward(&a).unwrap());
-        assert_eq!(cpu_run.c.as_slice(), gen_run.c.as_slice());
-        // The simulator is unaffected by the pin.
-        let sim = s
-            .load_on(weights(64, 32, cfg, 32), 16, BackendKind::Sim)
-            .unwrap();
-        assert_eq!(sim.isa(), None);
+        let (cpu_run, (gen_c, _)) = (layer.forward(&a).unwrap(), codegen.execute(&a).unwrap());
+        assert_eq!(cpu_run.c.as_slice(), gen_c.as_slice());
     }
 
     #[test]
@@ -1438,6 +1249,113 @@ mod tests {
     }
 
     #[test]
+    fn save_and_reload_through_backing_file() {
+        // A layer load's plan survives the file: the reloaded session
+        // stages the same plan without re-planning.
+        let path = std::env::temp_dir().join(format!(
+            "nm-spmm-session-reload-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let backed = || SessionBuilder::new(a100_80g()).plan_cache(&path).build();
+        let sb = Arc::new(weights(96, 64, NmConfig::new(2, 16, 32).unwrap(), 17));
+
+        let mut cold = backed().unwrap();
+        let plan = cold.load(sb.clone(), 16).unwrap().plan().clone();
+        assert_eq!(cold.stats().misses, 1);
+        assert!(cold.save().unwrap());
+
+        let mut warm = backed().unwrap();
+        let replay = warm.load(sb, 16).unwrap().plan().clone();
+        let st = warm.stats();
+        assert_eq!(
+            (st.hits, st.misses),
+            (1, 0),
+            "reloaded session must serve the plan from disk"
+        );
+        assert_eq!(plan, replay);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn session_plans_and_counts() {
+        let mut s = session();
+        let cfg = NmConfig::new(4, 16, 32).unwrap();
+        s.plan(1024, 1024, 1024, cfg).unwrap();
+        s.plan(1024, 1024, 1024, cfg).unwrap();
+        let st = s.stats();
+        assert_eq!((st.entries, st.hits, st.misses), (1, 1, 1));
+        assert!(st.to_string().contains("1 hits"));
+    }
+
+    #[test]
+    fn repeated_plans_across_levels_count_hits_per_shape_class() {
+        let mut s = session();
+        for cfg in [
+            NmConfig::new(8, 16, 32).unwrap(),
+            NmConfig::new(2, 16, 32).unwrap(),
+            NmConfig::new(8, 16, 32).unwrap(), // repeat: planned from cache
+        ] {
+            let plan = s.plan(96, 256, 128, cfg).unwrap();
+            assert_eq!(plan.key.cfg().unwrap(), cfg);
+        }
+        let st = s.stats();
+        assert_eq!((st.entries, st.hits, st.misses), (2, 1, 2));
+    }
+
+    #[test]
+    fn unbacked_session_save_is_a_noop() {
+        assert!(!session().save().unwrap());
+    }
+
+    #[test]
+    fn stale_backing_file_replans_and_saves_the_current_version() {
+        use nm_core::json::JsonValue;
+        let path =
+            std::env::temp_dir().join(format!("nm-spmm-session-stale-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = NmConfig::new(2, 16, 32).unwrap();
+        let backed = || SessionBuilder::new(a100_80g()).plan_cache(&path).build();
+        let mut s = backed().unwrap();
+        s.plan(512, 512, 512, cfg).unwrap();
+        let current = s.planner.cache().to_json().unwrap();
+        let version = |text: &str| {
+            JsonValue::parse(text)
+                .unwrap()
+                .usize_field("version")
+                .unwrap()
+        };
+        let stale = current.replace(
+            &format!("\"version\":{}", version(&current)),
+            "\"version\":4",
+        );
+        std::fs::write(&path, stale).unwrap();
+
+        let mut reload = backed().unwrap();
+        reload.plan(512, 512, 512, cfg).unwrap();
+        let st = reload.stats();
+        assert_eq!((st.hits, st.misses), (0, 1), "a stale file must re-plan");
+        assert!(reload.save().unwrap());
+        let saved = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(version(&saved), version(&current));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn malformed_backing_file_is_an_error() {
+        let path = std::env::temp_dir().join(format!(
+            "nm-spmm-session-malformed-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, "not json").unwrap();
+        assert!(SessionBuilder::new(a100_80g())
+            .plan_cache(&path)
+            .build()
+            .is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn mutated_plan_caches_load_or_fail_without_panicking() {
         use crate::plan::{PlanCache, Provenance};
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1449,7 +1367,6 @@ mod tests {
         let _ = std::fs::remove_file(&saved);
         let session = |path: &Path| {
             SessionBuilder::new(a100_80g())
-                .backend(BackendKind::Cpu(NmVersion::V3))
                 .autotune(AutotuneMode::Quick)
                 .plan_cache(path)
                 .build()

@@ -2,12 +2,12 @@
 //! prepared-session API.
 //!
 //! This is the serving-shaped loop the ROADMAP asks for: given a
-//! [`Session`] (device + plan cache + backend configuration) and one
+//! [`Session`] (device + plan cache + kernel configuration) and one
 //! Llama model, plan every linear layer at a fixed sequence length,
-//! optionally execute each layer — through the native CPU V3 ladder
-//! **and** a [`PreparedLayer`](nm_kernels::PreparedLayer) on the Sim
-//! backend (the reference oracle with the chosen kernel's prediction
-//! attached), cross checking the numerics — and emit a per-layer report:
+//! optionally execute each layer through a
+//! [`PreparedLayer`](nm_kernels::PreparedLayer) on the native CPU kernel,
+//! cross-checked against the reference oracle — and emit a per-layer
+//! report:
 //! chosen kernel, tuned blocking, estimated seconds and speedup over the
 //! dense baseline.
 //!
@@ -28,9 +28,8 @@ use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
-use nm_kernels::backend::BackendKind;
+use nm_core::spmm::spmm_reference;
 use nm_kernels::measure::AutotuneMode;
-use nm_kernels::nm::NmVersion;
 use nm_kernels::plan::Plan;
 use nm_kernels::session::Session;
 
@@ -104,10 +103,10 @@ pub struct ExecReport {
     /// `N = M` configuration [`NmConfig::dense32`]), milliseconds — the
     /// dense baseline.
     pub cpu_dense_ms: f64,
-    /// Max |sim − cpu| over the output — the cross-check that the Sim
-    /// backend's reference oracle and the CPU path compute the same
-    /// matrix.
-    pub sim_vs_cpu_max_diff: f32,
+    /// Max |oracle − cpu| over the output — the cross-check that the
+    /// reference oracle (`spmm_reference`, the simulator's functional
+    /// face) and the CPU kernel compute the same matrix.
+    pub oracle_vs_cpu_max_diff: f32,
     /// Wall time of the measured-autotuned native CPU kernel, milliseconds
     /// — the evidence-based lane. `None` when the session's
     /// [`AutotuneMode`] is `Off`.
@@ -135,7 +134,7 @@ pub struct DecodeLane {
     pub est_ms: f64,
     /// The storage format this lane would stage under — measured
     /// evidence when the plan carries it, else the plan key's lane
-    /// (mirroring how the CPU backend resolves the staged format).
+    /// (mirroring how the CPU kernel resolves the staged format).
     pub format: StorageFormat,
 }
 
@@ -289,8 +288,8 @@ pub fn sweep_model(
         }
     }
 
-    // Execution pass: real numerics through the chosen simulated kernel
-    // and the CPU path, at (possibly scaled) dimensions. Each layer is
+    // Execution pass: real numerics through the CPU kernel, checked
+    // against the reference oracle, at (possibly scaled) dimensions. Each layer is
     // prepared against the full-size plan via `Session::load_planned`, so
     // the pass does not touch the cache counters above.
     if let Some(div) = opts.execute.divisor() {
@@ -306,11 +305,7 @@ pub fn sweep_model(
 
             // CPU sparse path: the V3 ladder under the full-size plan's
             // blocking.
-            let cpu = session.load_planned(
-                row.plan.clone(),
-                sb.clone(),
-                BackendKind::Cpu(NmVersion::V3),
-            )?;
+            let cpu = session.load_planned(row.plan.clone(), sb.clone())?;
             let cpu_run = cpu.forward(&a)?;
             let c_cpu = cpu_run.c;
             let cpu_ms = cpu_run.wall_seconds * 1e3;
@@ -318,8 +313,7 @@ pub fn sweep_model(
             // Dense baseline: the same ladder with N = M keeps every
             // vector of B, under the same plan's blocking.
             let dense = NmSparseMatrix::prune_magnitude(&bd, NmConfig::dense32(cfg.l))?;
-            let dense_layer =
-                session.load_planned(row.plan.clone(), dense, BackendKind::Cpu(NmVersion::V3))?;
+            let dense_layer = session.load_planned(row.plan.clone(), dense)?;
             let cpu_dense_ms = dense_layer.forward(&a)?.wall_seconds * 1e3;
 
             // Measured-autotune lane: when the session measures, load the
@@ -341,8 +335,7 @@ pub fn sweep_model(
             // cache key, outside the prefill accounting.
             let (decode_ms, decode_vs_cpu_max_diff) = if opts.decode {
                 let dplan = session.plan(1, ne, ke, cfg)?;
-                let dlayer =
-                    session.load_planned(dplan, sb.clone(), BackendKind::Cpu(NmVersion::V3))?;
+                let dlayer = session.load_planned(dplan, sb.clone())?;
                 let drun = dlayer.forward_vec(a.row(0))?;
                 let diff = drun
                     .c
@@ -356,17 +349,14 @@ pub fn sweep_model(
                 (None, None)
             };
 
-            // The Sim backend (reference oracle plus prediction), through
-            // a prepared handle carrying the full-size plan.
-            let layer = session.load_planned(row.plan.clone(), sb, BackendKind::Sim)?;
-            let run = layer.forward(&a)?;
+            let oracle = spmm_reference(&a, &sb);
             row.exec = Some(ExecReport {
                 m: me,
                 n: ne,
                 k: ke,
                 cpu_ms,
                 cpu_dense_ms,
-                sim_vs_cpu_max_diff: run.c.max_abs_diff(&c_cpu),
+                oracle_vs_cpu_max_diff: oracle.max_abs_diff(&c_cpu),
                 measured_ms,
                 decode_ms,
                 decode_vs_cpu_max_diff,
@@ -482,10 +472,10 @@ mod tests {
             assert!(e.m % 32 == 0 && e.n % 32 == 0 && e.k % 32 == 0);
             assert!(e.cpu_ms > 0.0 && e.cpu_dense_ms > 0.0);
             assert!(
-                e.sim_vs_cpu_max_diff < 1e-2,
-                "{}: simulated kernel and CPU path disagree by {}",
+                e.oracle_vs_cpu_max_diff < 1e-2,
+                "{}: oracle and CPU kernel disagree by {}",
                 l.layer,
-                e.sim_vs_cpu_max_diff
+                e.oracle_vs_cpu_max_diff
             );
         }
         // Execution must not have perturbed the planning-pass accounting.

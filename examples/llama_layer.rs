@@ -45,10 +45,7 @@ fn main() {
     // The session owns kernel selection and execution: one plan per
     // (shape class, N:M) carries the tuned blocking and every family's
     // estimate; one prepared layer per level owns the staged weights.
-    let mut session = SessionBuilder::new(a100_80g())
-        .backend(BackendKind::Cpu(NmVersion::V3))
-        .build()
-        .expect("session");
+    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
 
     // Dense baselines: the same CPU kernel at N = M (every vector of B
     // kept), and the simulated dense GEMM.

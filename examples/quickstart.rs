@@ -19,7 +19,7 @@ fn main() {
 
     // 2. Prune B to 2:4 sparsity with vector length 4 (50% of weights gone).
     let cfg = NmConfig::new(2, 4, 4).expect("valid config");
-    // Arc so the per-backend loads below share one compressed copy.
+    // Arc so the loads below share one compressed copy.
     let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
     println!(
         "pruned B {}x{} at {} -> B' {}x{} + D {}x{} ({:.2}x smaller bit-packed)",
@@ -37,10 +37,7 @@ fn main() {
     //    cost in one place — strategy decision + exhaustive autotune
     //    (memoized in the plan cache), B' layout transformation, col_info
     //    packing, micro-kernel ISA dispatch. The handle owns it all.
-    let mut session = SessionBuilder::new(a100_80g())
-        .backend(BackendKind::Cpu(NmVersion::V3))
-        .build()
-        .expect("session");
+    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
     let layer = session.load(sb.clone(), m).expect("load layer");
 
     // 4. Forward passes are the online path: nothing is re-planned or
@@ -55,18 +52,18 @@ fn main() {
         "prepared {} forward: {:.2} ms wall ({} micro-kernel), matches the Eq. (1) oracle ✓",
         layer.backend(),
         run.wall_seconds * 1e3,
-        run.isa.map(|i| i.name()).unwrap_or("-"),
+        run.isa.name(),
     );
 
     // 5. Batched serving: one prepared layer, many activation batches —
-    //    members are validated up front and fanned across the worker pool.
+    //    members are validated up front; each call fans out across the
+    //    worker pool by itself.
     let batch: Vec<MatrixF32> = (0..4).map(|i| MatrixF32::random(32, k, 10 + i)).collect();
     let batch_run = layer.forward_batch(&batch).expect("batch");
     println!(
-        "batched forward: {} members, {:.2} ms aggregate wall ({} routing)",
+        "batched forward: {} members, {:.2} ms aggregate wall",
         batch_run.len(),
         batch_run.wall_seconds * 1e3,
-        batch_run.routing,
     );
 
     // 6. Serving: wrap a prepared layer in a Server — bounded queue,
@@ -108,21 +105,22 @@ fn main() {
         rep.mean_abs_error, rep.rel_frobenius
     );
 
-    // 8. The same handle API runs every backend — the simulated GPU
-    //    kernels (timing model + event counts) and the native CPU kernel —
-    //    and repeated loads plan from the cache.
-    for backend in BackendKind::all() {
-        let layer = session.load_on(sb.clone(), m, backend).expect("load");
-        let run = layer.forward(&a).expect("forward");
-        assert!(run.c.allclose(&oracle, 1e-3, 1e-4), "{backend} disagrees");
-        println!(
-            "{backend:>14}: {:.2} ms wall{}",
-            run.wall_seconds * 1e3,
-            run.estimate
-                .map(|e| format!(", {:.3} ms simulated estimate", e.seconds * 1e3))
-                .unwrap_or_default(),
-        );
-    }
+    // 8. One kernel runs; the simulator predicts beside it. The plan's
+    //    prediction is the modeled GPU launch for the same plan (event
+    //    counts + timing report), computed on demand — nothing is
+    //    executed to get it. A repeated load plans from the cache.
+    let again = session.load(sb.clone(), m).expect("load");
+    let (stats, report) = (again.plan())
+        .predict(session.device(), m, again.weights())
+        .expect("prediction");
+    println!(
+        "{}: {:.2} ms wall here; the plan predicts {:.3} ms on {} ({} FFMAs)",
+        again.backend(),
+        again.forward(&a).expect("forward").wall_seconds * 1e3,
+        report.seconds * 1e3,
+        session.device().name,
+        stats.ffma,
+    );
     println!("plan cache: {}", session.stats());
 
     // 9. Ask the analysis model why the plan looks the way it does.

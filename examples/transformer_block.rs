@@ -50,10 +50,7 @@ fn main() {
     // --- offline: channel permutation + prune + load per layer ---
     // One session owns planning and staging for all three matmuls; each
     // `load` is the layer's entire offline cost, paid exactly once.
-    let mut session = SessionBuilder::new(a100_80g())
-        .backend(BackendKind::Cpu(NmVersion::V3))
-        .build()
-        .expect("session");
+    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
     let mut multipliers = Vec::new();
     for (i, (name, w)) in [("gate", &w_gate), ("up", &w_up), ("down", &w_down)]
         .into_iter()

@@ -7,7 +7,7 @@
 //! * [`sim`] — the GPGPU simulator substrate,
 //! * [`gpu`] — the WGSL code-generation subsystem: typed shader IR,
 //!   emitter + validator, and the deterministic host interpreter the
-//!   `codegen` backend executes through,
+//!   codegen verifier executes through,
 //! * [`kernels`] — simulated GPU kernels (dense GEMM, NM-SpMM
 //!   V1/V2/V3, nmSPARSE, Sputnik), the native CPU kernel and the
 //!   **prepared-session API**
@@ -42,8 +42,8 @@ pub mod prelude {
     pub use gpu_sim::prelude::*;
     pub use nm_core::prelude::*;
     pub use nm_kernels::{
-        BackendKind, BatchRouting, BatchRun, ExecRun, LoadSpec, NmVersion, Plan, PreparedLayer,
-        PreparedModel, Session, SessionBuilder, ShapeClass, DECODE_MAX_ROWS,
+        BackendKind, BatchRun, ExecRun, LoadSpec, NmVersion, Plan, PreparedLayer, PreparedModel,
+        Session, SessionBuilder, ShapeClass, DECODE_MAX_ROWS,
     };
     pub use nm_serve::{
         BatchKind, Completion, DispatchInfo, Priority, RequestTiming, Server, ServerConfig,

@@ -87,21 +87,18 @@ fn parity_at_the_exact_seventy_percent_boundary() {
 #[test]
 fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let dev = a100_80g();
-    // A plannable config: every backend executes the same plan.
+    // A plannable config: the session executes the plan.
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let plan = Planner::new(dev.clone()).plan(64, 128, 96, cfg).unwrap();
     let a = MatrixF32::random(64, 96, 7);
     let b = MatrixF32::random(96, 128, 8);
     let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
     let expect = spmm_reference(&a, &sb);
-    let cpu = BackendKind::Cpu(NmVersion::V3);
-    let run = cpu
-        .prepare(&dev, &plan, &sb, None)
-        .unwrap()
-        .run(&a)
-        .unwrap();
+    let session = SessionBuilder::new(dev.clone()).build().unwrap();
+    let layer = session.load_planned(plan, sb).unwrap();
+    let run = layer.forward(&a).unwrap();
     assert!(run.c.allclose(&expect, 1e-3, 1e-4));
-    assert_eq!(run.backend, BackendKind::Cpu(NmVersion::V3));
+    assert_eq!(layer.backend(), BackendKind::Cpu(NmVersion::V3));
 
     // L = 48 divides no autotune candidate: the plan falls back to the
     // preset, whose ns cannot drive the CPU tiles — structured error, not
@@ -110,7 +107,7 @@ fn cpu_backend_runs_plans_and_rejects_unalignable_blocking() {
     let plan48 = Planner::new(dev.clone()).plan(64, 96, 96, cfg48).unwrap();
     let b48 = MatrixF32::random(96, 96, 9);
     let sb48 = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b48, cfg48).unwrap());
-    let err = cpu.prepare(&dev, &plan48, &sb48, None).err().unwrap();
+    let err = session.load_planned(plan48, sb48).err().unwrap();
     assert!(
         matches!(err, NmError::InvalidBlocking { .. }),
         "expected InvalidBlocking, got: {err}"

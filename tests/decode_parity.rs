@@ -15,12 +15,18 @@ use nm_spmm::kernels::cpu::{
     offline_staging_passes, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling,
 };
 use nm_spmm::kernels::simd::MicroKernel;
-use nm_spmm::kernels::{BackendKind, NmVersion, SessionBuilder, ShapeClass};
+use nm_spmm::kernels::{AutotuneMode, Session, SessionBuilder, ShapeClass};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
 
-const CPU: BackendKind = BackendKind::Cpu(NmVersion::V3);
+/// A session that loads cost-model plans: nothing is measured.
+fn cost_model_session() -> Session {
+    SessionBuilder::new(a100_80g())
+        .autotune(AutotuneMode::Off)
+        .build()
+        .unwrap()
+}
 
 /// One cell: the kernel on all workers matches the f64 oracle and the
 /// same preparation pinned to one worker, bit for bit.
@@ -131,8 +137,7 @@ fn decode_steps_reuse_prefill_staging_with_zero_extra_passes() {
     let (k, n) = (128, 96);
     let b = MatrixF32::random(k, n, 61);
     let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
-    let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-    let layer = session.load_on(sb.clone(), 128, CPU).unwrap();
+    let layer = cost_model_session().load(sb.clone(), 128).unwrap();
     let before = offline_staging_passes();
     let x: Vec<f32> = MatrixF32::random(1, k, 62).into_vec();
     let first = layer.forward_vec(&x).unwrap();
@@ -196,8 +201,7 @@ proptest! {
         let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let x: Vec<f32> = MatrixF32::random(1, k, seed).into_vec();
         let a = MatrixF32::from_vec(1, k, x.clone());
-        let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-        let layer = session.load_on(sb.clone(), 64, CPU).unwrap();
+        let layer = cost_model_session().load(sb.clone(), 64).unwrap();
         let vec_run = layer.forward_vec(&x).unwrap();
         let mat_run = one_worker(|| layer.forward(&a)).unwrap();
         prop_assert_eq!(vec_run.c.shape(), (1, n));

@@ -14,7 +14,7 @@
 
 use nm_spmm::core::sliced::STORAGE_ENV;
 use nm_spmm::kernels::measure::{AutotuneMode, AUTOTUNE_ENV};
-use nm_spmm::kernels::{BackendKind, Session, SessionBuilder, BACKEND_ENV};
+use nm_spmm::kernels::{Session, SessionBuilder};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 
@@ -41,7 +41,7 @@ fn build() -> Session {
 
 #[test]
 fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
-    for var in [BACKEND_ENV, STORAGE_ENV, AUTOTUNE_ENV] {
+    for var in [STORAGE_ENV, AUTOTUNE_ENV] {
         assert!(
             std::env::var(var).is_err(),
             "{var} must be unset when this test starts"
@@ -50,55 +50,8 @@ fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
 
     // --- Defaults: nothing set, builder silent. ---
     let session = build();
-    assert_eq!(session.backend(), BackendKind::Cpu(NmVersion::V3));
     assert_eq!(session.storage(), None, "storage stays planned by default");
     assert_eq!(session.autotune(), AutotuneMode::Off);
-
-    // --- NM_SPMM_BACKEND ---
-    {
-        let _g = EnvGuard::set(BACKEND_ENV, "codegen");
-        // Environment beats the built-in default...
-        assert_eq!(build().backend(), BackendKind::Codegen);
-        // ...but an explicit builder call beats the environment.
-        let explicit = SessionBuilder::new(a100_80g())
-            .backend(BackendKind::Sim)
-            .build()
-            .expect("explicit backend builds with the env var set");
-        assert_eq!(explicit.backend(), BackendKind::Sim);
-    }
-    // The CPU runs one kernel: the removed ladder-step names are unknown
-    // backends, a structured error naming the value, never a run.
-    for removed in ["cpu_v1", "cpu_v2"] {
-        let _g = EnvGuard::set(BACKEND_ENV, removed);
-        let err = SessionBuilder::new(a100_80g()).build().unwrap_err();
-        assert!(
-            matches!(err, NmError::Persist { .. }) && err.to_string().contains(removed),
-            "{removed}: got {err}"
-        );
-    }
-    {
-        let _g = EnvGuard::set(BACKEND_ENV, "warp_speed");
-        let err = SessionBuilder::new(a100_80g()).build().unwrap_err();
-        assert!(
-            matches!(err, NmError::Persist { .. }),
-            "a typo'd backend must be a structured error, got: {err}"
-        );
-        // The explicit call never consults the variable, so the same
-        // garbage value is invisible to it.
-        let explicit = SessionBuilder::new(a100_80g())
-            .backend(BackendKind::Sim)
-            .build()
-            .expect("explicit backend must not validate the unused env var");
-        assert_eq!(explicit.backend(), BackendKind::Sim);
-    }
-    {
-        let _g = EnvGuard::set(BACKEND_ENV, "");
-        assert_eq!(
-            build().backend(),
-            BackendKind::Cpu(NmVersion::V3),
-            "an empty variable means unset, not an error"
-        );
-    }
 
     // --- NM_SPMM_STORAGE ---
     let layout = SlicedLayout::new(4, 16).expect("layout");
@@ -141,7 +94,6 @@ fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
 
     // --- Every guard dropped: the defaults are back. ---
     let session = build();
-    assert_eq!(session.backend(), BackendKind::Cpu(NmVersion::V3));
     assert_eq!(session.storage(), None);
     assert_eq!(session.autotune(), AutotuneMode::Off);
 }

@@ -10,7 +10,7 @@ use common::one_worker;
 use nm_spmm::core::prune::PrunePolicy;
 use nm_spmm::core::spmm::{gemm_reference, spmm_reference};
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
-use nm_spmm::kernels::{BackendKind, KernelChoice, NmSpmmKernel, NmVersion, SessionBuilder};
+use nm_spmm::kernels::{KernelChoice, NmSpmmKernel, NmVersion, SessionBuilder};
 use nm_spmm::prelude::*;
 
 struct Problem {
@@ -118,7 +118,7 @@ fn kernels_work_on_all_three_devices() {
 
 #[test]
 fn functional_stats_match_analytic_profile() {
-    // A Sim-backend forward's stats and the kernel's plan are built from
+    // The plan's predicted stats and the kernel's plan are built from
     // the same per-iteration quantities: cross-check the invariant end to
     // end.
     let cfg = NmConfig::new(2, 16, 32).expect("config");
@@ -127,12 +127,7 @@ fn functional_stats_match_analytic_profile() {
     let mut plan = session.plan(128, 128, 512, cfg).expect("plan");
     plan.choice = KernelChoice::NmV3;
     let kern = NmSpmmKernel::new(NmVersion::V3, plan.params);
-    let layer = session
-        .load_planned(plan, p.sb.clone(), BackendKind::Sim)
-        .expect("load");
-    let run = layer.forward(&p.a).expect("forward");
-    assert_close(&run.c, &p.oracle, "sim forward");
-    let stats = run.stats.expect("sim backend predicts events");
+    let (stats, _) = (plan.predict(session.device(), 128, &p.sb)).expect("prediction");
     // FFMA count is geometry-exact: blocks * iters * ms*ns*ws.
     let plan = kern
         .plan(session.device(), 128, 128, 512, cfg)

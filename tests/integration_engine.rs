@@ -1,12 +1,11 @@
-//! End-to-end tests of the planner / engine / session subsystem: cache
-//! hits on identical keys, JSON persistence round trips, planning
-//! determinism (as a property over arbitrary shapes), and the batched
-//! layer-sweep driver tying the planner to both execution paths through
-//! the session API.
+//! End-to-end tests of the planner / session subsystem: cache hits on
+//! identical keys, JSON persistence round trips, planning determinism (as
+//! a property over arbitrary shapes), and the batched layer-sweep driver
+//! tying the planner to execution through the session API.
 
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::plan::{PlanCache, PlanKey, Planner};
-use nm_spmm::kernels::{BackendKind, Engine, SessionBuilder};
+use nm_spmm::kernels::{LoadSpec, SessionBuilder};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::{a100_80g, paper_devices, rtx3090};
 use nm_spmm::workloads::llama::LLAMA_FAMILY;
@@ -81,11 +80,12 @@ fn engine_reload_serves_plans_without_recomputation() {
     let _ = std::fs::remove_file(&path);
     let cfg = NmConfig::new(2, 16, 32).unwrap();
 
-    let mut cold = Engine::with_cache_file(rtx3090(), &path).unwrap();
+    let backed = || SessionBuilder::new(rtx3090()).plan_cache(&path).build();
+    let mut cold = backed().unwrap();
     let plan = cold.plan(2048, 4096, 4096, cfg).unwrap();
     assert!(cold.save().unwrap());
 
-    let mut warm = Engine::with_cache_file(rtx3090(), &path).unwrap();
+    let mut warm = backed().unwrap();
     let replay = warm.plan(2048, 4096, 4096, cfg).unwrap();
     let stats = warm.stats();
     assert_eq!(stats.hits, 1, "plan must come from the reloaded cache");
@@ -110,10 +110,10 @@ fn sweep_through_session_executes_and_caches() {
         assert!(layer.speedup() > 1.0, "{}", layer.layer);
         let exec = layer.exec.expect("execution requested");
         assert!(
-            exec.sim_vs_cpu_max_diff < 1e-2,
+            exec.oracle_vs_cpu_max_diff < 1e-2,
             "{}: sim and CPU disagree by {}",
             layer.layer,
-            exec.sim_vs_cpu_max_diff
+            exec.oracle_vs_cpu_max_diff
         );
         // The decode lane planned every batch size and ran one real
         // m=1 step through the prepared SpMV path.
@@ -143,15 +143,17 @@ fn session_execution_matches_reference_on_every_backend() {
         let b = MatrixF32::random(192, 96, 42);
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let expect = spmm_reference(&a, &sb);
-        for backend in BackendKind::all() {
-            let layer = session.load_on(sb.clone(), 64, backend).unwrap();
+        let sliced = StorageFormat::Sliced(SlicedLayout::DEFAULT);
+        for storage in [StorageFormat::RowMajor, sliced] {
+            let spec = LoadSpec::rows(64).storage(storage);
+            let layer = session.load_with(sb.clone(), spec).unwrap();
             let run = layer.forward(&a).unwrap();
             assert!(
                 run.c.allclose(&expect, 1e-3, 1e-4),
-                "{cfg} via {backend}: max diff {}",
+                "{cfg} via {storage}: max diff {}",
                 run.c.max_abs_diff(&expect)
             );
-            assert!(run.wall_seconds > 0.0, "{backend} must report wall time");
+            assert!(run.wall_seconds > 0.0, "{storage} must report wall time");
         }
     }
 }

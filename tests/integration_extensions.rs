@@ -1,7 +1,8 @@
 //! End-to-end tests of the extension features working together: the full
 //! deployment pipeline (permute → layer-wise allocate → prune → serialize →
-//! load into a prepared session → forward → simulated prediction →
-//! energy), the auto-tuner, and the sparse-tensor-core comparison.
+//! load into a prepared session → forward → the plan's simulated
+//! prediction → energy), the auto-tuner, and the sparse-tensor-core
+//! comparison.
 
 use nm_spmm::analysis::packing::expected_ratio;
 use nm_spmm::core::inspect::{measured_packing_ratio, pattern_stats};
@@ -10,9 +11,7 @@ use nm_spmm::core::permute;
 use nm_spmm::core::prune::PrunePolicy;
 use nm_spmm::core::serialize;
 use nm_spmm::core::spmm::spmm_reference;
-use nm_spmm::kernels::{
-    autotune, BackendKind, NmSpmmKernel, NmVersion, SessionBuilder, SparseTensorCoreKernel,
-};
+use nm_spmm::kernels::{autotune, NmSpmmKernel, NmVersion, SessionBuilder, SparseTensorCoreKernel};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::energy;
 
@@ -51,15 +50,11 @@ fn full_deployment_pipeline() {
     let again = layer.forward(&ap).expect("forward again").c;
     assert!(again.allclose(&oracle, 1e-3, 1e-4));
 
-    // 5. The simulated GPU backend attaches its predicted event counts
-    //    and timing to the forward, and energy is accounted from them.
-    let sim = session
-        .load_on(sb.clone(), m, BackendKind::Sim)
-        .expect("load sim layer");
-    let run = sim.forward(&ap).expect("simulate");
-    assert!(run.c.allclose(&oracle, 1e-3, 1e-4));
-    let stats = run.stats.expect("sim backend predicts events");
-    let report = run.report.expect("sim backend reports timing");
+    // 5. The simulator predicts the layer's plan beside the kernel —
+    //    event counts and timing — and energy is accounted from them.
+    let (stats, report) = (layer.plan())
+        .predict(session.device(), m, layer.weights())
+        .expect("prediction");
     let e = energy::estimate(session.device(), &stats, &report);
     assert!(e.total_j() > 0.0 && e.total_j().is_finite());
 
@@ -131,8 +126,8 @@ fn sparse_tensor_core_comparison_is_scoped_to_2_4() {
 
 #[test]
 fn serialized_blob_survives_simulated_execution() {
-    // Serialize -> reload -> a Sim-backend forward over the reloaded
-    // weights equals the original's oracle and carries a prediction.
+    // Serialize -> reload -> a forward over the reloaded weights equals
+    // the original's oracle, and the plan predicts a launch over them.
     let cfg = NmConfig::new(4, 16, 8).expect("config");
     let b = MatrixF32::random(64, 64, 31);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune");
@@ -140,11 +135,11 @@ fn serialized_blob_survives_simulated_execution() {
     let back = serialize::from_bytes(&blob).expect("reload");
     let a = MatrixF32::random(16, 64, 32);
     let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
-    let run = session
-        .load_on(back, 16, BackendKind::Sim)
-        .expect("load")
-        .forward(&a)
-        .expect("run");
+    let layer = session.load(back, 16).expect("load");
+    let run = layer.forward(&a).expect("run");
     assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-    assert!(run.report.is_some_and(|r| r.seconds > 0.0));
+    let (_, report) = (layer.plan())
+        .predict(session.device(), 16, layer.weights())
+        .expect("prediction");
+    assert!(report.seconds > 0.0);
 }

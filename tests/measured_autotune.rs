@@ -17,7 +17,7 @@ use nm_spmm::core::sliced::StorageFormat;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::measure::measurement_passes;
 use nm_spmm::kernels::plan::Provenance;
-use nm_spmm::kernels::{AutotuneMode, BackendKind, LoadSpec, Session, SessionBuilder};
+use nm_spmm::kernels::{AutotuneMode, CodegenPrepared, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -150,7 +150,7 @@ fn measured_evidence_persists_across_file_backed_sessions() {
 /// A hand-edited cache can carry tile sizes far beyond any call's rows:
 /// a general tile of 2^40 rows (its scratch would be a 128 TiB
 /// allocation) and a panel of 2^52 rows (`mb × n` wraps to 0 at
-/// n = 4096); a measured plan handed to the codegen backend can carry a
+/// n = 4096); a measured plan handed to the codegen verifier can carry a
 /// panel of 2^60 rows (its profile's `mb`-sized products overflow).
 /// Each must end in correct output or a structured error — never an
 /// abort or a panic.
@@ -193,19 +193,16 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     }
 
     // The cache's JSON holds integers only up to 2^53, so a 2^60-row panel
-    // reaches the codegen backend as a doctored plan handed to the loader.
+    // reaches the codegen verifier as a doctored plan handed to it.
     let path = tmp_path("doctored-codegen.json");
     let _ = std::fs::remove_file(&path);
     let mut s = session(&path).unwrap();
     let mut plan = s.load(sb.clone(), 16).unwrap().plan().clone();
     let _ = std::fs::remove_file(&path);
     plan.measured.as_mut().expect("evidence").cpu_tiling.mb = 1 << 60;
-    let spec = LoadSpec::rows(16)
-        .planned(plan)
-        .backend(BackendKind::Codegen);
-    if let Ok(layer) = s.load_with(sb.clone(), spec) {
-        if let Ok(run) = layer.forward(&a) {
-            assert!(run.c.allclose(&expect, 1e-3, 1e-4), "codegen, mb 2^60");
+    if let Ok(prep) = CodegenPrepared::new(&plan, &std::sync::Arc::new(sb), None) {
+        if let Ok((c, _)) = prep.execute(&a) {
+            assert!(c.allclose(&expect, 1e-3, 1e-4), "codegen, mb 2^60");
         }
     }
 }

@@ -10,25 +10,26 @@
 //! forms no batches, so "submit a burst, then resume" forces exactly the
 //! coalescing a concurrent burst would get, without racing the worker.
 
+use nm_spmm::kernels::AutotuneMode;
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A decode-band prepared layer on the explicit V3 CPU backend (the
-/// backend override pins the plan path — no measured autotune, so each
-/// proptest case stays cheap).
+/// A decode-band prepared layer on the cost-model plan (autotune `Off`
+/// pins the plan path — no measurement, so each proptest case stays
+/// cheap).
 fn decode_layer(k: usize, n: usize, seed: u64) -> Arc<PreparedLayer> {
     let cfg = NmConfig::new(2, 8, 16).expect("config");
     let b = MatrixF32::random(k, n, seed);
     let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
-    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
+    let mut session = SessionBuilder::new(a100_80g())
+        .autotune(AutotuneMode::Off)
+        .build()
+        .expect("session");
     let layer = session
-        .load_with(
-            sb,
-            LoadSpec::rows(DECODE_MAX_ROWS).backend(BackendKind::Cpu(NmVersion::V3)),
-        )
+        .load_with(sb, LoadSpec::rows(DECODE_MAX_ROWS))
         .expect("load");
     Arc::new(layer)
 }

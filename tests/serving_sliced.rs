@@ -5,6 +5,7 @@
 //! serving each request alone — the storage format never leaks into the
 //! numerics, even through batch coalescing.
 
+use nm_spmm::kernels::AutotuneMode;
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use std::sync::Arc;
@@ -21,8 +22,11 @@ fn twin_layers(
     let cfg = NmConfig::new(2, 8, 16).expect("config");
     let b = MatrixF32::random(k, n, seed);
     let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
-    let mut session = SessionBuilder::new(a100_80g()).build().expect("session");
-    let spec = LoadSpec::rows(DECODE_MAX_ROWS).backend(BackendKind::Cpu(NmVersion::V3));
+    let mut session = SessionBuilder::new(a100_80g())
+        .autotune(AutotuneMode::Off)
+        .build()
+        .expect("session");
+    let spec = LoadSpec::rows(DECODE_MAX_ROWS);
     let rowmajor = session.load_with(sb.clone(), spec.clone()).expect("load");
     let sliced = session
         .load_with(sb, spec.storage(StorageFormat::Sliced(layout)))

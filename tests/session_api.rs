@@ -12,7 +12,7 @@ mod common;
 use common::one_worker;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::cpu::offline_staging_passes;
-use nm_spmm::kernels::{BackendKind, LoadSpec, NmVersion, PreparedLayer, Session, SessionBuilder};
+use nm_spmm::kernels::{BackendKind, NmVersion, PreparedLayer, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 
 fn session() -> Session {
@@ -36,9 +36,7 @@ fn repeated_forward_performs_zero_re_preparation() {
     let expect = spmm_reference(&a0, &sb);
 
     let before_load = offline_staging_passes();
-    let layer = s
-        .load_on(sb.clone(), 64, BackendKind::Cpu(NmVersion::V3))
-        .unwrap();
+    let layer = s.load(sb.clone(), 64).unwrap();
     assert_eq!(
         offline_staging_passes(),
         before_load + 1,
@@ -72,20 +70,15 @@ fn repeated_forward_performs_zero_re_preparation() {
 }
 
 /// The CPU runs one kernel: asking a session for the paper's V1/V2 steps
-/// on the CPU is a structured error at build and at load, never a run.
+/// on the CPU is a structured error at build, never a run.
 #[test]
 fn cpu_ladder_steps_are_structured_errors_not_runs() {
-    let mut s = session();
-    let sb = prune(64, 64, NmConfig::new(2, 8, 32).unwrap(), 3);
     for v in [NmVersion::V1, NmVersion::V2] {
         let staged = offline_staging_passes();
-        let spec = LoadSpec::rows(8).backend(BackendKind::Cpu(v));
-        let loaded = s.load_with(sb.clone(), spec).map(|_| ());
         let built = SessionBuilder::new(a100_80g()).backend(BackendKind::Cpu(v));
-        for result in [loaded, built.build().map(|_| ())] {
-            let unsupported = matches!(result, Err(NmError::Unsupported { .. }));
-            assert!(unsupported, "{v:?}: {result:?}");
-        }
+        let result = built.build().map(|_| ());
+        let unsupported = matches!(result, Err(NmError::Unsupported { .. }));
+        assert!(unsupported, "{v:?}: {result:?}");
         assert_eq!(offline_staging_passes(), staged, "{v:?}: nothing staged");
     }
 }
@@ -122,9 +115,7 @@ fn one_prepared_layer_serves_concurrent_callers() {
     let mut s = session();
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let sb = prune(192, 96, cfg, 5);
-    let layer = s
-        .load_on(sb.clone(), 32, BackendKind::Cpu(NmVersion::V3))
-        .unwrap();
+    let layer = s.load(sb.clone(), 32).unwrap();
     assert_send_sync(&layer);
 
     let layer_ref: &PreparedLayer = &layer;
@@ -172,10 +163,9 @@ fn forward_batch_is_validated_up_front_and_ordered() {
         assert!(run.c.allclose(&spmm_reference(a, &sb), 1e-3, 1e-4));
     }
     // The aggregate the serving batcher consumes: one wall clock around
-    // the whole fan-out plus the routing decision that produced it.
+    // the whole batch.
     assert!(batch_run.wall_seconds > 0.0);
     assert!(batch_run.member_seconds() > 0.0);
-    assert!(!batch_run.routing.name().is_empty());
 
     // A mismatched member anywhere in the batch fails the whole call
     // before any work starts, naming the offender.
@@ -183,21 +173,4 @@ fn forward_batch_is_validated_up_front_and_ordered() {
     bad.push(MatrixF32::random(8, 96, 9));
     let err = layer.forward_batch(&bad).unwrap_err();
     assert!(err.to_string().contains("batch[3]"), "{err}");
-}
-
-/// The Sim backend fits the same prepared contract: handles are reusable
-/// and carry the event counts and timing report each call.
-#[test]
-fn sim_backend_layers_are_prepared_handles_too() {
-    let mut s = session();
-    let cfg = NmConfig::new(4, 16, 32).unwrap();
-    let sb = prune(128, 96, cfg, 11);
-    let layer = s.load_on(sb.clone(), 32, BackendKind::Sim).unwrap();
-    for seed in 0..2u64 {
-        let a = MatrixF32::random(32, 128, 300 + seed);
-        let run = layer.forward(&a).unwrap();
-        assert!(run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-        assert!(run.stats.is_some() && run.report.is_some());
-        assert_eq!(run.isa, None);
-    }
 }

@@ -21,7 +21,7 @@ use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use nm_spmm::kernels::plan::Planner;
 use nm_spmm::kernels::simd::MicroKernel;
-use nm_spmm::kernels::{BackendKind, LoadSpec, NmVersion, PlanCache, SessionBuilder, ShapeClass};
+use nm_spmm::kernels::{AutotuneMode, LoadSpec, PlanCache, SessionBuilder, ShapeClass};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
@@ -198,17 +198,15 @@ proptest! {
         let b = MatrixF32::random(k, n, seed ^ 0x51ed);
         let sb = std::sync::Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
         let x: Vec<f32> = MatrixF32::random(1, k, seed).into_vec();
-        let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
-        let cpu = BackendKind::Cpu(NmVersion::V3);
-        let auto = session
-            .load_with(sb.clone(), LoadSpec::rows(1).backend(cpu))
+        let mut session = SessionBuilder::new(a100_80g())
+            .autotune(AutotuneMode::Off)
+            .build()
             .unwrap();
+        let auto = session.load_with(sb.clone(), LoadSpec::rows(1)).unwrap();
         let sliced = session
             .load_with(
                 sb.clone(),
-                LoadSpec::rows(1)
-                    .backend(cpu)
-                    .storage(StorageFormat::Sliced(layout)),
+                LoadSpec::rows(1).storage(StorageFormat::Sliced(layout)),
             )
             .unwrap();
         prop_assert_eq!(
