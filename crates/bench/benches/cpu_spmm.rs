@@ -13,9 +13,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gpu_sim::device::a100_80g;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
+use nm_core::serialize;
 use nm_core::sparse::NmSparseMatrix;
 use nm_kernels::{AutotuneMode, PreparedLayer, Session, SessionBuilder};
-use std::sync::Arc;
 
 const M: usize = 256;
 const N: usize = 1024;
@@ -29,10 +29,10 @@ const PREFILL_M: usize = 256;
 /// column ranges, one per worker.
 const DECODE_K: usize = 2048;
 const DECODE_N: usize = 5504;
-/// Prepared copies of that layer the arm cycles through: 352 MiB of
-/// staged `B′`, more than the last-level cache of common server parts, so
-/// each call streams its weights from DRAM as a decode step through a
-/// model stack does.
+/// Copies of that layer the arm cycles through, each decoded from the
+/// same serialized blob into its own panels: 352 MiB of `B′`, more than
+/// the last-level cache of common server parts, so each call streams its
+/// weights from DRAM as a decode step through a model stack does.
 const DECODE_COPIES: usize = 32;
 
 /// A session that loads cost-model plans: nothing is measured.
@@ -103,7 +103,8 @@ fn bench_prefill(c: &mut Criterion) {
 fn bench_decode(c: &mut Criterion) {
     let cfg = NmConfig::new(2, 8, 32).expect("config");
     let b = MatrixF32::random(DECODE_K, DECODE_N, 4);
-    let weights = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune"));
+    let weights = NmSparseMatrix::prune_magnitude(&b, cfg).expect("prune");
+    let blob = serialize::to_bytes(&weights);
     let x = MatrixF32::random(1, DECODE_K, 3);
     let mut session = session();
 
@@ -111,9 +112,13 @@ fn bench_decode(c: &mut Criterion) {
     group.sample_size(2 * DECODE_COPIES);
     let staged_bytes = weights.w() * DECODE_N * std::mem::size_of::<f32>();
     group.throughput(Throughput::Bytes(staged_bytes as u64));
-    // Every load stages its own copy of `B′`.
+    // A staging borrows its weights' panels, so each copy is its own
+    // matrix: decoded from the blob, as a deployed model's layers are.
     let layers: Vec<PreparedLayer> = (0..DECODE_COPIES)
-        .map(|_| session.load(weights.clone(), 1).expect("load layer"))
+        .map(|_| {
+            let copy = serialize::from_bytes(&blob).expect("decode weights");
+            session.load(copy, 1).expect("load layer")
+        })
         .collect();
     let mut next = 0;
     group.bench_function("m1_2048x5504_75.0%/v3-column-split", |bench| {

@@ -14,8 +14,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` an `--assert-parity` gate failure,
-//! `2` usage / I/O failure — including an `NM_SPMM_ISA` override this
-//! host cannot execute.
+//! `2` usage / I/O failure — including a malformed `NM_SPMM_ISA` or one
+//! this host cannot execute.
 
 use gpu_sim::device::a100_80g;
 use nm_bench::TextTable;

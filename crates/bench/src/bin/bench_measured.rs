@@ -21,13 +21,13 @@
 //! Exit codes: `0` success, `1` regression against the baseline or an
 //! `--assert-ab` / `--decode` gate failure, `2` usage / numeric-mismatch /
 //! I/O failure — including a `--threshold` outside the open interval
-//! `(0, 1)`, an `NM_SPMM_ISA` override this host cannot execute, and an
-//! unrecognized `--autotune` / `NM_SPMM_AUTOTUNE` mode.
+//! `(0, 1)`, a malformed `NM_SPMM_ISA` or one this host cannot execute,
+//! and an unrecognized `--autotune` mode.
 //!
 //! The run records which micro-kernel ISA the CPU kernel dispatched to
 //! (top-level `isa` field plus one per CPU kernel entry in the JSON);
-//! `NM_SPMM_FORCE_SCALAR=1` forces the scalar tile so CI can A/B the SIMD
-//! and scalar paths on the same host.
+//! `NM_SPMM_ISA=scalar` forces the scalar tile so CI can A/B the SIMD and
+//! scalar paths on the same host.
 //!
 //! ## How a shape is timed
 //!
@@ -47,7 +47,7 @@
 //!
 //! ## The plan A/B lane
 //!
-//! With `--autotune quick|full` (or `NM_SPMM_AUTOTUNE`), every shape also
+//! With `--autotune quick|full`, every shape also
 //! runs the **evidence-based** path — `Session::load` under measured
 //! autotuning, which short-run-benchmarks V3 tilings × storage formats
 //! in place and prepares V3 on the measured winner — next to the
@@ -669,8 +669,8 @@ impl Verdict {
 /// renamed shape set would silently disarm the gate — *unless* everything
 /// was skipped for ISA mismatch under **native** dispatch, which is a
 /// hardware difference, not a stale baseline. When the run's ISA was
-/// explicitly pinned (`isa_pinned`, i.e. `NM_SPMM_ISA` /
-/// `NM_SPMM_FORCE_SCALAR` was set), an all-skipped comparison means the
+/// explicitly pinned (`isa_pinned`, i.e. `NM_SPMM_ISA` named an ISA), an
+/// all-skipped comparison means the
 /// pin and the baseline disagree — a configuration error that must fail,
 /// or a forgotten pin during baseline regeneration would disarm CI's
 /// gate permanently and silently.
@@ -913,9 +913,8 @@ fn usage() -> ! {
          \u{20}                prepared SpMV path must beat the scalar reference and the\n\
          \u{20}                forced GEMM tile on m=1 (exit 1 on failure)\n\
          \n\
-         environment: NM_SPMM_ISA=scalar|avx2|avx512|neon|native and\n\
-         NM_SPMM_FORCE_SCALAR=1 override the micro-kernel ISA dispatch;\n\
-         NM_SPMM_AUTOTUNE=off|quick|full is the env form of --autotune"
+         environment: NM_SPMM_ISA=scalar|avx2|avx512|neon|native overrides the\n\
+         micro-kernel ISA dispatch"
     );
     std::process::exit(2);
 }
@@ -934,7 +933,7 @@ fn main() {
     let mut check: Option<String> = None;
     let mut threshold = 0.25f64;
     let mut seed = 42u64;
-    let mut autotune: Option<AutotuneMode> = None;
+    let mut autotune = AutotuneMode::Off;
     let mut assert_ab = false;
     let mut decode_only = false;
 
@@ -947,12 +946,12 @@ fn main() {
             "--decode" => decode_only = true,
             "--autotune" => {
                 let value = value();
-                // Validated exactly like the env form: garbage is a
-                // structured usage error, never a silent fallback to Off.
-                autotune = Some(AutotuneMode::from_name(&value).unwrap_or_else(|e| {
+                // Garbage is a structured usage error, never a silent
+                // fallback to Off.
+                autotune = AutotuneMode::from_name(&value).unwrap_or_else(|e| {
                     eprintln!("--autotune {value}: {e}");
                     std::process::exit(2);
-                }));
+                });
             }
             "--out" => out = value(),
             "--check-against" => check = Some(value()),
@@ -965,16 +964,6 @@ fn main() {
         eprintln!("--threshold {threshold} is outside (0, 1)");
         usage();
     }
-    // The flag wins over the environment; either way an unrecognized
-    // mode is a hard usage error (exit 2), mirroring NM_SPMM_ISA.
-    let autotune = autotune.unwrap_or_else(|| {
-        AutotuneMode::from_env()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-            .unwrap_or_default()
-    });
     if assert_ab && autotune == AutotuneMode::Off {
         eprintln!("--assert-ab needs the A/B lane; pass --autotune quick|full");
         usage();
@@ -995,9 +984,9 @@ fn main() {
         (false, true) => "quick",
         (false, false) => "full",
     };
-    // The micro-kernel the runs below will dispatch to (honoring the
-    // NM_SPMM_* overrides); resolving it here surfaces a bad override as
-    // a usage error before any benchmarking starts.
+    // The micro-kernel the runs below will dispatch to (honoring
+    // NM_SPMM_ISA); resolving it here surfaces a bad pin as a usage error
+    // before any benchmarking starts.
     let kernel = MicroKernel::select().unwrap_or_else(|e| {
         eprintln!("micro-kernel selection failed: {e}");
         std::process::exit(2);
@@ -1159,9 +1148,9 @@ fn main() {
         );
         // Whether the run's ISA came from an explicit override rather than
         // native dispatch — it decides how an all-ISA-mismatch comparison
-        // is judged (configuration error vs hardware difference). Spelled
-        // out defaults (NM_SPMM_ISA=native, NM_SPMM_FORCE_SCALAR=0) count
-        // as native dispatch, matching what select() actually did.
+        // is judged (configuration error vs hardware difference). A
+        // spelled-out default (NM_SPMM_ISA=native or empty) counts as
+        // native dispatch, matching what select() actually did.
         let isa_pinned = MicroKernel::env_pins_isa();
         enforce(
             &check_against(&results, &baseline, threshold, isa_pinned),

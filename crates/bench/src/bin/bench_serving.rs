@@ -41,8 +41,8 @@
 //! ratios.
 //!
 //! Exit codes: `0` success, `1` a `--assert-batching` gate failure,
-//! `2` usage / I/O failure — including an `NM_SPMM_ISA` override this
-//! host cannot execute and an unrecognized `NM_SPMM_AUTOTUNE` mode.
+//! `2` usage / I/O failure — including a malformed `NM_SPMM_ISA` or one
+//! this host cannot execute.
 
 use gpu_sim::device::a100_80g;
 use nm_bench::{mean, percentile, TextTable};
@@ -312,7 +312,7 @@ fn main() {
     }
 
     // Resolve the micro-kernel and build the session before any work, so
-    // a malformed NM_SPMM_ISA / NM_SPMM_AUTOTUNE is a usage error (exit 2).
+    // a malformed NM_SPMM_ISA is a usage error (exit 2).
     let mut session = MicroKernel::select()
         .and_then(|kernel| SessionBuilder::new(a100_80g()).micro_kernel(kernel).build())
         .unwrap_or_else(|e| {

@@ -19,11 +19,14 @@
 //! loaded at startup and saved on exit, so the second run of an identical
 //! sweep performs zero tuning searches (the cache accounting printed at
 //! the end proves it).
+//!
+//! A bad flag, an unreadable plan cache, and a malformed `NM_SPMM_ISA` or
+//! one this host cannot execute each exit 2 before any work.
 
 use gpu_sim::device::{a100_80g, a100_ncu_locked, rtx3090, rtx4090, DeviceConfig};
 use gpu_sim::energy;
 use nm_bench::{pct, spd, TextTable};
-use nm_kernels::{AutotuneMode, NmSpmmKernel, NmVersion, Session, SessionBuilder};
+use nm_kernels::{AutotuneMode, MicroKernel, NmSpmmKernel, NmVersion, Session, SessionBuilder};
 use nm_workloads::gen::{ProblemInstance, ProblemSpec};
 use nm_workloads::levels::{benchmark_levels, label};
 use nm_workloads::llama::LLAMA_FAMILY;
@@ -41,7 +44,7 @@ struct Args {
     cache: Option<String>,
     exec: bool,
     decode: bool,
-    autotune: Option<AutotuneMode>,
+    autotune: AutotuneMode,
 }
 
 const USAGE: &str = "usage: sweep [--m N] [--n N] [--k N] [--device a100|a100-locked|3090|4090] \
@@ -78,7 +81,7 @@ fn parse_args() -> Args {
         cache: None,
         exec: false,
         decode: false,
-        autotune: None,
+        autotune: AutotuneMode::Off,
     };
     let argv: Vec<String> = std::env::args().collect();
     let number = |v: &str| v.parse::<usize>().map_err(|e| e.to_string());
@@ -143,11 +146,11 @@ fn parse_args() -> Args {
                 i += 1;
             }
             "--autotune" => {
-                // Validated like NM_SPMM_ISA: an unrecognized mode is a
-                // structured usage error, never a silent fall-back to off.
-                args.autotune = Some(flag_value(&argv, i, |v| {
+                // An unrecognized mode is a structured usage error, never
+                // a silent fall-back to off.
+                args.autotune = flag_value(&argv, i, |v| {
                     AutotuneMode::from_name(v).map_err(|e| e.to_string())
-                }));
+                });
                 i += 2;
             }
             other => usage_error(&format!("unknown flag '{other}'")),
@@ -161,22 +164,13 @@ fn make_session(args: &Args) -> Session {
     if let Some(path) = &args.cache {
         builder = builder.plan_cache(path);
     }
-    // The flag wins over NM_SPMM_AUTOTUNE; either way an unrecognized
-    // mode exits 2 with a structured error instead of silently running
-    // without measurement.
-    let autotune = match args.autotune {
-        Some(mode) => mode,
-        None => match AutotuneMode::from_env() {
-            Ok(mode) => mode.unwrap_or_default(),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    // Build errors are user errors here (e.g. a malformed NM_SPMM_STORAGE
-    // or NM_SPMM_ISA pin): report and exit 2, same as the autotune path.
-    let session = match builder.autotune(autotune).build() {
+    let autotune = args.autotune;
+    // Resolve the micro-kernel before any work, so a malformed NM_SPMM_ISA
+    // exits 2 instead of failing a scaled execution mid-sweep. Build
+    // errors (an unreadable plan cache) are user errors too.
+    let session = match MicroKernel::select()
+        .and_then(|kernel| builder.micro_kernel(kernel).autotune(autotune).build())
+    {
         Ok(session) => session,
         Err(e) => {
             eprintln!("cannot build session: {e}");

@@ -1,5 +1,5 @@
 //! The command lines of the `sweep`, bench, figure and table binaries:
-//! every malformed invocation — a bad flag or a bad environment override
+//! every malformed invocation — a bad flag or a bad `NM_SPMM_ISA` pin
 //! — ends in a usage or error line and exit code 2 before any work
 //! starts, never a panic.
 
@@ -16,7 +16,7 @@ fn bad_arguments_exit_2_without_a_backtrace() {
     let serving = env!("CARGO_BIN_EXE_bench_serving");
     let codegen = env!("CARGO_BIN_EXE_bench_codegen");
     let bogus = Some("`bogus`");
-    let (isa, autotune) = (Some("NM_SPMM_ISA=bogus"), Some("NM_SPMM_AUTOTUNE=bogus"));
+    let isa = Some("NM_SPMM_ISA=bogus");
     let cases: &[Case] = &[
         (sweep, &["--m"], None, None),
         (sweep, &["--m", "abc"], None, None),
@@ -24,16 +24,16 @@ fn bad_arguments_exit_2_without_a_backtrace() {
         (sweep, &["--bogus"], None, None),
         (sweep, &["--device", "tpu"], None, None),
         (sweep, &["--llama", "70b"], None, None),
+        (sweep, &["--exec"], isa, bogus),
         (measured, &["--threshold", "1.5"], None, None),
         (measured, &["--autotune", "fast"], None, Some("`fast`")),
         (measured, &["--seed", "x"], None, None),
         (measured, &["--out"], None, None),
         (measured, &["--assert-ab"], None, None),
-        (measured, &["--quick"], autotune, bogus),
+        (measured, &["--quick"], isa, bogus),
         (serving, &["--bogus"], None, None),
         (serving, &["--seed", "x"], None, None),
         (serving, &["--quick"], isa, bogus),
-        (serving, &["--quick"], autotune, bogus),
         (codegen, &["--bogus"], None, None),
         (codegen, &["--seed", "x"], None, None),
         (codegen, &["--quick"], isa, bogus),

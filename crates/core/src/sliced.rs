@@ -47,12 +47,6 @@ use crate::sparse::{window_span, NmSparseMatrix, PanelBuf};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Environment variable that pins the storage format for session loads
-/// (`rowmajor`, `sliced`, or `sliced:<C>:<σ>`). Validated strictly, like
-/// `NM_SPMM_ISA`: an unrecognized value is a structured error, never a
-/// silent fallback.
-pub const STORAGE_ENV: &str = "NM_SPMM_STORAGE";
-
 /// The SELL-C-σ parameters: slice height `C` and sort-window `σ`, both in
 /// pruning-window units along the output dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -159,22 +153,17 @@ impl StorageFormat {
         }
     }
 
-    /// Inverse of [`StorageFormat::tag`], also accepting the spellings an
-    /// operator would type into [`STORAGE_ENV`]: `rowmajor` / `row-major`
-    /// / `row_major`, bare `sliced` (the default `C`/`σ`), or
-    /// `sliced:<C>:<σ>`.
+    /// Inverse of [`StorageFormat::tag`]: exactly `rowmajor` or
+    /// `sliced:<C>:<σ>` — the plan-cache parser's reader.
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] for anything unrecognized — a typo'd
-    /// override must fail loudly, never silently fall back.
+    /// [`NmError::InvalidConfig`] for any other spelling, and for a `C` or
+    /// `σ` that [`SlicedLayout::new`] rejects.
     pub fn from_name(name: &str) -> Result<Self> {
-        let lower = name.to_ascii_lowercase();
-        match lower.as_str() {
-            "rowmajor" | "row-major" | "row_major" => return Ok(StorageFormat::RowMajor),
-            "sliced" => return Ok(StorageFormat::Sliced(SlicedLayout::DEFAULT)),
-            _ => {}
+        if name == "rowmajor" {
+            return Ok(StorageFormat::RowMajor);
         }
-        if let Some(rest) = lower.strip_prefix("sliced:") {
+        if let Some(rest) = name.strip_prefix("sliced:") {
             let mut parts = rest.split(':');
             let c = parts.next().and_then(|v| v.parse::<usize>().ok());
             let sigma = parts.next().and_then(|v| v.parse::<usize>().ok());
@@ -182,27 +171,11 @@ impl StorageFormat {
                 return Ok(StorageFormat::Sliced(SlicedLayout::new(c, sigma)?));
             }
         }
-        Err(NmError::Unsupported {
+        Err(NmError::InvalidConfig {
             reason: format!(
-                "unknown storage format `{name}` \
-                 (expected rowmajor, sliced, or sliced:<C>:<sigma>)"
+                "unknown storage format `{name}` (expected rowmajor or sliced:<C>:<sigma>)"
             ),
         })
-    }
-
-    /// The format requested through the [`STORAGE_ENV`] environment
-    /// variable: `None` when unset or empty, the parsed format otherwise.
-    ///
-    /// # Errors
-    /// [`NmError::Unsupported`] when the variable holds an unrecognized
-    /// value — validated up front, exactly like `NM_SPMM_ISA`, so a typo
-    /// can never silently run the wrong layout.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(STORAGE_ENV) {
-            Ok(v) if v.is_empty() => Ok(None),
-            Ok(v) => Self::from_name(&v).map(Some),
-            Err(_) => Ok(None),
-        }
     }
 
     /// Whether this is a sliced layout.
@@ -441,14 +414,6 @@ mod tests {
             assert_eq!(StorageFormat::from_name(&f.tag()).unwrap(), f);
             assert_eq!(f.to_string(), f.tag());
         }
-        assert_eq!(
-            StorageFormat::from_name("row-major").unwrap(),
-            StorageFormat::RowMajor
-        );
-        assert_eq!(
-            StorageFormat::from_name("SLICED").unwrap(),
-            StorageFormat::Sliced(SlicedLayout::DEFAULT)
-        );
         let max = SlicedLayout::MAX_WINDOWS;
         let edge = format!("sliced:{max}:{max}");
         assert_eq!(
@@ -472,8 +437,17 @@ mod tests {
                 other => panic!("`{bad}` must be an InvalidConfig, got {other:?}"),
             }
         }
+        // Only what `tag()` writes parses: no other spelling, no case
+        // folding, no bare `sliced`.
         for bad in [
             "csr",
+            "row-major",
+            "row_major",
+            "ROWMAJOR",
+            "sliced",
+            "SLICED",
+            "Sliced:4:16",
+            " rowmajor",
             "sliced:",
             "sliced:0:4",
             "sliced:4",
@@ -485,7 +459,7 @@ mod tests {
             assert!(
                 matches!(
                     StorageFormat::from_name(bad),
-                    Err(NmError::Unsupported { .. }) | Err(NmError::InvalidConfig { .. })
+                    Err(NmError::InvalidConfig { .. })
                 ),
                 "`{bad}` must be rejected"
             );

@@ -25,9 +25,11 @@
 //! * the per-`(span, k-block)` fast flags are the twin's op-flavor map,
 //!   reused verbatim, so the interpreter chooses FMA vs zero-skipping
 //!   mul-add exactly where the CPU kernel does;
-//! * `B′` is bound to the values of the compressed matrix the preparation
-//!   holds (an `Arc` clone of the one it was prepared from, never a copy),
-//!   so the state adds no second copy of `B′` to the twin's staging.
+//! * `B′` is bound to a row-major `w × n` copy the preparation makes
+//!   ([`NmSparseMatrix::values_row_major`]), the layout the interpreter
+//!   indexes; the twin's staging borrows the weights' window-major panels,
+//!   so a verifier holds `B′` twice. It runs no production layer, so the
+//!   copy costs only the checks that build one.
 //!
 //! That is what makes the parity guarantee *trace-level*: the
 //! interpreter's output is bit-identical to `cpu_v3`, and its phase

@@ -161,9 +161,10 @@ pub(crate) fn v3_cost_model_panel(mb: usize, ms: usize, m: usize) -> usize {
 /// save. The CPU kernel gathers in place either way; a packed `cfg`
 /// classifies blocks as the packed path would: every block of whole,
 /// 16-divisible windows runs the vectorized micro-tiles, even where its
-/// gathers reach the zero-padded tail of `A`. The staging and the codegen
-/// backend both key on this one predicate, so they pick FMA versus
-/// zero-skipping mul-add on the same blocks.
+/// gathers reach the zero-padded tail of `A`. The staging and the WGSL
+/// verifier ([`CodegenPrepared`](crate::codegen::CodegenPrepared)) both
+/// key on this one predicate, so they pick FMA versus zero-skipping
+/// mul-add on the same blocks.
 #[inline]
 pub fn uses_packing(cfg: NmConfig) -> bool {
     cfg.class() == SparsityClass::High
@@ -314,13 +315,13 @@ pub struct CpuPrepared {
 impl CpuPrepared {
     /// Validate `tiling` against `sb` and run the offline staging, with
     /// the micro-kernel chosen by [`MicroKernel::select`] (widest ISA the
-    /// host supports, honoring the `NM_SPMM_ISA` / `NM_SPMM_FORCE_SCALAR`
-    /// environment overrides).
+    /// host supports, unless `NM_SPMM_ISA` pins one).
     ///
     /// # Errors
     /// [`NmError::InvalidBlocking`] when the tiling is not window-aligned
-    /// for `sb`'s configuration, and [`NmError::Unsupported`] when an
-    /// environment override requests an ISA this host cannot execute.
+    /// for `sb`'s configuration, and the error of [`MicroKernel::select`]
+    /// when `NM_SPMM_ISA` is malformed or names an ISA this host cannot
+    /// execute.
     pub fn new(sb: &NmSparseMatrix, tiling: CpuTiling) -> Result<Self> {
         Self::with_kernel(sb, tiling, MicroKernel::select()?)
     }

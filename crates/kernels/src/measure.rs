@@ -32,10 +32,9 @@
 //! [`AutotuneMode`] scales the search: `Quick` times the plan-derived
 //! tiling (plus the skinny geometries of a decode key) in every candidate
 //! storage format; `Full` adds tile-geometry variants around it. `Off`
-//! disables measurement entirely (the cost-model default). The
-//! `NM_SPMM_AUTOTUNE` environment variable selects a mode process-wide
-//! and is validated strictly — an unrecognized value is a structured
-//! error, never a silent `Off`.
+//! disables measurement entirely (the cost-model default). A session's
+//! mode is set by [`SessionBuilder::autotune`](crate::session::SessionBuilder::autotune)
+//! alone.
 
 use crate::cpu::{spmm_cpu_prepared, CpuPrepared, CpuTiling};
 use crate::plan::{MeasuredChoice, Plan};
@@ -45,9 +44,6 @@ use nm_core::matrix::MatrixF32;
 use nm_core::sliced::{SlicedLayout, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use std::time::Instant;
-
-/// Environment variable selecting a process-wide [`AutotuneMode`].
-pub const AUTOTUNE_ENV: &str = "NM_SPMM_AUTOTUNE";
 
 /// Seed for the synthetic activation the harness multiplies by — fixed so
 /// repeated measurements of one layer do bit-identical arithmetic.
@@ -81,35 +77,18 @@ impl AutotuneMode {
     /// Inverse of [`AutotuneMode::name`] (ASCII case-insensitive).
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] for anything else — like `NM_SPMM_ISA`,
-    /// a typo must surface, never degrade to [`AutotuneMode::Off`].
+    /// [`NmError::InvalidConfig`] for anything else — a typo must
+    /// surface, never degrade to [`AutotuneMode::Off`].
     pub fn from_name(name: &str) -> Result<Self> {
-        let lower = name.to_ascii_lowercase();
-        match lower.as_str() {
+        match name.to_ascii_lowercase().as_str() {
             "off" => Ok(AutotuneMode::Off),
             "quick" => Ok(AutotuneMode::Quick),
             "full" => Ok(AutotuneMode::Full),
-            other => Err(NmError::Unsupported {
+            _ => Err(NmError::InvalidConfig {
                 reason: format!(
-                    "{AUTOTUNE_ENV}=`{other}` is not a recognized autotune mode \
-                     (use `off`, `quick` or `full`)"
+                    "`{name}` is not a recognized autotune mode (use `off`, `quick` or `full`)"
                 ),
             }),
-        }
-    }
-
-    /// The mode requested through the `NM_SPMM_AUTOTUNE` environment
-    /// variable: `None` when unset or empty, the parsed mode otherwise.
-    ///
-    /// # Errors
-    /// [`NmError::Unsupported`] when the variable holds an unrecognized
-    /// value — validated up front, exactly like `NM_SPMM_ISA`, so a typo
-    /// can never silently run without measurement.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(AUTOTUNE_ENV) {
-            Ok(v) if v.is_empty() => Ok(None),
-            Ok(v) => Self::from_name(&v).map(Some),
-            Err(_) => Ok(None),
         }
     }
 }
@@ -338,25 +317,10 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
 /// harness merely finds the best tiling for it. On the auto lane,
 /// decode-class keys compare row-major against the SELL-C-σ sliced grid
 /// (`C ∈ {4, 8, 32}`, `σ ∈ {1, C, 4·C}`); prefill-class keys stay
-/// row-major by default (the prefill staging path is already column-panel
-/// contiguous, so slicing rarely has anything to sell there) **unless**
-/// `NM_SPMM_STORAGE` pins a sliced layout, in which case that one layout
-/// joins the prefill grid so the harness can measure it against row-major
-/// instead of trusting the pin blindly. Row-major enumerates first so
-/// timing ties keep the simpler format.
+/// row-major (the prefill staging path is already column-panel
+/// contiguous, so slicing rarely has anything to sell there). Row-major
+/// enumerates first so timing ties keep the simpler format.
 pub fn format_candidates(plan: &Plan) -> Vec<StorageFormat> {
-    // The env value was already strictly validated when the session was
-    // built; a malformed value here (direct harness use) simply means no
-    // extra prefill candidate.
-    format_candidates_with(plan, StorageFormat::from_env().ok().flatten())
-}
-
-/// [`format_candidates`] with the environment pin passed explicitly —
-/// the testable core.
-pub(crate) fn format_candidates_with(
-    plan: &Plan,
-    env_pin: Option<StorageFormat>,
-) -> Vec<StorageFormat> {
     if plan.key.storage.is_sliced() {
         return vec![plan.key.storage];
     }
@@ -370,10 +334,6 @@ pub(crate) fn format_candidates_with(
                 }
             }
         }
-    } else if let Some(f) = env_pin.filter(|f| f.is_sliced()) {
-        // Prefill auto lane: admit the env-pinned sliced layout as a
-        // measured candidate alongside row-major.
-        out.push(f);
     }
     out
 }
@@ -389,13 +349,13 @@ pub(crate) fn format_candidates_with(
 /// staged candidate at a time, each as a [`race`] of one; a screen winner
 /// other than the default (the first candidate that prepared) is then
 /// raced head to head against it. `kernel` pins the micro-kernel for
-/// every candidate (a session's ISA override); `None` uses the standard
-/// runtime dispatch.
+/// every candidate (a session's micro-kernel pin); `None` uses
+/// [`MicroKernel::select`].
 ///
 /// # Errors
 /// [`NmError::InvalidBlocking`] when no candidate can prepare at all, and
-/// [`NmError::Unsupported`] when micro-kernel dispatch fails (e.g. a bad
-/// `NM_SPMM_ISA` value).
+/// the error of [`MicroKernel::select`] when `NM_SPMM_ISA` is malformed or
+/// names an ISA this host cannot run.
 pub fn measure(
     plan: &Plan,
     sb: &NmSparseMatrix,
@@ -511,7 +471,7 @@ mod tests {
         }
         for bad in ["on", "1", "fast", "QUICKLY"] {
             let err = AutotuneMode::from_name(bad).unwrap_err();
-            assert!(matches!(err, NmError::Unsupported { .. }), "{bad}: {err}");
+            assert!(matches!(err, NmError::InvalidConfig { .. }), "{bad}: {err}");
         }
     }
 
@@ -716,28 +676,9 @@ mod tests {
         }
         assert_eq!(formats, format_candidates(&decode), "deterministic");
 
-        // Prefill keys stay row-major only (no env pin in this process).
+        // Prefill keys stay row-major only.
         let prefill = planner.plan(64, 128, 128, cfg).unwrap();
-        assert_eq!(
-            format_candidates_with(&prefill, None),
-            vec![StorageFormat::RowMajor]
-        );
-        // A sliced env pin joins the prefill grid behind row-major; a
-        // row-major pin adds nothing.
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        assert_eq!(
-            format_candidates_with(&prefill, Some(pin)),
-            vec![StorageFormat::RowMajor, pin],
-            "env-pinned sliced layout must be measured on prefill too"
-        );
-        assert_eq!(
-            format_candidates_with(&prefill, Some(StorageFormat::RowMajor)),
-            vec![StorageFormat::RowMajor]
-        );
-        // Decode grids and plan-key pins ignore the env value — the grid
-        // already covers sliced layouts, and a key pin is the user's call.
-        let decode_with_env = format_candidates_with(&decode, Some(pin));
-        assert_eq!(decode_with_env, format_candidates_with(&decode, None));
+        assert_eq!(format_candidates(&prefill), vec![StorageFormat::RowMajor]);
 
         // A pinned sliced plan measures exactly its pin.
         let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);

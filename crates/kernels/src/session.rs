@@ -10,8 +10,8 @@
 //! that amortization:
 //!
 //! * [`SessionBuilder`] configures the execution context once — device
-//!   model, micro-kernel ISA override, worker thread cap, persistent
-//!   plan-cache path, measured-autotune mode, storage-format pin.
+//!   model, micro-kernel pin, worker thread cap, persistent plan-cache
+//!   path, measured-autotune mode.
 //! * [`Session::load`] takes a pruned weight matrix and does **all** the
 //!   offline work in one place: it plans (strategy decision + exhaustive
 //!   autotune, memoized in the session's [`PlanCache`]) and stages the one
@@ -47,16 +47,13 @@
 //! `load` and never again, mirroring how the paper excludes its
 //! pre-processing from kernel time.
 //!
-//! ## Environment-override precedence
+//! ## One override per setting
 //!
-//! Several defaults can be steered from the environment: `NM_SPMM_STORAGE`
-//! (storage-format pin), `NM_SPMM_AUTOTUNE` (measured autotuning), and —
-//! inside the micro-kernel dispatch — `NM_SPMM_ISA` /
-//! `NM_SPMM_FORCE_SCALAR`. The rule is uniform: **an explicit builder call
-//! always beats the environment variable**, and the variable beats the
-//! built-in default. Every variable is strictly validated (an
-//! unrecognized value is a structured build error, never a silent
-//! fallback). The precedence is pinned by `tests/env_overrides.rs`.
+//! Each setting has one way to override it. The session's settings come
+//! from the builder alone; a layer's storage format from
+//! [`LoadSpec::storage`]. The one environment pin is `NM_SPMM_ISA`, read
+//! by [`MicroKernel::select`] when the builder sets no
+//! [`SessionBuilder::micro_kernel`] (tested in `tests/env_overrides.rs`).
 //!
 //! ## Concurrency
 //!
@@ -102,28 +99,24 @@ use std::sync::Arc;
 pub struct SessionBuilder {
     device: DeviceConfig,
     backend: BackendKind,
-    isa: Option<Isa>,
     kernel: Option<MicroKernel>,
     threads: Option<usize>,
     cache_path: Option<PathBuf>,
-    autotune: Option<AutotuneMode>,
-    storage: Option<StorageFormat>,
+    autotune: AutotuneMode,
 }
 
 impl SessionBuilder {
     /// A builder for `device` with the defaults: runtime micro-kernel
     /// dispatch, uncapped workers, in-memory plan cache, measured
-    /// autotuning off (unless `NM_SPMM_AUTOTUNE` says otherwise).
+    /// autotuning off.
     pub fn new(device: DeviceConfig) -> Self {
         Self {
             device,
             backend: BackendKind::Cpu(NmVersion::V3),
-            isa: None,
             kernel: None,
             threads: None,
             cache_path: None,
-            autotune: None,
-            storage: None,
+            autotune: AutotuneMode::Off,
         }
     }
 
@@ -134,20 +127,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Pin every preparation to one micro-kernel ISA instead of the
-    /// per-host runtime dispatch. [`SessionBuilder::build`] fails with
-    /// [`NmError::Unsupported`] when this host cannot execute `isa`.
-    pub fn isa(mut self, isa: Isa) -> Self {
-        self.isa = Some(isa);
-        self.kernel = None;
-        self
-    }
-
-    /// Pin every preparation to an already-resolved micro-kernel (the
-    /// harness hook; [`SessionBuilder::isa`] is the usual override).
+    /// Pin every preparation to one micro-kernel instead of
+    /// [`MicroKernel::select`]'s per-load dispatch. A `MicroKernel` exists
+    /// only for an ISA this host runs ([`MicroKernel::for_isa`]), so the
+    /// pin cannot name a foreign one.
     pub fn micro_kernel(mut self, kernel: MicroKernel) -> Self {
         self.kernel = Some(kernel);
-        self.isa = None;
         self
     }
 
@@ -175,25 +160,10 @@ impl SessionBuilder {
     /// plan as-is, `Quick`/`Full` run the [`measure`](mod@crate::measure)
     /// harness on a cache miss and persist the measured-best tiling and
     /// storage format through the plan cache, keyed by `(host ISA, thread
-    /// count, shape class, N:M)`, and stage the kernel on them.
-    ///
-    /// An explicit mode overrides the `NM_SPMM_AUTOTUNE` environment
-    /// variable; without either, measurement is off.
+    /// count, shape class, N:M)`, and stage the kernel on them. Off by
+    /// default.
     pub fn autotune(mut self, mode: AutotuneMode) -> Self {
-        self.autotune = Some(mode);
-        self
-    }
-
-    /// Pin every layer this session loads to one `B′` storage format
-    /// instead of the planned/measured lane: `StorageFormat::RowMajor`
-    /// forces the paper's layout, `StorageFormat::Sliced` the SELL-C-σ
-    /// panels. [`LoadSpec::storage`] overrides this per layer.
-    ///
-    /// An explicit pin overrides the `NM_SPMM_STORAGE` environment
-    /// variable; without either, the format is planned (and, under
-    /// measured autotuning, chosen by evidence).
-    pub fn storage(mut self, format: StorageFormat) -> Self {
-        self.storage = Some(format);
+        self.autotune = mode;
         self
     }
 
@@ -201,32 +171,10 @@ impl SessionBuilder {
     ///
     /// # Errors
     /// [`NmError::Unsupported`] when [`SessionBuilder::backend`] names
-    /// `Cpu(V1)` or `Cpu(V2)`, an [`SessionBuilder::isa`] override names an
-    /// ISA this host cannot execute, `NM_SPMM_AUTOTUNE` holds an
-    /// unrecognized mode, or `NM_SPMM_STORAGE` holds an unrecognized
-    /// storage format (both strictly validated, like `NM_SPMM_ISA` —
-    /// never a silent fallback), and [`NmError::Persist`] when the
+    /// `Cpu(V1)` or `Cpu(V2)`, and [`NmError::Persist`] when the
     /// plan-cache file exists but cannot be parsed.
-    ///
-    /// Environment overrides (`NM_SPMM_STORAGE`, `NM_SPMM_AUTOTUNE`) are
-    /// consulted **only** for settings the builder was not explicitly
-    /// given — explicit builder calls always win (tested in
-    /// `tests/env_overrides.rs`).
     pub fn build(self) -> Result<Session> {
         self.backend.supported()?;
-        let kernel = match (self.kernel, self.isa) {
-            (Some(k), _) => Some(k),
-            (None, Some(isa)) => Some(MicroKernel::for_isa(isa)?),
-            (None, None) => None,
-        };
-        let autotune = match self.autotune {
-            Some(mode) => mode,
-            None => AutotuneMode::from_env()?.unwrap_or_default(),
-        };
-        let storage = match self.storage {
-            Some(format) => Some(format),
-            None => StorageFormat::from_env()?,
-        };
         if let Some(threads) = self.threads {
             // First-wins, like real rayon: a pool configured earlier in
             // the process keeps its setting.
@@ -241,9 +189,8 @@ impl SessionBuilder {
         Ok(Session {
             planner: Planner::with_cache(self.device, cache),
             cache_path: self.cache_path,
-            kernel,
-            autotune,
-            storage,
+            kernel: self.kernel,
+            autotune: self.autotune,
         })
     }
 }
@@ -312,8 +259,7 @@ impl LoadSpec {
     /// Pin this layer's `B′` storage format instead of the
     /// planned/measured lane. A sliced pin plans (and caches) on its own
     /// format lane; a row-major pin shares the auto lane's plan but
-    /// always stages the paper's layout. Overrides the session-wide
-    /// [`SessionBuilder::storage`] pin. Mutually exclusive with
+    /// always stages the paper's layout. Mutually exclusive with
     /// [`LoadSpec::planned`] — the plan already fixes the lane.
     pub fn storage(mut self, format: StorageFormat) -> Self {
         self.storage = Some(format);
@@ -333,7 +279,6 @@ pub struct Session {
     cache_path: Option<PathBuf>,
     kernel: Option<MicroKernel>,
     autotune: AutotuneMode,
-    storage: Option<StorageFormat>,
 }
 
 impl Session {
@@ -357,17 +302,10 @@ impl Session {
         self.autotune
     }
 
-    /// The session-wide storage-format pin, when one is set
-    /// ([`SessionBuilder::storage`] or `NM_SPMM_STORAGE`).
-    pub fn storage(&self) -> Option<StorageFormat> {
-        self.storage
-    }
-
     /// Plan a problem through the shared cache (strategy decision +
     /// exhaustive autotune on a miss, O(1) on a hit). The estimate-only
-    /// entry point; [`Session::load`] calls it internally. A session-wide
-    /// storage pin routes the plan onto that format's cache lane, exactly
-    /// as the load paths would.
+    /// entry point, on the auto (row-major) storage lane that an unpinned
+    /// [`Session::load`] plans on.
     pub fn plan(&mut self, m: usize, n: usize, k: usize, cfg: NmConfig) -> Result<Plan> {
         self.plan_as(ShapeClass::of_rows(m), m, n, k, cfg)
     }
@@ -382,8 +320,7 @@ impl Session {
         k: usize,
         cfg: NmConfig,
     ) -> Result<Plan> {
-        let storage = self.storage.unwrap_or(StorageFormat::RowMajor);
-        self.planner.plan_stored(class, storage, m, n, k, cfg)
+        self.planner.plan_as(class, m, n, k, cfg)
     }
 
     /// Plan-cache counters — entries, hits, misses.
@@ -427,9 +364,9 @@ impl Session {
     /// [`NmError::InvalidConfig`] when the spec sets both `planned` and
     /// `shape_class` or `storage`, or names an out-of-band decode class;
     /// planning failures; [`NmError::InvalidBlocking`] when the tuned
-    /// blocking cannot drive the kernel's tiles; [`NmError::Unsupported`]
-    /// when an environment ISA override names an ISA this host cannot
-    /// execute.
+    /// blocking cannot drive the kernel's tiles; the error of
+    /// [`MicroKernel::select`] when `NM_SPMM_ISA` is malformed or names an
+    /// ISA this host cannot execute.
     pub fn load_with(
         &mut self,
         weights: impl Into<Arc<NmSparseMatrix>>,
@@ -453,19 +390,18 @@ impl Session {
         if let Some(plan) = spec.plan {
             return self.load_planned(plan, weights);
         }
-        let pin = spec.storage.or(self.storage);
         let (n, k, cfg) = (weights.cols(), weights.k(), weights.cfg());
         // A pinned format plans on that format's lane (a sliced pin gets
         // its own cache identity; a row-major pin shares the auto lane).
         let class = spec
             .shape_class
             .unwrap_or_else(|| ShapeClass::of_rows(spec.rows));
-        let storage = pin.unwrap_or(StorageFormat::RowMajor);
+        let storage = spec.storage.unwrap_or(StorageFormat::RowMajor);
         let plan = self
             .planner
             .plan_stored(class, storage, spec.rows, n, k, cfg)?;
         match MeasureSpec::for_mode(self.autotune) {
-            Some(mspec) => self.load_measured(plan, weights, spec.rows, pin, mspec),
+            Some(mspec) => self.load_measured(plan, weights, spec.rows, spec.storage, mspec),
             None => self.load_planned(plan, weights),
         }
     }
@@ -933,15 +869,6 @@ mod tests {
         assert_eq!(rm.plan().key, auto.plan().key);
         assert_eq!(rm.storage(), Some(StorageFormat::RowMajor));
 
-        // Session-wide pin applies when the spec sets none.
-        let mut pinned_session = SessionBuilder::new(a100_80g())
-            .storage(pin)
-            .build()
-            .unwrap();
-        assert_eq!(pinned_session.storage(), Some(pin));
-        let layer = pinned_session.load(sb.clone(), 1).unwrap();
-        assert_eq!(layer.storage(), Some(pin));
-
         // planned + storage is a contradiction.
         let plan = s.plan(1, 64, 96, cfg).unwrap();
         let err = s
@@ -1186,7 +1113,7 @@ mod tests {
     #[test]
     fn isa_override_pins_every_loaded_layer() {
         let mut s = SessionBuilder::new(a100_80g())
-            .isa(Isa::Scalar)
+            .micro_kernel(MicroKernel::scalar())
             .build()
             .unwrap();
         let cfg = NmConfig::new(2, 8, 8).unwrap();
@@ -1201,22 +1128,6 @@ mod tests {
         let a = MatrixF32::random(16, 64, 33);
         let (cpu_run, (gen_c, _)) = (layer.forward(&a).unwrap(), codegen.execute(&a).unwrap());
         assert_eq!(cpu_run.c.as_slice(), gen_c.as_slice());
-    }
-
-    #[test]
-    fn unsupported_isa_override_fails_at_build_time() {
-        // An ISA foreign to this architecture can never be executable
-        // here, so the builder must refuse before any layer loads.
-        let foreign = if cfg!(target_arch = "x86_64") {
-            Isa::Neon
-        } else {
-            Isa::Avx2
-        };
-        let err = SessionBuilder::new(a100_80g())
-            .isa(foreign)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, NmError::Unsupported { .. }), "{err}");
     }
 
     #[test]

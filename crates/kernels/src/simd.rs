@@ -14,8 +14,8 @@
 //! * **scalar** — the portable fallback, and the A/B baseline for the
 //!   `bench_measured` SIMD-vs-scalar comparison.
 //!
-//! Two tile widths exist: the classic `4×16` ([`MicroKernel::run4x16`])
-//! and a wider `4×32` dual-accumulator variant ([`MicroKernel::run4x32`])
+//! Two tile widths exist: the classic `R×16` ([`MicroKernel::tile16`])
+//! and a wider `R×32` dual-accumulator variant ([`MicroKernel::tile32`])
 //! used when the vector length `L` is a multiple of 32 — one `A` broadcast
 //! then feeds twice the FMA work, and the extra independent accumulator
 //! chains hide FMA latency.
@@ -36,12 +36,10 @@
 //!
 //! Autoregressive decode multiplies one (or a handful of) activation rows
 //! against the same pruned weights; forcing those shapes through the 4-row
-//! tile would compute and then discard up to 3 rows of work. Every tile
-//! therefore also exists at **1 and 2 rows**
-//! ([`MicroKernel::run1x16`] / [`MicroKernel::run2x16`] /
-//! [`MicroKernel::run1x32`] / [`MicroKernel::run2x32`]): the same
-//! streamed-`B′` inner loop, const-generic over the row count, so a row
-//! panel runs an (8→)4→2→1 ladder and no row ever pays for a sibling it
+//! tile would compute and then discard up to 3 rows of work. Both tiles
+//! are therefore const-generic over the row count `R` and also run at
+//! **1 and 2 rows**: the same streamed-`B′` inner loop, so a row panel
+//! runs an (8→)4→2→1 ladder and no row ever pays for a sibling it
 //! does not have. At one row the tile *is* a vectorized SpMV over the
 //! staged block — the kernel the prepared decode path is built on.
 //!
@@ -56,17 +54,19 @@
 //! returns [`NmError::Unsupported`] otherwise, which is what makes the
 //! `unsafe` calls into `#[target_feature]` functions sound.
 //!
-//! ## Overrides
+//! ## The one environment pin
 //!
-//! [`MicroKernel::select`] honors two environment variables so CI can A/B
-//! the SIMD and scalar paths on the same host:
-//!
-//! * `NM_SPMM_FORCE_SCALAR=1` (or `true`) — force the scalar tile;
-//! * `NM_SPMM_ISA=scalar|avx2|avx512|neon|native` — request a specific
-//!   ISA; an ISA the host cannot run is a structured error, never an
-//!   illegal-instruction fault.
+//! [`MicroKernel::select`] honors `NM_SPMM_ISA=scalar|avx2|avx512|neon|native`
+//! (ASCII case-insensitive) so CI can A/B the SIMD and scalar paths on the
+//! same host. Unset, empty and `native` mean native dispatch. Any other
+//! value that is not an ISA name is [`NmError::InvalidConfig`] naming the
+//! variable and the value; an ISA the host cannot run is
+//! [`NmError::Unsupported`], never an illegal-instruction fault.
 
 use nm_core::error::{NmError, Result};
+
+/// The environment variable that pins [`MicroKernel::select`] to one ISA.
+const ISA_ENV: &str = "NM_SPMM_ISA";
 
 /// Rows of the classic register micro-tile — the ladder's top rung on
 /// AVX2 and NEON.
@@ -111,12 +111,15 @@ impl Isa {
         }
     }
 
-    /// Inverse of [`Isa::name`] (case-insensitive).
+    /// Inverse of [`Isa::name`] (ASCII case-insensitive).
+    ///
+    /// # Errors
+    /// [`NmError::InvalidConfig`] for any other name.
     pub fn from_name(name: &str) -> Result<Self> {
         Self::ALL
             .into_iter()
             .find(|i| i.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| NmError::Unsupported {
+            .ok_or_else(|| NmError::InvalidConfig {
                 reason: format!("unknown ISA `{name}` (expected scalar, avx2, avx512 or neon)"),
             })
     }
@@ -178,8 +181,7 @@ impl MicroKernel {
         Self { isa: Isa::Scalar }
     }
 
-    /// The widest kernel the host supports, ignoring environment
-    /// overrides.
+    /// The widest kernel the host supports, ignoring `NM_SPMM_ISA`.
     pub fn native() -> Self {
         Self { isa: Isa::detect() }
     }
@@ -206,8 +208,8 @@ impl MicroKernel {
     /// autodetection.
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] for unknown names and for ISAs this host
-    /// cannot execute.
+    /// [`NmError::InvalidConfig`] for unknown names and
+    /// [`NmError::Unsupported`] for ISAs this host cannot execute.
     pub fn for_name(name: &str) -> Result<Self> {
         if name.eq_ignore_ascii_case("native") {
             return Ok(Self::native());
@@ -215,40 +217,33 @@ impl MicroKernel {
         Self::for_isa(Isa::from_name(name)?)
     }
 
-    /// The default selection: [`MicroKernel::native`] unless an
-    /// environment override asks otherwise (see the module docs).
+    /// The default selection: [`MicroKernel::native`] unless
+    /// `NM_SPMM_ISA` pins an ISA (see the module docs).
     ///
     /// # Errors
-    /// [`NmError::Unsupported`] when `NM_SPMM_ISA` names an unknown ISA or
-    /// one this host cannot execute, or when `NM_SPMM_FORCE_SCALAR` is set
-    /// to something other than a recognized boolean — a typo'd override
-    /// must fail loudly, not silently fall back.
+    /// [`NmError::InvalidConfig`] naming the variable and the value when
+    /// `NM_SPMM_ISA` is not an ISA name, and [`NmError::Unsupported`] when
+    /// it names one this host cannot execute — a typo'd pin fails loudly,
+    /// never silently falls back.
     pub fn select() -> Result<Self> {
-        let force_scalar = match std::env::var("NM_SPMM_FORCE_SCALAR") {
-            Ok(v) => force_scalar_requested(&v)?,
-            Err(_) => false,
+        let Some(value) = isa_pin() else {
+            return Ok(Self::native());
         };
-        if force_scalar {
-            return Ok(Self::scalar());
-        }
-        match std::env::var("NM_SPMM_ISA") {
-            Ok(name) => Self::for_name(&name),
-            Err(_) => Ok(Self::native()),
-        }
+        let isa = Isa::from_name(&value).map_err(|_| NmError::InvalidConfig {
+            reason: format!(
+                "{ISA_ENV}=`{value}` is not an ISA (use scalar, avx2, avx512, neon or native)"
+            ),
+        })?;
+        Self::for_isa(isa)
     }
 
-    /// Whether the environment currently pins [`MicroKernel::select`] to a
-    /// *specific* ISA rather than native dispatch: `NM_SPMM_FORCE_SCALAR`
-    /// parses truthy, or `NM_SPMM_ISA` names anything but `native`.
-    /// (`NM_SPMM_FORCE_SCALAR=0` and `NM_SPMM_ISA=native` are *not* pins —
-    /// they spell out the default.) Consumers use this to decide whether
-    /// an ISA disagreement with a recorded baseline is a configuration
-    /// error (pinned) or a hardware difference (native).
+    /// Whether `NM_SPMM_ISA` pins [`MicroKernel::select`] to a *specific*
+    /// ISA: it is set, non-empty and not `native` (those spell out native
+    /// dispatch). Consumers use this to decide whether an ISA disagreement
+    /// with a recorded baseline is a configuration error (pinned) or a
+    /// hardware difference (native).
     pub fn env_pins_isa() -> bool {
-        env_pins_isa_from(
-            std::env::var("NM_SPMM_FORCE_SCALAR").ok().as_deref(),
-            std::env::var("NM_SPMM_ISA").ok().as_deref(),
-        )
+        isa_pin().is_some()
     }
 
     /// Every kernel this host can execute (scalar first) — the set the
@@ -277,104 +272,23 @@ impl MicroKernel {
         }
     }
 
-    /// The 4×16 tile: accumulate `MW` rows by [`NW`] columns of `C` across
-    /// the whole k-block. `ar` are the four gather rows, `idx` the packed
-    /// gather index per compressed row, `bs` the staged `B′` block
+    /// The `R×16` tile: accumulate `R` rows by [`NW`] columns of `C`
+    /// across the whole k-block. `ar` are the `R` gather rows, `idx` the
+    /// packed gather index per compressed row, `bs` the staged `B′` block
     /// (`stride` floats per compressed row), `boff` the column offset of
-    /// this tile inside the block.
+    /// this tile inside the block. `R` is a rung of the row ladder, at
+    /// most [`MicroKernel::tile_rows`]; at one row the tile is the decode
+    /// path's vectorized SpMV.
+    ///
+    /// One match on the construct-time ISA; the per-ISA bodies are
+    /// const-generic over `R`, so every rung shares one implementation per
+    /// ISA instead of drifting apart.
     ///
     /// Caller contract (checked by `debug_assert!`): every `idx` value is
-    /// in bounds for every row of `ar`, and `bs` covers
-    /// `idx.len()` compressed rows of `stride ≥ boff + 16` floats.
+    /// in bounds for every row of `ar`, and `bs` covers `idx.len()`
+    /// compressed rows of `stride ≥ boff + 16` floats.
     #[inline]
-    pub fn run4x16(
-        &self,
-        ar: &[&[f32]; MW],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW]; MW] {
-        self.tile16(ar, idx, bs, stride, boff)
-    }
-
-    /// The 4×32 dual-accumulator tile: as [`MicroKernel::run4x16`] but
-    /// [`NW2`] columns wide — one `A` broadcast feeds two 16-wide column
-    /// chunks, and the doubled independent accumulator chains hide FMA
-    /// latency. Used by the fast path when `L` is a multiple of 32.
-    #[inline]
-    pub fn run4x32(
-        &self,
-        ar: &[&[f32]; MW],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW2]; MW] {
-        self.tile32(ar, idx, bs, stride, boff)
-    }
-
-    /// The 2×16 skinny tile: two rows of the same streamed-`B′` inner loop
-    /// — a skinny rung of the fast path's row ladder.
-    #[inline]
-    pub fn run2x16(
-        &self,
-        ar: &[&[f32]; 2],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW]; 2] {
-        self.tile16(ar, idx, bs, stride, boff)
-    }
-
-    /// The 2×32 skinny dual-accumulator tile (`L % 32 == 0` blocks).
-    #[inline]
-    pub fn run2x32(
-        &self,
-        ar: &[&[f32]; 2],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW2]; 2] {
-        self.tile32(ar, idx, bs, stride, boff)
-    }
-
-    /// The 1×16 tile: a vectorized sparse vector-matrix product over one
-    /// staged `B′` block — the decode-path (`m = 1`) kernel.
-    #[inline]
-    pub fn run1x16(
-        &self,
-        ar: &[&[f32]; 1],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW]; 1] {
-        self.tile16(ar, idx, bs, stride, boff)
-    }
-
-    /// The 1×32 dual-accumulator SpMV tile (`L % 32 == 0` blocks).
-    #[inline]
-    pub fn run1x32(
-        &self,
-        ar: &[&[f32]; 1],
-        idx: &[u32],
-        bs: &[f32],
-        stride: usize,
-        boff: usize,
-    ) -> [[f32; NW2]; 1] {
-        self.tile32(ar, idx, bs, stride, boff)
-    }
-
-    /// Row-generic 16-wide dispatch behind the public entry points. One
-    /// match on the construct-time ISA; the per-ISA bodies are const-generic
-    /// over the row count, so 1-, 2-, 4- and 8-row tiles share one
-    /// implementation per ISA instead of drifting apart. Crate-visible so
-    /// the CPU kernel's row ladder can stay generic over the rung size.
-    #[inline]
-    pub(crate) fn tile16<const R: usize>(
+    pub fn tile16<const R: usize>(
         &self,
         ar: &[&[f32]; R],
         idx: &[u32],
@@ -400,9 +314,13 @@ impl MicroKernel {
         }
     }
 
-    /// Row-generic 32-wide dispatch; see [`MicroKernel::tile16`].
+    /// The `R×32` dual-accumulator tile: as [`MicroKernel::tile16`] but
+    /// [`NW2`] columns wide — one `A` broadcast feeds two 16-wide column
+    /// chunks, and the doubled independent accumulator chains hide FMA
+    /// latency. Used by the fast path when `L` is a multiple of 32; `bs`
+    /// then needs `stride ≥ boff + 32`.
     #[inline]
-    pub(crate) fn tile32<const R: usize>(
+    pub fn tile32<const R: usize>(
         &self,
         ar: &[&[f32]; R],
         idx: &[u32],
@@ -432,34 +350,12 @@ impl std::fmt::Display for MicroKernel {
     }
 }
 
-/// Parse an `NM_SPMM_FORCE_SCALAR` value. Only recognized booleans are
-/// accepted — an operator who sets `yes` or `on` believes they pinned the
-/// scalar tile, and silently running SIMD instead would corrupt their A/B
-/// record, so anything unrecognized is a structured error.
-/// [`MicroKernel::env_pins_isa`] over explicit values (testable without
-/// touching the process environment). An unparseable `NM_SPMM_FORCE_SCALAR`
-/// counts as not-pinned: [`MicroKernel::select`] rejects it with a
-/// structured error before any pinned-ness decision matters.
-fn env_pins_isa_from(force_scalar: Option<&str>, isa: Option<&str>) -> bool {
-    if force_scalar.is_some_and(|v| force_scalar_requested(v).unwrap_or(false)) {
-        return true;
-    }
-    isa.is_some_and(|name| !name.eq_ignore_ascii_case("native"))
-}
-
-fn force_scalar_requested(value: &str) -> Result<bool> {
-    if value == "1" || value.eq_ignore_ascii_case("true") {
-        Ok(true)
-    } else if value.is_empty() || value == "0" || value.eq_ignore_ascii_case("false") {
-        Ok(false)
-    } else {
-        Err(NmError::Unsupported {
-            reason: format!(
-                "NM_SPMM_FORCE_SCALAR=`{value}` is not a recognized boolean \
-                 (use 1/true to force the scalar tile, 0/false/unset otherwise)"
-            ),
-        })
-    }
+/// The `NM_SPMM_ISA` value when it pins an ISA: set, non-empty and not
+/// `native`. A value that is not Unicode stays a pin, so
+/// [`MicroKernel::select`] rejects it rather than ignoring it.
+fn isa_pin() -> Option<String> {
+    let value = std::env::var_os(ISA_ENV)?.to_string_lossy().into_owned();
+    (!value.is_empty() && !value.eq_ignore_ascii_case("native")).then_some(value)
 }
 
 /// The caller contract every tile implementation relies on, verified in
@@ -526,7 +422,7 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx2` and `fma` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x16`]. `R ≤ 4` keeps the accumulators in
+    /// [`super::MicroKernel::tile16`]. `R ≤ 4` keeps the accumulators in
     /// the register file.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn avx2_rx16<const R: usize>(
@@ -560,7 +456,7 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx2` and `fma` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x32`]. `R ≤ 4` keeps the accumulators in
+    /// [`super::MicroKernel::tile32`]. `R ≤ 4` keeps the accumulators in
     /// the register file.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn avx2_rx32<const R: usize>(
@@ -600,7 +496,7 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx512f` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x16`]. `R ≤ 8` keeps the accumulators in
+    /// [`super::MicroKernel::tile16`]. `R ≤ 8` keeps the accumulators in
     /// the register file.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512_rx16<const R: usize>(
@@ -629,7 +525,7 @@ mod x86 {
 
     /// # Safety
     /// Requires `avx512f` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x32`]. `R ≤ 8` keeps the accumulators in
+    /// [`super::MicroKernel::tile32`]. `R ≤ 8` keeps the accumulators in
     /// the register file.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512_rx32<const R: usize>(
@@ -672,7 +568,7 @@ mod arm {
 
     /// # Safety
     /// Requires `neon` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x16`].
+    /// [`super::MicroKernel::tile16`].
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn neon_rx16<const R: usize>(
         ar: &[&[f32]; R],
@@ -710,7 +606,7 @@ mod arm {
 
     /// # Safety
     /// Requires `neon` at runtime, plus the bounds contract of
-    /// [`super::MicroKernel::run4x32`].
+    /// [`super::MicroKernel::tile32`].
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn neon_rx32<const R: usize>(
         ar: &[&[f32]; R],
@@ -770,7 +666,7 @@ mod tests {
         }
         assert!(matches!(
             Isa::from_name("sse9"),
-            Err(NmError::Unsupported { .. })
+            Err(NmError::InvalidConfig { .. })
         ));
     }
 
@@ -803,42 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_ness_tracks_what_select_would_actually_do() {
-        // Pins: a truthy force-scalar, or a concrete ISA request.
-        assert!(env_pins_isa_from(Some("1"), None));
-        assert!(env_pins_isa_from(Some("true"), Some("native")));
-        assert!(env_pins_isa_from(None, Some("avx2")));
-        assert!(env_pins_isa_from(None, Some("scalar")));
-        // Not pins: unset, spelled-out defaults, or a falsy force-scalar.
-        assert!(!env_pins_isa_from(None, None));
-        assert!(!env_pins_isa_from(Some("0"), None));
-        assert!(!env_pins_isa_from(Some("false"), Some("native")));
-        assert!(!env_pins_isa_from(None, Some("NATIVE")));
-        // Unparseable force-scalar defers to select()'s hard error.
-        assert!(!env_pins_isa_from(Some("yes"), None));
-        assert!(env_pins_isa_from(Some("yes"), Some("avx2")));
-    }
-
-    #[test]
-    fn force_scalar_values_parse_strictly() {
-        assert!(force_scalar_requested("1").unwrap());
-        assert!(force_scalar_requested("true").unwrap());
-        assert!(force_scalar_requested("TRUE").unwrap());
-        assert!(!force_scalar_requested("0").unwrap());
-        assert!(!force_scalar_requested("false").unwrap());
-        assert!(!force_scalar_requested("").unwrap());
-        for bad in ["yes", "on", "2", "scalar"] {
-            assert!(
-                matches!(
-                    force_scalar_requested(bad),
-                    Err(NmError::Unsupported { .. })
-                ),
-                "`{bad}` must be rejected, not silently ignored"
-            );
-        }
-    }
-
-    #[test]
     fn for_name_native_and_scalar_resolve() {
         assert_eq!(
             MicroKernel::for_name("native").unwrap(),
@@ -855,11 +715,11 @@ mod tests {
     fn every_available_kernel_matches_scalar_on_both_widths() {
         let (rows, idx, bs) = tile_inputs(24, 40, 64);
         let ar: [&[f32]; MW] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        let want16 = MicroKernel::scalar().run4x16(&ar, &idx, &bs, 40, 3);
-        let want32 = MicroKernel::scalar().run4x32(&ar, &idx, &bs, 40, 3);
+        let want16 = MicroKernel::scalar().tile16(&ar, &idx, &bs, 40, 3);
+        let want32 = MicroKernel::scalar().tile32(&ar, &idx, &bs, 40, 3);
         for mk in MicroKernel::available() {
-            let got16 = mk.run4x16(&ar, &idx, &bs, 40, 3);
-            let got32 = mk.run4x32(&ar, &idx, &bs, 40, 3);
+            let got16 = mk.tile16(&ar, &idx, &bs, 40, 3);
+            let got32 = mk.tile32(&ar, &idx, &bs, 40, 3);
             for r in 0..MW {
                 for c in 0..NW {
                     assert!(
@@ -886,13 +746,13 @@ mod tests {
         let (rows, _, bs) = tile_inputs(4, 32, 16);
         let ar: [&[f32]; MW] = [&rows[0], &rows[1], &rows[2], &rows[3]];
         for mk in MicroKernel::available() {
-            assert_eq!(mk.run4x16(&ar, &[], &bs, 32, 0), [[0.0; NW]; MW]);
-            assert_eq!(mk.run4x32(&ar, &[], &bs, 32, 0), [[0.0; NW2]; MW]);
+            assert_eq!(mk.tile16(&ar, &[], &bs, 32, 0), [[0.0; NW]; MW]);
+            assert_eq!(mk.tile32(&ar, &[], &bs, 32, 0), [[0.0; NW2]; MW]);
             assert_eq!(
-                mk.run2x16(&[&rows[0], &rows[1]], &[], &bs, 32, 0),
+                mk.tile16(&[&rows[0], &rows[1]], &[], &bs, 32, 0),
                 [[0.0; NW]; 2]
             );
-            assert_eq!(mk.run1x32(&[&rows[0]], &[], &bs, 32, 0), [[0.0; NW2]; 1]);
+            assert_eq!(mk.tile32(&[&rows[0]], &[], &bs, 32, 0), [[0.0; NW2]; 1]);
         }
     }
 
@@ -904,12 +764,12 @@ mod tests {
         let (rows, idx, bs) = tile_inputs(24, 40, 64);
         let ar4: [&[f32]; MW] = [&rows[0], &rows[1], &rows[2], &rows[3]];
         for mk in MicroKernel::available() {
-            let want16 = mk.run4x16(&ar4, &idx, &bs, 40, 3);
-            let want32 = mk.run4x32(&ar4, &idx, &bs, 40, 3);
-            let got2x16 = mk.run2x16(&[&rows[0], &rows[1]], &idx, &bs, 40, 3);
-            let got2x32 = mk.run2x32(&[&rows[2], &rows[3]], &idx, &bs, 40, 3);
-            let got1x16 = mk.run1x16(&[&rows[3]], &idx, &bs, 40, 3);
-            let got1x32 = mk.run1x32(&[&rows[0]], &idx, &bs, 40, 3);
+            let want16 = mk.tile16(&ar4, &idx, &bs, 40, 3);
+            let want32 = mk.tile32(&ar4, &idx, &bs, 40, 3);
+            let got2x16 = mk.tile16(&[&rows[0], &rows[1]], &idx, &bs, 40, 3);
+            let got2x32 = mk.tile32(&[&rows[2], &rows[3]], &idx, &bs, 40, 3);
+            let got1x16 = mk.tile16(&[&rows[3]], &idx, &bs, 40, 3);
+            let got1x32 = mk.tile32(&[&rows[0]], &idx, &bs, 40, 3);
             assert_eq!(
                 [got2x16[0], got2x16[1]],
                 [want16[0], want16[1]],
@@ -938,8 +798,8 @@ mod tests {
             let got32 = mk.tile32(&ar8, &idx, &bs, 40, 3);
             for half in 0..2 {
                 let ar4: [&[f32]; MW] = std::array::from_fn(|r| rows[half * MW + r].as_slice());
-                let want16 = mk.run4x16(&ar4, &idx, &bs, 40, 3);
-                let want32 = mk.run4x32(&ar4, &idx, &bs, 40, 3);
+                let want16 = mk.tile16(&ar4, &idx, &bs, 40, 3);
+                let want32 = mk.tile32(&ar4, &idx, &bs, 40, 3);
                 assert_eq!(got16[half * MW..(half + 1) * MW], want16, "{mk} 8x16");
                 assert_eq!(got32[half * MW..(half + 1) * MW], want32, "{mk} 8x32");
             }
@@ -950,11 +810,11 @@ mod tests {
     fn skinny_tiles_agree_across_isas() {
         let (rows, idx, bs) = tile_inputs(24, 40, 64);
         let scalar = MicroKernel::scalar();
-        let want16 = scalar.run1x16(&[&rows[0]], &idx, &bs, 40, 3);
-        let want32 = scalar.run2x32(&[&rows[1], &rows[2]], &idx, &bs, 40, 3);
+        let want16 = scalar.tile16(&[&rows[0]], &idx, &bs, 40, 3);
+        let want32 = scalar.tile32(&[&rows[1], &rows[2]], &idx, &bs, 40, 3);
         for mk in MicroKernel::available() {
-            let got16 = mk.run1x16(&[&rows[0]], &idx, &bs, 40, 3);
-            let got32 = mk.run2x32(&[&rows[1], &rows[2]], &idx, &bs, 40, 3);
+            let got16 = mk.tile16(&[&rows[0]], &idx, &bs, 40, 3);
+            let got32 = mk.tile32(&[&rows[1], &rows[2]], &idx, &bs, 40, 3);
             for c in 0..NW {
                 assert!(
                     (got16[0][c] - want16[0][c]).abs() <= 1e-4 * want16[0][c].abs() + 1e-5,

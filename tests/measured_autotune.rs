@@ -17,7 +17,7 @@ use nm_spmm::core::sliced::StorageFormat;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::measure::measurement_passes;
 use nm_spmm::kernels::plan::Provenance;
-use nm_spmm::kernels::{AutotuneMode, CodegenPrepared, Session, SessionBuilder};
+use nm_spmm::kernels::{AutotuneMode, CodegenPrepared, LoadSpec, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -163,14 +163,17 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     let session = |path: &PathBuf| {
         SessionBuilder::new(a100_80g())
             .autotune(AutotuneMode::Quick)
-            .storage(StorageFormat::RowMajor)
             .plan_cache(path)
             .build()
     };
+    let row_major = || LoadSpec::rows(16).storage(StorageFormat::RowMajor);
     for (mb, mt) in [(None, Some(1usize << 40)), (Some(1 << 52), None)] {
         let path = tmp_path(&format!("doctored-{mb:?}-{mt:?}.json"));
         let _ = std::fs::remove_file(&path);
-        let layer = session(&path).unwrap().load(sb.clone(), 16).unwrap();
+        let layer = session(&path)
+            .unwrap()
+            .load_with(sb.clone(), row_major())
+            .unwrap();
         let t = layer.plan().measured.expect("evidence").cpu_tiling;
         let (mb, mt) = (mb.unwrap_or(t.mb), mt.unwrap_or(t.mt));
         let entry = |mb, mt| format!("{{\"mb\":{mb},\"nb\":{},\"kb\":{},\"mt\":{mt},", t.nb, t.kb);
@@ -180,7 +183,7 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
         std::fs::write(&path, doctored).unwrap();
 
         let before = measurement_passes();
-        let loaded = session(&path).and_then(|mut s| s.load(sb.clone(), 16));
+        let loaded = session(&path).and_then(|mut s| s.load_with(sb.clone(), row_major()));
         let _ = std::fs::remove_file(&path);
         // Rejecting the entry with a structured error is an accepted end.
         let Ok(layer) = loaded else { continue };
@@ -197,7 +200,7 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     let path = tmp_path("doctored-codegen.json");
     let _ = std::fs::remove_file(&path);
     let mut s = session(&path).unwrap();
-    let mut plan = s.load(sb.clone(), 16).unwrap().plan().clone();
+    let mut plan = s.load_with(sb.clone(), row_major()).unwrap().plan().clone();
     let _ = std::fs::remove_file(&path);
     plan.measured.as_mut().expect("evidence").cpu_tiling.mb = 1 << 60;
     if let Ok(prep) = CodegenPrepared::new(&plan, &std::sync::Arc::new(sb), None) {

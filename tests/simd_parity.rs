@@ -105,7 +105,7 @@ fn dispatch_never_constructs_an_unsupported_kernel() {
 
 #[test]
 fn scalar_kernel_is_always_available_for_the_forced_fallback() {
-    // CI forces this path on SIMD hosts via NM_SPMM_FORCE_SCALAR=1; the
+    // CI forces this path on SIMD hosts via NM_SPMM_ISA=scalar; the
     // kernel itself must exist everywhere unconditionally.
     assert_eq!(
         MicroKernel::for_name("scalar").unwrap(),
