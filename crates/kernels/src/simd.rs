@@ -226,7 +226,13 @@ impl MicroKernel {
     /// it names one this host cannot execute — a typo'd pin fails loudly,
     /// never silently falls back.
     pub fn select() -> Result<Self> {
-        let Some(value) = isa_pin() else {
+        Self::select_from(isa_pin())
+    }
+
+    /// [`MicroKernel::select`] over an explicit pin (testable without
+    /// touching the process environment).
+    fn select_from(pin: Option<String>) -> Result<Self> {
+        let Some(value) = pin else {
             return Ok(Self::native());
         };
         let isa = Isa::from_name(&value).map_err(|_| NmError::InvalidConfig {
@@ -354,7 +360,13 @@ impl std::fmt::Display for MicroKernel {
 /// `native`. A value that is not Unicode stays a pin, so
 /// [`MicroKernel::select`] rejects it rather than ignoring it.
 fn isa_pin() -> Option<String> {
-    let value = std::env::var_os(ISA_ENV)?.to_string_lossy().into_owned();
+    isa_pin_from(std::env::var_os(ISA_ENV).as_deref())
+}
+
+/// [`isa_pin`] over an explicit value (testable without touching the
+/// process environment).
+fn isa_pin_from(raw: Option<&std::ffi::OsStr>) -> Option<String> {
+    let value = raw?.to_string_lossy().into_owned();
     (!value.is_empty() && !value.eq_ignore_ascii_case("native")).then_some(value)
 }
 
@@ -668,6 +680,53 @@ mod tests {
             Isa::from_name("sse9"),
             Err(NmError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn pinned_ness_tracks_what_select_would_actually_do() {
+        let pin = |v: Option<&str>| isa_pin_from(v.map(std::ffi::OsStr::new));
+        // Not pins: unset, empty, or native dispatch spelled out in any
+        // case — and `select` then really does dispatch natively.
+        for value in [
+            None,
+            Some(""),
+            Some("native"),
+            Some("NATIVE"),
+            Some("Native"),
+        ] {
+            assert_eq!(pin(value), None, "{value:?}");
+            assert_eq!(
+                MicroKernel::select_from(pin(value)).unwrap(),
+                MicroKernel::native(),
+                "{value:?}"
+            );
+        }
+        // Pins: every ISA name, in any case. `select` then resolves that
+        // exact ISA, or refuses it when this host cannot run it.
+        for isa in Isa::ALL {
+            for name in [isa.name().to_string(), isa.name().to_uppercase()] {
+                let value = pin(Some(&name));
+                assert_eq!(value.as_deref(), Some(name.as_str()));
+                match MicroKernel::select_from(value) {
+                    Ok(mk) => assert_eq!(mk.isa(), isa, "`{name}`"),
+                    Err(e) => {
+                        assert!(!isa.supported(), "`{name}` runs here: {e}");
+                        assert!(matches!(e, NmError::Unsupported { .. }), "{e}");
+                    }
+                }
+            }
+        }
+        // Anything else is still a pin, so `select` rejects it loudly
+        // instead of treating it as native dispatch.
+        for bad in [" native", "native ", "avx", "1", "true"] {
+            assert_eq!(pin(Some(bad)).as_deref(), Some(bad));
+            match MicroKernel::select_from(pin(Some(bad))) {
+                Err(NmError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(&format!("{ISA_ENV}=`{bad}`")), "{reason}")
+                }
+                other => panic!("`{bad}` must be an InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

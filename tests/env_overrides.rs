@@ -1,5 +1,9 @@
 //! `NM_SPMM_ISA` is the one environment pin, pinned end to end:
 //!
+//! 0. **Explicit beats environment beats default** — a
+//!    `SessionBuilder::micro_kernel` call wins over `NM_SPMM_ISA`, even a
+//!    malformed one; with the builder silent the variable decides; unset,
+//!    native dispatch.
 //! 1. **Names** — every ISA name, in any ASCII case, selects that ISA, or
 //!    is `Unsupported` exactly when this host cannot run it.
 //! 2. **Native** — unset, empty and `native` select native dispatch and
@@ -43,7 +47,7 @@ fn weights(seed: u64) -> NmSparseMatrix {
 }
 
 #[test]
-fn nm_spmm_isa_is_the_one_pin_and_typos_fail_loudly() {
+fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
     let retired = ["STORAGE", "AUTOTUNE", "FORCE_SCALAR"].map(|p| format!("NM_SPMM_{p}"));
     for var in retired.iter().map(String::as_str).chain([ISA_ENV]) {
         assert!(
@@ -99,11 +103,31 @@ fn nm_spmm_isa_is_the_one_pin_and_typos_fail_loudly() {
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
     }
 
-    // --- The scalar pin reaches every loaded layer. ---
+    // --- The scalar pin reaches every loaded layer; an explicit
+    // micro-kernel on the builder beats it. ---
     {
         let _g = EnvGuard::set(ISA_ENV, "scalar");
         let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
         assert_eq!(session.load(weights(2), 4).unwrap().isa(), Isa::Scalar);
+        let mut explicit = SessionBuilder::new(a100_80g())
+            .micro_kernel(native)
+            .build()
+            .unwrap();
+        assert_eq!(explicit.load(weights(2), 4).unwrap().isa(), native.isa());
+    }
+
+    // --- The explicit micro-kernel is not read from the environment, so
+    // even a malformed pin cannot fail it. ---
+    {
+        let _g = EnvGuard::set(ISA_ENV, "avx51");
+        let mut explicit = SessionBuilder::new(a100_80g())
+            .micro_kernel(MicroKernel::scalar())
+            .build()
+            .unwrap();
+        let layer = explicit
+            .load(weights(4), 4)
+            .expect("explicit beats the env var");
+        assert_eq!(layer.isa(), Isa::Scalar);
     }
 
     // --- The retired pins change and fail nothing. ---
