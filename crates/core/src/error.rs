@@ -5,8 +5,10 @@ use std::fmt;
 /// Errors produced by format construction, compression and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NmError {
-    /// An `N:M` / `L` combination that violates the format rules
-    /// (`0 < N <= M`, `L >= 1`, `M` a power of two for bit-packed indices).
+    /// An invalid setting: an `N:M` / `L` combination that violates the
+    /// format rules (`0 < N <= M`, `L >= 1`, `M` a power of two for
+    /// bit-packed indices), or any other value out of its domain — a
+    /// server knob, the `NM_SPMM_ISA` pin, a sliced layout bound.
     InvalidConfig {
         /// Human-readable reason for the rejection.
         reason: String,
@@ -78,7 +80,7 @@ pub enum NmError {
 impl fmt::Display for NmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NmError::InvalidConfig { reason } => write!(f, "invalid N:M config: {reason}"),
+            NmError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             NmError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
             }
@@ -135,6 +137,15 @@ mod tests {
             reason: "N must not exceed M".into(),
         };
         assert!(e.to_string().contains("N must not exceed M"));
+        // One prefix for every bad input, so a setting that has nothing to
+        // do with the N:M pattern does not read as one.
+        let e = NmError::InvalidConfig {
+            reason: "NM_SPMM_ISA=`avx` is not an ISA".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: NM_SPMM_ISA=`avx` is not an ISA"
+        );
 
         let e = NmError::DimensionMismatch {
             expected: "k=128".into(),

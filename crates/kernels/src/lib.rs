@@ -33,7 +33,7 @@
 //! [`session::SessionBuilder`]) turns weights into
 //! [`session::PreparedLayer`] handles that plan, stage and dispatch
 //! **once**, then amortize that offline work across every
-//! `forward`/`forward_batch` call — the paper's offline/online split as
+//! `forward`/`forward_vec` call — the paper's offline/online split as
 //! an object. Examples, bench bins and the `nm-workloads` layer-sweep
 //! driver all execute through sessions.
 //!
@@ -103,7 +103,7 @@ pub use plan::{
     CacheStats, KernelChoice, MeasuredChoice, Plan, PlanCache, PlanHost, PlanKey, Planner,
     Provenance, ShapeClass, DECODE_MAX_ROWS,
 };
-pub use session::{BatchRun, LoadSpec, PreparedLayer, PreparedModel, Session, SessionBuilder};
+pub use session::{LoadSpec, PreparedLayer, PreparedModel, Session, SessionBuilder};
 pub use simd::{Isa, MicroKernel};
 pub use sparse_tc::SparseTensorCoreKernel;
 pub use sputnik::SputnikKernel;

@@ -17,7 +17,7 @@
 //!   autotune, memoized in the session's [`PlanCache`]) and stages the one
 //!   executing kernel ([`CpuPrepared::for_plan`] — `B′` staging,
 //!   micro-kernel dispatch). The result is a [`PreparedLayer`] handle.
-//! * [`PreparedLayer::forward`] / [`PreparedLayer::forward_batch`] are the
+//! * [`PreparedLayer::forward`] / [`PreparedLayer::forward_vec`] are the
 //!   **online** path: they touch none of the offline work again — every
 //!   call runs the owned staging. The
 //!   [`cpu::offline_staging_passes`](crate::cpu::offline_staging_passes)
@@ -33,8 +33,9 @@
 //!
 //! The session's autotune mode alone decides ([`SessionBuilder::autotune`]):
 //! under `Off` every load executes the cost-model plan as-is; under
-//! `Quick`/`Full` every load that does not bring its own plan
-//! ([`LoadSpec::planned`]) takes the measured path.
+//! `Quick`/`Full` every load through [`Session::load_with`] takes the
+//! measured path; [`Session::load_planned`] brings its own plan and never
+//! measures.
 //!
 //! ## What lands in `wall_seconds`
 //!
@@ -59,13 +60,9 @@
 //!
 //! [`PreparedLayer`] is `Send + Sync`: one prepared handle can serve
 //! concurrent callers (`forward` takes `&self`), which is the shape a
-//! serving front-end needs. [`PreparedLayer::forward_batch`] validates
-//! every member's shape up front (a mid-batch mismatch is reported before
-//! any work is spent) and maps its members serially: the kernel already
-//! parallelizes inside each call, by row panels or by column ranges, and
-//! the rayon pool runs a parallel call nested inside another one inline,
-//! so fanning out across members as well would only move the parallelism
-//! up to the batch.
+//! serving front-end needs. The kernel parallelizes inside each call, by
+//! row panels or by column ranges; a server batches by stacking rows into
+//! one call, not by fanning calls out.
 
 use crate::backend::{BackendKind, ExecRun};
 use crate::cpu::CpuPrepared;
@@ -74,7 +71,9 @@ use crate::nm::NmVersion;
 use crate::plan::{CacheStats, Plan, PlanCache, PlanHost, Planner, ShapeClass};
 use crate::simd::{Isa, MicroKernel};
 use gpu_sim::device::DeviceConfig;
-use nm_core::error::{NmError, Result};
+#[cfg(doc)]
+use nm_core::error::NmError;
+use nm_core::error::Result;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::sliced::StorageFormat;
@@ -196,8 +195,7 @@ impl SessionBuilder {
 }
 
 /// A typed description of **one layer load** — what [`Session::load_with`]
-/// consumes, and what the `load`/`load_planned` conveniences build behind
-/// the scenes.
+/// consumes, and what the `load` convenience builds behind the scenes.
 ///
 /// A spec starts from the one piece of information every load needs — the
 /// activation row count — and layers optional overrides on top:
@@ -208,11 +206,9 @@ impl SessionBuilder {
 ///   (`ShapeClass::Decode(m)`, `m ≤ DECODE_MAX_ROWS`) even though it was
 ///   loaded for a prefill row count, and vice versa.
 /// * [`LoadSpec::storage`] — pin this layer's `B′` storage format.
-/// * [`LoadSpec::planned`] — the escape hatch: skip planning (and
-///   measurement) entirely and prepare against an externally resolved
-///   [`Plan`] (cache accounting untouched). Mutually exclusive with
-///   `shape_class` and `storage`; the plan *is* the shape and lane
-///   decision.
+///
+/// A load against an externally resolved [`Plan`] skips the spec
+/// altogether: [`Session::load_planned`].
 ///
 /// ```
 /// use nm_kernels::session::LoadSpec;
@@ -224,7 +220,6 @@ impl SessionBuilder {
 pub struct LoadSpec {
     rows: usize,
     shape_class: Option<ShapeClass>,
-    plan: Option<Plan>,
     storage: Option<StorageFormat>,
 }
 
@@ -235,7 +230,6 @@ impl LoadSpec {
         Self {
             rows,
             shape_class: None,
-            plan: None,
             storage: None,
         }
     }
@@ -248,19 +242,10 @@ impl LoadSpec {
         self
     }
 
-    /// Skip planning and prepare against this externally resolved plan.
-    /// Mutually exclusive with [`LoadSpec::shape_class`] and
-    /// [`LoadSpec::storage`].
-    pub fn planned(mut self, plan: Plan) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
     /// Pin this layer's `B′` storage format instead of the
     /// planned/measured lane. A sliced pin plans (and caches) on its own
     /// format lane; a row-major pin shares the auto lane's plan but
-    /// always stages the paper's layout. Mutually exclusive with
-    /// [`LoadSpec::planned`] — the plan already fixes the lane.
+    /// always stages the paper's layout.
     pub fn storage(mut self, format: StorageFormat) -> Self {
         self.storage = Some(format);
         self
@@ -271,8 +256,9 @@ impl LoadSpec {
 /// + kernel configuration.
 ///
 /// Sessions hand out [`PreparedLayer`] handles via [`Session::load_with`]
-/// (and the `load`/`load_planned` conveniences built on it);
-/// estimate-only consumers can also call [`Session::plan`] directly.
+/// (and the `load` convenience built on it) or, against a plan already
+/// in hand, [`Session::load_planned`]; estimate-only consumers can also
+/// call [`Session::plan`] directly.
 #[derive(Debug)]
 pub struct Session {
     planner: Planner,
@@ -339,20 +325,17 @@ impl Session {
     }
 
     /// Do **all** the offline work for one layer, once, as described by a
-    /// typed [`LoadSpec`]: plan (or adopt the spec's pre-resolved plan)
-    /// and stage the kernel. The returned handle amortizes every one of
-    /// those costs across its `forward` calls.
+    /// typed [`LoadSpec`]: plan and stage the kernel. The returned handle
+    /// amortizes every one of those costs across its `forward` calls.
     ///
-    /// This is the **single load entry point**; [`Session::load`] and
-    /// [`Session::load_planned`] are thin conveniences over it. The spec
-    /// resolves in this order:
+    /// This is the **single planning load entry point**; [`Session::load`]
+    /// is a thin convenience over it, and [`Session::load_planned`] is the
+    /// staging step it ends in. The spec resolves in this order:
     ///
-    /// 1. A [`LoadSpec::planned`] plan is adopted as-is (cache accounting
-    ///    untouched, nothing measured) and staged.
-    /// 2. Otherwise the layer is planned through the shared cache — under
-    ///    the [`LoadSpec::shape_class`] override when one is set, else
-    ///    under the class `rows` derives.
-    /// 3. A session with [`SessionBuilder::autotune`] `Quick`/`Full`
+    /// 1. The layer is planned through the shared cache — under the
+    ///    [`LoadSpec::shape_class`] override when one is set, else under
+    ///    the class `rows` derives.
+    /// 2. A session with [`SessionBuilder::autotune`] `Quick`/`Full`
     ///    additionally takes the measured-autotune pass: consult the plan
     ///    cache for a measured entry scoped to this host (ISA + thread
     ///    count); on a miss, run the [`measure`](mod@crate::measure)
@@ -361,10 +344,9 @@ impl Session {
     ///    measured-best tiling and storage format.
     ///
     /// # Errors
-    /// [`NmError::InvalidConfig`] when the spec sets both `planned` and
-    /// `shape_class` or `storage`, or names an out-of-band decode class;
-    /// planning failures; [`NmError::InvalidBlocking`] when the tuned
-    /// blocking cannot drive the kernel's tiles; the error of
+    /// [`NmError::InvalidConfig`] when the spec names an out-of-band decode
+    /// class; planning failures; [`NmError::InvalidBlocking`] when the
+    /// tuned blocking cannot drive the kernel's tiles; the error of
     /// [`MicroKernel::select`] when `NM_SPMM_ISA` is malformed or names an
     /// ISA this host cannot execute.
     pub fn load_with(
@@ -373,23 +355,6 @@ impl Session {
         spec: LoadSpec,
     ) -> Result<PreparedLayer> {
         let weights = weights.into();
-        if spec.plan.is_some() && spec.shape_class.is_some() {
-            return Err(NmError::InvalidConfig {
-                reason: "LoadSpec::planned and LoadSpec::shape_class are mutually exclusive: \
-                         a pre-resolved plan already fixes the shape class"
-                    .into(),
-            });
-        }
-        if spec.plan.is_some() && spec.storage.is_some() {
-            return Err(NmError::InvalidConfig {
-                reason: "LoadSpec::planned and LoadSpec::storage are mutually exclusive: \
-                         a pre-resolved plan already fixes the storage lane"
-                    .into(),
-            });
-        }
-        if let Some(plan) = spec.plan {
-            return self.load_planned(plan, weights);
-        }
         let (n, k, cfg) = (weights.cols(), weights.k(), weights.cfg());
         // A pinned format plans on that format's lane (a sliced pin gets
         // its own cache identity; a row-major pin shares the auto lane).
@@ -463,10 +428,10 @@ impl Session {
         self.load_planned(plan, weights)
     }
 
-    /// Convenience for the plan escape hatch: stage a layer against an
-    /// **explicitly provided** plan, bypassing the planner (and therefore
-    /// the cache counters and measurement) entirely — `LoadSpec::planned`
-    /// semantics, callable on `&self` since nothing is planned.
+    /// The plan escape hatch: stage a layer against an **explicitly
+    /// provided** plan, bypassing the planner (and therefore the cache
+    /// counters and measurement) entirely — callable on `&self` since
+    /// nothing is planned.
     ///
     /// The weights need not match the plan's shape class — the kernel
     /// re-derives its tiling from the actual dimensions — which lets a
@@ -589,68 +554,6 @@ impl PreparedLayer {
         let a = MatrixF32::from_vec(1, x.len(), x.to_vec());
         self.forward(&a)
     }
-
-    /// Multiply a whole batch of activation matrices, one [`ExecRun`] per
-    /// member, in batch order, returned as one [`BatchRun`] carrying the
-    /// aggregate wall time.
-    ///
-    /// Every member's shape is validated **before any work starts**, so a
-    /// mismatched member cannot discard the compute already spent on its
-    /// predecessors. Members run one after another; each call
-    /// parallelizes inside itself (see the module docs).
-    pub fn forward_batch(&self, batch: &[MatrixF32]) -> Result<BatchRun> {
-        for (i, a) in batch.iter().enumerate() {
-            if a.cols() != self.weights.k() {
-                return Err(NmError::DimensionMismatch {
-                    expected: format!("every batch member with k = {}", self.weights.k()),
-                    found: format!("batch[{i}] is {} x {}", a.rows(), a.cols()),
-                });
-            }
-        }
-        let t0 = std::time::Instant::now();
-        let runs = batch
-            .iter()
-            .map(|a| self.forward(a))
-            .collect::<Result<_>>()?;
-        Ok(BatchRun {
-            runs,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-/// The result of one [`PreparedLayer::forward_batch`] call: the
-/// per-member [`ExecRun`]s in batch order, plus the wall time of the whole
-/// batch call — the members' walls plus dispatch overhead.
-#[derive(Debug, Clone)]
-pub struct BatchRun {
-    /// Per-member results, in batch order.
-    pub runs: Vec<ExecRun>,
-    /// Wall-clock seconds of the whole batch call.
-    pub wall_seconds: f64,
-}
-
-impl BatchRun {
-    /// Number of members in the batch.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Whether the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Sum of the members' own kernel walls (compare against
-    /// [`BatchRun::wall_seconds`]).
-    pub fn member_seconds(&self) -> f64 {
-        self.runs.iter().map(|r| r.wall_seconds).sum()
-    }
-
-    /// Consume the batch into its per-member runs.
-    pub fn into_runs(self) -> Vec<ExecRun> {
-        self.runs
-    }
 }
 
 impl std::fmt::Debug for PreparedLayer {
@@ -716,6 +619,7 @@ impl PreparedModel {
 mod tests {
     use super::*;
     use gpu_sim::device::a100_80g;
+    use nm_core::error::NmError;
     use nm_core::prune::PrunePolicy;
     use nm_core::spmm::spmm_reference;
 
@@ -799,35 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_validates_every_member_before_any_work() {
-        let mut s = session();
-        let cfg = NmConfig::new(2, 8, 8).unwrap();
-        let layer = s.load(weights(64, 32, cfg, 3), 8).unwrap();
-        let good = MatrixF32::random(8, 64, 4);
-        let bad = MatrixF32::random(8, 48, 5);
-        let err = layer
-            .forward_batch(&[good.clone(), bad, good.clone()])
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("batch[1]"), "{msg}: must name the bad member");
-
-        let batch_run = layer.forward_batch(&[good.clone(), good.clone()]).unwrap();
-        assert_eq!(batch_run.len(), 2);
-        assert!(
-            batch_run.wall_seconds > 0.0,
-            "aggregate wall time must cover the fan-out"
-        );
-        let expect = spmm_reference(&good, layer.weights());
-        for run in &batch_run.runs {
-            assert!(run.c.allclose(&expect, 1e-3, 1e-4));
-        }
-        assert!(batch_run.member_seconds() > 0.0);
-        let empty = layer.forward_batch(&[]).unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(empty.into_runs().len(), 0);
-    }
-
-    #[test]
     fn storage_pins_route_transparently_and_stay_bit_identical() {
         use nm_core::sliced::SlicedLayout;
         let mut s = session();
@@ -868,13 +743,6 @@ mod tests {
             .unwrap();
         assert_eq!(rm.plan().key, auto.plan().key);
         assert_eq!(rm.storage(), Some(StorageFormat::RowMajor));
-
-        // planned + storage is a contradiction.
-        let plan = s.plan(1, 64, 96, cfg).unwrap();
-        let err = s
-            .load_with(sb.clone(), LoadSpec::rows(1).planned(plan).storage(pin))
-            .unwrap_err();
-        assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
@@ -1020,8 +888,9 @@ mod tests {
 
     #[test]
     fn load_with_is_the_wrappers_single_implementation() {
-        // load / load_planned must be byte-for-byte equivalent to the bare
-        // and plan-carrying specs: same plan key, same math.
+        // load must be byte-for-byte equivalent to the bare spec, and
+        // load_planned on the plan it resolved to: same plan key, same
+        // math.
         let mut s = session();
         let cfg = NmConfig::new(2, 8, 16).unwrap();
         let sb = Arc::new(weights(96, 64, cfg, 61));
@@ -1032,14 +901,11 @@ mod tests {
         assert_eq!(via_load.plan().key, via_spec.plan().key);
 
         let plan = via_load.plan().clone();
-        let planned = s.load_planned(plan.clone(), sb.clone()).unwrap();
-        let spec_planned = s
-            .load_with(sb.clone(), LoadSpec::rows(16).planned(plan))
-            .unwrap();
-        assert_eq!(planned.plan().key, spec_planned.plan().key);
+        let planned = s.load_planned(plan, sb.clone()).unwrap();
+        assert_eq!(planned.plan().key, via_load.plan().key);
         let (r1, r2) = (via_load.forward(&a).unwrap(), planned.forward(&a).unwrap());
         assert_eq!(r1.c.as_slice(), r2.c.as_slice());
-        let r3 = spec_planned.forward(&a).unwrap();
+        let r3 = via_spec.forward(&a).unwrap();
         assert_eq!(r1.c.as_slice(), r3.c.as_slice());
     }
 
@@ -1076,18 +942,6 @@ mod tests {
         let mut s = session();
         let cfg = NmConfig::new(2, 8, 16).unwrap();
         let sb = Arc::new(weights(96, 64, cfg, 65));
-        let plan = s.plan(64, 64, 96, cfg).unwrap();
-
-        let err = s
-            .load_with(
-                sb.clone(),
-                LoadSpec::rows(64)
-                    .planned(plan)
-                    .shape_class(ShapeClass::Prefill),
-            )
-            .unwrap_err();
-        assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
-
         let err = s
             .load_with(
                 sb.clone(),
@@ -1104,7 +958,7 @@ mod tests {
         let plan = s.plan(64, 64, 64, cfg).unwrap();
         let before = s.stats();
         let sb = Arc::new(weights(64, 64, cfg, 66));
-        let layer = s.load_with(sb, LoadSpec::rows(64).planned(plan)).unwrap();
+        let layer = s.load_planned(plan, sb).unwrap();
         let after = s.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
         assert_eq!(layer.backend(), BackendKind::Cpu(NmVersion::V3));

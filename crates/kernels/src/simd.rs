@@ -204,19 +204,6 @@ impl MicroKernel {
         }
     }
 
-    /// Resolve a request by name: an [`Isa::name`] or `native` for
-    /// autodetection.
-    ///
-    /// # Errors
-    /// [`NmError::InvalidConfig`] for unknown names and
-    /// [`NmError::Unsupported`] for ISAs this host cannot execute.
-    pub fn for_name(name: &str) -> Result<Self> {
-        if name.eq_ignore_ascii_case("native") {
-            return Ok(Self::native());
-        }
-        Self::for_isa(Isa::from_name(name)?)
-    }
-
     /// The default selection: [`MicroKernel::native`] unless
     /// `NM_SPMM_ISA` pins an ISA (see the module docs).
     ///
@@ -751,23 +738,32 @@ mod tests {
             MicroKernel::for_isa(foreign),
             Err(NmError::Unsupported { .. })
         ));
+        // Named through the pin, a foreign ISA is still `Unsupported`,
+        // not an unknown name.
         assert!(matches!(
-            MicroKernel::for_name(foreign.name()),
+            MicroKernel::select_from(Some(foreign.name().to_string())),
             Err(NmError::Unsupported { .. })
         ));
     }
 
     #[test]
     fn for_name_native_and_scalar_resolve() {
+        // By name, as the pin spells them: `native` is no pin at all, so
+        // it dispatches natively; `scalar` resolves the portable tile; an
+        // unknown name is refused.
+        let native = isa_pin_from(Some(std::ffi::OsStr::new("native")));
         assert_eq!(
-            MicroKernel::for_name("native").unwrap(),
+            MicroKernel::select_from(native).unwrap(),
             MicroKernel::native()
         );
         assert_eq!(
-            MicroKernel::for_name("scalar").unwrap(),
+            MicroKernel::for_isa(Isa::from_name("scalar").unwrap()).unwrap(),
             MicroKernel::scalar()
         );
-        assert!(MicroKernel::for_name("riscv-v").is_err());
+        assert!(matches!(
+            MicroKernel::select_from(Some("riscv-v".to_string())),
+            Err(NmError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -4,43 +4,10 @@ use nm_core::error::{NmError, Result};
 use nm_kernels::DECODE_MAX_ROWS;
 use std::time::Duration;
 
-/// Two-level request priority. The batcher always dispatches every ready
-/// [`Interactive`](Priority::Interactive) request before any
-/// [`Bulk`](Priority::Bulk) one; **within** a priority, dispatch order is
-/// strictly FIFO (submission order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Latency-sensitive traffic — served first.
-    #[default]
-    Interactive = 0,
-    /// Throughput traffic — served when no interactive work is ready.
-    Bulk = 1,
-}
-
-impl Priority {
-    /// All priorities, highest first.
-    pub const ALL: [Priority; 2] = [Priority::Interactive, Priority::Bulk];
-
-    /// Stable identifier for artifacts and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Bulk => "bulk",
-        }
-    }
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Per-request options for [`Server::submit`](crate::Server::submit).
+/// Per-request options for
+/// [`Server::submit_decode`](crate::Server::submit_decode).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOptions {
-    /// Dispatch priority (default [`Priority::Interactive`]).
-    pub priority: Priority,
     /// Deadline budget measured from submission. A request still queued
     /// when its budget expires is **shed before any compute is spent**,
     /// resolving its ticket with [`NmError::DeadlineExceeded`]. `None`
@@ -49,14 +16,6 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Options with an explicit priority.
-    pub fn priority(priority: Priority) -> Self {
-        Self {
-            priority,
-            deadline: None,
-        }
-    }
-
     /// Set the deadline budget.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -68,18 +27,13 @@ impl SubmitOptions {
 ///
 /// The defaults suit a latency bench on one host: a 64-deep submission
 /// queue, decode coalescing up to the full planner decode band
-/// ([`DECODE_MAX_ROWS`]), prefill batches up to 8 members, and a 200 µs
-/// linger window for joiners.
+/// ([`DECODE_MAX_ROWS`]), and a 200 µs linger window for joiners.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Admission bound: the maximum number of requests queued (submitted
     /// but not yet dispatched into a batch). Submissions beyond it fail
     /// fast with [`NmError::Overloaded`] — never silent blocking.
     pub queue_capacity: usize,
-    /// Maximum members coalesced into one prefill
-    /// [`forward_batch`](nm_kernels::session::PreparedLayer::forward_batch)
-    /// call.
-    pub max_batch: usize,
     /// Maximum decode vectors stacked into one skinny
     /// [`forward`](nm_kernels::session::PreparedLayer::forward) call.
     /// Capped by [`DECODE_MAX_ROWS`] — the planner's decode band is the
@@ -104,7 +58,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 64,
-            max_batch: 8,
             max_decode_batch: DECODE_MAX_ROWS,
             linger: Duration::from_micros(200),
             linger_gap: Duration::from_micros(50),
@@ -122,9 +75,9 @@ impl ServerConfig {
                 reason: "queue_capacity must be at least 1".into(),
             });
         }
-        if self.max_batch == 0 || self.max_decode_batch == 0 {
+        if self.max_decode_batch == 0 {
             return Err(NmError::InvalidConfig {
-                reason: "max_batch and max_decode_batch must be at least 1".into(),
+                reason: "max_decode_batch must be at least 1".into(),
             });
         }
         if self.max_decode_batch > DECODE_MAX_ROWS {
@@ -148,9 +101,6 @@ mod tests {
         let cfg = ServerConfig::default();
         cfg.validate().unwrap();
         assert!(cfg.max_decode_batch <= DECODE_MAX_ROWS);
-        assert_eq!(Priority::default(), Priority::Interactive);
-        assert!(Priority::Interactive < Priority::Bulk);
-        assert_eq!(Priority::ALL[0].to_string(), "interactive");
     }
 
     #[test]
@@ -161,7 +111,7 @@ mod tests {
                 ..Default::default()
             },
             ServerConfig {
-                max_batch: 0,
+                max_decode_batch: 0,
                 ..Default::default()
             },
             ServerConfig {
@@ -178,8 +128,8 @@ mod tests {
 
     #[test]
     fn submit_options_compose() {
-        let o = SubmitOptions::priority(Priority::Bulk).with_deadline(Duration::from_millis(5));
-        assert_eq!(o.priority, Priority::Bulk);
+        assert_eq!(SubmitOptions::default().deadline, None);
+        let o = SubmitOptions::default().with_deadline(Duration::from_millis(5));
         assert_eq!(o.deadline, Some(Duration::from_millis(5)));
     }
 }

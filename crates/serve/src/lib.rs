@@ -2,7 +2,7 @@
 //!
 //! An async serving layer over the prepared-session API: a bounded
 //! request queue with admission control, a continuous batcher that
-//! coalesces concurrent requests into the kernels' batched entry points,
+//! stacks concurrent decode vectors into one skinny kernel call,
 //! per-request deadlines, and a rolling latency-distribution snapshot.
 //! This is the production layer the paper's offline/online split exists
 //! for: [`Session::load`](nm_kernels::session::Session::load) pays the
@@ -13,15 +13,14 @@
 //! ## Architecture
 //!
 //! ```text
-//!  submit()/submit_decode()         batcher thread (one)
+//!  submit_decode()                  batcher thread (one)
 //!  ───────────────────────╮   ╭──────────────────────────────────╮
-//!   admission: atomic     │   │  drain channel → priority pools  │
+//!   admission: atomic     │   │  drain channel → FIFO queue      │
 //!   depth < capacity ─────┼──▶│  linger window (joiners ride)    │
 //!   else Overloaded       │   │  shed expired (DeadlineExceeded) │
-//!                         │   │  coalesce FIFO same-band prefix: │
-//!   Ticket ◀──────────────╯   │   decode → stack → forward       │
-//!     .wait()                 │   prefill → forward_batch        │
-//!                             ╰──────────────────────────────────╯
+//!                         │   │  pop ≤ max_decode_batch vectors  │
+//!   Ticket ◀──────────────╯   │   → stack → one skinny forward   │
+//!     .wait()                 ╰──────────────────────────────────╯
 //! ```
 //!
 //! * **Bounded queue, structured backpressure.** Admission is an atomic
@@ -33,15 +32,13 @@
 //!   vectors stack into one skinny `forward` call (bit-identical per row
 //!   to serving each alone — the decode band's bandwidth-bound kernel
 //!   streams the packed `B′` once for the whole stack, which is where
-//!   the goodput comes from), prefill matrices fan through
-//!   `forward_batch`. Decode stacking is capped at the planner's decode
+//!   the goodput comes from). Stacking is capped at the planner's decode
 //!   band ([`DECODE_MAX_ROWS`](nm_kernels::DECODE_MAX_ROWS)) — plan
 //!   evidence, not a magic number.
 //! * **Deadlines shed before compute.** A request whose budget expires
 //!   while queued resolves with `NmError::DeadlineExceeded` at batch
 //!   formation — no kernel time is spent on an answer nobody wants.
-//! * **Two priorities, FIFO within each.** Interactive dispatches before
-//!   bulk; within a priority, order is submission order, always.
+//! * **One FIFO queue.** Dispatch order is submission order, always.
 //!
 //! ## Where the time goes
 //!
@@ -50,7 +47,7 @@
 //! admission, linger, time behind earlier work — the serving layer's own
 //! cost) and **compute** (the kernel wall
 //! [`ExecRun::wall_seconds`](nm_kernels::backend::ExecRun) attributes to
-//! the call; members of a fused decode batch share the fused call's
+//! the call; members of one batch share the fused call's
 //! wall, which is precisely the amortization batching buys).
 //! [`Server::stats`] folds those samples into rolling p50/p95/p99,
 //! throughput, and shed/reject counters — the [`ServerStats`] snapshot
@@ -64,7 +61,7 @@ mod request;
 mod server;
 mod stats;
 
-pub use config::{Priority, ServerConfig, SubmitOptions};
-pub use request::{BatchKind, Completion, DispatchInfo, RequestTiming, Ticket};
+pub use config::{ServerConfig, SubmitOptions};
+pub use request::{Completion, DispatchInfo, RequestTiming, Ticket};
 pub use server::Server;
 pub use stats::ServerStats;

@@ -1,61 +1,15 @@
 //! In-flight request plumbing: the internal queued request, the caller's
 //! [`Ticket`], and the [`Completion`] a resolved ticket yields.
 
-use crate::config::Priority;
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use std::time::{Duration, Instant};
 
-/// What one queued request asks the layer to do.
-#[derive(Debug)]
-pub(crate) enum Workload {
-    /// A full activation matrix — the prefill band, coalesced into
-    /// `forward_batch` calls.
-    Prefill(MatrixF32),
-    /// A single activation vector — the decode band, stacked with other
-    /// decode requests into one skinny `forward` call.
-    Decode(Vec<f32>),
-}
-
-impl Workload {
-    pub(crate) fn kind(&self) -> BatchKind {
-        match self {
-            Workload::Prefill(_) => BatchKind::Prefill,
-            Workload::Decode(_) => BatchKind::Decode,
-        }
-    }
-}
-
-/// Which band a dispatched batch ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BatchKind {
-    /// Members were full matrices, fanned through `forward_batch`.
-    Prefill,
-    /// Members were vectors, stacked into one skinny `forward` call.
-    Decode,
-}
-
-impl BatchKind {
-    /// Stable identifier (`prefill`, `decode`) for artifacts and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchKind::Prefill => "prefill",
-            BatchKind::Decode => "decode",
-        }
-    }
-}
-
-impl std::fmt::Display for BatchKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One request as it travels the queue.
+/// One request as it travels the queue: a single activation vector,
+/// stacked with other queued vectors into one skinny `forward` call.
 #[derive(Debug)]
 pub(crate) struct Request {
-    pub(crate) workload: Workload,
-    pub(crate) priority: Priority,
+    pub(crate) x: Vec<f32>,
     pub(crate) enqueued: Instant,
     pub(crate) deadline: Option<Duration>,
     pub(crate) reply: crossbeam_channel::Sender<Result<Completion>>,
@@ -105,23 +59,21 @@ impl RequestTiming {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchInfo {
     /// Monotonic batch sequence number — every member of one batch shares
-    /// it, and a lower number dispatched earlier. The FIFO-per-priority
-    /// ordering proof reads this field.
+    /// it, and a lower number dispatched earlier. The FIFO ordering
+    /// proof reads this field.
     pub order: u64,
     /// Members in the batch this request rode in.
     pub batch_size: usize,
-    /// Which band the batch ran on.
-    pub kind: BatchKind,
 }
 
 /// A successfully served request: the product plus the cost accounting.
 #[derive(Debug, Clone)]
 pub struct Completion {
-    /// The result matrix — `rows × n` for prefill, `1 × n` for decode.
+    /// The result row, a `1 × n` matrix.
     pub c: MatrixF32,
     /// Queue-wait / compute split for this request.
     pub timing: RequestTiming,
-    /// Batch placement — order, size, band.
+    /// Batch placement — order and size.
     pub dispatch: DispatchInfo,
 }
 
@@ -159,29 +111,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timing_adds_up_and_kinds_name_themselves() {
+    fn timing_adds_up() {
         let t = RequestTiming {
             queue_wait: Duration::from_millis(2),
             compute: Duration::from_millis(3),
         };
         assert_eq!(t.e2e(), Duration::from_millis(5));
-        assert_eq!(BatchKind::Decode.to_string(), "decode");
-        assert_eq!(BatchKind::Prefill.name(), "prefill");
     }
 
     #[test]
     fn expiry_is_budget_relative_to_enqueue() {
         let (tx, _rx) = crossbeam_channel::bounded(1);
         let r = Request {
-            workload: Workload::Decode(vec![0.0]),
-            priority: Priority::Interactive,
+            x: vec![0.0],
             enqueued: Instant::now(),
             deadline: Some(Duration::from_millis(1)),
             reply: tx,
         };
         assert!(!r.expired(r.enqueued));
         assert!(r.expired(r.enqueued + Duration::from_millis(2)));
-        assert_eq!(r.workload.kind(), BatchKind::Decode);
     }
 
     #[test]

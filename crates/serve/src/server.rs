@@ -1,12 +1,11 @@
 //! The server front: admission control over a bounded queue, submission
-//! of prefill and decode work, pause/resume, stats, and drain-on-drop.
+//! of decode vectors, pause/resume, stats, and drain-on-drop.
 
 use crate::batcher::{Batcher, Shared};
 use crate::config::{ServerConfig, SubmitOptions};
-use crate::request::{Request, Ticket, Workload};
+use crate::request::{Request, Ticket};
 use crate::stats::ServerStats;
 use nm_core::error::{NmError, Result};
-use nm_core::matrix::MatrixF32;
 use nm_kernels::session::PreparedLayer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,30 +86,15 @@ impl Server {
         &self.cfg
     }
 
-    /// Submit one prefill request — a full activation matrix, coalesced
-    /// with neighbors into `forward_batch` calls.
-    ///
-    /// # Errors
-    /// [`NmError::DimensionMismatch`] before queueing when `a.cols()`
-    /// disagrees with the layer's reduction depth;
-    /// [`NmError::Overloaded`] when the queue is at capacity — the
-    /// structured backpressure signal, never silent blocking.
-    pub fn submit(&self, a: MatrixF32, opts: SubmitOptions) -> Result<Ticket> {
-        if a.cols() != self.layer.weights().k() {
-            return Err(NmError::DimensionMismatch {
-                expected: format!("A with k = {}", self.layer.weights().k()),
-                found: format!("A is {} x {}", a.rows(), a.cols()),
-            });
-        }
-        self.enqueue(Workload::Prefill(a), opts)
-    }
-
     /// Submit one decode request — a single activation vector, stacked
     /// with concurrent decode requests into one skinny `forward` call
     /// (bit-identical per row to serving it alone).
     ///
     /// # Errors
-    /// As [`Server::submit`], with the length check on `x`.
+    /// [`NmError::DimensionMismatch`] before queueing when `x.len()`
+    /// disagrees with the layer's reduction depth;
+    /// [`NmError::Overloaded`] when the queue is at capacity — the
+    /// structured backpressure signal, never silent blocking.
     pub fn submit_decode(&self, x: Vec<f32>, opts: SubmitOptions) -> Result<Ticket> {
         if x.len() != self.layer.weights().k() {
             return Err(NmError::DimensionMismatch {
@@ -118,13 +102,9 @@ impl Server {
                 found: format!("x of length {}", x.len()),
             });
         }
-        self.enqueue(Workload::Decode(x), opts)
-    }
-
-    fn enqueue(&self, workload: Workload, opts: SubmitOptions) -> Result<Ticket> {
         // Admission: the atomic depth counter is the authoritative bound.
         // It only decrements at batch formation (or shed), so "admitted"
-        // slots cover both the channel and the batcher's pools.
+        // slots cover both the channel and the batcher's queue.
         let cap = self.cfg.queue_capacity;
         let mut cur = self.shared.depth.load(Ordering::Relaxed);
         loop {
@@ -145,8 +125,7 @@ impl Server {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = crossbeam_channel::bounded(1);
         let request = Request {
-            workload,
-            priority: opts.priority,
+            x,
             enqueued: Instant::now(),
             deadline: opts.deadline.or(self.cfg.default_deadline),
             reply,
@@ -204,8 +183,8 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Priority;
     use gpu_sim::device::a100_80g;
+    use nm_core::matrix::MatrixF32;
     use nm_core::pattern::NmConfig;
     use nm_core::sparse::NmSparseMatrix;
     use nm_core::spmm::spmm_reference;
@@ -220,28 +199,22 @@ mod tests {
     }
 
     #[test]
-    fn serves_prefill_and_decode_with_cost_split() {
+    fn serves_decode_with_cost_split() {
         let (layer, sb) = layer(96, 64, 8);
         let server = Server::start(layer, ServerConfig::default()).unwrap();
 
-        let a = MatrixF32::random(8, 96, 5);
-        let done = server
-            .submit(a.clone(), SubmitOptions::default())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(done.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-        assert!(done.timing.compute > Duration::ZERO);
-        assert!(done.timing.e2e() >= done.timing.queue_wait);
-
-        let x = MatrixF32::random(1, 96, 6);
-        let done = server
-            .submit_decode(x.row(0).to_vec(), SubmitOptions::default())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(done.c.shape(), (1, 64));
-        assert!(done.c.allclose(&spmm_reference(&x, &sb), 1e-3, 1e-4));
+        for seed in [5, 6] {
+            let x = MatrixF32::random(1, 96, seed);
+            let done = server
+                .submit_decode(x.row(0).to_vec(), SubmitOptions::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(done.c.shape(), (1, 64));
+            assert!(done.c.allclose(&spmm_reference(&x, &sb), 1e-3, 1e-4));
+            assert!(done.timing.compute > Duration::ZERO);
+            assert!(done.timing.e2e() >= done.timing.queue_wait);
+        }
 
         let stats = server.stats();
         assert_eq!(stats.completed, 2);
@@ -253,10 +226,6 @@ mod tests {
     fn bad_shapes_are_refused_before_queueing() {
         let (layer, _) = layer(64, 32, 4);
         let server = Server::start(layer, ServerConfig::default()).unwrap();
-        let err = server
-            .submit(MatrixF32::random(4, 48, 1), SubmitOptions::default())
-            .unwrap_err();
-        assert!(matches!(err, NmError::DimensionMismatch { .. }), "{err}");
         let err = server
             .submit_decode(vec![0.0; 63], SubmitOptions::default())
             .unwrap_err();
@@ -330,33 +299,27 @@ mod tests {
     fn a_kernel_panic_fails_its_batch_and_the_server_recovers() {
         let (layer, sb) = layer(64, 32, 4);
         let server = Server::start(layer, ServerConfig::default()).unwrap();
-        // A decode batch of three and a prefill batch, each hit by a
-        // kernel panic: every ticket resolves with a structured error.
-        for prefill in [false, true] {
-            server.pause();
-            let tickets: Vec<Ticket> = (0..3)
-                .map(|i| {
-                    let opts = SubmitOptions::default();
-                    if prefill {
-                        server.submit(MatrixF32::random(4, 64, i), opts)
-                    } else {
-                        server.submit_decode(vec![1.0; 64], opts)
-                    }
+        // A batch of three hit by a kernel panic: every ticket resolves
+        // with a structured error.
+        server.pause();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|_| {
+                server
+                    .submit_decode(vec![1.0; 64], SubmitOptions::default())
                     .unwrap()
-                })
-                .collect();
-            server.shared.inject_panic.store(true, Ordering::Release);
-            server.resume();
-            for t in tickets {
-                match t.wait().unwrap_err() {
-                    NmError::Canceled { reason } => {
-                        assert!(reason.contains("injected kernel fault"), "{reason}")
-                    }
-                    other => panic!("expected Canceled, got {other}"),
+            })
+            .collect();
+        server.shared.inject_panic.store(true, Ordering::Release);
+        server.resume();
+        for t in tickets {
+            match t.wait().unwrap_err() {
+                NmError::Canceled { reason } => {
+                    assert!(reason.contains("injected kernel fault"), "{reason}")
                 }
+                other => panic!("expected Canceled, got {other}"),
             }
-            assert_eq!(server.queue_depth(), 0, "admission depth restored");
         }
+        assert_eq!(server.queue_depth(), 0, "admission depth restored");
         // The batcher survived: the next submission is served correctly.
         let x = MatrixF32::random(1, 64, 7);
         let done = server
@@ -375,7 +338,7 @@ mod tests {
         server.pause();
         let x = MatrixF32::random(1, 64, 9);
         let t = server
-            .submit_decode(x.row(0).to_vec(), SubmitOptions::priority(Priority::Bulk))
+            .submit_decode(x.row(0).to_vec(), SubmitOptions::default())
             .unwrap();
         drop(server); // drop while paused: must still resolve the ticket
         let done = t.wait().unwrap();

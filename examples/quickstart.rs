@@ -55,22 +55,11 @@ fn main() {
         run.isa.name(),
     );
 
-    // 5. Batched serving: one prepared layer, many activation batches —
-    //    members are validated up front; each call fans out across the
-    //    worker pool by itself.
-    let batch: Vec<MatrixF32> = (0..4).map(|i| MatrixF32::random(32, k, 10 + i)).collect();
-    let batch_run = layer.forward_batch(&batch).expect("batch");
-    println!(
-        "batched forward: {} members, {:.2} ms aggregate wall",
-        batch_run.len(),
-        batch_run.wall_seconds * 1e3,
-    );
-
-    // 6. Serving: wrap a prepared layer in a Server — bounded queue,
+    // 5. Serving: wrap a prepared layer in a Server — bounded queue,
     //    continuous batching (concurrent decode requests stack into one
-    //    skinny kernel call), deadlines, latency stats. `LoadSpec` is the
-    //    typed load surface: this layer plans on the decode band even
-    //    though the session was sized for prefill.
+    //    skinny kernel call, in submission order), deadlines, latency
+    //    stats. `LoadSpec` is the typed load surface: this layer plans on
+    //    the decode band even though the session was sized for prefill.
     let decode_layer = session
         .load_with(
             sb.clone(),
@@ -97,7 +86,7 @@ fn main() {
     );
     drop(server);
 
-    // 7. How good is the approximation of the dense product?
+    // 6. How good is the approximation of the dense product?
     let dense_c = gemm_reference(&a, &b);
     let rep = confusion::report(&run.c, &dense_c);
     println!(
@@ -105,7 +94,7 @@ fn main() {
         rep.mean_abs_error, rep.rel_frobenius
     );
 
-    // 8. One kernel runs; the simulator predicts beside it. The plan's
+    // 7. One kernel runs; the simulator predicts beside it. The plan's
     //    prediction is the modeled GPU launch for the same plan (event
     //    counts + timing report), computed on demand — nothing is
     //    executed to get it. A repeated load plans from the cache.
@@ -123,7 +112,7 @@ fn main() {
     );
     println!("plan cache: {}", session.stats());
 
-    // 9. Ask the analysis model why the plan looks the way it does.
+    // 8. Ask the analysis model why the plan looks the way it does.
     let plan = session.plan(m, n, k, cfg).expect("plan");
     let d = plan.decision;
     println!(

@@ -14,8 +14,8 @@
 //!   (`SessionBuilder` → `Session::load_with` → `PreparedLayer::forward`),
 //!   the single public execution surface,
 //! * [`serve`] — the serving front-end: bounded request queue,
-//!   continuous batching over the prepared entry points, deadlines and
-//!   latency-distribution stats,
+//!   continuous batching of decode vectors into one skinny `forward`,
+//!   deadlines and latency-distribution stats,
 //! * [`analysis`] — arithmetic intensity, CMAR, roofline and
 //!   the strategy advisor,
 //! * [`workloads`] — the Llama 100-point dataset and Table II
@@ -35,18 +35,19 @@ pub use nm_workloads as workloads;
 ///
 /// Covers the data types (`MatrixF32`, `NmConfig`, `NmSparseMatrix`,
 /// errors), the device constructors, the prepared-session API
-/// (`SessionBuilder`/`Session`/`LoadSpec`/`PreparedLayer` and the run
-/// types), and the serving front-end (`Server` and friends) — everything
-/// the examples and a downstream serving binary need from one import.
+/// (`SessionBuilder`/`Session`/`LoadSpec`/`PreparedLayer` and `ExecRun`),
+/// and the serving front-end (`Server`, its config, submit options,
+/// tickets, completions and stats) — everything the examples and a
+/// downstream serving binary need from one import.
 pub mod prelude {
     pub use gpu_sim::prelude::*;
     pub use nm_core::prelude::*;
     pub use nm_kernels::{
-        BackendKind, BatchRun, ExecRun, LoadSpec, NmVersion, Plan, PreparedLayer, PreparedModel,
-        Session, SessionBuilder, ShapeClass, DECODE_MAX_ROWS,
+        BackendKind, ExecRun, LoadSpec, NmVersion, Plan, PreparedLayer, PreparedModel, Session,
+        SessionBuilder, ShapeClass, DECODE_MAX_ROWS,
     };
     pub use nm_serve::{
-        BatchKind, Completion, DispatchInfo, Priority, RequestTiming, Server, ServerConfig,
-        ServerStats, SubmitOptions, Ticket,
+        Completion, DispatchInfo, RequestTiming, Server, ServerConfig, ServerStats, SubmitOptions,
+        Ticket,
     };
 }

@@ -101,6 +101,10 @@ fn explicit_builder_calls_beat_env_vars_beat_defaults_and_typos_fail_loudly() {
         let mut session = SessionBuilder::new(a100_80g()).build().unwrap();
         let err = session.load(weights(1), 4).unwrap_err();
         assert!(matches!(err, NmError::InvalidConfig { .. }), "{err}");
+        // The printed error is about configuration, not the N:M pattern.
+        let text = err.to_string();
+        assert!(text.starts_with("invalid configuration: "), "{text}");
+        assert!(!text.contains("N:M"), "{text}");
     }
 
     // --- The scalar pin reaches every loaded layer; an explicit

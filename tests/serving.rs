@@ -1,12 +1,11 @@
 //! Serving-layer concurrency contracts: the bounded queue rejects (never
-//! blocks) at exactly its bound, dispatch is FIFO within a priority and
-//! interactive-before-bulk across priorities, every admitted request
-//! resolves with a result or a structured error — no silent drops — and
+//! blocks) at exactly its bound, dispatch is strictly FIFO in batches of
+//! at most `max_decode_batch`, every admitted request resolves with a result or a structured error — no silent drops — and
 //! continuous batching is **bit-identical** to serving each request
 //! sequentially through the same prepared layer.
 //!
 //! The tests use the server's pause/resume harness hook to make batching
-//! deterministic: while paused the batcher admits and pools requests but
+//! deterministic: while paused the batcher admits and queues requests but
 //! forms no batches, so "submit a burst, then resume" forces exactly the
 //! coalescing a concurrent burst would get, without racing the worker.
 
@@ -34,23 +33,23 @@ fn decode_layer(k: usize, n: usize, seed: u64) -> Arc<PreparedLayer> {
     Arc::new(layer)
 }
 
-/// Submit `count` decode requests at one priority and return the tickets.
-fn submit_burst(server: &Server, k: usize, count: usize, prio: Priority, seed: u64) -> Vec<Ticket> {
+/// Submit `count` decode requests and return the tickets.
+fn submit_burst(server: &Server, k: usize, count: usize, seed: u64) -> Vec<Ticket> {
     (0..count)
         .map(|i| {
             let x = MatrixF32::random(1, k, seed + i as u64).into_vec();
             server
-                .submit_decode(x, SubmitOptions::priority(prio))
+                .submit_decode(x, SubmitOptions::default())
                 .expect("admitted")
         })
         .collect()
 }
 
 #[test]
-fn interactive_dispatches_before_bulk_and_fifo_within_each() {
+fn dispatch_is_strict_fifo_in_batches_of_the_cap() {
     let (k, n) = (64, 48);
     let layer = decode_layer(k, n, 11);
-    // A batch cap of 2 splits each 4-burst into two batches, so the
+    // A batch cap of 2 splits an 8-burst into four batches, so the
     // dispatch counter exposes the order batches formed in.
     let server = Server::start(
         layer,
@@ -63,44 +62,30 @@ fn interactive_dispatches_before_bulk_and_fifo_within_each() {
     )
     .expect("server");
 
-    // Bulk submitted FIRST — if it still dispatches last, priority won.
     server.pause();
-    let bulk = submit_burst(&server, k, 4, Priority::Bulk, 100);
-    let inter = submit_burst(&server, k, 4, Priority::Interactive, 200);
+    let tickets = submit_burst(&server, k, 8, 100);
     server.resume();
 
-    let inter_orders: Vec<u64> = inter
+    let orders: Vec<u64> = tickets
         .into_iter()
         .map(|t| {
             let done = t.wait().expect("served");
             assert_eq!(done.c.shape(), (1, n));
-            assert_eq!(done.dispatch.kind, BatchKind::Decode);
-            assert!(done.dispatch.batch_size <= 2);
+            assert_eq!(done.dispatch.batch_size, 2);
             done.dispatch.order
         })
         .collect();
-    let bulk_orders: Vec<u64> = bulk
-        .into_iter()
-        .map(|t| t.wait().expect("served").dispatch.order)
-        .collect();
 
-    // Every interactive batch dispatched before any bulk batch.
-    let max_inter = *inter_orders.iter().max().unwrap();
-    let min_bulk = *bulk_orders.iter().min().unwrap();
-    assert!(
-        max_inter < min_bulk,
-        "interactive orders {inter_orders:?} must all precede bulk orders {bulk_orders:?}"
-    );
-    // FIFO within each priority: dispatch order is non-decreasing in
-    // submission order, and neighbours coalesced under the cap of 2.
-    for orders in [&inter_orders, &bulk_orders] {
-        assert!(
-            orders.windows(2).all(|w| w[0] <= w[1]),
-            "dispatch order must follow submission order: {orders:?}"
-        );
-        assert_eq!(orders[0], orders[1], "first pair shares a batch");
-        assert_eq!(orders[2], orders[3], "second pair shares a batch");
-        assert!(orders[1] < orders[2], "pairs are distinct batches");
+    // Submission order is dispatch order: neighbours pair up under the
+    // cap of 2, and each pair dispatches strictly after the one before.
+    for (i, pair) in orders.chunks(2).enumerate() {
+        assert_eq!(pair[0], pair[1], "pair {i} shares a batch: {orders:?}");
+        if i > 0 {
+            assert!(
+                orders[2 * i - 1] < pair[0],
+                "pairs dispatch in submission order: {orders:?}"
+            );
+        }
     }
 }
 
@@ -120,7 +105,7 @@ fn backpressure_rejects_at_exactly_the_bound_and_recovers() {
 
     // Freeze dispatch so the queue genuinely fills.
     server.pause();
-    let admitted = submit_burst(&server, k, capacity, Priority::Interactive, 300);
+    let admitted = submit_burst(&server, k, capacity, 300);
     assert_eq!(server.queue_depth(), capacity);
 
     // Submission `capacity + 1` fails fast with the structured error —
@@ -140,7 +125,7 @@ fn backpressure_rejects_at_exactly_the_bound_and_recovers() {
         let done = t.wait().expect("served after resume");
         assert_eq!(done.c.shape(), (1, n));
     }
-    let t = submit_burst(&server, k, 1, Priority::Interactive, 500).remove(0);
+    let t = submit_burst(&server, k, 1, 500).remove(0);
     t.wait().expect("admitted after drain");
 
     let stats = server.stats();
@@ -215,9 +200,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Continuous batching must be invisible in the numbers: a burst of
-    /// decode requests coalesced into one skinny kernel call — plus a
-    /// prefill rider through `forward_batch` — returns bit-for-bit the
-    /// rows the same prepared layer produces serving each request alone.
+    /// decode requests coalesced into one skinny kernel call returns
+    /// bit-for-bit the rows the same prepared layer produces serving each
+    /// request alone.
     #[test]
     fn batched_serving_is_bit_identical_to_sequential(
         k in 16usize..80,
@@ -229,14 +214,12 @@ proptest! {
         let xs: Vec<Vec<f32>> = (0..reqs)
             .map(|i| MatrixF32::random(1, k, seed ^ (7000 + i as u64)).into_vec())
             .collect();
-        let a = MatrixF32::random(3, k, seed ^ 0x5afe);
 
         // Sequential oracle: one request per kernel call.
         let seq: Vec<Vec<f32>> = xs
             .iter()
             .map(|x| layer.forward_vec(x).expect("sequential").c.into_vec())
             .collect();
-        let seq_prefill = layer.forward(&a).expect("sequential prefill").c;
 
         // Batched: the paused burst coalesces maximally on resume.
         let server = Server::start(layer.clone(), ServerConfig::default()).expect("server");
@@ -245,7 +228,6 @@ proptest! {
             .iter()
             .map(|x| server.submit_decode(x.clone(), SubmitOptions::default()).expect("admitted"))
             .collect();
-        let prefill_ticket = server.submit(a, SubmitOptions::default()).expect("admitted");
         server.resume();
 
         for (i, t) in tickets.into_iter().enumerate() {
@@ -254,10 +236,7 @@ proptest! {
             // Bit-identity, not allclose: stacking rows into one fused
             // call must not perturb a single mantissa bit.
             prop_assert_eq!(done.c.as_slice(), &seq[i][..], "decode request {}", i);
-            prop_assert!(done.dispatch.batch_size >= 1);
+            prop_assert_eq!(done.dispatch.batch_size, reqs);
         }
-        let done = prefill_ticket.wait().expect("served");
-        prop_assert_eq!(done.dispatch.kind, BatchKind::Prefill);
-        prop_assert_eq!(done.c.as_slice(), seq_prefill.as_slice());
     }
 }

@@ -82,7 +82,6 @@ fn batched_decode_on_a_sliced_layer_is_bit_identical_to_the_row_major_twin() {
         for (i, t) in tickets.into_iter().enumerate() {
             let done = t.wait().expect("served");
             assert_eq!(done.c.shape(), (1, n));
-            assert_eq!(done.dispatch.kind, BatchKind::Decode);
             assert!(done.dispatch.batch_size >= 1);
             assert_eq!(
                 done.c.as_slice(),

@@ -142,35 +142,3 @@ fn one_prepared_layer_serves_concurrent_callers() {
         );
     }
 }
-
-/// `forward_batch` validates the whole batch before spending any compute
-/// and returns per-member runs in batch order when everything agrees.
-#[test]
-fn forward_batch_is_validated_up_front_and_ordered() {
-    let mut s = session();
-    let cfg = NmConfig::new(2, 8, 16).unwrap();
-    let sb = prune(128, 64, cfg, 7);
-    let layer = s.load(sb.clone(), 16).unwrap();
-
-    // Distinct row counts per member prove result ordering.
-    let batch: Vec<MatrixF32> = (1..=3)
-        .map(|i| MatrixF32::random(8 * i, 128, 200 + i as u64))
-        .collect();
-    let batch_run = layer.forward_batch(&batch).unwrap();
-    assert_eq!(batch_run.len(), 3);
-    for (a, run) in batch.iter().zip(&batch_run.runs) {
-        assert_eq!(run.c.rows(), a.rows(), "results must stay in batch order");
-        assert!(run.c.allclose(&spmm_reference(a, &sb), 1e-3, 1e-4));
-    }
-    // The aggregate the serving batcher consumes: one wall clock around
-    // the whole batch.
-    assert!(batch_run.wall_seconds > 0.0);
-    assert!(batch_run.member_seconds() > 0.0);
-
-    // A mismatched member anywhere in the batch fails the whole call
-    // before any work starts, naming the offender.
-    let mut bad = batch.clone();
-    bad.push(MatrixF32::random(8, 96, 9));
-    let err = layer.forward_batch(&bad).unwrap_err();
-    assert!(err.to_string().contains("batch[3]"), "{err}");
-}

@@ -108,7 +108,7 @@ fn scalar_kernel_is_always_available_for_the_forced_fallback() {
     // CI forces this path on SIMD hosts via NM_SPMM_ISA=scalar; the
     // kernel itself must exist everywhere unconditionally.
     assert_eq!(
-        MicroKernel::for_name("scalar").unwrap(),
+        MicroKernel::for_isa(Isa::from_name("scalar").unwrap()).unwrap(),
         MicroKernel::scalar()
     );
     assert!(Isa::Scalar.supported());
