@@ -15,15 +15,17 @@
 //!   layout ([`StorageFormat::RowMajor`], the CPU analogue of its
 //!   `transformLayout` + shared-memory `Bs` tile) is the `C = nb/L, σ = 1`
 //!   slicing: one unsorted slice per `nb`-wide column block. One panel
-//!   walk serves every layout: per `mb`-row panel × slice × k-block, full
-//!   16- (or 32-) float window chunks run through an explicitly vectorized
-//!   register micro-tile ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON
+//!   walk serves every layout: per `mb`-row panel × slice × k-block (a
+//!   skinny panel: × k-block × its whole slice range), full 16- (or 32-)
+//!   float window chunks run through an explicitly vectorized register
+//!   micro-tile ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON
 //!   selected once at preparation time, scalar fallback elsewhere) via a
 //!   row ladder whose top rung is the kernel's [`MicroKernel::tile_rows`]
 //!   (8→4→2→1 on AVX-512, 4→2→1 on AVX2 and NEON), so one panel load
 //!   feeds up to eight rows and skinny decode panels (1–3 rows, including
-//!   `m = 1` SpMV) stay vectorized; ragged column windows take a general
-//!   scalar path.
+//!   `m = 1` SpMV) stay vectorized. The 1-row rung reads several windows'
+//!   panels in lockstep ([`MicroKernel::tile32_windows`]). Ragged column
+//!   windows take a general scalar path.
 //! * **Block classification.** The paper packs the window-union columns of
 //!   `A` through `col_info` (§III-C1) to save GPU shared-memory and global
 //!   traffic. On the CPU the k-block of `A` a block reads is already
@@ -40,10 +42,15 @@
 //!   `ceil(m / workers)` (rounded up to the tall tile, never below `ms`).
 //!   A shorter call (every decode call, `m ≤ 8`) splits the staged `B′`
 //!   into runs of slices, one per worker; each worker fills a private
-//!   buffer and the caller copies the owned columns into `C`. Every
-//!   element sees the same `+=` sequence whatever the split, so the kernel
-//!   pinned to one worker (a one-thread `rayon::ThreadPool::install`) is
-//!   bit-identical to it on every worker count.
+//!   buffer and the caller copies the owned columns into `C`. A worker
+//!   whose panel is skinny (`rows < MW`) walks its run k-block by k-block
+//!   across all of its slices, and its 1-row rung reads
+//!   [`MicroKernel::lockstep_windows`] windows' panels at once, so each
+//!   worker keeps several DRAM read streams in flight instead of one.
+//!   Every element sees the same `+=` sequence whatever the split or the
+//!   walk order, so the kernel pinned to one worker (a one-thread
+//!   `rayon::ThreadPool::install`) is bit-identical to it on every worker
+//!   count.
 //!
 //! Two tile levels come from the host. The register tile's height is the
 //! selected ISA's ([`MicroKernel::tile_rows`]). [`CpuTiling::derive`]
@@ -70,7 +77,7 @@ use std::time::Instant;
 use crate::backend::ExecRun;
 use crate::params::BlockingParams;
 use crate::plan::Plan;
-use crate::simd::{Isa, MicroKernel, MW, MW_TALL, NW, NW2};
+use crate::simd::{Isa, MicroKernel, WindowTile, MW, MW_TALL, NW, NW2};
 
 /// Cache-capacity target for one staged `B′` block (`ub × nb` floats): the
 /// k-depth [`CpuTiling::derive`] picks keeps the block within this many
@@ -238,15 +245,12 @@ impl CpuTiling {
         })
     }
 
-    /// Tiling from the `Para_Init_Table` preset for callers without a plan.
+    /// Tiling from the `Para_Init_Table` preset for callers without a
+    /// plan, its `ns` widened to whole windows
+    /// ([`BlockingParams::para_init_table_for`]) so `derive` cannot reject
+    /// it.
     pub fn auto(cfg: NmConfig, m: usize, n: usize, k: usize) -> Result<Self> {
-        let mut params = BlockingParams::para_init_table(m, n);
-        // The preset's ns may not be window-aligned for exotic L; widen to
-        // the least common multiple so `derive` cannot reject it.
-        if !params.ns.is_multiple_of(cfg.l) {
-            params.ns = lcm(params.ns, cfg.l);
-        }
-        Self::derive(params, cfg, k)
+        Self::derive(BlockingParams::para_init_table_for(m, n, cfg.l), cfg, k)
     }
 }
 
@@ -269,16 +273,6 @@ thread_local! {
 /// thread-local add per preparation, noise next to the staging itself.
 pub fn offline_staging_passes() -> u64 {
     STAGING_PASSES.with(|c| c.get())
-}
-
-fn lcm(a: usize, b: usize) -> usize {
-    fn gcd(mut a: usize, mut b: usize) -> usize {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    }
-    a / gcd(a, b) * b
 }
 
 /// The offline pre-processing product for one `(B′, tiling)` combination: validated tile geometry and the `B′` staging — SELL-C-σ
@@ -795,8 +789,9 @@ pub(crate) mod instrument {
         /// vectorized micro-tiles.
         pub static FAST_BLOCKS: Cell<usize> = const { Cell::new(0) };
         /// Skinny (1- or 2-row) rungs of the fast-path row ladder — the
-        /// decode tiles — one per `(slice, k-block)` pair that has fast
-        /// windows.
+        /// decode tiles — one per step of the panel walk (a k-block of
+        /// one slice, or of the whole slice range on a skinny panel) that
+        /// has fast windows.
         pub static SKINNY_RUNGS: Cell<usize> = const { Cell::new(0) };
         /// Tall (8-row) rungs of the fast-path row ladder, counted as
         /// [`SKINNY_RUNGS`] is.
@@ -805,6 +800,8 @@ pub(crate) mod instrument {
         /// thread, before the workers start).
         pub static COLUMN_SPLITS: Cell<usize> = const { Cell::new(0) };
     }
+
+    pub(crate) use crate::simd::instrument::LOCKSTEP_GROUPS;
 }
 
 /// One window of a `(slice, k-block)` pair: its absolute gather indices
@@ -831,18 +828,61 @@ impl<'a> Window<'a> {
     }
 }
 
+/// The fast windows of one step of the panel walk, cut into the 16- (or
+/// 32-) column tiles the micro-kernels take, window by window, with each
+/// tile's output column.
+#[derive(Default)]
+struct FastTiles<'a> {
+    tiles: Vec<WindowTile<'a>>,
+    cols: Vec<usize>,
+}
+
+impl<'a> FastTiles<'a> {
+    fn clear(&mut self) {
+        self.tiles.clear();
+        self.cols.clear();
+    }
+
+    /// Append `win`'s tiles, `width` columns each.
+    fn push(&mut self, win: &Window<'a>, width: usize) {
+        for boff in (0..win.lw).step_by(width) {
+            self.tiles.push(WindowTile {
+                idx: win.idx,
+                bs: win.bs,
+                stride: win.lw,
+                boff,
+            });
+            self.cols.push(win.col + boff);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tiles.is_empty()
+    }
+}
+
 /// Compute one row panel (`c_panel.len() / n` rows of `source`) over the
-/// slices `slices`. Per slice and k-block, the fast windows run every row
-/// through the vectorized register micro-tiles via a row ladder topped by
-/// the kernel's [`MicroKernel::tile_rows`] — full 8-row tiles where the
-/// ISA holds them (AVX-512), then 4-row tiles, then a 2-row and a
-/// 1-row skinny tile for the remainder — so one load of a window's panel
-/// feeds up to eight rows, and decode panels (`rows < 4`) and prefill
-/// tail rows stay vectorized.
-/// The dual-accumulator 32-wide tiles are used when `L` allows it. The
-/// other windows (ragged, odd `L`, gathers into the pad outside the
-/// packed class) take the general `mt`-row scalar path. Write-back lands
-/// at each window's original column span, so a permutation never escapes.
+/// slices `slices`, one k-block of a window set at a time.
+///
+/// A panel of [`MW`] rows or more walks slice by slice, each slice's
+/// k-blocks in turn. A skinny panel (`rows < MW`: every decode call) runs
+/// the k-block loop outside instead: each k-block offers every window of
+/// the whole slice range at once, so its 1-row rung can read several
+/// windows' panels in lockstep. Every window still sees its k-blocks in
+/// order, and windows own disjoint columns, so the order of the walk
+/// changes no result.
+///
+/// Per step, the fast windows run every row through the vectorized
+/// register micro-tiles via a row ladder topped by the kernel's
+/// [`MicroKernel::tile_rows`] — full 8-row tiles where the ISA holds them
+/// (AVX-512), then 4-row tiles, then a 2-row skinny tile — so one load
+/// of a window's panel feeds up to eight rows. A last single row runs the
+/// multi-window 1-row tile ([`run_lockstep_row`]), so decode panels and
+/// prefill tail rows stay vectorized. The dual-accumulator 32-wide tiles
+/// are used when `L` allows it. The other windows (ragged, odd `L`,
+/// gathers into the pad outside the packed class) take the general
+/// `mt`-row scalar path. Write-back lands at each window's original
+/// column span, so a permutation never escapes.
 fn walk_panel(
     prep: &CpuPrepared,
     source: &RowSource<'_>,
@@ -860,22 +900,27 @@ fn walk_panel(
     // The widest tile the window admits: `L % 32 == 0` doubles the
     // per-broadcast FMA work through the dual-accumulator kernel.
     let wide = l.is_multiple_of(NW2);
-    let (mut fast, mut general) = (Vec::new(), Vec::new());
-    for s in slices {
+    let width = if wide { NW2 } else { NW };
+    let (mut fast, mut general) = (FastTiles::default(), Vec::new());
+    // A skinny panel takes its whole slice range as one run, a taller
+    // panel one slice per run; each run walks its k-blocks in order.
+    let run_len = if rows < MW { slices.len().max(1) } else { 1 };
+    for lo in slices.clone().step_by(run_len) {
+        let run = lo..(lo + run_len).min(slices.end);
         for bk in 0..ss.kblocks {
             let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(w));
             fast.clear();
             general.clear();
-            for pos in sm.slice_windows(s) {
+            for pos in run.clone().flat_map(|s| sm.slice_windows(s)) {
                 let win = Window::at(sm, pos, u_lo, u_hi);
                 if ss.fast[pos * ss.kblocks + bk] {
-                    fast.push(win);
+                    #[cfg(test)]
+                    instrument::FAST_BLOCKS.with(|c| c.set(c.get() + 1));
+                    fast.push(&win, width);
                 } else {
                     general.push(win);
                 }
             }
-            #[cfg(test)]
-            instrument::FAST_BLOCKS.with(|c| c.set(c.get() + fast.len()));
             if !fast.is_empty() {
                 let mut r0 = 0;
                 if mk.tile_rows() >= MW_TALL {
@@ -893,7 +938,7 @@ fn walk_panel(
                     r0 += 2;
                 }
                 if r0 < rows {
-                    run_fast_rows::<1>(source, mk, &fast, wide, r0, n, c_panel);
+                    run_lockstep_row(source, mk, &fast, wide, r0, n, c_panel);
                 }
             }
             for win in &general {
@@ -905,12 +950,12 @@ fn walk_panel(
 
 /// One rung of the fast-path row ladder: `R` consecutive panel rows
 /// through the vectorized `R×16` / `R×32` register tile across the fast
-/// windows of one `(slice, k-block)` pair.
+/// tiles of one step of the panel walk.
 #[inline]
 fn run_fast_rows<const R: usize>(
     source: &RowSource<'_>,
     mk: MicroKernel,
-    windows: &[Window<'_>],
+    fast: &FastTiles<'_>,
     wide: bool,
     r0: usize,
     n: usize,
@@ -923,18 +968,42 @@ fn run_fast_rows<const R: usize>(
         instrument::TALL_RUNGS.with(|c| c.set(c.get() + 1));
     }
     let ar: [&[f32]; R] = std::array::from_fn(|i| source.row(r0 + i));
-    for win in windows {
+    for (t, &col) in fast.tiles.iter().zip(&fast.cols) {
         if wide {
-            for off in (0..win.lw).step_by(NW2) {
-                let acc = mk.tile32(&ar, win.idx, win.bs, win.lw, off);
-                add_tile(c_panel, &acc, r0, n, win.col + off);
-            }
+            let acc = mk.tile32(&ar, t.idx, t.bs, t.stride, t.boff);
+            add_tile(c_panel, &acc, r0, n, col);
         } else {
-            for off in (0..win.lw).step_by(NW) {
-                let acc = mk.tile16(&ar, win.idx, win.bs, win.lw, off);
-                add_tile(c_panel, &acc, r0, n, win.col + off);
-            }
+            let acc = mk.tile16(&ar, t.idx, t.bs, t.stride, t.boff);
+            add_tile(c_panel, &acc, r0, n, col);
         }
+    }
+}
+
+/// The 1-row rung: panel row `r0` across the fast tiles of one step of
+/// the panel walk, all handed to the kernel's multi-window tile at once,
+/// which reads [`MicroKernel::lockstep_windows`] of them in lockstep.
+/// Each tile's result is the 1-row [`run_fast_rows`] tile's, bit for bit.
+fn run_lockstep_row(
+    source: &RowSource<'_>,
+    mk: MicroKernel,
+    fast: &FastTiles<'_>,
+    wide: bool,
+    r0: usize,
+    n: usize,
+    c_panel: &mut [f32],
+) {
+    #[cfg(test)]
+    instrument::SKINNY_RUNGS.with(|c| c.set(c.get() + 1));
+    let a = source.row(r0);
+    let cols = &fast.cols;
+    if wide {
+        mk.tile32_windows(a, &fast.tiles, |i, acc| {
+            add_tile(c_panel, std::array::from_ref(acc), r0, n, cols[i])
+        });
+    } else {
+        mk.tile16_windows(a, &fast.tiles, |i, acc| {
+            add_tile(c_panel, std::array::from_ref(acc), r0, n, cols[i])
+        });
     }
 }
 
@@ -1596,13 +1665,14 @@ mod tests {
                 for s in 0..ss.sm.slices() {
                     for bk in 0..ss.kblocks {
                         let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(ss.sm.w()));
-                        let fast: Vec<_> = ss
-                            .sm
-                            .slice_windows(s)
-                            .filter(|&pos| ss.fast[pos * ss.kblocks + bk])
-                            .map(|pos| Window::at(&ss.sm, pos, u_lo, u_hi))
-                            .collect();
-                        windows += fast.len();
+                        let mut fast = FastTiles::default();
+                        for pos in ss.sm.slice_windows(s) {
+                            if ss.fast[pos * ss.kblocks + bk] {
+                                let width = if wide { NW2 } else { NW };
+                                fast.push(&Window::at(&ss.sm, pos, u_lo, u_hi), width);
+                                windows += 1;
+                            }
+                        }
                         run_fast_rows::<MW_TALL>(&source, mk, &fast, wide, 0, n, &mut tall);
                         run_fast_rows::<MW>(&source, mk, &fast, wide, 0, n, &mut four);
                         run_fast_rows::<MW>(&source, mk, &fast, wide, MW, n, &mut four);
@@ -1642,6 +1712,42 @@ mod tests {
             // m=1 → one 1-row rung per block; m=2 → one 2-row rung; m=3 →
             // a 2-row and a 1-row rung; m=6 → one 4-row tile + a 2-row rung.
             assert_eq!(skinny, want_skinny, "m = {m}: skinny-rung count");
+        }
+    }
+
+    #[test]
+    fn decode_reads_every_window_of_a_k_block_in_lockstep() {
+        // A perfbench-like q/k/v/o projection (2048², 4:8, L = 32), every
+        // window fast: an m = 1 call pinned to one worker walks each
+        // k-block across all 64 windows at once, and its 1-row rung runs
+        // them through the multi-window tile G at a time. A silent
+        // fallback to one window at a time would keep the numbers and
+        // lose the read streams, so the groups are counted.
+        let c = cfg(4, 8, 32);
+        let (k, n) = (2048, 2048);
+        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 151), c).unwrap();
+        let t = CpuTiling::auto(c, 1, n, k).unwrap();
+        let x = MatrixF32::random(1, k, 152);
+        let expect = spmm_reference(&x, &sb);
+        for mk in MicroKernel::available() {
+            for format in [
+                StorageFormat::RowMajor,
+                StorageFormat::Sliced(SlicedLayout::DEFAULT),
+            ] {
+                let prep = CpuPrepared::with_format(&sb, t, mk, format).unwrap();
+                let kblocks = prep.staged.kblocks;
+                let counters = [&instrument::LOCKSTEP_GROUPS, &instrument::SKINNY_RUNGS];
+                let run = || spmv_cpu_prepared(x.row(0), &prep).unwrap();
+                let (y, [groups, rungs]) = counted(counters, run);
+                assert_eq!(rungs, kblocks, "{mk} {format}: one 1-row rung per k-block");
+                assert_eq!(
+                    groups,
+                    kblocks * (n / c.l) / mk.lockstep_windows(),
+                    "{mk} {format}: every window in a lockstep group"
+                );
+                let got = MatrixF32::from_vec(1, n, y);
+                assert!(got.allclose(&expect, 1e-3, 1e-4), "{mk} {format}");
+            }
         }
     }
 

@@ -83,6 +83,19 @@ impl BlockingParams {
         }
     }
 
+    /// [`BlockingParams::para_init_table`] with `ns` widened to the least
+    /// common multiple of itself and the vector length `l`, so the CPU
+    /// column block holds whole windows at any `L` (Table I's `ns` are
+    /// multiples of 32 only). A preset whose `ns` `l` divides is returned
+    /// as is.
+    pub fn para_init_table_for(m: usize, n: usize, l: usize) -> Self {
+        let mut params = Self::para_init_table(m, n);
+        if !params.ns.is_multiple_of(l) {
+            params.ns = lcm(params.ns, l);
+        }
+        params
+    }
+
     /// Threads per block: `(ms·ns)/(mt·nt)`.
     pub fn threads(&self) -> usize {
         self.ms * self.ns / (self.mt * self.nt)
@@ -219,6 +232,16 @@ pub fn derive_blocking(
     })
 }
 
+fn lcm(a: usize, b: usize) -> usize {
+    fn gcd(mut a: usize, mut b: usize) -> usize {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    a / gcd(a, b) * b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +249,27 @@ mod tests {
 
     fn cfg(n: usize, m: usize) -> NmConfig {
         NmConfig::new(n, m, 32).unwrap()
+    }
+
+    #[test]
+    fn window_aligned_preset_widens_only_what_l_does_not_divide() {
+        for (m, n) in [(1, 640), (8, 4096), (512, 2048), (4096, 4096)] {
+            let preset = BlockingParams::para_init_table(m, n);
+            for l in [4, 8, 16, 32] {
+                assert_eq!(BlockingParams::para_init_table_for(m, n, l), preset);
+            }
+            for l in [48, 64, 96] {
+                let widened = BlockingParams::para_init_table_for(m, n, l);
+                assert_eq!(widened.ns, lcm(preset.ns, l), "{m}x{n} L = {l}");
+                assert_eq!(
+                    BlockingParams {
+                        ns: preset.ns,
+                        ..widened
+                    },
+                    preset
+                );
+            }
+        }
     }
 
     #[test]

@@ -1272,9 +1272,11 @@ fn compute_plan(dev: &DeviceConfig, key: PlanKey) -> Result<Plan> {
     // modeled FLOP throughput, which is meaningless at 1–8 activation
     // rows where the kernel streams `B′` once — the preset records a
     // valid launch geometry and the real skinny-vs-GEMM call is made from
-    // measurement ([`crate::measure`]), not the cost model.
+    // measurement ([`crate::measure`]), not the cost model. Its `ns` is
+    // widened to whole windows, or an `L` no Table I `ns` is a multiple
+    // of (64 at a small decode shape) could not drive the CPU tiles.
     let (params, evaluated, nm_v3) = if key.shape.is_decode() {
-        let preset = BlockingParams::para_init_table(m, n);
+        let preset = BlockingParams::para_init_table_for(m, n, cfg.l);
         let rep = NmSpmmKernel::new(NmVersion::V3, preset)
             .estimate(dev, m, n, k, cfg, None)
             .ok();

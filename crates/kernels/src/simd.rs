@@ -43,6 +43,22 @@
 //! does not have. At one row the tile *is* a vectorized SpMV over the
 //! staged block — the kernel the prepared decode path is built on.
 //!
+//! ## Multi-window tiles — several read streams per worker
+//!
+//! A 1-row tile is one sequential read of one window's `ub×L` panel with
+//! two FMA chains, which leaves a DRAM-bound decode step at the bandwidth
+//! of one read stream. [`MicroKernel::tile16_windows`] and
+//! [`MicroKernel::tile32_windows`] therefore take the 1-row tiles of many
+//! windows and run them [`MicroKernel::lockstep_windows`] at a time: per
+//! compressed row they load `B′` from every window of the group and issue
+//! the group's FMAs back to back, so G windows' panels stream at once. G
+//! comes from the register file: 4 on AVX-512 (8 zmm accumulators at 32
+//! columns), 2 on AVX2 (8 ymm), NEON (16 q) and the scalar tile. A group
+//! never mixes windows' accumulators, and each accumulator sees exactly
+//! the FMA sequence the 1-row tile gives its window alone, so the result
+//! is bit-identical to running the windows one by one; the remainder
+//! windows of a call do exactly that.
+//!
 //! ## Dispatch discipline
 //!
 //! Feature detection (`is_x86_feature_detected!` /
@@ -78,6 +94,29 @@ pub const MW_TALL: usize = 8;
 pub const NW: usize = 16;
 /// Columns of the wide dual-accumulator micro-tile.
 pub const NW2: usize = 32;
+/// Windows an AVX-512 multi-window tile reads in lockstep: 8 of the 32
+/// zmm registers accumulate four 1×32 tiles.
+const LOCKSTEP_AVX512: usize = 4;
+/// Windows the AVX2, NEON and scalar multi-window tiles read in lockstep:
+/// 8 of AVX2's 16 ymm, 16 of NEON's 32 q registers at 32 columns.
+const LOCKSTEP: usize = 2;
+
+/// One window's column tile for the multi-window tiles
+/// ([`MicroKernel::tile32_windows`]): the window's gather indices over
+/// one k-block, its staged panel `bs` (`stride` floats per compressed
+/// row) and the tile's column offset `boff` inside it — the arguments a
+/// 1-row [`MicroKernel::tile32`] call over the window takes.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowTile<'a> {
+    /// Absolute gather index per compressed row.
+    pub idx: &'a [u32],
+    /// The window's staged values over the k-block.
+    pub bs: &'a [f32],
+    /// Floats per compressed row of `bs`.
+    pub stride: usize,
+    /// Column offset of the tile inside the window.
+    pub boff: usize,
+}
 
 /// The instruction sets a micro-kernel can be compiled for.
 ///
@@ -337,6 +376,141 @@ impl MicroKernel {
     }
 }
 
+impl MicroKernel {
+    /// Windows the multi-window tiles read in lockstep on this kernel —
+    /// G in the module docs: 4 on AVX-512, 2 elsewhere.
+    pub fn lockstep_windows(&self) -> usize {
+        match self.isa {
+            Isa::Avx512 => LOCKSTEP_AVX512,
+            Isa::Avx2 | Isa::Neon | Isa::Scalar => LOCKSTEP,
+        }
+    }
+
+    /// The 1-row `1×16` tile over many windows: row `a` against each of
+    /// `tiles`, [`MicroKernel::lockstep_windows`] windows at a time (see
+    /// the module docs), the remainder through [`MicroKernel::tile16`].
+    /// `emit(i, acc)` receives tile `i`'s accumulator, bit-identical to
+    /// `self.tile16(&[a], ..)` over that tile alone.
+    ///
+    /// Caller contract (checked by `debug_assert!`): every tile meets
+    /// [`MicroKernel::tile16`]'s, and all tiles cover the same number of
+    /// compressed rows.
+    #[inline]
+    pub fn tile16_windows(
+        &self,
+        a: &[f32],
+        tiles: &[WindowTile<'_>],
+        emit: impl FnMut(usize, &[f32; NW]),
+    ) {
+        check_windows::<NW>(a, tiles);
+        let single = |t: &WindowTile<'_>| self.tile16(&[a], t.idx, t.bs, t.stride, t.boff)[0];
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self` can only be constructed for a detected ISA.
+            Isa::Avx2 => in_lockstep::<LOCKSTEP, NW>(
+                tiles,
+                |g| unsafe { x86::avx2_gx16(a, g) },
+                single,
+                emit,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above — avx512f was detected at construction.
+            Isa::Avx512 => in_lockstep::<LOCKSTEP_AVX512, NW>(
+                tiles,
+                |g| unsafe { x86::avx512_gx16(a, g) },
+                single,
+                emit,
+            ),
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: as above — neon was detected at construction.
+            Isa::Neon => in_lockstep::<LOCKSTEP, NW>(
+                tiles,
+                |g| unsafe { arm::neon_gx16(a, g) },
+                single,
+                emit,
+            ),
+            _ => in_lockstep::<LOCKSTEP, NW>(tiles, |g| scalar_windows(a, g), single, emit),
+        }
+    }
+
+    /// As [`MicroKernel::tile16_windows`] at [`NW2`] columns: each tile's
+    /// accumulator is bit-identical to `self.tile32(&[a], ..)` over it.
+    #[inline]
+    pub fn tile32_windows(
+        &self,
+        a: &[f32],
+        tiles: &[WindowTile<'_>],
+        emit: impl FnMut(usize, &[f32; NW2]),
+    ) {
+        check_windows::<NW2>(a, tiles);
+        let single = |t: &WindowTile<'_>| self.tile32(&[a], t.idx, t.bs, t.stride, t.boff)[0];
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self` can only be constructed for a detected ISA.
+            Isa::Avx2 => in_lockstep::<LOCKSTEP, NW2>(
+                tiles,
+                |g| unsafe { x86::avx2_gx32(a, g) },
+                single,
+                emit,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above — avx512f was detected at construction.
+            Isa::Avx512 => in_lockstep::<LOCKSTEP_AVX512, NW2>(
+                tiles,
+                |g| unsafe { x86::avx512_gx32(a, g) },
+                single,
+                emit,
+            ),
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: as above — neon was detected at construction.
+            Isa::Neon => in_lockstep::<LOCKSTEP, NW2>(
+                tiles,
+                |g| unsafe { arm::neon_gx32(a, g) },
+                single,
+                emit,
+            ),
+            _ => in_lockstep::<LOCKSTEP, NW2>(tiles, |g| scalar_windows(a, g), single, emit),
+        }
+    }
+}
+
+/// Test-only counter proving the multi-window tiles ran their lockstep
+/// bodies. Thread-local, as the CPU kernel's own counters are.
+#[cfg(test)]
+pub(crate) mod instrument {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Groups of [`super::MicroKernel::lockstep_windows`] windows a
+        /// multi-window tile ran in lockstep.
+        pub static LOCKSTEP_GROUPS: Cell<usize> = const { Cell::new(0) };
+    }
+}
+
+/// Run `tiles` `G` at a time through `group` and the remainder one at a
+/// time through `single`, handing tile `i`'s accumulator to `emit`.
+#[inline(always)]
+fn in_lockstep<'a, const G: usize, const W: usize>(
+    tiles: &[WindowTile<'a>],
+    group: impl Fn(&[WindowTile<'a>; G]) -> [[f32; W]; G],
+    single: impl Fn(&WindowTile<'a>) -> [f32; W],
+    mut emit: impl FnMut(usize, &[f32; W]),
+) {
+    let mut groups = tiles.chunks_exact(G);
+    for (gi, grp) in groups.by_ref().enumerate() {
+        #[cfg(test)]
+        instrument::LOCKSTEP_GROUPS.with(|c| c.set(c.get() + 1));
+        let grp = grp.try_into().expect("chunks_exact yields G tiles");
+        for (i, acc) in group(grp).iter().enumerate() {
+            emit(gi * G + i, acc);
+        }
+    }
+    let done = tiles.len() - groups.remainder().len();
+    for (i, t) in groups.remainder().iter().enumerate() {
+        emit(done + i, &single(t));
+    }
+}
+
 impl std::fmt::Display for MicroKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} micro-kernel", self.isa)
@@ -382,6 +556,36 @@ fn debug_check<const R: usize, const W: usize>(
     let _ = (ar, idx, bs, stride, boff);
 }
 
+/// The multi-window tiles' caller contract: [`debug_check`]'s for each
+/// tile, and one compressed-row count across them.
+#[inline]
+fn check_windows<const W: usize>(a: &[f32], tiles: &[WindowTile<'_>]) {
+    for t in tiles {
+        debug_check::<1, W>(&[a], t.idx, t.bs, t.stride, t.boff);
+        debug_assert_eq!(t.idx.len(), tiles[0].idx.len(), "ragged window depths");
+    }
+}
+
+/// The portable multi-window tile: [`scalar_tile`]'s 1-row body over `G`
+/// windows per compressed row, each accumulator updated as the 1-row
+/// tile updates it.
+fn scalar_windows<const G: usize, const W: usize>(
+    a: &[f32],
+    tiles: &[WindowTile<'_>; G],
+) -> [[f32; W]; G] {
+    let mut acc = [[0f32; W]; G];
+    for u in 0..tiles[0].idx.len() {
+        for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+            let at = u * t.stride + t.boff;
+            let av = a[t.idx[u] as usize];
+            for (slot, bv) in acc_t.iter_mut().zip(&t.bs[at..at + W]) {
+                *slot += av * bv;
+            }
+        }
+    }
+    acc
+}
+
 /// The portable tile, generic over row count and width — the pre-SIMD
 /// `micro4x16` kept as the fallback and the forced-scalar A/B baseline.
 /// What LLVM auto-vectorizes here is bounded by the build's target
@@ -416,7 +620,7 @@ mod x86 {
     //! Loads are unchecked — the bounds are the caller contract checked by
     //! [`super::debug_check`] at the dispatch boundary.
 
-    use super::{NW, NW2};
+    use super::{WindowTile, NW, NW2};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -555,6 +759,114 @@ mod x86 {
         }
         out
     }
+
+    /// # Safety
+    /// Requires `avx2` and `fma` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile16_windows`]. `G ≤ 4` keeps the
+    /// accumulators in the register file.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn avx2_gx16<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW]; G] {
+        // 2G ymm accumulators: each window's row of `avx2_rx16::<1>`.
+        let mut acc = [[_mm256_setzero_ps(); 2]; G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = t.bs.as_ptr().add(u * t.stride + t.boff);
+                let av = _mm256_set1_ps(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                acc_t[0] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b), acc_t[0]);
+                acc_t[1] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b.add(8)), acc_t[1]);
+            }
+        }
+        let mut out = [[0f32; NW]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            _mm256_storeu_ps(out_t.as_mut_ptr(), acc_t[0]);
+            _mm256_storeu_ps(out_t.as_mut_ptr().add(8), acc_t[1]);
+        }
+        out
+    }
+
+    /// # Safety
+    /// Requires `avx2` and `fma` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile32_windows`]. `G ≤ 3` keeps the
+    /// accumulators in the register file.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn avx2_gx32<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW2]; G] {
+        // 4G ymm accumulators: each window's row of `avx2_rx32::<1>`,
+        // with the B loads folded into the FMAs' memory operands.
+        let mut acc = [[_mm256_setzero_ps(); 4]; G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = t.bs.as_ptr().add(u * t.stride + t.boff);
+                let av = _mm256_set1_ps(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                for (v, slot) in acc_t.iter_mut().enumerate() {
+                    *slot = _mm256_fmadd_ps(av, _mm256_loadu_ps(b.add(v * 8)), *slot);
+                }
+            }
+        }
+        let mut out = [[0f32; NW2]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            for (v, &vec) in acc_t.iter().enumerate() {
+                _mm256_storeu_ps(out_t.as_mut_ptr().add(v * 8), vec);
+            }
+        }
+        out
+    }
+
+    /// # Safety
+    /// Requires `avx512f` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile16_windows`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512_gx16<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW]; G] {
+        // One zmm per window: each window's row of `avx512_rx16::<1>`.
+        let mut acc = [_mm512_setzero_ps(); G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = _mm512_loadu_ps(t.bs.as_ptr().add(u * t.stride + t.boff));
+                let av = _mm512_set1_ps(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                *acc_t = _mm512_fmadd_ps(av, b, *acc_t);
+            }
+        }
+        let mut out = [[0f32; NW]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            _mm512_storeu_ps(out_t.as_mut_ptr(), *acc_t);
+        }
+        out
+    }
+
+    /// # Safety
+    /// Requires `avx512f` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile32_windows`].
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512_gx32<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW2]; G] {
+        // Dual zmm accumulators per window — each window's row of
+        // `avx512_rx32::<1>`; at G = 4, 8 of the 32 zmm registers.
+        let mut acc = [[_mm512_setzero_ps(); 2]; G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = t.bs.as_ptr().add(u * t.stride + t.boff);
+                let av = _mm512_set1_ps(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                acc_t[0] = _mm512_fmadd_ps(av, _mm512_loadu_ps(b), acc_t[0]);
+                acc_t[1] = _mm512_fmadd_ps(av, _mm512_loadu_ps(b.add(16)), acc_t[1]);
+            }
+        }
+        let mut out = [[0f32; NW2]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            _mm512_storeu_ps(out_t.as_mut_ptr(), acc_t[0]);
+            _mm512_storeu_ps(out_t.as_mut_ptr().add(16), acc_t[1]);
+        }
+        out
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -562,7 +874,7 @@ mod arm {
     //! NEON tiles. NEON is architecturally mandatory on aarch64, but the
     //! same construct-time verification discipline applies.
 
-    use super::{NW, NW2};
+    use super::{WindowTile, NW, NW2};
     use std::arch::aarch64::*;
 
     /// # Safety
@@ -627,6 +939,64 @@ mod arm {
         for ((out_row, lo_row), hi_row) in out.iter_mut().zip(&lo).zip(&hi) {
             out_row[..NW].copy_from_slice(lo_row);
             out_row[NW..].copy_from_slice(hi_row);
+        }
+        out
+    }
+
+    /// # Safety
+    /// Requires `neon` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile16_windows`].
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn neon_gx16<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW]; G] {
+        // 4G q-register accumulators: each window's row of `neon_rx16::<1>`.
+        let mut acc = [[vdupq_n_f32(0.0); 4]; G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = t.bs.as_ptr().add(u * t.stride + t.boff);
+                let av = vdupq_n_f32(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                for (v, slot) in acc_t.iter_mut().enumerate() {
+                    *slot = vfmaq_f32(*slot, av, vld1q_f32(b.add(v * 4)));
+                }
+            }
+        }
+        let mut out = [[0f32; NW]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            for (v, &vec) in acc_t.iter().enumerate() {
+                vst1q_f32(out_t.as_mut_ptr().add(v * 4), vec);
+            }
+        }
+        out
+    }
+
+    /// # Safety
+    /// Requires `neon` at runtime, plus the bounds contract of
+    /// [`super::MicroKernel::tile32_windows`].
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn neon_gx32<const G: usize>(
+        a: &[f32],
+        tiles: &[WindowTile<'_>; G],
+    ) -> [[f32; NW2]; G] {
+        // One pass over all 32 columns: 8G q-register accumulators (16 at
+        // G = 2). Each column's chain is the one `neon_rx32::<1>`'s two
+        // 16-wide passes give it, so the result is the same bit for bit.
+        let mut acc = [[vdupq_n_f32(0.0); 8]; G];
+        for u in 0..tiles[0].idx.len() {
+            for (t, acc_t) in tiles.iter().zip(acc.iter_mut()) {
+                let b = t.bs.as_ptr().add(u * t.stride + t.boff);
+                let av = vdupq_n_f32(*a.get_unchecked(*t.idx.get_unchecked(u) as usize));
+                for (v, slot) in acc_t.iter_mut().enumerate() {
+                    *slot = vfmaq_f32(*slot, av, vld1q_f32(b.add(v * 4)));
+                }
+            }
+        }
+        let mut out = [[0f32; NW2]; G];
+        for (acc_t, out_t) in acc.iter().zip(out.iter_mut()) {
+            for (v, &vec) in acc_t.iter().enumerate() {
+                vst1q_f32(out_t.as_mut_ptr().add(v * 4), vec);
+            }
         }
         out
     }
@@ -857,6 +1227,48 @@ mod tests {
                 let want32 = mk.tile32(&ar4, &idx, &bs, 40, 3);
                 assert_eq!(got16[half * MW..(half + 1) * MW], want16, "{mk} 8x16");
                 assert_eq!(got32[half * MW..(half + 1) * MW], want32, "{mk} 8x32");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_window_tiles_match_each_windows_one_row_tile() {
+        // Windows of one k-block (24 compressed rows) with their own
+        // indices and panels, as many as 2G + 1 so full groups, a
+        // remainder and a lone window all run: every window's result must
+        // be its 1-row tile's, bit for bit, and every full group must run
+        // the lockstep body.
+        let a = fill(64, 5);
+        let (depth, stride) = (24, 40);
+        let panels: Vec<(Vec<u32>, Vec<f32>)> = (0..9u32)
+            .map(|j| {
+                let idx = (0..depth).map(|u| ((u * 13 + 5 + 7 * j as usize) % 64) as u32);
+                (idx.collect(), fill(depth * stride, 99 + j))
+            })
+            .collect();
+        let groups = || instrument::LOCKSTEP_GROUPS.with(|c| c.get());
+        for mk in MicroKernel::available() {
+            let g = mk.lockstep_windows();
+            for count in 1..=2 * g + 1 {
+                let tiles: Vec<WindowTile<'_>> = (0..count)
+                    .map(|i| WindowTile {
+                        idx: &panels[i % panels.len()].0,
+                        bs: &panels[i % panels.len()].1,
+                        stride,
+                        boff: [0, 3, 8][i % 3],
+                    })
+                    .collect();
+                let (mut got16, mut got32) = (vec![None; count], vec![None; count]);
+                let before = groups();
+                mk.tile16_windows(&a, &tiles, |i, acc| got16[i] = Some(*acc));
+                mk.tile32_windows(&a, &tiles, |i, acc| got32[i] = Some(*acc));
+                assert_eq!(groups() - before, 2 * (count / g), "{mk} {count} windows");
+                for (i, t) in tiles.iter().enumerate() {
+                    let want16 = mk.tile16(&[&a], t.idx, t.bs, t.stride, t.boff)[0];
+                    let want32 = mk.tile32(&[&a], t.idx, t.bs, t.stride, t.boff)[0];
+                    assert_eq!(got16[i], Some(want16), "{mk} {count} windows: 1x16 #{i}");
+                    assert_eq!(got32[i], Some(want32), "{mk} {count} windows: 1x32 #{i}");
+                }
             }
         }
     }

@@ -11,7 +11,7 @@ pub struct SubmitOptions {
     /// Deadline budget measured from submission. A request still queued
     /// when its budget expires is **shed before any compute is spent**,
     /// resolving its ticket with [`NmError::DeadlineExceeded`]. `None`
-    /// falls back to [`ServerConfig::default_deadline`].
+    /// means the request never expires.
     pub deadline: Option<Duration>,
 }
 
@@ -49,9 +49,6 @@ pub struct ServerConfig {
     /// fully (each arrival re-arms the gap), while a lone request only
     /// ever waits one gap — not the whole cap.
     pub linger_gap: Duration,
-    /// Deadline applied to requests whose [`SubmitOptions::deadline`] is
-    /// unset. `None` means such requests never expire.
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -61,7 +58,6 @@ impl Default for ServerConfig {
             max_decode_batch: DECODE_MAX_ROWS,
             linger: Duration::from_micros(200),
             linger_gap: Duration::from_micros(50),
-            default_deadline: None,
         }
     }
 }

@@ -83,16 +83,10 @@ pub struct Completion {
 /// silently dropped.
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) id: u64,
     pub(crate) rx: crossbeam_channel::Receiver<Result<Completion>>,
 }
 
 impl Ticket {
-    /// The request id this ticket tracks (monotonic per server).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Block until the request resolves. A server torn down before
     /// resolving (impossible through the public API, which drains on
     /// drop) maps to [`NmError::Canceled`] rather than a panic.
@@ -136,8 +130,7 @@ mod tests {
     fn ticket_maps_disconnect_to_canceled() {
         let (tx, rx) = crossbeam_channel::bounded::<Result<Completion>>(1);
         drop(tx);
-        let t = Ticket { id: 7, rx };
-        assert_eq!(t.id(), 7);
+        let t = Ticket { rx };
         assert!(matches!(t.wait().unwrap_err(), NmError::Canceled { .. }));
     }
 }

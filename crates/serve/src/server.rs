@@ -7,7 +7,7 @@ use crate::request::{Request, Ticket};
 use crate::stats::ServerStats;
 use nm_core::error::{NmError, Result};
 use nm_kernels::session::PreparedLayer;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,7 +47,6 @@ pub struct Server {
     shared: Arc<Shared>,
     layer: Arc<PreparedLayer>,
     cfg: ServerConfig,
-    next_id: AtomicU64,
 }
 
 impl Server {
@@ -72,18 +71,12 @@ impl Server {
             shared,
             layer,
             cfg,
-            next_id: AtomicU64::new(0),
         })
     }
 
     /// The prepared layer this server executes on.
     pub fn layer(&self) -> &PreparedLayer {
         &self.layer
-    }
-
-    /// The configuration this server runs under.
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
     }
 
     /// Submit one decode request — a single activation vector, stacked
@@ -122,12 +115,11 @@ impl Server {
                 Err(actual) => cur = actual,
             }
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = crossbeam_channel::bounded(1);
         let request = Request {
             x,
             enqueued: Instant::now(),
-            deadline: opts.deadline.or(self.cfg.default_deadline),
+            deadline: opts.deadline,
             reply,
         };
         let tx = self.tx.as_ref().expect("sender alive while server alive");
@@ -140,7 +132,7 @@ impl Server {
             return Err(NmError::Overloaded { capacity: cap });
         }
         self.shared.stats.submitted();
-        Ok(Ticket { id, rx })
+        Ok(Ticket { rx })
     }
 
     /// Requests currently queued: admitted but not yet dispatched into a

@@ -10,12 +10,13 @@
 mod common;
 
 use common::one_worker;
+use nm_spmm::core::prune::PrunePolicy;
 use nm_spmm::core::spmm::gemm_reference_f64;
 use nm_spmm::kernels::cpu::{
     offline_staging_passes, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling,
 };
 use nm_spmm::kernels::simd::MicroKernel;
-use nm_spmm::kernels::{AutotuneMode, Session, SessionBuilder, ShapeClass};
+use nm_spmm::kernels::{AutotuneMode, LoadSpec, Session, SessionBuilder, ShapeClass};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
@@ -164,6 +165,48 @@ fn decode_steps_reuse_prefill_staging_with_zero_extra_passes() {
         0,
         "decode required additional offline staging"
     );
+}
+
+#[test]
+fn forward_vec_is_its_row_of_a_four_row_forward() {
+    // The 1-row rung reads a k-block's windows in lockstep, G at a time;
+    // a 4-row forward runs every window through the 4-row tile alone.
+    // Rows accumulate independently, so each row of the 4-row forward is
+    // bit for bit what `forward_vec` gives that row — on all workers and
+    // pinned to one, row-major and sliced:8:8. 21 or 22 windows in 3
+    // slices leave a remainder for any G; the ragged shapes (n not a
+    // multiple of L, k not of M at 4:8) mix general windows (the partial
+    // window, pad-reaching tail blocks) into the fast ones.
+    let shapes = [
+        (NmConfig::new(2, 8, 32).unwrap(), 512, 672),
+        (NmConfig::new(4, 8, 32).unwrap(), 509, 692),
+        (NmConfig::new(2, 8, 16).unwrap(), 256, 344),
+        (NmConfig::new(4, 8, 16).unwrap(), 253, 350),
+    ];
+    for (si, (cfg, k, n)) in shapes.into_iter().enumerate() {
+        let seed = 5000 + 10 * si as u64;
+        let b = MatrixF32::random(k, n, seed);
+        let policy = PrunePolicy::Random { seed: seed + 1 };
+        let sb = std::sync::Arc::new(NmSparseMatrix::prune(&b, cfg, policy).unwrap());
+        let a = MatrixF32::random(4, k, seed + 2);
+        for storage in [
+            StorageFormat::RowMajor,
+            StorageFormat::Sliced(SlicedLayout::new(8, 8).unwrap()),
+        ] {
+            let spec = LoadSpec::rows(4).storage(storage);
+            let layer = cost_model_session().load_with(sb.clone(), spec).unwrap();
+            let four = layer.forward(&a).unwrap();
+            let four_serial = one_worker(|| layer.forward(&a)).unwrap();
+            assert_eq!(four.c.as_slice(), four_serial.c.as_slice());
+            for r in 0..4 {
+                let tag = format!("{cfg} k={k} n={n} {storage} row {r}");
+                let vec_run = layer.forward_vec(a.row(r)).unwrap();
+                let serial = one_worker(|| layer.forward_vec(a.row(r))).unwrap();
+                assert_eq!(vec_run.c.as_slice(), four.c.row(r), "{tag}");
+                assert_eq!(serial.c.as_slice(), four.c.row(r), "{tag}: one worker");
+            }
+        }
+    }
 }
 
 #[test]

@@ -84,6 +84,28 @@ fn cpu_ladder_steps_are_structured_errors_not_runs() {
 }
 
 #[test]
+fn default_session_loads_an_l64_layer_at_decode_rows() {
+    // Table I's small preset has ns = 32, which holds no whole L = 64
+    // window; a decode load widens it to lcm(ns, L) instead of refusing
+    // the layer with InvalidBlocking.
+    let mut s = session();
+    let cfg = NmConfig::new(4, 8, 64).unwrap();
+    let sb = prune(512, 640, cfg, 41);
+    for rows in [1, 2, 3, 8] {
+        let layer = s.load(sb.clone(), rows).unwrap();
+        assert_eq!(layer.plan().params.ns % 64, 0, "rows = {rows}");
+        let a = MatrixF32::random(rows, 512, 42 + rows as u64);
+        let run = layer.forward(&a).unwrap();
+        assert!(
+            run.c.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4),
+            "rows = {rows}"
+        );
+        let y = layer.forward_vec(a.row(0)).unwrap();
+        assert_eq!(y.c.as_slice(), run.c.row(0), "rows = {rows}");
+    }
+}
+
+#[test]
 fn session_counts_plan_cache_hits_across_loads() {
     let mut s = session();
     let cfg = NmConfig::new(2, 16, 32).unwrap();
