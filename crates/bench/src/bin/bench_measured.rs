@@ -49,8 +49,8 @@
 //!
 //! With `--autotune quick|full`, every shape also
 //! runs the **evidence-based** path — `Session::load` under measured
-//! autotuning, which short-run-benchmarks V3 tilings × storage formats
-//! in place and prepares V3 on the measured winner — next to the
+//! autotuning, which short-run-benchmarks V3 tilings in the key's storage
+//! format in place and prepares V3 on the measured winner — next to the
 //! cost-model default (V3 at the derived tiling). Both lanes land in the
 //! JSON under `plan_ab`, and `--assert-ab` turns the comparison into a
 //! gate on every prefill shape: a Quick prefill grid holds only the
@@ -822,10 +822,11 @@ fn check_ab(results: &[ShapeResult]) -> Verdict {
 ///    GEMM-trained cost models are known to mislead, so evidence losing
 ///    here means the skinny candidates in `measure::tiling_candidates`
 ///    stopped winning).
-/// 2. **Format evidence holds** — the measured plan must likewise hold
-///    against the sliced rival lane; together with claim 1 the
-///    evidence-picked storage format never loses to either same-run
-///    format lane.
+/// 2. **Row-major holds against slicing** — the measured plan must
+///    likewise hold against the sliced rival lane. Quick measures
+///    row-major only (with a whole-width column block among its decode
+///    candidates), so this checks that leaving the SELL-C-σ layouts out
+///    of the search costs nothing against a same-run sliced lane.
 /// 3. **The prepared SpMV path earns its keep** — on `m = 1` shapes the
 ///    best prepared lane must beat both rivals outright: the scalar
 ///    `reference` (no staging, no SIMD) and `gemm4_forced` (the 4-row GEMM
@@ -845,8 +846,8 @@ fn check_decode(results: &[ShapeResult]) -> Verdict {
             &mut verdict,
             r,
             "cpu_v3_sliced",
-            "the sliced rival lane — the format dimension of the autotune grid \
-             stopped tracking the better layout",
+            "the sliced rival lane — a SELL-C-σ layout beat every row-major \
+             tiling the autotuner measured",
         );
         if r.m != 1 {
             continue;
@@ -1502,7 +1503,7 @@ mod tests {
     fn decode_gate_holds_measured_plans_to_the_sliced_lane() {
         // An m=8 decode shape where the measured plan keeps pace with the
         // row-major V3 lane but runs twice as slow as the sliced rival:
-        // the format dimension of the grid lost evidence it should hold.
+        // the row-major search missed what a sliced layout found.
         let mut r = with_ab(result_with_v3_seconds(1.0), 1.0);
         r.m = 8;
         r.kernels

@@ -40,6 +40,14 @@
 //! `transformLayout` staging is the degenerate point `σ = 1` (identity
 //! permutation), `C = nb/L` (one slice per `nb`-wide column block, each
 //! of its windows one contiguous panel), plus the gather table.
+//!
+//! Measured autotuning searches row-major stagings only; the other
+//! layouts are reached through an explicit storage pin. SELL-C-σ's sort
+//! exists to even out row lengths across a slice's SIMD lanes, and every
+//! N:M window holds exactly `w` entries, so here the σ-sort can only
+//! correlate gather positions. In practice the layouts stepped a decode
+//! stack at row-major's speed, and a single slice's advantage (no column
+//! split) is measured as a whole-width row-major column block instead.
 
 use crate::error::{NmError, Result};
 use crate::permute::ChannelPermutation;

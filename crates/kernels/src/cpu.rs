@@ -30,11 +30,11 @@
 //!   `A` through `col_info` (§III-C1) to save GPU shared-memory and global
 //!   traffic. On the CPU the k-block of `A` a block reads is already
 //!   cache-resident, so the kernel gathers `A` in place; what it keeps of
-//!   the packed path is the classification ([`uses_packing`]). Above the
-//!   70% sparsity threshold every window-aligned block runs the
-//!   micro-tiles, reading the padded tail of the final window (`k` not a
-//!   multiple of `M`) as zeros from a zero-padded copy of `A` — the 0.0
-//!   the packed panel held.
+//!   the packed path is the classification ([`uses_packing`]), made
+//!   window by window. Above the 70% sparsity threshold every whole
+//!   window runs the micro-tiles, reading the padded tail of the final
+//!   window (`k` not a multiple of `M`) as zeros from a zero-padded copy
+//!   of `A` — the 0.0 the packed panel held.
 //! * **Parallelism.** Rows or columns are split over the rayon pool's
 //!   persistent workers, as the paper's kernels launch a 2-D grid of row
 //!   and column tiles. A call that holds a panel of the plan's `ms` rows
@@ -166,9 +166,9 @@ pub(crate) fn v3_cost_model_panel(mb: usize, ms: usize, m: usize) -> usize {
 /// sparsity at or above [`nm_core::pattern::SPARSITY_THRESHOLD`] (70%)
 /// packs, below it the direct gather is cheaper than the staging it would
 /// save. The CPU kernel gathers in place either way; a packed `cfg`
-/// classifies blocks as the packed path would: every block of whole,
-/// 16-divisible windows runs the vectorized micro-tiles, even where its
-/// gathers reach the zero-padded tail of `A`. The staging and the WGSL
+/// classifies windows as the packed path would: every whole, 16-divisible
+/// window runs the vectorized micro-tiles, even where its gathers reach
+/// the zero-padded tail of `A`. The staging and the WGSL
 /// verifier ([`CodegenPrepared`](crate::codegen::CodegenPrepared)) both
 /// key on this one predicate, so they pick FMA versus zero-skipping
 /// mul-add on the same blocks.
@@ -387,7 +387,7 @@ impl CpuPrepared {
             StorageFormat::RowMajor => SlicedLayout::new(nb / cfg.l, 1)?,
             StorageFormat::Sliced(layout) => layout,
         };
-        let staged = StagedSliced::build(sb, nb, kb, uses_packing(cfg), layout)?;
+        let staged = StagedSliced::build(sb, kb, uses_packing(cfg), layout)?;
         Ok(Self {
             tiling,
             kernel,
@@ -627,12 +627,12 @@ pub fn spmv_cpu_prepared(x: &[f32], prep: &CpuPrepared) -> Result<Vec<f32>> {
 /// micro-tiles and the general mul-add-with-zero-skip.
 ///
 /// The two flavors round differently (FMA versus separate multiply/add)
-/// and the general path skips zero operands, so every layout of one
-/// operand must pick the same flavor per window to stay bit-identical.
-/// The map is therefore classified on the layout-independent `nb`-wide
-/// column blocks ([`fast_flags`]) and re-indexed to the layout's permuted
-/// window positions; at the row-major `C = nb/L, σ = 1` point a slice *is*
-/// a column block and the re-index is the identity.
+/// and the general path skips zero operands, so every layout and column
+/// blocking of one operand must pick the same flavor per window to stay
+/// bit-identical. The map is therefore classified window by window
+/// ([`fast_flags`]), independent of layout and `nb`, and re-indexed to
+/// the layout's permuted window positions; at the row-major
+/// `C = nb/L, σ = 1` point the re-index is the identity.
 struct StagedSliced {
     sm: SlicedMatrix,
     /// Compressed rows per k-block.
@@ -644,22 +644,16 @@ struct StagedSliced {
 }
 
 impl StagedSliced {
-    /// Build the staging for the clamped block geometry `(nb, kb)`.
+    /// Build the staging in `layout` for the clamped k-block depth `kb`.
     /// `packed` is the operand's [`uses_packing`], which widens the fast
     /// classification.
-    fn build(
-        sb: &NmSparseMatrix,
-        nb: usize,
-        kb: usize,
-        packed: bool,
-        layout: SlicedLayout,
-    ) -> Result<Self> {
+    fn build(sb: &NmSparseMatrix, kb: usize, packed: bool, layout: SlicedLayout) -> Result<Self> {
         let cfg = sb.cfg();
         let (w, q) = (sb.w(), sb.q());
         let sm = SlicedMatrix::build(sb, layout)?;
         let ub = kb * cfg.n / cfg.m;
         let kblocks = w.div_ceil(ub);
-        let by_window = fast_flags(sb, nb, kb, packed);
+        let by_window = fast_flags(sb, kb, packed);
         // Re-index the flags to permuted window positions.
         let fast = (0..q)
             .flat_map(|pos| {
@@ -691,44 +685,31 @@ impl StagedSliced {
 }
 
 /// The fast/general classification, flattened to `(window, k-block)`
-/// pairs: `fast[j * kblocks + bk]` over the block geometry `(nb, kb)`. A
-/// block runs the vectorized micro-tiles when the window length is a
-/// multiple of the 16-float tile, the column block holds no partial
-/// window, and every gather stays inside the dense depth `k` — a bound
-/// a packed operand ([`uses_packing`], `packed`) waives, since it gathers the padded
-/// tail as zeros. The bound is checked per index, so a final partial
-/// k-block whose gathers all land below `k` stays fast.
-fn fast_flags(sb: &NmSparseMatrix, nb: usize, kb: usize, packed: bool) -> Vec<bool> {
+/// pairs: `fast[j * kblocks + bk]` over the k-blocks of depth `kb`. Each
+/// window is classified on its own, so the flags (and the bits a call
+/// gives) do not depend on the column blocking. A window's k-block runs
+/// the vectorized micro-tiles when the window is whole (`(j+1)·L ≤ n`),
+/// `L` is a multiple of the 16-float tile, and the window's own gathers
+/// in that k-block stay inside the dense depth `k` — a bound a packed
+/// operand ([`uses_packing`], `packed`) waives, since it gathers the
+/// padded tail as zeros. The bound is checked per index, so a final
+/// partial k-block whose gathers all land below `k` stays fast.
+fn fast_flags(sb: &NmSparseMatrix, kb: usize, packed: bool) -> Vec<bool> {
     let cfg = sb.cfg();
     let (w, n, q, k) = (sb.w(), sb.cols(), sb.q(), sb.k());
     let ub = kb * cfg.n / cfg.m;
-    let jblocks = n.div_ceil(nb);
     let kblocks = w.div_ceil(ub);
     let d = sb.indices();
     let mut fast = vec![false; q * kblocks];
     if !cfg.l.is_multiple_of(NW) {
         return fast;
     }
-    for jbi in 0..jblocks {
-        let jb = jbi * nb;
-        let jb_hi = (jb + nb).min(n);
-        if !(jb_hi - jb).is_multiple_of(cfg.l) {
-            continue;
-        }
-        let j_lo = jb / cfg.l;
-        let j_hi = jb_hi.div_ceil(cfg.l).min(q);
+    for j in (0..q).take_while(|j| (j + 1) * cfg.l <= n) {
         for bk in 0..kblocks {
-            let u_lo = bk * ub;
             let u_hi = ((bk + 1) * ub).min(w);
-            let in_bounds = packed
+            fast[j * kblocks + bk] = packed
                 || (bk + 1) * kb <= k
-                || (j_lo..j_hi)
-                    .all(|j| (u_lo..u_hi).all(|u| u / cfg.n * cfg.m + (d.get(u, j) as usize) < k));
-            if in_bounds {
-                for j in j_lo..j_hi {
-                    fast[j * kblocks + bk] = true;
-                }
-            }
+                || (bk * ub..u_hi).all(|u| u / cfg.n * cfg.m + (d.get(u, j) as usize) < k);
         }
     }
     fast
@@ -1454,16 +1435,19 @@ mod tests {
         let a = MatrixF32::random(m, k, 31);
         let b = MatrixF32::random(k, n, 32);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: 33 }).unwrap();
-        // Does any final-window gather point past k into the pad?
+        // How many windows' final-window gathers point past k into the pad?
         let d = sb.indices();
-        let tail_hits_pad = (sb.w() - c.n..sb.w())
-            .any(|u| (0..sb.q()).any(|j| u / c.n * c.m + d.get(u, j) as usize >= k));
+        let hits_pad = (0..sb.q())
+            .filter(|&j| (sb.w() - c.n..sb.w()).any(|u| u / c.n * c.m + d.get(u, j) as usize >= k))
+            .count();
+        let tail_hits_pad = hits_pad > 0;
         let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
         let run = || spmm_cpu_prepared(&a, &prep).unwrap();
         let (got, [fast_blocks]) = counted([&instrument::FAST_BLOCKS], run);
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-        // Two windows per k-block; the tail block's both fall back together.
-        let expected = if tail_hits_pad { 2 } else { 4 };
+        // Two windows × two k-blocks; each window whose own tail gathers
+        // reach the pad falls back there alone.
+        let expected = 4 - hits_pad;
         assert_eq!(
             fast_blocks, expected,
             "a tail block gathering from the pad must take the general path \
@@ -1486,7 +1470,7 @@ mod tests {
         let flags = |k: usize, seed: u64, packed: bool| {
             let b = MatrixF32::random(k, 32, seed);
             let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed }).unwrap();
-            fast_flags(&sb, 32, 32, packed)
+            fast_flags(&sb, 32, packed)
         };
         // (window, k-block) pairs `j * 2 + bk`: two windows, two k-blocks.
         assert_eq!(flags(40, 23, false), [true; 4]);

@@ -5,9 +5,9 @@
 //! *GPU* cost model; on the native CPU backend that model is frequently
 //! wrong (its V3 pays for shared-memory bandwidth the host caches don't
 //! charge, so its tilings are no host optimum). This module supplies the
-//! missing evidence: it benchmarks candidate [`CpuTiling`]s × `B′` storage
-//! formats of the CPU kernel — the one a session executes — **in-place**
-//! on the executing host and returns the
+//! missing evidence: it benchmarks candidate [`CpuTiling`]s of the CPU
+//! kernel — the one a session executes — in the key's `B′` storage format,
+//! **in-place** on the executing host, and returns the
 //! measured-best as a [`MeasuredChoice`] the plan cache can persist.
 //!
 //! ## What is (and is not) inside the timed window
@@ -30,8 +30,10 @@
 //! ## Modes
 //!
 //! [`AutotuneMode`] scales the search: `Quick` times the plan-derived
-//! tiling (plus the skinny geometries of a decode key) in every candidate
-//! storage format; `Full` adds tile-geometry variants around it. `Off`
+//! tiling, plus the skinny geometries of a decode key (about five
+//! stagings), in the key's own storage format ([`format_candidates`]:
+//! row-major on the auto lane, the pin on a sliced one); `Full` adds
+//! tile-geometry variants around it. `Off`
 //! disables measurement entirely (the cost-model default). A session's
 //! mode is set by [`SessionBuilder::autotune`](crate::session::SessionBuilder::autotune)
 //! alone.
@@ -41,7 +43,7 @@ use crate::plan::{MeasuredChoice, Plan};
 use crate::simd::MicroKernel;
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
-use nm_core::sliced::{SlicedLayout, StorageFormat};
+use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use std::time::Instant;
 
@@ -56,8 +58,8 @@ pub enum AutotuneMode {
     #[default]
     Off,
     /// Time the kernel at the plan-derived tiling — plus, on decode keys, the
-    /// skinny geometries — in every candidate storage format (a handful
-    /// of short runs; the mode CI uses).
+    /// skinny geometries — in the key's storage format (a handful of
+    /// short runs; the mode CI uses).
     Quick,
     /// `Quick` plus tile-geometry variants around the plan-derived
     /// tiling.
@@ -250,10 +252,14 @@ pub fn measurement_passes() -> u64 {
 /// Decode-class plans ([`ShapeClass::Decode`](crate::plan::ShapeClass))
 /// additionally enumerate **skinny** geometries in every mode: a row
 /// panel sized to the activation (the SpMV geometry at one row, running
-/// the 1/2-row rungs of the register-tile ladder) and wider column blocks
-/// for the bandwidth-bound `B′` stream. The GEMM-vs-SpMV call for skinny
-/// shapes is therefore made from this measured evidence, never from the
-/// GEMM cost model.
+/// the 1/2-row rungs of the register-tile ladder), wider column blocks
+/// for the bandwidth-bound `B′` stream, and last one column block of the
+/// whole width (`n` rounded up to `L`, the cap on every skinny block):
+/// staged row-major that is one slice, so a call too small to gain from
+/// the column split is also measured unsplit. The GEMM-vs-SpMV call for
+/// skinny shapes, and whether to split a decode call at all, are
+/// therefore made from this measured evidence, never from the GEMM cost
+/// model.
 pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Vec<CpuTiling> {
     let cfg = sb.cfg();
     let base = CpuTiling::derive(plan.params, cfg, sb.k())
@@ -280,14 +286,15 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
                 ..base
             },
         );
-        for nb in [base.nb * 2, base.nb * 4] {
+        let whole = sb.cols().max(1).div_ceil(cfg.l) * cfg.l;
+        for nb in [base.nb * 2, base.nb * 4, whole] {
             if nb.is_multiple_of(cfg.l) {
                 push(
                     &mut out,
                     CpuTiling {
                         mb: rows,
                         mt,
-                        nb,
+                        nb: nb.min(whole),
                         ..base
                     },
                 );
@@ -309,37 +316,25 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
     out
 }
 
-/// Deterministic candidate storage formats for one plan.
+/// Deterministic candidate storage formats for one plan: the key's own
+/// lane, alone. The auto lane measures row-major; a plan pinned to a
+/// sliced format ([`PlanKey::storage`](crate::plan::PlanKey)) measures
+/// that format only — the pin is the user's call, the harness merely
+/// finds the best tiling for it.
 ///
-/// A plan pinned to a specific format (its
-/// [`PlanKey::storage`](crate::plan::PlanKey) is not the row-major auto
-/// lane) measures that format only — the pin is the user's call, the
-/// harness merely finds the best tiling for it. On the auto lane,
-/// decode-class keys compare row-major against the SELL-C-σ sliced grid
-/// (`C ∈ {4, 8, 32}`, `σ ∈ {1, C, 4·C}`); prefill-class keys stay
-/// row-major (the prefill staging path is already column-panel
-/// contiguous, so slicing rarely has anything to sell there). Row-major
-/// enumerates first so timing ties keep the simpler format.
+/// The auto lane races no SELL-C-σ layouts: their σ-sort evens out row
+/// lengths, and every N:M window already holds exactly `w` entries. On
+/// a 2-vCPU AVX-512 host the sliced grid stepped a 404 MB decode stack at
+/// row-major's speed, and its one win on a small decode layer came from
+/// holding one slice, which the whole-width row-major candidate of
+/// [`tiling_candidates`] measures too.
 pub fn format_candidates(plan: &Plan) -> Vec<StorageFormat> {
-    if plan.key.storage.is_sliced() {
-        return vec![plan.key.storage];
-    }
-    let mut out = vec![StorageFormat::RowMajor];
-    if plan.key.shape.is_decode() {
-        for c in [4usize, 8, 32] {
-            for sigma in [1usize, c, 4 * c] {
-                let f = StorageFormat::Sliced(SlicedLayout::new(c, sigma).unwrap());
-                if !out.contains(&f) {
-                    out.push(f);
-                }
-            }
-        }
-    }
-    out
+    vec![plan.key.storage]
 }
 
 /// Run the short-run harness: benchmark the CPU kernel over candidate
-/// tilings × storage formats against `sb` for activations of `rows` rows,
+/// tilings × storage formats ([`tiling_candidates`] ×
+/// [`format_candidates`]) against `sb` for activations of `rows` rows,
 /// and return the measured-best together with every sample. Every
 /// candidate is timed, even when the grid holds only one.
 ///
@@ -417,8 +412,8 @@ pub fn measure(
         });
     };
     // `min_by` keeps the first of equal minima, and the head to head
-    // keeps the default on a tie: ties go to the earlier (simpler)
-    // candidate — the derived tiling, row-major before sliced.
+    // keeps the default on a tie: ties go to the earlier candidate —
+    // the derived tiling first.
     let by_seconds = |x: &&MeasuredSample, y: &&MeasuredSample| x.seconds.total_cmp(&y.seconds);
     let screened = *samples.iter().min_by(by_seconds).expect("non-empty");
     let winner = if screened == default {
@@ -450,6 +445,7 @@ mod tests {
     use gpu_sim::device::a100_80g;
     use nm_core::pattern::NmConfig;
     use nm_core::prune::PrunePolicy;
+    use nm_core::sliced::SlicedLayout;
 
     fn demo() -> (Plan, NmSparseMatrix) {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
@@ -624,9 +620,9 @@ mod tests {
     #[test]
     fn decode_plans_enumerate_skinny_candidates_in_every_mode() {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
-        let plan = Planner::new(a100_80g()).plan(1, 128, 128, cfg).unwrap();
+        let plan = Planner::new(a100_80g()).plan(1, 200, 128, cfg).unwrap();
         assert!(plan.key.shape.is_decode());
-        let b = MatrixF32::random(128, 128, 9);
+        let b = MatrixF32::random(128, 200, 9);
         let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 10 }).unwrap();
         let quick = tiling_candidates(&plan, &sb, false);
         assert!(
@@ -637,46 +633,31 @@ mod tests {
             quick.iter().any(|t| t.mb == 1 && t.mt == 1),
             "the SpMV geometry (one-row panel) must be a candidate: {quick:?}"
         );
+        // One column block of the whole width (200 rounded up to L = 32),
+        // the widest block any candidate asks for.
+        let whole = quick.last().unwrap();
+        assert_eq!((whole.mb, whole.nb, whole.kb), (1, 224, quick[0].kb));
+        assert!(quick.iter().all(|t| t.nb <= 224), "{quick:?}");
         let full = tiling_candidates(&plan, &sb, true);
         assert!(full.len() > quick.len(), "full mode still adds variants");
         let mut dedup = full.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), full.len(), "no duplicate candidates");
-        // The harness can actually time the skinny candidates across
-        // every storage format.
+        // The harness times every skinny candidate, in the one format.
         let spec = MeasureSpec::for_mode(AutotuneMode::Quick).unwrap();
-        let formats = format_candidates(&plan);
         let outcome = measure(&plan, &sb, 1, None, spec).unwrap();
-        assert_eq!(
-            outcome.samples.len(),
-            quick.len() * formats.len(),
-            "tilings x formats"
-        );
+        assert_eq!(outcome.samples.len(), quick.len(), "one sample per tiling");
     }
 
     #[test]
-    fn decode_plans_compare_storage_formats_and_pins_restrict_them() {
+    fn decode_plans_measure_their_own_lane_and_pins_restrict_them() {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let mut planner = Planner::new(a100_80g());
+        // The auto lane measures row-major, decode and prefill alike.
         let decode = planner
             .plan_as(ShapeClass::Decode(1), 1, 128, 128, cfg)
             .unwrap();
-        let formats = format_candidates(&decode);
-        assert_eq!(formats[0], StorageFormat::RowMajor, "auto lane leads");
-        assert_eq!(
-            formats.len(),
-            1 + 9,
-            "row-major + C in {{4,8,32}} x sigma in {{1,C,4C}}: {formats:?}"
-        );
-        for c in [4usize, 8, 32] {
-            for sigma in [1, c, 4 * c] {
-                let f = StorageFormat::Sliced(SlicedLayout::new(c, sigma).unwrap());
-                assert!(formats.contains(&f), "missing {f}");
-            }
-        }
-        assert_eq!(formats, format_candidates(&decode), "deterministic");
-
-        // Prefill keys stay row-major only.
+        assert_eq!(format_candidates(&decode), vec![StorageFormat::RowMajor]);
         let prefill = planner.plan(64, 128, 128, cfg).unwrap();
         assert_eq!(format_candidates(&prefill), vec![StorageFormat::RowMajor]);
 
@@ -694,9 +675,11 @@ mod tests {
             timed_iters: 1,
             tiling_variants: false,
         };
-        let outcome = measure(&pinned, &sb, 1, None, spec).unwrap();
-        assert_eq!(outcome.best.storage, pin);
-        assert!(outcome.samples.iter().all(|s| s.storage == pin));
+        for (plan, format) in [(&decode, StorageFormat::RowMajor), (&pinned, pin)] {
+            let outcome = measure(plan, &sb, 1, None, spec).unwrap();
+            assert_eq!(outcome.best.storage, format);
+            assert!(outcome.samples.iter().all(|s| s.storage == format));
+        }
     }
 
     #[test]

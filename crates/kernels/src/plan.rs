@@ -480,9 +480,9 @@ pub struct MeasuredChoice {
     /// The (effective, clamped) CPU tile geometry it measured fastest
     /// with.
     pub cpu_tiling: CpuTiling,
-    /// The storage format that measured fastest — on an auto
-    /// (row-major-keyed) decode entry this is where a sliced layout wins
-    /// its place; execution stages `B′` in this format.
+    /// The storage format it was measured in: the key's lane. A cache
+    /// entry written when the auto lane still raced sliced layouts may
+    /// name one; execution stages `B′` in whatever format this names.
     pub storage: StorageFormat,
     /// Measured useful throughput of the winner, in GFLOP/s.
     pub gflops: f64,

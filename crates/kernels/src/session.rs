@@ -795,6 +795,34 @@ mod tests {
     }
 
     #[test]
+    fn quick_decode_load_stages_each_tiling_once() {
+        // A fresh decode key stages every tiling candidate once in its
+        // own format, plus at most a head-to-head challenger and the
+        // layer itself — not a grid of storage formats per tiling.
+        let mut s = SessionBuilder::new(a100_80g())
+            .autotune(AutotuneMode::Quick)
+            .build()
+            .unwrap();
+        let cfg = NmConfig::new(2, 8, 32).unwrap();
+        let sb = Arc::new(weights(256, 512, cfg, 87));
+        let plan = crate::plan::Planner::new(a100_80g())
+            .plan(1, 512, 256, cfg)
+            .unwrap();
+        let tilings = crate::measure::tiling_candidates(&plan, &sb, false).len();
+        let (staged, measured) = (
+            crate::cpu::offline_staging_passes(),
+            crate::measure::measurement_passes(),
+        );
+        s.load(sb, 1).unwrap();
+        assert_eq!(crate::measure::measurement_passes() - measured, 1);
+        let stagings = crate::cpu::offline_staging_passes() - staged;
+        assert!(
+            stagings as usize <= tilings + 2,
+            "{stagings} stagings for {tilings} tilings"
+        );
+    }
+
+    #[test]
     fn every_staging_borrows_the_weights_panels() {
         use nm_core::sliced::SlicedLayout;
         // Ragged k and n; L = 32 aligns every full panel.

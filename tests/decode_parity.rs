@@ -210,6 +210,38 @@ fn forward_vec_is_its_row_of_a_four_row_forward() {
 }
 
 #[test]
+fn column_blocking_does_not_change_the_bits() {
+    // A measured session may pick any `nb`, so the bits a layer gives must
+    // not depend on it. 692 columns at L = 32 end in a ragged window, and
+    // k = 509 at 4:8 (not packed) has tail gathers into the pad: each
+    // window's fast/general choice must be its own, not its column
+    // block's. nb = 32, 128 and the whole width, at one kb.
+    let cfg = NmConfig::new(4, 8, 32).unwrap();
+    let (k, n) = (509, 692);
+    let b = MatrixF32::random(k, n, 5100);
+    let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 5101 }).unwrap();
+    let a = MatrixF32::random(3, k, 5102);
+    let base = CpuTiling::auto(cfg, 3, n, k).unwrap();
+    for mk in MicroKernel::available() {
+        let runs: Vec<_> = [32, 128, n.div_ceil(32) * 32]
+            .into_iter()
+            .map(|nb| {
+                let tiling = CpuTiling { nb, ..base };
+                let prep = CpuPrepared::with_kernel(&sb, tiling, mk).unwrap();
+                let three = spmm_cpu_prepared(&a, &prep).unwrap();
+                let one = spmv_cpu_prepared(a.row(0), &prep).unwrap();
+                (nb, three, one)
+            })
+            .collect();
+        let (_, three, one) = &runs[0];
+        for (nb, t, o) in &runs[1..] {
+            assert_eq!(t.as_slice(), three.as_slice(), "{mk} nb={nb} rows 3");
+            assert_eq!(o, one, "{mk} nb={nb} rows 1");
+        }
+    }
+}
+
+#[test]
 fn decode_plans_carry_the_decode_shape_class() {
     // Planning the same weights at prefill and decode batch sizes must
     // produce distinct cache keys; the decode key carries the row count.
