@@ -1,5 +1,5 @@
 //! Codegen lane: generate, validate and execute the WGSL kernels for
-//! the acceptance matrix (kernel family × storage format × shape band),
+//! the acceptance matrix (kernel family × shape band),
 //! recording shader statistics, interpreter wall clocks against the V3
 //! CPU oracle, and the three parity verdicts per cell.
 //!
@@ -22,7 +22,6 @@ use nm_bench::TextTable;
 use nm_core::json::JsonValue;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
-use nm_core::sliced::{SlicedLayout, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use nm_gpu::ShaderStats;
 use nm_kernels::codegen::CodegenPrepared;
@@ -35,7 +34,6 @@ use std::time::Instant;
 struct Cell {
     name: String,
     family: &'static str,
-    storage: String,
     m: usize,
     k: usize,
     n: usize,
@@ -56,7 +54,6 @@ impl Cell {
         JsonValue::object(vec![
             ("name", JsonValue::from_str_value(&self.name)),
             ("family", JsonValue::from_str_value(self.family)),
-            ("storage", JsonValue::from_str_value(&self.storage)),
             ("m", JsonValue::from_usize(self.m)),
             ("k", JsonValue::from_usize(self.k)),
             ("n", JsonValue::from_usize(self.n)),
@@ -112,7 +109,6 @@ fn run_cell(plan: &Plan, sb: NmSparseMatrix, m: usize, seed: u64) -> Cell {
     Cell {
         name: prep.spec().name(),
         family: prep.spec().family.name(),
-        storage: prep.spec().storage.tag(),
         m,
         k: sb.k(),
         n: sb.cols(),
@@ -172,8 +168,6 @@ fn main() {
     }
 
     let cfg = NmConfig::new(2, 8, 16).expect("2:8:16");
-    let layout = SlicedLayout::new(4, 16).expect("layout");
-    let storages = [StorageFormat::RowMajor, StorageFormat::Sliced(layout)];
     // Ragged prefill shapes plus the one-row decode band.
     let prefill: &[(usize, usize, usize)] = if quick {
         &[(13, 112, 72)]
@@ -187,30 +181,28 @@ fn main() {
     ];
 
     let mut cells: Vec<Cell> = Vec::new();
-    for storage in storages {
-        for (choice, _) in ladder {
-            for (ci, &(m, k, n)) in prefill.iter().enumerate() {
-                let sb = NmSparseMatrix::prune_magnitude(
-                    &MatrixF32::random(k, n, seed ^ (0x100 + ci as u64)),
-                    cfg,
-                )
-                .expect("prune");
-                let mut plan = Planner::new(a100_80g())
-                    .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
-                    .expect("plan");
-                plan.choice = choice;
-                cells.push(run_cell(&plan, sb, m, seed ^ (0x200 + ci as u64)));
-            }
-        }
-        // The skinny decode family at m = 1, on the largest shape.
-        let &(_, k, n) = prefill.last().expect("shapes");
-        let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, seed ^ 0x300), cfg)
+    for (choice, _) in ladder {
+        for (ci, &(m, k, n)) in prefill.iter().enumerate() {
+            let sb = NmSparseMatrix::prune_magnitude(
+                &MatrixF32::random(k, n, seed ^ (0x100 + ci as u64)),
+                cfg,
+            )
             .expect("prune");
-        let plan = Planner::new(a100_80g())
-            .plan_stored(ShapeClass::Decode(1), storage, 1, n, k, cfg)
-            .expect("decode plan");
-        cells.push(run_cell(&plan, sb, 1, seed ^ 0x400));
+            let mut plan = Planner::new(a100_80g())
+                .plan_as(ShapeClass::Prefill, m, n, k, cfg)
+                .expect("plan");
+            plan.choice = choice;
+            cells.push(run_cell(&plan, sb, m, seed ^ (0x200 + ci as u64)));
+        }
     }
+    // The skinny decode family at m = 1, on the largest shape.
+    let &(_, k, n) = prefill.last().expect("shapes");
+    let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, seed ^ 0x300), cfg)
+        .expect("prune");
+    let plan = Planner::new(a100_80g())
+        .plan_as(ShapeClass::Decode(1), 1, n, k, cfg)
+        .expect("decode plan");
+    cells.push(run_cell(&plan, sb, 1, seed ^ 0x400));
 
     let mut table = TextTable::new(&[
         "kernel",
@@ -223,7 +215,7 @@ fn main() {
     ]);
     for c in &cells {
         table.row(&[
-            format!("{}/{}", c.family, c.storage),
+            c.family.to_string(),
             format!("{}x{}x{}", c.m, c.k, c.n),
             c.stats.lines.to_string(),
             c.stats.shared_bytes.to_string(),

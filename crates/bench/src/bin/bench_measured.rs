@@ -49,8 +49,8 @@
 //!
 //! With `--autotune quick|full`, every shape also
 //! runs the **evidence-based** path — `Session::load` under measured
-//! autotuning, which short-run-benchmarks V3 tilings in the key's storage
-//! format in place and prepares V3 on the measured winner — next to the
+//! autotuning, which short-run-benchmarks V3 tilings in place and
+//! prepares V3 on the measured winner — next to the
 //! cost-model default (V3 at the derived tiling). Both lanes land in the
 //! JSON under `plan_ab`, and `--assert-ab` turns the comparison into a
 //! gate on every prefill shape: a Quick prefill grid holds only the
@@ -65,22 +65,17 @@
 //! second is the honest axis. On `m = 1` shapes the scalar `reference`
 //! lane (no staging, no SIMD) doubles as a rival, next to the 4-row GEMM
 //! tile forced onto the one-row input (pinned to one worker, so it stays a
-//! sequential 4-row tile). Every decode shape also times the **storage-format
-//! rivals** head to head — the V3 preparation staged row-major
-//! (`cpu_v3`) versus staged SELL-C-σ sliced (`cpu_v3_sliced`) — and
-//! reports each format's compressed-operand bytes. `--decode` runs the
-//! decode set alone and gates it (measured plans must hold against
-//! *both* format lanes, and the prepared SpMV path must beat both
-//! rivals); CI writes that run to `BENCH_decode.json`.
+//! sequential 4-row tile). `--decode` runs the decode set alone and gates
+//! it (measured plans must hold against the cost-model lane, and the
+//! prepared SpMV path must beat both rivals); CI writes that run to
+//! `BENCH_decode.json`.
 
 use gpu_sim::device::a100_80g;
 use nm_bench::{spd, TextTable};
-use nm_core::index::IndexLayout;
 use nm_core::json::JsonValue;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
 use nm_core::prune::PrunePolicy;
-use nm_core::sliced::{SlicedLayout, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
 use nm_core::spmm::spmm_reference;
 use nm_kernels::{
@@ -199,12 +194,8 @@ struct ShapeResult {
     /// [`decode_traffic_bytes`] for decode shapes, `None` for prefill —
     /// the denominator behind every GB/s this harness reports.
     traffic_bytes: Option<f64>,
-    /// Compressed-operand bytes per storage format (tag → bytes), decode
-    /// shapes only — the per-format accounting behind the decode table.
-    storage_bytes: Vec<(String, usize)>,
-    /// `reference`, `cpu_v3`, `cpu_v3_1w` in that order; decode shapes
-    /// append the `cpu_v3_sliced` format rival, `m = 1` shapes append
-    /// `gemm4_forced`, and autotuned runs append the `measured` plan. The
+    /// `reference`, `cpu_v3`, `cpu_v3_1w` in that order; `m = 1` shapes
+    /// append `gemm4_forced`, and autotuned runs append the `measured` plan. The
     /// cost-model lane of the A/B is `cpu_v3` — exactly the plan a default
     /// `Session::load` prepares.
     kernels: Vec<(&'static str, KernelResult)>,
@@ -257,10 +248,10 @@ impl ShapeResult {
     }
 
     /// The fastest prepared-path lane (the kernel on all workers and on
-    /// one, the sliced format rival, plus the measured A/B lane when it
-    /// ran) — what a decode server would actually hit.
+    /// one, plus the measured A/B lane when it ran) — what a decode server
+    /// would actually hit.
     fn best_prepared(&self) -> (&'static str, &KernelResult) {
-        ["cpu_v3_1w", "cpu_v3", "cpu_v3_sliced", "measured"]
+        ["cpu_v3_1w", "cpu_v3", "measured"]
             .into_iter()
             .filter_map(|name| self.maybe(name).map(|kr| (name, kr)))
             .min_by(|x, y| x.1.seconds.total_cmp(&y.1.seconds))
@@ -349,18 +340,6 @@ fn bench_shape(
     let (cpu, bits) = (LoadSpec::rows(m), Check::BitsOf("cpu_v3"));
     lanes.push(load(cost, "cpu_v3", cpu.clone(), &a, false, Check::Close)?);
     lanes.push(load(cost, "cpu_v3_1w", cpu.clone(), &a, true, bits)?);
-    // The storage-format rival, decode shapes only: the same preparation
-    // pinned to the SELL-C-σ sliced layout, head to head with the
-    // row-major `cpu_v3` lane. The cost-model session keeps this lane
-    // measurement-free (like the kernel lanes), so it times the *derived*
-    // sliced geometry — the measured lane is where evidence picks a
-    // format. The sliced staging is bit-identical to the row-major one,
-    // so its oracle is exact equality with `cpu_v3` — a tolerance would
-    // hide a broken permutation.
-    if decode {
-        let spec = cpu.storage(StorageFormat::Sliced(SlicedLayout::DEFAULT));
-        lanes.push(load(cost, "cpu_v3_sliced", spec, &a, false, bits)?);
-    }
     // Decode rival, m = 1 only: the GEMM tile forced onto the SpMV shape
     // — a 4-row zero-padded operand, pinned to one worker so it stays a
     // sequential 4-row tile. It is scored at the *useful* (1-row) FLOPs
@@ -378,8 +357,7 @@ fn bench_shape(
     }
     // The A/B lane: `Session::load` with measured autotuning routes
     // through the short-run harness (cache-consulted, so repeat shapes
-    // re-measure nothing) and prepares V3 on the evidence-picked tiling
-    // and storage format.
+    // re-measure nothing) and prepares V3 on the evidence-picked tiling.
     let mut evidence = None;
     if autotuned {
         let lane = load(
@@ -460,23 +438,6 @@ fn bench_shape(
         ));
     }
 
-    // Per-format compressed-operand footprint, decode shapes only (the
-    // formats the rival lane above actually raced). Index bytes use the
-    // row-major u8 layout on both sides so the delta isolates the sliced
-    // format's permutation + padding overhead.
-    let storage_bytes = if decode {
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        vec![
-            (
-                StorageFormat::RowMajor.tag(),
-                sb.storage_bytes(IndexLayout::RowMajorU8),
-            ),
-            (pin.tag(), sb.storage_bytes_as(pin, IndexLayout::RowMajorU8)),
-        ]
-    } else {
-        Vec::new()
-    };
-
     Ok(ShapeResult {
         label,
         m,
@@ -484,7 +445,6 @@ fn bench_shape(
         k,
         cfg: c,
         traffic_bytes,
-        storage_bytes,
         kernels,
         evidence,
     })
@@ -551,17 +511,6 @@ fn results_to_json(
             ];
             if let Some(t) = r.traffic_bytes {
                 fields.push(("traffic_bytes", JsonValue::Number(t)));
-            }
-            if !r.storage_bytes.is_empty() {
-                fields.push((
-                    "storage_bytes",
-                    JsonValue::object(
-                        r.storage_bytes
-                            .iter()
-                            .map(|(tag, bytes)| (tag.as_str(), JsonValue::from_usize(*bytes)))
-                            .collect(),
-                    ),
-                ));
             }
             if let Some(ev) = &r.evidence {
                 // The pick behind the `measured` lane, in the plan cache's
@@ -783,12 +732,8 @@ fn hold_measured(verdict: &mut Verdict, r: &ShapeResult, rival: &str, why: &str)
         (AB_FLOOR, false),
         || {
             format!(
-                "{}: the measured plan ({:.2} GFLOP/s, mb={}, format {}) ran at {:.2}x {why}",
-                r.label,
-                measured.gflops,
-                ev.cpu_tiling.mb,
-                ev.storage.tag(),
-                ratio.median,
+                "{}: the measured plan ({:.2} GFLOP/s, mb={}) ran at {:.2}x {why}",
+                r.label, measured.gflops, ev.cpu_tiling.mb, ratio.median,
             )
         },
     );
@@ -815,19 +760,14 @@ fn check_ab(results: &[ShapeResult]) -> Verdict {
 }
 
 /// The `--decode` gate, in the spirit of [`check_ab`] but for the skinny
-/// band. Three claims are enforced on every decode shape in the run:
+/// band. Two claims are enforced on every decode shape in the run:
 ///
 /// 1. **Evidence holds** — where the A/B lane ran, the measured plan must
 ///    not lose to the cost-model V3 default (decode is exactly where
 ///    GEMM-trained cost models are known to mislead, so evidence losing
 ///    here means the skinny candidates in `measure::tiling_candidates`
 ///    stopped winning).
-/// 2. **Row-major holds against slicing** — the measured plan must
-///    likewise hold against the sliced rival lane. Quick measures
-///    row-major only (with a whole-width column block among its decode
-///    candidates), so this checks that leaving the SELL-C-σ layouts out
-///    of the search costs nothing against a same-run sliced lane.
-/// 3. **The prepared SpMV path earns its keep** — on `m = 1` shapes the
+/// 2. **The prepared SpMV path earns its keep** — on `m = 1` shapes the
 ///    best prepared lane must beat both rivals outright: the scalar
 ///    `reference` (no staging, no SIMD) and `gemm4_forced` (the 4-row GEMM
 ///    tile padded onto the one-row input). Losing to either means the
@@ -841,13 +781,6 @@ fn check_decode(results: &[ShapeResult]) -> Verdict {
             "cpu_v3",
             "the cost-model V3 plan — skinny candidates must not lose to the \
              GEMM default on a decode shape",
-        );
-        hold_measured(
-            &mut verdict,
-            r,
-            "cpu_v3_sliced",
-            "the sliced rival lane — a SELL-C-σ layout beat every row-major \
-             tiling the autotuner measured",
         );
         if r.m != 1 {
             continue;
@@ -1066,7 +999,6 @@ fn main() {
             "V3 GF/s",
             "measured GF/s",
             "tiling mb/nb/kb/mt",
-            "format",
             "meas/V3",
         ]);
         for r in &results {
@@ -1080,7 +1012,6 @@ fn main() {
                     "{}/{}/{}/{}",
                     ev.cpu_tiling.mb, ev.cpu_tiling.nb, ev.cpu_tiling.kb, ev.cpu_tiling.mt
                 ),
-                ev.storage.tag(),
                 spd(r.ratio("cpu_v3", "measured").median),
             ]);
         }
@@ -1095,7 +1026,6 @@ fn main() {
             "1w GB/s",
             "V3 GB/s",
             "V3/1w",
-            "sliced GB/s",
             "ref GB/s",
             "gemm4 GB/s",
             "best/ref",
@@ -1118,7 +1048,6 @@ fn main() {
                 gb("cpu_v3_1w"),
                 gb("cpu_v3"),
                 spd(r.parallel_over_serial()),
-                gb("cpu_v3_sliced"),
                 gb("reference"),
                 gb("gemm4_forced"),
                 vs_best("reference"),
@@ -1201,7 +1130,6 @@ mod tests {
             k: 512,
             cfg: NmConfig::new(2, 8, 32).unwrap(),
             traffic_bytes: None,
-            storage_bytes: Vec::new(),
             kernels: vec![
                 ("reference", lane(1.0, None)),
                 ("cpu_v3", lane(v3_seconds, Some(Isa::Scalar))),
@@ -1221,7 +1149,6 @@ mod tests {
                 kb: 128,
                 mt: 8,
             },
-            storage: StorageFormat::RowMajor,
             gflops: 1.0 / seconds,
             samples: 3,
         });
@@ -1445,7 +1372,6 @@ mod tests {
             k: 512,
             cfg: NmConfig::new(2, 8, 32).unwrap(),
             traffic_bytes: Some(1e9),
-            storage_bytes: Vec::new(),
             kernels: vec![
                 ("reference", lane(reference_seconds, None)),
                 ("cpu_v3", lane(prepared_seconds * 2.0, Some(Isa::Scalar))),
@@ -1496,27 +1422,6 @@ mod tests {
         // At the 5% noise floor it passes (strict `< 0.95`).
         let mut r = with_ab(result_with_v3_seconds(0.95), 1.0);
         r.m = 8;
-        assert!(check_decode(&[r]).failures.is_empty());
-    }
-
-    #[test]
-    fn decode_gate_holds_measured_plans_to_the_sliced_lane() {
-        // An m=8 decode shape where the measured plan keeps pace with the
-        // row-major V3 lane but runs twice as slow as the sliced rival:
-        // the row-major search missed what a sliced layout found.
-        let mut r = with_ab(result_with_v3_seconds(1.0), 1.0);
-        r.m = 8;
-        r.kernels
-            .push(("cpu_v3_sliced", lane(0.5, Some(Isa::Scalar))));
-        let failures = check_decode(&[r]).failures;
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("sliced rival lane"));
-        assert!(failures[0].contains("rowmajor"));
-        // Within the 5% noise floor both format gates pass.
-        let mut r = with_ab(result_with_v3_seconds(1.0), 1.0);
-        r.m = 8;
-        r.kernels
-            .push(("cpu_v3_sliced", lane(0.95, Some(Isa::Scalar))));
         assert!(check_decode(&[r]).failures.is_empty());
     }
 

@@ -301,7 +301,6 @@ fn llama_sweep(args: &Args, session: &mut Session, model_name: &str) {
                 "m=4 ms",
                 "m=8 ms",
                 "decode ms",
-                "format",
                 "cached",
             ]);
             for l in &report.layers {
@@ -320,7 +319,6 @@ fn llama_sweep(args: &Args, session: &mut Session, model_name: &str) {
                     l.exec
                         .and_then(|e| e.decode_ms)
                         .map_or("-".to_string(), |ms| format!("{ms:.3}")),
-                    l.decode.first().map_or("-".to_string(), |d| d.format.tag()),
                     if l.decode.iter().all(|d| d.cache_hit) {
                         "hit"
                     } else {

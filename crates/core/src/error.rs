@@ -8,7 +8,7 @@ pub enum NmError {
     /// An invalid setting: an `N:M` / `L` combination that violates the
     /// format rules (`0 < N <= M`, `L >= 1`, `M` a power of two for
     /// bit-packed indices), or any other value out of its domain — a
-    /// server knob, the `NM_SPMM_ISA` pin, a sliced layout bound.
+    /// server knob or the `NM_SPMM_ISA` pin.
     InvalidConfig {
         /// Human-readable reason for the rejection.
         reason: String,

@@ -49,9 +49,9 @@ pub mod pattern;
 pub mod permute;
 pub mod prune;
 pub mod serialize;
-pub mod sliced;
 pub mod sparse;
 pub mod spmm;
+pub mod staging;
 
 pub use colinfo::ColInfo;
 pub use error::NmError;
@@ -59,8 +59,8 @@ pub use index::{IndexLayout, IndexMatrix};
 pub use json::JsonValue;
 pub use matrix::MatrixF32;
 pub use pattern::NmConfig;
-pub use sliced::{SlicedLayout, SlicedMatrix, StorageFormat};
 pub use sparse::NmSparseMatrix;
+pub use staging::{StagedMatrix, StorageFormat};
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
@@ -69,6 +69,6 @@ pub mod prelude {
     pub use crate::index::{IndexLayout, IndexMatrix};
     pub use crate::matrix::MatrixF32;
     pub use crate::pattern::NmConfig;
-    pub use crate::sliced::{SlicedLayout, SlicedMatrix, StorageFormat};
     pub use crate::sparse::NmSparseMatrix;
+    pub use crate::staging::{StagedMatrix, StorageFormat};
 }

@@ -8,7 +8,7 @@
 //! `B′` is stored window-major ([`NmSparseMatrix::panels`]): window `j`'s
 //! `w × width` panel starts at float `j·L·w`, so each window's columns are
 //! one contiguous run. That is the layout the CPU kernel streams, and every
-//! staging of the matrix ([`crate::sliced::SlicedMatrix`]) borrows it
+//! staging of the matrix ([`crate::staging::StagedMatrix`]) borrows it
 //! through a shared handle instead of copying it.
 
 use crate::error::{NmError, Result};
@@ -16,7 +16,7 @@ use crate::index::{IndexLayout, IndexMatrix};
 use crate::matrix::MatrixF32;
 use crate::pattern::NmConfig;
 use crate::prune::{select, PrunePolicy};
-use crate::sliced::StorageFormat;
+use crate::staging::StorageFormat;
 use std::sync::Arc;
 
 /// Bytes a panel buffer's first float is aligned to: one cache line, and
@@ -276,23 +276,13 @@ impl NmSparseMatrix {
         self.dense_bytes() as f64 / self.storage_bytes(layout) as f64
     }
 
-    /// Compressed footprint in bytes under an arbitrary storage format.
-    ///
-    /// [`StorageFormat::RowMajor`] defers to [`NmSparseMatrix::storage_bytes`]
-    /// with `layout`; a sliced format reads the same value panels but
-    /// replaces the `u8`/bit-packed `D` with absolute `u32` gather indices
-    /// plus a window permutation table, so `layout` does not apply to it —
-    /// the sliced footprint is always the `u32` one.
+    /// Compressed footprint in bytes in the layout `format` stages:
+    /// [`NmSparseMatrix::storage_bytes`] with `layout`, the one format
+    /// being the row-major one.
     pub fn storage_bytes_as(&self, format: StorageFormat, layout: IndexLayout) -> usize {
         match format {
             StorageFormat::RowMajor => self.storage_bytes(layout),
-            StorageFormat::Sliced(s) => s.storage_bytes_for(self.w(), self.cols(), self.q()),
         }
-    }
-
-    /// `dense_bytes / storage_bytes_as` under an arbitrary storage format.
-    pub fn compression_ratio_as(&self, format: StorageFormat, layout: IndexLayout) -> f64 {
-        self.dense_bytes() as f64 / self.storage_bytes_as(format, layout) as f64
     }
 }
 
@@ -462,7 +452,6 @@ mod tests {
 
     #[test]
     fn per_format_storage_accounting() {
-        use crate::sliced::{SlicedLayout, StorageFormat};
         let b = MatrixF32::random(64, 64, 6);
         let c = cfg(2, 16, 4); // w=8, q=16
         let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
@@ -473,19 +462,6 @@ mod tests {
                 sb.storage_bytes(layout)
             );
         }
-        // Sliced: same floats, u32 gather indices + u32 permutation table,
-        // independent of the index layout argument.
-        let sliced = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        let bytes = sb.storage_bytes_as(sliced, IndexLayout::BitPacked);
-        assert_eq!(bytes, 8 * 64 * 4 + 8 * 16 * 4 + 16 * 4);
-        assert_eq!(bytes, sb.storage_bytes_as(sliced, IndexLayout::RowMajorU8));
-        // The u32 indices cost more than the u8 D — honest accounting.
-        assert!(bytes > sb.storage_bytes(IndexLayout::RowMajorU8));
-        assert!(sb.compression_ratio_as(sliced, IndexLayout::BitPacked) > 1.0);
-        assert!(
-            sb.compression_ratio_as(sliced, IndexLayout::BitPacked)
-                < sb.compression_ratio(IndexLayout::BitPacked)
-        );
     }
 
     #[test]

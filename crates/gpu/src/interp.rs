@@ -5,7 +5,7 @@
 //! shader *means* what the CPU oracle computes. The interpreter walks
 //! exactly the loop structure the emitted WGSL encodes (grid → k-blocks
 //! → window spans → rows → lanes) over exactly the tables the shader
-//! binds (the position-major gather table, the span records, the
+//! binds (the window-major gather table, the span records, the
 //! per-`(span, k-block)` fast flags), and reproduces the oracle's floating-point
 //! chains bit for bit:
 //!
@@ -16,8 +16,8 @@
 //! * **general spans** skip zero `A` operands and round twice — the
 //!   scalar general path's exact semantics;
 //! * every output element receives exactly one accumulation per
-//!   k-block, k-blocks ascending — the `+=` ordering both CPU stagings
-//!   share, which is what makes the whole chain order-identical.
+//!   k-block, k-blocks ascending — the `+=` ordering of the CPU kernel,
+//!   which is what makes the whole chain order-identical.
 
 use nm_core::error::{NmError, Result};
 
@@ -37,8 +37,8 @@ pub struct WindowSpan {
     pub strip_off: u32,
 }
 
-/// One grid-x workgroup's column work: a column block (row-major) or a
-/// SELL-C-σ slice (sliced), as an ordered span list.
+/// One grid-x workgroup's column work: a column block, as an ordered span
+/// list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnGroup {
     /// Spans in execution order.
@@ -198,13 +198,11 @@ mod tests {
     use crate::ir::{KernelFamily, KernelSpec};
     use crate::lower::lower;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::StorageFormat;
 
     /// A tiny hand-checkable kernel: 1 group, 1 window, no padding.
     fn tiny() -> (KernelIr, Vec<ColumnGroup>) {
         let ir = lower(&KernelSpec {
             family: KernelFamily::V1,
-            storage: StorageFormat::RowMajor,
             cfg: NmConfig::new(1, 2, 4).unwrap(),
             n: 4,
             k: 4,

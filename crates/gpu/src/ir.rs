@@ -2,7 +2,7 @@
 //! is rendered to WGSL text.
 //!
 //! A [`KernelSpec`] captures the blocking decision a plan made (tile
-//! geometry, storage format, kernel family); [`crate::lower()`] turns it
+//! geometry, kernel family); [`crate::lower()`] turns it
 //! into a [`KernelIr`] — a small tree of [`Node`]s mirroring the phase
 //! structure the simulator's timing model assumes (prologue, k-block main
 //! loop, epilogue). The IR is the single source of truth: the WGSL
@@ -11,7 +11,6 @@
 
 use nm_core::error::{NmError, Result};
 use nm_core::pattern::NmConfig;
-use nm_core::sliced::StorageFormat;
 
 /// The kernel families the generator can lower — the paper's V1→V3
 /// optimization ladder plus the skinny decode specialization.
@@ -126,15 +125,6 @@ impl LoopDim {
     }
 }
 
-/// Where a [`Node::GatherLoad`] resolves its `A` operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherSource {
-    /// Row-major staging: window-contiguous gather indices.
-    RowMajor,
-    /// SELL-C-σ staging: slice-contiguous pre-resolved indices.
-    Sliced,
-}
-
 /// One node of the shader IR tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
@@ -161,8 +151,6 @@ pub enum Node {
     /// Resolve gather indices for one k-block's windows and load the
     /// `A` operands they name.
     GatherLoad {
-        /// Which staging layout the indices come from.
-        source: GatherSource,
         /// Whether the load chain goes through the packed `col_info`
         /// indirection (a dependent load) rather than direct dense
         /// offsets.
@@ -207,8 +195,6 @@ impl Node {
 pub struct KernelSpec {
     /// The kernel family to lower.
     pub family: KernelFamily,
-    /// The `B′` storage layout the gathers walk.
-    pub storage: StorageFormat,
     /// The N:M(:L) sparsity configuration.
     pub cfg: NmConfig,
     /// Output columns.
@@ -225,7 +211,7 @@ pub struct KernelSpec {
     /// Dense depth per k-block (multiple of `M`) — the clamped CPU
     /// `kb`.
     pub kb: usize,
-    /// Grid-x extent: column blocks (row-major) or slices (SELL-C-σ).
+    /// Grid-x extent: column blocks.
     pub groups: usize,
     /// Whether the family's data path stages a packed `A` panel (V2/V3
     /// at high sparsity).
@@ -251,17 +237,12 @@ impl KernelSpec {
         self.n.div_ceil(self.cfg.l)
     }
 
-    /// The generated kernel's name: family, storage tag, and geometry —
-    /// stable, so snapshots and traces can be keyed by it.
+    /// The generated kernel's name: family, the `rowmajor` staging, and
+    /// geometry — stable, so snapshots and traces can be keyed by it.
     pub fn name(&self) -> String {
         format!(
-            "nm_{}_{}_{}x{}x{}",
-            self.family,
-            // `:`-free so the name can key snapshot files directly.
-            self.storage.tag().replace(':', "_"),
-            self.mb,
-            self.nb,
-            self.kb
+            "nm_{}_rowmajor_{}x{}x{}",
+            self.family, self.mb, self.nb, self.kb
         )
     }
 

@@ -7,11 +7,10 @@
 //! 1. **Shader IR** ([`ir`], [`mod@lower`]): a typed kernel description —
 //!    [`TileLoop`](ir::Node::TileLoop), [`SharedStage`](ir::Node::SharedStage),
 //!    [`GatherLoad`](ir::Node::GatherLoad), [`Epilogue`](ir::Node::Epilogue)
-//!    nodes — lowered from the planner's blocking parameters, the N:M
-//!    pattern config, and the storage format. Every kernel family of the
-//!    paper's ladder (V1 → V3 blocking, the skinny decode row path)
-//!    and both gather layouts (row-major column blocks, SELL-C-σ
-//!    slices) lower through the same path.
+//!    nodes — lowered from the planner's blocking parameters and the N:M
+//!    pattern config. Every kernel family of the paper's ladder (V1 → V3
+//!    blocking, the skinny decode row path) lowers through the same path
+//!    over the row-major column blocks the CPU kernel stages.
 //! 2. **WGSL emission + validation** ([`wgsl`], [`validate`]): the IR
 //!    pretty-prints to a complete WGSL compute shader, and a minimal
 //!    in-repo parser/validator (no external toolchain, no network)

@@ -20,7 +20,7 @@
 
 use nm_core::error::Result;
 
-use crate::ir::{AluMode, GatherSource, KernelFamily, KernelIr, KernelSpec, LoopDim, Node};
+use crate::ir::{AluMode, KernelFamily, KernelIr, KernelSpec, LoopDim, Node};
 
 /// Workgroup-memory budget for all staging buffers of one kernel: 32 KiB
 /// keeps two double-buffered strips under WebGPU's default
@@ -56,17 +56,9 @@ pub fn lower(spec: &KernelSpec) -> Result<KernelIr> {
     }
     let shared_floats = ub * strip_cols;
 
-    let source = if spec.storage.is_sliced() {
-        GatherSource::Sliced
-    } else {
-        GatherSource::RowMajor
-    };
     // Windows walked per column group: the group's column extent in
-    // L-wide spans (slices stage the same spans, just permuted).
-    let windows = match spec.storage {
-        nm_core::sliced::StorageFormat::RowMajor => spec.nb.div_ceil(cfg.l),
-        nm_core::sliced::StorageFormat::Sliced(layout) => layout.slice_height,
-    };
+    // L-wide spans.
+    let windows = spec.nb.div_ceil(cfg.l);
     let alu = if spec.fma {
         AluMode::Fma
     } else {
@@ -87,7 +79,6 @@ pub fn lower(spec: &KernelSpec) -> Result<KernelIr> {
         }],
     };
     let gather = Node::GatherLoad {
-        source,
         packed: spec.packed && spec.family.packs(),
     };
 
@@ -151,12 +142,10 @@ pub fn lower(spec: &KernelSpec) -> Result<KernelIr> {
 mod tests {
     use super::*;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::{SlicedLayout, StorageFormat};
 
-    fn spec(family: KernelFamily, storage: StorageFormat) -> KernelSpec {
+    fn spec(family: KernelFamily) -> KernelSpec {
         KernelSpec {
             family,
-            storage,
             cfg: NmConfig::new(2, 8, 32).unwrap(),
             n: 96,
             k: 100,
@@ -173,7 +162,7 @@ mod tests {
     #[test]
     fn families_lower_to_their_pipeline_shapes() {
         for family in KernelFamily::all() {
-            let ir = lower(&spec(family, StorageFormat::RowMajor)).unwrap();
+            let ir = lower(&spec(family)).unwrap();
             assert_eq!(ir.buffers, if family.double_buffered() { 2 } else { 1 });
             assert_eq!(
                 ir.prologue.is_empty(),
@@ -193,14 +182,13 @@ mod tests {
 
     #[test]
     fn skinny_decode_runs_one_row_per_workgroup() {
-        let ir = lower(&spec(KernelFamily::SkinnyDecode, StorageFormat::RowMajor)).unwrap();
+        let ir = lower(&spec(KernelFamily::SkinnyDecode)).unwrap();
         assert_eq!(ir.workgroup.1, 1);
     }
 
     #[test]
-    fn sliced_specs_walk_slice_height_windows() {
-        let layout = SlicedLayout::new(4, 8).unwrap();
-        let ir = lower(&spec(KernelFamily::V3, StorageFormat::Sliced(layout))).unwrap();
+    fn column_groups_walk_their_block_of_windows() {
+        let ir = lower(&spec(KernelFamily::V3)).unwrap();
         let Node::TileLoop { body, .. } = &ir.main_loop else {
             panic!("main loop must be a TileLoop");
         };
@@ -212,15 +200,16 @@ mod tests {
             } => Some(*count),
             _ => None,
         });
-        assert_eq!(windows, Some(4));
+        // nb = 64 over L = 32: two windows per column block.
+        assert_eq!(windows, Some(2));
     }
 
     #[test]
     fn degenerate_specs_are_structured_errors() {
-        let mut s = spec(KernelFamily::V1, StorageFormat::RowMajor);
+        let mut s = spec(KernelFamily::V1);
         s.kb = 13; // not a multiple of M=8
         assert!(lower(&s).is_err());
-        let mut s = spec(KernelFamily::V1, StorageFormat::RowMajor);
+        let mut s = spec(KernelFamily::V1);
         s.n = 0;
         assert!(lower(&s).is_err());
     }

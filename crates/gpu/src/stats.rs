@@ -16,8 +16,6 @@ pub struct ShaderStats {
     pub name: String,
     /// Kernel family name (`v1` … `skinny_decode`).
     pub family: &'static str,
-    /// Storage tag the kernel gathers from.
-    pub storage: String,
     /// Non-empty WGSL source lines.
     pub lines: usize,
     /// IR nodes lowered.
@@ -47,7 +45,6 @@ impl ShaderStats {
         Ok(ShaderStats {
             name: ir.spec.name(),
             family: ir.spec.family.name(),
-            storage: ir.spec.storage.tag(),
             lines: wgsl.lines().filter(|l| !l.trim().is_empty()).count(),
             nodes: ir.node_count(),
             main_iters: ir.main_iters(),
@@ -66,13 +63,11 @@ mod tests {
     use crate::lower::lower;
     use crate::wgsl::emit_wgsl;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::StorageFormat;
 
     #[test]
     fn stats_reflect_the_emission() {
         let spec = KernelSpec {
             family: KernelFamily::V3,
-            storage: StorageFormat::RowMajor,
             cfg: NmConfig::new(2, 8, 16).unwrap(),
             n: 128,
             k: 256,

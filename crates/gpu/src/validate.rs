@@ -472,12 +472,10 @@ mod tests {
     use crate::lower::lower;
     use crate::wgsl::emit_wgsl;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::StorageFormat;
 
     fn good_shader() -> String {
         let ir = lower(&KernelSpec {
             family: KernelFamily::V3,
-            storage: StorageFormat::RowMajor,
             cfg: NmConfig::new(2, 8, 32).unwrap(),
             n: 96,
             k: 100,

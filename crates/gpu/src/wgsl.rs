@@ -63,9 +63,8 @@ pub fn emit_wgsl(ir: &KernelIr) -> String {
         spec.name()
     ));
     out.l(&format!(
-        "// family={} storage={} cfg={}:{}:{} alu={}",
+        "// family={} storage=rowmajor cfg={}:{}:{} alu={}",
         spec.family,
-        spec.storage.tag(),
         spec.cfg.n,
         spec.cfg.m,
         spec.cfg.l,
@@ -320,12 +319,10 @@ mod tests {
     use crate::ir::{KernelFamily, KernelSpec};
     use crate::lower::lower;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::StorageFormat;
 
     fn sample_ir(family: KernelFamily) -> KernelIr {
         lower(&KernelSpec {
             family,
-            storage: StorageFormat::RowMajor,
             cfg: NmConfig::new(2, 8, 32).unwrap(),
             n: 96,
             k: 100,

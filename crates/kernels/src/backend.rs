@@ -205,50 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_storage_lane_drives_the_staged_format() {
-        use crate::plan::ShapeClass;
-        use nm_core::sliced::{SlicedLayout, StorageFormat};
-        let dev = a100_80g();
-        let cfg = NmConfig::new(2, 8, 32).unwrap();
-        let b = MatrixF32::random(128, 128, 5);
-        let sb = Arc::new(NmSparseMatrix::prune_magnitude(&b, cfg).unwrap());
-        let a = MatrixF32::random(1, 128, 6);
-        let expect = spmm_reference(&a, &sb);
-
-        // A sliced-pinned plan stages SELL-C-σ.
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        let pinned = Planner::new(dev.clone())
-            .plan_stored(ShapeClass::Decode(1), pin, 1, 128, 128, cfg)
-            .unwrap();
-        let state = CpuPrepared::for_plan(&pinned, &sb, None).unwrap();
-        assert_eq!(state.format(), pin);
-        let run = state.run(&a).unwrap();
-        assert!(run.c.allclose(&expect, 1e-3, 1e-4));
-
-        // Measured evidence carries the format too.
-        let auto = Planner::new(dev.clone())
-            .plan_as(ShapeClass::Decode(1), 1, 128, 128, cfg)
-            .unwrap();
-        let spec = crate::measure::MeasureSpec {
-            timed_iters: 1,
-            tiling_variants: false,
-        };
-        let outcome = crate::measure::measure(&pinned, &sb, 1, None, spec).unwrap();
-        assert_eq!(outcome.best.storage, pin, "pin restricts candidates");
-        let host = crate::plan::PlanHost {
-            isa: MicroKernel::select().unwrap().isa().name().to_string(),
-            threads: rayon::current_num_threads(),
-        };
-        let measured = auto.with_measured(host, outcome.best).unwrap();
-        let state = CpuPrepared::for_plan(&measured, &sb, None).unwrap();
-        assert_eq!(
-            state.format(),
-            pin,
-            "measured storage wins on the auto lane"
-        );
-    }
-
-    #[test]
     fn cpu_backend_rejects_unalignable_blocking_with_structured_error() {
         // L = 48 divides no autotune candidate, so the plan falls back to
         // the Para_Init_Table preset whose ns is not a multiple of L; the

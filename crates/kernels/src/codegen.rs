@@ -3,8 +3,8 @@
 //!
 //! Where the simulator models a launch and the CPU kernel runs natively,
 //! this module *generates the GPU kernel* — a complete WGSL compute
-//! shader lowered from the plan's blocking, the N:M config and the
-//! staged storage format — validates it, and executes its tile walk on
+//! shader lowered from the plan's blocking and the N:M config —
+//! validates it, and executes its tile walk on
 //! the host, workgroup by workgroup. It runs no layer in production: a
 //! [`CodegenPrepared`] is the verifier that proves the shader means what
 //! the CPU kernel computes ([`CodegenPrepared::execute`]) and that its
@@ -17,11 +17,10 @@
 //! same fast/general classification* the CPU kernel uses:
 //!
 //! * the gather table is the twin's staged one: pre-resolved absolute
-//!   dense-k indices (`u/N·M + D[u][jw]`), one `w`-long run per permuted
-//!   window position, bound as is;
+//!   dense-k indices (`u/N·M + D[u][j]`), one `w`-long run per window,
+//!   bound as is;
 //! * column groups mirror the staging's grid-x decomposition: one group
-//!   per SELL-C-σ slice (a row-major column block is a `σ = 1` slice),
-//!   spans in permuted order with original-column write-back;
+//!   per `nb`-wide column block, its windows' spans in order;
 //! * the per-`(span, k-block)` fast flags are the twin's op-flavor map,
 //!   reused verbatim, so the interpreter chooses FMA vs zero-skipping
 //!   mul-add exactly where the CPU kernel does;
@@ -39,7 +38,6 @@
 
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
-use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use std::sync::Arc;
 
@@ -111,21 +109,16 @@ impl CodegenPrepared {
         let tiling = twin.tiling();
         let family = family_for_plan(plan);
 
-        // The shader packs `A` where the paper does: a row-major twin at
-        // high sparsity (a sliced twin gathers absolute indices).
-        let packed = twin.format() == StorageFormat::RowMajor && uses_packing(cfg);
-
-        // One column group per staged slice: spans in permuted order with
-        // original-column write-back. The twin's gather table and op-flavor
-        // map are already keyed by permuted position — exactly this span
-        // order.
+        // One column group per staged column block, its windows' spans in
+        // order. The twin's gather table and op-flavor map are keyed by
+        // window — exactly this span order.
         let (sm, _, staged_kblocks) = twin.staged();
-        let mut groups = Vec::with_capacity(sm.slices());
-        for s in 0..sm.slices() {
+        let mut groups = Vec::with_capacity(sm.blocks());
+        for b in 0..sm.blocks() {
             let mut spans = Vec::new();
             let mut col_off = 0u32;
-            for pos in sm.slice_windows(s) {
-                let (col, lw) = sm.span(pos);
+            for j in sm.block(b) {
+                let (col, lw) = sm.span(j);
                 spans.push(WindowSpan {
                     col: col as u32,
                     width: lw as u32,
@@ -138,7 +131,6 @@ impl CodegenPrepared {
 
         let spec = KernelSpec {
             family,
-            storage: twin.format(),
             cfg,
             n,
             k,
@@ -148,7 +140,8 @@ impl CodegenPrepared {
             nb: tiling.nb,
             kb: tiling.kb,
             groups: groups.len(),
-            packed,
+            // The shader packs `A` where the paper does: at high sparsity.
+            packed: uses_packing(cfg),
             fma: twin.isa() != Isa::Scalar,
         };
         let ir = lower(&spec)?;
@@ -314,7 +307,6 @@ mod tests {
     use crate::plan::{Planner, ShapeClass};
     use gpu_sim::device::a100_80g;
     use nm_core::pattern::NmConfig;
-    use nm_core::sliced::{SlicedLayout, StorageFormat};
     use nm_core::spmm::spmm_reference;
 
     fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> {
@@ -347,24 +339,6 @@ mod tests {
             "interpreter must reproduce cpu_v3 bit for bit"
         );
         assert!(gen.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-    }
-
-    #[test]
-    fn sliced_pin_generates_a_sliced_kernel_with_identical_numerics() {
-        let dev = a100_80g();
-        let cfg = NmConfig::new(2, 8, 16).unwrap();
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        let plan = Planner::new(dev.clone())
-            .plan_stored(ShapeClass::Prefill, pin, 13, 112, 72, cfg)
-            .unwrap();
-        let sb = operand(cfg, 72, 112, 9);
-        let a = MatrixF32::random(13, 72, 10);
-
-        let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
-        assert_eq!(prep.spec().storage, pin);
-        assert!(prep.wgsl().contains("sliced"));
-        let (gen, _) = prep.execute(&a).unwrap();
-        assert_eq!(cpu(&plan, &sb, &a).as_slice(), gen.as_slice());
     }
 
     #[test]
@@ -402,26 +376,22 @@ mod tests {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let (m, n, k) = (8, 96, 80);
         let a = MatrixF32::random(m, k, 19);
-        let sliced = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        for storage in [StorageFormat::RowMajor, sliced] {
-            let plan = Planner::new(dev.clone())
-                .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
-                .unwrap();
-            let sb = operand(cfg, k, n, 18);
-            let staged = CpuPrepared::for_plan(&plan, &sb, None).unwrap();
-            let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
-            assert_eq!((staged.format(), prep.spec().storage), (storage, storage));
-            // Neither holds the matrix: a staging shares only its value
-            // panels, and codegen binds a row-major copy as `B′`.
-            assert_eq!(Arc::strong_count(&sb), 1);
-            drop(sb);
-            let fresh = operand(cfg, k, n, 18);
-            let want = cpu(&plan, &fresh, &a);
-            let got = staged.run(&a).unwrap().c;
-            assert_eq!(got.as_slice(), want.as_slice(), "cpu {storage}");
-            let got = prep.execute(&a).unwrap().0;
-            assert_eq!(got.as_slice(), want.as_slice(), "codegen {storage}");
-            assert!(want.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
-        }
+        let plan = Planner::new(dev.clone())
+            .plan_as(ShapeClass::Prefill, m, n, k, cfg)
+            .unwrap();
+        let sb = operand(cfg, k, n, 18);
+        let staged = CpuPrepared::for_plan(&plan, &sb, None).unwrap();
+        let prep = CodegenPrepared::new(&plan, &sb, None).unwrap();
+        // Neither holds the matrix: a staging shares only its value
+        // panels, and codegen binds a row-major copy as `B′`.
+        assert_eq!(Arc::strong_count(&sb), 1);
+        drop(sb);
+        let fresh = operand(cfg, k, n, 18);
+        let want = cpu(&plan, &fresh, &a);
+        let got = staged.run(&a).unwrap().c;
+        assert_eq!(got.as_slice(), want.as_slice(), "cpu");
+        let got = prep.execute(&a).unwrap().0;
+        assert_eq!(got.as_slice(), want.as_slice(), "codegen");
+        assert!(want.allclose(&spmm_reference(&a, &fresh), 1e-3, 1e-4));
     }
 }

@@ -7,16 +7,14 @@
 //! one kernel over the identical offset-compressed [`NmSparseMatrix`]:
 //!
 //! * **Blocking.** `mb×nb×kb` cache blocking around a register
-//!   micro-kernel. `B′` is staged once as SELL-C-σ slices
-//!   ([`SlicedMatrix`]): runs of `C` pruning windows, each window's values
-//!   one dense `w×L` panel of the weights' own window-major storage,
-//!   borrowed rather than copied (so a k-block of it is one contiguous
-//!   `ub×L` run), with its absolute gather indices resolved offline. The paper's
-//!   layout ([`StorageFormat::RowMajor`], the CPU analogue of its
-//!   `transformLayout` + shared-memory `Bs` tile) is the `C = nb/L, σ = 1`
-//!   slicing: one unsorted slice per `nb`-wide column block. One panel
-//!   walk serves every layout: per `mb`-row panel × slice × k-block (a
-//!   skinny panel: × k-block × its whole slice range), full 16- (or 32-)
+//!   micro-kernel. `B′` is staged once in the paper's row-major layout
+//!   ([`StagedMatrix`], the CPU analogue of its `transformLayout` +
+//!   shared-memory `Bs` tile): `nb`-wide column blocks of pruning windows,
+//!   each window's values one dense `w×L` panel of the weights' own
+//!   window-major storage, borrowed rather than copied (so a k-block of it
+//!   is one contiguous `ub×L` run), with its absolute gather indices
+//!   resolved offline. Per `mb`-row panel × column block × k-block (a
+//!   skinny panel: × k-block × its whole block range), full 16- (or 32-)
 //!   float window chunks run through an explicitly vectorized register
 //!   micro-tile ([`crate::simd::MicroKernel`] — AVX2/AVX-512/NEON
 //!   selected once at preparation time, scalar fallback elsewhere) via a
@@ -41,10 +39,10 @@
 //!   per worker runs row panels, one per task: `mb` rows cut to
 //!   `ceil(m / workers)` (rounded up to the tall tile, never below `ms`).
 //!   A shorter call (every decode call, `m ≤ 8`) splits the staged `B′`
-//!   into runs of slices, one per worker; each worker fills a private
-//!   buffer and the caller copies the owned columns into `C`. A worker
-//!   whose panel is skinny (`rows < MW`) walks its run k-block by k-block
-//!   across all of its slices, and its 1-row rung reads
+//!   into runs of column blocks, one per worker; each worker fills a
+//!   private buffer and the caller copies the owned columns into `C`. A
+//!   worker whose panel is skinny (`rows < MW`) walks its run k-block by
+//!   k-block across all of its column blocks, and its 1-row rung reads
 //!   [`MicroKernel::lockstep_windows`] windows' panels at once, so each
 //!   worker keeps several DRAM read streams in flight instead of one.
 //!   Every element sees the same `+=` sequence whatever the split or the
@@ -68,8 +66,8 @@
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::{NmConfig, SparsityClass};
-use nm_core::sliced::{SlicedLayout, SlicedMatrix, StorageFormat};
 use nm_core::sparse::NmSparseMatrix;
+use nm_core::staging::StagedMatrix;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -143,12 +141,12 @@ fn panel_rows_for_l2(ms: usize, k_pad: usize, l2: Option<usize>) -> usize {
 /// time of two 128-row panels (256×1024×1024 at 4:16 on a 2-vCPU AVX-512
 /// host). A call too short for the
 /// decision splits into one column range per worker (never more than the
-/// staging's `slices`) over `floor`-row panels.
-fn v3_split(mb: usize, floor: usize, m: usize, workers: usize, slices: usize) -> (usize, usize) {
+/// staging's column `blocks`) over `floor`-row panels.
+fn v3_split(mb: usize, floor: usize, m: usize, workers: usize, blocks: usize) -> (usize, usize) {
     let workers = workers.max(1);
     let floor = floor.min(m);
     if m.div_ceil(floor) < workers {
-        return (floor, workers.min(slices).max(1));
+        return (floor, workers.min(blocks).max(1));
     }
     let per_worker = m.div_ceil(workers).next_multiple_of(MW_TALL);
     (mb.min(per_worker).max(floor).min(m), 1)
@@ -275,9 +273,9 @@ pub fn offline_staging_passes() -> u64 {
     STAGING_PASSES.with(|c| c.get())
 }
 
-/// The offline pre-processing product for one `(B′, tiling)` combination: validated tile geometry and the `B′` staging — SELL-C-σ
-/// slices, of which the paper's block-contiguous `transformLayout`
-/// panels are the `σ = 1`, `C = nb/L` case.
+/// The offline pre-processing product for one `(B′, tiling)` combination:
+/// validated tile geometry and the `B′` staging, the paper's
+/// block-contiguous `transformLayout` panels.
 ///
 /// Everything in here depends only on the *weights* (`sb`) and the tiling,
 /// never on the activations `A`, so it is built once and amortized across
@@ -296,10 +294,7 @@ pub struct CpuPrepared {
     cfg: NmConfig,
     n: usize,
     k: usize,
-    /// The format the caller asked for; row-major stages as the
-    /// `C = nb/L, σ = 1` slices.
-    format: StorageFormat,
-    staged: StagedSliced,
+    staged: Staged,
     /// The fewest rows a call's panel is cut down to ([`v3_split`]): the
     /// plan's `ms` under a derived, L2-sized `mb`; `tiling.mb` (the panel
     /// runs as given) for a measured or explicit tiling.
@@ -331,25 +326,6 @@ impl CpuPrepared {
         tiling: CpuTiling,
         kernel: MicroKernel,
     ) -> Result<Self> {
-        Self::with_format(sb, tiling, kernel, StorageFormat::RowMajor)
-    }
-
-    /// The fully explicit constructor: micro-kernel *and* storage format.
-    /// Row-major stages the `C = nb/L, σ = 1` slices (the `transformLayout`
-    /// panels); a sliced format stages its own `C` and `σ`. Every layout
-    /// carries the same per-window block classification, so all execute
-    /// the same arithmetic in the same order — bit-identical results.
-    ///
-    /// # Errors
-    /// [`NmError::InvalidBlocking`] when the tiling is not window-aligned
-    /// for `sb`'s configuration; [`NmError::InvalidConfig`] for an invalid
-    /// sliced parameterization.
-    pub fn with_format(
-        sb: &NmSparseMatrix,
-        tiling: CpuTiling,
-        kernel: MicroKernel,
-        format: StorageFormat,
-    ) -> Result<Self> {
         let cfg = sb.cfg();
         if tiling.mb == 0 || tiling.mt == 0 {
             return Err(NmError::InvalidBlocking {
@@ -380,21 +356,14 @@ impl CpuPrepared {
         let nb = tiling.nb.min(n.max(1).div_ceil(cfg.l) * cfg.l);
         let tiling = CpuTiling { kb, nb, ..tiling };
 
-        // Stage B′ once, borrowing its panels. Row-major is the slicing
-        // whose slices are the `nb`-wide column blocks, unsorted: the
-        // `transformLayout` panels.
-        let layout = match format {
-            StorageFormat::RowMajor => SlicedLayout::new(nb / cfg.l, 1)?,
-            StorageFormat::Sliced(layout) => layout,
-        };
-        let staged = StagedSliced::build(sb, kb, uses_packing(cfg), layout)?;
+        // Stage B′ once, in `nb`-wide column blocks, borrowing its panels.
+        let staged = Staged::build(sb, kb, nb / cfg.l)?;
         Ok(Self {
             tiling,
             kernel,
             cfg,
             n,
             k,
-            format,
             staged,
             min_panel: tiling.mb,
         })
@@ -403,9 +372,9 @@ impl CpuPrepared {
     /// The offline step of every prepared layer (and of the codegen
     /// verifier's twin): prepare `sb` for a run of `plan`. A plan carrying
     /// measured evidence stages its measured tiling (when window-aligned
-    /// for these weights) and storage format; otherwise the tiling is
-    /// [`CpuTiling::derive`]d and the format is the key's lane. `kernel`
-    /// pins the micro-kernel; `None` runs [`MicroKernel::select`].
+    /// for these weights); otherwise the tiling is
+    /// [`CpuTiling::derive`]d. `kernel` pins the micro-kernel; `None` runs
+    /// [`MicroKernel::select`].
     ///
     /// # Errors
     /// [`NmError::InvalidBlocking`] when the plan's blocking cannot drive
@@ -421,9 +390,8 @@ impl CpuPrepared {
                 (t, plan.params.ms.min(t.mb))
             }
         };
-        let format = measured.map_or(plan.key.storage, |m| m.storage);
         let kernel = kernel.map_or_else(MicroKernel::select, Ok)?;
-        let prep = Self::with_format(sb, tiling, kernel, format)?;
+        let prep = Self::with_kernel(sb, tiling, kernel)?;
         Ok(Self { min_panel, ..prep })
     }
 
@@ -445,18 +413,13 @@ impl CpuPrepared {
         self.kernel.isa()
     }
 
-    /// The storage format this preparation staged `B′` in.
-    pub fn format(&self) -> StorageFormat {
-        self.format
-    }
-
-    /// The staging's parts `(slices, fast flags, kblocks)`. The fast
-    /// flags are the op-flavor map, `fast[pos * kblocks + bk]` over
-    /// permuted window positions — the codegen verifier lowers its column
-    /// groups from the slices and re-uses the flags verbatim as its
-    /// per-span selector table, so the generated shader walks the same
-    /// blocks the CPU kernel does.
-    pub(crate) fn staged(&self) -> (&SlicedMatrix, &[bool], usize) {
+    /// The staging's parts `(staged matrix, fast flags, kblocks)`. The
+    /// fast flags are the op-flavor map, `fast[j * kblocks + bk]` over
+    /// windows — the codegen verifier lowers its column groups from the
+    /// column blocks and re-uses the flags verbatim as its per-span
+    /// selector table, so the generated shader walks the same blocks the
+    /// CPU kernel does.
+    pub(crate) fn staged(&self) -> (&StagedMatrix, &[bool], usize) {
         let ss = &self.staged;
         (&ss.sm, &ss.fast, ss.kblocks)
     }
@@ -466,8 +429,8 @@ impl CpuPrepared {
     /// arithmetic and bounds `mb × n` even for a doctored cached tiling.
     /// The cut is [`v3_split`]'s over the rayon workers.
     fn split(&self, m: usize) -> (usize, usize) {
-        let (mb, slices) = (self.tiling.mb, self.staged.sm.slices());
-        v3_split(mb, self.min_panel, m, rayon::current_num_threads(), slices)
+        let (mb, blocks) = (self.tiling.mb, self.staged.sm.blocks());
+        v3_split(mb, self.min_panel, m, rayon::current_num_threads(), blocks)
     }
 
     /// The online kernel only — `wall_seconds` excludes every cost the
@@ -522,23 +485,23 @@ pub fn spmm_cpu_prepared(a: &MatrixF32, prep: &CpuPrepared) -> Result<MatrixF32>
         None => (a.as_slice(), k),
     };
 
-    let slices = prep.staged.sm.slices();
-    // Rows `i0..` of the call into `c_panel`, over the slices `ss`.
-    let panel = |i0: usize, ss: Range<usize>, c_panel: &mut [f32]| {
+    let blocks = prep.staged.sm.blocks();
+    // Rows `i0..` of the call into `c_panel`, over the column blocks `bs`.
+    let panel = |i0: usize, bs: Range<usize>, c_panel: &mut [f32]| {
         let source = RowSource {
             a: xa,
             stride: xk,
             i0,
         };
-        walk_panel(prep, &source, ss, c_panel);
+        walk_panel(prep, &source, bs, c_panel);
     };
     if parts > 1 {
-        // Fewer row panels than workers: each worker takes a run of slices
-        // through every row panel; it owns their windows' column spans.
-        let ranges = even_ranges(slices, parts);
+        // Fewer row panels than workers: each worker takes a run of column
+        // blocks through every row panel; it owns their columns.
+        let ranges = even_ranges(blocks, parts);
         let owned: Vec<_> = ranges
             .iter()
-            .map(|r| prep.staged.spans(r.clone()))
+            .map(|r| prep.staged.columns(r.clone()))
             .collect();
         split_columns(c.as_mut_slice(), n, &owned, |p, buf| {
             for (pi, c_panel) in buf.chunks_mut(mb * n).enumerate() {
@@ -550,7 +513,7 @@ pub fn spmm_cpu_prepared(a: &MatrixF32, prep: &CpuPrepared) -> Result<MatrixF32>
         c.as_mut_slice()
             .par_chunks_mut(mb * n)
             .enumerate()
-            .for_each(|(p, c_panel)| panel(p * mb, 0..slices, c_panel));
+            .for_each(|(p, c_panel)| panel(p * mb, 0..blocks, c_panel));
     }
     Ok(c)
 }
@@ -564,10 +527,10 @@ fn even_ranges(units: usize, parts: usize) -> Vec<Range<usize>> {
 
 /// The column split: part `p` runs `fill(p, buf)` on its own worker into
 /// a zeroed private `m × n` buffer, then the caller copies the part's
-/// owned column spans `owned[p]` (half-open, every row) into `c`. The
-/// spans partition `0..n` and each part writes only its own, so every
-/// element of `c` holds exactly the `+=` sequence an unsplit run gives it.
-fn split_columns<F>(c: &mut [f32], n: usize, owned: &[Vec<(usize, usize)>], fill: F)
+/// owned columns `owned[p]` (every row) into `c`. The ranges partition
+/// `0..n` and each part writes only its own, so every element of `c`
+/// holds exactly the `+=` sequence an unsplit run gives it.
+fn split_columns<F>(c: &mut [f32], n: usize, owned: &[Range<usize>], fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
@@ -582,11 +545,9 @@ where
             buf
         })
         .collect();
-    for (spans, buf) in owned.iter().zip(&bufs) {
+    for (cols, buf) in owned.iter().zip(&bufs) {
         for (dst, src) in c.chunks_mut(n).zip(buf.chunks(n)) {
-            for &(lo, hi) in spans {
-                dst[lo..hi].copy_from_slice(&src[lo..hi]);
-            }
+            dst[cols.clone()].copy_from_slice(&src[cols.clone()]);
         }
     }
 }
@@ -622,65 +583,44 @@ pub fn spmv_cpu_prepared(x: &[f32], prep: &CpuPrepared) -> Result<Vec<f32>> {
     spmm_cpu_prepared(&a, prep).map(MatrixF32::into_vec)
 }
 
-/// The staged `B′`: the built [`SlicedMatrix`] plus the *op-flavor map*
+/// The staged `B′`: the built [`StagedMatrix`] plus the *op-flavor map*
 /// that picks, per `(window, k-block)` pair, between the vectorized
 /// micro-tiles and the general mul-add-with-zero-skip.
 ///
 /// The two flavors round differently (FMA versus separate multiply/add)
-/// and the general path skips zero operands, so every layout and column
-/// blocking of one operand must pick the same flavor per window to stay
+/// and the general path skips zero operands, so every column blocking of
+/// one operand must pick the same flavor per window to stay
 /// bit-identical. The map is therefore classified window by window
-/// ([`fast_flags`]), independent of layout and `nb`, and re-indexed to
-/// the layout's permuted window positions; at the row-major
-/// `C = nb/L, σ = 1` point the re-index is the identity.
-struct StagedSliced {
-    sm: SlicedMatrix,
+/// ([`fast_flags`]), independent of `nb`.
+struct Staged {
+    sm: StagedMatrix,
     /// Compressed rows per k-block.
     ub: usize,
     kblocks: usize,
-    /// Fast flag per `(permuted window position, k-block)`,
-    /// `fast[pos * kblocks + bk]`.
+    /// Fast flag per `(window, k-block)`, `fast[j * kblocks + bk]`.
     fast: Vec<bool>,
 }
 
-impl StagedSliced {
-    /// Build the staging in `layout` for the clamped k-block depth `kb`.
-    /// `packed` is the operand's [`uses_packing`], which widens the fast
-    /// classification.
-    fn build(sb: &NmSparseMatrix, kb: usize, packed: bool, layout: SlicedLayout) -> Result<Self> {
+impl Staged {
+    /// Build the staging in column blocks of `block_windows` windows for
+    /// the clamped k-block depth `kb`.
+    fn build(sb: &NmSparseMatrix, kb: usize, block_windows: usize) -> Result<Self> {
         let cfg = sb.cfg();
-        let (w, q) = (sb.w(), sb.q());
-        let sm = SlicedMatrix::build(sb, layout)?;
+        let sm = StagedMatrix::build(sb, block_windows)?;
         let ub = kb * cfg.n / cfg.m;
-        let kblocks = w.div_ceil(ub);
-        let by_window = fast_flags(sb, kb, packed);
-        // Re-index the flags to permuted window positions.
-        let fast = (0..q)
-            .flat_map(|pos| {
-                let old = sm.perm().perm[pos];
-                by_window[old * kblocks..(old + 1) * kblocks].to_vec()
-            })
-            .collect();
         Ok(Self {
             sm,
             ub,
-            kblocks,
-            fast,
+            kblocks: sb.w().div_ceil(ub),
+            fast: fast_flags(sb, kb, uses_packing(cfg)),
         })
     }
 
-    /// The output column spans (half-open, adjacent ones merged) the
-    /// windows of `slices` write back to.
-    fn spans(&self, slices: Range<usize>) -> Vec<(usize, usize)> {
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for pos in slices.flat_map(|s| self.sm.slice_windows(s)) {
-            let (col, lw) = self.sm.span(pos);
-            match spans.last_mut() {
-                Some(last) if last.1 == col => last.1 = col + lw,
-                _ => spans.push((col, col + lw)),
-            }
-        }
-        spans
+    /// The output columns the windows of column `blocks` write back to.
+    fn columns(&self, blocks: Range<usize>) -> Range<usize> {
+        let windows = self.sm.block(blocks.start).start..self.sm.block(blocks.end - 1).end;
+        let (hi, width) = self.sm.span(windows.end - 1);
+        self.sm.span(windows.start).0..hi + width
     }
 }
 
@@ -771,8 +711,8 @@ pub(crate) mod instrument {
         pub static FAST_BLOCKS: Cell<usize> = const { Cell::new(0) };
         /// Skinny (1- or 2-row) rungs of the fast-path row ladder — the
         /// decode tiles — one per step of the panel walk (a k-block of
-        /// one slice, or of the whole slice range on a skinny panel) that
-        /// has fast windows.
+        /// one column block, or of the whole block range on a skinny
+        /// panel) that has fast windows.
         pub static SKINNY_RUNGS: Cell<usize> = const { Cell::new(0) };
         /// Tall (8-row) rungs of the fast-path row ladder, counted as
         /// [`SKINNY_RUNGS`] is.
@@ -785,9 +725,9 @@ pub(crate) mod instrument {
     pub(crate) use crate::simd::instrument::LOCKSTEP_GROUPS;
 }
 
-/// One window of a `(slice, k-block)` pair: its absolute gather indices
-/// and its `ub_act × lw` value panel over the k-block, and its output
-/// column span `col..col + lw`.
+/// One window of a `(column block, k-block)` pair: its absolute gather
+/// indices and its `ub_act × lw` value panel over the k-block, and its
+/// output column span `col..col + lw`.
 struct Window<'a> {
     idx: &'a [u32],
     bs: &'a [f32],
@@ -796,13 +736,13 @@ struct Window<'a> {
 }
 
 impl<'a> Window<'a> {
-    /// The window at permuted position `pos` of `sm`, over the compressed
-    /// rows `u_lo..u_hi` of one k-block.
-    fn at(sm: &'a SlicedMatrix, pos: usize, u_lo: usize, u_hi: usize) -> Self {
-        let (col, lw) = sm.span(pos);
+    /// Window `j` of `sm`, over the compressed rows `u_lo..u_hi` of one
+    /// k-block.
+    fn at(sm: &'a StagedMatrix, j: usize, u_lo: usize, u_hi: usize) -> Self {
+        let (col, lw) = sm.span(j);
         Window {
-            idx: sm.gather_span(pos, u_lo, u_hi),
-            bs: sm.window_values(pos, u_lo, u_hi),
+            idx: sm.gather_span(j, u_lo, u_hi),
+            bs: sm.window_values(j, u_lo, u_hi),
             col,
             lw,
         }
@@ -843,12 +783,12 @@ impl<'a> FastTiles<'a> {
 }
 
 /// Compute one row panel (`c_panel.len() / n` rows of `source`) over the
-/// slices `slices`, one k-block of a window set at a time.
+/// column blocks `blocks`, one k-block of a window set at a time.
 ///
-/// A panel of [`MW`] rows or more walks slice by slice, each slice's
+/// A panel of [`MW`] rows or more walks block by block, each block's
 /// k-blocks in turn. A skinny panel (`rows < MW`: every decode call) runs
 /// the k-block loop outside instead: each k-block offers every window of
-/// the whole slice range at once, so its 1-row rung can read several
+/// the whole block range at once, so its 1-row rung can read several
 /// windows' panels in lockstep. Every window still sees its k-blocks in
 /// order, and windows own disjoint columns, so the order of the walk
 /// changes no result.
@@ -862,12 +802,11 @@ impl<'a> FastTiles<'a> {
 /// prefill tail rows stay vectorized. The dual-accumulator 32-wide tiles
 /// are used when `L` allows it. The other windows (ragged, odd `L`,
 /// gathers into the pad outside the packed class) take the general
-/// `mt`-row scalar path. Write-back lands at each window's original
-/// column span, so a permutation never escapes.
+/// `mt`-row scalar path. Write-back lands at each window's column span.
 fn walk_panel(
     prep: &CpuPrepared,
     source: &RowSource<'_>,
-    slices: Range<usize>,
+    blocks: Range<usize>,
     c_panel: &mut [f32],
 ) {
     let ss = &prep.staged;
@@ -883,18 +822,18 @@ fn walk_panel(
     let wide = l.is_multiple_of(NW2);
     let width = if wide { NW2 } else { NW };
     let (mut fast, mut general) = (FastTiles::default(), Vec::new());
-    // A skinny panel takes its whole slice range as one run, a taller
-    // panel one slice per run; each run walks its k-blocks in order.
-    let run_len = if rows < MW { slices.len().max(1) } else { 1 };
-    for lo in slices.clone().step_by(run_len) {
-        let run = lo..(lo + run_len).min(slices.end);
+    // A skinny panel takes its whole block range as one run, a taller
+    // panel one column block per run; each run walks its k-blocks in order.
+    let run_len = if rows < MW { blocks.len().max(1) } else { 1 };
+    for lo in blocks.clone().step_by(run_len) {
+        let run = lo..(lo + run_len).min(blocks.end);
         for bk in 0..ss.kblocks {
             let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(w));
             fast.clear();
             general.clear();
-            for pos in run.clone().flat_map(|s| sm.slice_windows(s)) {
-                let win = Window::at(sm, pos, u_lo, u_hi);
-                if ss.fast[pos * ss.kblocks + bk] {
+            for j in run.clone().flat_map(|b| sm.block(b)) {
+                let win = Window::at(sm, j, u_lo, u_hi);
+                if ss.fast[j * ss.kblocks + bk] {
                     #[cfg(test)]
                     instrument::FAST_BLOCKS.with(|c| c.set(c.get() + 1));
                     fast.push(&win, width);
@@ -988,7 +927,7 @@ fn run_lockstep_row(
     }
 }
 
-/// The general scalar path for one window of a `(slice, k-block)` pair,
+/// The general scalar path for one window of a `(column block, k-block)` pair,
 /// `mt` rows at a time: each row's contribution accumulates from zero over
 /// the k-block's compressed rows, skipping zero `A` operands, then lands
 /// in `C` with one add per element.
@@ -1267,7 +1206,7 @@ mod tests {
             assert_eq!(v3_split(mb, mb, m, workers, 172), (panel, parts));
         }
         // Decode keeps its one panel and its column ranges, at most one per
-        // slice; one worker runs the whole panel.
+        // column block; one worker runs the whole panel.
         assert_eq!(v3_split(128, 32, 1, 4, 172), (1, 4));
         assert_eq!(v3_split(8, 8, 8, 2, 1), (8, 1));
         assert_eq!(v3_split(128, 32, 256, 1, 172), (128, 1));
@@ -1646,14 +1585,14 @@ mod tests {
                 let ss = &prep.staged;
                 let (mut tall, mut four) = (vec![0f32; MW_TALL * n], vec![0f32; MW_TALL * n]);
                 let mut windows = 0;
-                for s in 0..ss.sm.slices() {
+                for b in 0..ss.sm.blocks() {
                     for bk in 0..ss.kblocks {
                         let (u_lo, u_hi) = (bk * ss.ub, ((bk + 1) * ss.ub).min(ss.sm.w()));
                         let mut fast = FastTiles::default();
-                        for pos in ss.sm.slice_windows(s) {
-                            if ss.fast[pos * ss.kblocks + bk] {
+                        for j in ss.sm.block(b) {
+                            if ss.fast[j * ss.kblocks + bk] {
                                 let width = if wide { NW2 } else { NW };
-                                fast.push(&Window::at(&ss.sm, pos, u_lo, u_hi), width);
+                                fast.push(&Window::at(&ss.sm, j, u_lo, u_hi), width);
                                 windows += 1;
                             }
                         }
@@ -1714,79 +1653,64 @@ mod tests {
         let x = MatrixF32::random(1, k, 152);
         let expect = spmm_reference(&x, &sb);
         for mk in MicroKernel::available() {
-            for format in [
-                StorageFormat::RowMajor,
-                StorageFormat::Sliced(SlicedLayout::DEFAULT),
-            ] {
-                let prep = CpuPrepared::with_format(&sb, t, mk, format).unwrap();
-                let kblocks = prep.staged.kblocks;
-                let counters = [&instrument::LOCKSTEP_GROUPS, &instrument::SKINNY_RUNGS];
-                let run = || spmv_cpu_prepared(x.row(0), &prep).unwrap();
-                let (y, [groups, rungs]) = counted(counters, run);
-                assert_eq!(rungs, kblocks, "{mk} {format}: one 1-row rung per k-block");
-                assert_eq!(
-                    groups,
-                    kblocks * (n / c.l) / mk.lockstep_windows(),
-                    "{mk} {format}: every window in a lockstep group"
-                );
-                let got = MatrixF32::from_vec(1, n, y);
-                assert!(got.allclose(&expect, 1e-3, 1e-4), "{mk} {format}");
-            }
+            let prep = CpuPrepared::with_kernel(&sb, t, mk).unwrap();
+            let kblocks = prep.staged.kblocks;
+            let counters = [&instrument::LOCKSTEP_GROUPS, &instrument::SKINNY_RUNGS];
+            let run = || spmv_cpu_prepared(x.row(0), &prep).unwrap();
+            let (y, [groups, rungs]) = counted(counters, run);
+            assert_eq!(rungs, kblocks, "{mk}: one 1-row rung per k-block");
+            assert_eq!(
+                groups,
+                kblocks * (n / c.l) / mk.lockstep_windows(),
+                "{mk}: every window in a lockstep group"
+            );
+            let got = MatrixF32::from_vec(1, n, y);
+            assert!(got.allclose(&expect, 1e-3, 1e-4), "{mk}");
         }
     }
 
-    /// Sliced and row-major preparations of the same operand must produce
-    /// bit-identical outputs — not merely allclose — because every layout
-    /// carries the same op-flavor per window, on every worker count; and
-    /// both must match the reference. Each layout runs on all workers
-    /// against row-major pinned to one.
-    fn check_sliced_bitwise(m: usize, k: usize, n: usize, c: NmConfig, t: CpuTiling, seed: u64) {
+    /// A preparation on all workers must reproduce the same preparation
+    /// pinned to one bit for bit — not merely allclose — because every
+    /// element sees the same `+=` sequence whatever the split; and both
+    /// must match the reference.
+    fn check_bitwise(m: usize, k: usize, n: usize, c: NmConfig, t: CpuTiling, seed: u64) {
         let a = MatrixF32::random(m, k, seed);
         let b = MatrixF32::random(k, n, seed + 1);
         let sb = NmSparseMatrix::prune(&b, c, PrunePolicy::Random { seed: seed + 2 }).unwrap();
         let expect = spmm_reference(&a, &sb);
-        let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let want = one_worker(|| spmm_cpu_prepared(&a, &rm)).unwrap();
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        let want = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
         assert!(
             want.allclose(&expect, 1e-3, 1e-4),
-            "{c} m = {m}: row-major must match the reference"
+            "{c} m = {m}: must match the reference"
         );
-        for format in [
-            StorageFormat::RowMajor,
-            StorageFormat::Sliced(SlicedLayout::new(1, 1).unwrap()),
-            StorageFormat::Sliced(SlicedLayout::new(4, 4).unwrap()),
-            StorageFormat::Sliced(SlicedLayout::DEFAULT),
-        ] {
-            let prep = CpuPrepared::with_format(&sb, t, MicroKernel::scalar(), format).unwrap();
-            assert_eq!(prep.format(), format);
-            let got = spmm_cpu_prepared(&a, &prep).unwrap();
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{c} {format}: bit-identical to row-major on one worker"
-            );
-        }
+        let got = spmm_cpu_prepared(&a, &prep).unwrap();
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "{c} m = {m}: bit-identical to one worker"
+        );
     }
 
     #[test]
-    fn sliced_is_bit_identical_across_levels_and_worker_counts() {
+    fn all_workers_are_bit_identical_to_one_across_levels() {
         for c in NmConfig::paper_levels(16) {
             let t = CpuTiling::auto(c, 4, 64, 128).unwrap();
-            check_sliced_bitwise(1, 128, 64, c, t, 71);
-            check_sliced_bitwise(3, 128, 64, c, t, 73);
+            check_bitwise(1, 128, 64, c, t, 71);
+            check_bitwise(3, 128, 64, c, t, 73);
             // Multi-panel rows: 4-row panels 4 + 4 + 3, so every rung of
-            // the ladder runs on each layout.
-            check_sliced_bitwise(11, 128, 64, c, CpuTiling { mb: 4, ..t }, 75);
+            // the ladder runs.
+            check_bitwise(11, 128, 64, c, CpuTiling { mb: 4, ..t }, 75);
         }
     }
 
     #[test]
-    fn sliced_is_bit_identical_on_ragged_shapes() {
+    fn all_workers_are_bit_identical_to_one_on_ragged_shapes() {
         // Ragged everything: n not a multiple of L (partial final window),
         // k not a multiple of M (padded tail window), q not divisible by
-        // the slice height, odd L off the fast path entirely.
+        // the column block, odd L off the fast path entirely.
         let c4 = cfg(2, 16, 4);
-        check_sliced_bitwise(
+        check_bitwise(
             2,
             67,
             45,
@@ -1809,11 +1733,11 @@ mod tests {
             kb: 32,
             mt: 4,
         };
-        check_sliced_bitwise(1, 36, 32, c16, t16, 83);
-        check_sliced_bitwise(5, 36, 32, c16, t16, 83);
+        check_bitwise(1, 36, 32, c16, t16, 83);
+        check_bitwise(5, 36, 32, c16, t16, 83);
         // Three 8-row panels (8 + 8 + 3) on the ragged shapes.
-        check_sliced_bitwise(19, 36, 32, c16, t16, 87);
-        check_sliced_bitwise(
+        check_bitwise(19, 36, 32, c16, t16, 87);
+        check_bitwise(
             37,
             67,
             45,
@@ -1845,38 +1769,6 @@ mod tests {
             "2:8 must keep the pad-reaching tail block fast"
         );
         assert!(got.allclose(&spmm_reference(&a, &sb), 1e-3, 1e-4));
-    }
-
-    #[test]
-    fn sliced_fast_windows_run_the_micro_tiles() {
-        let c = cfg(2, 8, 16);
-        let t = CpuTiling {
-            mb: 8,
-            nb: 32,
-            kb: 32,
-            mt: 4,
-        };
-        let (k, n) = (64, 32);
-        let b = MatrixF32::random(k, n, 91);
-        let sb = NmSparseMatrix::prune_magnitude(&b, c).unwrap();
-        let prep = CpuPrepared::with_format(
-            &sb,
-            t,
-            MicroKernel::scalar(),
-            StorageFormat::Sliced(SlicedLayout::DEFAULT),
-        )
-        .unwrap();
-        let x = MatrixF32::random(1, k, 92);
-        let run = || spmv_cpu_prepared(x.row(0), &prep).unwrap();
-        let (y, [fast]) = counted([&instrument::FAST_BLOCKS], run);
-        // 2 windows × 2 k-blocks, all block-aligned: every pair is fast.
-        assert_eq!(fast, 4, "all sliced (window, k-block) pairs must be fast");
-        let rm = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
-        let want = spmv_cpu_prepared(x.row(0), &rm).unwrap();
-        assert_eq!(y, want, "bit-identical to the row-major decode path");
-        let expect = spmm_reference(&x, &sb);
-        let got = MatrixF32::from_vec(1, n, y);
-        assert!(got.allclose(&expect, 1e-3, 1e-4));
     }
 
     #[test]
@@ -1921,30 +1813,25 @@ mod tests {
         let splits = || instrument::COLUMN_SPLITS.with(|s| s.get());
         let (k, n) = (2048, 1024);
         let sb = NmSparseMatrix::prune_magnitude(&MatrixF32::random(k, n, 101), c).unwrap();
-        for format in [
-            StorageFormat::RowMajor,
-            StorageFormat::Sliced(SlicedLayout::DEFAULT),
-        ] {
-            let prep = CpuPrepared::with_format(&sb, t, MicroKernel::scalar(), format).unwrap();
-            for m in [1, 3, 8] {
-                let a = MatrixF32::random(m, k, 102);
-                let before = splits();
-                let got = spmm_cpu_prepared(&a, &prep).unwrap();
-                assert_eq!(
-                    splits() - before,
-                    usize::from(split_expected),
-                    "{format} m = {m}: one row panel must split across columns"
-                );
-                let want = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
-                assert_eq!(got.as_slice(), want.as_slice(), "{format} m = {m}");
-            }
-            // Enough row panels for every worker: the row panels stay.
+        let prep = CpuPrepared::with_kernel(&sb, t, MicroKernel::scalar()).unwrap();
+        for m in [1, 3, 8] {
+            let a = MatrixF32::random(m, k, 102);
             let before = splits();
-            spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &prep).unwrap();
-            assert_eq!(splits() - before, 0, "{format}: m = 256 keeps its rows");
-            // One worker never splits.
-            assert_eq!(one_worker(|| prep.split(1)).1, 1);
+            let got = spmm_cpu_prepared(&a, &prep).unwrap();
+            assert_eq!(
+                splits() - before,
+                usize::from(split_expected),
+                "m = {m}: one row panel must split across columns"
+            );
+            let want = one_worker(|| spmm_cpu_prepared(&a, &prep)).unwrap();
+            assert_eq!(got.as_slice(), want.as_slice(), "m = {m}");
         }
+        // Enough row panels for every worker: the row panels stay.
+        let before = splits();
+        spmm_cpu_prepared(&MatrixF32::random(256, k, 105), &prep).unwrap();
+        assert_eq!(splits() - before, 0, "m = 256 keeps its rows");
+        // One worker never splits.
+        assert_eq!(one_worker(|| prep.split(1)).1, 1);
 
         // A layer with one column block (n = nb) has no second range to
         // hand out, so m = 1 runs its single panel on the calling thread.

@@ -6,8 +6,8 @@
 //! wrong (its V3 pays for shared-memory bandwidth the host caches don't
 //! charge, so its tilings are no host optimum). This module supplies the
 //! missing evidence: it benchmarks candidate [`CpuTiling`]s of the CPU
-//! kernel — the one a session executes — in the key's `B′` storage format,
-//! **in-place** on the executing host, and returns the
+//! kernel — the one a session executes — **in-place** on the executing
+//! host, and returns the
 //! measured-best as a [`MeasuredChoice`] the plan cache can persist.
 //!
 //! ## What is (and is not) inside the timed window
@@ -31,8 +31,7 @@
 //!
 //! [`AutotuneMode`] scales the search: `Quick` times the plan-derived
 //! tiling, plus the skinny geometries of a decode key (about five
-//! stagings), in the key's own storage format ([`format_candidates`]:
-//! row-major on the auto lane, the pin on a sliced one); `Full` adds
+//! stagings, among them one column block of the whole width); `Full` adds
 //! tile-geometry variants around it. `Off`
 //! disables measurement entirely (the cost-model default). A session's
 //! mode is set by [`SessionBuilder::autotune`](crate::session::SessionBuilder::autotune)
@@ -43,7 +42,6 @@ use crate::plan::{MeasuredChoice, Plan};
 use crate::simd::MicroKernel;
 use nm_core::error::{NmError, Result};
 use nm_core::matrix::MatrixF32;
-use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use std::time::Instant;
 
@@ -58,8 +56,7 @@ pub enum AutotuneMode {
     #[default]
     Off,
     /// Time the kernel at the plan-derived tiling — plus, on decode keys, the
-    /// skinny geometries — in the key's storage format (a handful of
-    /// short runs; the mode CI uses).
+    /// skinny geometries (a handful of short runs; the mode CI uses).
     Quick,
     /// `Quick` plus tile-geometry variants around the plan-derived
     /// tiling.
@@ -135,8 +132,6 @@ impl MeasureSpec {
 pub struct MeasuredSample {
     /// The (effective, clamped) tile geometry it ran with.
     pub tiling: CpuTiling,
-    /// The `B′` storage format it staged.
-    pub storage: StorageFormat,
     /// Median per-iteration wall time over its [`race`] rounds, seconds.
     pub seconds: f64,
     /// Useful throughput at `seconds`, GFLOP/s.
@@ -144,7 +139,7 @@ pub struct MeasuredSample {
 }
 
 /// The harness result: the winner plus every sample behind it, in
-/// deterministic enumeration order (tiling order, then format order).
+/// deterministic enumeration order.
 #[derive(Debug, Clone)]
 pub struct MeasureOutcome {
     /// The measured-best choice, ready for
@@ -254,9 +249,9 @@ pub fn measurement_passes() -> u64 {
 /// panel sized to the activation (the SpMV geometry at one row, running
 /// the 1/2-row rungs of the register-tile ladder), wider column blocks
 /// for the bandwidth-bound `B′` stream, and last one column block of the
-/// whole width (`n` rounded up to `L`, the cap on every skinny block):
-/// staged row-major that is one slice, so a call too small to gain from
-/// the column split is also measured unsplit. The GEMM-vs-SpMV call for
+/// whole width (`n` rounded up to `L`, the cap on every skinny block),
+/// so a call too small to gain from the column split is also measured
+/// unsplit. The GEMM-vs-SpMV call for
 /// skinny shapes, and whether to split a decode call at all, are
 /// therefore made from this measured evidence, never from the GEMM cost
 /// model.
@@ -316,25 +311,8 @@ pub fn tiling_candidates(plan: &Plan, sb: &NmSparseMatrix, variants: bool) -> Ve
     out
 }
 
-/// Deterministic candidate storage formats for one plan: the key's own
-/// lane, alone. The auto lane measures row-major; a plan pinned to a
-/// sliced format ([`PlanKey::storage`](crate::plan::PlanKey)) measures
-/// that format only — the pin is the user's call, the harness merely
-/// finds the best tiling for it.
-///
-/// The auto lane races no SELL-C-σ layouts: their σ-sort evens out row
-/// lengths, and every N:M window already holds exactly `w` entries. On
-/// a 2-vCPU AVX-512 host the sliced grid stepped a 404 MB decode stack at
-/// row-major's speed, and its one win on a small decode layer came from
-/// holding one slice, which the whole-width row-major candidate of
-/// [`tiling_candidates`] measures too.
-pub fn format_candidates(plan: &Plan) -> Vec<StorageFormat> {
-    vec![plan.key.storage]
-}
-
 /// Run the short-run harness: benchmark the CPU kernel over candidate
-/// tilings × storage formats ([`tiling_candidates`] ×
-/// [`format_candidates`]) against `sb` for activations of `rows` rows,
+/// tilings ([`tiling_candidates`]) against `sb` for activations of `rows` rows,
 /// and return the measured-best together with every sample. Every
 /// candidate is timed, even when the grid holds only one.
 ///
@@ -365,7 +343,7 @@ pub fn measure(
     let useful_flops = 2.0 * rows as f64 * sb.cols() as f64 * sb.w() as f64;
     // Offline: staging + dispatch, excluded from the clock exactly as in
     // production (`Session::load`).
-    let stage = |tiling, format| CpuPrepared::with_format(sb, tiling, kernel, format);
+    let stage = |tiling| CpuPrepared::with_kernel(sb, tiling, kernel);
     let race_staged = |preps: &[&CpuPrepared]| {
         let mut rivals: Vec<_> = preps
             .iter()
@@ -373,41 +351,36 @@ pub fn measure(
             .collect();
         race(&mut rivals, spec.timed_iters)
     };
-    let sample = |tiling, storage, (rounds, _): &(Vec<f64>, MatrixF32)| {
+    let sample = |tiling, (rounds, _): &(Vec<f64>, MatrixF32)| {
         let seconds = Spread::of(rounds).median;
         MeasuredSample {
             tiling,
-            storage,
             seconds,
             gflops: useful_flops / seconds / 1e9,
         }
     };
 
     let candidates = tiling_candidates(plan, sb, spec.tiling_variants);
-    let formats = format_candidates(plan);
     let mut samples = Vec::new();
     // The default — the first candidate that prepares — stays staged
     // through the screen, so a head to head needs one more staging only.
     let mut default_prep = None;
     for &tiling in &candidates {
-        for &format in &formats {
-            let Ok(prep) = stage(tiling, format) else {
-                continue;
-            };
-            let raced = race_staged(&[&prep])?;
-            // The *effective* (clamped) geometry, so replaying the choice
-            // prepares exactly what was measured.
-            samples.push(sample(prep.tiling(), format, &raced[0]));
-            default_prep.get_or_insert(prep);
-        }
+        let Ok(prep) = stage(tiling) else {
+            continue;
+        };
+        let raced = race_staged(&[&prep])?;
+        // The *effective* (clamped) geometry, so replaying the choice
+        // prepares exactly what was measured.
+        samples.push(sample(prep.tiling(), &raced[0]));
+        default_prep.get_or_insert(prep);
     }
     let (Some(default_prep), Some(&default)) = (default_prep, samples.first()) else {
         return Err(NmError::InvalidBlocking {
             reason: format!(
-                "no CPU candidate could prepare for {} (tried {} tilings x {} formats)",
+                "no CPU candidate could prepare for {} (tried {} tilings)",
                 plan.key,
                 candidates.len(),
-                formats.len()
             ),
         });
     };
@@ -419,18 +392,17 @@ pub fn measure(
     let winner = if screened == default {
         default
     } else {
-        let challenger = stage(screened.tiling, screened.storage)?;
+        let challenger = stage(screened.tiling)?;
         let raced = race_staged(&[&default_prep, &challenger])?;
         let timed = [
-            sample(default.tiling, default.storage, &raced[0]),
-            sample(screened.tiling, screened.storage, &raced[1]),
+            sample(default.tiling, &raced[0]),
+            sample(screened.tiling, &raced[1]),
         ];
         *timed.iter().min_by(by_seconds).expect("two rivals")
     };
     Ok(MeasureOutcome {
         best: MeasuredChoice {
             cpu_tiling: winner.tiling,
-            storage: winner.storage,
             gflops: winner.gflops,
             samples: spec.timed_iters.max(1),
         },
@@ -441,11 +413,10 @@ pub fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Planner, ShapeClass};
+    use crate::plan::Planner;
     use gpu_sim::device::a100_80g;
     use nm_core::pattern::NmConfig;
     use nm_core::prune::PrunePolicy;
-    use nm_core::sliced::SlicedLayout;
 
     fn demo() -> (Plan, NmSparseMatrix) {
         let cfg = NmConfig::new(2, 8, 32).unwrap();
@@ -517,17 +488,17 @@ mod tests {
         assert!(a.samples.len() > 1, "the screen has rivals");
         assert_eq!(a.samples.len(), b.samples.len());
         for (x, y) in a.samples.iter().zip(&b.samples) {
-            assert_eq!((x.tiling, x.storage), (y.tiling, y.storage));
+            assert_eq!(x.tiling, y.tiling);
             assert!(x.seconds > 0.0 && x.gflops > 0.0);
         }
         for run in [&a, &b] {
             assert_eq!(run.best.samples, spec.timed_iters);
             // The winner is the default (the first candidate) or the
             // screen's winner, which had to beat the default head to head.
-            let key = |s: &MeasuredSample| (s.tiling, s.storage);
+            let key = |s: &MeasuredSample| s.tiling;
             let mut by_time = run.samples.clone();
             by_time.sort_by(|x, y| x.seconds.total_cmp(&y.seconds));
-            let pick = (run.best.cpu_tiling, run.best.storage);
+            let pick = run.best.cpu_tiling;
             let why = format!("{:?} vs {:?}", run.best, run.samples);
             assert!(
                 pick == key(&run.samples[0]) || pick == key(&by_time[0]),
@@ -643,43 +614,10 @@ mod tests {
         let mut dedup = full.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), full.len(), "no duplicate candidates");
-        // The harness times every skinny candidate, in the one format.
+        // The harness times every skinny candidate.
         let spec = MeasureSpec::for_mode(AutotuneMode::Quick).unwrap();
         let outcome = measure(&plan, &sb, 1, None, spec).unwrap();
         assert_eq!(outcome.samples.len(), quick.len(), "one sample per tiling");
-    }
-
-    #[test]
-    fn decode_plans_measure_their_own_lane_and_pins_restrict_them() {
-        let cfg = NmConfig::new(2, 8, 32).unwrap();
-        let mut planner = Planner::new(a100_80g());
-        // The auto lane measures row-major, decode and prefill alike.
-        let decode = planner
-            .plan_as(ShapeClass::Decode(1), 1, 128, 128, cfg)
-            .unwrap();
-        assert_eq!(format_candidates(&decode), vec![StorageFormat::RowMajor]);
-        let prefill = planner.plan(64, 128, 128, cfg).unwrap();
-        assert_eq!(format_candidates(&prefill), vec![StorageFormat::RowMajor]);
-
-        // A pinned sliced plan measures exactly its pin.
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        let pinned = planner
-            .plan_stored(ShapeClass::Decode(1), pin, 1, 128, 128, cfg)
-            .unwrap();
-        assert_eq!(format_candidates(&pinned), vec![pin]);
-
-        // The measured winner records the storage format it staged.
-        let b = MatrixF32::random(128, 128, 9);
-        let sb = NmSparseMatrix::prune(&b, cfg, PrunePolicy::Random { seed: 10 }).unwrap();
-        let spec = MeasureSpec {
-            timed_iters: 1,
-            tiling_variants: false,
-        };
-        for (plan, format) in [(&decode, StorageFormat::RowMajor), (&pinned, pin)] {
-            let outcome = measure(plan, &sb, 1, None, spec).unwrap();
-            assert_eq!(outcome.best.storage, format);
-            assert!(outcome.samples.iter().all(|s| s.storage == format));
-        }
     }
 
     #[test]

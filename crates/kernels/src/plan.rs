@@ -37,7 +37,6 @@ use nm_analysis::strategy::{PipelineHint, PredictedBound, StrategyDecision};
 use nm_core::error::{NmError, Result};
 use nm_core::json::JsonValue;
 use nm_core::pattern::NmConfig;
-use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -230,13 +229,6 @@ pub struct PlanKey {
     /// plan, measure and cache separately from each other and from
     /// prefill.
     pub shape: ShapeClass,
-    /// The storage lane this plan is keyed to. [`StorageFormat::RowMajor`]
-    /// is both the paper's layout and the *auto* lane (measurement may
-    /// still pick a sliced winner, recorded in
-    /// [`MeasuredChoice::storage`]); an explicit sliced pin keys its own
-    /// cache identity so it never shadows the auto entry. Pre-v4
-    /// documents load as row-major.
-    pub storage: StorageFormat,
     /// The measurement scope for measured entries; `None` for cost-model
     /// plans. Part of the key, so measured evidence never shadows the
     /// analytic plan for the same shape (and vice versa).
@@ -256,7 +248,6 @@ impl PlanKey {
             m_win: cfg.m,
             l: cfg.l,
             shape: ShapeClass::of_rows(m),
-            storage: StorageFormat::RowMajor,
             host: None,
         }
     }
@@ -284,9 +275,6 @@ impl std::fmt::Display for PlanKey {
         )?;
         if self.shape.is_decode() {
             write!(f, " [{}]", self.shape)?;
-        }
-        if self.storage != StorageFormat::RowMajor {
-            write!(f, " [{}]", self.storage)?;
         }
         if let Some(host) = &self.host {
             write!(f, " @{host}")?;
@@ -473,17 +461,13 @@ pub fn version_name(v: NmVersion) -> &'static str {
 }
 
 /// The measured-best CPU execution choice carried by a `Measured` plan:
-/// the tile geometry and storage format the V3 kernel runs with, plus the
-/// evidence (throughput, sample count) that picked them.
+/// the tile geometry the V3 kernel runs with, plus the evidence
+/// (throughput, sample count) that picked it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredChoice {
     /// The (effective, clamped) CPU tile geometry it measured fastest
     /// with.
     pub cpu_tiling: CpuTiling,
-    /// The storage format it was measured in: the key's lane. A cache
-    /// entry written when the auto lane still raced sliced layouts may
-    /// name one; execution stages `B′` in whatever format this names.
-    pub storage: StorageFormat,
     /// Measured useful throughput of the winner, in GFLOP/s.
     pub gflops: f64,
     /// Timed iterations behind the winning sample.
@@ -661,7 +645,7 @@ impl Plan {
             Err(_) => "no estimate".to_string(),
         };
         let evidence = match &self.measured {
-            Some(m) => format!(" [measured: {} {:.1} GFLOP/s]", m.storage.tag(), m.gflops),
+            Some(m) => format!(" [measured: {:.1} GFLOP/s]", m.gflops),
             None => String::new(),
         };
         format!(
@@ -735,44 +719,69 @@ fn host_from_json(v: Option<&JsonValue>) -> Result<Option<PlanHost>> {
     }
 }
 
-/// Parse a storage tag from a cache document; an unrecognized tag is a
-/// malformed document.
-fn storage_from_json(v: &JsonValue) -> Result<StorageFormat> {
-    StorageFormat::from_name(v.str_field("storage")?).map_err(|e| NmError::Persist {
-        reason: format!("malformed storage format: {e}"),
-    })
+/// The tag prefix of the retired storage lane a v4–v6 document may name,
+/// followed by its `<C>:<σ>` parameters in windows (`1..=65536` each).
+const RETIRED_LANE: &str = "sliced:";
+
+/// Whether the `storage` lane a v4–v6 document writes in `key` and
+/// `measured` is `rowmajor`. A well-formed [`RETIRED_LANE`] tag names a
+/// layout no build since v7 stages, so its entry is skipped and never
+/// hits; any other tag is a malformed document. From v7 on the field is
+/// not written, and is checked the same way when present.
+fn row_major_lane(v: &JsonValue, version: usize) -> Result<bool> {
+    if version >= 7 && v.get("storage").is_none() {
+        return Ok(true);
+    }
+    let tag = v.str_field("storage")?;
+    let windows = |p: &str| p.parse::<usize>().is_ok_and(|c| (1..=1 << 16).contains(&c));
+    let retired = tag
+        .strip_prefix(RETIRED_LANE)
+        .and_then(|rest| rest.split_once(':'));
+    match retired {
+        _ if tag == "rowmajor" => Ok(true),
+        Some((c, sigma)) if windows(c) && windows(sigma) => Ok(false),
+        _ => Err(NmError::Persist {
+            reason: format!("malformed storage format `{tag}`"),
+        }),
+    }
 }
 
 impl MeasuredChoice {
     /// The evidence as the plan cache stores it: the tile geometry
-    /// (`mb`, `nb`, `kb`, `mt`), `storage`, `gflops` and `samples`.
+    /// (`mb`, `nb`, `kb`, `mt`), `gflops` and `samples`.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             ("mb", JsonValue::from_usize(self.cpu_tiling.mb)),
             ("nb", JsonValue::from_usize(self.cpu_tiling.nb)),
             ("kb", JsonValue::from_usize(self.cpu_tiling.kb)),
             ("mt", JsonValue::from_usize(self.cpu_tiling.mt)),
-            ("storage", JsonValue::from_str_value(&self.storage.tag())),
             ("gflops", JsonValue::Number(self.gflops)),
             ("samples", JsonValue::from_usize(self.samples)),
         ])
     }
 }
 
-fn measured_from_json(v: Option<&JsonValue>) -> Result<Option<MeasuredChoice>> {
+/// The measured evidence of a cache entry, and whether it was measured
+/// on the row-major lane ([`row_major_lane`]).
+fn measured_from_json(
+    v: Option<&JsonValue>,
+    version: usize,
+) -> Result<(Option<MeasuredChoice>, bool)> {
     match v {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(m) => Ok(Some(MeasuredChoice {
-            cpu_tiling: CpuTiling {
-                mb: m.usize_field("mb")?,
-                nb: m.usize_field("nb")?,
-                kb: m.usize_field("kb")?,
-                mt: m.usize_field("mt")?,
-            },
-            storage: storage_from_json(m)?,
-            gflops: m.f64_field("gflops")?,
-            samples: m.usize_field("samples")?,
-        })),
+        None | Some(JsonValue::Null) => Ok((None, true)),
+        Some(m) => Ok((
+            Some(MeasuredChoice {
+                cpu_tiling: CpuTiling {
+                    mb: m.usize_field("mb")?,
+                    nb: m.usize_field("nb")?,
+                    kb: m.usize_field("kb")?,
+                    mt: m.usize_field("mt")?,
+                },
+                gflops: m.f64_field("gflops")?,
+                samples: m.usize_field("samples")?,
+            }),
+            row_major_lane(m, version)?,
+        )),
     }
 }
 
@@ -794,7 +803,6 @@ fn plan_to_json(plan: &Plan) -> JsonValue {
                 ("m_win", JsonValue::from_usize(k.m_win)),
                 ("l", JsonValue::from_usize(k.l)),
                 ("shape", JsonValue::from_str_value(&k.shape.tag())),
-                ("storage", JsonValue::from_str_value(&k.storage.tag())),
                 ("host", host_to_json(&k.host)),
             ]),
         ),
@@ -857,7 +865,9 @@ fn plan_to_json(plan: &Plan) -> JsonValue {
     ])
 }
 
-fn plan_from_json(v: &JsonValue) -> Result<Plan> {
+/// One cache entry of a `version` document; `None` for an entry on the
+/// retired storage lane ([`row_major_lane`]), which loads but never hits.
+fn plan_from_json(v: &JsonValue, version: usize) -> Result<Option<Plan>> {
     let kv = v.field("key")?;
     let key = PlanKey {
         device: kv.str_field("device")?.to_string(),
@@ -869,12 +879,12 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
         m_win: kv.usize_field("m_win")?,
         l: kv.usize_field("l")?,
         shape: ShapeClass::from_tag(kv.str_field("shape")?)?,
-        storage: storage_from_json(kv)?,
         host: host_from_json(kv.get("host"))?,
     };
+    let key_row_major = row_major_lane(kv, version)?;
     let choice = KernelChoice::from_name(v.str_field("choice")?)?;
     let provenance = Provenance::from_name(v.str_field("provenance")?)?;
-    let measured = measured_from_json(v.get("measured"))?;
+    let (measured, measured_row_major) = measured_from_json(v.get("measured"), version)?;
     let pv = v.field("params")?;
     let params = BlockingParams {
         ms: pv.usize_field("ms")?,
@@ -934,7 +944,7 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
     // (hand-edited or corrupted) document that breaks them is malformed,
     // not merely surprising.
     plan.validate()?;
-    Ok(plan)
+    Ok((key_row_major && measured_row_major).then_some(plan))
 }
 
 /// Version tag written into cache files; bump on schema changes.
@@ -943,17 +953,19 @@ fn plan_from_json(v: &JsonValue) -> Result<Plan> {
 /// * v2 — adds `key.host`, `provenance` and `measured` (evidence-based
 ///   planning).
 /// * v3 — adds `key.shape` (prefill vs decode).
-/// * v4 — adds `key.storage` and `measured.storage` (the SELL-C-σ sliced
-///   lane).
+/// * v4 — adds `key.storage` and `measured.storage` (a second staging
+///   format's lane).
 /// * v5 — same schema; CPU V3 splits decode calls across column ranges,
 ///   so measured decode winners recorded before it (V1/V2) are stale.
 /// * v6 — drops `measured.ladder_version`: measurement races tilings and
 ///   storage formats of V3 only.
+/// * v7 — drops `key.storage` and `measured.storage`: every plan stages
+///   row-major. A v6 entry on the retired lane loads but never hits.
 ///
 /// A document older than [`CACHE_FORMAT_OLDEST`] loads as an empty cache:
 /// every key misses and re-plans, and the next save writes this version.
 /// A newer version is rejected.
-const CACHE_FORMAT_VERSION: usize = 6;
+const CACHE_FORMAT_VERSION: usize = 7;
 
 /// Oldest cache-file version whose plans [`PlanCache::from_json`] loads.
 const CACHE_FORMAT_OLDEST: usize = 6;
@@ -1063,7 +1075,6 @@ impl PlanCache {
                 p.key.m_win,
                 p.key.l,
                 p.key.shape.sort_rank(),
-                p.key.storage.tag(),
                 p.key.host.clone(),
             )
         });
@@ -1109,7 +1120,9 @@ impl PlanCache {
                 reason: "`entries` is not an array".into(),
             })?;
         for entry in entries {
-            cache.insert(plan_from_json(entry)?);
+            if let Some(plan) = plan_from_json(entry, version)? {
+                cache.insert(plan);
+            }
         }
         Ok(cache)
     }
@@ -1195,27 +1208,6 @@ impl Planner {
         k: usize,
         cfg: NmConfig,
     ) -> Result<Plan> {
-        self.plan_stored(class, StorageFormat::RowMajor, m, n, k, cfg)
-    }
-
-    /// As [`Planner::plan_as`], but keyed to an explicit storage lane —
-    /// the planner face of the [`LoadSpec`](crate::session::LoadSpec)
-    /// storage override. A sliced lane gets its own cache identity; the
-    /// analytic estimates are storage-independent (the cost model times
-    /// data movement the GPU kernels share), so the lane only changes the
-    /// key and what execution stages.
-    ///
-    /// # Errors
-    /// As [`Planner::plan_as`].
-    pub fn plan_stored(
-        &mut self,
-        class: ShapeClass,
-        storage: StorageFormat,
-        m: usize,
-        n: usize,
-        k: usize,
-        cfg: NmConfig,
-    ) -> Result<Plan> {
         if let ShapeClass::Decode(rows) = class {
             if !(1..=DECODE_MAX_ROWS).contains(&rows) {
                 return Err(NmError::InvalidConfig {
@@ -1233,7 +1225,6 @@ impl Planner {
         };
         let mut key = PlanKey::new(&self.dev, eff_m, n, k, cfg);
         key.shape = class;
-        key.storage = storage;
         if let Some(plan) = self.cache.lookup(&key) {
             return Ok(plan.clone());
         }
@@ -1636,7 +1627,6 @@ mod tests {
                 kb: 128,
                 mt: 8,
             },
-            storage: StorageFormat::RowMajor,
             gflops: 12.5,
             samples: 3,
         }
@@ -1718,24 +1708,39 @@ mod tests {
 
     #[test]
     fn stale_documents_load_empty_and_newer_versions_fail() {
-        // Rewrite a v6 document into v5 (which also recorded a measured
-        // entry's ladder step), v4 (same schema as v6 without evidence),
-        // the exact v3 schema (no storage) and the exact v1 schema (no
-        // shape, host, provenance or measured either) — the serializer is
-        // ours, so the surgery is exact. Each loads empty, never migrated.
+        // Rewrite v7 documents into v6 (a `rowmajor` storage lane on every
+        // key and every piece of evidence), v5 (which also recorded a
+        // measured entry's ladder step), v4 (v6's schema), the exact v3
+        // schema (no storage) and the exact v1 schema (no shape, host,
+        // provenance or measured either) — the serializer is ours, so the
+        // surgery is exact.
         let mut planner = Planner::new(a100_80g());
         let plan = planner.plan(512, 1024, 2048, cfg(4, 16)).unwrap();
         let measured = plan.with_measured(demo_host(), demo_measured()).unwrap();
         let mut with_evidence = planner.cache().clone();
         with_evidence.insert(measured.clone());
-        let v5 = with_evidence
-            .to_json()
-            .unwrap()
+        let v6_of = |v7: &str, lane: &str| {
+            let lane = format!("\"storage\":\"{lane}\",");
+            v7.replace("\"version\":7", "\"version\":6")
+                .replace("\"host\":", &format!("{lane}\"host\":"))
+                .replace("\"gflops\":", &format!("{lane}\"gflops\":"))
+        };
+        let v7 = with_evidence.to_json().unwrap();
+        assert!(!v7.contains("storage"), "v7 writes no storage lane");
+        let v6 = v6_of(&v7, "rowmajor");
+        assert_eq!(v6.matches("rowmajor").count(), 3, "two keys, one evidence");
+        // v6 and v7 entries load and hit, cost-model and measured alike.
+        for doc in [&v7, &v6] {
+            let mut cache = PlanCache::from_json(doc).unwrap();
+            assert_eq!(cache.lookup(&plan.key), Some(&plan));
+            assert_eq!(cache.lookup(&measured.key), Some(&measured));
+            assert_eq!(cache.to_json().unwrap(), v7, "the next save writes v7");
+        }
+        let v5 = v6
             .replace("\"version\":6", "\"version\":5")
             .replace("\"measured\":{", "\"measured\":{\"ladder_version\":\"v1\",");
-        let v6 = planner.cache().to_json().unwrap();
-        assert_eq!(PlanCache::from_json(&v6).unwrap().len(), 1);
-        let v4 = v6.replace("\"version\":6", "\"version\":4");
+        let v4 = v6_of(&planner.cache().to_json().unwrap(), "rowmajor")
+            .replace("\"version\":6", "\"version\":4");
         let v3 = v4
             .replace("\"version\":4", "\"version\":3")
             .replace("\"storage\":\"rowmajor\",", "");
@@ -1748,7 +1753,10 @@ mod tests {
         assert!(!v1.contains("provenance"), "surgery must remove v2 fields");
         assert!(!v1.contains("shape"), "surgery must remove v3 fields");
         assert!(v5.contains("ladder_version"), "surgery must add v5 fields");
-        for doc in [&v1, &v3, &v4, &v5] {
+        let retired = format!("{RETIRED_LANE}8:32");
+        let v5_retired = v5.replace("rowmajor", &retired);
+        let v4_retired = v4.replace("rowmajor", &retired);
+        for doc in [&v1, &v3, &v4, &v5, &v4_retired, &v5_retired] {
             let mut stale = PlanCache::from_json(doc).unwrap();
             assert!(stale.is_empty(), "a stale document loads no plans");
             assert!(stale.lookup(&plan.key).is_none());
@@ -1756,19 +1764,48 @@ mod tests {
             assert_eq!(stale.misses(), 2, "its keys miss and re-plan");
             stale.insert(measured.clone());
             assert!(
-                stale.to_json().unwrap().contains("\"version\":6"),
+                stale.to_json().unwrap().contains("\"version\":7"),
                 "the next save writes the current version"
             );
         }
-        // A newer version, and a v6 document with a v6 field stripped,
-        // still fail.
-        let v99 = v6.replace("\"version\":6", "\"version\":99");
-        let stripped = v6.replace("\"storage\":\"rowmajor\",", "");
-        for doc in [&v99, &stripped] {
-            assert!(matches!(
-                PlanCache::from_json(doc),
-                Err(NmError::Persist { .. })
-            ));
+        // A v6 entry on the retired lane, on its key or its evidence, loads
+        // without error and never hits; the other entry still does.
+        let on_key = v6.replacen("rowmajor", &retired, 1);
+        let on_evidence = v6_of(&v7, &retired).replacen(&retired, "rowmajor", 2);
+        for (doc, gone, kept) in [
+            (&on_key, &plan, &measured),
+            (&on_evidence, &measured, &plan),
+        ] {
+            let mut cache = PlanCache::from_json(doc).unwrap();
+            assert_eq!(cache.len(), 1, "the retired entry is skipped");
+            assert!(
+                cache.lookup(&gone.key).is_none(),
+                "a retired entry never hits"
+            );
+            assert_eq!(cache.lookup(&kept.key), Some(kept));
+        }
+        // A newer version, a v6 document with a v6 field stripped, and a
+        // junk or out-of-range storage tag in a v6 or v7 document still
+        // fail.
+        let v99 = v7.replace("\"version\":7", "\"version\":99");
+        let stripped = v6.replacen("\"storage\":\"rowmajor\",", "", 1);
+        let mut bad = vec![v99, stripped];
+        let bare = RETIRED_LANE.trim_end_matches(':');
+        let retired_junk = ["", "0:4", "4", "4:16:1", "65537:1", "1:65537"];
+        let retired_junk = retired_junk.map(|t| format!("{RETIRED_LANE}{t}"));
+        for junk in ["sell", "row-major", bare]
+            .map(String::from)
+            .into_iter()
+            .chain(retired_junk)
+        {
+            bad.push(v6.replacen("rowmajor", &junk, 1));
+            bad.push(v6_of(&v7, &junk).replace("\"version\":6", "\"version\":7"));
+        }
+        for doc in &bad {
+            assert!(
+                matches!(PlanCache::from_json(doc), Err(NmError::Persist { .. })),
+                "{doc}"
+            );
         }
     }
 
@@ -1856,53 +1893,6 @@ mod tests {
         let mut unscoped = base.with_measured(demo_host(), demo_measured()).unwrap();
         unscoped.key.host = None;
         assert!(unscoped.validate().is_err());
-    }
-
-    #[test]
-    fn storage_lane_keys_and_measured_storage_round_trip() {
-        use nm_core::sliced::SlicedLayout;
-        let mut planner = Planner::new(a100_80g());
-        let level = cfg(2, 16);
-        let sliced = StorageFormat::Sliced(SlicedLayout::new(8, 32).unwrap());
-        // The sliced lane gets its own cache identity next to the auto one.
-        let auto = planner
-            .plan_as(ShapeClass::Decode(1), 1, 4096, 4096, level)
-            .unwrap();
-        let pinned = planner
-            .plan_stored(ShapeClass::Decode(1), sliced, 1, 4096, 4096, level)
-            .unwrap();
-        assert_eq!(auto.key.storage, StorageFormat::RowMajor);
-        assert_eq!(pinned.key.storage, sliced);
-        assert_ne!(auto.key, pinned.key, "lanes must not collide");
-        assert_eq!(planner.cache().len(), 2);
-
-        // A measured winner can carry a sliced format on the auto lane.
-        let mut m = demo_measured();
-        m.storage = sliced;
-        let measured = auto.with_measured(demo_host(), m).unwrap();
-        let mut cache = planner.into_cache();
-        cache.insert(measured.clone());
-        let json = cache.to_json().unwrap();
-        assert!(json.contains("\"storage\":\"sliced:8:32\""));
-        let reloaded = PlanCache::from_json(&json).unwrap();
-        assert_eq!(reloaded.peek(&pinned.key), Some(&pinned));
-        assert_eq!(
-            reloaded
-                .peek(&measured.key)
-                .unwrap()
-                .measured
-                .unwrap()
-                .storage,
-            sliced
-        );
-        assert_eq!(json, reloaded.to_json().unwrap(), "deterministic order");
-
-        // A malformed storage tag is a persistence error, not a fallback.
-        let bad = json.replace("\"storage\":\"sliced:8:32\"", "\"storage\":\"sell\"");
-        assert!(matches!(
-            PlanCache::from_json(&bad),
-            Err(NmError::Persist { .. })
-        ));
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! ## One override per setting
 //!
 //! Each setting has one way to override it. The session's settings come
-//! from the builder alone; a layer's storage format from
-//! [`LoadSpec::storage`]. The one environment pin is `NM_SPMM_ISA`, read
+//! from the builder alone; a layer's shape class from
+//! [`LoadSpec::shape_class`]. The one environment pin is `NM_SPMM_ISA`, read
 //! by [`MicroKernel::select`] when the builder sets no
 //! [`SessionBuilder::micro_kernel`] (tested in `tests/env_overrides.rs`).
 //!
@@ -76,8 +76,8 @@ use nm_core::error::NmError;
 use nm_core::error::Result;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
-use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
+use nm_core::staging::StorageFormat;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -157,10 +157,9 @@ impl SessionBuilder {
 
     /// Whether [`Session::load`] measures: `Off` executes the cost-model
     /// plan as-is, `Quick`/`Full` run the [`measure`](mod@crate::measure)
-    /// harness on a cache miss and persist the measured-best tiling and
-    /// storage format through the plan cache, keyed by `(host ISA, thread
-    /// count, shape class, N:M)`, and stage the kernel on them. Off by
-    /// default.
+    /// harness on a cache miss and persist the measured-best tiling
+    /// through the plan cache, keyed by `(host ISA, thread count, shape
+    /// class, N:M)`, and stage the kernel on it. Off by default.
     pub fn autotune(mut self, mode: AutotuneMode) -> Self {
         self.autotune = mode;
         self
@@ -198,14 +197,12 @@ impl SessionBuilder {
 /// consumes, and what the `load` convenience builds behind the scenes.
 ///
 /// A spec starts from the one piece of information every load needs — the
-/// activation row count — and layers optional overrides on top:
-///
-/// * [`LoadSpec::shape_class`] — plan under an explicit
-///   [`ShapeClass`] instead of the one `rows` classifies to: a layer
-///   serving autoregressive decode can be planned on the decode band
-///   (`ShapeClass::Decode(m)`, `m ≤ DECODE_MAX_ROWS`) even though it was
-///   loaded for a prefill row count, and vice versa.
-/// * [`LoadSpec::storage`] — pin this layer's `B′` storage format.
+/// activation row count — and layers an optional override on top:
+/// [`LoadSpec::shape_class`] plans under an explicit [`ShapeClass`]
+/// instead of the one `rows` classifies to, so a layer serving
+/// autoregressive decode can be planned on the decode band
+/// (`ShapeClass::Decode(m)`, `m ≤ DECODE_MAX_ROWS`) even though it was
+/// loaded for a prefill row count, and vice versa.
 ///
 /// A load against an externally resolved [`Plan`] skips the spec
 /// altogether: [`Session::load_planned`].
@@ -220,17 +217,15 @@ impl SessionBuilder {
 pub struct LoadSpec {
     rows: usize,
     shape_class: Option<ShapeClass>,
-    storage: Option<StorageFormat>,
 }
 
 impl LoadSpec {
-    /// A spec for activations of `rows` rows, with every override unset:
+    /// A spec for activations of `rows` rows, with the override unset:
     /// shape class derived from `rows`, planning through the cache.
     pub fn rows(rows: usize) -> Self {
         Self {
             rows,
             shape_class: None,
-            storage: None,
         }
     }
 
@@ -239,15 +234,6 @@ impl LoadSpec {
     /// `m` in `1..=DECODE_MAX_ROWS`).
     pub fn shape_class(mut self, class: ShapeClass) -> Self {
         self.shape_class = Some(class);
-        self
-    }
-
-    /// Pin this layer's `B′` storage format instead of the
-    /// planned/measured lane. A sliced pin plans (and caches) on its own
-    /// format lane; a row-major pin shares the auto lane's plan but
-    /// always stages the paper's layout.
-    pub fn storage(mut self, format: StorageFormat) -> Self {
-        self.storage = Some(format);
         self
     }
 }
@@ -290,8 +276,7 @@ impl Session {
 
     /// Plan a problem through the shared cache (strategy decision +
     /// exhaustive autotune on a miss, O(1) on a hit). The estimate-only
-    /// entry point, on the auto (row-major) storage lane that an unpinned
-    /// [`Session::load`] plans on.
+    /// entry point, on the same key [`Session::load`] plans on.
     pub fn plan(&mut self, m: usize, n: usize, k: usize, cfg: NmConfig) -> Result<Plan> {
         self.plan_as(ShapeClass::of_rows(m), m, n, k, cfg)
     }
@@ -341,7 +326,7 @@ impl Session {
     ///    count); on a miss, run the [`measure`](mod@crate::measure)
     ///    harness, persist the winner through the cache's backing file
     ///    (when one is configured), and stage the kernel on the
-    ///    measured-best tiling and storage format.
+    ///    measured-best tiling.
     ///
     /// # Errors
     /// [`NmError::InvalidConfig`] when the spec names an out-of-band decode
@@ -356,17 +341,12 @@ impl Session {
     ) -> Result<PreparedLayer> {
         let weights = weights.into();
         let (n, k, cfg) = (weights.cols(), weights.k(), weights.cfg());
-        // A pinned format plans on that format's lane (a sliced pin gets
-        // its own cache identity; a row-major pin shares the auto lane).
         let class = spec
             .shape_class
             .unwrap_or_else(|| ShapeClass::of_rows(spec.rows));
-        let storage = spec.storage.unwrap_or(StorageFormat::RowMajor);
-        let plan = self
-            .planner
-            .plan_stored(class, storage, spec.rows, n, k, cfg)?;
+        let plan = self.planner.plan_as(class, spec.rows, n, k, cfg)?;
         match MeasureSpec::for_mode(self.autotune) {
-            Some(mspec) => self.load_measured(plan, weights, spec.rows, spec.storage, mspec),
+            Some(mspec) => self.load_measured(plan, weights, spec.rows, mspec),
             None => self.load_planned(plan, weights),
         }
     }
@@ -390,7 +370,6 @@ impl Session {
         base: Plan,
         weights: Arc<NmSparseMatrix>,
         rows: usize,
-        pin: Option<StorageFormat>,
         spec: MeasureSpec,
     ) -> Result<PreparedLayer> {
         // Resolve the micro-kernel first: the host ISA is part of the
@@ -403,7 +382,7 @@ impl Session {
             threads: rayon::current_num_threads(),
         };
         let key = base.key.for_host(host.clone());
-        let mut plan = match self.planner.lookup(&key) {
+        let plan = match self.planner.lookup(&key) {
             Some(plan) => plan,
             None => {
                 let outcome = measure::measure(&base, &weights, rows, Some(kernel), spec)?;
@@ -416,15 +395,6 @@ impl Session {
                 plan
             }
         };
-        // A row-major pin shares the auto lane's measured entry (the
-        // persisted evidence stays the genuine auto winner), but this
-        // load must stage the pinned layout: rewrite the local copy's
-        // measured format before preparing. Tile geometry is
-        // format-independent, so the measured tiling stays valid. A
-        // sliced pin already restricted measurement to its format.
-        if let (Some(f), Some(m)) = (pin, plan.measured.as_mut()) {
-            m.storage = f;
-        }
         self.load_planned(plan, weights)
     }
 
@@ -483,9 +453,9 @@ impl Session {
 /// (shared, via `Arc`) weights that [`PreparedLayer::weights`] hands back.
 ///
 /// The weights' window-major value panels are the only resident copy of
-/// `B′`: the staging owns its gather table and window permutation and
-/// borrows the panels. Loading the same weights several times — other
-/// formats, a decode stack, measured candidates — copies no values.
+/// `B′`: the staging owns its gather table and borrows the panels.
+/// Loading the same weights several times — a decode stack, measured
+/// candidates — copies no values.
 ///
 /// The handle is `Send + Sync`; `forward` takes `&self`, so one prepared
 /// layer can serve concurrent callers (e.g. a serving front-end's worker
@@ -517,12 +487,10 @@ impl PreparedLayer {
         self.state.isa()
     }
 
-    /// The `B′` storage format the preparation actually staged (always
-    /// `Some`). `forward` results are bit-identical across formats — this
-    /// reports which layout the planned/measured/pinned resolution landed
-    /// on.
+    /// The `B′` storage format the preparation staged: always
+    /// `Some(StorageFormat::RowMajor)`, the one layout the kernel stages.
     pub fn storage(&self) -> Option<StorageFormat> {
-        Some(self.state.format())
+        Some(StorageFormat::RowMajor)
     }
 
     /// The online path: multiply one activation batch,
@@ -641,7 +609,6 @@ mod tests {
         let expect = spmm_reference(&a, &sb);
         let specs = [
             LoadSpec::rows(64),
-            LoadSpec::rows(64).storage(StorageFormat::RowMajor),
             LoadSpec::rows(64).shape_class(ShapeClass::Prefill),
         ];
         for spec in specs {
@@ -659,7 +626,7 @@ mod tests {
         // One shape class: a single planning miss, then a cache hit for
         // every further load.
         let st = s.stats();
-        assert_eq!((st.entries, st.hits, st.misses), (1, 2, 1));
+        assert_eq!((st.entries, st.hits, st.misses), (1, 1, 1));
     }
 
     #[test]
@@ -703,102 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn storage_pins_route_transparently_and_stay_bit_identical() {
-        use nm_core::sliced::SlicedLayout;
-        let mut s = session();
-        let cfg = NmConfig::new(2, 8, 16).unwrap();
-        let sb = Arc::new(weights(96, 64, cfg, 81));
-        let x = MatrixF32::random(1, 96, 82);
-
-        let auto = s.load(sb.clone(), 1).unwrap();
-        assert_eq!(
-            auto.storage(),
-            Some(StorageFormat::RowMajor),
-            "no pin, no measurement: the auto lane stages the paper layout"
-        );
-
-        let pin = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        let sliced = s
-            .load_with(sb.clone(), LoadSpec::rows(1).storage(pin))
-            .unwrap();
-        assert_eq!(sliced.plan().key.storage, pin, "own cache lane");
-        assert_eq!(sliced.storage(), Some(pin));
-
-        // The permutation is invisible: same activations, bit-identical
-        // output, on both the matrix and the vector entry points.
-        let (ra, rs) = (auto.forward(&x).unwrap(), sliced.forward(&x).unwrap());
-        assert_eq!(ra.c.as_slice(), rs.c.as_slice());
-        let (va, vs) = (
-            auto.forward_vec(x.row(0)).unwrap(),
-            sliced.forward_vec(x.row(0)).unwrap(),
-        );
-        assert_eq!(va.c.as_slice(), vs.c.as_slice());
-
-        // A row-major pin shares the auto plan lane.
-        let rm = s
-            .load_with(
-                sb.clone(),
-                LoadSpec::rows(1).storage(StorageFormat::RowMajor),
-            )
-            .unwrap();
-        assert_eq!(rm.plan().key, auto.plan().key);
-        assert_eq!(rm.storage(), Some(StorageFormat::RowMajor));
-    }
-
-    #[test]
-    fn measured_loads_honor_storage_pins_and_record_the_winner() {
-        use nm_core::sliced::SlicedLayout;
-        let mut s = SessionBuilder::new(a100_80g())
-            .autotune(AutotuneMode::Quick)
-            .build()
-            .unwrap();
-        let cfg = NmConfig::new(2, 8, 16).unwrap();
-        let sb = Arc::new(weights(96, 64, cfg, 83));
-        let x = MatrixF32::random(1, 96, 84);
-
-        // The auto lane stages whatever the measurement picked.
-        let auto = s.load(sb.clone(), 1).unwrap();
-        let measured = auto.plan().measured.expect("measured evidence");
-        assert_eq!(auto.storage(), Some(measured.storage));
-
-        // A row-major pin reuses the auto lane's evidence (no second
-        // measurement) but stages the pinned layout.
-        let before = crate::measure::measurement_passes();
-        let rm = s
-            .load_with(
-                sb.clone(),
-                LoadSpec::rows(1).storage(StorageFormat::RowMajor),
-            )
-            .unwrap();
-        assert_eq!(crate::measure::measurement_passes(), before, "cache hit");
-        assert_eq!(rm.storage(), Some(StorageFormat::RowMajor));
-        assert_eq!(
-            rm.plan().measured.as_ref().unwrap().cpu_tiling,
-            measured.cpu_tiling,
-            "the measured tile geometry survives the format rewrite"
-        );
-
-        // A sliced pin measures its own lane, restricted to the pin.
-        let pin = StorageFormat::Sliced(SlicedLayout::new(4, 4).unwrap());
-        let sliced = s
-            .load_with(sb.clone(), LoadSpec::rows(1).storage(pin))
-            .unwrap();
-        assert_eq!(sliced.storage(), Some(pin));
-        assert_eq!(sliced.plan().measured.as_ref().unwrap().storage, pin);
-
-        // All three stage differently, multiply identically.
-        let want = auto.forward_vec(x.row(0)).unwrap();
-        for layer in [&rm, &sliced] {
-            let got = layer.forward_vec(x.row(0)).unwrap();
-            assert_eq!(want.c.as_slice(), got.c.as_slice());
-        }
-    }
-
-    #[test]
     fn quick_decode_load_stages_each_tiling_once() {
-        // A fresh decode key stages every tiling candidate once in its
-        // own format, plus at most a head-to-head challenger and the
-        // layer itself — not a grid of storage formats per tiling.
+        // A fresh decode key stages every tiling candidate once, plus at
+        // most a head-to-head challenger and the layer itself.
         let mut s = SessionBuilder::new(a100_80g())
             .autotune(AutotuneMode::Quick)
             .build()
@@ -824,21 +698,12 @@ mod tests {
 
     #[test]
     fn every_staging_borrows_the_weights_panels() {
-        use nm_core::sliced::SlicedLayout;
         // Ragged k and n; L = 32 aligns every full panel.
         let cfg = NmConfig::new(2, 8, 32).unwrap();
         let sb = Arc::new(weights(200, 130, cfg, 91));
         let mut s = session();
-        let rm = s
-            .load_with(
-                sb.clone(),
-                LoadSpec::rows(4).storage(StorageFormat::RowMajor),
-            )
-            .unwrap();
-        let pin = StorageFormat::Sliced(SlicedLayout::new(8, 32).unwrap());
-        let sliced = s
-            .load_with(sb.clone(), LoadSpec::rows(4).storage(pin))
-            .unwrap();
+        let prefill = s.load(sb.clone(), 64).unwrap();
+        let decode = s.load(sb.clone(), 4).unwrap();
         let mut quick = SessionBuilder::new(a100_80g())
             .autotune(AutotuneMode::Quick)
             .build()
@@ -847,27 +712,20 @@ mod tests {
 
         let panels = sb.panels().as_ptr_range();
         assert_eq!(panels.start as usize % 64, 0);
-        for layer in [&rm, &sliced, &measured] {
+        for layer in [&prefill, &decode, &measured] {
             assert!(std::ptr::eq(layer.weights(), &*sb));
+            assert_eq!(layer.storage(), Some(StorageFormat::RowMajor));
             let (sm, _, _) = layer.state.staged();
-            for pos in 0..sm.windows() {
-                let v = sm.window_values(pos, 0, sm.w()).as_ptr_range();
+            for j in 0..sm.windows() {
+                let v = sm.window_values(j, 0, sm.w()).as_ptr_range();
                 let within = panels.start <= v.start && v.end <= panels.end;
-                assert!(
-                    within,
-                    "{:?}: window {pos} is not in the panels",
-                    layer.storage()
-                );
-                if sm.span(pos).1 == cfg.l {
-                    assert_eq!(v.start as usize % 64, 0, "window {pos}");
+                let rows = layer.plan().key.shape;
+                assert!(within, "{rows}: window {j} is not in the panels");
+                if sm.span(j).1 == cfg.l {
+                    assert_eq!(v.start as usize % 64, 0, "window {j}");
                 }
             }
         }
-        assert_eq!(rm.state.staged().0.layout().sort_window, 1);
-        assert_eq!(
-            sliced.state.staged().0.layout(),
-            SlicedLayout::new(8, 32).unwrap()
-        );
     }
 
     #[test]

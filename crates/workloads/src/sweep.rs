@@ -26,7 +26,6 @@
 use nm_core::error::Result;
 use nm_core::matrix::MatrixF32;
 use nm_core::pattern::NmConfig;
-use nm_core::sliced::StorageFormat;
 use nm_core::sparse::NmSparseMatrix;
 use nm_core::spmm::spmm_reference;
 use nm_kernels::measure::AutotuneMode;
@@ -132,10 +131,6 @@ pub struct DecodeLane {
     pub cache_hit: bool,
     /// Estimated milliseconds of the chosen kernel at this batch.
     pub est_ms: f64,
-    /// The storage format this lane would stage under — measured
-    /// evidence when the plan carries it, else the plan key's lane
-    /// (mirroring how the CPU kernel resolves the staged format).
-    pub format: StorageFormat,
 }
 
 /// One layer's row in the sweep report.
@@ -272,17 +267,11 @@ pub fn sweep_model(
                 let plan = session.plan(batch, shape.n, shape.k, cfg)?;
                 let cache_hit = session.stats().hits > hits_before;
                 let est_ms = plan.best()?.seconds * 1e3;
-                let format = plan
-                    .measured
-                    .as_ref()
-                    .map(|m| m.storage)
-                    .unwrap_or(plan.key.storage);
                 row.decode.push(DecodeLane {
                     batch,
                     plan,
                     cache_hit,
                     est_ms,
-                    format,
                 });
             }
         }
@@ -498,9 +487,6 @@ mod tests {
             for d in &l.decode {
                 assert!(d.plan.key.shape.is_decode(), "{} m={}", l.layer, d.batch);
                 assert!(d.est_ms > 0.0);
-                // Estimate-only decode plans carry no measured evidence,
-                // so the reported format is the plan key's auto lane.
-                assert_eq!(d.format, StorageFormat::RowMajor, "{}", l.layer);
             }
         }
         // mlp.up's decode lanes replay mlp.gate's keys: all cache hits.

@@ -1,5 +1,5 @@
 //! The codegen verifier's acceptance matrix, end to end: for **every
-//! kernel family × storage format × {prefill, decode(m=1)}** on ragged
+//! kernel family × {prefill, decode(m=1)}** on ragged
 //! shapes, the generated WGSL must pass the in-repo validator, the
 //! shader interpreter must reproduce `cpu_v3` **bit for bit**, and the
 //! interpreter's phase structure must equal the simulator's
@@ -35,16 +35,10 @@ fn operand(cfg: NmConfig, k: usize, n: usize, seed: u64) -> Arc<NmSparseMatrix> 
 fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFamily, seed: u64) {
     let dev = a100_80g();
     let a = MatrixF32::random(m, sb.k(), seed);
-    let tag = format!(
-        "{family} {} m={m} k={} n={}",
-        plan.key.storage,
-        sb.k(),
-        sb.cols()
-    );
+    let tag = format!("{family} m={m} k={} n={}", sb.k(), sb.cols());
 
     let prep = CodegenPrepared::new(plan, sb, None).expect("prepare");
     assert_eq!(prep.spec().family, family, "{tag}: family");
-    assert_eq!(prep.spec().storage, plan.key.storage, "{tag}: storage");
 
     // 1. The emitted shader is well-formed under the in-repo validator.
     validate_wgsl(prep.wgsl(), &ValidateOptions::default())
@@ -73,7 +67,6 @@ fn check_cell(plan: &Plan, sb: &Arc<NmSparseMatrix>, m: usize, family: KernelFam
 /// specific ladder family.
 fn prefill_plan_for(
     planner: &mut Planner,
-    storage: StorageFormat,
     choice: KernelChoice,
     m: usize,
     n: usize,
@@ -81,17 +74,10 @@ fn prefill_plan_for(
     cfg: NmConfig,
 ) -> Plan {
     let mut plan = planner
-        .plan_stored(ShapeClass::Prefill, storage, m, n, k, cfg)
+        .plan_as(ShapeClass::Prefill, m, n, k, cfg)
         .expect("plan");
     plan.choice = choice;
     plan
-}
-
-fn storages() -> [StorageFormat; 2] {
-    [
-        StorageFormat::RowMajor,
-        StorageFormat::Sliced(SlicedLayout::new(4, 16).expect("layout")),
-    ]
 }
 
 #[test]
@@ -107,17 +93,15 @@ fn ladder_families_pass_the_matrix_on_prefill_shapes() {
         NmConfig::new(6, 16, 8).expect("6:16:8"),
     ];
     for (ci, cfg) in cfgs.into_iter().enumerate() {
-        for storage in storages() {
-            for (choice, family) in ladder {
-                for (si, (k, n)) in RAGGED.into_iter().enumerate() {
-                    let m = PREFILL_ROWS[si];
-                    let seed = 9000 + (ci * 100 + si * 10) as u64;
-                    let sb = operand(cfg, k, n, seed);
-                    let mut planner = Planner::new(a100_80g());
-                    let plan = prefill_plan_for(&mut planner, storage, choice, m, n, k, cfg);
-                    assert_eq!(family_for_plan(&plan), family);
-                    check_cell(&plan, &sb, m, family, seed ^ 0xa11);
-                }
+        for (choice, family) in ladder {
+            for (si, (k, n)) in RAGGED.into_iter().enumerate() {
+                let m = PREFILL_ROWS[si];
+                let seed = 9000 + (ci * 100 + si * 10) as u64;
+                let sb = operand(cfg, k, n, seed);
+                let mut planner = Planner::new(a100_80g());
+                let plan = prefill_plan_for(&mut planner, choice, m, n, k, cfg);
+                assert_eq!(family_for_plan(&plan), family);
+                check_cell(&plan, &sb, m, family, seed ^ 0xa11);
             }
         }
     }
@@ -126,15 +110,13 @@ fn ladder_families_pass_the_matrix_on_prefill_shapes() {
 #[test]
 fn skinny_decode_family_passes_the_matrix_at_one_row() {
     let cfg = NmConfig::new(2, 8, 16).expect("2:8:16");
-    for storage in storages() {
-        for (si, (k, n)) in RAGGED.into_iter().enumerate() {
-            let seed = 9500 + si as u64;
-            let sb = operand(cfg, k, n, seed);
-            let plan = Planner::new(a100_80g())
-                .plan_stored(ShapeClass::Decode(1), storage, 1, n, k, cfg)
-                .expect("decode plan");
-            assert_eq!(family_for_plan(&plan), KernelFamily::SkinnyDecode);
-            check_cell(&plan, &sb, 1, KernelFamily::SkinnyDecode, seed ^ 0xdec);
-        }
+    for (si, (k, n)) in RAGGED.into_iter().enumerate() {
+        let seed = 9500 + si as u64;
+        let sb = operand(cfg, k, n, seed);
+        let plan = Planner::new(a100_80g())
+            .plan_as(ShapeClass::Decode(1), 1, n, k, cfg)
+            .expect("decode plan");
+        assert_eq!(family_for_plan(&plan), KernelFamily::SkinnyDecode);
+        check_cell(&plan, &sb, 1, KernelFamily::SkinnyDecode, seed ^ 0xdec);
     }
 }

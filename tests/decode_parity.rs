@@ -16,7 +16,7 @@ use nm_spmm::kernels::cpu::{
     offline_staging_passes, spmm_cpu_prepared, spmv_cpu_prepared, CpuPrepared, CpuTiling,
 };
 use nm_spmm::kernels::simd::MicroKernel;
-use nm_spmm::kernels::{AutotuneMode, LoadSpec, Session, SessionBuilder, ShapeClass};
+use nm_spmm::kernels::{AutotuneMode, Session, SessionBuilder, ShapeClass};
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::a100_80g;
 use proptest::prelude::*;
@@ -104,26 +104,20 @@ fn spmv_prepared_matches_the_oracle_through_every_isa() {
 
 #[test]
 fn column_split_is_bit_identical_to_one_worker_above_the_floor() {
-    // k = 2048, n = 1024 at 2:8 stages many column blocks and slices:
-    // with two or more workers, the kernel splits these one-panel calls
-    // across column blocks (row-major) or slices (sliced) instead of
-    // running them on one thread; pinned to one worker it does not.
+    // k = 2048, n = 1024 at 2:8 stages many column blocks: with two or
+    // more workers, the kernel splits these one-panel calls across column
+    // blocks instead of running them on one thread; pinned to one worker
+    // it does not.
     let cfg = NmConfig::new(2, 8, 32).unwrap();
     let (k, n) = (2048, 1024);
     let b = MatrixF32::random(k, n, 4900);
     let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
     let tiling = CpuTiling::auto(cfg, 8, n, k).unwrap();
     assert!(tiling.mb >= 3, "setup: every m below is one row panel");
-    for format in [
-        StorageFormat::RowMajor,
-        StorageFormat::Sliced(SlicedLayout::DEFAULT),
-    ] {
-        let prep = CpuPrepared::with_format(&sb, tiling, MicroKernel::select().unwrap(), format);
-        let prep = prep.unwrap();
-        for m in SKINNY_ROWS {
-            let a = MatrixF32::random(m, k, 4901 + m as u64);
-            check_cell(&a, &sb, &prep, &format!("{format} m={m}"));
-        }
+    let prep = CpuPrepared::with_kernel(&sb, tiling, MicroKernel::select().unwrap()).unwrap();
+    for m in SKINNY_ROWS {
+        let a = MatrixF32::random(m, k, 4901 + m as u64);
+        check_cell(&a, &sb, &prep, &format!("m={m}"));
     }
 }
 
@@ -173,10 +167,10 @@ fn forward_vec_is_its_row_of_a_four_row_forward() {
     // a 4-row forward runs every window through the 4-row tile alone.
     // Rows accumulate independently, so each row of the 4-row forward is
     // bit for bit what `forward_vec` gives that row — on all workers and
-    // pinned to one, row-major and sliced:8:8. 21 or 22 windows in 3
-    // slices leave a remainder for any G; the ragged shapes (n not a
-    // multiple of L, k not of M at 4:8) mix general windows (the partial
-    // window, pad-reaching tail blocks) into the fast ones.
+    // pinned to one. 21 or 22 windows leave a remainder for any G; the
+    // ragged shapes (n not a multiple of L, k not of M at 4:8) mix general
+    // windows (the partial window, pad-reaching tail blocks) into the fast
+    // ones.
     let shapes = [
         (NmConfig::new(2, 8, 32).unwrap(), 512, 672),
         (NmConfig::new(4, 8, 32).unwrap(), 509, 692),
@@ -189,22 +183,16 @@ fn forward_vec_is_its_row_of_a_four_row_forward() {
         let policy = PrunePolicy::Random { seed: seed + 1 };
         let sb = std::sync::Arc::new(NmSparseMatrix::prune(&b, cfg, policy).unwrap());
         let a = MatrixF32::random(4, k, seed + 2);
-        for storage in [
-            StorageFormat::RowMajor,
-            StorageFormat::Sliced(SlicedLayout::new(8, 8).unwrap()),
-        ] {
-            let spec = LoadSpec::rows(4).storage(storage);
-            let layer = cost_model_session().load_with(sb.clone(), spec).unwrap();
-            let four = layer.forward(&a).unwrap();
-            let four_serial = one_worker(|| layer.forward(&a)).unwrap();
-            assert_eq!(four.c.as_slice(), four_serial.c.as_slice());
-            for r in 0..4 {
-                let tag = format!("{cfg} k={k} n={n} {storage} row {r}");
-                let vec_run = layer.forward_vec(a.row(r)).unwrap();
-                let serial = one_worker(|| layer.forward_vec(a.row(r))).unwrap();
-                assert_eq!(vec_run.c.as_slice(), four.c.row(r), "{tag}");
-                assert_eq!(serial.c.as_slice(), four.c.row(r), "{tag}: one worker");
-            }
+        let layer = cost_model_session().load(sb.clone(), 4).unwrap();
+        let four = layer.forward(&a).unwrap();
+        let four_serial = one_worker(|| layer.forward(&a)).unwrap();
+        assert_eq!(four.c.as_slice(), four_serial.c.as_slice());
+        for r in 0..4 {
+            let tag = format!("{cfg} k={k} n={n} row {r}");
+            let vec_run = layer.forward_vec(a.row(r)).unwrap();
+            let serial = one_worker(|| layer.forward_vec(a.row(r))).unwrap();
+            assert_eq!(vec_run.c.as_slice(), four.c.row(r), "{tag}");
+            assert_eq!(serial.c.as_slice(), four.c.row(r), "{tag}: one worker");
         }
     }
 }

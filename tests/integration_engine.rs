@@ -5,7 +5,7 @@
 
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::plan::{PlanCache, PlanKey, Planner};
-use nm_spmm::kernels::{LoadSpec, SessionBuilder};
+use nm_spmm::kernels::SessionBuilder;
 use nm_spmm::prelude::*;
 use nm_spmm::sim::device::{a100_80g, paper_devices, rtx3090};
 use nm_spmm::workloads::llama::LLAMA_FAMILY;
@@ -143,18 +143,14 @@ fn session_execution_matches_reference_on_every_backend() {
         let b = MatrixF32::random(192, 96, 42);
         let sb = NmSparseMatrix::prune_magnitude(&b, cfg).unwrap();
         let expect = spmm_reference(&a, &sb);
-        let sliced = StorageFormat::Sliced(SlicedLayout::DEFAULT);
-        for storage in [StorageFormat::RowMajor, sliced] {
-            let spec = LoadSpec::rows(64).storage(storage);
-            let layer = session.load_with(sb.clone(), spec).unwrap();
-            let run = layer.forward(&a).unwrap();
-            assert!(
-                run.c.allclose(&expect, 1e-3, 1e-4),
-                "{cfg} via {storage}: max diff {}",
-                run.c.max_abs_diff(&expect)
-            );
-            assert!(run.wall_seconds > 0.0, "{storage} must report wall time");
-        }
+        let layer = session.load(sb.clone(), 64).unwrap();
+        let run = layer.forward(&a).unwrap();
+        assert!(
+            run.c.allclose(&expect, 1e-3, 1e-4),
+            "{cfg}: max diff {}",
+            run.c.max_abs_diff(&expect)
+        );
+        assert!(run.wall_seconds > 0.0, "{cfg} must report wall time");
     }
 }
 

@@ -6,18 +6,17 @@
 //!   is a counted plan-cache hit), both within one session and across
 //!   file-backed sessions sharing a cache path,
 //! * **evidence-carrying plans** — the prepared layer's plan records
-//!   `Measured` provenance and the winning tiling/storage format,
+//!   `Measured` provenance and the winning tiling,
 //! * **numerics** — as a property over arbitrary shapes, configurations
 //!   and seeds, a measured plan's forward pass agrees with the scalar
 //!   reference exactly as tightly as the cost-model plan's does,
 //! * **robustness** — a plan cache whose measured tiling was doctored
 //!   ends in correct output or a structured error, never an abort.
 
-use nm_spmm::core::sliced::StorageFormat;
 use nm_spmm::core::spmm::spmm_reference;
 use nm_spmm::kernels::measure::measurement_passes;
 use nm_spmm::kernels::plan::Provenance;
-use nm_spmm::kernels::{AutotuneMode, CodegenPrepared, LoadSpec, Session, SessionBuilder};
+use nm_spmm::kernels::{AutotuneMode, CodegenPrepared, Session, SessionBuilder};
 use nm_spmm::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -166,14 +165,10 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
             .plan_cache(path)
             .build()
     };
-    let row_major = || LoadSpec::rows(16).storage(StorageFormat::RowMajor);
     for (mb, mt) in [(None, Some(1usize << 40)), (Some(1 << 52), None)] {
         let path = tmp_path(&format!("doctored-{mb:?}-{mt:?}.json"));
         let _ = std::fs::remove_file(&path);
-        let layer = session(&path)
-            .unwrap()
-            .load_with(sb.clone(), row_major())
-            .unwrap();
+        let layer = session(&path).unwrap().load(sb.clone(), 16).unwrap();
         let t = layer.plan().measured.expect("evidence").cpu_tiling;
         let (mb, mt) = (mb.unwrap_or(t.mb), mt.unwrap_or(t.mt));
         let entry = |mb, mt| format!("{{\"mb\":{mb},\"nb\":{},\"kb\":{},\"mt\":{mt},", t.nb, t.kb);
@@ -183,7 +178,7 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
         std::fs::write(&path, doctored).unwrap();
 
         let before = measurement_passes();
-        let loaded = session(&path).and_then(|mut s| s.load_with(sb.clone(), row_major()));
+        let loaded = session(&path).and_then(|mut s| s.load(sb.clone(), 16));
         let _ = std::fs::remove_file(&path);
         // Rejecting the entry with a structured error is an accepted end.
         let Ok(layer) = loaded else { continue };
@@ -200,7 +195,7 @@ fn doctored_measured_tilings_end_in_output_or_a_structured_error() {
     let path = tmp_path("doctored-codegen.json");
     let _ = std::fs::remove_file(&path);
     let mut s = session(&path).unwrap();
-    let mut plan = s.load_with(sb.clone(), row_major()).unwrap().plan().clone();
+    let mut plan = s.load(sb.clone(), 16).unwrap().plan().clone();
     let _ = std::fs::remove_file(&path);
     plan.measured.as_mut().expect("evidence").cpu_tiling.mb = 1 << 60;
     if let Ok(prep) = CodegenPrepared::new(&plan, &std::sync::Arc::new(sb), None) {
@@ -224,8 +219,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For arbitrary shapes and seeds, the plan the measurement picks —
-    /// whatever tiling and storage format wins on this host — computes
-    /// the same matrix as the scalar reference.
+    /// whatever tiling wins on this host — computes the same matrix as
+    /// the scalar reference.
     #[test]
     fn measured_plans_match_the_reference(
         cfg in arb_cfg(),
